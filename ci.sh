@@ -5,7 +5,10 @@
 #   1. formatting        cargo fmt --check (config in rustfmt.toml)
 #   2. lints             cargo clippy, warnings are errors
 #   3. tier-1            release build + the root suite's smoke tests
-#   4. workspace tests   every crate's unit/integration tests
+#   4. workspace tests   every crate's unit/integration tests, and the
+#                        oftt suite again with the seeded defects
+#                        compiled in (the checkpoint store's one-deep
+#                        history only exists under inject_bugs)
 #   5. model checking    budgeted oftt-check sweep over pair failover
 #   6. verify sweep      oftt-verify exhausts the abstract protocol space
 #                        (pinned state count, zero violations, no lasso)
@@ -53,6 +56,15 @@
 #                        expected violation exits nonzero via the
 #                        campaign gate, and the emitted BENCH_campaign
 #                        artifact must validate as oftt-bench-campaign-v1
+#  15. benchmark smoke   the repo's benchmark (benchmark/run.sh, declared
+#                        by BENCHMARK.json) at 1/20 length, untraced and
+#                        traced: all four workloads must report
+#                        "correct": true and "failed": 0. The traced pass
+#                        replays every VarStore/Checkpoint/CheckpointStore
+#                        call on a shadow pair and ships image_crc(None)
+#                        as a full payload's crc, so it is the standing
+#                        guard that image checksum and full-payload
+#                        checksum stay one function
 #
 # Exits non-zero on the first failing stage, naming it on stderr.
 
@@ -89,6 +101,7 @@ cargo test -q
 
 step "workspace tests"
 cargo test --workspace -q
+cargo test -p oftt --features inject_bugs -q
 
 step "oftt-check sweep (pair failover, 600-schedule budget)"
 cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 600
@@ -246,5 +259,18 @@ cargo run -p oftt-campaign --release -q -- run \
     --scenario examples/campaigns/startup_bug.json \
     --seeds 20 --out "$BENCH_CAMPAIGN_OUT"
 cargo run -p bench --release -q --bin bench-validate "$BENCH_CAMPAIGN_OUT"
+
+step "benchmark smoke: four workloads, untraced and traced, outputs checked"
+for trace in 0 1; do
+    # Each workload's last output line is its result as one JSON object.
+    results=$(bash benchmark/run.sh --trace "$trace" --smoke | grep '^{')
+    passed=$(printf '%s\n' "$results" |
+        grep -c '^{"correct": true, "attempted": [0-9]*, "failed": 0,' || true)
+    if [ "$(printf '%s\n' "$results" | wc -l)" -ne 4 ] || [ "$passed" -ne 4 ]; then
+        printf 'benchmark smoke (--trace %s): want 4 correct results with 0 failed, got:\n%s\n' \
+            "$trace" "$results" >&2
+        false
+    fi
+done
 
 printf '\nCI green.\n'

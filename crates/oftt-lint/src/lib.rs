@@ -133,6 +133,14 @@ pub fn classify(rel: &str) -> Option<FileKind> {
     Some(FileKind::TestLike)
 }
 
+/// `true` when `dir` holds a manifest that opens its own `[workspace]`: a
+/// separate workspace nested in this tree (the stand-alone `benchmark/`
+/// package), whose code this workspace's rules and baseline do not cover.
+fn is_foreign_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, FileKind)>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     let mut entries: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
@@ -140,7 +148,10 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, FileKind)>) {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if !EXCLUDED_DIRS.contains(&name) && !name.starts_with('.') {
+            if !EXCLUDED_DIRS.contains(&name)
+                && !name.starts_with('.')
+                && !is_foreign_workspace(&path)
+            {
                 walk(&path, root, out);
             }
         } else if let Some(kind) = relative(&path, root).as_deref().and_then(classify) {

@@ -79,3 +79,34 @@ fn injected_bug_spans_contain_the_seeded_deadlock() {
         report.findings
     );
 }
+
+/// A directory whose manifest opens its own `[workspace]` (the stand-alone
+/// `benchmark/` package) is another workspace: the walk must not descend
+/// into it, however its sources would lint.
+#[test]
+fn nested_foreign_workspaces_are_not_scanned() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("nested-workspace-walk");
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(path, text).expect("write");
+    };
+    let violation = "// oftt-lint: no-panic\nfn f(x: Option<u8>) { x.unwrap(); }\n";
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+    write("crates/owned/Cargo.toml", "[package]\nname = \"owned\"\n");
+    write("crates/owned/src/lib.rs", "pub fn clean() {}\n");
+    write("benchmark/Cargo.toml", "[package]\nname = \"bench\"\n\n[workspace]\n");
+    write("benchmark/src/main.rs", violation);
+
+    let report = run_scan(&Options { root: root.clone(), ..Options::default() });
+    assert_eq!(report.files_scanned, 1, "only the owned crate's file is in scope");
+    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+
+    // The same sources under a member manifest (no `[workspace]`) are in
+    // scope, so the skip is the manifest's doing and not the name's.
+    write("benchmark/Cargo.toml", "[package]\nname = \"bench\"\n");
+    let report = run_scan(&Options { root, ..Options::default() });
+    assert_eq!(report.files_scanned, 2);
+    assert!(report.findings.iter().any(|f| f.rule == "no-panic"), "{:#?}", report.findings);
+}

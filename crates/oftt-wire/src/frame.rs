@@ -28,8 +28,13 @@ use crate::pool::BufPool;
 
 /// Frame magic: `OFTW`.
 pub const MAGIC: [u8; 4] = *b"OFTW";
-/// Current protocol version.
-pub const VERSION: u8 = 1;
+/// Current protocol version. Version 2 changed nothing in the framing: it
+/// names the checkpoint checksum (`oftt::checkpoint::fold_digests`), which
+/// travels inside checkpoint bodies and which both ends must compute alike.
+/// Version 1 peers folded digests through Fletcher-32 in name order; a pair
+/// mixing the two would refuse every checkpoint as corrupt, so it is
+/// refused here, at the first header, instead.
+pub const VERSION: u8 = 2;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Hard cap on the marshaled meta block.
@@ -636,6 +641,22 @@ mod tests {
         assert!(matches!(FrameHeader::decode(&h, 1024), Err(WireError::FrameTooLarge { .. })));
         h[0] = b'X';
         assert!(matches!(FrameHeader::decode(&h, 1024), Err(WireError::BadMagic(_))));
+    }
+
+    #[test]
+    fn other_wire_versions_are_refused_at_the_header() {
+        let mut h =
+            FrameHeader { class: FrameClass::Handshake, epoch: 1, meta_len: 4, body_len: 0 }
+                .encode();
+        assert_eq!(h[4], VERSION);
+        assert_eq!(VERSION, 2);
+        for other in [0u8, 1, 3] {
+            h[4] = other;
+            assert!(matches!(
+                FrameHeader::decode(&h, DEFAULT_MAX_FRAME_BYTES),
+                Err(WireError::BadVersion(v)) if v == other
+            ));
+        }
     }
 
     #[test]

@@ -978,17 +978,16 @@ mod tests {
     use ds_net::endpoint::Endpoint;
     use std::sync::Mutex as TestMutex;
 
+    #[derive(Default)]
     struct Sink {
         delivered: TestMutex<Vec<Envelope>>,
         events: TestMutex<Vec<TransportEvent>>,
+        traces: TestMutex<Vec<String>>,
     }
 
     impl Sink {
         fn new() -> Arc<Self> {
-            Arc::new(Sink {
-                delivered: TestMutex::new(Vec::new()),
-                events: TestMutex::new(Vec::new()),
-            })
+            Arc::new(Sink::default())
         }
     }
 
@@ -999,7 +998,9 @@ mod tests {
         fn peer_event(&self, event: TransportEvent) {
             self.events.lock().unwrap().push(event);
         }
-        fn record(&self, _category: TraceCategory, _message: String) {}
+        fn record(&self, _category: TraceCategory, message: String) {
+            self.traces.lock().unwrap().push(message);
+        }
     }
 
     fn wait_for(cond: impl Fn() -> bool, timeout: Duration) -> bool {
@@ -1041,5 +1042,59 @@ mod tests {
         assert_eq!(got.body.downcast::<String>().unwrap(), "over the wire");
         a.shutdown();
         b.shutdown();
+    }
+
+    /// A node built before the checkpoint checksum changed speaks wire
+    /// version 1. Its handshake is well-formed in every other respect, and
+    /// it must still get no further than its first header: no link, no
+    /// event, nothing delivered — the pair refuses to form instead of
+    /// forming and then NACKing every checkpoint.
+    #[test]
+    fn version_1_peer_is_disconnected_at_its_first_header() {
+        use crate::frame::{write_frame, FrameClass};
+        use std::io::{Read, Write};
+
+        let sink = Sink::new();
+        let mut config = WireConfig::loopback(NodeId(0));
+        config.accept_unknown = true;
+        let sup = Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
+
+        let old_peer = NodeId(9);
+        let hello = comsim::marshal::to_bytes(&Hello { node: old_peer }).unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameClass::Handshake, 1, &hello, &[], &[]).unwrap();
+        let (meta, payload) = WireCodec::standard()
+            .encode_envelope(&Envelope::new(
+                Endpoint::new(old_peer, "x"),
+                Endpoint::new(NodeId(0), "y"),
+                "from the past".to_string(),
+            ))
+            .unwrap()
+            .unwrap();
+        let hello_len = wire.len();
+        write_frame(&mut wire, payload.class, 1, &meta, &payload.head, &payload.shared).unwrap();
+        for frame_start in [0, hello_len] {
+            wire[frame_start + 4] = 1;
+        }
+
+        let mut stream = TcpStream::connect(sup.local_addr()).unwrap();
+        stream.write_all(&wire).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The supervisor hangs up without a handshake reply: a clean EOF,
+        // or a reset because it closed with our data frame still unread.
+        let mut reply = [0u8; 64];
+        match stream.read(&mut reply) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected a hang-up, got {other:?}"),
+        }
+        assert!(wait_for(
+            || sink.traces.lock().unwrap().iter().any(|t| t.contains("unsupported wire version 1")),
+            Duration::from_secs(3)
+        ));
+        assert!(!sup.connected(old_peer));
+        assert!(sink.delivered.lock().unwrap().is_empty());
+        assert!(sink.events.lock().unwrap().is_empty());
+        sup.shutdown();
     }
 }

@@ -15,16 +15,40 @@
 //! hop after the application marshals a variable (delta assembly, store
 //! install, restore image, retransmission) is a reference bump, not a copy.
 //! The primary keeps its shipping state in a [`VarStore`], which caches a
-//! Fletcher-32 digest per variable: writes mark variables dirty only when
-//! content actually changed, a delta is drained straight off the dirty set,
-//! and a checkpoint's checksum is folded over the cached digests instead of
-//! re-walking every payload byte.
+//! Fletcher-32 digest per variable: a write changes anything only when the
+//! content changed, and a changed write lands in the pending delta as it
+//! happens, so taking a period's delta is a move.
+//!
+//! ## The checksum is a sum, so it can be kept instead of recomputed
+//!
+//! Within a variable, order matters, and [`var_digest`] is Fletcher-32 over
+//! name, separator, value, terminator. Across variables it does not: an
+//! image is a map keyed by name and every name is already inside its own
+//! digest, so position in the iteration carries no information a checksum
+//! could protect. [`fold_digests`] therefore combines digests with a
+//! wrapping sum of a fixed bijective scramble of each one. A sum is
+//! commutative and every term has an inverse, which is what lets both
+//! stores *carry* the image checksum: [`VarStore::set`] and an accepted
+//! [`CheckpointStore::offer`] subtract the term of the digest they displace
+//! and add the term of the one they install, and reading the image checksum
+//! is a field read however many variables are clean. The scramble is a
+//! bijection of `u32` and the sum is taken mod 2³², so a change confined to
+//! one variable moves the checksum exactly when it moves that variable's
+//! digest — nothing is lost in the combine. (A wider sum folded down to the
+//! `u32` that travels in [`Checkpoint::crc`] could not promise that.)
+//!
+//! One function serves images and payloads alike: a full checkpoint's
+//! payload checksum *is* the image checksum. The value is wire-visible, so
+//! `oftt_wire::frame::VERSION` names the combiner: version 1 peers folded
+//! digests through Fletcher in name order and are refused at the first
+//! frame header.
 
 // oftt-lint: nonblocking
 
 use comsim::buf::Bytes;
 use ds_sim::prelude::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A named, marshaled application variable set.
@@ -115,20 +139,55 @@ pub fn var_digest_reference(name: &str, bytes: &[u8]) -> u32 {
     f.value()
 }
 
-/// Folds per-variable digests (in iteration order) into one checksum —
-/// O(entries) little-endian 4-byte feeds, independent of payload size.
-pub fn fold_digests(digests: impl IntoIterator<Item = u32>) -> u32 {
-    let mut f = Fletcher::default();
-    for digest in digests {
-        f.feed_all(&digest.to_le_bytes());
-    }
-    f.value()
+/// One digest's term in the cross-variable sum: murmur3's 32-bit finalizer
+/// over the complemented digest. Every step is invertible, so distinct
+/// digests have distinct terms and a one-variable change can never cancel
+/// inside the combine; the multiplies keep related digests (one flipped
+/// byte at the same offset of two variables) from cancelling across
+/// variables the way a plain sum of digests would. The finalizer's only
+/// zero is at zero, and `!0` is not a Fletcher-32 value (both halves are
+/// reduced mod 65 535), so no variable contributes a zero term: adding or
+/// dropping one always shows.
+fn digest_term(digest: u32) -> u32 {
+    let mut h = !digest;
+    h ^= h >> 16;
+    h = h.wrapping_mul(0x85EB_CA6B);
+    h ^= h >> 13;
+    h = h.wrapping_mul(0xC2B2_AE35);
+    h ^ (h >> 16)
 }
 
-/// Checkpoint integrity checksum: the Fletcher-32 fold of every entry's
+/// A checksum kept current across digest changes: the wrapping sum of each
+/// digest's [`digest_term`]. Both stores hold one, so reading an image
+/// checksum never walks the image.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RunningSum(u32);
+
+impl RunningSum {
+    fn add(&mut self, digest: u32) {
+        self.0 = self.0.wrapping_add(digest_term(digest));
+    }
+
+    fn remove(&mut self, digest: u32) {
+        self.0 = self.0.wrapping_sub(digest_term(digest));
+    }
+}
+
+/// Combines per-variable digests into one checksum: a [`RunningSum`] run
+/// over all of them. Order does not matter, and a digest's term can be
+/// subtracted back out — the stores keep the sum current in O(1) per
+/// changed variable instead of calling this over the whole image.
+pub fn fold_digests(digests: impl IntoIterator<Item = u32>) -> u32 {
+    let mut sum = RunningSum::default();
+    for digest in digests {
+        sum.add(digest);
+    }
+    sum.0
+}
+
+/// Checkpoint integrity checksum: [`fold_digests`] over every entry's
 /// [`var_digest`]. Computing it from scratch is O(payload bytes); the
-/// primary's [`VarStore`] produces the same value from cached digests in
-/// O(entries).
+/// stores produce the same value for their images from a running sum.
 pub fn checksum(vars: &VarSet) -> u32 {
     fold_digests(vars.iter().map(|(name, bytes)| var_digest(name, bytes)))
 }
@@ -167,7 +226,7 @@ pub struct Checkpoint {
     pub taken_at: SimTime,
     /// The variables.
     pub payload: CheckpointPayload,
-    /// Fletcher-32 fold of the payload variables' digests.
+    /// [`checksum`] of the payload variables.
     pub crc: u32,
 }
 
@@ -179,9 +238,9 @@ impl Checkpoint {
     }
 
     /// Builds a checkpoint with a caller-supplied checksum — the primary's
-    /// incremental path, where `crc` was folded from [`VarStore`]-cached
-    /// digests without touching payload bytes. Debug builds verify the
-    /// claim.
+    /// incremental path, where `crc` came from [`VarStore`]'s running sum
+    /// or cached digests without touching payload bytes. Debug builds
+    /// verify the claim.
     pub fn with_crc(
         term: u64,
         seq: u64,
@@ -199,20 +258,18 @@ impl Checkpoint {
     }
 
     /// Recomputes every entry's digest, checks them against `crc`, and
-    /// returns the digests on success — the receive path verifies and
-    /// indexes the payload in one walk.
-    fn verified_digests(&self) -> Option<BTreeMap<String, u32>> {
-        let digests: BTreeMap<String, u32> = self
-            .payload
-            .vars()
-            .iter()
-            .map(|(name, bytes)| (name.clone(), var_digest(name, bytes)))
-            .collect();
-        if fold_digests(digests.values().copied()) == self.crc {
-            Some(digests)
-        } else {
-            None
+    /// returns the digests in payload order on success — the receive path
+    /// verifies the payload and learns each entry's term in one walk.
+    fn verified_digests(&self) -> Option<Vec<u32>> {
+        let vars = self.payload.vars();
+        let mut sum = RunningSum::default();
+        let mut digests = Vec::with_capacity(vars.len());
+        for (name, bytes) in vars {
+            let digest = var_digest(name, bytes);
+            sum.add(digest);
+            digests.push(digest);
         }
+        (sum.0 == self.crc).then_some(digests)
     }
 
     /// Exact wire size in bytes — matches `comsim::marshal::to_bytes` on
@@ -241,8 +298,8 @@ pub fn varset_wire_size(vars: &VarSet) -> u64 {
 /// Computes the delta between the last-shipped image and the current one:
 /// variables whose bytes changed or that are new. (Deleted variables are
 /// not modeled — OFTT variables are designated once at initialization.)
-/// This is the brute-force reference; the hot path drains [`VarStore`]'s
-/// dirty set instead.
+/// This is the brute-force reference; the hot path takes [`VarStore`]'s
+/// pending delta instead.
 pub fn diff(last: &VarSet, current: &VarSet) -> VarSet {
     current
         .iter()
@@ -252,7 +309,7 @@ pub fn diff(last: &VarSet, current: &VarSet) -> VarSet {
 }
 
 /// Applies `delta` on top of `base` (insert-or-overwrite per entry) — the
-/// merge the backup store performs for delta checkpoints.
+/// brute-force reference for what the backup store's delta install does.
 pub fn merge(base: &mut VarSet, delta: &VarSet) {
     for (name, bytes) in delta {
         base.insert(name.clone(), bytes.clone());
@@ -266,18 +323,25 @@ struct StoreEntry {
     digest: u32,
 }
 
-/// The primary-side shipping store: the current designated image plus a
-/// dirty set and per-variable content digests.
+/// The primary-side shipping store: the current image with per-variable
+/// content digests, the delta pending since the last ship, and the image's
+/// running checksum.
 ///
-/// Writes go through [`VarStore::set`], which marks a variable dirty only
-/// when its content actually changed (digest gate first, byte comparison on
-/// digest collision — the content hash is a fast filter, not the source of
-/// truth). A period's delta is then [`VarStore::take_dirty`]: clean entries
-/// are never visited, cloned, or re-hashed.
+/// Writes go through [`VarStore::set`], which changes anything only when
+/// the content changed (digest gate first, byte comparison on digest
+/// equality — the content hash is a fast filter, not the source of truth).
+/// A changed write is one look-up in the image: it swaps the variable's
+/// term in the running sum and drops the new value into the pending delta,
+/// so a period's delta is [`VarStore::take_dirty`] moving that map out —
+/// clean entries are never visited, cloned, or re-hashed, by the delta or
+/// by the checksum.
 #[derive(Debug, Clone, Default)]
 pub struct VarStore {
     entries: BTreeMap<String, StoreEntry>,
-    dirty: BTreeSet<String>,
+    /// Every variable changed since the last ship, at its newest value.
+    pending: VarSet,
+    /// [`checksum`] of the whole image.
+    sum: RunningSum,
 }
 
 impl VarStore {
@@ -296,37 +360,45 @@ impl VarStore {
         self.entries.is_empty()
     }
 
-    /// Number of variables currently marked dirty.
+    /// Number of variables changed since the last ship.
     pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
+        self.pending.len()
     }
 
-    /// Drops all variables and dirty marks (a fresh incarnation).
+    /// Drops all variables and the pending delta (a fresh incarnation).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dirty.clear();
+        *self = VarStore::default();
     }
 
-    /// Drops all dirty marks without touching contents — called after a
-    /// full checkpoint, which supersedes any pending delta.
+    /// Drops the pending delta without touching contents — called after a
+    /// full checkpoint, which supersedes it.
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        self.pending.clear();
     }
 
-    /// Writes one variable. Returns `true` (and marks it dirty) only when
-    /// the content changed; writing identical bytes is a no-op beyond the
-    /// digest check.
+    /// Writes one variable. Returns `true` (and adds it to the pending
+    /// delta) only when the content changed; writing identical bytes is a
+    /// no-op beyond the digest check.
     pub fn set(&mut self, name: impl Into<String>, bytes: impl Into<Bytes>) -> bool {
         let name = name.into();
         let bytes = bytes.into();
         let digest = var_digest(&name, &bytes);
-        if let Some(existing) = self.entries.get(&name) {
-            if existing.digest == digest && existing.bytes == bytes {
-                return false;
+        match self.entries.entry(name) {
+            Entry::Occupied(mut held) => {
+                let entry = held.get_mut();
+                if entry.digest == digest && entry.bytes == bytes {
+                    return false;
+                }
+                self.sum.remove(entry.digest);
+                *entry = StoreEntry { bytes: bytes.clone(), digest };
+                self.pending.insert(held.key().clone(), bytes);
+            }
+            Entry::Vacant(slot) => {
+                self.pending.insert(slot.key().clone(), bytes.clone());
+                slot.insert(StoreEntry { bytes, digest });
             }
         }
-        self.entries.insert(name.clone(), StoreEntry { bytes, digest });
-        self.dirty.insert(name);
+        self.sum.add(digest);
         true
     }
 
@@ -340,16 +412,15 @@ impl VarStore {
         self.entries.get(name).map(|e| e.digest)
     }
 
-    /// Drains the dirty set into a delta [`VarSet`]. When `designated` is
-    /// given, only those names are emitted (dirty marks on undesignated
-    /// variables are consumed too — they do not travel by designation).
+    /// Takes the pending delta. When `designated` is given, only those
+    /// names are emitted (pending changes to undesignated variables are
+    /// consumed too — they do not travel by designation).
     pub fn take_dirty(&mut self, designated: Option<&BTreeSet<String>>) -> VarSet {
-        let dirty = std::mem::take(&mut self.dirty);
-        dirty
-            .into_iter()
-            .filter(|name| designated.map(|d| d.contains(name)).unwrap_or(true))
-            .filter_map(|name| self.entries.get(&name).map(|e| (name, e.bytes.clone())))
-            .collect()
+        let mut delta = std::mem::take(&mut self.pending);
+        if let Some(designated) = designated {
+            delta.retain(|name, _| designated.contains(name));
+        }
+        delta
     }
 
     /// The full (optionally designation-filtered) image — cheap buffer
@@ -362,18 +433,30 @@ impl VarStore {
             .collect()
     }
 
-    /// Checksum of the (optionally designation-filtered) image, folded from
-    /// cached digests — O(entries), no payload bytes touched.
+    /// Checksum of the (optionally designation-filtered) image. The whole
+    /// image's is the running sum, a field read; a designated subset is
+    /// combined from its cached digests in O(entries). No payload bytes
+    /// are touched either way.
     pub fn image_crc(&self, designated: Option<&BTreeSet<String>>) -> u32 {
-        fold_digests(
-            self.entries
-                .iter()
-                .filter(|(name, _)| designated.map(|d| d.contains(*name)).unwrap_or(true))
-                .map(|(_, e)| e.digest),
-        )
+        match designated {
+            None => {
+                debug_assert_eq!(
+                    self.sum.0,
+                    fold_digests(self.entries.iter().map(|(n, e)| var_digest(n, &e.bytes))),
+                    "running sum diverged from the image"
+                );
+                self.sum.0
+            }
+            Some(designated) => fold_digests(
+                self.entries
+                    .iter()
+                    .filter(|(name, _)| designated.contains(*name))
+                    .map(|(_, e)| e.digest),
+            ),
+        }
     }
 
-    /// Checksum of a [`VarSet`] drawn from this store, folded from cached
+    /// Checksum of a [`VarSet`] drawn from this store, combined from cached
     /// digests where available (falling back to hashing for foreign
     /// entries).
     pub fn crc_of(&self, vars: &VarSet) -> u32 {
@@ -406,12 +489,18 @@ pub enum AcceptOutcome {
 }
 
 /// The backup-side checkpoint store: the merged image the application will
-/// be restored from at switchover. Tracks per-variable digests alongside
-/// the image so the merged image's checksum is available in O(entries).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// be restored from at switchover, and that image's running checksum.
+///
+/// The store caches no digests. A full image's checksum is the verified
+/// checkpoint's own; a delta's entries were just hashed to verify it, and
+/// the term of each value a delta displaces is recomputed from the bytes
+/// being displaced — the same order of work as verifying the bytes that
+/// replace them, and no second name-keyed tree to keep in step.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointStore {
     vars: VarSet,
-    digests: BTreeMap<String, u32>,
+    /// [`checksum`] of `vars`.
+    sum: RunningSum,
     term: u64,
     seq: u64,
     taken_at: SimTime,
@@ -461,16 +550,16 @@ impl CheckpointStore {
         self.vars.clone()
     }
 
-    /// Checksum of the merged image, folded from the digests recorded at
-    /// install time.
+    /// Checksum of the merged image: the running sum, kept current by
+    /// every install.
     pub fn image_crc(&self) -> u32 {
-        fold_digests(self.digests.values().copied())
+        self.sum.0
     }
 
-    /// Offers a checkpoint.
+    /// Offers a checkpoint. Every check runs before the first write, so a
+    /// rejected offer leaves the image and its checksum untouched.
     pub fn offer(&mut self, checkpoint: &Checkpoint) -> AcceptOutcome {
-        // One walk verifies integrity and yields the per-entry digests the
-        // merged image will track.
+        // One walk verifies integrity and yields each entry's digest.
         let Some(digests) = checkpoint.verified_digests() else {
             return AcceptOutcome::Rejected(RejectReason::Corrupt);
         };
@@ -482,8 +571,17 @@ impl CheckpointStore {
             CheckpointPayload::Full(vars) => {
                 #[cfg(feature = "inject_bugs")]
                 self.remember_previous();
-                self.vars = vars.clone();
-                self.digests = digests;
+                // A refresh (and every `CheckpointMode::Full` period)
+                // carries exactly the names already held: overwrite the
+                // values where they sit and keep the tree.
+                if self.vars.len() == vars.len() && self.vars.keys().eq(vars.keys()) {
+                    for (held, bytes) in self.vars.values_mut().zip(vars.values()) {
+                        *held = bytes.clone();
+                    }
+                } else {
+                    self.vars = vars.clone();
+                }
+                self.sum = RunningSum(checkpoint.crc);
                 self.have_full = true;
             }
             CheckpointPayload::Delta(vars) => {
@@ -495,10 +593,21 @@ impl CheckpointStore {
                 }
                 #[cfg(feature = "inject_bugs")]
                 self.remember_previous();
-                merge(&mut self.vars, vars);
-                self.digests.extend(digests);
+                for ((name, bytes), digest) in vars.iter().zip(digests) {
+                    match self.vars.get_mut(name) {
+                        Some(held) => {
+                            self.sum.remove(var_digest(name, held));
+                            *held = bytes.clone();
+                        }
+                        None => {
+                            self.vars.insert(name.clone(), bytes.clone());
+                        }
+                    }
+                    self.sum.add(digest);
+                }
             }
         }
+        debug_assert_eq!(self.sum.0, checksum(&self.vars), "running sum diverged from the image");
         self.adopt_position(checkpoint);
         AcceptOutcome::Installed
     }
@@ -561,6 +670,34 @@ mod tests {
         let image = vars(&[("a", &[1, 2]), ("b", &[3])]);
         let folded = fold_digests([var_digest("a", &[1, 2]), var_digest("b", &[3])]);
         assert_eq!(checksum(&image), folded);
+    }
+
+    /// Why the terms are scrambled: equal and opposite edits at the same
+    /// offset of two variables move their Fletcher digests by equal and
+    /// opposite amounts, which a plain sum of digests cannot see.
+    #[test]
+    fn opposite_edits_in_two_variables_do_not_cancel() {
+        let before = vars(&[("a", &[10, 20, 30]), ("b", &[10, 20, 30])]);
+        let after = vars(&[("a", &[11, 20, 30]), ("b", &[9, 20, 30])]);
+        let plain_sum = |image: &VarSet| {
+            image.iter().fold(0u32, |sum, (name, bytes)| sum.wrapping_add(var_digest(name, bytes)))
+        };
+        assert_eq!(plain_sum(&before), plain_sum(&after));
+        assert_ne!(checksum(&before), checksum(&after));
+    }
+
+    /// No variable's term is zero, so an image never checksums like the
+    /// same image with one variable more or fewer.
+    #[test]
+    fn every_variable_shows_in_the_checksum() {
+        assert_eq!(checksum(&VarSet::new()), 0);
+        assert_eq!(digest_term(u32::MAX), 0, "the only zero term");
+        // Fletcher-32 halves are reduced mod 65 535: `0xFFFF` never appears.
+        for (name, bytes) in [("", &[][..]), ("a", &[0xFF; 300][..]), ("zz", &[0; 5][..])] {
+            let digest = var_digest(name, bytes);
+            assert!(digest & 0xFFFF != 0xFFFF && digest >> 16 != 0xFFFF);
+            assert_ne!(digest_term(digest), 0);
+        }
     }
 
     #[test]
@@ -644,8 +781,25 @@ mod tests {
         assert_eq!(store.vars(), &vars(&[("a", &[1]), ("b", &[9])]));
         assert_eq!(store.position(), (1, 1));
         assert_eq!(store.taken_at(), SimTime::from_secs(2));
-        // The merged image's digest-folded crc equals a scratch checksum.
+        // The merged image's running checksum equals a scratch checksum.
         assert_eq!(store.image_crc(), checksum(store.vars()));
+    }
+
+    /// The one-deep history must hold the image as it was *before* a full
+    /// install overwrote the held values where they sit.
+    #[cfg(feature = "inject_bugs")]
+    #[test]
+    fn in_place_full_install_remembers_the_image_it_displaced() {
+        let mut store = CheckpointStore::new();
+        let older = vars(&[("a", &[1]), ("b", &[2])]);
+        let newer = vars(&[("a", &[7]), ("b", &[8])]);
+        for (seq, image) in [(1, &older), (2, &newer)] {
+            let full =
+                Checkpoint::new(1, seq, SimTime::ZERO, CheckpointPayload::Full(image.clone()));
+            assert_eq!(store.offer(&full), AcceptOutcome::Installed);
+        }
+        assert_eq!(store.vars(), &newer);
+        assert_eq!(store.stale_restore_image(), Some((older, (1, 1))));
     }
 
     #[test]

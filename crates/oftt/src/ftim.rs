@@ -28,7 +28,8 @@ use ds_sim::prelude::{AccessKind, SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 
 use crate::checkpoint::{
-    checksum, AcceptOutcome, Checkpoint, CheckpointPayload, CheckpointStore, VarSet, VarStore,
+    checksum, AcceptOutcome, Checkpoint, CheckpointPayload, CheckpointStore, RejectReason, VarSet,
+    VarStore,
 };
 use crate::config::{engine_service, CheckpointMode, OfttConfig, RecoveryRule};
 use crate::messages::{FromEngine, FtimKind, FtimPeerMsg, ToEngine};
@@ -110,6 +111,10 @@ pub struct FtimProbe {
     pub fulls_sent: u64,
     /// Checkpoints installed into the local store.
     pub ckpts_installed: u64,
+    /// Checkpoints the local store refused (stale, out of order, corrupt).
+    pub ckpts_rejected: u64,
+    /// Why the newest refused checkpoint was refused.
+    pub last_reject: Option<RejectReason>,
     /// Highest `(term, seq)` acknowledged by the peer.
     pub last_acked: (u64, u64),
     /// Restores performed: (when, variables, from_local_store).
@@ -156,8 +161,8 @@ impl<'a> FtCtx<'a> {
     /// pending deltas were filtered under the old designation.
     pub fn designate(&mut self, vars: &[&str]) {
         self.env.observe_api("sel_save", &format!("vars={}", vars.join(",")));
-        self.core.designated =
-            if vars.is_empty() { None } else { Some(vars.iter().map(|s| s.to_string()).collect()) };
+        self.core.designated = (!vars.is_empty())
+            .then(|| vars.iter().copied().chain([WATCHDOG_VAR]).map(str::to_string).collect());
         self.core.need_full = true;
     }
 
@@ -247,9 +252,12 @@ struct FtimCore {
     role: Role,
     term: u64,
     active: bool,
+    /// The designation filter (`None`: everything), with the reserved
+    /// watchdog variable always admitted — watchdog state must survive
+    /// failover regardless of what the application designates.
     designated: Option<std::collections::BTreeSet<String>>,
-    /// The primary-side shipping store: designated image + dirty set +
-    /// cached content digests. Deltas are drained off its dirty set.
+    /// The primary-side shipping store: current image + pending delta +
+    /// cached content digests + running image checksum.
     ship_store: VarStore,
     ckpt_seq: u64,
     deltas_since_full: u32,
@@ -420,17 +428,6 @@ impl<A: FtApplication> FtProcess<A> {
         env.observe_api("deactivate", reason);
     }
 
-    /// The designation filter with the reserved watchdog variable always
-    /// admitted — watchdog state must survive failover regardless of what
-    /// the application designates.
-    fn effective_designation(&self) -> Option<std::collections::BTreeSet<String>> {
-        self.core.designated.as_ref().map(|d| {
-            let mut d = d.clone();
-            d.insert(WATCHDOG_VAR.to_string());
-            d
-        })
-    }
-
     /// A live designated image built directly from the application — the
     /// restore-serve path, which must not disturb the shipping store.
     fn current_vars(&self, env: &mut dyn ProcessEnv) -> VarSet {
@@ -508,13 +505,12 @@ impl<A: FtApplication> FtProcess<A> {
             AccessKind::Write,
             "checkpoint walkthrough",
         );
-        let designated = self.effective_designation();
-        let designated = designated.as_ref();
+        let designated = self.core.designated.as_ref();
         // `image_crc` is the checksum of the *cumulative* designated image
-        // (folded from cached digests, no payload bytes touched) — the
-        // value the backup's merged store must reproduce after installing
-        // this checkpoint. For a full checkpoint it is also the payload
-        // checksum; a delta's payload checksum is folded separately.
+        // (the store's running sum, no payload bytes touched) — the value
+        // the backup's merged store must reproduce after installing this
+        // checkpoint. For a full checkpoint it is also the payload
+        // checksum; a delta's payload checksum is combined separately.
         let image_crc = self.core.ship_store.image_crc(designated);
         let (payload, payload_crc) = if full {
             let image = self.core.ship_store.image(designated);
@@ -686,10 +682,10 @@ impl<A: FtApplication> FtProcess<A> {
                         );
                         // oftt-lint: lock(ftim-probe)
                         self.core.probe.lock().ckpts_installed += 1;
-                        // The merged image's checksum (folded from digests
-                        // recorded at install) must equal the crc the
-                        // primary logged when shipping — oftt-check's
-                        // restore-integrity invariant audits exactly this.
+                        // The merged image's checksum (the store's running
+                        // sum) must equal the crc the primary logged when
+                        // shipping — oftt-check's restore-integrity
+                        // invariant audits exactly this.
                         let crc = self.core.store.image_crc();
                         env.record(
                             TraceCategory::Checkpoint,
@@ -700,21 +696,28 @@ impl<A: FtApplication> FtProcess<A> {
                         );
                         env.send_msg(from, FtimPeerMsg::CkptAck { term, seq });
                     }
-                    AcceptOutcome::Rejected(crate::checkpoint::RejectReason::Stale) => {
-                        // Retransmission: re-ack our position so the peer
-                        // makes progress.
-                        let (term, seq) = self.core.store.position();
-                        env.send_msg(from, FtimPeerMsg::CkptAck { term, seq });
-                    }
-                    AcceptOutcome::Rejected(_) => {
-                        env.record(
-                            TraceCategory::Checkpoint,
-                            format!(
-                                "{}: checkpoint ({term},{seq}) unusable; requesting full",
-                                env.self_endpoint()
-                            ),
-                        );
-                        env.send_msg(from, FtimPeerMsg::CkptNack);
+                    AcceptOutcome::Rejected(reason) => {
+                        {
+                            // oftt-lint: lock(ftim-probe)
+                            let mut probe = self.core.probe.lock();
+                            probe.ckpts_rejected += 1;
+                            probe.last_reject = Some(reason);
+                        }
+                        if reason == RejectReason::Stale {
+                            // Retransmission: re-ack our position so the
+                            // peer makes progress.
+                            let (term, seq) = self.core.store.position();
+                            env.send_msg(from, FtimPeerMsg::CkptAck { term, seq });
+                        } else {
+                            env.record(
+                                TraceCategory::Checkpoint,
+                                format!(
+                                    "{}: checkpoint ({term},{seq}) unusable; requesting full",
+                                    env.self_endpoint()
+                                ),
+                            );
+                            env.send_msg(from, FtimPeerMsg::CkptNack);
+                        }
                     }
                 }
             }

@@ -2,13 +2,16 @@
 //! a switchover, `OFTTSave` ships immediately (event-based checkpointing),
 //! and `OFTTSelSave` designation filters what travels.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ds_net::link::Link;
 use ds_net::message::Envelope;
 use ds_net::node::NodeConfig;
 use ds_net::prelude::{ClusterSim, NodeId, SimTime};
-use oftt::checkpoint::VarSet;
+use ds_net::process::{Process, ProcessEnv};
+use oftt::checkpoint::{RejectReason, VarSet};
+use oftt::messages::FtimPeerMsg;
 use oftt::prelude::*;
 use parking_lot::Mutex;
 
@@ -74,6 +77,33 @@ impl FtApplication for Scripted {
     }
 }
 
+/// Sits in front of an FTIM like a faulty last hop: while `armed`, the next
+/// checkpoint delivered has one bit of its crc flipped (and disarms).
+struct FlipNextCrc<P> {
+    inner: P,
+    armed: Arc<AtomicBool>,
+}
+
+impl<P: Process> Process for FlipNextCrc<P> {
+    fn on_start(&mut self, env: &mut dyn ProcessEnv) {
+        self.inner.on_start(env);
+    }
+    fn on_timer(&mut self, token: u64, env: &mut dyn ProcessEnv) {
+        self.inner.on_timer(token, env);
+    }
+    fn on_message(&mut self, mut envelope: Envelope, env: &mut dyn ProcessEnv) {
+        let is_ckpt = matches!(envelope.body.downcast_ref(), Some(FtimPeerMsg::Ckpt(_)));
+        if is_ckpt && self.armed.swap(false, Ordering::SeqCst) {
+            let Ok(FtimPeerMsg::Ckpt(mut checkpoint)) = envelope.body.downcast() else {
+                unreachable!("just matched a checkpoint")
+            };
+            checkpoint.crc ^= 1 << 7;
+            envelope = Envelope::new(envelope.from, envelope.to, FtimPeerMsg::Ckpt(checkpoint));
+        }
+        self.inner.on_message(envelope, env);
+    }
+}
+
 struct Rig {
     cs: ClusterSim,
     a: NodeId,
@@ -81,6 +111,8 @@ struct Rig {
     probes: [Arc<Mutex<EngineProbe>>; 2],
     ftims: [Arc<Mutex<FtimProbe>>; 2],
     views: [Arc<Mutex<(u64, bool)>>; 2],
+    /// Arms [`FlipNextCrc`] on whichever FTIM receives the next checkpoint.
+    flip_next_crc: Arc<AtomicBool>,
 }
 
 fn rig(seed: u64) -> Rig {
@@ -96,6 +128,7 @@ fn rig(seed: u64) -> Rig {
     let ftims =
         [Arc::new(Mutex::new(FtimProbe::default())), Arc::new(Mutex::new(FtimProbe::default()))];
     let views = [Arc::new(Mutex::new((0, false))), Arc::new(Mutex::new((0, false)))];
+    let flip_next_crc = Arc::new(AtomicBool::new(false));
     for (idx, node) in [a, b].into_iter().enumerate() {
         let engine_config = config.clone();
         let probe = probes[idx].clone();
@@ -108,21 +141,25 @@ fn rig(seed: u64) -> Rig {
         let app_config = config.clone();
         let ftim = ftims[idx].clone();
         let view = views[idx].clone();
+        let armed = flip_next_crc.clone();
         cs.register_service(
             node,
             "scripted",
             Box::new(move || {
-                Box::new(FtProcess::new(
-                    app_config.clone(),
-                    RecoveryRule::default(),
-                    Scripted::new(view.clone()),
-                    ftim.clone(),
-                ))
+                Box::new(FlipNextCrc {
+                    inner: FtProcess::new(
+                        app_config.clone(),
+                        RecoveryRule::default(),
+                        Scripted::new(view.clone()),
+                        ftim.clone(),
+                    ),
+                    armed: armed.clone(),
+                })
             }),
             true,
         );
     }
-    Rig { cs, a, b, probes, ftims, views }
+    Rig { cs, a, b, probes, ftims, views, flip_next_crc }
 }
 
 fn primary(rig: &Rig) -> (NodeId, usize) {
@@ -209,7 +246,7 @@ fn nacked_delta_triggers_full_resend_carrying_coalesced_state() {
     r.cs.run_until(SimTime::from_secs(10));
     let (p, idx) = primary(&r);
     let scripted = ds_net::Endpoint::new(p, "scripted");
-    // Two event saves land as deltas drained off the dirty set.
+    // Two event saves land as deltas taken off the pending set.
     r.cs.post(SimTime::from_millis(10_100), scripted.clone(), "bump-and-save".to_string());
     r.cs.post(SimTime::from_millis(10_200), scripted.clone(), "bump-and-save".to_string());
     r.cs.run_until(SimTime::from_millis(10_400));
@@ -236,6 +273,63 @@ fn nacked_delta_triggers_full_resend_carrying_coalesced_state() {
     let (small, active) = *r.views[other].lock();
     assert!(active, "the backup took over");
     assert_eq!(small, 3, "all three bumps survived via the post-NACK full checkpoint");
+}
+
+/// The `(term=… seq=… crc=…)` tail of the newest trace line naming `what`.
+fn last_ckpt_stamp(r: &Rig, what: &str) -> Option<String> {
+    let entries = r.cs.trace().entries();
+    let line = entries.iter().rev().find(|e| e.message.contains(what))?;
+    line.message.split_once(" (term=").map(|(_, stamp)| stamp.to_string())
+}
+
+#[test]
+fn corrupt_checkpoint_is_counted_nacked_and_healed_by_a_full_image() {
+    let mut r = rig(705);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let backup = 1 - idx;
+    assert_eq!(r.ftims[backup].lock().ckpts_rejected, 0);
+    assert_eq!(r.ftims[backup].lock().last_reject, None);
+    let (sent_before, fulls_before) = {
+        let probe = r.ftims[idx].lock();
+        (probe.ckpts_sent, probe.fulls_sent)
+    };
+    let installed_before = r.ftims[backup].lock().ckpts_installed;
+
+    // One event save ships a delta; one bit of its crc flips on the way.
+    r.flip_next_crc.store(true, Ordering::SeqCst);
+    r.cs.post(
+        SimTime::from_millis(10_100),
+        ds_net::Endpoint::new(p, "scripted"),
+        "bump-and-save".to_string(),
+    );
+    r.cs.run_until(SimTime::from_secs(12));
+
+    // Refused, counted with its reason, and said so to the primary.
+    {
+        let probe = r.ftims[backup].lock();
+        assert_eq!(probe.ckpts_rejected, 1);
+        assert_eq!(probe.last_reject, Some(RejectReason::Corrupt));
+    }
+    assert!(r.cs.trace().entries().iter().any(|e| e.message.contains("unusable; requesting full")));
+    // The NACK's only visible effect: the very next checkpoint shipped is a
+    // full image, with nothing new to carry but the refused bump.
+    {
+        let probe = r.ftims[idx].lock();
+        assert_eq!(probe.ckpts_sent, sent_before + 2, "the refused delta, then its replacement");
+        assert_eq!(probe.fulls_sent, fulls_before + 1, "the replacement is a full image");
+    }
+    // It installed, and the pair's images agree again.
+    assert_eq!(r.ftims[backup].lock().ckpts_installed, installed_before + 1);
+    assert_eq!(r.ftims[backup].lock().ckpts_rejected, 1);
+    let shipped = last_ckpt_stamp(&r, "ckpt shipped");
+    assert!(shipped.is_some());
+    assert_eq!(shipped, last_ckpt_stamp(&r, "ckpt installed"));
+    // And the bump the refused delta carried survives a switchover.
+    ds_net::fault::inject(&mut r.cs, SimTime::from_secs(12), ds_net::fault::Fault::CrashNode(p));
+    r.cs.run_until(SimTime::from_secs(30));
+    assert_eq!(*r.views[backup].lock(), (1, true));
 }
 
 #[test]

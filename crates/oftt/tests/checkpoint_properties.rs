@@ -1,14 +1,16 @@
 //! Property tests for the checkpoint machinery: however checkpoints are
 //! generated, diffed, reordered, duplicated, or corrupted in flight, the
 //! backup store converges to the primary's image and never regresses —
-//! and the dirty-tracked fast path is byte-identical to the brute-force
-//! reference.
+//! and the dirty-tracked fast path (pending delta, running checksums) is
+//! byte-identical to the brute-force reference.
+
+use std::collections::BTreeSet;
 
 use comsim::buf::Bytes;
 use ds_sim::prelude::SimTime;
 use oftt::checkpoint::{
-    checksum, diff, merge, AcceptOutcome, Checkpoint, CheckpointPayload, CheckpointStore, VarSet,
-    VarStore,
+    checksum, diff, fold_digests, merge, AcceptOutcome, Checkpoint, CheckpointPayload,
+    CheckpointStore, RejectReason, VarSet, VarStore,
 };
 use proptest::prelude::*;
 
@@ -20,6 +22,60 @@ fn varset_strategy() -> impl Strategy<Value = VarSet> {
 /// A primary-side history: successive images of the application state.
 fn history_strategy() -> impl Strategy<Value = Vec<VarSet>> {
     prop::collection::vec(varset_strategy(), 1..12)
+}
+
+/// One call into a [`VarStore`], as the FTIM and the application make them.
+#[derive(Debug, Clone)]
+enum StoreOp {
+    /// Write content the store has never held under this name.
+    Set(String, Vec<u8>),
+    /// Write a held variable's current content again, from a fresh buffer.
+    Rewrite(prop::sample::Index),
+    TakeDirty,
+    ClearDirty,
+    Clear,
+}
+
+fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
+    let set = || {
+        ("[a-d]{1,2}", prop::collection::vec(any::<u8>(), 0..8))
+            .prop_map(|(name, tail)| StoreOp::Set(name, tail))
+    };
+    prop_oneof![
+        set(),
+        set(),
+        set(),
+        any::<prop::sample::Index>().prop_map(StoreOp::Rewrite),
+        Just(StoreOp::TakeDirty),
+        Just(StoreOp::ClearDirty),
+        Just(StoreOp::Clear),
+    ]
+}
+
+/// What happens to one shipped checkpoint on its way to the backup.
+#[derive(Debug, Clone, Copy)]
+enum Hop {
+    Deliver,
+    /// Lost: the next delta arrives gapped.
+    Drop,
+    /// One bit of the crc flips.
+    FlipCrc(u8),
+    /// One payload byte changes (a crc bit, if the payload has no bytes).
+    FlipByte(prop::sample::Index, u8),
+    /// An earlier checkpoint of the stream arrives again first.
+    ReplayFirst(prop::sample::Index),
+}
+
+fn hop_strategy() -> impl Strategy<Value = Hop> {
+    prop_oneof![
+        Just(Hop::Deliver),
+        Just(Hop::Deliver),
+        Just(Hop::Deliver),
+        Just(Hop::Drop),
+        (0u8..32).prop_map(Hop::FlipCrc),
+        (any::<prop::sample::Index>(), 1u8..=255).prop_map(|(at, flip)| Hop::FlipByte(at, flip)),
+        any::<prop::sample::Index>().prop_map(Hop::ReplayFirst),
+    ]
 }
 
 /// Builds the checkpoint stream (full first, deltas after, periodic fulls)
@@ -47,7 +103,7 @@ fn stream_for(history: &[VarSet], refresh_every: usize) -> (Vec<Checkpoint>, Var
 
 proptest! {
     /// In-order delivery of any generated stream converges the store to
-    /// the primary's final image — and the store's digest-folded checksum
+    /// the primary's final image — and the store's running checksum
     /// matches a from-scratch checksum of that image.
     #[test]
     fn in_order_stream_converges(history in history_strategy(), refresh in 1usize..6) {
@@ -173,5 +229,239 @@ proptest! {
             prop_assert_eq!(store.image_crc(None), checksum(&cumulative));
             prev = cumulative.clone();
         }
+    }
+
+    /// Under any interleaving of the calls the FTIM makes — writes
+    /// (fresh, identical, or over a value still pending), taking the
+    /// delta, a full ship superseding it, a new incarnation — and with or
+    /// without a designation, the running checksum equals a from-scratch
+    /// checksum of the image and the delta taken byte-matches brute-force
+    /// `diff` against what the last ship covered.
+    #[test]
+    fn var_store_bookkeeping_matches_brute_force_under_any_interleaving(
+        ops in prop::collection::vec(store_op_strategy(), 1..48),
+        designated in prop::option::of(prop::collection::vec("[a-d]{1,2}", 0..4)),
+    ) {
+        let designated: Option<BTreeSet<String>> = designated.map(|d| d.into_iter().collect());
+        let designated = designated.as_ref();
+        let mut store = VarStore::new();
+        let mut image = VarSet::new();
+        let mut covered = VarSet::new(); // the image as of the last ship
+        let mut stamp = 0u64;
+        for op in ops {
+            match op {
+                StoreOp::Set(name, tail) => {
+                    // The stamp makes every written value new, so "written
+                    // since the last ship" and "differs from what the last
+                    // ship covered" are the same set and `diff` is an
+                    // exact oracle.
+                    stamp += 1;
+                    let bytes = Bytes::from([&stamp.to_le_bytes()[..], &tail[..]].concat());
+                    prop_assert!(store.set(name.clone(), bytes.clone()));
+                    image.insert(name, bytes);
+                }
+                StoreOp::Rewrite(at) => {
+                    let names: Vec<&String> = image.keys().collect();
+                    if names.is_empty() {
+                        continue;
+                    }
+                    let name = (*at.get(&names)).clone();
+                    let same_content = Bytes::from(image[&name].to_vec());
+                    prop_assert!(!store.set(name, same_content));
+                }
+                StoreOp::TakeDirty => {
+                    let delta = store.take_dirty(designated);
+                    let mut brute = diff(&covered, &image);
+                    if let Some(designated) = designated {
+                        brute.retain(|name, _| designated.contains(name));
+                    }
+                    prop_assert_eq!(&delta, &brute);
+                    prop_assert_eq!(store.crc_of(&delta), checksum(&delta));
+                    covered = image.clone();
+                }
+                StoreOp::ClearDirty => {
+                    store.clear_dirty();
+                    covered = image.clone();
+                }
+                StoreOp::Clear => {
+                    store.clear();
+                    image.clear();
+                    covered.clear();
+                }
+            }
+            prop_assert_eq!(store.dirty_len(), diff(&covered, &image).len());
+            prop_assert_eq!(&store.image(None), &image);
+            prop_assert_eq!(store.image_crc(None), checksum(&image));
+            prop_assert_eq!(store.image_crc(designated), checksum(&store.image(designated)));
+        }
+    }
+
+    /// A shipping store feeds a backup store through a faulty hop: losses,
+    /// corrupted crcs and payloads, replays. Whatever arrives, the backup's
+    /// running checksum equals a from-scratch checksum of what it holds; a
+    /// refused offer changes nothing at all; an accepted one leaves exactly
+    /// the image, and the image checksum, the shipping store had when it
+    /// took that checkpoint.
+    #[test]
+    fn backup_checksum_tracks_the_shipping_store_through_a_faulty_hop(
+        steps in prop::collection::vec((varset_strategy(), hop_strategy()), 1..16),
+    ) {
+        let mut ship = VarStore::new();
+        let mut backup = CheckpointStore::new();
+        // Every checkpoint taken, with the shipping store's image and image
+        // checksum at that moment.
+        let mut taken: Vec<(Checkpoint, VarSet, u32)> = Vec::new();
+        let mut need_full = true;
+
+        // Offers one checkpoint and checks everything an offer promises.
+        let offer = |backup: &mut CheckpointStore,
+                     arriving: &Checkpoint,
+                     image_then: &VarSet,
+                     crc_then: u32| {
+            let before = backup.clone();
+            let outcome = backup.offer(arriving);
+            prop_assert_eq!(backup.image_crc(), checksum(backup.vars()));
+            match outcome {
+                AcceptOutcome::Installed => {
+                    prop_assert_eq!(backup.vars(), image_then);
+                    prop_assert_eq!(backup.image_crc(), crc_then);
+                    prop_assert_eq!(backup.position(), (arriving.term, arriving.seq));
+                }
+                AcceptOutcome::Rejected(_) => prop_assert_eq!(&*backup, &before),
+            }
+            Ok(outcome)
+        };
+
+        let final_step = (VarSet::new(), Hop::Deliver);
+        let last = steps.len();
+        for (i, (writes, hop)) in steps.into_iter().chain([final_step]).enumerate() {
+            for (name, bytes) in &writes {
+                ship.set(name.clone(), bytes.clone());
+            }
+            // The closing checkpoint is a full image, as after any NACK.
+            let full = need_full || i == last;
+            let image_crc = ship.image_crc(None);
+            let (payload, crc) = if full {
+                let image = ship.image(None);
+                ship.clear_dirty();
+                (CheckpointPayload::Full(image), image_crc)
+            } else {
+                let delta = ship.take_dirty(None);
+                let crc = ship.crc_of(&delta);
+                (CheckpointPayload::Delta(delta), crc)
+            };
+            let seq = taken.len() as u64 + 1;
+            let checkpoint = Checkpoint::with_crc(1, seq, SimTime::from_millis(seq), payload, crc);
+            let image_now = ship.image(None);
+            need_full = false;
+
+            let arriving = match hop {
+                Hop::Deliver => Some(checkpoint.clone()),
+                Hop::Drop => None,
+                Hop::FlipCrc(bit) => {
+                    let mut bad = checkpoint.clone();
+                    bad.crc ^= 1 << bit;
+                    Some(bad)
+                }
+                Hop::FlipByte(at, flip) => {
+                    let mut bad = checkpoint.clone();
+                    let (CheckpointPayload::Full(vars) | CheckpointPayload::Delta(vars)) =
+                        &mut bad.payload;
+                    match vars.values_mut().filter(|bytes| !bytes.is_empty()).last() {
+                        Some(bytes) => {
+                            let mut changed = bytes.to_vec();
+                            changed[at.index(bytes.len())] ^= flip;
+                            *bytes = Bytes::from(changed);
+                        }
+                        None => bad.crc ^= u32::from(flip),
+                    }
+                    Some(bad)
+                }
+                Hop::ReplayFirst(at) => {
+                    if !taken.is_empty() {
+                        let (old, image_then, crc_then) = at.get(&taken);
+                        offer(&mut backup, old, image_then, *crc_then)?;
+                    }
+                    Some(checkpoint.clone())
+                }
+            };
+            if let Some(arriving) = arriving {
+                let outcome = offer(&mut backup, &arriving, &image_now, image_crc)?;
+                if matches!(hop, Hop::FlipCrc(_) | Hop::FlipByte(..)) {
+                    prop_assert_eq!(outcome, AcceptOutcome::Rejected(RejectReason::Corrupt));
+                }
+                // The FTIM's rule: anything refused but a retransmission is
+                // NACKed, and a NACK makes the next checkpoint a full image.
+                need_full = matches!(
+                    outcome,
+                    AcceptOutcome::Rejected(RejectReason::Corrupt | RejectReason::OutOfOrder)
+                );
+            }
+            taken.push((checkpoint, image_now, image_crc));
+        }
+        // The closing full image was delivered intact: the pair agrees.
+        prop_assert_eq!(backup.image_crc(), ship.image_crc(None));
+        prop_assert_eq!(backup.vars(), &ship.image(None));
+    }
+
+    /// The cross-variable combine reads nothing from order, and loses
+    /// nothing of a single digest: any permutation combines to the same
+    /// value, and changing any one digest always changes it.
+    #[test]
+    fn fold_digests_ignores_order_and_keeps_every_single_change(
+        keyed in prop::collection::vec(any::<(u64, u32)>(), 1..32),
+        at in any::<prop::sample::Index>(),
+        other in any::<u32>(),
+    ) {
+        let digests: Vec<u32> = keyed.iter().map(|&(_, digest)| digest).collect();
+        let mut permuted = keyed.clone();
+        permuted.sort_unstable(); // by the random key
+        let folded = fold_digests(digests.iter().copied());
+        prop_assert_eq!(folded, fold_digests(permuted.into_iter().map(|(_, digest)| digest)));
+
+        let at = at.index(digests.len());
+        prop_assume!(other != digests[at]);
+        let mut changed = digests.clone();
+        changed[at] = other;
+        prop_assert_ne!(folded, fold_digests(changed));
+    }
+
+    /// A full image carrying exactly the names already held is installed by
+    /// overwriting values where they sit; any other by rebuilding the tree.
+    /// The two installs must be indistinguishable.
+    #[test]
+    fn in_place_and_rebuilt_full_installs_agree(
+        first in varset_strategy(),
+        tails in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        // `second`: `first`'s names, every value new. `other`: a different
+        // name set (the pattern behind `first` cannot produce "z").
+        let second: VarSet = first
+            .keys()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), Bytes::from([&[i as u8][..], &tails[..]].concat())))
+            .collect();
+        let mut other = first.clone();
+        other.insert("z".into(), Bytes::from(tails.clone()));
+        let full = |seq: u64, vars: &VarSet| {
+            Checkpoint::new(1, seq, SimTime::from_millis(seq), CheckpointPayload::Full(vars.clone()))
+        };
+
+        let mut in_place = CheckpointStore::new();
+        let mut rebuilt = CheckpointStore::new();
+        prop_assert_eq!(in_place.offer(&full(1, &first)), AcceptOutcome::Installed);
+        prop_assert_eq!(rebuilt.offer(&full(1, &other)), AcceptOutcome::Installed);
+        prop_assert_eq!(in_place.offer(&full(2, &second)), AcceptOutcome::Installed);
+        prop_assert_eq!(rebuilt.offer(&full(2, &second)), AcceptOutcome::Installed);
+
+        prop_assert_eq!(in_place.vars(), &second);
+        prop_assert_eq!(in_place.image_crc(), checksum(&second));
+        // The seeded-defect build also keeps the displaced image, which
+        // differs here by construction.
+        #[cfg(not(feature = "inject_bugs"))]
+        prop_assert_eq!(&in_place, &rebuilt);
+        prop_assert_eq!(in_place.vars(), rebuilt.vars());
+        prop_assert_eq!(in_place.image_crc(), rebuilt.image_crc());
+        prop_assert_eq!(in_place.position(), rebuilt.position());
     }
 }
