@@ -1,70 +1,83 @@
 #!/usr/bin/env bash
 # CI gate for the OFTT reproduction.
 #
-# Stages:
-#   1. formatting        cargo fmt --check (config in rustfmt.toml)
-#   2. lints             cargo clippy, warnings are errors
-#   3. tier-1            release build + the root suite's smoke tests
-#   4. workspace tests   every crate's unit/integration tests, and the
-#                        oftt suite again with the seeded defects
-#                        compiled in (the checkpoint store's one-deep
-#                        history only exists under inject_bugs)
-#   5. model checking    budgeted oftt-check sweep over pair failover
-#   6. verify sweep      oftt-verify exhausts the abstract protocol space
-#                        (pinned state count, zero violations, no lasso)
-#                        and refines a 200-schedule trace-export sweep,
-#                        plus the seeded-defect round-trip smoke
-#   7. audit sweep       oftt-audit over both sweeps (races, lock order,
-#                        stale reads, API lifecycle) + seeded-defect smoke;
-#                        the 600-budget sweep also exports its observed
-#                        lock sites and pool ops for the lint stage's
-#                        cross-checks
-#   8. lint sweep        oftt-lint over the whole workspace: zero
-#                        non-baselined findings, no stale baseline
-#                        entries, static lock graph must cover every
-#                        dynamically observed lock site, the static pool
-#                        sites must cover every dynamically observed pool
-#                        op, the oftt-lint-v2 JSON must validate, and
-#                        each rule family must still fire on its seeded
-#                        fixture
-#   9. lint dataflow     flow-sensitive acceptance: each dataflow family
-#                        (pool typestate, epoch stamping, conn DFA) must
-#                        fire its own rule on its seeded fixture, and the
-#                        audit sweep must have observed pool ops for the
-#                        static cross-check to be non-vacuous
-#  10. lint effects      interprocedural acceptance: the seeded
-#                        diag→probe deadlock (split across a call
-#                        boundary) must be rediscovered by the
-#                        call-derived lock-order analysis under
-#                        --include-injected, and the bench-lint
-#                        throughput artifact must emit and validate as
-#                        oftt-bench-lint-v2
-#  11. wire smoke        two real oftt-node processes over loopback TCP:
-#                        SIGKILL the primary, assert promotion within the
-#                        detection budget and restore-crc integrity
-#  12. saturation smoke  reduced reactor load gate: one max-rate stream
-#                        plus 128 concurrent streaming apps, asserting
-#                        the ≥ 7.86 MB/s aggregate floor, a fixed reactor
-#                        thread count, and zero protocol errors
-#  13. bench smoke       one-sample BENCH_checkpoint.json emit + reduced
-#                        BENCH_wire.json and BENCH_verify.json emits, all
-#                        schema-validated (fails on schema drift)
-#  14. campaign smoke    trimmed 20-seed scenario campaign (reboot loop +
-#                        the seeded startup defect): every run goes
-#                        through the oftt-check invariant engine; any
-#                        violation, non-recovered seed, or missed
-#                        expected violation exits nonzero via the
-#                        campaign gate, and the emitted BENCH_campaign
-#                        artifact must validate as oftt-bench-campaign-v1
-#  15. benchmark smoke   the repo's benchmark (benchmark/run.sh, declared
-#                        by BENCHMARK.json) at 1/20 length, untraced and
-#                        traced: all four workloads must report
-#                        "correct": true and "failed": 0. The traced pass
-#                        replays every VarStore/Checkpoint/CheckpointStore
-#                        call on a shadow pair and ships image_crc(None)
-#                        as a full payload's crc, so it is the standing
-#                        guard that image checksum and full-payload
-#                        checksum stay one function
+# Stages (one per `step` call below, in order):
+#   1. cargo fmt --check        config in rustfmt.toml
+#   2. cargo clippy             whole workspace, warnings are errors
+#   3. tier-1                   release build + the root suite's smoke tests
+#   4. workspace tests          every crate's unit/integration tests, and the
+#                               oftt suite again with the seeded defects
+#                               compiled in (the checkpoint store's one-deep
+#                               history only exists under inject_bugs)
+#   5. oftt-check sweep         pair failover, 600-schedule budget
+#   6. oftt-check sweep         partitioned startup, shipped config
+#   7. oftt-verify clippy       both feature sets
+#   8. verify sweep             oftt-verify exhausts the abstract protocol
+#                               space (pinned state count, zero violations,
+#                               no lasso) and refines a 200-schedule
+#                               trace-export sweep
+#   9. verify seeded defect     the inject_bugs round trip
+#  10. oftt-audit clippy        both feature sets
+#  11. audit sweep              pair failover (races, lock order, stale reads,
+#                               API lifecycle); the 600-budget sweep also
+#                               exports its observed lock sites and pool ops
+#                               for the lint stage's cross-checks
+#  12. audit sweep              partitioned startup, shipped config
+#  13. audit seeded defects     the inject_bugs corpus
+#  14. lint sweep               oftt-lint over the whole workspace: zero
+#                               non-baselined findings, no stale baseline
+#                               entries, static lock graph must cover every
+#                               dynamically observed lock site, the static
+#                               pool sites must cover every dynamically
+#                               observed pool op, and the oftt-lint-v2 JSON
+#                               must validate
+#  15. lint fixtures            each rule family must still fire on its
+#                               seeded fixture, plus oftt-lint's own tests
+#  16. lint dataflow            flow-sensitive acceptance: each dataflow family
+#                               (pool typestate, epoch stamping, conn DFA)
+#                               must fire its own rule on its seeded fixture,
+#                               and the audit sweep must have observed pool
+#                               ops for the static cross-check to be
+#                               non-vacuous
+#  17. lint effects             interprocedural acceptance: the seeded
+#                               diag→probe deadlock (split across a call
+#                               boundary) must be rediscovered by the
+#                               call-derived lock-order analysis under
+#                               --include-injected, and the bench-lint
+#                               throughput artifact must emit and validate as
+#                               oftt-bench-lint-v2
+#  18. wire smoke               two real oftt-node processes over loopback
+#                               TCP: SIGKILL the primary, assert promotion
+#                               within the 3 s detection budget and
+#                               restore-crc integrity
+#  19. saturation smoke         the reactor load gate (bench-wire): one
+#                               max-rate stream plus 128 concurrent streaming
+#                               apps, asserting the ≥ 7.86 MB/s aggregate
+#                               floor, a fixed reactor thread count, and zero
+#                               protocol errors
+#  20. bench smoke              reduced BENCH_verify.json emit (verification
+#                               throughput), schema-validated
+#  21. campaign smoke           trimmed 20-seed scenario campaign (reboot loop
+#                               + the seeded startup defect): every run goes
+#                               through the oftt-check invariant engine; any
+#                               violation, non-recovered seed, or missed
+#                               expected violation exits nonzero via the
+#                               campaign gate, and the emitted BENCH_campaign
+#                               artifact must validate as
+#                               oftt-bench-campaign-v1
+#  22. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#                               declared by BENCHMARK.json) at 1/20 length,
+#                               untraced and traced: all four workloads must
+#                               report "correct": true and "failed": 0. This
+#                               is where checkpoint cost, paced wire latency
+#                               (zero data frames shed is part of wire_paced's
+#                               "correct") and kill-to-serving time are
+#                               measured. The traced pass replays every
+#                               VarStore/Checkpoint/CheckpointStore call on a
+#                               shadow pair and ships image_crc(None) as a
+#                               full payload's crc, so it is the standing
+#                               guard that image checksum and full-payload
+#                               checksum stay one function
 #
 # Exits non-zero on the first failing stage, naming it on stderr.
 
@@ -225,21 +238,7 @@ cargo build --release -q -p oftt-wire --bins
 ./target/release/wire-smoke
 
 step "saturation smoke: reactor throughput floor under load"
-cargo run -p bench --release -q --bin bench-wire -- --saturation-smoke
-
-step "bench smoke: checkpoint data-path artifact"
-BENCH_SMOKE_OUT=$(mktemp /tmp/BENCH_checkpoint.XXXXXX.json)
-TMPFILES+=("$BENCH_SMOKE_OUT")
-BENCH_SAMPLES=1 BENCH_OUT="$BENCH_SMOKE_OUT" \
-    cargo run -p bench --release -q --bin bench-checkpoint
-cargo run -p bench --release -q --bin bench-validate "$BENCH_SMOKE_OUT"
-
-step "bench smoke: wire runtime artifact (20 kills)"
-BENCH_WIRE_OUT=$(mktemp /tmp/BENCH_wire.XXXXXX.json)
-TMPFILES+=("$BENCH_WIRE_OUT")
-BENCH_SAMPLES=500 BENCH_CKPT_SECS=2 BENCH_OUT="$BENCH_WIRE_OUT" \
-    cargo run -p bench --release -q --bin bench-wire
-cargo run -p bench --release -q --bin bench-validate "$BENCH_WIRE_OUT"
+cargo run -p bench --release -q --bin bench-wire
 
 step "bench smoke: verification throughput artifact"
 BENCH_VERIFY_OUT=$(mktemp /tmp/BENCH_verify.XXXXXX.json)

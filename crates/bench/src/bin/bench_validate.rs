@@ -4,14 +4,17 @@
 //! just reads the file, parses it, and reports.
 //!
 //! ```text
-//! cargo run -p bench --release --bin bench-validate [path]
+//! cargo run -p bench --release --bin bench-validate <path>
 //! ```
 
 use bench::json::{parse, Json};
 use bench::validate::validate;
 
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_checkpoint.json".into());
+    let Some(path) = std::env::args().nth(1) else {
+        eprintln!("usage: bench-validate <artifact.json>");
+        std::process::exit(1);
+    };
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(e) => {

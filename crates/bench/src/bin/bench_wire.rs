@@ -1,33 +1,18 @@
-//! Emits `BENCH_wire.json` (schema `oftt-bench-wire-v2`): the socket
-//! runtime's headline numbers.
+//! The reactor's many-connection saturation gate — the one wire
+//! measurement `benchmark/` (one paced link, one killed pair) does not
+//! make.
 //!
 //! ```text
-//! cargo run -p bench --release --bin bench-wire      # writes BENCH_wire.json
-//! BENCH_SAMPLES=200 BENCH_KILLS=5 ... bench-wire     # reduced run
-//! BENCH_SAT_CONNS=64 BENCH_SAT_SECS=1 ... bench-wire # reduced saturation
-//! BENCH_OUT=/tmp/w.json ... bench-wire               # alternate path
+//! cargo run -p bench --release --bin bench-wire
 //! ```
 //!
-//! 1. **rtt** — p50/p99 round-trip latency of a 256-byte frame between
-//!    two in-process [`WireNet`]s over loopback TCP (codec + supervisor +
-//!    socket both ways).
-//! 2. **checkpoint** — the full OFTT pair over sockets with the bench's
-//!    acceptance workload (10k designated variables, 64 B each, 1% write
-//!    locality per checkpoint period), measuring sustained checkpoint and
-//!    ack throughput at the protocol's own pace. This is the latency row;
-//!    the write queue must never shed a data frame.
-//! 3. **checkpoint_stream** — one simulated application streaming
-//!    acceptance-sized delta checkpoints through the reactor at max rate
-//!    with a send window, acked per checkpoint: the single-link ceiling.
-//! 4. **saturation** — hundreds of simulated applications doing the same
-//!    concurrently against one supervisor with a fixed reactor thread
-//!    count: aggregate ckpts/s, bytes/s, and p50/p99 ack RTT under load.
-//! 5. **digest** — the Fletcher-32 variable digest, reference
-//!    byte-at-a-time loop vs. the chunked production path, in MB/s.
-//! 6. **failover** — real `oftt-node` process pairs; each cycle forms a
-//!    pair, establishes checkpoint flow, SIGKILLs the primary, and times
-//!    the survivor's promotion. Every cycle uses fresh processes and
-//!    fresh ports so each kill is an independent sample.
+//! Simulated applications stream acceptance-sized delta checkpoints
+//! (1 % of 10k variables × 64 B) at max rate with a send window, acked per
+//! checkpoint, against one [`Supervisor`]: first one stream (the
+//! single-link ceiling), then 128 concurrent streams on 4 reactor
+//! threads. The gate asserts a fixed reactor thread count, zero protocol
+//! errors, and an aggregate of at least 7.86 MB/s — 100× the rate the
+//! paced pair ships at.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,38 +22,28 @@ use std::time::{Duration, Instant};
 use comsim::buf::Bytes;
 use ds_net::endpoint::{Endpoint, NodeId};
 use ds_net::message::Envelope;
-use ds_net::process::{Process, ProcessEnv, ProcessEnvExt};
 use ds_net::transport::TransportEvent;
 use ds_sim::prelude::SimTime;
 use ds_sim::trace::TraceCategory;
-use oftt::checkpoint::{fold_digests, var_digest, var_digest_reference};
+use oftt::checkpoint::{fold_digests, var_digest};
 use oftt::checkpoint::{Checkpoint, CheckpointPayload, VarSet};
-use oftt::config::{engine_endpoint, OfttConfig, Pair, RecoveryRule};
-use oftt::engine::{Engine, EngineProbe};
-use oftt::ftim::{FtProcess, FtimProbe};
 use oftt::messages::FtimPeerMsg;
-use oftt::role::Role;
-use oftt_wire::app::{LoadApp, LoadConfig, LoadView};
 use oftt_wire::codec::{WireCodec, WirePing};
 use oftt_wire::frame::FrameClass;
-use oftt_wire::harness::{free_port, pair_config, write_config, ChildNode, RawPeer};
-use oftt_wire::runtime::WireNet;
+use oftt_wire::harness::RawPeer;
 use oftt_wire::supervisor::{Supervisor, WireConfig, WireHandler};
-use parking_lot::Mutex;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
-}
+/// The saturation cell: concurrent streaming applications, the reactor
+/// threads serving them, and for how long.
+const SAT_CONNS: usize = 128;
+const SAT_IO_THREADS: usize = 4;
+const SAT_RUN: Duration = Duration::from_secs(2);
+/// The acceptance floor: ≥ 100× the paced pair's ship rate (~78.6 KB/s).
+const FLOOR_BYTES_PER_SEC: f64 = 7_860_000.0;
 
-fn wait_for(cond: impl Fn() -> bool, timeout: Duration) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < timeout {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
+/// The delta every client streams: 1 % of 10k variables × 64 B.
+fn delta(fill: u8) -> VarSet {
+    (0..100).map(|v| (format!("v{v:04}"), Bytes::from(vec![fill; 64]))).collect()
 }
 
 fn percentile(sorted: &[u64], pct: f64) -> u64 {
@@ -79,266 +54,12 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-fn wire_config(node: NodeId, listen_port: u16, peer: NodeId, peer_port: u16) -> WireConfig {
-    let mut config = WireConfig::loopback(node);
-    config.listen = format!("127.0.0.1:{listen_port}");
-    config.peers = vec![(peer, format!("127.0.0.1:{peer_port}"))];
-    config.seed = 7 + u64::from(node.0);
-    config
-}
-
-// ---------------------------------------------------------------- phase 1
-
-/// Sends one ping at a time and records each round trip's wall latency.
-struct TimedPinger {
-    target: Endpoint,
-    limit: usize,
-    sent_at: Instant,
-    rtts_ns: Arc<Mutex<Vec<u64>>>,
-}
-
-impl Process for TimedPinger {
-    fn on_start(&mut self, env: &mut dyn ProcessEnv) {
-        self.sent_at = Instant::now();
-        env.send_msg(self.target.clone(), WirePing { seq: 0, pad: Bytes::from(vec![0u8; 256]) });
-    }
-    fn on_message(&mut self, envelope: Envelope, env: &mut dyn ProcessEnv) {
-        if let Some(ping) = envelope.body.downcast_ref::<WirePing>() {
-            let rtt = self.sent_at.elapsed().as_nanos() as u64;
-            let mut rtts = self.rtts_ns.lock();
-            rtts.push(rtt);
-            if rtts.len() < self.limit {
-                drop(rtts);
-                self.sent_at = Instant::now();
-                env.send_msg(
-                    self.target.clone(),
-                    WirePing { seq: ping.seq + 1, pad: Bytes::from(vec![0u8; 256]) },
-                );
-            }
-        }
-    }
-}
-
-struct Echo;
-
-impl Process for Echo {
-    fn on_message(&mut self, envelope: Envelope, env: &mut dyn ProcessEnv) {
-        if let Some(ping) = envelope.body.downcast_ref::<WirePing>() {
-            env.send_msg(envelope.from.clone(), ping.clone());
-        }
-    }
-}
-
-struct RttStats {
-    samples: usize,
-    p50_us: f64,
-    p99_us: f64,
-}
-
-fn bench_rtt(samples: usize) -> RttStats {
-    let (na, nb) = (NodeId(0), NodeId(1));
-    let (port_a, port_b) = (free_port(), free_port());
-    let codec = Arc::new(WireCodec::standard());
-    let mut a =
-        WireNet::new(1, wire_config(na, port_a, nb, port_b), Arc::clone(&codec)).expect("net a");
-    let mut b = WireNet::new(2, wire_config(nb, port_b, na, port_a), codec).expect("net b");
-
-    let rtts = Arc::new(Mutex::new(Vec::with_capacity(samples)));
-    {
-        let rtts = Arc::clone(&rtts);
-        let target = Endpoint::new(nb, "echo");
-        a.register(
-            Endpoint::new(na, "pinger"),
-            Box::new(move || {
-                Box::new(TimedPinger {
-                    target: target.clone(),
-                    limit: samples,
-                    sent_at: Instant::now(),
-                    rtts_ns: rtts.clone(),
-                })
-            }),
-        );
-    }
-    b.register(Endpoint::new(nb, "echo"), Box::new(|| Box::new(Echo)));
-    assert!(
-        wait_for(|| a.connected(nb) && b.connected(na), Duration::from_secs(10)),
-        "rtt phase: link must form"
-    );
-    b.start(&Endpoint::new(nb, "echo"));
-    a.start(&Endpoint::new(na, "pinger"));
-    assert!(
-        wait_for(|| rtts.lock().len() >= samples, Duration::from_secs(120)),
-        "rtt phase: volleys must complete (got {})",
-        rtts.lock().len()
-    );
-    a.shutdown();
-    b.shutdown();
-
-    let mut sorted = rtts.lock().clone();
-    sorted.sort_unstable();
-    RttStats {
-        samples,
-        p50_us: percentile(&sorted, 50.0) as f64 / 1000.0,
-        p99_us: percentile(&sorted, 99.0) as f64 / 1000.0,
-    }
-}
-
-// ---------------------------------------------------------------- phase 2
-
-struct CkptStats {
-    vars: usize,
-    var_bytes: usize,
-    dirty_pct: f64,
-    duration_ms: u64,
-    ckpts_acked: u64,
-    ckpts_per_sec: f64,
-    ckpt_bytes_per_sec: f64,
-    backpressure_drops: u64,
-    heartbeats_shed: u64,
-}
-
-struct BenchNode {
-    net: WireNet,
-    engine: Arc<Mutex<EngineProbe>>,
-    ftim: Arc<Mutex<FtimProbe>>,
-    view: Arc<Mutex<LoadView>>,
-}
-
-fn bench_node(
-    node: NodeId,
-    listen_port: u16,
-    peer: NodeId,
-    peer_port: u16,
-    load: LoadConfig,
-) -> BenchNode {
-    let mut config = OfttConfig::new(Pair::new(node.min(peer), node.max(peer)));
-    config.heartbeat_period = ds_sim::prelude::SimDuration::from_millis(50);
-    config.component_timeout = ds_sim::prelude::SimDuration::from_millis(400);
-    config.peer_timeout = ds_sim::prelude::SimDuration::from_millis(400);
-    config.fail_safe_timeout = ds_sim::prelude::SimDuration::from_millis(250);
-    config.checkpoint_period = ds_sim::prelude::SimDuration::from_millis(100);
-    config.startup_timeout = ds_sim::prelude::SimDuration::from_millis(500);
-
-    let mut net = WireNet::new(
-        u64::from(node.0) + 40,
-        wire_config(node, listen_port, peer, peer_port),
-        Arc::new(WireCodec::standard()),
-    )
-    .expect("wire net");
-    let engine = Arc::new(Mutex::new(EngineProbe::default()));
-    {
-        let engine_config = config.clone();
-        let probe = Arc::clone(&engine);
-        net.register(
-            engine_endpoint(node),
-            Box::new(move || Box::new(Engine::new(engine_config.clone(), probe.clone()))),
-        );
-    }
-    let ftim = Arc::new(Mutex::new(FtimProbe::default()));
-    let view = Arc::new(Mutex::new(LoadView::default()));
-    {
-        let ftim = Arc::clone(&ftim);
-        let view = Arc::clone(&view);
-        net.register(
-            Endpoint::new(node, "app"),
-            Box::new(move || {
-                Box::new(FtProcess::new(
-                    config.clone(),
-                    RecoveryRule::LocalRestart { max_attempts: 1 },
-                    LoadApp::new(load, view.clone()),
-                    ftim.clone(),
-                ))
-            }),
-        );
-    }
-    net.start(&engine_endpoint(node));
-    net.start(&Endpoint::new(node, "app"));
-    BenchNode { net, engine, ftim, view }
-}
-
-fn bench_checkpoint_flow(run_for: Duration) -> CkptStats {
-    // The acceptance workload: 10k vars × 64 B, 1% of them rewritten per
-    // 100 ms checkpoint period (20 ms ticks × 20 vars = 100 vars/period).
-    let load = LoadConfig {
-        vars: 10_000,
-        var_bytes: 64,
-        dirty_per_tick: 20,
-        tick_period: Duration::from_millis(20),
-    };
-    let (na, nb) = (NodeId(0), NodeId(1));
-    let (port_a, port_b) = (free_port(), free_port());
-    let mut nodes =
-        vec![bench_node(na, port_a, nb, port_b, load), bench_node(nb, port_b, na, port_a, load)];
-    assert!(
-        wait_for(
-            || {
-                let roles: Vec<_> = nodes.iter().map(|n| n.engine.lock().current_role()).collect();
-                matches!(
-                    (roles[0], roles[1]),
-                    (Some(Role::Primary), Some(Role::Backup))
-                        | (Some(Role::Backup), Some(Role::Primary))
-                )
-            },
-            Duration::from_secs(15)
-        ),
-        "checkpoint phase: pair must form"
-    );
-    let primary = usize::from(nodes[0].engine.lock().current_role() != Some(Role::Primary));
-    assert!(
-        wait_for(|| nodes[primary].view.lock().ticks > 5, Duration::from_secs(10)),
-        "checkpoint phase: load must start ticking"
-    );
-
-    // Measure from a steady-state baseline.
-    let base = {
-        let p = nodes[primary].ftim.lock();
-        (p.ckpts_sent, p.ckpt_bytes_sent, p.last_acked)
-    };
-    let started = Instant::now();
-    std::thread::sleep(run_for);
-    let elapsed = started.elapsed();
-    let (sent, bytes, acked) = {
-        let p = nodes[primary].ftim.lock();
-        (p.ckpts_sent - base.0, p.ckpt_bytes_sent - base.1, p.last_acked)
-    };
-    assert!(acked > base.2, "checkpoint phase: the peer must keep acknowledging");
-    let health = nodes[primary].net.health();
-    let backpressure_drops: u64 = health.iter().map(|h| h.dropped_frames).sum();
-    let heartbeats_shed: u64 = health.iter().map(|h| h.dropped_heartbeats).sum();
-
-    for node in &mut nodes {
-        node.net.shutdown();
-    }
-    let secs = elapsed.as_secs_f64();
-    CkptStats {
-        vars: load.vars,
-        var_bytes: load.var_bytes,
-        // 5 ticks per 100 ms checkpoint period × dirty_per_tick vars.
-        dirty_pct: 100.0 * (load.dirty_per_tick as f64 * 5.0) / load.vars as f64,
-        duration_ms: elapsed.as_millis() as u64,
-        ckpts_acked: sent,
-        ckpts_per_sec: sent as f64 / secs,
-        ckpt_bytes_per_sec: bytes as f64 / secs,
-        backpressure_drops,
-        heartbeats_shed,
-    }
-}
-
-// ----------------------------------------------------------- phases 3 & 4
-
 struct SatStats {
-    conns: usize,
-    window: usize,
     io_threads: usize,
-    ckpt_wire_bytes: u64,
-    duration_ms: u64,
-    ckpts_acked: u64,
-    ckpts_per_sec: f64,
     bytes_per_sec: f64,
     rtt_p50_us: f64,
     rtt_p99_us: f64,
     protocol_errors: u64,
-    pool_hit_pct: f64,
 }
 
 /// Acks every decoded checkpoint straight back to its sender.
@@ -386,8 +107,6 @@ fn stream_client(
     codec: &WireCodec,
     stop: &AtomicBool,
     window: usize,
-    vars: usize,
-    var_bytes: usize,
 ) -> ClientResult {
     let node = NodeId(1 + idx as u16);
     let mut result = ClientResult::default();
@@ -400,10 +119,7 @@ fn stream_client(
     };
     peer.set_read_timeout(Some(Duration::from_millis(200)));
 
-    let mut set = VarSet::new();
-    for v in 0..vars {
-        set.insert(format!("v{v:04}"), Bytes::from(vec![idx as u8; var_bytes]));
-    }
+    let set = delta(idx as u8);
     let crc = fold_digests(set.iter().map(|(n, b)| var_digest(n, b.as_slice())));
     let mut seq = 0u64;
     let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(window);
@@ -462,11 +178,8 @@ fn stream_client(
 
 /// `conns` windowed checkpoint streams against one supervisor with a
 /// fixed reactor thread count. With `conns == 1` this is the single-link
-/// ceiling (the `checkpoint_stream` cell); with hundreds it is the
-/// saturation cell.
+/// ceiling; with hundreds it is the saturation cell.
 fn bench_saturation(conns: usize, window: usize, io_threads: usize, run_for: Duration) -> SatStats {
-    // Acceptance-sized delta: 1% of 10k vars x 64 B per checkpoint.
-    let (vars, var_bytes) = (100, 64);
     let codec = Arc::new(WireCodec::standard());
     let handler = Arc::new(AckHandler { sup: OnceLock::new(), decode_misses: AtomicU64::new(0) });
     let mut config = WireConfig::loopback(NodeId(0));
@@ -480,12 +193,8 @@ fn bench_saturation(conns: usize, window: usize, io_threads: usize, run_for: Dur
     let addr = sup.local_addr().to_string();
 
     // The wire size of one checkpoint, for the bytes/s aggregate.
-    let mut sample = VarSet::new();
-    for v in 0..vars {
-        sample.insert(format!("v{v:04}"), Bytes::from(vec![0u8; var_bytes]));
-    }
     let ckpt_wire_bytes =
-        Checkpoint::new(1, 0, SimTime::from_millis(0), CheckpointPayload::Delta(sample))
+        Checkpoint::new(1, 0, SimTime::from_millis(0), CheckpointPayload::Delta(delta(0)))
             .wire_size();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -495,9 +204,7 @@ fn bench_saturation(conns: usize, window: usize, io_threads: usize, run_for: Dur
             let addr = addr.clone();
             let codec = Arc::clone(&codec);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                stream_client(idx, &addr, &codec, &stop, window, vars, var_bytes)
-            })
+            std::thread::spawn(move || stream_client(idx, &addr, &codec, &stop, window))
         })
         .collect();
     std::thread::sleep(run_for);
@@ -519,192 +226,19 @@ fn bench_saturation(conns: usize, window: usize, io_threads: usize, run_for: Dur
     errors += handler.decode_misses.load(Ordering::Relaxed);
     errors += sup.health().iter().map(|h| h.dropped_frames).sum::<u64>();
     let fixed_threads = sup.io_threads();
-    let pool = sup.pool_stats();
     sup.shutdown();
 
     rtts.sort_unstable();
-    let secs = elapsed.as_secs_f64();
     SatStats {
-        conns,
-        window,
         io_threads: fixed_threads,
-        ckpt_wire_bytes,
-        duration_ms: elapsed.as_millis() as u64,
-        ckpts_acked: acked,
-        ckpts_per_sec: acked as f64 / secs,
-        bytes_per_sec: acked as f64 * ckpt_wire_bytes as f64 / secs,
+        bytes_per_sec: acked as f64 * ckpt_wire_bytes as f64 / elapsed.as_secs_f64(),
         rtt_p50_us: percentile(&rtts, 50.0) as f64 / 1000.0,
         rtt_p99_us: percentile(&rtts, 99.0) as f64 / 1000.0,
         protocol_errors: errors,
-        pool_hit_pct: pool.hit_pct(),
     }
 }
 
-// ---------------------------------------------------------------- phase 5
-
-struct DigestStats {
-    payload_mb: f64,
-    reference_mb_per_sec: f64,
-    optimized_mb_per_sec: f64,
-    speedup: f64,
-}
-
-/// The Fletcher-32 variable digest: definitional byte-at-a-time loop
-/// vs. the chunked, deferred-modulo production path.
-fn bench_digest() -> DigestStats {
-    const MB: usize = 1024 * 1024;
-    let payload = vec![0xA7u8; 8 * MB];
-    let passes = 8usize;
-    let total_mb = (passes * payload.len()) as f64 / MB as f64;
-
-    let mut fold = 0u32;
-    let started = Instant::now();
-    for _ in 0..passes {
-        fold ^= var_digest_reference("var", std::hint::black_box(&payload));
-    }
-    let reference_secs = started.elapsed().as_secs_f64();
-
-    let mut fast_fold = 0u32;
-    let started = Instant::now();
-    for _ in 0..passes {
-        fast_fold ^= var_digest("var", std::hint::black_box(&payload));
-    }
-    let optimized_secs = started.elapsed().as_secs_f64();
-    assert_eq!(fold, fast_fold, "digest paths must agree");
-
-    let reference = total_mb / reference_secs;
-    let optimized = total_mb / optimized_secs;
-    DigestStats {
-        payload_mb: total_mb,
-        reference_mb_per_sec: reference,
-        optimized_mb_per_sec: optimized,
-        speedup: optimized / reference,
-    }
-}
-
-// ---------------------------------------------------------------- phase 6
-
-struct FailoverStats {
-    kills: usize,
-    detection_ms: Vec<u64>,
-}
-
-fn one_kill_cycle(dir: &std::path::Path, cycle: usize) -> u64 {
-    let (na, nb) = (NodeId(0), NodeId(1));
-    let (port_a, port_b) = (free_port(), free_port());
-    let seed = 1000 + cycle as u64 * 2;
-    let config_a = write_config(
-        dir,
-        &format!("a{cycle}.toml"),
-        &pair_config(na, port_a, nb, port_b, na, 200, seed),
-    );
-    let config_b = write_config(
-        dir,
-        &format!("b{cycle}.toml"),
-        &pair_config(nb, port_b, na, port_a, na, 200, seed + 1),
-    );
-    let mut children = vec![
-        ChildNode::spawn(na, &config_a).expect("spawn a"),
-        ChildNode::spawn(nb, &config_b).expect("spawn b"),
-    ];
-    for child in &children {
-        assert!(
-            child.wait_for_line(|l| l.starts_with("READY"), Duration::from_secs(10)).is_some(),
-            "cycle {cycle}: node never READY"
-        );
-    }
-    let deadline = Duration::from_secs(15);
-    let primary = if children[0].wait_for_line(|l| l.contains("role=primary"), deadline).is_some() {
-        0
-    } else {
-        assert!(
-            children[1].find_line(|l| l.contains("role=primary")).is_some(),
-            "cycle {cycle}: no primary"
-        );
-        1
-    };
-    let backup = 1 - primary;
-    assert!(
-        children[backup].wait_for_line(|l| l.contains("role=backup"), deadline).is_some(),
-        "cycle {cycle}: no backup"
-    );
-    assert!(
-        children[backup]
-            .wait_for_line(|l| l.contains("ckpt installed"), Duration::from_secs(10))
-            .is_some(),
-        "cycle {cycle}: checkpoint flow never established"
-    );
-
-    let killed_at = Instant::now();
-    children[primary].kill();
-    assert!(
-        children[backup]
-            .wait_for_line(|l| l.contains("role=primary"), Duration::from_secs(10))
-            .is_some(),
-        "cycle {cycle}: backup never promoted"
-    );
-    let detection = killed_at.elapsed().as_millis() as u64;
-    children[backup].kill();
-    detection
-}
-
-fn bench_failover(kills: usize) -> FailoverStats {
-    let dir = std::env::temp_dir().join(format!("bench-wire-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let mut detection_ms = Vec::with_capacity(kills);
-    for cycle in 0..kills {
-        let ms = one_kill_cycle(&dir, cycle);
-        println!("bench-wire: kill {:>2}/{kills}: promotion in {ms} ms", cycle + 1);
-        detection_ms.push(ms);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    FailoverStats { kills, detection_ms }
-}
-
-// ------------------------------------------------------------------ main
-
-fn sat_json(name: &str, sat: &SatStats) -> String {
-    format!(
-        concat!(
-            "  \"{}\": {{\n",
-            "    \"conns\": {},\n",
-            "    \"window\": {},\n",
-            "    \"io_threads\": {},\n",
-            "    \"ckpt_wire_bytes\": {},\n",
-            "    \"duration_ms\": {},\n",
-            "    \"ckpts_acked\": {},\n",
-            "    \"ckpts_per_sec\": {:.2},\n",
-            "    \"bytes_per_sec\": {:.0},\n",
-            "    \"rtt_p50_us\": {:.2},\n",
-            "    \"rtt_p99_us\": {:.2},\n",
-            "    \"protocol_errors\": {},\n",
-            "    \"pool_hit_pct\": {:.1}\n",
-            "  }}"
-        ),
-        name,
-        sat.conns,
-        sat.window,
-        sat.io_threads,
-        sat.ckpt_wire_bytes,
-        sat.duration_ms,
-        sat.ckpts_acked,
-        sat.ckpts_per_sec,
-        sat.bytes_per_sec,
-        sat.rtt_p50_us,
-        sat.rtt_p99_us,
-        sat.protocol_errors,
-        sat.pool_hit_pct,
-    )
-}
-
-/// CI's reduced saturation gate: stream + saturation cells only, with
-/// the acceptance floor (≥ 100× the paced v1 ship rate) and the
-/// zero-protocol-error invariant asserted in-process.
-fn saturation_smoke() {
-    let conns = env_usize("BENCH_SAT_CONNS", 128);
-    let secs = env_usize("BENCH_SAT_SECS", 2);
-    const FLOOR_BYTES_PER_SEC: f64 = 7_860_000.0;
-
+fn main() {
     println!("bench-wire: saturation smoke — 1 link at max rate");
     let stream = bench_saturation(1, 32, 2, Duration::from_secs(1));
     println!(
@@ -714,17 +248,17 @@ fn saturation_smoke() {
         stream.rtt_p99_us,
         stream.protocol_errors
     );
-    println!("bench-wire: saturation smoke — {conns} streaming apps ({secs}s)");
-    let sat = bench_saturation(conns, 8, 4, Duration::from_secs(secs as u64));
+    println!("bench-wire: saturation smoke — {SAT_CONNS} streaming apps ({SAT_RUN:?})");
+    let sat = bench_saturation(SAT_CONNS, 8, SAT_IO_THREADS, SAT_RUN);
     println!(
         "bench-wire: saturation {:.2} MB/s over {} conns / {} io threads, {} protocol errors",
         sat.bytes_per_sec / (1024.0 * 1024.0),
-        sat.conns,
+        SAT_CONNS,
         sat.io_threads,
         sat.protocol_errors
     );
 
-    assert_eq!(sat.io_threads, 4, "reactor thread count must stay fixed under load");
+    assert_eq!(sat.io_threads, SAT_IO_THREADS, "reactor thread count must stay fixed under load");
     assert_eq!(
         stream.protocol_errors + sat.protocol_errors,
         0,
@@ -736,140 +270,4 @@ fn saturation_smoke() {
         sat.bytes_per_sec
     );
     println!("bench-wire: saturation smoke passed");
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--saturation-smoke") {
-        saturation_smoke();
-        return;
-    }
-    let samples = env_usize("BENCH_SAMPLES", 2000);
-    let kills = env_usize("BENCH_KILLS", 20);
-    let ckpt_secs = env_usize("BENCH_CKPT_SECS", 3);
-    let sat_conns = env_usize("BENCH_SAT_CONNS", 400);
-    let sat_secs = env_usize("BENCH_SAT_SECS", 3);
-    let stream_secs = env_usize("BENCH_STREAM_SECS", 2);
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_wire.json".into());
-
-    println!("bench-wire: phase 1/6 — frame round-trip latency ({samples} volleys)");
-    let rtt = bench_rtt(samples);
-    println!(
-        "bench-wire: rtt p50={:.1}us p99={:.1}us over {} volleys",
-        rtt.p50_us, rtt.p99_us, rtt.samples
-    );
-
-    println!("bench-wire: phase 2/6 — paced checkpoint flow over sockets ({ckpt_secs}s)");
-    let ckpt = bench_checkpoint_flow(Duration::from_secs(ckpt_secs as u64));
-    println!(
-        "bench-wire: {} vars @ {:.1}% locality: {:.1} ckpts/s, {:.0} B/s, {} data frames shed",
-        ckpt.vars,
-        ckpt.dirty_pct,
-        ckpt.ckpts_per_sec,
-        ckpt.ckpt_bytes_per_sec,
-        ckpt.backpressure_drops
-    );
-
-    println!("bench-wire: phase 3/6 — max-rate checkpoint stream, one link ({stream_secs}s)");
-    let stream = bench_saturation(1, 32, 2, Duration::from_secs(stream_secs as u64));
-    println!(
-        "bench-wire: stream {:.0} ckpts/s, {:.2} MB/s, ack p50={:.0}us p99={:.0}us",
-        stream.ckpts_per_sec,
-        stream.bytes_per_sec / (1024.0 * 1024.0),
-        stream.rtt_p50_us,
-        stream.rtt_p99_us
-    );
-
-    println!("bench-wire: phase 4/6 — saturation, {sat_conns} streaming apps ({sat_secs}s)");
-    let saturation = bench_saturation(sat_conns, 8, 4, Duration::from_secs(sat_secs as u64));
-    println!(
-        "bench-wire: saturation {:.0} ckpts/s, {:.2} MB/s over {} conns / {} io threads, \
-         ack p50={:.0}us p99={:.0}us, {} protocol errors",
-        saturation.ckpts_per_sec,
-        saturation.bytes_per_sec / (1024.0 * 1024.0),
-        saturation.conns,
-        saturation.io_threads,
-        saturation.rtt_p50_us,
-        saturation.rtt_p99_us,
-        saturation.protocol_errors
-    );
-
-    println!("bench-wire: phase 5/6 — Fletcher-32 digest micro-bench");
-    let digest = bench_digest();
-    println!(
-        "bench-wire: digest reference {:.0} MB/s, optimized {:.0} MB/s ({:.1}x)",
-        digest.reference_mb_per_sec, digest.optimized_mb_per_sec, digest.speedup
-    );
-
-    println!("bench-wire: phase 6/6 — failover under SIGKILL ({kills} kills)");
-    let failover = bench_failover(kills);
-    let mut sorted = failover.detection_ms.clone();
-    sorted.sort_unstable();
-    let (p50, p99, max) =
-        (percentile(&sorted, 50.0), percentile(&sorted, 99.0), *sorted.last().unwrap_or(&0));
-    println!(
-        "bench-wire: failover p50={p50}ms p99={p99}ms max={max}ms over {} kills",
-        failover.kills
-    );
-
-    let doc = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"oftt-bench-wire-v2\",\n",
-            "  \"rtt\": {{\n",
-            "    \"samples\": {},\n",
-            "    \"p50_us\": {:.2},\n",
-            "    \"p99_us\": {:.2}\n",
-            "  }},\n",
-            "  \"checkpoint\": {{\n",
-            "    \"vars\": {},\n",
-            "    \"var_bytes\": {},\n",
-            "    \"dirty_pct\": {:.2},\n",
-            "    \"duration_ms\": {},\n",
-            "    \"ckpts_acked\": {},\n",
-            "    \"ckpts_per_sec\": {:.2},\n",
-            "    \"ckpt_bytes_per_sec\": {:.0},\n",
-            "    \"backpressure_drops\": {},\n",
-            "    \"heartbeats_shed\": {}\n",
-            "  }},\n",
-            "{},\n",
-            "{},\n",
-            "  \"digest\": {{\n",
-            "    \"payload_mb\": {:.0},\n",
-            "    \"reference_mb_per_sec\": {:.1},\n",
-            "    \"optimized_mb_per_sec\": {:.1},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
-            "  \"failover\": {{\n",
-            "    \"kills\": {},\n",
-            "    \"detection_ms_p50\": {},\n",
-            "    \"detection_ms_p99\": {},\n",
-            "    \"detection_ms_max\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        rtt.samples,
-        rtt.p50_us,
-        rtt.p99_us,
-        ckpt.vars,
-        ckpt.var_bytes,
-        ckpt.dirty_pct,
-        ckpt.duration_ms,
-        ckpt.ckpts_acked,
-        ckpt.ckpts_per_sec,
-        ckpt.ckpt_bytes_per_sec,
-        ckpt.backpressure_drops,
-        ckpt.heartbeats_shed,
-        sat_json("checkpoint_stream", &stream),
-        sat_json("saturation", &saturation),
-        digest.payload_mb,
-        digest.reference_mb_per_sec,
-        digest.optimized_mb_per_sec,
-        digest.speedup,
-        failover.kills,
-        p50,
-        p99,
-        max,
-    );
-    std::fs::write(&out_path, &doc).expect("write bench artifact");
-    println!("wrote {out_path}");
 }

@@ -1,35 +1,29 @@
 //! The unified bench-artifact schema validator.
 //!
-//! Every artifact CI emits — `BENCH_checkpoint.json`, `BENCH_wire.json`,
-//! `BENCH_verify.json`, and the `oftt-lint-v1` report — declares its
-//! schema in a top-level `"schema"` string and is checked here against
-//! both its shape and its acceptance thresholds. The `bench-validate`
-//! binary is a thin wrapper over [`validate`]; keeping the arms in one
-//! module means a new artifact adds a dispatch case instead of a fourth
-//! copy of the `require`/`require_number` scaffolding.
+//! Every JSON artifact CI emits — the `oftt-lint` report, `BENCH_lint.json`,
+//! `BENCH_verify.json` and `BENCH_campaign.json` — declares its schema in
+//! a top-level `"schema"` string and is checked here against both its
+//! shape and its acceptance thresholds. The `bench-validate` binary is a
+//! thin wrapper over [`validate`]; keeping the arms in one module means a
+//! new artifact adds a dispatch case instead of another copy of the
+//! `require`/`require_number` scaffolding. (The repo's benchmark,
+//! `benchmark/`, checks its own outputs and is not validated here.)
 //!
 //! Per-schema acceptance rules:
 //!
-//! * `oftt-bench-checkpoint-v1` — the 10k-vars / 1%-locality cell must
-//!   clear the acceptance thresholds (speedup ≥ 5×, wire ratio ≥ 20×,
-//!   restore equality in every cell);
-//! * `oftt-bench-wire-v1` — the socket runtime must show the acceptance
-//!   workload (10k vars at 1% locality) with zero data-frame sheds,
-//!   ≥ 20 SIGKILL failover samples, and promotion p99 inside the 3 s
-//!   detection budget;
-//! * `oftt-bench-wire-v2` — everything v1 requires, plus the reactor
-//!   cells: `checkpoint_stream` and `saturation` must ack checkpoints
-//!   with zero protocol errors, the saturation aggregate must clear
-//!   100× the paced v1 ship rate (≥ 7.86 MB/s), and the optimized
-//!   digest must not regress below the byte-at-a-time reference;
 //! * `oftt-bench-verify-v1` — every exploration tier must come back clean
 //!   (zero violations, no lasso, not capped), the `default` tier must
 //!   exhaust a ≥ 10⁶-state space at ≥ 10k states/s, and the refinement
 //!   batch must include every export;
-//! * `oftt-lint-v1` — the static analyzer's workspace report: zero
+//! * `oftt-lint-v2` — the static analyzer's workspace report: zero
 //!   non-baselined findings, zero dynamic lock sites missing from the
-//!   static acquisition graph, and a scan that actually covered the
-//!   workspace (≥ 40 files);
+//!   static acquisition graph, zero dynamic pool ops missing from the
+//!   static pool-site inventory, a scan that actually covered the
+//!   workspace (≥ 40 files), and dataflow counters showing the
+//!   flow-sensitive stage ran non-vacuously;
+//! * `oftt-bench-lint-v2` — the analyzer's throughput artifact: the same
+//!   coverage floors over files, functions, call edges, reactor roots and
+//!   dataflow counters, zero findings and zero stale baseline entries;
 //! * `oftt-bench-campaign-v1` — a campaign sweep's cross-seed
 //!   aggregates: every scenario's failover distribution must be ordered
 //!   (p50 ≤ p95 ≤ p99 ≤ max), availability in `[0, 1]`, and the
@@ -59,16 +53,6 @@ fn require_number(obj: &Json, key: &str, errors: &mut Vec<String>) -> Option<f64
     n
 }
 
-fn validate_path_cost(cell: &Json, key: &str, errors: &mut Vec<String>) {
-    let Some(path) = require(cell, key, errors) else { return };
-    if path.as_object().is_none() {
-        errors.push(format!("key {key:?} is not an object"));
-        return;
-    }
-    require_number(path, "ns_per_period", errors);
-    require_number(path, "wire_bytes_per_period", errors);
-}
-
 /// Validates a parsed artifact, dispatching on its `"schema"` string.
 /// Returns every violation found (empty means the artifact conforms).
 pub fn validate(doc: &Json) -> Vec<String> {
@@ -77,195 +61,12 @@ pub fn validate(doc: &Json) -> Vec<String> {
         return vec!["top level is not an object".into()];
     }
     match require(doc, "schema", &mut errors).and_then(Json::as_str) {
-        Some("oftt-bench-checkpoint-v1") => errors.extend(validate_checkpoint(doc)),
-        Some("oftt-bench-wire-v1") => errors.extend(validate_wire(doc)),
-        Some("oftt-bench-wire-v2") => errors.extend(validate_wire_v2(doc)),
         Some("oftt-bench-verify-v1") => errors.extend(validate_verify(doc)),
-        Some("oftt-lint-v1") => errors.extend(validate_lint(doc)),
-        Some("oftt-lint-v2") => errors.extend(validate_lint_v2(doc)),
-        Some("oftt-bench-lint-v1") => errors.extend(validate_bench_lint(doc)),
-        Some("oftt-bench-lint-v2") => errors.extend(validate_bench_lint_v2(doc)),
+        Some("oftt-lint-v2") => errors.extend(validate_lint(doc)),
+        Some("oftt-bench-lint-v2") => errors.extend(validate_bench_lint(doc)),
         Some("oftt-bench-campaign-v1") => errors.extend(validate_campaign(doc)),
         Some(other) => errors.push(format!("unknown schema {other:?}")),
         None => errors.push("schema is not a string".into()),
-    }
-    errors
-}
-
-fn validate_checkpoint(doc: &Json) -> Vec<String> {
-    let mut errors = Vec::new();
-    require_number(doc, "samples", &mut errors);
-    require_number(doc, "periods_per_sample", &mut errors);
-    let Some(cells) = require(doc, "cells", &mut errors).and_then(Json::as_array) else {
-        errors.push("cells is not an array".into());
-        return errors;
-    };
-    if cells.is_empty() {
-        errors.push("cells is empty".into());
-    }
-    let mut acceptance_cell_seen = false;
-    for (i, cell) in cells.iter().enumerate() {
-        let mut cell_errors = Vec::new();
-        let vars = require_number(cell, "vars", &mut cell_errors);
-        let dirty_pct = require_number(cell, "dirty_pct", &mut cell_errors);
-        require_number(cell, "var_bytes", &mut cell_errors);
-        validate_path_cost(cell, "full", &mut cell_errors);
-        validate_path_cost(cell, "dirty", &mut cell_errors);
-        let speedup = require_number(cell, "speedup", &mut cell_errors);
-        let wire_ratio = require_number(cell, "wire_ratio", &mut cell_errors);
-        match require(cell, "restore_ok", &mut cell_errors).and_then(Json::as_bool) {
-            Some(true) => {}
-            Some(false) => cell_errors.push("restore_ok is false: merged image diverged".into()),
-            None => cell_errors.push("restore_ok is not a boolean".into()),
-        }
-        // The acceptance cell: 10k variables at 1% write locality must
-        // show the dirty path ≥5× faster and ≥20× lighter on the wire.
-        if vars == Some(10_000.0) && dirty_pct == Some(1.0) {
-            acceptance_cell_seen = true;
-            if let Some(s) = speedup {
-                if s < 5.0 {
-                    cell_errors.push(format!("speedup {s:.2} below the 5x acceptance floor"));
-                }
-            }
-            if let Some(w) = wire_ratio {
-                if w < 20.0 {
-                    cell_errors.push(format!("wire_ratio {w:.2} below the 20x acceptance floor"));
-                }
-            }
-        }
-        errors.extend(cell_errors.into_iter().map(|e| format!("cells[{i}]: {e}")));
-    }
-    if !acceptance_cell_seen {
-        errors.push("no acceptance cell (vars=10000, dirty_pct=1) in the grid".into());
-    }
-    errors
-}
-
-fn validate_wire(doc: &Json) -> Vec<String> {
-    let mut errors = Vec::new();
-
-    if let Some(rtt) = require(doc, "rtt", &mut errors) {
-        require_number(rtt, "samples", &mut errors);
-        let p50 = require_number(rtt, "p50_us", &mut errors);
-        let p99 = require_number(rtt, "p99_us", &mut errors);
-        if let (Some(p50), Some(p99)) = (p50, p99) {
-            if p50 <= 0.0 {
-                errors.push("rtt: p50_us is not positive".into());
-            }
-            if p99 < p50 {
-                errors.push(format!("rtt: p99 {p99:.1} below p50 {p50:.1}"));
-            }
-        }
-    }
-
-    if let Some(ckpt) = require(doc, "checkpoint", &mut errors) {
-        let vars = require_number(ckpt, "vars", &mut errors);
-        let dirty_pct = require_number(ckpt, "dirty_pct", &mut errors);
-        require_number(ckpt, "var_bytes", &mut errors);
-        require_number(ckpt, "duration_ms", &mut errors);
-        let acked = require_number(ckpt, "ckpts_acked", &mut errors);
-        require_number(ckpt, "ckpts_per_sec", &mut errors);
-        require_number(ckpt, "ckpt_bytes_per_sec", &mut errors);
-        let drops = require_number(ckpt, "backpressure_drops", &mut errors);
-        require_number(ckpt, "heartbeats_shed", &mut errors);
-        // The acceptance workload, sustained with a drop-free write queue.
-        if vars != Some(10_000.0) {
-            errors.push(format!("checkpoint: vars {vars:?} is not the 10000-var workload"));
-        }
-        if dirty_pct != Some(1.0) {
-            errors.push(format!("checkpoint: dirty_pct {dirty_pct:?} is not 1% locality"));
-        }
-        if acked == Some(0.0) {
-            errors.push("checkpoint: zero checkpoints acknowledged".into());
-        }
-        if let Some(drops) = drops {
-            if drops > 0.0 {
-                errors.push(format!("checkpoint: {drops} data frames shed under load"));
-            }
-        }
-    }
-
-    if let Some(failover) = require(doc, "failover", &mut errors) {
-        let kills = require_number(failover, "kills", &mut errors);
-        let p50 = require_number(failover, "detection_ms_p50", &mut errors);
-        let p99 = require_number(failover, "detection_ms_p99", &mut errors);
-        require_number(failover, "detection_ms_max", &mut errors);
-        if let Some(kills) = kills {
-            if kills < 20.0 {
-                errors.push(format!("failover: only {kills} kills; 20 required"));
-            }
-        }
-        if let (Some(p50), Some(p99)) = (p50, p99) {
-            if p99 < p50 {
-                errors.push(format!("failover: p99 {p99} below p50 {p50}"));
-            }
-            // Promotion must land inside the smoke test's detection budget.
-            if p99 > 3000.0 {
-                errors.push(format!("failover: p99 {p99} ms over the 3000 ms budget"));
-            }
-        }
-    }
-
-    errors
-}
-
-/// Shape and sanity of one windowed-streaming cell (`checkpoint_stream`
-/// or `saturation`). Returns the cell's `bytes_per_sec` for acceptance
-/// checks the caller applies.
-fn validate_stream_cell(doc: &Json, key: &str, errors: &mut Vec<String>) -> Option<f64> {
-    let cell = require(doc, key, errors)?;
-    require_number(cell, "conns", errors);
-    require_number(cell, "window", errors);
-    let io_threads = require_number(cell, "io_threads", errors);
-    require_number(cell, "ckpt_wire_bytes", errors);
-    require_number(cell, "duration_ms", errors);
-    let acked = require_number(cell, "ckpts_acked", errors);
-    require_number(cell, "ckpts_per_sec", errors);
-    let bytes_per_sec = require_number(cell, "bytes_per_sec", errors);
-    let p50 = require_number(cell, "rtt_p50_us", errors);
-    let p99 = require_number(cell, "rtt_p99_us", errors);
-    require_number(cell, "pool_hit_pct", errors);
-    if let Some(t) = io_threads {
-        if t < 1.0 {
-            errors.push(format!("{key}: io_threads {t} below 1"));
-        }
-    }
-    if acked == Some(0.0) {
-        errors.push(format!("{key}: zero checkpoints acknowledged"));
-    }
-    if let (Some(p50), Some(p99)) = (p50, p99) {
-        if p99 < p50 {
-            errors.push(format!("{key}: rtt p99 {p99:.1} below p50 {p50:.1}"));
-        }
-    }
-    match require_number(cell, "protocol_errors", errors) {
-        Some(e) if e > 0.0 => errors.push(format!("{key}: {e} protocol error(s) under load")),
-        _ => {}
-    }
-    bytes_per_sec
-}
-
-fn validate_wire_v2(doc: &Json) -> Vec<String> {
-    let mut errors = validate_wire(doc);
-    validate_stream_cell(doc, "checkpoint_stream", &mut errors);
-    let sat_bytes = validate_stream_cell(doc, "saturation", &mut errors);
-    // The reactor acceptance floor: the saturated aggregate must beat the
-    // paced v1 ship rate (~78.6 KB/s) by at least two orders of magnitude.
-    if let Some(bytes) = sat_bytes {
-        if bytes < 7_860_000.0 {
-            errors.push(format!("saturation: {bytes:.0} B/s below the 7.86 MB/s acceptance floor"));
-        }
-    }
-    if let Some(digest) = require(doc, "digest", &mut errors) {
-        require_number(digest, "payload_mb", &mut errors);
-        require_number(digest, "reference_mb_per_sec", &mut errors);
-        require_number(digest, "optimized_mb_per_sec", &mut errors);
-        match require_number(digest, "speedup", &mut errors) {
-            Some(s) if s < 1.0 => {
-                errors.push(format!("digest: optimized path {s:.2}x slower than the reference"));
-            }
-            _ => {}
-        }
     }
     errors
 }
@@ -390,14 +191,8 @@ fn validate_lint(doc: &Json) -> Vec<String> {
             _ => {}
         }
     }
-    errors
-}
-
-fn validate_lint_v2(doc: &Json) -> Vec<String> {
-    // v2 is v1 plus the flow-sensitive dataflow stage: everything the
-    // v1 report promised still holds, and on top of it the CFG/typestate
-    // counters must show the stage ran non-vacuously over the tree.
-    let mut errors = validate_lint(doc);
+    // The flow-sensitive dataflow stage: the CFG/typestate counters
+    // must show it ran non-vacuously over the tree.
     if let Some(dataflow) = require(doc, "dataflow", &mut errors) {
         let floors: &[(&str, f64)] = &[
             ("cfg_blocks", 1000.0),
@@ -440,6 +235,10 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
         ("fixpoint_iterations", 2.0),
         ("reactor_roots", 1.0),
         ("reactor_reachable", 10.0),
+        ("cfg_blocks", 1000.0),
+        ("pool_sites", 3.0),
+        ("pool_tracked", 2.0),
+        ("dfa_transitions", 3.0),
     ];
     for &(key, floor) in floors {
         if let Some(n) = require_number(doc, key, &mut errors) {
@@ -460,28 +259,9 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
         Some(n) if n <= 0.0 => errors.push("files_per_sec is not positive".into()),
         _ => {}
     }
-    errors
-}
-
-fn validate_bench_lint_v2(doc: &Json) -> Vec<String> {
-    // v1 floors plus the flow-sensitive coverage counters. A stale
-    // baseline entry is as much a rot signal as a missed finding: the
-    // defect it excused is gone, so the excuse must go too.
-    let mut errors = validate_bench_lint(doc);
-    let floors: &[(&str, f64)] = &[
-        ("cfg_blocks", 1000.0),
-        ("pool_sites", 3.0),
-        ("pool_tracked", 2.0),
-        ("dfa_transitions", 3.0),
-    ];
-    for &(key, floor) in floors {
-        if let Some(n) = require_number(doc, key, &mut errors) {
-            if n < floor {
-                errors.push(format!("{key} is {n}, below the coverage floor {floor}"));
-            }
-        }
-    }
     require_number(doc, "dataflow_ms", &mut errors);
+    // A stale baseline entry is as much a rot signal as a missed
+    // finding: the defect it excused is gone, so the excuse must go too.
     match require_number(doc, "stale_baseline", &mut errors) {
         Some(n) if n > 0.0 => {
             errors.push(format!("{n} stale baseline entr(ies) match no current finding"));
@@ -627,43 +407,7 @@ mod tests {
         assert!(errors[0].contains("unknown schema"));
     }
 
-    fn bench_lint_doc(findings: &str, functions: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-bench-lint-v1",
-              "runs": 3,
-              "files_scanned": 164,
-              "functions": {functions},
-              "call_edges": 3600,
-              "fixpoint_iterations": 10,
-              "reactor_roots": 7,
-              "reactor_reachable": 60,
-              "findings": {findings},
-              "suppressed": 14,
-              "elapsed_ms": 120,
-              "files_per_sec": 1366
-            }}"#
-        )
-    }
-
-    #[test]
-    fn conforming_bench_lint_doc_passes() {
-        let doc = parse(&bench_lint_doc("0", "1415")).unwrap();
-        assert_eq!(validate(&doc), Vec::<String>::new());
-    }
-
-    #[test]
-    fn bench_lint_rejects_non_baselined_findings_and_thin_coverage() {
-        let doc = parse(&bench_lint_doc("2", "1415")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("non-baselined")), "{errors:?}");
-
-        let doc = parse(&bench_lint_doc("0", "3")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("coverage floor")), "{errors:?}");
-    }
-
-    fn bench_lint_v2_doc(cfg_blocks: &str, stale: &str) -> String {
+    fn bench_lint_doc(cfg_blocks: &str, stale: &str) -> String {
         format!(
             r#"{{
               "schema": "oftt-bench-lint-v2",
@@ -690,132 +434,33 @@ mod tests {
 
     #[test]
     fn conforming_bench_lint_v2_doc_passes() {
-        let doc = parse(&bench_lint_v2_doc("2400", "0")).unwrap();
+        let doc = parse(&bench_lint_doc("2400", "0")).unwrap();
         assert_eq!(validate(&doc), Vec::<String>::new());
     }
 
     #[test]
+    fn bench_lint_rejects_non_baselined_findings_and_thin_coverage() {
+        let found = bench_lint_doc("2400", "0").replace(r#""findings": 0"#, r#""findings": 2"#);
+        let errors = validate(&parse(&found).unwrap());
+        assert!(errors.iter().any(|e| e.contains("non-baselined")), "{errors:?}");
+
+        let thin = bench_lint_doc("2400", "0").replace(r#""functions": 1450"#, r#""functions": 3"#);
+        let errors = validate(&parse(&thin).unwrap());
+        assert!(errors.iter().any(|e| e.contains("coverage floor")), "{errors:?}");
+    }
+
+    #[test]
     fn bench_lint_v2_rejects_thin_dataflow_and_stale_baseline() {
-        let doc = parse(&bench_lint_v2_doc("12", "0")).unwrap();
+        let doc = parse(&bench_lint_doc("12", "0")).unwrap();
         let errors = validate(&doc);
         assert!(errors.iter().any(|e| e.contains("cfg_blocks")), "{errors:?}");
 
-        let doc = parse(&bench_lint_v2_doc("2400", "2")).unwrap();
+        let doc = parse(&bench_lint_doc("2400", "2")).unwrap();
         let errors = validate(&doc);
         assert!(errors.iter().any(|e| e.contains("stale baseline")), "{errors:?}");
     }
 
-    fn wire_v2_doc(sat_bytes_per_sec: &str, protocol_errors: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-bench-wire-v2",
-              "rtt": {{"samples": 2000, "p50_us": 21.0, "p99_us": 90.0}},
-              "checkpoint": {{
-                "vars": 10000, "var_bytes": 64, "dirty_pct": 1.0,
-                "duration_ms": 3000, "ckpts_acked": 30, "ckpts_per_sec": 10.0,
-                "ckpt_bytes_per_sec": 78559, "backpressure_drops": 0,
-                "heartbeats_shed": 0
-              }},
-              "checkpoint_stream": {{
-                "conns": 1, "window": 32, "io_threads": 2,
-                "ckpt_wire_bytes": 7728, "duration_ms": 2000,
-                "ckpts_acked": 40000, "ckpts_per_sec": 20000.0,
-                "bytes_per_sec": 150000000, "rtt_p50_us": 1300.0,
-                "rtt_p99_us": 2400.0, "protocol_errors": 0,
-                "pool_hit_pct": 99.0
-              }},
-              "saturation": {{
-                "conns": 400, "window": 8, "io_threads": 4,
-                "ckpt_wire_bytes": 7728, "duration_ms": 3000,
-                "ckpts_acked": 60000, "ckpts_per_sec": 20000.0,
-                "bytes_per_sec": {sat_bytes_per_sec}, "rtt_p50_us": 20000.0,
-                "rtt_p99_us": 45000.0, "protocol_errors": {protocol_errors},
-                "pool_hit_pct": 99.0
-              }},
-              "digest": {{
-                "payload_mb": 64, "reference_mb_per_sec": 284.0,
-                "optimized_mb_per_sec": 1879.0, "speedup": 6.6
-              }},
-              "failover": {{
-                "kills": 20, "detection_ms_p50": 395,
-                "detection_ms_p99": 406, "detection_ms_max": 410
-              }}
-            }}"#
-        )
-    }
-
-    #[test]
-    fn clean_wire_v2_report_conforms() {
-        let doc = parse(&wire_v2_doc("150000000", "0")).unwrap();
-        assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
-    }
-
-    #[test]
-    fn wire_v2_below_saturation_floor_fails() {
-        let doc = parse(&wire_v2_doc("500000", "0")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("acceptance floor")), "{errors:?}");
-    }
-
-    #[test]
-    fn wire_v2_with_protocol_errors_fails() {
-        let doc = parse(&wire_v2_doc("150000000", "3")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("protocol error")), "{errors:?}");
-    }
-
-    #[test]
-    fn clean_lint_report_conforms() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 2,
-              "findings": [],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
-        assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
-    }
-
-    #[test]
-    fn lint_report_with_findings_fails_acceptance() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 0,
-              "findings": [{"rule": "panic-path", "file": "a.rs", "line": 3,
-                            "message": "unwrap on a hot path"}],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("non-baselined finding")), "{errors:?}");
-    }
-
-    #[test]
-    fn lint_report_with_uncovered_dynamic_lock_fails() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 0,
-              "findings": [],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 1}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("missing")), "{errors:?}");
-    }
-
-    fn lint_v2_doc(dfa_transitions: &str, pool_uncovered: &str) -> String {
+    fn lint_doc(dfa_transitions: &str, pool_uncovered: &str) -> String {
         format!(
             r#"{{
               "schema": "oftt-lint-v2",
@@ -833,20 +478,20 @@ mod tests {
 
     #[test]
     fn clean_lint_v2_report_conforms() {
-        let doc = parse(&lint_v2_doc("3", "0")).unwrap();
+        let doc = parse(&lint_doc("3", "0")).unwrap();
         assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
     }
 
     #[test]
     fn lint_v2_report_with_thin_dfa_coverage_fails() {
-        let doc = parse(&lint_v2_doc("0", "0")).unwrap();
+        let doc = parse(&lint_doc("0", "0")).unwrap();
         let errors = validate(&doc);
         assert!(errors.iter().any(|e| e.contains("dfa_transitions")), "{errors:?}");
     }
 
     #[test]
     fn lint_v2_report_with_uncovered_dynamic_pool_op_fails() {
-        let doc = parse(&lint_v2_doc("3", "1")).unwrap();
+        let doc = parse(&lint_doc("3", "1")).unwrap();
         let errors = validate(&doc);
         assert!(
             errors.iter().any(|e| e.contains("pool op") && e.contains("missing")),
@@ -938,19 +583,33 @@ mod tests {
     }
 
     #[test]
+    fn lint_report_with_findings_fails_acceptance() {
+        let found = lint_doc("3", "0").replace(
+            r#""findings": []"#,
+            r#""findings": [{"rule": "panic-path", "file": "a.rs", "line": 3,
+                             "message": "unwrap on a hot path"}]"#,
+        );
+        let errors = validate(&parse(&found).unwrap());
+        assert!(errors.iter().any(|e| e.contains("non-baselined finding")), "{errors:?}");
+    }
+
+    #[test]
+    fn lint_report_with_uncovered_dynamic_lock_fails() {
+        let uncovered = lint_doc("3", "0").replace(
+            r#""dynamic_locks": {"checked": 2, "uncovered": 0}"#,
+            r#""dynamic_locks": {"checked": 2, "uncovered": 1}"#,
+        );
+        let errors = validate(&parse(&uncovered).unwrap());
+        assert!(
+            errors.iter().any(|e| e.contains("lock site") && e.contains("missing")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
     fn thin_lint_scan_is_rejected() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 3,
-              "suppressed": 0,
-              "findings": [],
-              "lock_graph": {"locks": 1, "edges": 0},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
+        let thin = lint_doc("3", "0").replace(r#""files_scanned": 90"#, r#""files_scanned": 3"#);
+        let errors = validate(&parse(&thin).unwrap());
         assert!(errors.iter().any(|e| e.contains("files scanned")), "{errors:?}");
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! Processes are runtime-neutral actors ([`process::Process`]) programmed
 //! against [`process::ProcessEnv`]; the deterministic simulation backend
-//! lives in [`cluster`], and a thread-based live backend in [`live`] runs the
-//! same actor code in real time.
+//! lives in [`cluster`], and [`live`] holds the one actor host that runs the
+//! same actor code in real time — on threads alone, or, with `oftt-wire`
+//! plugged into its off-node seam, across processes over TCP.
 //!
 //! ## Example: a two-node pair with a fault
 //!
@@ -49,9 +50,7 @@ pub mod prelude {
     pub use crate::message::{Envelope, MsgBody};
     pub use crate::node::{NodeConfig, NodeStatus};
     pub use crate::process::{Process, ProcessEnv, ProcessEnvExt, ProcessFactory, TimerHandle};
-    pub use crate::transport::{
-        LinkState, NodeRouter, PeerHealth, TransportEvent, TransportReport,
-    };
+    pub use crate::transport::{LinkState, PeerHealth, TransportEvent, TransportReport};
     pub use ds_sim::prelude::*;
 }
 

@@ -1,15 +1,14 @@
 //! Runtime-neutral plumbing shared by the real-time backends.
 //!
-//! Both the threads-only live runtime ([`crate::live`]) and the TCP wire
-//! runtime (`oftt-wire`) host the same [`Process`] actors against real time.
-//! This module factors out what they share so the actor loop exists once:
+//! Both the threads-only live runtime and the TCP wire runtime
+//! (`oftt-wire`) host the same [`Process`] actors against real time, on
+//! the one [`ActorHost`] in [`crate::live`]. This module holds the rest
+//! of what they share:
 //!
-//! - [`NodeRouter`]: the routing surface a hosted actor needs from its
-//!   runtime (clock, envelope routing, trace, service control).
-//! - [`run_actor`]: the mailbox/timer loop that drives one actor on its own
-//!   OS thread, implementing [`ProcessEnv`] over a [`NodeRouter`].
+//! - `run_actor`: the mailbox/timer loop that drives one actor on its own
+//!   OS thread, implementing [`ProcessEnv`] over its [`ActorHost`].
 //! - Transport health/event types ([`PeerHealth`], [`TransportReport`],
-//!   [`TransportEvent`]) reported by socket-backed routers and rendered by
+//!   [`TransportEvent`]) reported by the socket backend and rendered by
 //!   the OFTT System Monitor. They live here, not in `oftt-wire`, so
 //!   middleware crates (msgq, oftt) can react to link events without
 //!   depending on the socket backend.
@@ -23,46 +22,16 @@ use ds_sim::prelude::{SimDuration, SimRng, SimTime, TraceCategory};
 use serde::{Deserialize, Serialize};
 
 use crate::endpoint::{Endpoint, NodeId, ServiceName};
+use crate::live::ActorHost;
 use crate::message::{Envelope, MsgBody};
 use crate::process::{Process, ProcessEnv, TimerHandle};
 
 /// Control messages delivered to a hosted actor's mailbox.
-pub enum Control {
+pub(crate) enum Control {
     /// Deliver an application envelope.
     Deliver(Envelope),
     /// Terminate the actor without notification (models a process kill).
     Kill,
-}
-
-/// The services an actor-hosting runtime provides to [`run_actor`].
-///
-/// The live runtime routes envelopes through in-process channels; the wire
-/// runtime routes node-local envelopes the same way and encodes the rest
-/// onto TCP connections. The actor loop cannot tell the difference.
-pub trait NodeRouter: Send + Sync {
-    /// Wall-derived time since the runtime started.
-    fn now(&self) -> SimTime;
-
-    /// Routes an envelope towards its destination (may drop; delivery is
-    /// asynchronous and unacknowledged, like the DCOM layer it models).
-    fn route(&self, envelope: Envelope);
-
-    /// Records a trace entry at the current time.
-    fn record(&self, category: TraceCategory, message: String);
-
-    /// Kills a service instance, if the runtime can reach it.
-    fn kill_service(&self, target: &Endpoint);
-
-    /// (Re)starts a service from its registered spec, if possible.
-    fn restart_service(&self, target: &Endpoint);
-
-    /// Called by the actor loop as its final action, so the runtime can
-    /// retire the mailbox registration. `generation` is the registration
-    /// identity handed to [`run_actor`]; the runtime must ignore the call
-    /// if the endpoint has since been re-registered under a newer
-    /// generation (a killed actor exiting late must not retire its
-    /// successor's mailbox).
-    fn actor_exited(&self, endpoint: &Endpoint, generation: u64);
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,8 +54,8 @@ impl PartialOrd for PendingTimer {
     }
 }
 
-struct RouterEnv {
-    router: Arc<dyn NodeRouter>,
+struct HostEnv {
+    host: Arc<ActorHost>,
     endpoint: Endpoint,
     rng: SimRng,
     timers: BinaryHeap<PendingTimer>,
@@ -95,9 +64,9 @@ struct RouterEnv {
     exit: bool,
 }
 
-impl ProcessEnv for RouterEnv {
+impl ProcessEnv for HostEnv {
     fn now(&self) -> SimTime {
-        self.router.now()
+        self.host.now()
     }
 
     fn self_endpoint(&self) -> Endpoint {
@@ -106,7 +75,7 @@ impl ProcessEnv for RouterEnv {
 
     fn send(&mut self, to: Endpoint, body: MsgBody, size_bytes: u64) {
         let envelope = Envelope::sized(self.endpoint.clone(), to, body, size_bytes);
-        self.router.route(envelope);
+        self.host.route(envelope);
     }
 
     fn set_timer(&mut self, after: SimDuration, token: u64) -> TimerHandle {
@@ -126,7 +95,7 @@ impl ProcessEnv for RouterEnv {
     }
 
     fn record(&mut self, category: TraceCategory, message: String) {
-        self.router.record(category, message);
+        self.host.record(category, message);
     }
 
     fn kill_service(&mut self, node: NodeId, service: &ServiceName) {
@@ -134,13 +103,13 @@ impl ProcessEnv for RouterEnv {
         if target == self.endpoint {
             self.exit = true;
         } else {
-            self.router.kill_service(&target);
+            self.host.kill_service(&target);
         }
     }
 
     fn restart_service(&mut self, node: NodeId, service: &ServiceName) {
         let target = Endpoint::new(node, service.clone());
-        self.router.restart_service(&target);
+        self.host.restart_service(&target);
     }
 
     fn exit(&mut self) {
@@ -150,20 +119,19 @@ impl ProcessEnv for RouterEnv {
 
 /// Drives one actor against real time: fires due timers, then blocks on the
 /// mailbox until the next deadline. Runs until the actor exits, is killed,
-/// or its mailbox sender side is dropped. Shared verbatim by the live and
-/// wire runtimes. `generation` identifies this registration and is echoed
-/// in the final [`NodeRouter::actor_exited`] call.
-pub fn run_actor(
+/// or its mailbox sender side is dropped. `generation` identifies this
+/// registration and is echoed to the host as the loop's final action.
+pub(crate) fn run_actor(
     mut actor: Box<dyn Process>,
     endpoint: Endpoint,
-    router: Arc<dyn NodeRouter>,
+    host: Arc<ActorHost>,
     seed: u64,
     generation: u64,
     rx: Receiver<Control>,
 ) {
-    let mut env = RouterEnv {
-        router: router.clone(),
-        endpoint: endpoint.clone(),
+    let mut env = HostEnv {
+        host,
+        endpoint,
         rng: SimRng::seed_from(seed),
         timers: BinaryHeap::new(),
         cancelled: HashSet::new(),
@@ -206,7 +174,7 @@ pub fn run_actor(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    router.actor_exited(&endpoint, generation);
+    env.host.actor_exited(&env.endpoint, generation);
 }
 
 /// Connection state of one peer link, as seen by its supervisor.

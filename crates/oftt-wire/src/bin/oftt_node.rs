@@ -137,18 +137,17 @@ fn main() {
         config.run_for_ms.map(|ms| std::time::Instant::now() + Duration::from_millis(ms));
     let mut printed = 0usize;
     loop {
-        let trace = net.trace_snapshot();
-        let entries = trace.entries();
-        if printed < entries.len() {
+        let entries = net.trace_since(printed);
+        if !entries.is_empty() {
             let mut stdout = std::io::stdout().lock();
-            for entry in &entries[printed..] {
+            for entry in &entries {
                 let _ = writeln!(stdout, "{entry}");
             }
             drop(stdout);
             // Flush on a fresh handle: same underlying buffer, but no
             // guard pinned across the (blocking) flush syscall.
             let _ = std::io::stdout().flush();
-            printed = entries.len();
+            printed += entries.len();
         }
         if let Some(deadline) = deadline {
             if std::time::Instant::now() >= deadline {

@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 use comsim::buf::Bytes;
 use comsim::marshal::MarshalError;
-
-use crate::pool::BufPool;
+use comsim::pool::BufPool;
 
 /// Frame magic: `OFTW`.
 pub const MAGIC: [u8; 4] = *b"OFTW";

@@ -5,11 +5,11 @@
 //! simulator's failure model becomes real: a SIGKILLed primary really
 //! stops mid-write, a severed connection really loses in-flight frames.
 //!
-//! The crate implements [`ds_net::process::ProcessEnv`] routing over
-//! sockets, so a node hosts its local services exactly like
-//! [`ds_net::live::LiveNet`] does (same [`ds_net::transport::run_actor`]
-//! loop), and envelopes addressed to another node are encoded onto a
-//! supervised per-peer TCP link instead of an in-process channel.
+//! A node hosts its local services on [`ds_net::live::LiveNet`], the one
+//! actor host every real-time backend shares; this crate plugs sockets
+//! into that host's off-node seam, so envelopes addressed to another node
+//! are encoded onto a supervised per-peer TCP link instead of an
+//! in-process channel.
 //!
 //! Layers, bottom up:
 //!
@@ -20,8 +20,9 @@
 //! - [`codec`]: maps [`ds_net::message::MsgBody`] (a `dyn Any`) to and
 //!   from tagged frames via `comsim::marshal`; checkpoint deltas ship
 //!   their variable windows as shared byte slices end-to-end.
-//! - [`pool`]: size-classed buffer freelist feeding the encode path so a
-//!   saturated sender stops paying per-frame allocations.
+//! - [`comsim::pool`] (shared with the FTIM's checkpoint staging): the
+//!   size-classed buffer freelist feeding the encode path so a saturated
+//!   sender stops paying per-frame allocations.
 //! - [`reactor`]: the readiness-driven I/O core — a fixed, small set of
 //!   threads each running an epoll/poll loop over nonblocking sockets,
 //!   with incremental frame assembly on read and coalesced vectored
@@ -31,17 +32,15 @@
 //!   queues with drop-oldest-heartbeat backpressure, and epoch stamping
 //!   so a reconnect can never resurrect a stale frame — layered as
 //!   per-connection state machines over the reactor.
-//! - [`runtime`]: [`runtime::WireNet`], the [`ProcessEnv`]-providing node
-//!   runtime the OFTT services run on.
+//! - [`runtime`]: [`runtime::WireNet`], the node runtime the OFTT
+//!   services run on — the actor host plus the supervisor.
 //! - [`fault`]: a loopback TCP proxy that injects delay, loss, and
 //!   partitions between real processes for experiments.
 //! - [`config`]: the `oftt-node` config-file format.
 //! - [`app`]: a synthetic checkpointing application with configurable
 //!   state size and write locality, used by the node agent and benches.
 //! - [`harness`]: child-process helpers shared by the smoke test and the
-//!   failover bench.
-//!
-//! [`ProcessEnv`]: ds_net::process::ProcessEnv
+//!   benchmark's `failover_kill` workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +51,6 @@ pub mod config;
 pub mod fault;
 pub mod frame;
 pub mod harness;
-pub mod pool;
 pub mod reactor;
 pub mod runtime;
 pub mod supervisor;

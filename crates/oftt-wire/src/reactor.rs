@@ -32,11 +32,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use comsim::pool::BufPool;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
 
 use crate::frame::{Frame, FrameAssembler, FrameBatch, OutFrame, ReadError, ReadStep, WireError};
-use crate::pool::BufPool;
 
 /// Identifies one TCP connection for the life of the reactor. Ids are
 /// never reused, so a late command aimed at a closed connection is

@@ -1,48 +1,38 @@
 //! [`WireNet`]: the node runtime that hosts OFTT actors over TCP.
 //!
-//! One `WireNet` per OS process hosts the services of **one node**.
-//! Local routing works exactly like [`ds_net::live::LiveNet`] (same
-//! [`run_actor`] loop, same mailbox semantics, same drop accounting);
+//! One `WireNet` per OS process hosts the services of **one node**. It
+//! is [`ds_net::live::LiveNet`] — the one actor host: same actor loop,
+//! same mailbox semantics, same drop accounting, reached through `Deref`
+//! — with the host's off-node seam plugged into a [`Supervisor`]:
 //! envelopes addressed to another node are encoded by the [`WireCodec`]
-//! and queued on the [`Supervisor`]'s link to that peer. The actors
-//! cannot tell which backend they are on — that is the point.
-//!
-//! [`run_actor`]: ds_net::transport::run_actor
+//! and queued on the supervisor's link to that peer. Only what is about
+//! sockets lives here. The actors cannot tell which backend they are on
+//! — that is the point.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::SocketAddr;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use comsim::pool::PoolStats;
 use ds_net::endpoint::{Endpoint, NodeId};
+use ds_net::live::{ActorHost, LiveNet};
 use ds_net::message::Envelope;
-use ds_net::process::ProcessFactory;
-use ds_net::transport::{
-    run_actor, Control, NodeRouter, PeerHealth, TransportEvent, TransportReport,
-};
-use ds_sim::prelude::{SimTime, Trace, TraceCategory, WallClock};
+use ds_net::transport::{PeerHealth, TransportEvent, TransportReport};
+use ds_sim::prelude::TraceCategory;
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::WireCodec;
 use crate::supervisor::{Supervisor, WireConfig, WireHandler};
 
+/// The socket side of the runtime, shared by the host's seam, the
+/// supervisor's handler and the reporter thread.
 struct WireShared {
     node: NodeId,
     peers: HashSet<NodeId>,
-    /// Live mailboxes, each tagged with the generation of the spawn that
-    /// registered it (a killed actor exiting late must not retire a
-    /// successor's registration).
-    mailboxes: RwLock<HashMap<Endpoint, (Sender<Control>, u64)>>,
-    specs: Mutex<HashMap<Endpoint, ProcessFactory>>,
-    trace: Mutex<Trace>,
-    clock: WallClock,
-    seed: u64,
-    counter: Mutex<u64>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    dropped: AtomicU64,
     unroutable: AtomicU64,
     event_subs: Mutex<Vec<Endpoint>>,
     supervisor: RwLock<Option<Supervisor>>,
@@ -50,71 +40,12 @@ struct WireShared {
 }
 
 impl WireShared {
-    fn note_drop(&self, envelope: &Envelope) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
-        self.trace.lock().record(
-            now,
-            TraceCategory::Net,
-            format!("wire drop {} -> {}: no local mailbox", envelope.from, envelope.to),
-        );
-    }
-
-    fn deliver_local(&self, envelope: Envelope) {
-        let target = self.mailboxes.read().get(&envelope.to).map(|(tx, _)| tx.clone());
-        match target {
-            Some(tx) => {
-                if let Err(err) = tx.send(Control::Deliver(envelope)) {
-                    let crossbeam::channel::SendError(control) = err;
-                    if let Control::Deliver(envelope) = control {
-                        self.note_drop(&envelope);
-                    }
-                }
-            }
-            None => self.note_drop(&envelope),
-        }
-    }
-
-    fn spawn(self: &Arc<Self>, endpoint: Endpoint) {
-        let actor = {
-            let specs = self.specs.lock();
-            let Some(factory) = specs.get(&endpoint) else { return };
-            factory()
-        };
-        let (tx, rx) = unbounded();
-        let generation = {
-            let mut c = self.counter.lock();
-            *c += 1;
-            *c
-        };
-        self.mailboxes.write().insert(endpoint.clone(), (tx, generation));
-        let router: Arc<dyn NodeRouter> = Arc::new(ArcRouter(Arc::clone(self)));
-        let seed = self.seed.wrapping_add(generation);
-        let handle =
-            std::thread::spawn(move || run_actor(actor, endpoint, router, seed, generation, rx));
-        self.handles.lock().push(handle);
-    }
-
-    fn kill(&self, endpoint: &Endpoint) {
-        if let Some((tx, _)) = self.mailboxes.write().remove(endpoint) {
-            let _ = tx.send(Control::Kill);
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn route(&self, envelope: Envelope) {
-        if envelope.to.node == self.node {
-            self.deliver_local(envelope);
-            return;
-        }
+    /// The host's off-node seam: queue on the link to the envelope's
+    /// node, or count and trace it if no such link is configured.
+    fn route_off_node(&self, host: &ActorHost, envelope: Envelope) {
         if !self.peers.contains(&envelope.to.node) {
             self.unroutable.fetch_add(1, Ordering::Relaxed);
-            let now = self.clock.now();
-            self.trace.lock().record(
-                now,
+            host.record(
                 TraceCategory::Net,
                 format!(
                     "wire drop {} -> {}: node {} has no configured link",
@@ -128,86 +59,54 @@ impl WireShared {
             sup.send_envelope(envelope.to.node, &envelope);
         }
     }
-
-    fn record_trace(&self, category: TraceCategory, message: String) {
-        let now = self.clock.now();
-        self.trace.lock().record(now, category, message);
-    }
-
-    fn kill_local(&self, target: &Endpoint) {
-        if target.node == self.node {
-            self.kill(target);
-        } else {
-            self.record_trace(
-                TraceCategory::Net,
-                format!("wire: cannot kill {target}: not on node {}", self.node),
-            );
-        }
-    }
 }
 
-impl WireHandler for WireShared {
+/// What the supervisor's reactor threads call back into.
+struct Inbound {
+    host: Arc<ActorHost>,
+    shared: Arc<WireShared>,
+}
+
+impl WireHandler for Inbound {
     fn deliver(&self, envelope: Envelope) {
-        self.deliver_local(envelope);
+        self.host.deliver_local(envelope);
     }
 
     fn peer_event(&self, event: TransportEvent) {
-        let subs = self.event_subs.lock().clone();
-        let from = Endpoint::new(self.node, "__wire");
+        let subs = self.shared.event_subs.lock().clone();
+        let from = Endpoint::new(self.shared.node, "__wire");
         for to in subs {
-            self.deliver_local(Envelope::new(from.clone(), to, event));
+            self.host.deliver_local(Envelope::new(from.clone(), to, event));
         }
     }
 
     fn record(&self, category: TraceCategory, message: String) {
-        self.record_trace(category, message);
+        self.host.record(category, message);
     }
 }
 
-/// Router handed to actors: wraps the `Arc` so `restart_service` can
-/// spawn (spawning needs the `Arc`, which a bare `&self` method on
-/// `WireShared` cannot recover).
-struct ArcRouter(Arc<WireShared>);
-
-impl NodeRouter for ArcRouter {
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-    fn route(&self, envelope: Envelope) {
-        self.0.route(envelope);
-    }
-    fn record(&self, category: TraceCategory, message: String) {
-        self.0.record_trace(category, message);
-    }
-    fn kill_service(&self, target: &Endpoint) {
-        self.0.kill_local(target);
-    }
-    fn restart_service(&self, target: &Endpoint) {
-        if target.node != self.0.node {
-            self.0.record_trace(
-                TraceCategory::Net,
-                format!("wire: cannot restart {target}: not on node {}", self.0.node),
-            );
-            return;
-        }
-        if self.0.mailboxes.read().contains_key(target) {
-            return;
-        }
-        self.0.spawn(target.clone());
-    }
-    fn actor_exited(&self, endpoint: &Endpoint, generation: u64) {
-        let mut mailboxes = self.0.mailboxes.write();
-        if mailboxes.get(endpoint).is_some_and(|(_, g)| *g == generation) {
-            mailboxes.remove(endpoint);
-        }
-    }
-}
-
-/// A TCP-backed node runtime hosting [`Process`] actors.
+/// A TCP-backed node runtime hosting [`Process`] actors. Registering,
+/// starting, killing, posting to and tracing them are [`LiveNet`]'s
+/// methods.
 ///
 /// [`Process`]: ds_net::process::Process
 pub struct WireNet {
+    net: LiveNet,
     shared: Arc<WireShared>,
+    reporters: Vec<JoinHandle<()>>,
+}
+
+impl Deref for WireNet {
+    type Target = LiveNet;
+    fn deref(&self) -> &LiveNet {
+        &self.net
+    }
+}
+
+impl DerefMut for WireNet {
+    fn deref_mut(&mut self) -> &mut LiveNet {
+        &mut self.net
+    }
 }
 
 impl WireNet {
@@ -218,23 +117,22 @@ impl WireNet {
         let shared = Arc::new(WireShared {
             node: config.node,
             peers: config.peers.iter().map(|(peer, _)| *peer).collect(),
-            mailboxes: RwLock::new(HashMap::new()),
-            specs: Mutex::new(HashMap::new()),
-            trace: Mutex::new(Trace::new()),
-            clock: WallClock::new(),
-            seed,
-            counter: Mutex::new(0),
-            handles: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
             unroutable: AtomicU64::new(0),
             event_subs: Mutex::new(Vec::new()),
             supervisor: RwLock::new(None),
             shutting_down: AtomicBool::new(false),
         });
-        let handler: Arc<dyn WireHandler> = Arc::clone(&shared) as Arc<dyn WireHandler>;
+        let seam = Arc::clone(&shared);
+        let net = LiveNet::with_off_node(
+            seed,
+            config.node,
+            Box::new(move |host, envelope| seam.route_off_node(host, envelope)),
+        );
+        let handler =
+            Arc::new(Inbound { host: Arc::clone(net.host()), shared: Arc::clone(&shared) });
         let supervisor = Supervisor::start(config, codec, handler)?;
         *shared.supervisor.write() = Some(supervisor);
-        Ok(WireNet { shared })
+        Ok(WireNet { net, shared, reporters: Vec::new() })
     }
 
     /// This node's id.
@@ -247,51 +145,9 @@ impl WireNet {
         self.shared.supervisor.read().as_ref().map(|s| s.local_addr())
     }
 
-    /// Registers a service spec (not started yet).
-    pub fn register(&mut self, endpoint: Endpoint, factory: ProcessFactory) {
-        self.shared.specs.lock().insert(endpoint, factory);
-    }
-
-    /// Starts a registered service on its own thread.
-    pub fn start(&mut self, endpoint: &Endpoint) {
-        self.shared.spawn(endpoint.clone());
-    }
-
-    /// Kills a running local service (no notification to the victim).
-    pub fn kill(&mut self, endpoint: &Endpoint) {
-        self.shared.kill(endpoint);
-    }
-
-    /// `true` if the local service currently has a live mailbox.
-    pub fn is_running(&self, endpoint: &Endpoint) -> bool {
-        self.shared.mailboxes.read().contains_key(endpoint)
-    }
-
-    /// Injects a message from an external driver (local or remote
-    /// destination; remote bodies must be codec-registered).
-    pub fn post<T: std::any::Any + Send>(&self, to: Endpoint, body: T) {
-        let from = Endpoint::new(self.shared.node, "__external");
-        self.shared.route(Envelope::new(from, to, body));
-    }
-
-    /// Copies out the trace recorded so far.
-    pub fn trace_snapshot(&self) -> Trace {
-        self.shared.trace.lock().clone()
-    }
-
-    /// Envelopes dropped locally because no mailbox could accept them.
-    pub fn dropped_count(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
     /// Envelopes dropped because their destination node has no link.
     pub fn unroutable_count(&self) -> u64 {
         self.shared.unroutable.load(Ordering::Relaxed)
-    }
-
-    /// Milliseconds since the runtime started (live wall time).
-    pub fn now(&self) -> SimTime {
-        self.shared.clock.now()
     }
 
     /// Per-peer link health from the supervisor.
@@ -316,7 +172,7 @@ impl WireNet {
     }
 
     /// Encode-path buffer pool counters from the supervisor.
-    pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
+    pub fn pool_stats(&self) -> Option<PoolStats> {
         self.shared.supervisor.read().as_ref().map(|s| s.pool_stats())
     }
 
@@ -330,7 +186,8 @@ impl WireNet {
     /// `monitor` (which may live on a peer node).
     pub fn start_transport_reporter(&mut self, monitor: Endpoint, period: Duration) {
         let shared = Arc::clone(&self.shared);
-        let handle = std::thread::spawn(move || loop {
+        let host = Arc::clone(self.net.host());
+        self.reporters.push(std::thread::spawn(move || loop {
             let mut slept = Duration::ZERO;
             while slept < period {
                 if shared.shutting_down.load(Ordering::Relaxed) {
@@ -347,26 +204,22 @@ impl WireNet {
                     None => return,
                 }
             };
-            let report = TransportReport { node: shared.node, peers, at: shared.clock.now() };
+            let report = TransportReport { node: shared.node, peers, at: host.now() };
             let from = Endpoint::new(shared.node, "__wire");
-            shared.route(Envelope::new(from, monitor.clone(), report));
-        });
-        self.shared.handles.lock().push(handle);
+            host.route(Envelope::new(from, monitor.clone(), report));
+        }));
     }
 
     /// Stops every service, the reporter, and the socket layer.
     pub fn shutdown(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        let endpoints: Vec<Endpoint> = self.shared.mailboxes.read().keys().cloned().collect();
-        for ep in endpoints {
-            self.shared.kill(&ep);
+        self.net.shutdown();
+        for reporter in self.reporters.drain(..) {
+            let _ = reporter.join();
         }
-        let handles: Vec<JoinHandle<()>> = self.shared.handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Taking the supervisor out breaks the WireShared <-> Supervisor
-        // Arc cycle and joins the socket threads.
+        // Taking the supervisor out breaks the ActorHost -> WireShared ->
+        // Supervisor -> Inbound -> ActorHost Arc cycle and joins the
+        // socket threads.
         let supervisor = self.shared.supervisor.write().take();
         if let Some(sup) = supervisor {
             sup.shutdown();

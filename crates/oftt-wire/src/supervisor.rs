@@ -39,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use comsim::pool::{BufPool, PoolStats};
 use ds_net::endpoint::NodeId;
 use ds_net::message::Envelope;
 use ds_net::transport::{LinkState, PeerHealth, TransportEvent};
@@ -51,7 +52,6 @@ use crate::codec::{FramePayload, WireCodec};
 use crate::frame::{
     read_frame, write_frame, Frame, FrameClass, OutFrame, DEFAULT_MAX_FRAME_BYTES, HEADER_LEN,
 };
-use crate::pool::{BufPool, PoolStats};
 use crate::reactor::{ConnId, Directive, Reactor, ReactorHandler, StampedFrame};
 
 // The per-connection lifecycle the flow-sensitive linter holds every

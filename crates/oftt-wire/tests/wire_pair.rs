@@ -4,11 +4,13 @@
 //! engine/FTIM/application code that runs on the simulator and the
 //! thread runtime runs here unchanged.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use comsim::buf::Bytes;
 use ds_net::endpoint::{Endpoint, NodeId};
+use ds_net::live::LiveNet;
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt};
 use oftt::config::{engine_endpoint, OfttConfig, Pair, RecoveryRule};
@@ -313,4 +315,74 @@ fn partition_and_heal_reconnects_with_a_fresh_epoch() {
     a.shutdown();
     b.shutdown();
     proxy.shutdown();
+}
+
+/// The first incarnation parks inside `on_message` between two barrier
+/// waits; later ones forward what they are sent. Every incarnation says
+/// so when it is dropped, which `run_actor` does only after it has
+/// reported its exit to the host.
+struct Lingerer {
+    first: bool,
+    gate: Arc<Barrier>,
+    seen: mpsc::Sender<u32>,
+    gone: mpsc::Sender<bool>,
+}
+
+impl Process for Lingerer {
+    fn on_message(&mut self, envelope: Envelope, _env: &mut dyn ProcessEnv) {
+        if self.first {
+            self.gate.wait();
+            self.gate.wait();
+        } else if let Ok(n) = envelope.body.downcast::<u32>() {
+            let _ = self.seen.send(n);
+        }
+    }
+}
+
+impl Drop for Lingerer {
+    fn drop(&mut self) {
+        let _ = self.gone.send(self.first);
+    }
+}
+
+/// The generation tag: a killed actor that is slow to leave `on_message`
+/// exits after its successor registered, and must not retire the
+/// successor's mailbox.
+fn late_exit_of_a_killed_actor_spares_its_successor(net: &mut LiveNet) {
+    let ep = Endpoint::new(NodeId(0), "lingerer");
+    let gate = Arc::new(Barrier::new(2));
+    let (seen_tx, seen) = mpsc::channel();
+    let (gone_tx, gone) = mpsc::channel();
+    let spawned = AtomicU32::new(0);
+    let actor_gate = Arc::clone(&gate);
+    net.register(
+        ep.clone(),
+        Box::new(move || {
+            Box::new(Lingerer {
+                first: spawned.fetch_add(1, Ordering::SeqCst) == 0,
+                gate: Arc::clone(&actor_gate),
+                seen: seen_tx.clone(),
+                gone: gone_tx.clone(),
+            })
+        }),
+    );
+    net.start(&ep);
+    net.post(ep.clone(), 0u32);
+    gate.wait(); // the first incarnation is inside on_message
+    net.kill(&ep);
+    net.start(&ep);
+    gate.wait(); // let it out: it finds the kill and exits
+    assert_eq!(gone.recv_timeout(Duration::from_secs(5)), Ok(true), "first incarnation exits");
+    assert!(net.is_running(&ep), "the late exit retired its successor's mailbox");
+    net.post(ep.clone(), 7u32);
+    assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(7), "successor still reachable");
+    assert_eq!(net.dropped_count(), 0);
+}
+
+#[test]
+fn generation_tag_protects_a_restarted_actor_on_both_runtimes() {
+    late_exit_of_a_killed_actor_spares_its_successor(&mut LiveNet::new(1));
+    let codec = Arc::new(WireCodec::standard());
+    let mut peerless = WireNet::new(1, WireConfig::loopback(NodeId(0)), codec).expect("wire net");
+    late_exit_of_a_killed_actor_spares_its_successor(&mut peerless);
 }

@@ -122,11 +122,10 @@ pub fn var_digest(name: &str, bytes: &[u8]) -> u32 {
 }
 
 /// Byte-at-a-time reference [`var_digest`]: the definitional Fletcher-32
-/// loop with a reduction after every byte. Kept public (but hidden) so
-/// the equivalence tests and the bench-wire digest micro-bench can pin
-/// the optimized block path against it bit-for-bit.
-#[doc(hidden)]
-pub fn var_digest_reference(name: &str, bytes: &[u8]) -> u32 {
+/// loop with a reduction after every byte. The oracle the equivalence
+/// test pins the optimized block path against, bit for bit.
+#[cfg(test)]
+fn var_digest_reference(name: &str, bytes: &[u8]) -> u32 {
     let mut f = Fletcher::default();
     for byte in name.as_bytes() {
         f.feed(*byte);
