@@ -20,44 +20,36 @@
 #  10. oftt-audit clippy        both feature sets
 #  11. audit sweep              pair failover (races, lock order, stale reads,
 #                               API lifecycle); the 600-budget sweep also
-#                               exports its observed lock sites and pool ops
-#                               for the lint stage's cross-checks
+#                               exports its observed lock sites for the lint
+#                               stage's cross-check
 #  12. audit sweep              partitioned startup, shipped config
 #  13. audit seeded defects     the inject_bugs corpus
 #  14. lint sweep               oftt-lint over the whole workspace: zero
 #                               non-baselined findings, no stale baseline
 #                               entries, static lock graph must cover every
-#                               dynamically observed lock site, the static
-#                               pool sites must cover every dynamically
-#                               observed pool op, and the oftt-lint-v2 JSON
-#                               must validate
+#                               dynamically observed lock site, and the
+#                               oftt-lint-v2 JSON must validate
 #  15. lint fixtures            each rule family must still fire on its
 #                               seeded fixture, plus oftt-lint's own tests
-#  16. lint dataflow            flow-sensitive acceptance: each dataflow family
-#                               (pool typestate, epoch stamping, conn DFA)
-#                               must fire its own rule on its seeded fixture,
-#                               and the audit sweep must have observed pool
-#                               ops for the static cross-check to be
-#                               non-vacuous
-#  17. lint effects             interprocedural acceptance: the seeded
+#  16. lint effects             interprocedural acceptance: the seeded
 #                               diag→probe deadlock (split across a call
 #                               boundary) must be rediscovered by the
 #                               call-derived lock-order analysis under
 #                               --include-injected, and the bench-lint
 #                               throughput artifact must emit and validate as
 #                               oftt-bench-lint-v2
-#  18. wire smoke               two real oftt-node processes over loopback
+#  17. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               within the 3 s detection budget and
 #                               restore-crc integrity
-#  19. saturation smoke         the reactor load gate (bench-wire): one
+#  18. saturation smoke         the reactor load gate (bench-wire): one
 #                               max-rate stream plus 128 concurrent streaming
 #                               apps, asserting the ≥ 7.86 MB/s aggregate
 #                               floor, a fixed reactor thread count, and zero
 #                               protocol errors
-#  20. bench smoke              reduced BENCH_verify.json emit (verification
+#  19. bench smoke              reduced BENCH_verify.json emit (verification
 #                               throughput), schema-validated
-#  21. campaign smoke           trimmed 20-seed scenario campaign (reboot loop
+#  20. campaign smoke           trimmed 20-seed scenario campaign (reboot loop
 #                               + the seeded startup defect): every run goes
 #                               through the oftt-check invariant engine; any
 #                               violation, non-recovered seed, or missed
@@ -65,7 +57,7 @@
 #                               campaign gate, and the emitted BENCH_campaign
 #                               artifact must validate as
 #                               oftt-bench-campaign-v1
-#  22. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#  21. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -143,14 +135,11 @@ cargo test -p oftt-verify --features inject_bugs -q
 step "oftt-audit clippy (deny warnings, both feature sets)"
 clippy_both_feature_sets oftt-audit
 
-step "audit sweep (pair failover, 600-schedule budget, lock + pool export)"
+step "audit sweep (pair failover, 600-schedule budget, lock export)"
 DYNAMIC_LOCKS=$(mktemp /tmp/oftt-dynamic-locks.XXXXXX.txt)
 TMPFILES+=("$DYNAMIC_LOCKS")
-DYNAMIC_POOLS=$(mktemp /tmp/oftt-dynamic-pools.XXXXXX.txt)
-TMPFILES+=("$DYNAMIC_POOLS")
 cargo run -p oftt-audit --release -q -- scan --scenario pair-failover --budget 600 \
-    --export-locks "$DYNAMIC_LOCKS" \
-    --export-pool-ops "$DYNAMIC_POOLS"
+    --export-locks "$DYNAMIC_LOCKS"
 
 step "audit sweep (partitioned startup, shipped config)"
 cargo run -p oftt-audit --release -q -- scan --scenario partitioned-startup --budget 100
@@ -158,14 +147,13 @@ cargo run -p oftt-audit --release -q -- scan --scenario partitioned-startup --bu
 step "audit seeded-defect corpus (inject_bugs)"
 cargo test -p oftt-audit --features inject_bugs -q
 
-step "lint sweep: workspace static analysis + static/dynamic cross-checks"
+step "lint sweep: workspace static analysis + static/dynamic lock cross-check"
 LINT_JSON=$(mktemp /tmp/LINT.XXXXXX.json)
 TMPFILES+=("$LINT_JSON")
 cargo build --release -q -p oftt-lint
 ./target/release/oftt-lint --workspace \
     --baseline lint-baseline.txt \
     --dynamic-locks "$DYNAMIC_LOCKS" \
-    --dynamic-pool-ops "$DYNAMIC_POOLS" \
     --json "$LINT_JSON"
 cargo run -p bench --release -q --bin bench-validate "$LINT_JSON"
 
@@ -181,34 +169,6 @@ for fixture in crates/oftt-lint/fixtures/*.rs; do
     fi
 done
 cargo test -p oftt-lint -q
-
-step "lint-dataflow: flow-sensitive families fire + pool cross-check is live"
-# Each dataflow family must fire *its own* rule on its fixture — the
-# generic exit-2 loop above can't tell a typestate finding from a
-# syntactic one, so this stage pins the rule name per seeded defect.
-for pair in \
-    use_after_recycle.rs:pool-typestate \
-    double_recycle.rs:pool-typestate \
-    leak_on_error_path.rs:pool-typestate \
-    unstamped_epoch.rs:epoch-stamping \
-    dfa_violation.rs:conn-dfa
-do
-    fixture="crates/oftt-lint/fixtures/${pair%%:*}"
-    rule="${pair##*:}"
-    out=$(./target/release/oftt-lint "$fixture" 2>&1) && rc=0 || rc=$?
-    if [ "$rc" -ne 2 ] || ! printf '%s\n' "$out" | grep -q "\[$rule\]"; then
-        printf 'fixture %s: expected [%s] finding (exit 2), got exit %s:\n%s\n' \
-            "$fixture" "$rule" "$rc" "$out" >&2
-        false
-    fi
-done
-# The pool coverage cross-check above is only meaningful if the audit
-# sweep actually observed pool traffic — an empty export would let the
-# static inventory rot unnoticed.
-if ! [ -s "$DYNAMIC_POOLS" ]; then
-    printf 'audit sweep exported no dynamic pool ops; cross-check is vacuous\n' >&2
-    false
-fi
 
 step "lint-effects: transitive deadlock rediscovery + bench artifact"
 # The seeded diag→probe inversion spans a call boundary (the probe half

@@ -8,17 +8,12 @@
 //! ```
 //!
 //! The scan runs end to end (walk, lex, scan, call-graph construction,
-//! effect fixpoint, CFG construction, the flow-sensitive dataflow
-//! families, every syntactic rule family) `runs` times against the
+//! effect fixpoint, every rule family) `runs` times against the
 //! workspace root; the fastest wall time is reported, the way the other
 //! bench arms report their best cell. Findings are counted *after* the
 //! checked-in `lint-baseline.txt` is applied, so the acceptance verdict
 //! the validator enforces — zero non-baselined findings, zero stale
-//! baseline entries — matches what CI enforces on the tree. The v2
-//! schema adds the typestate-coverage counters (`cfg_blocks`,
-//! `dataflow_ms`, `pool_sites`, `pool_tracked`, `dfa_transitions`) so
-//! the validator can prove the flow-sensitive stage actually ran over
-//! the real tree rather than vacuously passing.
+//! baseline entries — matches what CI enforces on the tree.
 
 use std::time::Instant;
 
@@ -56,7 +51,6 @@ fn main() {
 
     println!(
         "lint: {} files {} fns {} edges, fixpoint x{}, {} roots -> {} reachable, \
-         {} CFG block(s) in {} ms, {} pool site(s)/{} tracked, {} DFA transition(s), \
          {} finding(s) ({} suppressed, {} stale)  best {} ms  {:.0} files/s",
         report.files_scanned,
         report.functions,
@@ -64,11 +58,6 @@ fn main() {
         report.fixpoint_iterations,
         report.reactor_roots,
         report.reactor_reachable,
-        report.cfg_blocks,
-        report.dataflow_ms,
-        report.pool_sites,
-        report.pool_tracked,
-        report.dfa_transitions,
         kept.len(),
         suppressed,
         stale.len(),
@@ -91,11 +80,6 @@ fn main() {
          \"fixpoint_iterations\": {},\n  \
          \"reactor_roots\": {},\n  \
          \"reactor_reachable\": {},\n  \
-         \"cfg_blocks\": {},\n  \
-         \"dataflow_ms\": {},\n  \
-         \"pool_sites\": {},\n  \
-         \"pool_tracked\": {},\n  \
-         \"dfa_transitions\": {},\n  \
          \"findings\": {},\n  \
          \"suppressed\": {},\n  \
          \"stale_baseline\": {},\n  \
@@ -107,11 +91,6 @@ fn main() {
         report.fixpoint_iterations,
         report.reactor_roots,
         report.reactor_reachable,
-        report.cfg_blocks,
-        report.dataflow_ms,
-        report.pool_sites,
-        report.pool_tracked,
-        report.dfa_transitions,
         kept.len(),
         suppressed,
         stale.len(),

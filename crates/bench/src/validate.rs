@@ -17,13 +17,11 @@
 //!   batch must include every export;
 //! * `oftt-lint-v2` — the static analyzer's workspace report: zero
 //!   non-baselined findings, zero dynamic lock sites missing from the
-//!   static acquisition graph, zero dynamic pool ops missing from the
-//!   static pool-site inventory, a scan that actually covered the
-//!   workspace (≥ 40 files), and dataflow counters showing the
-//!   flow-sensitive stage ran non-vacuously;
-//! * `oftt-bench-lint-v2` — the analyzer's throughput artifact: the same
-//!   coverage floors over files, functions, call edges, reactor roots and
-//!   dataflow counters, zero findings and zero stale baseline entries;
+//!   static acquisition graph, and a scan that actually covered the
+//!   workspace (≥ 40 files);
+//! * `oftt-bench-lint-v2` — the analyzer's throughput artifact: coverage
+//!   floors over files, functions, call edges and reactor roots, zero
+//!   findings and zero stale baseline entries;
 //! * `oftt-bench-campaign-v1` — a campaign sweep's cross-seed
 //!   aggregates: every scenario's failover distribution must be ordered
 //!   (p50 ≤ p95 ≤ p99 ≤ max), availability in `[0, 1]`, and the
@@ -191,36 +189,6 @@ fn validate_lint(doc: &Json) -> Vec<String> {
             _ => {}
         }
     }
-    // The flow-sensitive dataflow stage: the CFG/typestate counters
-    // must show it ran non-vacuously over the tree.
-    if let Some(dataflow) = require(doc, "dataflow", &mut errors) {
-        let floors: &[(&str, f64)] = &[
-            ("cfg_blocks", 1000.0),
-            ("pool_sites", 3.0),
-            ("pool_tracked", 2.0),
-            ("dfa_transitions", 3.0),
-        ];
-        for &(key, floor) in floors {
-            if let Some(n) = require_number(dataflow, key, &mut errors) {
-                if n < floor {
-                    errors.push(format!("dataflow: {key} is {n}, below the floor {floor}"));
-                }
-            }
-        }
-        require_number(dataflow, "dataflow_ms", &mut errors);
-    }
-    if let Some(dynamic) = require(doc, "dynamic_pools", &mut errors) {
-        require_number(dynamic, "checked", &mut errors);
-        match require_number(dynamic, "uncovered", &mut errors) {
-            Some(u) if u > 0.0 => {
-                errors.push(format!(
-                    "dynamic_pools: {u} dynamically observed pool op(s) missing \
-                     from the static pool-site inventory"
-                ));
-            }
-            _ => {}
-        }
-    }
     errors
 }
 
@@ -235,10 +203,6 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
         ("fixpoint_iterations", 2.0),
         ("reactor_roots", 1.0),
         ("reactor_reachable", 10.0),
-        ("cfg_blocks", 1000.0),
-        ("pool_sites", 3.0),
-        ("pool_tracked", 2.0),
-        ("dfa_transitions", 3.0),
     ];
     for &(key, floor) in floors {
         if let Some(n) = require_number(doc, key, &mut errors) {
@@ -259,7 +223,6 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
         Some(n) if n <= 0.0 => errors.push("files_per_sec is not positive".into()),
         _ => {}
     }
-    require_number(doc, "dataflow_ms", &mut errors);
     // A stale baseline entry is as much a rot signal as a missed
     // finding: the defect it excused is gone, so the excuse must go too.
     match require_number(doc, "stale_baseline", &mut errors) {
@@ -407,7 +370,7 @@ mod tests {
         assert!(errors[0].contains("unknown schema"));
     }
 
-    fn bench_lint_doc(cfg_blocks: &str, stale: &str) -> String {
+    fn bench_lint_doc(stale: &str) -> String {
         format!(
             r#"{{
               "schema": "oftt-bench-lint-v2",
@@ -418,11 +381,6 @@ mod tests {
               "fixpoint_iterations": 10,
               "reactor_roots": 7,
               "reactor_reachable": 60,
-              "cfg_blocks": {cfg_blocks},
-              "dataflow_ms": 4,
-              "pool_sites": 5,
-              "pool_tracked": 3,
-              "dfa_transitions": 3,
               "findings": 0,
               "suppressed": 8,
               "stale_baseline": {stale},
@@ -434,69 +392,41 @@ mod tests {
 
     #[test]
     fn conforming_bench_lint_v2_doc_passes() {
-        let doc = parse(&bench_lint_doc("2400", "0")).unwrap();
+        let doc = parse(&bench_lint_doc("0")).unwrap();
         assert_eq!(validate(&doc), Vec::<String>::new());
     }
 
     #[test]
     fn bench_lint_rejects_non_baselined_findings_and_thin_coverage() {
-        let found = bench_lint_doc("2400", "0").replace(r#""findings": 0"#, r#""findings": 2"#);
+        let found = bench_lint_doc("0").replace(r#""findings": 0"#, r#""findings": 2"#);
         let errors = validate(&parse(&found).unwrap());
         assert!(errors.iter().any(|e| e.contains("non-baselined")), "{errors:?}");
 
-        let thin = bench_lint_doc("2400", "0").replace(r#""functions": 1450"#, r#""functions": 3"#);
+        let thin = bench_lint_doc("0").replace(r#""functions": 1450"#, r#""functions": 3"#);
         let errors = validate(&parse(&thin).unwrap());
         assert!(errors.iter().any(|e| e.contains("coverage floor")), "{errors:?}");
     }
 
     #[test]
-    fn bench_lint_v2_rejects_thin_dataflow_and_stale_baseline() {
-        let doc = parse(&bench_lint_doc("12", "0")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("cfg_blocks")), "{errors:?}");
-
-        let doc = parse(&bench_lint_doc("2400", "2")).unwrap();
+    fn bench_lint_v2_rejects_stale_baseline_entries() {
+        let doc = parse(&bench_lint_doc("2")).unwrap();
         let errors = validate(&doc);
         assert!(errors.iter().any(|e| e.contains("stale baseline")), "{errors:?}");
     }
 
-    fn lint_doc(dfa_transitions: &str, pool_uncovered: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-lint-v2",
-              "files_scanned": 90,
-              "suppressed": 2,
-              "findings": [],
-              "lock_graph": {{"locks": 7, "edges": 3}},
-              "dynamic_locks": {{"checked": 2, "uncovered": 0}},
-              "dataflow": {{"cfg_blocks": 2400, "dataflow_ms": 4, "pool_sites": 5,
-                           "pool_tracked": 3, "dfa_transitions": {dfa_transitions}}},
-              "dynamic_pools": {{"checked": 2, "uncovered": {pool_uncovered}}}
-            }}"#
-        )
-    }
+    const LINT_DOC: &str = r#"{
+        "schema": "oftt-lint-v2",
+        "files_scanned": 90,
+        "suppressed": 2,
+        "findings": [],
+        "lock_graph": {"locks": 7, "edges": 3},
+        "dynamic_locks": {"checked": 2, "uncovered": 0}
+    }"#;
 
     #[test]
     fn clean_lint_v2_report_conforms() {
-        let doc = parse(&lint_doc("3", "0")).unwrap();
+        let doc = parse(LINT_DOC).unwrap();
         assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
-    }
-
-    #[test]
-    fn lint_v2_report_with_thin_dfa_coverage_fails() {
-        let doc = parse(&lint_doc("0", "0")).unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("dfa_transitions")), "{errors:?}");
-    }
-
-    #[test]
-    fn lint_v2_report_with_uncovered_dynamic_pool_op_fails() {
-        let doc = parse(&lint_doc("3", "1")).unwrap();
-        let errors = validate(&doc);
-        assert!(
-            errors.iter().any(|e| e.contains("pool op") && e.contains("missing")),
-            "{errors:?}"
-        );
     }
 
     fn campaign_doc(scenario: &str) -> String {
@@ -584,7 +514,7 @@ mod tests {
 
     #[test]
     fn lint_report_with_findings_fails_acceptance() {
-        let found = lint_doc("3", "0").replace(
+        let found = LINT_DOC.replace(
             r#""findings": []"#,
             r#""findings": [{"rule": "panic-path", "file": "a.rs", "line": 3,
                              "message": "unwrap on a hot path"}]"#,
@@ -595,7 +525,7 @@ mod tests {
 
     #[test]
     fn lint_report_with_uncovered_dynamic_lock_fails() {
-        let uncovered = lint_doc("3", "0").replace(
+        let uncovered = LINT_DOC.replace(
             r#""dynamic_locks": {"checked": 2, "uncovered": 0}"#,
             r#""dynamic_locks": {"checked": 2, "uncovered": 1}"#,
         );
@@ -608,7 +538,7 @@ mod tests {
 
     #[test]
     fn thin_lint_scan_is_rejected() {
-        let thin = lint_doc("3", "0").replace(r#""files_scanned": 90"#, r#""files_scanned": 3"#);
+        let thin = LINT_DOC.replace(r#""files_scanned": 90"#, r#""files_scanned": 3"#);
         let errors = validate(&parse(&thin).unwrap());
         assert!(errors.iter().any(|e| e.contains("files scanned")), "{errors:?}");
     }

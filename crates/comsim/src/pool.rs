@@ -5,9 +5,8 @@
 //! block + body head) on the sender alone. [`BufPool`] is a size-classed
 //! freelist of `Vec<u8>`s: the wire supervisor draws buffers for
 //! encoding, the reactor returns them once the frame's bytes are fully
-//! on the wire, per-connection read staging comes from the same pool on
-//! connection churn, and the FTIM stages watchdog-table marshaling for
-//! every checkpoint walkthrough through a pool of its own.
+//! on the wire, and per-connection read staging comes from the same
+//! pool on connection churn.
 //!
 //! Buffers are grouped in power-of-two size classes so a request is
 //! served by any buffer at least as large as asked; each shelf is
@@ -115,6 +114,44 @@ impl BufPool {
 
     /// Returns a buffer to its shelf. Tiny, oversized, or
     /// overflow-of-shelf buffers are dropped to the allocator instead.
+    ///
+    /// The buffer moves into the pool, so the two ways to corrupt a
+    /// freelist are compile errors, not conventions. Take, fill, read,
+    /// give back:
+    ///
+    /// ```
+    /// let pool = comsim::pool::BufPool::new();
+    /// let mut buf = pool.take(64);
+    /// buf.extend_from_slice(b"header");
+    /// let sent = buf.len();
+    /// pool.give(buf);
+    /// assert_eq!(sent, 6);
+    /// ```
+    ///
+    /// Reading the buffer after giving it back — by then another taker
+    /// may own the allocation — is `E0382`, borrow of moved value:
+    ///
+    /// ```compile_fail,E0382
+    /// let pool = comsim::pool::BufPool::new();
+    /// let mut buf = pool.take(64);
+    /// buf.extend_from_slice(b"header");
+    /// pool.give(buf);
+    /// let sent = buf.len();
+    /// assert_eq!(sent, 6);
+    /// ```
+    ///
+    /// Giving it back twice — the shelf would hand one allocation to two
+    /// takers — is `E0382`, use of moved value:
+    ///
+    /// ```compile_fail,E0382
+    /// let pool = comsim::pool::BufPool::new();
+    /// let mut buf = pool.take(64);
+    /// buf.extend_from_slice(b"header");
+    /// let sent = buf.len();
+    /// pool.give(buf);
+    /// pool.give(buf);
+    /// assert_eq!(sent, 6);
+    /// ```
     // oftt-lint: arena
     pub fn give(&self, buf: Vec<u8>) {
         self.gives.fetch_add(1, Ordering::Relaxed);

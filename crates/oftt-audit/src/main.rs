@@ -24,9 +24,6 @@ OPTIONS (scan):
     --export-locks FILE    write the base names of every dynamically
                            observed lock site (one per line) for
                            oftt-lint's static-coverage cross-check
-    --export-pool-ops FILE write every dynamically observed pooled-buffer
-                           operation (`pool_name:op`, one per line) for
-                           oftt-lint's pool-lifecycle cross-check
 
 OPTIONS (lint):
     --scenario NAME        pair-failover (default) | partitioned-startup
@@ -41,7 +38,6 @@ struct Args {
     window_us: u64,
     seed: u64,
     export_locks: Option<String>,
-    export_pool_ops: Option<String>,
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -52,7 +48,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
         window_us: 500,
         seed: 1,
         export_locks: None,
-        export_pool_ops: None,
     };
     let mut it = it;
     while let Some(arg) = it.next() {
@@ -69,7 +64,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--export-locks" => args.export_locks = Some(value("--export-locks")?),
-            "--export-pool-ops" => args.export_pool_ops = Some(value("--export-pool-ops")?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -120,18 +114,6 @@ fn scan_mode(args: &Args) -> ExitCode {
             return ExitCode::from(1);
         }
         println!("{} dynamic lock site(s) exported to {path}", report.lock_sites.len());
-    }
-    if let Some(path) = &args.export_pool_ops {
-        let mut text = String::new();
-        for op in &report.pool_ops {
-            text.push_str(op);
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(1);
-        }
-        println!("{} dynamic pool op(s) exported to {path}", report.pool_ops.len());
     }
     if !report.explore.counterexamples.is_empty() {
         println!(

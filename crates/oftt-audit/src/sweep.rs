@@ -28,11 +28,6 @@ pub struct AuditReport {
     /// name). `oftt-lint`'s static acquisition graph must cover all of
     /// them — the static ⊇ dynamic cross-validation.
     pub lock_sites: BTreeSet<String>,
-    /// Every pooled-buffer operation observed dynamically across the
-    /// sweep, as `pool_name:op` strings (`ckpt_staging:take`). The flow-
-    /// sensitive linter's static pool-lifecycle sites must cover all of
-    /// them — the same static ⊇ dynamic cross-validation as locks.
-    pub pool_ops: BTreeSet<String>,
 }
 
 /// The base names of every lock event in one run's causality log. Lock
@@ -46,17 +41,6 @@ pub fn lock_site_names(log: &CausalityLog) -> BTreeSet<String> {
             let name = event.lock.as_str();
             name.split(':').next().unwrap_or(name).to_string()
         })
-        .collect()
-}
-
-/// Every `pool_name:op` string recorded through `observe_api("pool", …)`
-/// in one run's causality log. The detail string is already in the shape
-/// the source-level analyzer names its static sites with.
-pub fn pool_op_names(log: &CausalityLog) -> BTreeSet<String> {
-    log.api_calls
-        .iter()
-        .filter(|call| call.call == "pool")
-        .map(|call| call.detail.clone())
         .collect()
 }
 
@@ -74,7 +58,6 @@ pub fn audit_sweep(kind: ScenarioKind, config: &ExploreConfig) -> AuditReport {
     let mut findings = Vec::new();
     let mut seen: BTreeSet<(&'static str, String)> = BTreeSet::new();
     let mut lock_sites = BTreeSet::new();
-    let mut pool_ops = BTreeSet::new();
     let explore = explore_with(kind, config, |result| {
         for finding in analyze_run(result) {
             if seen.insert((finding.analyzer, finding.detail.clone())) {
@@ -82,7 +65,6 @@ pub fn audit_sweep(kind: ScenarioKind, config: &ExploreConfig) -> AuditReport {
             }
         }
         lock_sites.extend(lock_site_names(&result.causality));
-        pool_ops.extend(pool_op_names(&result.causality));
     });
-    AuditReport { explore, findings, lock_sites, pool_ops }
+    AuditReport { explore, findings, lock_sites }
 }

@@ -78,10 +78,6 @@ pub struct Call {
     /// the argument at `f`'s position is a literal closure whose body
     /// tokens the caller's own scan already walked.
     pub closure_args: Vec<usize>,
-    /// Per argument (same numbering), the ident when the argument is
-    /// exactly one bare identifier — a by-value move of a local, the
-    /// shape the pool-buffer typestate tracks ownership across.
-    pub bare_args: Vec<Option<String>>,
 }
 
 /// Words that read like `word (…)` without being calls.
@@ -139,7 +135,6 @@ fn call_at(tokens: &[Token], i: usize, name: &str) -> Option<Call> {
             receiver: None,
             is_macro: true,
             closure_args: Vec::new(),
-            bare_args: Vec::new(),
         });
     }
     // The argument list opens right after the name, or after a
@@ -159,7 +154,7 @@ fn call_at(tokens: &[Token], i: usize, name: &str) -> Option<Call> {
     } else {
         return None;
     };
-    let (closure_args, bare_args) = arg_shapes(tokens, open);
+    let closure_args = closure_arg_positions(tokens, open);
     // Method call: the name follows a `.`.
     if punct(tokens, i.wrapping_sub(1)) == Some('.') && i > 0 {
         return Some(Call {
@@ -170,7 +165,6 @@ fn call_at(tokens: &[Token], i: usize, name: &str) -> Option<Call> {
             receiver: receiver_base(tokens, i - 1),
             is_macro: false,
             closure_args,
-            bare_args,
         });
     }
     // Path-qualified call: the name follows `::`.
@@ -191,69 +185,52 @@ fn call_at(tokens: &[Token], i: usize, name: &str) -> Option<Call> {
         receiver: None,
         is_macro: false,
         closure_args,
-        bare_args,
     })
 }
 
-/// Shapes of the arguments in the list opening at `open`: the zero-based
-/// positions holding closure literals (`|…|` or `move |…|`), and — per
-/// argument — the ident when the argument is exactly one bare
-/// identifier. Commas are split at paren/bracket/brace depth one —
-/// angle brackets are not tracked (comparison operators would unbalance
-/// them), so a turbofish *inside an argument* can shift later indices;
-/// calls whose shapes matter here do not take that form in this
-/// workspace.
-fn arg_shapes(tokens: &[Token], open: usize) -> (Vec<usize>, Vec<Option<String>>) {
+/// The zero-based positions, in the argument list opening at `open`,
+/// that hold closure literals (`|…|` or `move |…|`). Commas are split
+/// at paren/bracket/brace depth one — angle brackets are not tracked
+/// (comparison operators would unbalance them), so a turbofish *inside
+/// an argument* can shift later indices; calls whose shapes matter here
+/// do not take that form in this workspace.
+fn closure_arg_positions(tokens: &[Token], open: usize) -> Vec<usize> {
     let mut closures = Vec::new();
-    let mut bares: Vec<Option<String>> = Vec::new();
     let mut depth = 0isize;
-    // The current argument: (token count, sole ident so far).
-    let mut arg_len = 0usize;
-    let mut arg_ident: Option<String> = None;
-    let mut any_arg = false;
+    let mut arg = 0usize;
+    let mut at_arg_start = true;
     let mut i = open;
     while i < tokens.len() {
-        let at_arg_start = arg_len == 0;
         match punct(tokens, i) {
-            Some('(' | '[' | '{') if depth == 0 && i == open => depth = 1,
+            Some('(' | '[' | '{') if i == open => depth = 1,
             Some('(' | '[' | '{') => {
                 depth += 1;
-                arg_len += 1;
-                any_arg = true;
+                at_arg_start = false;
             }
             Some(')' | ']' | '}') => {
                 depth -= 1;
                 if depth <= 0 {
                     break;
                 }
-                arg_len += 1;
             }
             Some(',') if depth == 1 => {
-                bares.push(if arg_len == 1 { arg_ident.take() } else { None });
-                arg_ident = None;
-                arg_len = 0;
+                arg += 1;
+                at_arg_start = true;
             }
             _ => {
-                any_arg = true;
-                if at_arg_start && depth == 1 {
-                    let is_closure = punct(tokens, i) == Some('|')
-                        || (ident(tokens, i) == Some("move") && punct(tokens, i + 1) == Some('|'));
-                    if is_closure {
-                        closures.push(bares.len());
-                    }
+                if at_arg_start
+                    && depth == 1
+                    && (punct(tokens, i) == Some('|')
+                        || (ident(tokens, i) == Some("move") && punct(tokens, i + 1) == Some('|')))
+                {
+                    closures.push(arg);
                 }
-                if let Some(name) = ident(tokens, i) {
-                    arg_ident = Some(name.to_string());
-                }
-                arg_len += 1;
+                at_arg_start = false;
             }
         }
         i += 1;
     }
-    if any_arg || arg_len > 0 {
-        bares.push(if arg_len == 1 { arg_ident } else { None });
-    }
-    (closures, bares)
+    closures
 }
 
 /// The qualifying segment ending at `j` (the token just left of `::`):
@@ -671,19 +648,6 @@ mod tests {
         assert!(calls.iter().find(|c| c.name == "retain").unwrap().closure_args.is_empty());
         // The closure's own body calls are still walked.
         assert!(calls.iter().any(|c| c.name == "run"));
-    }
-
-    #[test]
-    fn bare_ident_arguments_are_recorded_per_position() {
-        let calls = calls_of("fn f(&self) { self.pool.give(staging); ship(dest, buf, b.len()); }");
-        let give = calls.iter().find(|c| c.name == "give").unwrap();
-        assert_eq!(give.bare_args, vec![Some("staging".to_string())]);
-        let ship = calls.iter().find(|c| c.name == "ship").unwrap();
-        assert_eq!(ship.bare_args, vec![Some("dest".to_string()), Some("buf".to_string()), None]);
-        // `&buf` borrows — two tokens, not a bare move.
-        let calls = calls_of("fn f() { fill(&mut buf); done(); }");
-        assert_eq!(calls.iter().find(|c| c.name == "fill").unwrap().bare_args, vec![None]);
-        assert!(calls.iter().find(|c| c.name == "done").unwrap().bare_args.is_empty());
     }
 
     #[test]

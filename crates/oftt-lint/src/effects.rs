@@ -489,9 +489,6 @@ pub struct Prim {
 pub struct ResolvedCall {
     /// The callee name as written.
     pub name: String,
-    /// Index of the callee-name token in the file's filtered stream —
-    /// the flow-sensitive rules use it to place calls inside CFG units.
-    pub tok: usize,
     /// 1-based line of the call.
     pub line: u32,
     /// Workspace functions this may dispatch to (empty for intrinsics
@@ -501,16 +498,9 @@ pub struct ResolvedCall {
     pub held: Vec<String>,
     /// The intrinsic effect of the call itself, if it is a primitive.
     pub prim: Option<EffectKind>,
-    /// The receiver's base identifier for method calls (see
-    /// [`Call::receiver`]) — pool-site naming keys off it.
-    pub receiver: Option<String>,
     /// Zero-based argument positions holding closure literals (see
     /// [`Call::closure_args`]).
     pub closure_args: Vec<usize>,
-    /// Per argument, the ident when the argument is exactly one bare
-    /// identifier (a by-value move of a local) — the buffer-lifecycle
-    /// rules track pooled buffers across these.
-    pub bare_args: Vec<Option<String>>,
 }
 
 /// One function in the analysis universe.
@@ -587,15 +577,6 @@ pub struct Analysis {
     pub iterations: usize,
     /// Reactor roots (functions annotated `reactor-root`).
     pub roots: Vec<FnId>,
-    /// Per function: the returned `Vec<u8>` is a pooled buffer — seeded
-    /// by `arena`-annotated takes, propagated through `-> Vec<u8>`
-    /// functions that call one. A binding initialized from such a call
-    /// enters the pool-buffer typestate.
-    pub returns_buffer: Vec<bool>,
-    /// Per function: the set of owned-`Vec<u8>` parameter indices the
-    /// body disposes of (moves onward) — passing a pooled buffer into
-    /// one of these positions is a sanctioned handoff, not a leak.
-    pub consumes: Vec<std::collections::BTreeSet<usize>>,
 }
 
 impl Analysis {
@@ -688,7 +669,6 @@ impl Analysis {
         for (f, prim) in opaque {
             fns[f].prims.push(prim);
         }
-        let (returns_buffer, consumes) = buffer_summaries(models, &fns);
         let (effects, iterations) = fixpoint(&fns);
         // Call-derived lock edges: a guard held at a call site orders
         // before everything the callee transitively acquires.
@@ -712,7 +692,7 @@ impl Analysis {
         }
         lock.findings.extend(locks::find_cycles(&lock.edges));
         let roots: Vec<FnId> = (0..fns.len()).filter(|&i| fns[i].root).collect();
-        Analysis { fns, effects, lock, edge_count, iterations, roots, returns_buffer, consumes }
+        Analysis { fns, effects, lock, edge_count, iterations, roots }
     }
 
     /// The functions reachable from the reactor roots, as
@@ -903,14 +883,11 @@ fn classify(
 ) -> ResolvedCall {
     let mut out = ResolvedCall {
         name: call.name.clone(),
-        tok: call.tok,
         line: call.line,
         targets: Vec::new(),
         held: Vec::new(),
         prim: None,
-        receiver: call.receiver.clone(),
         closure_args: call.closure_args.clone(),
-        bare_args: call.bare_args.clone(),
     };
     let prim = |info: &mut FnInfo, out: &mut ResolvedCall, kind: EffectKind, what: String| {
         info.prims.push(Prim { kind, what, line: call.line });
@@ -1016,61 +993,6 @@ fn classify(
     }
     prim(info, &mut out, EffectKind::Havoc, name.to_string());
     out
-}
-
-/// The buffer-lifecycle summaries, computed alongside the effect
-/// fixpoint:
-///
-/// * **returns-buffer** — seeded by `arena`-annotated functions whose
-///   header declares `-> Vec<u8>` (the pool's `take`), then propagated
-///   through `-> Vec<u8>` functions that call a returns-buffer function
-///   (wrappers handing a pooled buffer outward).
-/// * **consumes** — an owned-`Vec<u8>` parameter the body moves onward
-///   as a bare argument of some call (`pool.give(buf)`, `list.push(buf)`,
-///   a consuming helper). An owned non-`Copy` buffer moved into a call
-///   is gone from the function — it can neither leak there nor be
-///   recycled twice — so the caller-side typestate treats passing into
-///   a consuming position as a sanctioned handoff.
-fn buffer_summaries(
-    models: &[(String, FileModel)],
-    fns: &[FnInfo],
-) -> (Vec<bool>, Vec<std::collections::BTreeSet<usize>>) {
-    let item = |info: &FnInfo| &models[info.model].1.fns[info.item];
-    let mut returns: Vec<bool> =
-        fns.iter().map(|info| info.arena && item(info).returns_buf).collect();
-    let consumes: Vec<std::collections::BTreeSet<usize>> = fns
-        .iter()
-        .map(|info| {
-            item(info)
-                .params
-                .iter()
-                .enumerate()
-                .filter(|(_, param)| {
-                    param.owned_buf
-                        && info.calls.iter().any(|c| {
-                            c.bare_args.iter().any(|a| a.as_deref() == Some(param.name.as_str()))
-                        })
-                })
-                .map(|(p, _)| p)
-                .collect()
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for (f, info) in fns.iter().enumerate() {
-            if returns[f] || !item(info).returns_buf {
-                continue;
-            }
-            if info.calls.iter().any(|c| c.targets.iter().any(|&g| returns[g])) {
-                returns[f] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (returns, consumes)
 }
 
 /// The bottom-up fixpoint: monotone over a finite lattice (four option
@@ -1298,26 +1220,6 @@ mod tests {
     fn deserialize_is_a_table_fact_not_a_havoc() {
         let a = analyze(&[("a.rs", "fn decode(b: &[u8]) { d.deserialize(v); }")]);
         assert!(a.effects[fid(&a, "decode")].havoc.is_none());
-    }
-
-    #[test]
-    fn buffer_summaries_seed_and_propagate() {
-        let a = analyze(&[(
-            "a.rs",
-            "impl BufPool {\n\
-             // oftt-lint: arena\n\
-             fn take(&self, min: usize) -> Vec<u8> { Vec::with_capacity(min) }\n\
-             fn give(&self, buf: Vec<u8>) { self.free.lock().push(buf); }\n\
-             }\n\
-             impl Enc { fn staging(&self) -> Vec<u8> { self.buf_pool.take(64) } }\n\
-             fn fresh() -> Vec<u8> { Vec::new() }\n\
-             fn sink(buf: Vec<u8>, n: usize) { }",
-        )]);
-        assert!(a.returns_buffer[fid(&a, "take")]);
-        assert!(a.returns_buffer[fid(&a, "staging")], "wrapper propagates returns-buffer");
-        assert!(!a.returns_buffer[fid(&a, "fresh")], "a plain Vec::new is not pooled");
-        assert!(a.consumes[fid(&a, "give")].contains(&0), "give moves its buffer onward");
-        assert!(a.consumes[fid(&a, "sink")].is_empty(), "sink drops its buffer");
     }
 
     #[test]

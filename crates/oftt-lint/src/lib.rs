@@ -39,23 +39,14 @@
 //!    lock-order graph gains call-derived edges so cross-function
 //!    acquisition chains are cycle-checked too.
 //!
-//! The flow-*insensitive* families above prove properties of call
-//! *sets*; three flow-**sensitive** families run a forward dataflow
-//! ([`dataflow`]) over per-function control-flow graphs ([`cfg`]) built
-//! from the same token streams, so path-dependent obligations are
-//! proven over **all** paths — branches, loops, `?`, early returns:
-//!
-//! 9. **pool-typestate** — every pooled buffer follows
-//!    take → fill → (ship | recycle) on every path: use-after-recycle,
-//!    double-recycle, and leak-on-early-return are findings, and the
-//!    static pool-site set must cover every pool op oftt-audit observed
-//!    dynamically ([`rules::pool`]);
-//! 10. **epoch-stamping** — frames drained from the sharded queues are
-//!     wrapped in `StampedFrame` (carrying the connection epoch) before
-//!     any write-path consumption ([`rules::epoch`]);
-//! 11. **conn-dfa** — every construction of a declared connection-state
-//!     enum takes a transition its `dfa(...)` table admits
-//!     ([`rules::conn_dfa`]).
+//! Every family above needs whole-program reasoning no Rust type can
+//! express. What a type already proves is deliberately not re-checked
+//! from tokens: a pooled buffer cannot be read or given again after
+//! `BufPool::give` (it moves), an un-stamped frame cannot reach the
+//! write path (`next_frames` takes `&mut Vec<StampedFrame>`), and a
+//! connection cannot become established without spending its
+//! `AwaitHello` (private-field typestate in `oftt_wire::supervisor`) —
+//! DESIGN.md §5g has the table.
 //!
 //! Findings are typed ([`report::Finding`]), suppressible through a
 //! checked-in baseline (stale entries are themselves findings), and
@@ -74,8 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod effects;
 pub mod lexer;
 pub mod report;
@@ -103,10 +92,6 @@ pub struct Options {
     /// Dynamic lock base names from `oftt-audit scan --export-locks`,
     /// for the static ⊇ dynamic coverage cross-check.
     pub dynamic_locks: Vec<String>,
-    /// Dynamic pool ops (`name:op`) from `oftt-audit scan
-    /// --export-pool-ops`, cross-checked against the static pool-site
-    /// set the same way.
-    pub dynamic_pool_ops: Vec<String>,
 }
 
 /// Directories the workspace walk never descends into.
@@ -241,30 +226,6 @@ pub fn run_scan(opts: &Options) -> Report {
     report.findings.extend(rules::hotpath::check(&analysis));
     report.findings.extend(rules::lock_block::check(&analysis));
     report.findings.extend(rules::drift::check(&models, &analysis));
-    // The flow-sensitive stage: one CFG per function in the analysis
-    // universe, then the typestate/dataflow families over them. Timed
-    // as a unit — `dataflow_ms` in the report is this whole block.
-    let flow_start = std::time::Instant::now();
-    let cfgs: Vec<cfg::Cfg> = analysis
-        .fns
-        .iter()
-        .map(|info| cfg::build(&models[info.model].1, &models[info.model].1.fns[info.item]))
-        .collect();
-    report.cfg_blocks = cfgs.iter().map(|c| c.blocks.len()).sum();
-    let pool_scan = rules::pool::check(&models, &analysis, &cfgs);
-    report.pool_sites = pool_scan.static_sites.len();
-    report.pool_tracked = pool_scan.tracked;
-    report.findings.extend(pool_scan.findings);
-    report.findings.extend(rules::epoch::check(&models, &analysis, &cfgs));
-    let dfa_scan = rules::conn_dfa::check(&models);
-    report.dfa_transitions = dfa_scan.transitions_checked;
-    report.findings.extend(dfa_scan.findings);
-    report.dataflow_ms = flow_start.elapsed().as_millis();
-    report.dynamic_pool_checked = opts.dynamic_pool_ops.len();
-    let (pool_coverage, pool_uncovered) =
-        rules::pool::dynamic_coverage(&pool_scan.static_sites, &opts.dynamic_pool_ops);
-    report.findings.extend(pool_coverage);
-    report.dynamic_pool_uncovered = pool_uncovered;
     report.findings.extend(analysis.lock.findings.iter().cloned());
     report.lock_names = analysis.lock.names.clone();
     report.lock_edges = analysis.lock.edges.keys().cloned().collect::<BTreeSet<_>>();

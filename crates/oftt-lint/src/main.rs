@@ -10,12 +10,9 @@ use oftt_lint::Options;
 const USAGE: &str = "\
 oftt-lint: source-level static analyzer for the OFTT workspace — role
 confinement, static lock-order (cross-checked against oftt-audit's
-dynamic lock sites), blocking calls, API lifecycle, panic paths, an
+dynamic lock sites), blocking calls, API lifecycle, panic paths, and an
 interprocedural effect analysis (reactor-hot-path,
-lock-across-blocking, transitive lock-order, annotation-drift), and
-flow-sensitive dataflow over per-function CFGs (pool-buffer typestate
-cross-checked against oftt-audit's dynamic pool ops, epoch stamping,
-connection-DFA conformance)
+lock-across-blocking, transitive lock-order, annotation-drift)
 
 USAGE:
     oftt-lint --workspace [OPTIONS]
@@ -29,8 +26,6 @@ OPTIONS:
     --json FILE              write the oftt-lint-v2 JSON report to FILE
     --dynamic-locks FILE     dynamic lock names from `oftt-audit scan
                              --export-locks` for the coverage cross-check
-    --dynamic-pool-ops FILE  dynamic pool ops from `oftt-audit scan
-                             --export-pool-ops` for the same cross-check
     --include-injected       scan #[cfg(feature = \"inject_bugs\")] spans too
 
 EXIT CODE: 0 clean, 1 usage/IO error, 2 findings.";
@@ -52,7 +47,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
         json: None,
     };
     let mut dynamic_locks_file: Option<String> = None;
-    let mut dynamic_pools_file: Option<String> = None;
     let mut it = it;
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -63,7 +57,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--write-baseline" => cli.write_baseline = true,
             "--json" => cli.json = Some(PathBuf::from(value("--json")?)),
             "--dynamic-locks" => dynamic_locks_file = Some(value("--dynamic-locks")?),
-            "--dynamic-pool-ops" => dynamic_pools_file = Some(value("--dynamic-pool-ops")?),
             "--include-injected" => cli.opts.include_injected = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -88,12 +81,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
         cli.opts.dynamic_locks =
             text.lines().map(str::trim).filter(|l| !l.is_empty()).map(String::from).collect();
     }
-    if let Some(path) = dynamic_pools_file {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read --dynamic-pool-ops {path}: {e}"))?;
-        cli.opts.dynamic_pool_ops =
-            text.lines().map(str::trim).filter(|l| !l.is_empty()).map(String::from).collect();
-    }
     Ok(cli)
 }
 
@@ -111,16 +98,6 @@ fn print_summary(report: &Report) {
         report.lock_names.len(),
         report.lock_edges.len(),
         report.dynamic_checked,
-    );
-    println!(
-        "dataflow: {} CFG block(s) in {} ms; {} pool site(s), {} pooled binding(s) tracked; \
-         {} DFA transition(s) checked; {} dynamic pool op(s) cross-checked",
-        report.cfg_blocks,
-        report.dataflow_ms,
-        report.pool_sites,
-        report.pool_tracked,
-        report.dfa_transitions,
-        report.dynamic_pool_checked,
     );
 }
 

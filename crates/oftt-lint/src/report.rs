@@ -13,9 +13,8 @@
 //!
 //! The JSON report is validated in CI by the unified bench validator
 //! (`crates/bench/src/validate.rs`, `oftt-lint-v2` arm): acceptance is
-//! zero non-baselined findings, zero dynamic lock or pool sites missing
-//! from the static model, and a scan that actually covered the
-//! workspace (non-zero CFG blocks and typestate coverage).
+//! zero non-baselined findings, zero dynamic lock sites missing from the
+//! static model, and a scan that actually covered the workspace.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -67,21 +66,6 @@ pub struct Report {
     pub dynamic_checked: usize,
     /// Dynamic lock sites with no static acquisition — must be empty.
     pub dynamic_uncovered: Vec<String>,
-    /// Basic blocks across every per-function CFG.
-    pub cfg_blocks: usize,
-    /// Wall-clock spent in the flow-sensitive stage (CFG construction
-    /// plus every dataflow solve), in milliseconds.
-    pub dataflow_ms: u128,
-    /// Static pool call sites (`name:op`) the typestate rule found.
-    pub pool_sites: usize,
-    /// Pooled-buffer bindings tracked through the typestate dataflow.
-    pub pool_tracked: usize,
-    /// DFA-governed constructions checked against a declared table.
-    pub dfa_transitions: usize,
-    /// How many dynamically observed pool ops were cross-checked.
-    pub dynamic_pool_checked: usize,
-    /// Dynamic pool ops with no static site — must be empty.
-    pub dynamic_pool_uncovered: Vec<String>,
 }
 
 /// Parses a baseline file into suppression keys. Unparseable lines are
@@ -213,31 +197,11 @@ pub fn to_json(report: &Report) -> String {
             .join(", ")
     ));
     out.push_str(&format!(
-        "  \"dynamic_locks\": {{\"checked\": {}, \"uncovered\": {}, \"uncovered_names\": [{}]}},\n",
+        "  \"dynamic_locks\": {{\"checked\": {}, \"uncovered\": {}, \"uncovered_names\": [{}]}}\n",
         report.dynamic_checked,
         report.dynamic_uncovered.len(),
         report
             .dynamic_uncovered
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"dataflow\": {{\"cfg_blocks\": {}, \"dataflow_ms\": {}, \"pool_sites\": {}, \
-         \"pool_tracked\": {}, \"dfa_transitions\": {}}},\n",
-        report.cfg_blocks,
-        report.dataflow_ms,
-        report.pool_sites,
-        report.pool_tracked,
-        report.dfa_transitions,
-    ));
-    out.push_str(&format!(
-        "  \"dynamic_pools\": {{\"checked\": {}, \"uncovered\": {}, \"uncovered_names\": [{}]}}\n",
-        report.dynamic_pool_checked,
-        report.dynamic_pool_uncovered.len(),
-        report
-            .dynamic_pool_uncovered
             .iter()
             .map(|n| format!("\"{}\"", json_escape(n)))
             .collect::<Vec<_>>()
@@ -320,21 +284,13 @@ mod tests {
         report.lock_names.insert("probe".into());
         report.lock_edges.insert(("probe".into(), "diag".into()));
         report.dynamic_checked = 2;
-        report.cfg_blocks = 410;
-        report.pool_sites = 4;
-        report.pool_tracked = 6;
-        report.dfa_transitions = 3;
-        report.dynamic_pool_checked = 2;
         let json = to_json(&report);
         assert!(json.contains("\"schema\": \"oftt-lint-v2\""));
         assert!(json.contains("\"files_scanned\": 90"));
         assert!(json.contains("\"findings\": []"));
         assert!(json.contains("\"locks\": 1"));
         assert!(json.contains("\"uncovered\": 0"));
-        assert!(json.contains("\"cfg_blocks\": 410"));
-        assert!(json.contains("\"pool_sites\": 4"));
-        assert!(json.contains("\"dfa_transitions\": 3"));
-        assert!(json.contains("\"dynamic_pools\": {\"checked\": 2"));
+        assert!(json.contains("\"dynamic_locks\": {\"checked\": 2"));
     }
 
     #[test]

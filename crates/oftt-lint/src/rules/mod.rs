@@ -3,15 +3,12 @@
 //! [`crate::report::Finding`]s; none of them re-tokenizes anything.
 
 pub mod blocking;
-pub mod conn_dfa;
 pub mod drift;
-pub mod epoch;
 pub mod hotpath;
 pub mod lifecycle;
 pub mod lock_block;
 pub mod locks;
 pub mod panics;
-pub mod pool;
 pub mod role;
 
 use crate::lexer::{Token, TokenKind};

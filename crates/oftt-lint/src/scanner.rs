@@ -22,15 +22,6 @@
 //!   the same or the following line, overriding the receiver-derived
 //!   name. This is how a static site joins the dynamic instrumentation's
 //!   namespace when the receiver field is called something else.
-//!   `pool(NAME)` does the same for a `take`/`give` pool operation, tying
-//!   the static lifecycle site to the dynamic pool instrumentation's
-//!   `NAME:take` / `NAME:give` strings. `dfa-from(STATE)` declares the
-//!   tracked state a construction on the same or following line
-//!   transitions *out of* when the analyzer cannot see it syntactically.
-//! * **File-scoped, parameterized** — `dfa(Enum, A => B, …)`: declares
-//!   the legal transition table for a state enum; every construction of
-//!   an `Enum::Variant` in the file must then match a declared edge
-//!   (`new => V` admits constructions outside any tracked state).
 //!
 //! ## What gets removed
 //!
@@ -68,9 +59,6 @@ pub struct Param {
     /// a generic parameter's bound): calls *to this name* inside the
     /// body invoke the caller-supplied closure, not a named function.
     pub callable: bool,
-    /// Passed by value as an owned byte buffer (`Vec<u8>`): the callee
-    /// takes responsibility for the buffer's pool lifecycle.
-    pub owned_buf: bool,
 }
 
 /// One `fn` item with its body's span in the filtered token stream.
@@ -88,9 +76,6 @@ pub struct FnItem {
     pub body: Range<usize>,
     /// Declared parameters, in order (`self` receivers excluded).
     pub params: Vec<Param>,
-    /// The declared return type is an owned byte buffer (`-> Vec<u8>`):
-    /// a seed (or propagation point) for the returns-buffer summary.
-    pub returns_buf: bool,
     /// Function-scoped directives attached to this item.
     pub directives: Vec<String>,
 }
@@ -107,18 +92,6 @@ impl FnItem {
     }
 }
 
-/// A declared connection-DFA transition table (`dfa(Enum, A => B, …)`).
-#[derive(Debug)]
-pub struct DfaDecl {
-    /// Line the declaring comment sits on.
-    pub line: u32,
-    /// The state enum the table governs.
-    pub enum_name: String,
-    /// Allowed `(from, to)` variant transitions. A `from` of `new`
-    /// admits constructions made outside any tracked state.
-    pub transitions: Vec<(String, String)>,
-}
-
 /// The scanned model of one file.
 #[derive(Debug)]
 pub struct FileModel {
@@ -129,14 +102,6 @@ pub struct FileModel {
     /// `lock(NAME)` annotations by the line the comment sits on. A
     /// `.lock()` on line `L` is named by an annotation on `L` or `L-1`.
     pub lock_names: BTreeMap<u32, String>,
-    /// `pool(NAME)` annotations by line, naming the pool a `take`/`give`
-    /// on the same or following line operates on.
-    pub pool_names: BTreeMap<u32, String>,
-    /// `dfa-from(STATE)` annotations by line: the tracked state a
-    /// construction on the same or following line transitions out of.
-    pub dfa_from: BTreeMap<u32, String>,
-    /// `dfa(Enum, A => B, …)` transition-table declarations.
-    pub dfa_decls: Vec<DfaDecl>,
     /// The filtered token stream.
     pub tokens: Vec<Token>,
     /// Every `fn` item found, in source order.
@@ -153,23 +118,9 @@ impl FileModel {
 
     /// The annotated lock name for a `.lock()` on `line`, if any.
     pub fn lock_name_at(&self, line: u32) -> Option<&str> {
-        Self::site_name_at(&self.lock_names, line)
-    }
-
-    /// The annotated pool name for a `take`/`give` on `line`, if any.
-    pub fn pool_name_at(&self, line: u32) -> Option<&str> {
-        Self::site_name_at(&self.pool_names, line)
-    }
-
-    /// The annotated from-state for a construction on `line`, if any.
-    pub fn dfa_from_at(&self, line: u32) -> Option<&str> {
-        Self::site_name_at(&self.dfa_from, line)
-    }
-
-    fn site_name_at(names: &BTreeMap<u32, String>, line: u32) -> Option<&str> {
-        names
+        self.lock_names
             .get(&line)
-            .or_else(|| line.checked_sub(1).and_then(|prev| names.get(&prev)))
+            .or_else(|| line.checked_sub(1).and_then(|prev| self.lock_names.get(&prev)))
             .map(String::as_str)
     }
 }
@@ -188,9 +139,6 @@ pub fn scan(source: &str, kind: FileKind, include_injected: bool) -> FileModel {
         kind,
         file_directives: Vec::new(),
         lock_names: BTreeMap::new(),
-        pool_names: BTreeMap::new(),
-        dfa_from: BTreeMap::new(),
-        dfa_decls: Vec::new(),
         tokens: Vec::new(),
         fns: Vec::new(),
         diagnostics: lexed.diagnostics,
@@ -436,16 +384,7 @@ fn extract_fns(model: &mut FileModel) {
                 };
                 let header = &tokens[i..body.start.min(tokens.len())];
                 let params = parse_params(header);
-                let returns_buf = header_returns_buf(header);
-                model.fns.push(FnItem {
-                    name,
-                    owner,
-                    line,
-                    body,
-                    params,
-                    returns_buf,
-                    directives: Vec::new(),
-                });
+                model.fns.push(FnItem { name, owner, line, body, params, directives: Vec::new() });
                 // Continue *inside* the body so nested fns are found too.
                 i += 2;
                 continue;
@@ -507,20 +446,6 @@ fn parse_params(header: &[Token]) -> Vec<Param> {
     params
 }
 
-/// True when the header declares `-> Vec<u8>` (exactly — `Result<Vec<u8>, E>`
-/// and references do not count; the buffer summary needs the plain
-/// owned-move shape only).
-fn header_returns_buf(header: &[Token]) -> bool {
-    header.windows(6).any(|w| {
-        punct_is(w.first(), '-')
-            && punct_is(w.get(1), '>')
-            && ident_is(w.get(2), "Vec")
-            && punct_is(w.get(3), '<')
-            && ident_is(w.get(4), "u8")
-            && punct_is(w.get(5), '>')
-    })
-}
-
 /// Parses one `name: Type` parameter segment; `header` is the whole fn
 /// header, searched for the `Fn`-bound of a generic type parameter.
 fn parse_param(seg: &[Token], header: &[Token]) -> Option<Param> {
@@ -557,15 +482,7 @@ fn parse_param(seg: &[Token], header: &[Token]) -> Option<Param> {
             }
         }
     }
-    let owned_buf = matches!(
-        ty,
-        [a, b, c, d]
-            if ident_is(Some(a), "Vec")
-                && punct_is(Some(b), '<')
-                && ident_is(Some(c), "u8")
-                && punct_is(Some(d), '>')
-    );
-    Some(Param { name, callable, owned_buf })
+    Some(Param { name, callable })
 }
 
 /// Sorts every directive comment into its scope; unknown directives and
@@ -596,39 +513,6 @@ fn resolve_directives(directives: &[lexer::Directive], model: &mut FileModel) {
             } else {
                 model.lock_names.insert(d.line, name.to_string());
             }
-        } else if let Some(name) =
-            text.strip_prefix("pool(").and_then(|rest| rest.strip_suffix(')'))
-        {
-            let name = name.trim();
-            if name.is_empty() {
-                model.diagnostics.push(Diagnostic {
-                    line: d.line,
-                    message: "pool() directive names no pool".to_string(),
-                });
-            } else {
-                model.pool_names.insert(d.line, name.to_string());
-            }
-        } else if let Some(state) =
-            text.strip_prefix("dfa-from(").and_then(|rest| rest.strip_suffix(')'))
-        {
-            let state = state.trim();
-            if state.is_empty() {
-                model.diagnostics.push(Diagnostic {
-                    line: d.line,
-                    message: "dfa-from() directive names no state".to_string(),
-                });
-            } else {
-                model.dfa_from.insert(d.line, state.to_string());
-            }
-        } else if let Some(body) = text.strip_prefix("dfa(").and_then(|rest| rest.strip_suffix(')'))
-        {
-            match parse_dfa_decl(body, d.line) {
-                Some(decl) => model.dfa_decls.push(decl),
-                None => model.diagnostics.push(Diagnostic {
-                    line: d.line,
-                    message: format!("malformed dfa() directive `{text}`"),
-                }),
-            }
         } else {
             model.diagnostics.push(Diagnostic {
                 line: d.line,
@@ -636,30 +520,6 @@ fn resolve_directives(directives: &[lexer::Directive], model: &mut FileModel) {
             });
         }
     }
-}
-
-/// Parses the body of a `dfa(Enum, A => B, …)` directive: an enum name
-/// followed by at least one `from => to` transition, all idents.
-fn parse_dfa_decl(body: &str, line: u32) -> Option<DfaDecl> {
-    let mut parts = body.split(',').map(str::trim);
-    let enum_name = parts.next().filter(|s| is_ident(s))?.to_string();
-    let mut transitions = Vec::new();
-    for part in parts {
-        let (from, to) = part.split_once("=>")?;
-        let (from, to) = (from.trim(), to.trim());
-        if !is_ident(from) || !is_ident(to) {
-            return None;
-        }
-        transitions.push((from.to_string(), to.to_string()));
-    }
-    if transitions.is_empty() {
-        return None;
-    }
-    Some(DfaDecl { line, enum_name, transitions })
-}
-
-fn is_ident(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_')
 }
 
 #[cfg(test)]
@@ -803,59 +663,20 @@ fn other() {
     }
 
     #[test]
-    fn params_capture_callable_and_buffer_facts() {
+    fn params_capture_callable_bounds() {
         let model = runtime(
             "fn with_queue<R>(&self, dest: DestId, f: impl FnOnce(&mut Q) -> R) -> R { f() } \
              fn generic<F>(cb: F) where F: FnMut(u8) { cb(1) } \
-             fn ship(mut buf: Vec<u8>, n: usize) {} \
-             fn borrow(buf: &Vec<u8>) {}",
+             fn ship(mut buf: Vec<u8>, n: usize) {}",
         );
         let wq = &model.fns[0].params;
         assert_eq!(wq.len(), 2);
         assert!(!wq[0].callable);
         assert!(wq[1].callable && wq[1].name == "f");
         assert!(model.fns[1].callable_param("cb"));
+        // `mut` is skipped; a plain type is not callable.
         let ship = &model.fns[2].params;
-        assert!(ship[0].owned_buf && ship[0].name == "buf");
-        assert!(!ship[1].owned_buf);
-        assert!(model.fns[3].params.is_empty() || !model.fns[3].params[0].owned_buf);
-    }
-
-    #[test]
-    fn pool_and_dfa_site_directives_resolve() {
-        let source = "\
-fn f() {
-    // oftt-lint: pool(staging)
-    let buf = pool.take(64);
-    // oftt-lint: dfa-from(AwaitHello)
-    let s = Conn::Established;
-}
-";
-        let model = runtime(source);
-        assert_eq!(model.pool_name_at(3), Some("staging"));
-        assert_eq!(model.pool_name_at(2), Some("staging"));
-        assert_eq!(model.pool_name_at(5), None);
-        assert_eq!(model.dfa_from_at(5), Some("AwaitHello"));
-        assert!(model.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn dfa_decl_directive_parses_and_rejects() {
-        let ok = runtime("// oftt-lint: dfa(Conn, new => AwaitHello, AwaitHello => Established)\n");
-        assert_eq!(ok.dfa_decls.len(), 1);
-        assert_eq!(ok.dfa_decls[0].enum_name, "Conn");
-        assert_eq!(
-            ok.dfa_decls[0].transitions,
-            vec![
-                ("new".to_string(), "AwaitHello".to_string()),
-                ("AwaitHello".to_string(), "Established".to_string()),
-            ]
-        );
-        assert!(ok.diagnostics.is_empty());
-        let bad = runtime("// oftt-lint: dfa(Conn)\n");
-        assert_eq!(bad.dfa_decls.len(), 0);
-        assert_eq!(bad.diagnostics.len(), 1);
-        assert!(bad.diagnostics[0].message.contains("malformed dfa()"));
+        assert!(ship[0].name == "buf" && !ship[0].callable);
     }
 
     #[test]

@@ -113,58 +113,6 @@ fn transitive_cycle_fixture_fires_lock_order() {
 }
 
 #[test]
-fn use_after_recycle_fixture_fires_pool_typestate() {
-    let report = scan_fixture("use_after_recycle.rs");
-    assert_eq!(rules_fired(&report), ["pool-typestate"]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert!(f.message.contains("`buf` used after it may already be recycled"), "{}", f.message);
-}
-
-#[test]
-fn double_recycle_fixture_fires_pool_typestate() {
-    let report = scan_fixture("double_recycle.rs");
-    assert_eq!(rules_fired(&report), ["pool-typestate"]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert!(f.message.contains("recycled again"), "{}", f.message);
-    assert!(f.message.contains("double-inserted"), "{}", f.message);
-}
-
-#[test]
-fn leak_on_error_path_fixture_fires_pool_typestate() {
-    let report = scan_fixture("leak_on_error_path.rs");
-    assert_eq!(rules_fired(&report), ["pool-typestate"]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert!(f.message.contains("may reach function exit without ship or recycle"), "{}", f.message);
-    // The happy path ships — only the `?` edge leaks, and the dataflow
-    // still sees it.
-    assert!(f.message.contains("`buf`"), "{}", f.message);
-}
-
-#[test]
-fn unstamped_epoch_fixture_fires_epoch_stamping() {
-    let report = scan_fixture("unstamped_epoch.rs");
-    assert_eq!(rules_fired(&report), ["epoch-stamping"]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert!(f.message.contains("without an epoch stamp"), "{}", f.message);
-    assert!(f.message.contains("StampedFrame"), "{}", f.message);
-}
-
-#[test]
-fn dfa_violation_fixture_fires_conn_dfa() {
-    let report = scan_fixture("dfa_violation.rs");
-    assert_eq!(rules_fired(&report), ["conn-dfa"]);
-    assert_eq!(report.findings.len(), 1);
-    let f = &report.findings[0];
-    assert!(f.message.contains("`new => Established`"), "{}", f.message);
-    // The declared AwaitHello construction in the same file is silent.
-    assert_eq!(report.dfa_transitions, 2);
-}
-
-#[test]
 fn fixtures_are_invisible_to_the_workspace_walk() {
     assert_eq!(oftt_lint::classify("crates/oftt-lint/fixtures/lock_cycle.rs"), None);
 }

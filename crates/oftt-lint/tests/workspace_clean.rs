@@ -39,13 +39,6 @@ fn workspace_scan_reports_zero_findings_beyond_the_baseline() {
         "baseline has {} entries but only {suppressed} fired — prune the stale ones",
         baseline.len()
     );
-    // The flow-sensitive layer is non-vacuous: CFGs cover the workspace
-    // and the typestate families actually tracked the transport's pools
-    // and connection DFA.
-    assert!(report.cfg_blocks >= 2000, "only {} CFG blocks built", report.cfg_blocks);
-    assert!(report.pool_sites >= 4, "only {} static pool sites", report.pool_sites);
-    assert!(report.pool_tracked >= 2, "only {} pooled bindings tracked", report.pool_tracked);
-    assert!(report.dfa_transitions >= 3, "only {} DFA transitions checked", report.dfa_transitions);
     // Coverage floor: the walk found the real tree, not an empty dir.
     assert!(report.files_scanned >= 40, "only {} files scanned", report.files_scanned);
     // The interprocedural layer is non-vacuous: the call graph covers

@@ -79,6 +79,53 @@ pub trait ReactorHandler: Send + Sync + 'static {
     /// The connection's write batch has room: move queued frames into
     /// `out`. Called whenever the socket is writable or a flush was
     /// requested; returning nothing simply disarms write interest.
+    ///
+    /// This is the write path's only input and it holds
+    /// [`StampedFrame`]s, so every frame that leaves carries the epoch of
+    /// the connection it leaves on:
+    ///
+    /// ```
+    /// # use std::{io, net::SocketAddr, sync::Mutex};
+    /// # use oftt_wire::frame::{Frame, OutFrame};
+    /// # use oftt_wire::reactor::{ConnId, Directive, ReactorHandler, StampedFrame};
+    /// struct Pump {
+    ///     queued: Mutex<Vec<OutFrame>>,
+    ///     epoch: u32,
+    /// }
+    ///
+    /// impl ReactorHandler for Pump {
+    ///     fn next_frames(&self, _conn: ConnId, out: &mut Vec<StampedFrame>) {
+    ///         let pulled = std::mem::take(&mut *self.queued.lock().unwrap());
+    ///         out.extend(pulled.into_iter().map(|frame| StampedFrame { frame, epoch: self.epoch }));
+    ///     }
+    /// #   fn on_accept(&self, _: ConnId, _: SocketAddr) {}
+    /// #   fn on_frame(&self, _: ConnId, _: Frame) -> Directive { Directive::Continue }
+    /// #   fn on_closed(&self, _: ConnId, _: Option<&io::Error>, _: Vec<OutFrame>) {}
+    /// }
+    /// ```
+    ///
+    /// Frames forwarded without a stamp — which a receiver would drop as
+    /// stale after any reconnect — are `E0271`, a type mismatch:
+    ///
+    /// ```compile_fail,E0271
+    /// # use std::{io, net::SocketAddr, sync::Mutex};
+    /// # use oftt_wire::frame::{Frame, OutFrame};
+    /// # use oftt_wire::reactor::{ConnId, Directive, ReactorHandler, StampedFrame};
+    /// struct Pump {
+    ///     queued: Mutex<Vec<OutFrame>>,
+    ///     epoch: u32,
+    /// }
+    ///
+    /// impl ReactorHandler for Pump {
+    ///     fn next_frames(&self, _conn: ConnId, out: &mut Vec<StampedFrame>) {
+    ///         let pulled = std::mem::take(&mut *self.queued.lock().unwrap());
+    ///         out.extend(pulled);
+    ///     }
+    /// #   fn on_accept(&self, _: ConnId, _: SocketAddr) {}
+    /// #   fn on_frame(&self, _: ConnId, _: Frame) -> Directive { Directive::Continue }
+    /// #   fn on_closed(&self, _: ConnId, _: Option<&io::Error>, _: Vec<OutFrame>) {}
+    /// }
+    /// ```
     fn next_frames(&self, conn: ConnId, out: &mut Vec<StampedFrame>);
 
     /// `bytes` of this connection's queue hit the socket.

@@ -54,11 +54,7 @@ use crate::frame::{
 };
 use crate::reactor::{ConnId, Directive, Reactor, ReactorHandler, StampedFrame};
 
-// The per-connection lifecycle the flow-sensitive linter holds every
-// `ConnCtx` construction to: accepted sockets park in AwaitHello, dialed
-// sockets are born Established (the dialer has already completed the
-// handshake inline), and only a hello promotes AwaitHello onward.
-// oftt-lint: dfa(ConnCtx, new => AwaitHello, new => Established, AwaitHello => Established)
+use conn_state::{AwaitHello, Established};
 
 /// Frames a reactor thread pulls from a link queue per refill.
 const PULL_BATCH: usize = 128;
@@ -192,19 +188,92 @@ impl Link {
     }
 }
 
-/// Per-connection protocol state, keyed by reactor [`ConnId`].
-enum ConnCtx {
+/// The two states of a connection as a consuming typestate. Their fields
+/// are private to this module, so the supervisor cannot write either
+/// state as a struct literal: an accepted socket starts in
+/// [`AwaitHello::accepted`], a dialed socket is born
+/// [`Established::dialed`] (the dialer has already completed the
+/// handshake inline), and the only other way to an [`Established`] is
+/// [`AwaitHello::established`], which takes the waiting state by value —
+/// a promotion needs an `AwaitHello` in hand and spends it.
+mod conn_state {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use super::Link;
+    use crate::frame::OutFrame;
+
     /// Accepted; waiting for the dialer's hello.
-    AwaitHello { deadline: Instant },
+    pub(super) struct AwaitHello {
+        deadline: Instant,
+    }
+
+    impl AwaitHello {
+        pub(super) fn accepted(deadline: Instant) -> Self {
+            AwaitHello { deadline }
+        }
+
+        /// The hello did not arrive in time.
+        pub(super) fn expired(&self, now: Instant) -> bool {
+            self.deadline <= now
+        }
+
+        /// The hello arrived and the link accepted the connection; `reply`
+        /// is our half of the handshake, bound to this connection.
+        pub(super) fn established(
+            self,
+            link: Arc<Link>,
+            my_epoch: u32,
+            peer_epoch: u32,
+            reply: OutFrame,
+        ) -> Established {
+            Established { link, my_epoch, peer_epoch, pending: vec![reply] }
+        }
+    }
+
     /// Handshaken and installed (or superseded but not yet closed).
-    Established {
+    pub(super) struct Established {
         link: Arc<Link>,
         my_epoch: u32,
         peer_epoch: u32,
         /// Frames bound to this connection specifically (the handshake
         /// reply), served before the link queue.
         pending: Vec<OutFrame>,
-    },
+    }
+
+    impl Established {
+        pub(super) fn dialed(link: Arc<Link>, my_epoch: u32, peer_epoch: u32) -> Self {
+            Established { link, my_epoch, peer_epoch, pending: Vec::new() }
+        }
+
+        pub(super) fn link(&self) -> &Arc<Link> {
+            &self.link
+        }
+
+        pub(super) fn my_epoch(&self) -> u32 {
+            self.my_epoch
+        }
+
+        pub(super) fn peer_epoch(&self) -> u32 {
+            self.peer_epoch
+        }
+
+        /// Hands out the connection-bound frames, leaving none behind.
+        pub(super) fn take_pending(&mut self) -> std::vec::Drain<'_, OutFrame> {
+            self.pending.drain(..)
+        }
+
+        /// Teardown: the link and whatever was still pending.
+        pub(super) fn into_parts(self) -> (Arc<Link>, Vec<OutFrame>) {
+            (self.link, self.pending)
+        }
+    }
+}
+
+/// Per-connection protocol state, keyed by reactor [`ConnId`].
+enum ConnCtx {
+    AwaitHello(AwaitHello),
+    Established(Established),
 }
 
 struct Shared {
@@ -443,6 +512,11 @@ impl Shared {
                 return Directive::Close;
             }
         };
+        // The promotion below spends the waiting state, so take it out of
+        // the table first; a refusal from here on leaves no entry behind.
+        let Some(ConnCtx::AwaitHello(waiting)) = self.conns.lock().remove(&conn) else {
+            return Directive::Close;
+        };
         let my_epoch = {
             let mut inner = link.inner.lock();
             let e = inner.next_epoch;
@@ -472,19 +546,9 @@ impl Shared {
             head: Vec::new(),
             shared: Vec::new(),
         };
-        {
-            let mut conns = self.conns.lock();
-            conns.insert(
-                conn,
-                // oftt-lint: dfa-from(AwaitHello)
-                ConnCtx::Established {
-                    link: Arc::clone(&link),
-                    my_epoch,
-                    peer_epoch: frame.header.epoch,
-                    pending: vec![reply],
-                },
-            );
-        }
+        let established =
+            waiting.established(Arc::clone(&link), my_epoch, frame.header.epoch, reply);
+        self.conns.lock().insert(conn, ConnCtx::Established(established));
         self.announce_install(&link, my_epoch, hello.node, reconnect);
         Directive::Continue
     }
@@ -525,18 +589,8 @@ impl Shared {
         stream.set_read_timeout(None).ok();
         let reactor = Arc::clone(self.reactor().ok_or("reactor not started")?);
         let conn = reactor.reserve_conn();
-        {
-            let mut conns = self.conns.lock();
-            conns.insert(
-                conn,
-                ConnCtx::Established {
-                    link: Arc::clone(link),
-                    my_epoch,
-                    peer_epoch: reply.header.epoch,
-                    pending: Vec::new(),
-                },
-            );
-        }
+        let established = Established::dialed(Arc::clone(link), my_epoch, reply.header.epoch);
+        self.conns.lock().insert(conn, ConnCtx::Established(established));
         match self.install(link, conn, self.config.node, my_epoch) {
             Install::Won { reconnect } => {
                 if let Err(e) = reactor.attach(conn, stream) {
@@ -665,7 +719,7 @@ impl Shared {
 impl ReactorHandler for Shared {
     fn on_accept(&self, conn: ConnId, _addr: SocketAddr) {
         let deadline = Instant::now() + self.config.handshake_timeout;
-        self.conns.lock().insert(conn, ConnCtx::AwaitHello { deadline });
+        self.conns.lock().insert(conn, ConnCtx::AwaitHello(AwaitHello::accepted(deadline)));
     }
 
     // oftt-lint: reactor-root
@@ -678,9 +732,9 @@ impl ReactorHandler for Shared {
             let conns = self.conns.lock();
             match conns.get(&conn) {
                 None => return Directive::Close,
-                Some(ConnCtx::AwaitHello { .. }) => Kind::Pending,
-                Some(ConnCtx::Established { link, peer_epoch, .. }) => {
-                    Kind::Est { link: Arc::clone(link), peer_epoch: *peer_epoch }
+                Some(ConnCtx::AwaitHello(_)) => Kind::Pending,
+                Some(ConnCtx::Established(est)) => {
+                    Kind::Est { link: Arc::clone(est.link()), peer_epoch: est.peer_epoch() }
                 }
             }
         };
@@ -721,15 +775,14 @@ impl ReactorHandler for Shared {
     fn next_frames(&self, conn: ConnId, out: &mut Vec<StampedFrame>) {
         let (link, my_epoch) = {
             let mut conns = self.conns.lock();
-            let Some(ConnCtx::Established { link, my_epoch, pending, .. }) = conns.get_mut(&conn)
-            else {
+            let Some(ConnCtx::Established(est)) = conns.get_mut(&conn) else {
                 return;
             };
-            let epoch = *my_epoch;
-            for frame in pending.drain(..) {
+            let epoch = est.my_epoch();
+            for frame in est.take_pending() {
                 out.push(StampedFrame { frame, epoch });
             }
-            (Arc::clone(link), epoch)
+            (Arc::clone(est.link()), epoch)
         };
         // Clear the arm before draining: any sender that enqueues from
         // here on will arm and flush again, so nothing is stranded.
@@ -751,7 +804,7 @@ impl ReactorHandler for Shared {
         let link = {
             let conns = self.conns.lock();
             match conns.get(&conn) {
-                Some(ConnCtx::Established { link, .. }) => Some(Arc::clone(link)),
+                Some(ConnCtx::Established(est)) => Some(Arc::clone(est.link())),
                 _ => None,
             }
         };
@@ -777,14 +830,15 @@ impl ReactorHandler for Shared {
             self.recycle_frame(f);
         }
         match ctx {
-            Some(ConnCtx::Established { link, pending, .. }) => {
+            Some(ConnCtx::Established(est)) => {
+                let (link, pending) = est.into_parts();
                 for f in pending {
                     self.recycle_frame(f);
                 }
                 let why = error.map_or_else(|| "closed".to_string(), |e| e.to_string());
                 self.teardown(&link, conn, &why, unsent_hb, unsent_data);
             }
-            Some(ConnCtx::AwaitHello { .. }) => {
+            Some(ConnCtx::AwaitHello(_)) => {
                 if let Some(e) = error {
                     self.trace(format!("wire accept on {}: {e}", self.config.node));
                 }
@@ -797,8 +851,8 @@ impl ReactorHandler for Shared {
         let now = Instant::now();
         let conns = self.conns.lock();
         for (id, ctx) in conns.iter() {
-            if let ConnCtx::AwaitHello { deadline } = ctx {
-                if *deadline <= now {
+            if let ConnCtx::AwaitHello(waiting) = ctx {
+                if waiting.expired(now) {
                     close.push(*id);
                 }
             }
@@ -1014,6 +1068,25 @@ mod tests {
         cond()
     }
 
+    /// What a raw peer writes to a socket: its hello, and one data frame
+    /// carrying `text` from `peer` to node 0, both stamped epoch 1.
+    fn raw_hello_and_data(peer: NodeId, text: &str) -> (Vec<u8>, Vec<u8>) {
+        let mut hello = Vec::new();
+        let meta = comsim::marshal::to_bytes(&Hello { node: peer }).unwrap();
+        write_frame(&mut hello, FrameClass::Handshake, 1, &meta, &[], &[]).unwrap();
+        let (meta, payload) = WireCodec::standard()
+            .encode_envelope(&Envelope::new(
+                Endpoint::new(peer, "x"),
+                Endpoint::new(NodeId(0), "y"),
+                text.to_string(),
+            ))
+            .unwrap()
+            .unwrap();
+        let mut data = Vec::new();
+        write_frame(&mut data, payload.class, 1, &meta, &payload.head, &payload.shared).unwrap();
+        (hello, data)
+    }
+
     #[test]
     fn pair_connects_and_delivers_both_ways() {
         let codec = Arc::new(WireCodec::standard());
@@ -1051,7 +1124,6 @@ mod tests {
     /// forming and then NACKing every checkpoint.
     #[test]
     fn version_1_peer_is_disconnected_at_its_first_header() {
-        use crate::frame::{write_frame, FrameClass};
         use std::io::{Read, Write};
 
         let sink = Sink::new();
@@ -1060,19 +1132,9 @@ mod tests {
         let sup = Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
 
         let old_peer = NodeId(9);
-        let hello = comsim::marshal::to_bytes(&Hello { node: old_peer }).unwrap();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameClass::Handshake, 1, &hello, &[], &[]).unwrap();
-        let (meta, payload) = WireCodec::standard()
-            .encode_envelope(&Envelope::new(
-                Endpoint::new(old_peer, "x"),
-                Endpoint::new(NodeId(0), "y"),
-                "from the past".to_string(),
-            ))
-            .unwrap()
-            .unwrap();
-        let hello_len = wire.len();
-        write_frame(&mut wire, payload.class, 1, &meta, &payload.head, &payload.shared).unwrap();
+        let (hello, data) = raw_hello_and_data(old_peer, "from the past");
+        let hello_len = hello.len();
+        let mut wire = [hello, data].concat();
         for frame_start in [0, hello_len] {
             wire[frame_start + 4] = 1;
         }
@@ -1096,5 +1158,100 @@ mod tests {
         assert!(sink.delivered.lock().unwrap().is_empty());
         assert!(sink.events.lock().unwrap().is_empty());
         sup.shutdown();
+    }
+
+    /// What the accept side of the handshake does, over a real socket: a
+    /// peer that speaks before its hello or never sends one is hung up on
+    /// with nothing delivered, and a repeated hello mid-stream is skipped
+    /// without disturbing the data behind it.
+    #[test]
+    fn accepted_connection_must_say_hello_first_and_in_time() {
+        use std::io::{Read, Write};
+
+        struct Case {
+            name: &'static str,
+            wire: Vec<u8>,
+            /// `Some(text)`: the supervisor hangs up and traces `text`.
+            /// `None`: the handshake completes and the link comes up.
+            refused: Option<&'static str>,
+            delivered: usize,
+        }
+
+        let peer = NodeId(9);
+        let handshake_timeout = Duration::from_millis(100);
+        let (hello, data) = raw_hello_and_data(peer, "after the hello");
+
+        let cases = [
+            Case {
+                name: "data before hello",
+                wire: data.clone(),
+                refused: Some("peer spoke before handshaking"),
+                delivered: 0,
+            },
+            Case {
+                name: "no hello at all",
+                wire: Vec::new(),
+                refused: Some("handshake deadline"),
+                delivered: 0,
+            },
+            Case {
+                name: "hello, hello again, data",
+                wire: [hello.clone(), hello, data].concat(),
+                refused: None,
+                delivered: 1,
+            },
+        ];
+        for case in cases {
+            let sink = Sink::new();
+            let mut config = WireConfig::loopback(NodeId(0));
+            config.accept_unknown = true;
+            config.handshake_timeout = handshake_timeout;
+            let sup =
+                Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
+            let dialed_at = Instant::now();
+            let mut stream = TcpStream::connect(sup.local_addr()).unwrap();
+            stream.write_all(&case.wire).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            match case.refused {
+                Some(trace) => {
+                    let mut reply = [0u8; 64];
+                    match stream.read(&mut reply) {
+                        Ok(0) => {}
+                        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                        other => panic!("{}: expected a hang-up, got {other:?}", case.name),
+                    }
+                    if case.wire.is_empty() {
+                        // The deadline is armed at accept, which is after
+                        // the dial began.
+                        assert!(dialed_at.elapsed() >= handshake_timeout, "{}", case.name);
+                    }
+                    assert!(
+                        wait_for(
+                            || sink.traces.lock().unwrap().iter().any(|t| t.contains(trace)),
+                            Duration::from_secs(3)
+                        ),
+                        "{}: no {trace:?} in {:?}",
+                        case.name,
+                        sink.traces.lock().unwrap()
+                    );
+                    assert!(!sup.connected(peer), "{}", case.name);
+                }
+                None => {
+                    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+                    assert_eq!(reply.header.class, FrameClass::Handshake, "{}", case.name);
+                    assert!(
+                        wait_for(
+                            || sink.delivered.lock().unwrap().len() == case.delivered,
+                            Duration::from_secs(3)
+                        ),
+                        "{}",
+                        case.name
+                    );
+                    assert!(sup.connected(peer), "{}", case.name);
+                }
+            }
+            sup.shutdown();
+            assert_eq!(sink.delivered.lock().unwrap().len(), case.delivered, "{}", case.name);
+        }
     }
 }

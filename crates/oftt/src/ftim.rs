@@ -273,10 +273,6 @@ struct FtimCore {
     engine_restart_pending: bool,
     pending_restore: bool,
     restore_timer: Option<TimerHandle>,
-    /// Staging buffers for watchdog-table marshaling: every checkpoint
-    /// walkthrough re-encodes the table, and the pool keeps that from
-    /// costing a heap round trip per period.
-    ckpt_pool: comsim::pool::BufPool,
     probe: Arc<Mutex<FtimProbe>>,
 }
 
@@ -322,7 +318,6 @@ impl<A: FtApplication> FtProcess<A> {
                 engine_restart_pending: false,
                 pending_restore: false,
                 restore_timer: None,
-                ckpt_pool: comsim::pool::BufPool::new(),
                 probe,
             },
         }
@@ -428,29 +423,23 @@ impl<A: FtApplication> FtProcess<A> {
         env.observe_api("deactivate", reason);
     }
 
+    /// The watchdog table as a checkpoint variable's bytes: it rides along
+    /// with the image so watchdogs survive failover.
+    fn watchdog_image(&self) -> Option<comsim::buf::Bytes> {
+        comsim::marshal::to_shared(&self.core.watchdogs).ok()
+    }
+
     /// A live designated image built directly from the application — the
     /// restore-serve path, which must not disturb the shipping store.
-    fn current_vars(&self, env: &mut dyn ProcessEnv) -> VarSet {
+    fn current_vars(&self) -> VarSet {
         let mut vars = self.app.snapshot();
         if let Some(designated) = &self.core.designated {
             vars.retain(|name, _| designated.contains(name));
         }
-        // Watchdog state rides along so watchdogs survive failover. The
-        // table is marshaled through a pooled staging buffer; the lint's
-        // pool typestate proves take → fill → give on every path here.
         if !self.core.watchdogs.is_empty() {
-            // oftt-lint: pool(ckpt_staging)
-            let mut staging = self.core.ckpt_pool.take(64);
-            env.observe_api("pool", "ckpt_staging:take");
-            if comsim::marshal::to_bytes_into(&self.core.watchdogs, &mut staging).is_ok() {
-                vars.insert(
-                    WATCHDOG_VAR.to_string(),
-                    comsim::buf::Bytes::copy_from_slice(&staging),
-                );
+            if let Some(bytes) = self.watchdog_image() {
+                vars.insert(WATCHDOG_VAR.to_string(), bytes);
             }
-            // oftt-lint: pool(ckpt_staging)
-            self.core.ckpt_pool.give(staging);
-            env.observe_api("pool", "ckpt_staging:give");
         }
         vars
     }
@@ -460,7 +449,7 @@ impl<A: FtApplication> FtProcess<A> {
     /// incremental sync lets the application report only its write set.
     /// Either way the store's digests gate the dirty marks, so unchanged
     /// re-writes never dirty anything.
-    fn sync_store(&mut self, env: &mut dyn ProcessEnv, full_walk: bool) {
+    fn sync_store(&mut self, full_walk: bool) {
         if full_walk {
             for (name, bytes) in self.app.snapshot() {
                 self.core.ship_store.set(name, bytes);
@@ -468,22 +457,12 @@ impl<A: FtApplication> FtProcess<A> {
         } else {
             self.app.snapshot_dirty(&mut self.core.ship_store);
         }
-        // Watchdog state rides along; once shipped, keep it current even if
-        // the table empties (the peer must see the deletion). Marshaled
-        // through the pooled staging buffer, observed for the lint's
-        // static-covers-dynamic pool cross-check.
+        // Once shipped, the watchdog variable is kept current even if the
+        // table empties (the peer must see the deletion).
         if !self.core.watchdogs.is_empty() || self.core.ship_store.get(WATCHDOG_VAR).is_some() {
-            // oftt-lint: pool(ckpt_staging)
-            let mut staging = self.core.ckpt_pool.take(64);
-            env.observe_api("pool", "ckpt_staging:take");
-            if comsim::marshal::to_bytes_into(&self.core.watchdogs, &mut staging).is_ok() {
-                self.core
-                    .ship_store
-                    .set(WATCHDOG_VAR, comsim::buf::Bytes::copy_from_slice(&staging));
+            if let Some(bytes) = self.watchdog_image() {
+                self.core.ship_store.set(WATCHDOG_VAR, bytes);
             }
-            // oftt-lint: pool(ckpt_staging)
-            self.core.ckpt_pool.give(staging);
-            env.observe_api("pool", "ckpt_staging:give");
         }
     }
 
@@ -497,7 +476,7 @@ impl<A: FtApplication> FtProcess<A> {
                 self.core.need_full || self.core.deltas_since_full >= refresh_every
             }
         };
-        self.sync_store(env, full);
+        self.sync_store(full);
         // The walkthrough reads the application's state and rewrites the
         // node-local shipping store.
         env.observe_access(
@@ -746,7 +725,7 @@ impl<A: FtApplication> FtProcess<A> {
                         AccessKind::Read,
                         "serve live",
                     );
-                    let vars = self.current_vars(env);
+                    let vars = self.current_vars();
                     env.record(
                         TraceCategory::Checkpoint,
                         format!(
