@@ -69,7 +69,12 @@
 #                               shadow pair and ships image_crc(None) as a
 #                               full payload's crc, so it is the standing
 #                               guard that image checksum and full-payload
-#                               checksum stay one function
+#                               checksum stay one function. It also pins two
+#                               product-side counts that repeat exactly:
+#                               ftim.fulls_share is 0 on ckpt_sparse (a pair
+#                               whose acks confirm its images resends none, so
+#                               a blind refresh cannot come back unnoticed)
+#                               and 1 on ckpt_dense
 #
 # Exits non-zero on the first failing stage, naming it on stderr.
 
@@ -229,6 +234,19 @@ for trace in 0 1; do
         printf 'benchmark smoke (--trace %s): want 4 correct results with 0 failed, got:\n%s\n' \
             "$trace" "$results" >&2
         false
+    fi
+    if [ "$trace" -eq 1 ]; then
+        # run.sh's order is fixed: ckpt_sparse first, ckpt_dense second.
+        for want in '1 ckpt_sparse 0' '2 ckpt_dense 1'; do
+            read -r line workload share <<<"$want"
+            got=$(printf '%s\n' "$results" | sed -n "${line}p" |
+                grep -o '"ftim.fulls_share": {"value": [^,]*,' || true)
+            if [ "$got" != "\"ftim.fulls_share\": {\"value\": $share," ]; then
+                printf 'benchmark smoke: want ftim.fulls_share %s on %s, got: %s\n' \
+                    "$share" "$workload" "$got" >&2
+                false
+            fi
+        done
     fi
 done
 

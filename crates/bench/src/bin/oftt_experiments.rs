@@ -63,6 +63,9 @@ fn e5() {
             "mode",
             "ckpts",
             "fulls",
+            "timeout fulls",
+            "mismatches",
+            "confirmed = acked",
             "KB shipped",
             "KB/s",
             "ticks lost at crash",
@@ -83,6 +86,9 @@ fn e5() {
             let mut lost = Samples::new();
             let mut ckpts = 0;
             let mut fulls = 0;
+            let mut timeout_fulls = 0;
+            let mut mismatches = 0;
+            let mut confirmed = 0;
             let mut ok = 0;
             for seed in 0..SEEDS {
                 let outcome = run_checkpoint_experiment(&CheckpointParams {
@@ -97,6 +103,11 @@ fn e5() {
                 lost.push(outcome.lost.max(0) as f64);
                 ckpts += outcome.ckpts_sent;
                 fulls += outcome.fulls_sent;
+                timeout_fulls += outcome.unconfirmed_refreshes;
+                mismatches += outcome.image_mismatches;
+                if outcome.last_confirmed == outcome.last_acked {
+                    confirmed += 1;
+                }
                 if outcome.recovered_state_ok {
                     ok += 1;
                 }
@@ -107,6 +118,9 @@ fn e5() {
                 mode_label.to_string(),
                 format!("{:.0}", ckpts as f64 / SEEDS as f64),
                 format!("{:.0}", fulls as f64 / SEEDS as f64),
+                timeout_fulls.to_string(),
+                mismatches.to_string(),
+                format!("{confirmed}/{SEEDS}"),
                 format!("{:.0}", kb.mean()),
                 format!("{:.1}", kb.mean() / 60.0),
                 format!("{:.1}", lost.mean()),

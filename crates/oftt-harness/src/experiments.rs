@@ -353,6 +353,10 @@ pub fn run_checkpoint_experiment(params: &CheckpointParams) -> CheckpointOutcome
     CheckpointOutcome {
         ckpts_sent: probe.ckpts_sent,
         fulls_sent: probe.fulls_sent,
+        unconfirmed_refreshes: probe.unconfirmed_refreshes,
+        image_mismatches: probe.image_mismatches,
+        last_acked: probe.last_acked,
+        last_confirmed: probe.last_confirmed,
         bytes_sent: bytes_before,
         bytes_per_sec: bytes_before as f64 / uptime,
         recovered_state_ok: recovered_ok,

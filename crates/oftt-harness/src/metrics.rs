@@ -87,6 +87,14 @@ pub struct CheckpointOutcome {
     pub ckpts_sent: u64,
     /// Of which full images.
     pub fulls_sent: u64,
+    /// Of which resent because no ack confirmed an image in time.
+    pub unconfirmed_refreshes: u64,
+    /// Acks that reported an image other than the one shipped.
+    pub image_mismatches: u64,
+    /// Newest `(term, seq)` acknowledged by the backup.
+    pub last_acked: (u64, u64),
+    /// Newest `(term, seq)` whose image the backup's ack confirmed.
+    pub last_confirmed: (u64, u64),
     /// Total bytes shipped.
     pub bytes_sent: u64,
     /// Bytes per simulated second of primary uptime.

@@ -107,6 +107,11 @@ pub struct ParamOverrides {
     status_period: Option<SimDuration>,
     startup_retries: Option<u32>,
     startup_fallback: Option<StartupFallback>,
+    /// `0` selects `CheckpointMode::Full`; `n > 0` is `Selective`'s
+    /// `refresh_every`: how many ship opportunities an unconfirmed
+    /// checkpoint may wait for an ack carrying its image checksum before
+    /// the whole image is resent (not a blind refresh interval — a pair
+    /// whose acks confirm never resends).
     checkpoint_refresh_every: Option<u32>,
     link_base: Option<LinkBase>,
     link_loss: Option<f64>,

@@ -60,6 +60,11 @@ fn e5_selective_ships_fewer_bytes_than_full() {
         full.bytes_sent
     );
     assert!(full.ckpts_sent > 10);
+    // A healthy pair: every ack confirmed the image, so the one full image
+    // of the term was the only one.
+    assert_eq!(selective.fulls_sent, 1, "{selective:?}");
+    assert_eq!((selective.unconfirmed_refreshes, selective.image_mismatches), (0, 0));
+    assert_eq!(selective.last_confirmed, selective.last_acked, "{selective:?}");
 }
 
 #[test]

@@ -27,13 +27,17 @@ use comsim::pool::BufPool;
 
 /// Frame magic: `OFTW`.
 pub const MAGIC: [u8; 4] = *b"OFTW";
-/// Current protocol version. Version 2 changed nothing in the framing: it
-/// names the checkpoint checksum (`oftt::checkpoint::fold_digests`), which
-/// travels inside checkpoint bodies and which both ends must compute alike.
-/// Version 1 peers folded digests through Fletcher-32 in name order; a pair
-/// mixing the two would refuse every checkpoint as corrupt, so it is
-/// refused here, at the first header, instead.
-pub const VERSION: u8 = 2;
+/// Current protocol version. The framing has never changed; the number
+/// names what travels inside checkpoint-channel bodies and both ends must
+/// read alike. Version 3: `FtimPeerMsg::CkptAck` carries the backup's
+/// image checksum, which the primary compares with what it shipped. A
+/// version 2 peer's acks lack the field, so a mixed pair would form and
+/// then never confirm an image. Version 2 named the checkpoint checksum
+/// (`oftt::checkpoint::fold_digests`); version 1 peers folded digests
+/// through Fletcher-32 in name order, and a pair mixing those would refuse
+/// every checkpoint as corrupt. Either way the pair is refused here, at
+/// the first header, instead.
+pub const VERSION: u8 = 3;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 18;
 /// Hard cap on the marshaled meta block.
@@ -648,8 +652,8 @@ mod tests {
             FrameHeader { class: FrameClass::Handshake, epoch: 1, meta_len: 4, body_len: 0 }
                 .encode();
         assert_eq!(h[4], VERSION);
-        assert_eq!(VERSION, 2);
-        for other in [0u8, 1, 3] {
+        assert_eq!(VERSION, 3);
+        for other in [0u8, 1, 2, 4] {
             h[4] = other;
             assert!(matches!(
                 FrameHeader::decode(&h, DEFAULT_MAX_FRAME_BYTES),

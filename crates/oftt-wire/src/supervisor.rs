@@ -1118,46 +1118,56 @@ mod tests {
     }
 
     /// A node built before the checkpoint checksum changed speaks wire
-    /// version 1. Its handshake is well-formed in every other respect, and
-    /// it must still get no further than its first header: no link, no
-    /// event, nothing delivered — the pair refuses to form instead of
-    /// forming and then NACKing every checkpoint.
+    /// version 1; one built before acks carried the image checksum speaks
+    /// version 2. Their handshakes are well-formed in every other respect,
+    /// and they must still get no further than their first header: no link,
+    /// no event, nothing delivered — the pair refuses to form instead of
+    /// forming and then NACKing every checkpoint (1) or never confirming an
+    /// image (2).
     #[test]
-    fn version_1_peer_is_disconnected_at_its_first_header() {
+    fn older_version_peers_are_disconnected_at_their_first_header() {
         use std::io::{Read, Write};
 
-        let sink = Sink::new();
-        let mut config = WireConfig::loopback(NodeId(0));
-        config.accept_unknown = true;
-        let sup = Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
+        for version in [1u8, 2] {
+            let sink = Sink::new();
+            let mut config = WireConfig::loopback(NodeId(0));
+            config.accept_unknown = true;
+            let sup =
+                Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
 
-        let old_peer = NodeId(9);
-        let (hello, data) = raw_hello_and_data(old_peer, "from the past");
-        let hello_len = hello.len();
-        let mut wire = [hello, data].concat();
-        for frame_start in [0, hello_len] {
-            wire[frame_start + 4] = 1;
-        }
+            let old_peer = NodeId(9);
+            let (hello, data) = raw_hello_and_data(old_peer, "from the past");
+            let hello_len = hello.len();
+            let mut wire = [hello, data].concat();
+            for frame_start in [0, hello_len] {
+                wire[frame_start + 4] = version;
+            }
 
-        let mut stream = TcpStream::connect(sup.local_addr()).unwrap();
-        stream.write_all(&wire).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // The supervisor hangs up without a handshake reply: a clean EOF,
-        // or a reset because it closed with our data frame still unread.
-        let mut reply = [0u8; 64];
-        match stream.read(&mut reply) {
-            Ok(0) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-            other => panic!("expected a hang-up, got {other:?}"),
+            let mut stream = TcpStream::connect(sup.local_addr()).unwrap();
+            stream.write_all(&wire).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            // The supervisor hangs up without a handshake reply: a clean
+            // EOF, or a reset because it closed with our data frame still
+            // unread.
+            let mut reply = [0u8; 64];
+            match stream.read(&mut reply) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("version {version}: expected a hang-up, got {other:?}"),
+            }
+            let refusal = format!("unsupported wire version {version}");
+            assert!(
+                wait_for(
+                    || sink.traces.lock().unwrap().iter().any(|t| t.contains(&refusal)),
+                    Duration::from_secs(3)
+                ),
+                "version {version}: no {refusal:?} in the trace"
+            );
+            assert!(!sup.connected(old_peer), "version {version}");
+            assert!(sink.delivered.lock().unwrap().is_empty(), "version {version}");
+            assert!(sink.events.lock().unwrap().is_empty(), "version {version}");
+            sup.shutdown();
         }
-        assert!(wait_for(
-            || sink.traces.lock().unwrap().iter().any(|t| t.contains("unsupported wire version 1")),
-            Duration::from_secs(3)
-        ));
-        assert!(!sup.connected(old_peer));
-        assert!(sink.delivered.lock().unwrap().is_empty());
-        assert!(sink.events.lock().unwrap().is_empty());
-        sup.shutdown();
     }
 
     /// What the accept side of the handshake does, over a real socket: a

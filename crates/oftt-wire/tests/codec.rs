@@ -176,3 +176,31 @@ fn multi_megabyte_checkpoint_survives_the_codec() {
         assert_eq!(bytes.as_slice(), vars[name].as_slice(), "var {name}");
     }
 }
+
+/// Wire version 3's one change: the ack says what image the backup holds.
+/// The checksum must come out of the codec as it went in, at the edges of
+/// its range too.
+#[test]
+fn checkpoint_ack_carries_the_image_checksum_through_the_codec() {
+    use oftt::messages::FtimPeerMsg;
+
+    let codec = WireCodec::standard();
+    for crc in [0, 1, u32::MAX] {
+        let envelope = Envelope::new(
+            Endpoint::new(NodeId(1), "app"),
+            Endpoint::new(NodeId(0), "app"),
+            FtimPeerMsg::CkptAck { term: 5, seq: 40, crc },
+        );
+        let (meta, payload) = codec.encode_envelope(&envelope).unwrap().unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload.class, 9, &meta, &payload.head, &payload.shared).unwrap();
+        let frame = read_frame(&mut Cursor::new(&wire), MAX_FRAME).unwrap();
+        let back = codec.decode_frame(&frame).unwrap();
+        let Some(&FtimPeerMsg::CkptAck { term, seq, crc: back_crc }) =
+            back.body.downcast_ref::<FtimPeerMsg>()
+        else {
+            panic!("wrong variant");
+        };
+        assert_eq!((term, seq, back_crc), (5, 40, crc));
+    }
+}

@@ -38,10 +38,13 @@
 //! `u32` that travels in [`Checkpoint::crc`] could not promise that.)
 //!
 //! One function serves images and payloads alike: a full checkpoint's
-//! payload checksum *is* the image checksum. The value is wire-visible, so
-//! `oftt_wire::frame::VERSION` names the combiner: version 1 peers folded
-//! digests through Fletcher in name order and are refused at the first
-//! frame header.
+//! payload checksum *is* the image checksum. The value is wire-visible
+//! twice — in every checkpoint, and since wire version 3 in every ack,
+//! where the backup reports [`CheckpointStore::image_crc`] and the primary
+//! compares it with the [`VarStore::image_crc`] it shipped — so
+//! `oftt_wire::frame::VERSION` names both: version 1 peers folded digests
+//! through Fletcher in name order, version 2 peers acknowledge without a
+//! checksum, and either is refused at the first frame header.
 
 // oftt-lint: nonblocking
 

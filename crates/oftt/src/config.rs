@@ -99,11 +99,18 @@ pub enum CheckpointMode {
     /// walkthrough" of paper §2.2.2).
     Full,
     /// Only variables whose content changed since the last shipped
-    /// checkpoint (the user-directed optimization of refs [10, 11]);
-    /// a full image is sent first and refreshed every `refresh_every`
-    /// checkpoints.
+    /// checkpoint (the user-directed optimization of refs [10, 11]). A
+    /// full image is sent first in every term, and again only when there
+    /// is a reason: the backup asked (NACK), the designation changed, an
+    /// ack's image checksum differed from the one shipped — or no ack
+    /// confirmed anything for `refresh_every` ship opportunities. A pair
+    /// whose acks confirm its images never resends one.
     Selective {
-        /// Deltas between full refreshes.
+        /// Ship opportunities (checkpoint periods and `OFTTSave` calls,
+        /// whether or not anything had changed) an unconfirmed ship may
+        /// wait for an ack carrying its image checksum before the whole
+        /// image is resent. A silent peer therefore gets one full image
+        /// per `refresh_every` deltas; a confirming one gets none.
         refresh_every: u32,
     },
 }

@@ -19,6 +19,7 @@
 //! The paper's *OPC server FTIM* (stateless, heartbeat-only) is
 //! [`ServerFtProcess`].
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ds_net::endpoint::Endpoint;
@@ -117,6 +118,18 @@ pub struct FtimProbe {
     pub last_reject: Option<RejectReason>,
     /// Highest `(term, seq)` acknowledged by the peer.
     pub last_acked: (u64, u64),
+    /// Newest `(term, seq)` at which the peer's ack carried the image
+    /// checksum this FTIM shipped: "is the backup's image current" is
+    /// `last_confirmed` equal to the newest shipped position.
+    pub last_confirmed: (u64, u64),
+    /// Acks whose image checksum differed from the one shipped at that
+    /// position — the backup's image had diverged; each is answered by a
+    /// full image on the next ship.
+    pub image_mismatches: u64,
+    /// Full images shipped because `refresh_every` ship opportunities
+    /// passed without a confirmation (as opposed to first-of-term, NACK,
+    /// designation change or checksum mismatch).
+    pub unconfirmed_refreshes: u64,
     /// Restores performed: (when, variables, from_local_store).
     pub restores: Vec<(SimTime, usize, bool)>,
     /// Activations that had no state to restore (data loss).
@@ -260,8 +273,13 @@ struct FtimCore {
     /// cached content digests + running image checksum.
     ship_store: VarStore,
     ckpt_seq: u64,
-    deltas_since_full: u32,
     need_full: bool,
+    /// Calls of `ship_checkpoint` made while active — the clock unconfirmed
+    /// ships age by, whether or not the call had anything to ship.
+    ship_opportunities: u64,
+    /// Ships since the last full image (inclusive) that no ack has
+    /// confirmed yet, oldest first.
+    unconfirmed: VecDeque<Unconfirmed>,
     store: CheckpointStore,
     /// `(term, seq)` of the newest checkpoint this incarnation shipped
     /// while primary — used to decide whether the local store is actually
@@ -274,6 +292,54 @@ struct FtimCore {
     pending_restore: bool,
     restore_timer: Option<TimerHandle>,
     probe: Arc<Mutex<FtimProbe>>,
+}
+
+/// One shipped checkpoint whose image the backup has not confirmed.
+struct Unconfirmed {
+    position: (u64, u64),
+    /// The cumulative image checksum at ship time — what the backup's
+    /// merged image must checksum to once it holds `position`.
+    image_crc: u32,
+    /// `ship_opportunities` when it was shipped.
+    shipped_at: u64,
+}
+
+/// What an ack's image checksum says about an unconfirmed ship.
+enum AckVerdict {
+    /// Nothing: this FTIM is not the active primary of that term, or the
+    /// position was already confirmed or superseded by a full image.
+    Ignored,
+    /// The backup holds the image shipped at that position. The checksum
+    /// is cumulative, so every earlier ship is confirmed with it.
+    Confirmed,
+    /// The backup's image differs from the one shipped (`shipped` is this
+    /// side's checksum); the next ship is a full image.
+    Mismatch { shipped: u32 },
+}
+
+impl FtimCore {
+    /// Compares an ack's image checksum with the one recorded when that
+    /// position was shipped.
+    fn judge_ack(&mut self, term: u64, seq: u64, crc: u32) -> AckVerdict {
+        if !self.active || term != self.term {
+            return AckVerdict::Ignored;
+        }
+        let Some(at) = self.unconfirmed.iter().position(|u| u.position == (term, seq)) else {
+            return AckVerdict::Ignored;
+        };
+        let shipped = self.unconfirmed[at].image_crc;
+        if shipped == crc {
+            self.unconfirmed.drain(..=at);
+            AckVerdict::Confirmed
+        } else {
+            // The full image this asks for supersedes everything in the
+            // list, so later acks of the diverged image are not counted
+            // again.
+            self.need_full = true;
+            self.unconfirmed.clear();
+            AckVerdict::Mismatch { shipped }
+        }
+    }
 }
 
 /// The client-FTIM process: wraps an [`FtApplication`].
@@ -308,8 +374,9 @@ impl<A: FtApplication> FtProcess<A> {
                 designated: None,
                 ship_store: VarStore::new(),
                 ckpt_seq: 0,
-                deltas_since_full: 0,
                 need_full: true,
+                ship_opportunities: 0,
+                unconfirmed: VecDeque::new(),
                 store: CheckpointStore::new(),
                 shipped_position: (0, 0),
                 watchdogs: WatchdogTable::new(),
@@ -380,7 +447,7 @@ impl<A: FtApplication> FtProcess<A> {
         self.core.active = true;
         self.core.need_full = true;
         self.core.ckpt_seq = 0;
-        self.core.deltas_since_full = 0;
+        self.core.unconfirmed.clear();
         self.core.ship_store.clear();
         // oftt-lint: lock(ftim-probe)
         self.core.probe.lock().activations.push(now);
@@ -394,7 +461,7 @@ impl<A: FtApplication> FtProcess<A> {
     fn activate_in_place(&mut self, env: &mut dyn ProcessEnv) {
         self.core.active = true;
         self.core.need_full = true;
-        self.core.deltas_since_full = 0;
+        self.core.unconfirmed.clear();
         self.core.ship_store.clear();
         // oftt-lint: lock(ftim-probe)
         self.core.probe.lock().activations.push(env.now());
@@ -470,12 +537,20 @@ impl<A: FtApplication> FtProcess<A> {
         if !self.core.active {
             return;
         }
-        let full = match self.core.config.checkpoint_mode {
-            CheckpointMode::Full => true,
-            CheckpointMode::Selective { refresh_every } => {
-                self.core.need_full || self.core.deltas_since_full >= refresh_every
-            }
+        self.core.ship_opportunities += 1;
+        // A full image goes out when something asked for one (first of a
+        // term, NACK, designation change, checksum mismatch) or when the
+        // oldest unconfirmed ship has waited `refresh_every` opportunities
+        // for an ack that confirms it — never on a timer alone.
+        let patience = match self.core.config.checkpoint_mode {
+            CheckpointMode::Full => None,
+            CheckpointMode::Selective { refresh_every } => Some(u64::from(refresh_every)),
         };
+        let oldest = self.core.unconfirmed.front();
+        let waited = oldest.map_or(0, |oldest| self.core.ship_opportunities - oldest.shipped_at);
+        let overdue = patience.is_some_and(|patience| waited > patience);
+        let full = patience.is_none() || self.core.need_full || overdue;
+        let unconfirmed_refresh = overdue && !self.core.need_full;
         self.sync_store(full);
         // The walkthrough reads the application's state and rewrites the
         // node-local shipping store.
@@ -498,7 +573,9 @@ impl<A: FtApplication> FtProcess<A> {
         } else {
             let delta = self.core.ship_store.take_dirty(designated);
             if delta.is_empty() {
-                return; // nothing changed; the peer's copy is current
+                // Nothing to ship; whether the peer is current is what the
+                // confirmation clock decides.
+                return;
             }
             let crc = self.core.ship_store.crc_of(&delta);
             (CheckpointPayload::Delta(delta), crc)
@@ -506,10 +583,19 @@ impl<A: FtApplication> FtProcess<A> {
         self.core.ckpt_seq += 1;
         if full {
             self.core.need_full = false;
-            self.core.deltas_since_full = 0;
-        } else {
-            self.core.deltas_since_full += 1;
+            self.core.unconfirmed.clear();
         }
+        self.core.unconfirmed.push_back(Unconfirmed {
+            position: (self.core.term, self.core.ckpt_seq),
+            image_crc,
+            shipped_at: self.core.ship_opportunities,
+        });
+        // One entry per opportunity at most, and none older than
+        // `refresh_every` opportunities survives the test above.
+        assert!(
+            self.core.unconfirmed.len() as u64 <= patience.map_or(1, |patience| patience + 1),
+            "unconfirmed ships outgrew their bound"
+        );
         let checkpoint = Checkpoint::with_crc(
             self.core.term,
             self.core.ckpt_seq,
@@ -544,6 +630,9 @@ impl<A: FtApplication> FtProcess<A> {
             probe.ckpt_bytes_sent += size;
             if full {
                 probe.fulls_sent += 1;
+            }
+            if unconfirmed_refresh {
+                probe.unconfirmed_refreshes += 1;
             }
             drop(probe);
             env.observe_lock(&lock_name, false);
@@ -673,7 +762,7 @@ impl<A: FtApplication> FtProcess<A> {
                                 env.self_endpoint()
                             ),
                         );
-                        env.send_msg(from, FtimPeerMsg::CkptAck { term, seq });
+                        env.send_msg(from, FtimPeerMsg::CkptAck { term, seq, crc });
                     }
                     AcceptOutcome::Rejected(reason) => {
                         {
@@ -686,7 +775,8 @@ impl<A: FtApplication> FtProcess<A> {
                             // Retransmission: re-ack our position so the
                             // peer makes progress.
                             let (term, seq) = self.core.store.position();
-                            env.send_msg(from, FtimPeerMsg::CkptAck { term, seq });
+                            let crc = self.core.store.image_crc();
+                            env.send_msg(from, FtimPeerMsg::CkptAck { term, seq, crc });
                         } else {
                             env.record(
                                 TraceCategory::Checkpoint,
@@ -700,15 +790,33 @@ impl<A: FtApplication> FtProcess<A> {
                     }
                 }
             }
-            FtimPeerMsg::CkptAck { term, seq } => {
+            FtimPeerMsg::CkptAck { term, seq, crc } => {
                 env.record(
                     TraceCategory::Checkpoint,
                     format!("{}: ckpt acked (term={term} seq={seq})", env.self_endpoint()),
                 );
-                // oftt-lint: lock(ftim-probe)
-                let mut probe = self.core.probe.lock();
-                if (term, seq) > probe.last_acked {
-                    probe.last_acked = (term, seq);
+                let verdict = self.core.judge_ack(term, seq, crc);
+                {
+                    // oftt-lint: lock(ftim-probe)
+                    let mut probe = self.core.probe.lock();
+                    if (term, seq) > probe.last_acked {
+                        probe.last_acked = (term, seq);
+                    }
+                    match verdict {
+                        AckVerdict::Ignored => {}
+                        AckVerdict::Confirmed => probe.last_confirmed = (term, seq),
+                        AckVerdict::Mismatch { .. } => probe.image_mismatches += 1,
+                    }
+                }
+                if let AckVerdict::Mismatch { shipped } = verdict {
+                    env.record(
+                        TraceCategory::Checkpoint,
+                        format!(
+                            "{}: ckpt image mismatch (term={term} seq={seq}): shipped crc \
+                             {shipped}, peer holds {crc}; next ship is a full image",
+                            env.self_endpoint()
+                        ),
+                    );
                 }
             }
             FtimPeerMsg::CkptNack => {
@@ -968,5 +1076,79 @@ impl<P: Process> Process for ServerFtProcess<P> {
             return; // role changes don't affect a stateless server
         }
         self.inner.on_message(envelope, env);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Pair;
+    use ds_net::endpoint::NodeId;
+
+    struct NoState;
+
+    impl FtApplication for NoState {
+        fn snapshot(&self) -> VarSet {
+            VarSet::new()
+        }
+        fn restore(&mut self, _image: &VarSet) {}
+    }
+
+    /// An active term-3 primary with ships 5, 6 and 7 unconfirmed, shipped
+    /// with image checksums 105, 106 and 107.
+    fn three_unconfirmed() -> FtimCore {
+        let config = OfttConfig::new(Pair::new(NodeId(0), NodeId(1)));
+        let mut core =
+            FtProcess::new(config, RecoveryRule::default(), NoState, Default::default()).core;
+        core.active = true;
+        core.term = 3;
+        core.need_full = false;
+        core.unconfirmed = (5..=7)
+            .map(|seq| Unconfirmed {
+                position: (3, seq),
+                image_crc: 100 + seq as u32,
+                shipped_at: seq,
+            })
+            .collect();
+        core
+    }
+
+    fn outstanding(core: &FtimCore) -> Vec<u64> {
+        core.unconfirmed.iter().map(|u| u.position.1).collect()
+    }
+
+    #[test]
+    fn matching_ack_confirms_its_ship_and_every_earlier_one() {
+        let mut core = three_unconfirmed();
+        assert!(matches!(core.judge_ack(3, 6, 106), AckVerdict::Confirmed));
+        assert_eq!(outstanding(&core), [7]);
+        // Its late twin, and the ack of a ship it already covered, say
+        // nothing new — whatever checksum they carry.
+        assert!(matches!(core.judge_ack(3, 6, 106), AckVerdict::Ignored));
+        assert!(matches!(core.judge_ack(3, 5, 0), AckVerdict::Ignored));
+        assert_eq!(outstanding(&core), [7]);
+        assert!(!core.need_full);
+    }
+
+    #[test]
+    fn differing_ack_asks_for_a_full_image_once() {
+        let mut core = three_unconfirmed();
+        assert!(matches!(core.judge_ack(3, 6, 999), AckVerdict::Mismatch { shipped: 106 }));
+        assert!(core.need_full);
+        // The full image supersedes the list; the diverged image's other
+        // acks are not counted again.
+        assert!(matches!(core.judge_ack(3, 7, 999), AckVerdict::Ignored));
+    }
+
+    #[test]
+    fn acks_are_judged_only_by_the_active_primary_of_their_term() {
+        let mut core = three_unconfirmed();
+        assert!(matches!(core.judge_ack(4, 7, 999), AckVerdict::Ignored));
+        assert!(matches!(core.judge_ack(2, 7, 107), AckVerdict::Ignored));
+        core.active = false;
+        assert!(matches!(core.judge_ack(3, 7, 999), AckVerdict::Ignored));
+        assert!(matches!(core.judge_ack(3, 7, 107), AckVerdict::Ignored));
+        assert_eq!(outstanding(&core), [5, 6, 7]);
+        assert!(!core.need_full);
     }
 }

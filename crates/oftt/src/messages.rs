@@ -164,12 +164,18 @@ pub struct RoleReport {
 pub enum FtimPeerMsg {
     /// A checkpoint from the primary-side FTIM.
     Ckpt(Checkpoint),
-    /// Backup acknowledges installing `(term, seq)`.
+    /// Backup acknowledges holding `(term, seq)` and says what it holds:
+    /// the primary compares `crc` with the image checksum it computed when
+    /// it shipped that position, so an ack is a confirmation of the image
+    /// and not only of the delivery.
     CkptAck {
         /// Acknowledged term.
         term: u64,
         /// Acknowledged sequence.
         seq: u64,
+        /// [`crate::checkpoint::CheckpointStore::image_crc`] of the
+        /// backup's merged image at that position.
+        crc: u32,
     },
     /// Backup cannot apply a delta; primary must resend a full image.
     CkptNack,

@@ -2,7 +2,6 @@
 //! a switchover, `OFTTSave` ships immediately (event-based checkpointing),
 //! and `OFTTSelSave` designation filters what travels.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ds_net::link::Link;
@@ -10,7 +9,7 @@ use ds_net::message::Envelope;
 use ds_net::node::NodeConfig;
 use ds_net::prelude::{ClusterSim, NodeId, SimTime};
 use ds_net::process::{Process, ProcessEnv};
-use oftt::checkpoint::{RejectReason, VarSet};
+use oftt::checkpoint::{Checkpoint, CheckpointPayload, RejectReason, VarSet};
 use oftt::messages::FtimPeerMsg;
 use oftt::prelude::*;
 use parking_lot::Mutex;
@@ -64,6 +63,11 @@ impl FtApplication for Scripted {
                 // OFTTSave: event-based checkpoint, right now.
                 oftt::api::oftt_save(ctx);
             }
+            "bump" => {
+                // Travels with the next periodic checkpoint.
+                self.small += 1;
+                *self.view.lock() = (self.small, true);
+            }
             "designate-small" => {
                 // OFTTSelSave: only `small` travels from here on.
                 oftt::api::oftt_sel_save(ctx, &["small"]);
@@ -77,30 +81,79 @@ impl FtApplication for Scripted {
     }
 }
 
-/// Sits in front of an FTIM like a faulty last hop: while `armed`, the next
-/// checkpoint delivered has one bit of its crc flipped (and disarms).
-struct FlipNextCrc<P> {
-    inner: P,
-    armed: Arc<AtomicBool>,
+/// What the faulty last hop in front of each FTIM does to checkpoint
+/// traffic. The `Next…` faults hit one message and disarm.
+#[derive(Clone, Copy, PartialEq)]
+enum HopFault {
+    None,
+    /// One bit of the next checkpoint's crc flips.
+    FlipNextCrc,
+    /// The next delta vanishes.
+    DropNextDelta,
+    /// The next delta loses this variable and stays *valid*:
+    /// `Checkpoint::new` recomputes the payload crc, so the store installs
+    /// it and the two images really diverge.
+    ThinNextDelta(&'static str),
+    /// Every ack vanishes, until disarmed.
+    DropAcks,
 }
 
-impl<P: Process> Process for FlipNextCrc<P> {
+/// Sits in front of an FTIM like a faulty last hop, applying whichever
+/// [`HopFault`] the test armed.
+struct FaultyHop<P> {
+    inner: P,
+    fault: Arc<Mutex<HopFault>>,
+}
+
+impl<P> FaultyHop<P> {
+    /// The envelope as the FTIM behind this hop gets to see it, if at all.
+    fn pass(&self, envelope: Envelope) -> Option<Envelope> {
+        let mut fault = self.fault.lock();
+        let hit = match (*fault, envelope.body.downcast_ref::<FtimPeerMsg>()) {
+            (HopFault::DropAcks, Some(FtimPeerMsg::CkptAck { .. })) => return None,
+            (HopFault::FlipNextCrc, Some(FtimPeerMsg::Ckpt(_))) => true,
+            (HopFault::DropNextDelta | HopFault::ThinNextDelta(_), Some(FtimPeerMsg::Ckpt(c))) => {
+                !c.payload.is_full()
+            }
+            _ => false,
+        };
+        if !hit {
+            return Some(envelope);
+        }
+        let armed = std::mem::replace(&mut *fault, HopFault::None);
+        let Ok(FtimPeerMsg::Ckpt(mut checkpoint)) = envelope.body.downcast() else {
+            unreachable!("just matched a checkpoint")
+        };
+        match armed {
+            HopFault::FlipNextCrc => checkpoint.crc ^= 1 << 7,
+            HopFault::ThinNextDelta(var) => {
+                let mut vars = checkpoint.payload.vars().clone();
+                assert!(vars.remove(var).is_some(), "the delta carries {var:?}");
+                checkpoint = Checkpoint::new(
+                    checkpoint.term,
+                    checkpoint.seq,
+                    checkpoint.taken_at,
+                    CheckpointPayload::Delta(vars),
+                );
+            }
+            HopFault::DropNextDelta => return None,
+            HopFault::None | HopFault::DropAcks => unreachable!("these hit no checkpoint"),
+        }
+        Some(Envelope::new(envelope.from, envelope.to, FtimPeerMsg::Ckpt(checkpoint)))
+    }
+}
+
+impl<P: Process> Process for FaultyHop<P> {
     fn on_start(&mut self, env: &mut dyn ProcessEnv) {
         self.inner.on_start(env);
     }
     fn on_timer(&mut self, token: u64, env: &mut dyn ProcessEnv) {
         self.inner.on_timer(token, env);
     }
-    fn on_message(&mut self, mut envelope: Envelope, env: &mut dyn ProcessEnv) {
-        let is_ckpt = matches!(envelope.body.downcast_ref(), Some(FtimPeerMsg::Ckpt(_)));
-        if is_ckpt && self.armed.swap(false, Ordering::SeqCst) {
-            let Ok(FtimPeerMsg::Ckpt(mut checkpoint)) = envelope.body.downcast() else {
-                unreachable!("just matched a checkpoint")
-            };
-            checkpoint.crc ^= 1 << 7;
-            envelope = Envelope::new(envelope.from, envelope.to, FtimPeerMsg::Ckpt(checkpoint));
+    fn on_message(&mut self, envelope: Envelope, env: &mut dyn ProcessEnv) {
+        if let Some(envelope) = self.pass(envelope) {
+            self.inner.on_message(envelope, env);
         }
-        self.inner.on_message(envelope, env);
     }
 }
 
@@ -111,8 +164,8 @@ struct Rig {
     probes: [Arc<Mutex<EngineProbe>>; 2],
     ftims: [Arc<Mutex<FtimProbe>>; 2],
     views: [Arc<Mutex<(u64, bool)>>; 2],
-    /// Arms [`FlipNextCrc`] on whichever FTIM receives the next checkpoint.
-    flip_next_crc: Arc<AtomicBool>,
+    /// Arms a [`HopFault`] in front of both FTIMs.
+    hop: Arc<Mutex<HopFault>>,
 }
 
 fn rig(seed: u64) -> Rig {
@@ -128,7 +181,7 @@ fn rig(seed: u64) -> Rig {
     let ftims =
         [Arc::new(Mutex::new(FtimProbe::default())), Arc::new(Mutex::new(FtimProbe::default()))];
     let views = [Arc::new(Mutex::new((0, false))), Arc::new(Mutex::new((0, false)))];
-    let flip_next_crc = Arc::new(AtomicBool::new(false));
+    let hop = Arc::new(Mutex::new(HopFault::None));
     for (idx, node) in [a, b].into_iter().enumerate() {
         let engine_config = config.clone();
         let probe = probes[idx].clone();
@@ -141,25 +194,25 @@ fn rig(seed: u64) -> Rig {
         let app_config = config.clone();
         let ftim = ftims[idx].clone();
         let view = views[idx].clone();
-        let armed = flip_next_crc.clone();
+        let fault = hop.clone();
         cs.register_service(
             node,
             "scripted",
             Box::new(move || {
-                Box::new(FlipNextCrc {
+                Box::new(FaultyHop {
                     inner: FtProcess::new(
                         app_config.clone(),
                         RecoveryRule::default(),
                         Scripted::new(view.clone()),
                         ftim.clone(),
                     ),
-                    armed: armed.clone(),
+                    fault: fault.clone(),
                 })
             }),
             true,
         );
     }
-    Rig { cs, a, b, probes, ftims, views, flip_next_crc }
+    Rig { cs, a, b, probes, ftims, views, hop }
 }
 
 fn primary(rig: &Rig) -> (NodeId, usize) {
@@ -298,7 +351,7 @@ fn corrupt_checkpoint_is_counted_nacked_and_healed_by_a_full_image() {
     let installed_before = r.ftims[backup].lock().ckpts_installed;
 
     // One event save ships a delta; one bit of its crc flips on the way.
-    r.flip_next_crc.store(true, Ordering::SeqCst);
+    *r.hop.lock() = HopFault::FlipNextCrc;
     r.cs.post(
         SimTime::from_millis(10_100),
         ds_net::Endpoint::new(p, "scripted"),
@@ -330,6 +383,257 @@ fn corrupt_checkpoint_is_counted_nacked_and_healed_by_a_full_image() {
     ds_net::fault::inject(&mut r.cs, SimTime::from_secs(12), ds_net::fault::Fault::CrashNode(p));
     r.cs.run_until(SimTime::from_secs(30));
     assert_eq!(*r.views[backup].lock(), (1, true));
+}
+
+/// `(term, seq, crc)` out of a [`last_ckpt_stamp`].
+fn stamp_numbers(stamp: &str) -> (u64, u64, u32) {
+    let (term, rest) = stamp.split_once(" seq=").expect("seq");
+    let (seq, crc) = rest.split_once(" crc=").expect("crc");
+    let number = |text: &str| text.trim_end_matches(')').parse::<u64>().expect("number");
+    (number(term), number(seq), number(crc) as u32)
+}
+
+/// The default mode's patience: ship opportunities without a confirmation
+/// before the whole image is resent.
+fn refresh_every() -> u64 {
+    match CheckpointMode::default() {
+        CheckpointMode::Selective { refresh_every } => u64::from(refresh_every),
+        CheckpointMode::Full => unreachable!("the default mode is selective"),
+    }
+}
+
+/// A formed pair at `t = 10 s` whose application then changes one variable
+/// in the middle of each of the next `periods` checkpoint periods, so every
+/// periodic checkpoint has a delta to ship. Returns the primary's index.
+fn formed_then_busy(r: &mut Rig, periods: u64) -> usize {
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(r);
+    for i in 0..periods {
+        r.cs.post(
+            SimTime::from_millis(10_500 + 1_000 * i),
+            ds_net::Endpoint::new(p, "scripted"),
+            "bump".to_string(),
+        );
+    }
+    idx
+}
+
+fn mismatch_lines(r: &Rig) -> usize {
+    r.cs.trace().entries().iter().filter(|e| e.message.contains("ckpt image mismatch")).count()
+}
+
+#[test]
+fn healthy_pair_ships_one_full_image_per_term() {
+    let mut r = rig(706);
+    let idx = formed_then_busy(&mut r, 200);
+    let sent_before = r.ftims[idx].lock().ckpts_sent;
+    r.cs.run_until(SimTime::from_secs(211));
+    let probe = r.ftims[idx].lock();
+    assert_eq!(probe.ckpts_sent, sent_before + 200, "one delta per period");
+    assert_eq!(probe.fulls_sent, 1, "every ack confirmed the image; nothing to refresh");
+    assert_eq!(probe.unconfirmed_refreshes, 0);
+    assert_eq!(probe.image_mismatches, 0);
+    assert_eq!(probe.last_confirmed, probe.last_acked);
+    let shipped = last_ckpt_stamp(&r, "ckpt shipped").expect("shipped");
+    let (term, seq, _) = stamp_numbers(&shipped);
+    assert_eq!(probe.last_confirmed, (term, seq), "the backup's image is current");
+}
+
+#[test]
+fn lost_final_delta_is_repaired_while_the_application_is_idle() {
+    let mut r = rig(707);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let backup = 1 - idx;
+    // The last thing the application does before going quiet is lost on
+    // the way: no later delta arrives to be out of order, nothing NACKs.
+    *r.hop.lock() = HopFault::DropNextDelta;
+    r.cs.post(
+        SimTime::from_millis(10_100),
+        ds_net::Endpoint::new(p, "scripted"),
+        "bump-and-save".to_string(),
+    );
+    r.cs.run_until(SimTime::from_secs(11));
+    assert!(*r.hop.lock() == HopFault::None, "the delta was swallowed");
+    assert_ne!(last_ckpt_stamp(&r, "ckpt shipped"), last_ckpt_stamp(&r, "ckpt installed"));
+    let fulls_before = r.ftims[idx].lock().fulls_sent;
+
+    // Idle periods are ship opportunities too: the unconfirmed delta runs
+    // out of patience and the whole image goes again.
+    r.cs.run_until(SimTime::from_millis(10_100 + 1_000 * (refresh_every() + 2)));
+    {
+        let probe = r.ftims[idx].lock();
+        assert_eq!(probe.fulls_sent, fulls_before + 1);
+        assert_eq!(probe.unconfirmed_refreshes, 1);
+        assert_eq!(probe.last_confirmed, probe.last_acked);
+    }
+    let shipped = last_ckpt_stamp(&r, "ckpt shipped");
+    assert!(shipped.is_some());
+    assert_eq!(shipped, last_ckpt_stamp(&r, "ckpt installed"));
+    // Confirmed, so the idle pair goes quiet again.
+    r.cs.run_until(SimTime::from_secs(120));
+    assert_eq!(r.ftims[idx].lock().fulls_sent, fulls_before + 1);
+
+    ds_net::fault::inject(&mut r.cs, SimTime::from_secs(120), ds_net::fault::Fault::CrashNode(p));
+    r.cs.run_until(SimTime::from_secs(135));
+    assert_eq!(*r.views[backup].lock(), (1, true), "the swallowed bump survived");
+}
+
+#[test]
+fn diverged_backup_image_is_detected_by_the_ack_and_healed_by_the_next_ship() {
+    let mut r = rig(708);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let backup = 1 - idx;
+    let scripted = ds_net::Endpoint::new(p, "scripted");
+    let (sent_before, fulls_before) = {
+        let probe = r.ftims[idx].lock();
+        (probe.ckpts_sent, probe.fulls_sent)
+    };
+    let installed_before = r.ftims[backup].lock().ckpts_installed;
+
+    // The delta arrives valid but without the variable it was sent to
+    // carry: the backup installs it, and its image is now wrong.
+    *r.hop.lock() = HopFault::ThinNextDelta("small");
+    r.cs.post(SimTime::from_millis(10_100), scripted.clone(), "bump-and-save".to_string());
+    r.cs.run_until(SimTime::from_millis(10_150));
+    assert_eq!(r.ftims[backup].lock().ckpts_installed, installed_before + 1);
+    assert_eq!(r.ftims[backup].lock().ckpts_rejected, 0, "nothing for the store to refuse");
+    // The ack said what the backup holds; the primary noticed.
+    assert_eq!(r.ftims[idx].lock().image_mismatches, 1);
+    assert_eq!(mismatch_lines(&r), 1);
+    assert_ne!(last_ckpt_stamp(&r, "ckpt shipped"), last_ckpt_stamp(&r, "ckpt installed"));
+
+    // The very next ship — the periodic one, with nothing new to carry — is
+    // a full image, and the stamps agree again.
+    r.cs.run_until(SimTime::from_millis(11_900));
+    {
+        let probe = r.ftims[idx].lock();
+        assert_eq!(probe.ckpts_sent, sent_before + 2, "the thinned delta, then its repair");
+        assert_eq!(probe.fulls_sent, fulls_before + 1);
+        assert_eq!(probe.unconfirmed_refreshes, 0, "asked for, not timed out");
+        assert_eq!(probe.last_confirmed, probe.last_acked);
+    }
+    let shipped = last_ckpt_stamp(&r, "ckpt shipped");
+    assert!(shipped.is_some());
+    assert_eq!(shipped, last_ckpt_stamp(&r, "ckpt installed"));
+
+    // One divergence, one repair: later deltas confirm and nothing more is
+    // resent or reported.
+    for i in 0..40 {
+        r.cs.post(SimTime::from_millis(12_500 + 1_000 * i), scripted.clone(), "bump".to_string());
+    }
+    r.cs.run_until(SimTime::from_secs(53));
+    {
+        let probe = r.ftims[idx].lock();
+        assert_eq!(probe.ckpts_sent, sent_before + 42);
+        assert_eq!(probe.fulls_sent, fulls_before + 1);
+        assert_eq!(probe.image_mismatches, 1);
+        assert_eq!(probe.last_confirmed, probe.last_acked);
+    }
+    assert_eq!(mismatch_lines(&r), 1);
+
+    ds_net::fault::inject(&mut r.cs, SimTime::from_secs(53), ds_net::fault::Fault::CrashNode(p));
+    r.cs.run_until(SimTime::from_secs(70));
+    assert_eq!(*r.views[backup].lock(), (41, true), "the dropped variable survived");
+}
+
+#[test]
+fn unacknowledged_ships_get_a_full_image_at_the_old_refresh_cadence() {
+    let mut r = rig(709);
+    let idx = formed_then_busy(&mut r, 100);
+    let before = {
+        let probe = r.ftims[idx].lock();
+        (probe.ckpts_sent, probe.fulls_sent, probe.last_acked, probe.last_confirmed)
+    };
+    *r.hop.lock() = HopFault::DropAcks;
+    // `ckpts_sent` at each full image shipped from here on, sampled more
+    // often than anything ships.
+    let mut fulls_at = Vec::new();
+    let mut fulls_seen = before.1;
+    for half_second in 0..=202 {
+        r.cs.run_until(SimTime::from_millis(10_000 + 500 * half_second));
+        let probe = r.ftims[idx].lock();
+        if probe.fulls_sent > fulls_seen {
+            fulls_seen = probe.fulls_sent;
+            fulls_at.push(probe.ckpts_sent - before.0);
+        }
+    }
+    // With no evidence either way the insurance is what it always was:
+    // `refresh_every` deltas, then the whole image.
+    let cycle = refresh_every() + 1;
+    assert_eq!(fulls_at, [cycle + 1, 2 * cycle + 1, 3 * cycle + 1]);
+    let probe = r.ftims[idx].lock();
+    assert_eq!(probe.ckpts_sent, before.0 + 100);
+    assert_eq!(probe.unconfirmed_refreshes, 3, "each counted as a timeout");
+    assert_eq!(probe.image_mismatches, 0);
+    assert_eq!((probe.last_acked, probe.last_confirmed), (before.2, before.3));
+}
+
+#[test]
+fn acks_of_another_term_or_after_demotion_confirm_nothing() {
+    let mut r = rig(710);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let scripted = ds_net::Endpoint::new(p, "scripted");
+    // One delta goes out and its ack is lost: an unconfirmed ship is
+    // outstanding, and the hop lets acks through again.
+    *r.hop.lock() = HopFault::DropAcks;
+    r.cs.post(SimTime::from_millis(10_100), scripted.clone(), "bump-and-save".to_string());
+    r.cs.run_until(SimTime::from_millis(10_400));
+    *r.hop.lock() = HopFault::None;
+    let (term, seq, crc) = stamp_numbers(&last_ckpt_stamp(&r, "ckpt shipped").expect("shipped"));
+    let (acked, confirmed, fulls) = {
+        let probe = r.ftims[idx].lock();
+        (probe.last_acked, probe.last_confirmed, probe.fulls_sent)
+    };
+    assert!(confirmed < (term, seq), "the delta is unconfirmed");
+
+    // Another term's ack neither confirms (right checksum) nor reports a
+    // divergence (wrong checksum), whatever position it names.
+    let other_term = term + 1;
+    r.cs.post(
+        SimTime::from_millis(10_500),
+        scripted.clone(),
+        FtimPeerMsg::CkptAck { term: other_term, seq, crc },
+    );
+    r.cs.post(
+        SimTime::from_millis(10_600),
+        scripted.clone(),
+        FtimPeerMsg::CkptAck { term: other_term, seq, crc: !crc },
+    );
+    r.cs.run_until(SimTime::from_millis(10_900));
+    {
+        let probe = r.ftims[idx].lock();
+        assert_eq!(probe.last_acked, (other_term, seq), "`last_acked` keeps its meaning");
+        assert_eq!(probe.last_confirmed, confirmed);
+        assert_eq!(probe.image_mismatches, 0);
+        assert_eq!(probe.fulls_sent, fulls);
+    }
+    assert!(acked < (other_term, seq));
+
+    // Demoted, the FTIM still holds that unconfirmed ship; an ack naming it
+    // with a checksum that would have been a mismatch changes nothing.
+    r.cs.post(SimTime::from_secs(11), scripted.clone(), "distress".to_string());
+    r.cs.run_until(SimTime::from_secs(20));
+    assert_ne!(primary(&r).0, p, "the distressed primary was demoted");
+    let sent = r.ftims[idx].lock().ckpts_sent;
+    r.cs.post(
+        SimTime::from_millis(20_100),
+        scripted,
+        FtimPeerMsg::CkptAck { term, seq, crc: !crc },
+    );
+    r.cs.run_until(SimTime::from_secs(25));
+    let probe = r.ftims[idx].lock();
+    assert_eq!(probe.last_confirmed, confirmed);
+    assert_eq!(probe.image_mismatches, 0);
+    assert_eq!((probe.ckpts_sent, probe.fulls_sent), (sent, fulls));
+    drop(probe);
+    assert_eq!(mismatch_lines(&r), 0);
 }
 
 #[test]

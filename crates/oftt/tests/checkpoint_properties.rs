@@ -78,6 +78,51 @@ fn hop_strategy() -> impl Strategy<Value = Hop> {
     ]
 }
 
+/// What a faulty hop does to a delta while keeping it *valid* — the payload
+/// crc is recomputed afterwards, so the store has no reason to refuse it.
+#[derive(Debug, Clone, Copy)]
+enum Tamper {
+    Nothing,
+    /// One variable never arrives.
+    RemoveVar(prop::sample::Index),
+    /// One variable arrives with a byte changed (or one byte longer).
+    ChangeVar(prop::sample::Index, u8),
+}
+
+fn tamper_strategy() -> impl Strategy<Value = Tamper> {
+    prop_oneof![
+        Just(Tamper::Nothing),
+        Just(Tamper::Nothing),
+        any::<prop::sample::Index>().prop_map(Tamper::RemoveVar),
+        (any::<prop::sample::Index>(), 1u8..=255)
+            .prop_map(|(at, flip)| Tamper::ChangeVar(at, flip)),
+    ]
+}
+
+impl Tamper {
+    /// Applies the fault; `true` when the delta is no longer what was taken.
+    fn apply(self, delta: &mut VarSet) -> bool {
+        let names: Vec<String> = delta.keys().cloned().collect();
+        match self {
+            Tamper::RemoveVar(at) if !names.is_empty() => {
+                delta.remove(at.get(&names));
+                true
+            }
+            Tamper::ChangeVar(at, flip) if !names.is_empty() => {
+                let bytes = delta.get_mut(at.get(&names)).expect("named by the delta");
+                let mut changed = bytes.to_vec();
+                match changed.first_mut() {
+                    Some(byte) => *byte ^= flip,
+                    None => changed.push(flip),
+                }
+                *bytes = Bytes::from(changed);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Builds the checkpoint stream (full first, deltas after, periodic fulls)
 /// a primary would ship for the given history. Variables never disappear in
 /// OFTT (designation is fixed), so make each image cumulative.
@@ -402,6 +447,40 @@ proptest! {
         // The closing full image was delivered intact: the pair agrees.
         prop_assert_eq!(backup.image_crc(), ship.image_crc(None));
         prop_assert_eq!(backup.vars(), &ship.image(None));
+    }
+
+    /// What lets an ack confirm an image: a shipping store feeds a backup
+    /// store in order, and any subset of the deltas is tampered *validly* on
+    /// the way, so every one of them installs. After each install the
+    /// backup's image checksum — what its ack carries — equals the shipping
+    /// store's exactly when the two images are equal: a tampered delta
+    /// always shows, and keeps showing until that variable is rewritten.
+    #[test]
+    fn acked_checksum_matches_the_shipped_one_exactly_when_the_images_agree(
+        steps in prop::collection::vec((varset_strategy(), tamper_strategy()), 1..16),
+    ) {
+        let mut ship = VarStore::new();
+        let mut backup = CheckpointStore::new();
+        for (i, (writes, tamper)) in steps.into_iter().enumerate() {
+            for (name, bytes) in &writes {
+                ship.set(name.clone(), bytes.clone());
+            }
+            let (payload, tampered) = if i == 0 {
+                let image = ship.image(None);
+                ship.clear_dirty();
+                (CheckpointPayload::Full(image), false)
+            } else {
+                let mut delta = ship.take_dirty(None);
+                let tampered = tamper.apply(&mut delta);
+                (CheckpointPayload::Delta(delta), tampered)
+            };
+            let seq = i as u64 + 1;
+            let arriving = Checkpoint::new(1, seq, SimTime::from_millis(seq), payload);
+            prop_assert_eq!(backup.offer(&arriving), AcceptOutcome::Installed);
+            let same_image = backup.vars() == &ship.image(None);
+            prop_assert_eq!(backup.image_crc() == ship.image_crc(None), same_image);
+            prop_assert!(!(tampered && same_image), "a tampered delta diverges the images");
+        }
     }
 
     /// The cross-variable combine reads nothing from order, and loses
