@@ -10,7 +10,11 @@
 #                               compiled in (the checkpoint store's one-deep
 #                               history only exists under inject_bugs)
 #   5. oftt-check sweep         pair failover, 600-schedule budget
-#   6. oftt-check sweep         partitioned startup, shipped config
+#   6. oftt-check sweep         partitioned startup, shipped config; then
+#                               the replay round trip: the seeded startup
+#                               bug at a 50 us tie window must be found and
+#                               emitted (exit 2), and the artifact must
+#                               replay to the same violation (exit 0)
 #   7. oftt-verify clippy       both feature sets
 #   8. verify sweep             oftt-verify exhausts the abstract protocol
 #                               space (pinned state count, zero violations,
@@ -116,8 +120,20 @@ cargo test -p oftt --features inject_bugs -q
 step "oftt-check sweep (pair failover, 600-schedule budget)"
 cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 600
 
-step "oftt-check sweep (partitioned startup, shipped config)"
+step "oftt-check sweep (partitioned startup, shipped config) + replay round trip"
 cargo run -p oftt-check --release -q -- --scenario partitioned-startup --budget 100
+# The artifact records the tie window, so a schedule found at 50 us
+# replays under 50 us rather than the 500 us default.
+REPLAY_ARTIFACT=$(mktemp /tmp/oftt-ce.XXXXXX.sched)
+TMPFILES+=("$REPLAY_ARTIFACT")
+rc=0
+./target/release/oftt-check --scenario partitioned-startup --inject-startup-bug \
+    --window-us 50 --budget 6 --seeds 2 --emit "$REPLAY_ARTIFACT" >/dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+    printf 'startup-bug sweep: expected exit 2 (counterexample), got %s\n' "$rc" >&2
+    false
+fi
+./target/release/oftt-check --replay "$REPLAY_ARTIFACT"
 
 step "oftt-verify clippy (deny warnings, both feature sets)"
 clippy_both_feature_sets oftt-verify

@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use oftt::transition::Defects;
-use oftt_check::{run_scenario, CheckOptions, ScenarioKind, TraceExport};
+use oftt_check::{run, Scenario, TraceExport};
 use oftt_verify::explore::{explore, Explored};
 use oftt_verify::liveness::find_persistent_dual_primary;
 use oftt_verify::model::{AbsState, Bounds, Budgets};
@@ -92,13 +92,12 @@ fn main() {
     }
 
     let graph = refine_graph.expect("the crash-and-cut tier always runs");
-    let opts = CheckOptions::default();
+    let scenario = Scenario::named("pair-failover").expect("a named scenario");
     let started = Instant::now();
     let mut observations = 0usize;
     let mut failures = 0usize;
     for seed in 1..=refine_runs as u64 {
-        let run = run_scenario(ScenarioKind::PairFailover, seed, &[], &opts);
-        let export = TraceExport::from_run(ScenarioKind::PairFailover, &opts, &run);
+        let export = TraceExport::from_run("pair-failover", &scenario, &run(&scenario, seed, &[]));
         match refine_export(&graph, &export, &bounds) {
             Ok(n) => observations += n,
             Err(e) => {

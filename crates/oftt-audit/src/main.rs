@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use ds_sim::prelude::SimDuration;
 use oftt_audit::{audit_sweep, lint};
-use oftt_check::{run_scenario, CheckOptions, ExploreConfig, ScenarioKind};
+use oftt_check::{run, ExploreConfig, Scenario};
 
 const USAGE: &str = "\
 oftt-audit: happens-before race/lock-order analyzer and OFTT API-lifecycle
@@ -32,36 +32,36 @@ OPTIONS (lint):
 EXIT CODE: 0 clean, 1 usage error, 2 findings.";
 
 struct Args {
-    scenario: ScenarioKind,
+    name: String,
+    scenario: Scenario,
     budget: usize,
     seeds: u64,
-    window_us: u64,
     seed: u64,
     export_locks: Option<String>,
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        scenario: ScenarioKind::PairFailover,
+        name: "pair-failover".to_string(),
+        scenario: Scenario::default(),
         budget: 600,
         seeds: 8,
-        window_us: 500,
         seed: 1,
         export_locks: None,
     };
+    let mut window_us = 500;
     let mut it = it;
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--scenario" => {
-                let v = value("--scenario")?;
-                args.scenario = ScenarioKind::parse(&v).ok_or(format!("unknown scenario {v:?}"))?;
+                args.name = value("--scenario")?;
             }
             "--budget" => args.budget = value("--budget")?.parse().map_err(|e| format!("{e}"))?,
             "--seeds" => args.seeds = value("--seeds")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--window-us" => {
-                args.window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
+                window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--export-locks" => args.export_locks = Some(value("--export-locks")?),
             "--help" | "-h" => {
@@ -74,6 +74,9 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.seeds == 0 || args.budget == 0 {
         return Err("--seeds and --budget must be at least 1".to_string());
     }
+    args.scenario =
+        Scenario::named(&args.name).ok_or(format!("unknown scenario {:?}", args.name))?;
+    args.scenario.tie_window = SimDuration::from_micros(window_us);
     Ok(args)
 }
 
@@ -81,21 +84,17 @@ fn scan_mode(args: &Args) -> ExitCode {
     let config = ExploreConfig {
         seeds: (1..=args.seeds).collect(),
         budget: args.budget,
-        opts: CheckOptions {
-            tie_window: SimDuration::from_micros(args.window_us),
-            ..Default::default()
-        },
         ..Default::default()
     };
     println!(
         "auditing {} (budget {} runs, seeds 1..={}, window {}µs)",
-        args.scenario.name(),
+        args.name,
         config.budget,
         args.seeds,
-        args.window_us
+        args.scenario.tie_window.as_micros()
     );
     let started = Instant::now();
-    let report = audit_sweep(args.scenario, &config);
+    let report = audit_sweep(&args.scenario, &config);
     println!(
         "{} runs, {} distinct schedules, {} choice points, {:.1}s",
         report.explore.runs,
@@ -133,8 +132,8 @@ fn scan_mode(args: &Args) -> ExitCode {
 }
 
 fn lint_mode(args: &Args) -> ExitCode {
-    println!("linting one {} run (seed {})", args.scenario.name(), args.seed);
-    let result = run_scenario(args.scenario, args.seed, &[], &CheckOptions::default());
+    println!("linting one {} run (seed {})", args.name, args.seed);
+    let result = run(&args.scenario, args.seed, &[]);
     let findings = lint::lint_api_usage(&result.events, &result.causality.api_calls);
     println!(
         "{} API call(s) from {} trace event(s)",

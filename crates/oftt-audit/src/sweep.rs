@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use ds_sim::causality::CausalityLog;
-use oftt_check::{explore_with, ExploreConfig, ExploreReport, RunResult, ScenarioKind};
+use oftt_check::{explore_with, ExploreConfig, ExploreReport, RunResult, Scenario};
 
 use crate::{lint, lockorder, race, stale, Finding};
 
@@ -53,12 +53,12 @@ pub fn analyze_run(result: &RunResult) -> Vec<Finding> {
     out
 }
 
-/// Explores `kind` under `config` and audits every distinct schedule.
-pub fn audit_sweep(kind: ScenarioKind, config: &ExploreConfig) -> AuditReport {
+/// Explores `scenario` under `config` and audits every distinct schedule.
+pub fn audit_sweep(scenario: &Scenario, config: &ExploreConfig) -> AuditReport {
     let mut findings = Vec::new();
     let mut seen: BTreeSet<(&'static str, String)> = BTreeSet::new();
     let mut lock_sites = BTreeSet::new();
-    let explore = explore_with(kind, config, |result| {
+    let explore = explore_with(scenario, config, |result| {
         for finding in analyze_run(result) {
             if seen.insert((finding.analyzer, finding.detail.clone())) {
                 findings.push(finding);

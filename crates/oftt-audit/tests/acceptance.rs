@@ -12,13 +12,14 @@
 #[cfg(not(feature = "inject_bugs"))]
 mod clean {
     use oftt_audit::audit_sweep;
-    use oftt_check::{ExploreConfig, ScenarioKind};
+    use oftt_check::{ExploreConfig, Scenario};
 
     /// The headline target: the default 600-run pair-failover sweep (the
     /// same one oftt-check certifies) carries zero audit findings.
     #[test]
     fn pair_failover_sweep_has_no_findings() {
-        let report = audit_sweep(ScenarioKind::PairFailover, &ExploreConfig::default());
+        let report =
+            audit_sweep(&Scenario::named("pair-failover").unwrap(), &ExploreConfig::default());
         assert!(report.explore.distinct >= 500, "sweep too small: {}", report.explore.distinct);
         assert!(
             report.findings.is_empty(),
@@ -32,7 +33,7 @@ mod clean {
     #[test]
     fn partitioned_startup_sweep_has_no_findings() {
         let config = ExploreConfig { budget: 100, ..Default::default() };
-        let report = audit_sweep(ScenarioKind::PartitionedStartup, &config);
+        let report = audit_sweep(&Scenario::named("partitioned-startup").unwrap(), &config);
         assert!(report.explore.distinct >= 50, "sweep too small: {}", report.explore.distinct);
         assert!(
             report.findings.is_empty(),
@@ -49,7 +50,11 @@ mod clean {
 #[cfg(feature = "inject_bugs")]
 mod seeded {
     use oftt_audit::analyze_run;
-    use oftt_check::{run_scenario, CheckOptions, ScenarioKind};
+    use oftt_check::{run, RunResult, Scenario};
+
+    fn pair_failover(seed: u64) -> RunResult {
+        run(&Scenario::named("pair-failover").unwrap(), seed, &[])
+    }
 
     /// Defect (a): the engine's debug peek at the *peer's* checkpoint
     /// store races the peer FTIM's installs — no message chain orders the
@@ -57,9 +62,7 @@ mod seeded {
     #[test]
     fn seeded_cross_node_peek_is_flagged_as_a_race() {
         let detected = (1..=3).any(|seed| {
-            let result =
-                run_scenario(ScenarioKind::PairFailover, seed, &[], &CheckOptions::default());
-            analyze_run(&result)
+            analyze_run(&pair_failover(seed))
                 .iter()
                 .any(|f| f.analyzer == "race" && f.detail.contains("ckpt-store:"))
         });
@@ -70,8 +73,7 @@ mod seeded {
     /// diag→probe; the acquisition graph has a 2-cycle.
     #[test]
     fn seeded_probe_diag_inversion_is_flagged() {
-        let result = run_scenario(ScenarioKind::PairFailover, 1, &[], &CheckOptions::default());
-        let found = analyze_run(&result).iter().any(|f| {
+        let found = analyze_run(&pair_failover(1)).iter().any(|f| {
             f.analyzer == "lock-order" && f.detail.contains("diag:") && f.detail.contains("probe:")
         });
         assert!(found, "the injected probe/diag inversion must be reported");
@@ -81,8 +83,7 @@ mod seeded {
     /// later feed-driven reset is a use-after-delete.
     #[test]
     fn seeded_watchdog_use_after_delete_is_flagged() {
-        let result = run_scenario(ScenarioKind::PairFailover, 1, &[], &CheckOptions::default());
-        let found = analyze_run(&result).iter().any(|f| {
+        let found = analyze_run(&pair_failover(1)).iter().any(|f| {
             f.analyzer == "lint"
                 && f.detail.contains("watchdog_reset on nonexistent or deleted watchdog 'deadman'")
         });

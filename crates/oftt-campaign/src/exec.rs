@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use oftt_check::{run_script, CheckOptions, RunOutcome};
+use oftt_check::{run, RunOutcome};
 
 use crate::expand::expand;
 use crate::scenario::Scenario;
@@ -33,16 +33,9 @@ pub fn default_jobs() -> usize {
 
 /// Runs one seed of one scenario to completion.
 pub fn run_one(scenario: &Scenario, index: usize, seed: u64) -> RunRecord {
-    let script = expand(scenario, seed);
-    let opts = CheckOptions {
-        inject_startup_bug: scenario.inject_startup_bug,
-        tie_window: scenario.tie_window,
-        horizon: scenario.horizon,
-        overrides: scenario.overrides.clone(),
-        ..Default::default()
-    };
-    let result = run_script(&script, seed, &[], &opts);
-    let outcome = RunOutcome::compute(&result.events, scenario.horizon);
+    let seeded = oftt_check::Scenario { script: expand(scenario, seed), ..scenario.base.clone() };
+    let result = run(&seeded, seed, &[]);
+    let outcome = RunOutcome::compute(&result.events, seeded.horizon);
     RunRecord { scenario: index, seed, outcome }
 }
 
@@ -84,8 +77,8 @@ mod tests {
         "seeds": [1, 2],
         "horizon_ms": 20000,
         "script": [
-            {"at_ms": 8000, "op": "kill-engine", "slot": "a"},
-            {"at_ms": 12000, "op": "restart-engine", "slot": "a"}
+            {"at_ms": 8000, "op": "kill-engine a"},
+            {"at_ms": 12000, "op": "restart-engine a"}
         ]
     }"#;
 

@@ -112,7 +112,7 @@ mod tests {
         let longer = STORM.replace(
             r#"{"at_ms": 9000, "op": "heal", "repeat": 3, "every_ms": 5000}"#,
             r#"{"at_ms": 9000, "op": "heal", "repeat": 3, "every_ms": 5000},
-               {"at_ms": 30000, "op": "crash", "slot": "a"}"#,
+               {"at_ms": 30000, "op": "crash a"}"#,
         );
         let sc2 = Scenario::load("storm.json", &longer).unwrap();
         let p1: Vec<_> = expand(&sc, 5)

@@ -7,7 +7,8 @@
 //! statistical instrument:
 //!
 //! * [`scenario`] loads declarative JSON scenario files (fault-script
-//!   template + seed population + validated parameter overrides), with
+//!   template + seed population + validated parameter overrides) into one
+//!   base [`oftt_check::Scenario`] plus what is campaign-specific, with
 //!   unknown keys, duplicate keys, and out-of-range seed spans as typed
 //!   hard errors;
 //! * [`expand`] unrolls the template per seed with deterministic jitter
@@ -21,6 +22,25 @@
 //!   non-recovery counts) and applies the acceptance gate;
 //! * [`report`] emits the `oftt-bench-campaign-v1` artifact CI validates
 //!   and the human summary table.
+//!
+//! ## A scenario file
+//!
+//! Each step's `op` is one fault-script line without its time, parsed by
+//! [`oftt_check::ScriptOp::parse`]:
+//!
+//! ```json
+//! {
+//!   "name": "slow_disk",
+//!   "seeds": {"range": [1, 100]},
+//!   "overrides": {"checkpoint_period_ms": 500},
+//!   "script": [
+//!     {"at_ms": 8000, "op": "slow-link 20000 5000 50000"},
+//!     {"at_ms": 14000, "op": "kill-engine a"},
+//!     {"at_ms": 22000, "op": "restart-engine a"},
+//!     {"at_ms": 30000, "op": "partition", "repeat": 3, "every_ms": 2000}
+//!   ]
+//! }
+//! ```
 //!
 //! ## Usage
 //!

@@ -1,9 +1,11 @@
 // oftt-lint: no-panic
 //! Declarative scenario files.
 //!
-//! A scenario is a JSON document that names a seed population, a fault
-//! script *template*, and the knobs of the checked deployment it runs
-//! against. The loader is deliberately unforgiving: unknown keys anywhere
+//! A scenario file is a JSON document that names a seed population, a
+//! fault script *template*, and the knobs of the checked deployment it
+//! runs against. Loading it builds one base [`oftt_check::Scenario`] (the
+//! deployment with its overrides, the horizon, the tie window) that every
+//! seed runs with its own expansion of the template. The loader is deliberately unforgiving: unknown keys anywhere
 //! (the scenario shell, a script step, the pin block, an override) are
 //! hard errors, duplicate keys are hard errors, and every numeric field
 //! is range-checked at load time — a campaign that runs 100 seeds per
@@ -19,34 +21,36 @@
 //!   "seeds": {"range": [1, 100]},
 //!   "horizon_ms": 40000,
 //!   "tie_window_us": 500,
-//!   "inject_startup_bug": false,
 //!   "expect_violations": false,
 //!   "overrides": {"peer_timeout_ms": 1500},
 //!   "pin": {"min_availability": 0.9, "max_failover_p99_ms": 3000},
 //!   "script": [
 //!     {"at_ms": 8000, "op": "partition", "repeat": 4, "every_ms": 6000,
 //!      "jitter_ms": 500},
-//!     {"at_ms": 9000, "op": "heal", "repeat": 4, "every_ms": 6000}
+//!     {"at_ms": 9000, "op": "heal", "repeat": 4, "every_ms": 6000},
+//!     {"at_ms": 20000, "op": "kill-engine a"},
+//!     {"at_ms": 21000, "op": "slow-link 20000 5000 50000"}
 //!   ]
 //! }
 //! ```
 //!
 //! `seeds` is either an explicit array (`[1, 2, 7]`, duplicates rejected)
 //! or an inclusive `{"range": [lo, hi]}`; either form is capped at
-//! [`MAX_SEEDS`]. Script ops are the [`ScriptOp`] vocabulary by their
-//! script names (`crash`, `repair`, `kill-engine`, `restart-engine`,
-//! `partition`, `heal`, `distress`, `reboot`, `path-down`, `path-up`,
-//! `slow-link`); slot ops take `"slot": "a" | "b"`, path ops take
-//! `"path": <index>`, `slow-link` takes `latency_us` / `jitter_us` /
-//! `bandwidth_bps`. `repeat` / `every_ms` / `jitter_ms` turn one step
-//! into a deterministic per-seed storm (see [`crate::expand`]).
+//! [`MAX_SEEDS`]. A step's `"op"` is one fault-script line without its
+//! time — `crash a`, `path-down 0`, `slow-link 20000 5000 50000` — read by
+//! [`ScriptOp::parse`], the same parser `FaultScript::parse` uses, so the
+//! op vocabulary and its operand checks live in one place. `repeat` /
+//! `every_ms` / `jitter_ms` turn one step into a deterministic per-seed
+//! storm (see [`crate::expand`]). The pre-fix §3.2 startup configuration is
+//! two overrides: `"startup_retries": 0, "startup_fallback":
+//! "become-primary"`.
 
 use std::collections::BTreeSet;
 
 use bench::json::{parse_doc, Json, JsonErrorKind};
 use ds_sim::prelude::{SimDuration, SimTime};
-use oftt_check::{PairSlot, ScriptOp};
-use oftt_harness::overrides::{OverrideValue, ParamOverrides};
+use oftt_check::ScriptOp;
+use oftt_harness::overrides::{self, OverrideValue};
 
 use crate::error::CampaignError;
 
@@ -90,7 +94,8 @@ pub struct StepTemplate {
     pub jitter: SimDuration,
 }
 
-/// A loaded, validated scenario.
+/// A loaded, validated scenario: what is campaign-specific, around the
+/// one run description every seed starts from.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The scenario's name (also its stream label for jitter derivation).
@@ -99,22 +104,16 @@ pub struct Scenario {
     pub description: String,
     /// The seed population, deduplicated, in file order.
     pub seeds: Vec<u64>,
-    /// How long each run lasts.
-    pub horizon: SimTime,
-    /// The explorer's simultaneity window.
-    pub tie_window: SimDuration,
-    /// Re-introduce the pre-fix §3.2 startup bug (seeded-defect
-    /// demonstration campaigns).
-    pub inject_startup_bug: bool,
     /// `true` for campaigns that *demonstrate* a defect: the gate then
     /// requires at least one violating seed instead of zero.
     pub expect_violations: bool,
-    /// Validated parameter deltas applied to every run.
-    pub overrides: ParamOverrides,
     /// Pinned acceptance thresholds (may be empty).
     pub pin: Pin,
     /// The fault-script template.
     pub steps: Vec<StepTemplate>,
+    /// The checked deployment with the file's overrides, horizon and tie
+    /// window; its script is empty (each seed expands `steps`).
+    pub base: oftt_check::Scenario,
 }
 
 /// `f64` → exact `u64`, or a description of why not.
@@ -207,11 +206,8 @@ impl Loader<'_> {
         let mut name = None;
         let mut description = String::new();
         let mut seeds = None;
-        let mut horizon = SimTime::from_secs(40);
-        let mut tie_window = SimDuration::from_micros(500);
-        let mut inject_startup_bug = false;
+        let mut base = oftt_check::Scenario::default();
         let mut expect_violations = false;
-        let mut overrides = ParamOverrides::default();
         let mut pin = Pin::default();
         let mut steps = Vec::new();
         for (key, value) in map {
@@ -221,18 +217,16 @@ impl Loader<'_> {
                 "seeds" => seeds = Some(self.seeds(value)?),
                 "horizon_ms" => {
                     let d = self.duration(value, "horizon_ms", SimDuration::from_millis)?;
-                    horizon = SimTime::from_micros(d.as_micros());
+                    base.horizon = SimTime::from_micros(d.as_micros());
                 }
                 "tie_window_us" => {
-                    tie_window = self.duration(value, "tie_window_us", SimDuration::from_micros)?;
-                }
-                "inject_startup_bug" => {
-                    inject_startup_bug = self.flag(value, "inject_startup_bug")?;
+                    base.tie_window =
+                        self.duration(value, "tie_window_us", SimDuration::from_micros)?;
                 }
                 "expect_violations" => {
                     expect_violations = self.flag(value, "expect_violations")?;
                 }
-                "overrides" => overrides = self.overrides(value)?,
+                "overrides" => self.overrides(value, &mut base)?,
                 "pin" => pin = self.pin(value)?,
                 "script" => steps = self.script(value)?,
                 other => return Err(self.unknown("scenario", other)),
@@ -243,18 +237,7 @@ impl Loader<'_> {
             return Err(self.bad("name", "must not be empty"));
         }
         let seeds = seeds.ok_or_else(|| self.seed_err("required field \"seeds\" is missing"))?;
-        Ok(Scenario {
-            name,
-            description,
-            seeds,
-            horizon,
-            tie_window,
-            inject_startup_bug,
-            expect_violations,
-            overrides,
-            pin,
-            steps,
-        })
+        Ok(Scenario { name, description, seeds, expect_violations, pin, steps, base })
     }
 
     fn seeds(&self, v: &Json) -> Result<Vec<u64>, CampaignError> {
@@ -308,25 +291,29 @@ impl Loader<'_> {
         Ok((lo..=hi).collect())
     }
 
-    fn overrides(&self, v: &Json) -> Result<ParamOverrides, CampaignError> {
+    fn overrides(&self, v: &Json, base: &mut oftt_check::Scenario) -> Result<(), CampaignError> {
         let Some(map) = v.as_object() else {
             return Err(self.bad("overrides", "expected an object"));
         };
-        let mut out = ParamOverrides::default();
+        let mut table = Vec::with_capacity(map.len());
         for (key, value) in map {
-            let value = match value {
-                Json::Number(n) => OverrideValue::Number(*n),
-                Json::String(s) => OverrideValue::Text(s.clone()),
-                Json::Bool(b) => OverrideValue::Flag(*b),
-                _ => {
-                    return Err(self
-                        .bad(format!("overrides.{key}"), "expected a number, string, or boolean"));
-                }
-            };
-            out.set(key, &value)
-                .map_err(|inner| CampaignError::Override { path: self.path.to_string(), inner })?;
+            table.push((
+                key.as_str(),
+                match value {
+                    Json::Number(n) => OverrideValue::Number(*n),
+                    Json::String(s) => OverrideValue::Text(s.clone()),
+                    Json::Bool(b) => OverrideValue::Flag(*b),
+                    _ => {
+                        return Err(self.bad(
+                            format!("overrides.{key}"),
+                            "expected a number, string, or boolean",
+                        ));
+                    }
+                },
+            ));
         }
-        Ok(out)
+        overrides::set_all(&mut base.params, table.iter().map(|(key, value)| (*key, value)))
+            .map_err(|inner| CampaignError::Override { path: self.path.to_string(), inner })
     }
 
     fn pin(&self, v: &Json) -> Result<Pin, CampaignError> {
@@ -377,11 +364,6 @@ impl Loader<'_> {
         };
         let mut at = None;
         let mut op = None;
-        let mut slot = None;
-        let mut path_index = None;
-        let mut latency_us = None;
-        let mut jitter_us = None;
-        let mut bandwidth_bps = None;
         let mut repeat = 1u64;
         let mut every = None;
         let mut jitter = SimDuration::from_micros(0);
@@ -391,27 +373,9 @@ impl Loader<'_> {
                     let ms = self.integer(value, "at_ms")?;
                     at = Some(SimTime::from_millis(ms));
                 }
-                "op" => op = Some(self.text(value, "op")?),
-                "slot" => {
-                    let s = self.text(value, "slot")?;
-                    slot = Some(
-                        PairSlot::parse(&s)
-                            .ok_or_else(|| self.bad("slot", "expected \"a\" or \"b\""))?,
-                    );
-                }
-                "path" => {
-                    let n = self.integer(value, "path")?;
-                    path_index =
-                        Some(u8::try_from(n).map_err(|_| self.bad("path", "index out of range"))?);
-                }
-                "latency_us" => latency_us = Some(self.integer(value, "latency_us")?),
-                "jitter_us" => jitter_us = Some(self.integer(value, "jitter_us")?),
-                "bandwidth_bps" => {
-                    let n = self.integer(value, "bandwidth_bps")?;
-                    if n == 0 {
-                        return Err(self.bad("bandwidth_bps", "must be positive"));
-                    }
-                    bandwidth_bps = Some(n);
+                "op" => {
+                    let line = self.text(value, "op")?;
+                    op = Some(ScriptOp::parse(&line).map_err(|detail| self.bad("op", detail))?);
                 }
                 "repeat" => {
                     repeat = self.integer(value, "repeat")?;
@@ -430,57 +394,7 @@ impl Loader<'_> {
             }
         }
         let at = at.ok_or_else(|| self.bad("at_ms", "required step field is missing"))?;
-        let op_name = op.ok_or_else(|| self.bad("op", "required step field is missing"))?;
-        // Each op takes exactly its operands; a stray operand on the wrong
-        // op is a confused file, not noise to ignore.
-        let needs_slot = matches!(
-            op_name.as_str(),
-            "crash" | "repair" | "kill-engine" | "restart-engine" | "distress" | "reboot"
-        );
-        let needs_path = matches!(op_name.as_str(), "path-down" | "path-up");
-        let needs_media = op_name == "slow-link";
-        if slot.is_some() != needs_slot {
-            let detail =
-                if needs_slot { "this op requires a slot" } else { "this op takes no slot" };
-            return Err(self.bad(format!("script step {op_name:?}"), detail));
-        }
-        if path_index.is_some() != needs_path {
-            let detail =
-                if needs_path { "this op requires a path" } else { "this op takes no path" };
-            return Err(self.bad(format!("script step {op_name:?}"), detail));
-        }
-        if (latency_us.is_some() || jitter_us.is_some() || bandwidth_bps.is_some()) != needs_media {
-            let detail = if needs_media {
-                "slow-link requires latency_us, jitter_us, and bandwidth_bps"
-            } else {
-                "this op takes no media parameters"
-            };
-            return Err(self.bad(format!("script step {op_name:?}"), detail));
-        }
-        let op = match (op_name.as_str(), slot, path_index) {
-            ("crash", Some(slot), _) => ScriptOp::Crash(slot),
-            ("repair", Some(slot), _) => ScriptOp::Repair(slot),
-            ("kill-engine", Some(slot), _) => ScriptOp::KillEngine(slot),
-            ("restart-engine", Some(slot), _) => ScriptOp::RestartEngine(slot),
-            ("distress", Some(slot), _) => ScriptOp::Distress(slot),
-            ("reboot", Some(slot), _) => ScriptOp::Reboot(slot),
-            ("partition", ..) => ScriptOp::Partition,
-            ("heal", ..) => ScriptOp::Heal,
-            ("path-down", _, Some(path)) => ScriptOp::PathDown(path),
-            ("path-up", _, Some(path)) => ScriptOp::PathUp(path),
-            ("slow-link", ..) => match (latency_us, jitter_us, bandwidth_bps) {
-                (Some(latency_us), Some(jitter_us), Some(bandwidth_bps)) => {
-                    ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps }
-                }
-                _ => {
-                    return Err(self.bad(
-                        "script step \"slow-link\"",
-                        "slow-link requires latency_us, jitter_us, and bandwidth_bps",
-                    ));
-                }
-            },
-            (other, ..) => return Err(self.bad("op", format!("unknown op {other:?}"))),
-        };
+        let op = op.ok_or_else(|| self.bad("op", "required step field is missing"))?;
         let every = match (every, repeat) {
             (Some(every), _) => every,
             (None, 1) => SimDuration::from_micros(0),
@@ -495,6 +409,7 @@ impl Loader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oftt_harness::overrides::OverrideError;
 
     const FULL: &str = r#"{
         "name": "storm",
@@ -502,7 +417,6 @@ mod tests {
         "seeds": {"range": [1, 20]},
         "horizon_ms": 30000,
         "tie_window_us": 400,
-        "inject_startup_bug": false,
         "expect_violations": false,
         "overrides": {"peer_timeout_ms": 1500, "link": "single"},
         "pin": {"min_availability": 0.9, "max_failover_p99_ms": 4000},
@@ -510,11 +424,10 @@ mod tests {
             {"at_ms": 8000, "op": "partition", "repeat": 3, "every_ms": 5000,
              "jitter_ms": 400},
             {"at_ms": 9000, "op": "heal", "repeat": 3, "every_ms": 5000},
-            {"at_ms": 25000, "op": "crash", "slot": "a"},
-            {"at_ms": 30000, "op": "repair", "slot": "a"},
-            {"at_ms": 5000, "op": "path-down", "path": 0},
-            {"at_ms": 6000, "op": "slow-link", "latency_us": 5000,
-             "jitter_us": 1000, "bandwidth_bps": 100000}
+            {"at_ms": 25000, "op": "crash a"},
+            {"at_ms": 30000, "op": "repair a"},
+            {"at_ms": 5000, "op": "path-down 0"},
+            {"at_ms": 6000, "op": "slow-link 5000 1000 100000"}
         ]
     }"#;
 
@@ -523,14 +436,22 @@ mod tests {
         let sc = Scenario::load("full.json", FULL).unwrap();
         assert_eq!(sc.name, "storm");
         assert_eq!(sc.seeds, (1..=20).collect::<Vec<_>>());
-        assert_eq!(sc.horizon, SimTime::from_secs(30));
-        assert_eq!(sc.tie_window, SimDuration::from_micros(400));
+        assert_eq!(sc.base.horizon, SimTime::from_secs(30));
+        assert_eq!(sc.base.tie_window, SimDuration::from_micros(400));
+        assert_eq!(sc.base.params.config.peer_timeout, SimDuration::from_millis(1_500));
+        assert_eq!(sc.base.params.link.len(), 1, "the link override is applied at load");
+        assert!(sc.base.script.steps.is_empty());
         assert_eq!(sc.pin.min_availability, Some(0.9));
         assert_eq!(sc.steps.len(), 6);
         let first = sc.steps.first().unwrap();
         assert_eq!(first.op, ScriptOp::Partition);
         assert_eq!(first.repeat, 3);
         assert_eq!(first.jitter, SimDuration::from_millis(400));
+        let last = sc.steps.last().unwrap();
+        assert_eq!(
+            last.op,
+            ScriptOp::SlowLink { latency_us: 5000, jitter_us: 1000, bandwidth_bps: 100_000 }
+        );
     }
 
     #[test]
@@ -542,13 +463,27 @@ mod tests {
             }
             other => panic!("{other}"),
         }
-        let step = r#"{"name": "x", "seeds": [1],
-                       "script": [{"at_ms": 1, "op": "heal", "slots": "a"}]}"#;
-        match Scenario::load("t.json", step).unwrap_err() {
-            CampaignError::UnknownKey { context: "script step", key, .. } => {
-                assert_eq!(key, "slots");
+        for retired in ["inject_startup_bug", "overide"] {
+            let shell = format!(r#"{{"name": "x", "seeds": [1], "{retired}": true}}"#);
+            match Scenario::load("t.json", &shell).unwrap_err() {
+                CampaignError::UnknownKey { context: "scenario", key, .. } => {
+                    assert_eq!(key, retired);
+                }
+                other => panic!("{other}"),
             }
-            other => panic!("{other}"),
+        }
+        // The per-operand step keys are gone: operands live in the op line.
+        for retired in ["slot", "path", "latency_us", "jitter_us", "bandwidth_bps"] {
+            let step = format!(
+                r#"{{"name": "x", "seeds": [1],
+                    "script": [{{"at_ms": 1, "op": "heal", "{retired}": 1}}]}}"#
+            );
+            match Scenario::load("t.json", &step).unwrap_err() {
+                CampaignError::UnknownKey { context: "script step", key, .. } => {
+                    assert_eq!(key, retired);
+                }
+                other => panic!("{other}"),
+            }
         }
         let pin = r#"{"name": "x", "seeds": [1], "pin": {"min_avail": 0.5}}"#;
         match Scenario::load("t.json", pin).unwrap_err() {
@@ -567,6 +502,29 @@ mod tests {
             }
             other => panic!("{other}"),
         }
+    }
+
+    #[test]
+    fn override_values_are_checked_and_combined_at_load() {
+        for (overrides, needle) in [
+            (r#"{"link_loss": 1.5}"#, "link_loss"),
+            (r#"{"heartbeat_period_ms": 0}"#, "heartbeat_period_ms"),
+            (r#"{"link": "single", "link_jitter_us": 5}"#, "cannot combine"),
+        ] {
+            let text = format!(r#"{{"name": "x", "seeds": [1], "overrides": {overrides}}}"#);
+            match Scenario::load("t.json", &text).unwrap_err() {
+                CampaignError::Override {
+                    inner: OverrideError::BadValue { detail, key }, ..
+                } => {
+                    assert!(key == needle || detail.contains(needle), "{key}: {detail}");
+                }
+                other => panic!("{overrides}: {other}"),
+            }
+        }
+        let startup_bug = r#"{"name": "x", "seeds": [1], "overrides":
+                              {"startup_retries": 0, "startup_fallback": "become-primary"}}"#;
+        let sc = Scenario::load("t.json", startup_bug).unwrap();
+        assert!(sc.base.has_startup_bug(), "two overrides are the whole startup-bug preset");
     }
 
     #[test]
@@ -598,15 +556,27 @@ mod tests {
     }
 
     #[test]
-    fn misplaced_operands_are_rejected() {
-        let stray = r#"{"name": "x", "seeds": [1],
-                        "script": [{"at_ms": 1, "op": "partition", "slot": "a"}]}"#;
-        let err = Scenario::load("t.json", stray).unwrap_err().to_string();
-        assert!(err.contains("takes no slot"), "{err}");
-        let missing = r#"{"name": "x", "seeds": [1],
-                          "script": [{"at_ms": 1, "op": "crash"}]}"#;
-        let err = Scenario::load("t.json", missing).unwrap_err().to_string();
-        assert!(err.contains("requires a slot"), "{err}");
+    fn wrong_operands_for_an_op_are_rejected() {
+        for (op, needle) in [
+            ("partition a", "partition takes no operands"),
+            ("crash", "crash takes SLOT"),
+            ("crash c", "bad pair slot"),
+            ("path-down 256", "over 255"),
+            ("slow-link 20000 5000", "slow-link takes"),
+            ("slow-link 20000 5000 0", "bandwidth must be positive"),
+            ("explode a", "unknown script op"),
+        ] {
+            let text = format!(
+                r#"{{"name": "x", "seeds": [1], "script": [{{"at_ms": 1, "op": "{op}"}}]}}"#
+            );
+            match Scenario::load("t.json", &text).unwrap_err() {
+                CampaignError::BadField { field, detail, .. } => {
+                    assert_eq!(field, "op");
+                    assert!(detail.contains(needle), "{op:?}: {detail}");
+                }
+                other => panic!("{op:?}: {other}"),
+            }
+        }
         let repeat = r#"{"name": "x", "seeds": [1],
                          "script": [{"at_ms": 1, "op": "heal", "repeat": 3}]}"#;
         let err = Scenario::load("t.json", repeat).unwrap_err().to_string();

@@ -87,7 +87,7 @@ pub fn aggregate(scenario: &Scenario, records: &[RunRecord]) -> ScenarioStats {
     ScenarioStats {
         name: scenario.name.clone(),
         seeds: count,
-        horizon_ms: scenario.horizon.as_micros() / 1000,
+        horizon_ms: scenario.base.horizon.as_micros() / 1000,
         expect_violations: scenario.expect_violations,
         recovered,
         non_recovered: count - recovered,

@@ -35,7 +35,7 @@ proptest! {
     fn arbitrary_unknown_shell_keys_are_rejected(key in "[a-z_]{1,24}") {
         const SHELL_KEYS: &[&str] = &[
             "name", "description", "seeds", "horizon_ms", "tie_window_us",
-            "inject_startup_bug", "expect_violations", "overrides", "pin", "script",
+            "expect_violations", "overrides", "pin", "script",
         ];
         prop_assume!(!SHELL_KEYS.contains(&key.as_str()));
         let text = format!(r#"{{"name": "typo", "seeds": [1], "{key}": 100}}"#);
@@ -46,6 +46,24 @@ proptest! {
             other => prop_assert!(false, "expected an unknown-key rejection, got {other:?}"),
         }
     }
+}
+
+/// Every corpus file in `examples/campaigns` loads, and its template
+/// expands to a non-empty script for seed 1 — ci.sh runs only two of them.
+#[test]
+fn every_corpus_file_loads_and_expands() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let mut loaded = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let path = path.display().to_string();
+            let sc = Scenario::load_file(&path).unwrap_or_else(|e| panic!("{e}"));
+            assert!(!expand(&sc, 1).steps.is_empty(), "{path} expands to an empty script");
+            loaded += 1;
+        }
+    }
+    assert_eq!(loaded, 7, "the corpus is seven files");
 }
 
 /// The same scenario file and seed must reproduce the byte-identical
@@ -61,7 +79,7 @@ fn per_seed_outcomes_are_byte_identical() {
         "script": [
             {"at_ms": 6000, "op": "partition"},
             {"at_ms": 8000, "op": "heal"},
-            {"at_ms": 12000, "op": "reboot", "slot": "b", "jitter_ms": 300}
+            {"at_ms": 12000, "op": "reboot b", "jitter_ms": 300}
         ]
     }"#;
     let sc = Scenario::load("determinism.json", text).unwrap();
@@ -96,8 +114,8 @@ fn seeded_startup_bug_surfaces_in_the_campaign_summary() {
         "description": "pre-fix startup race demonstration",
         "seeds": {"range": [1, 4]},
         "horizon_ms": 15000,
-        "inject_startup_bug": true,
         "expect_violations": true,
+        "overrides": {"startup_retries": 0, "startup_fallback": "become-primary"},
         "script": [
             {"at_ms": 5, "op": "partition"},
             {"at_ms": 8000, "op": "heal"}
@@ -112,7 +130,7 @@ fn seeded_startup_bug_surfaces_in_the_campaign_summary() {
     // The same campaign with the fix in place (no injected bug) is clean:
     // the violations really come from the seeded defect, not the script.
     let fixed_text = text
-        .replace(r#""inject_startup_bug": true"#, r#""inject_startup_bug": false"#)
+        .replace(r#""startup_retries": 0, "startup_fallback": "become-primary""#, "")
         .replace(r#""expect_violations": true"#, r#""expect_violations": false"#);
     let fixed = Scenario::load("startup_fixed.json", &fixed_text).unwrap();
     let records = run_campaign(std::slice::from_ref(&fixed), 4);

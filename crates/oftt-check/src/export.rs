@@ -30,7 +30,7 @@ use std::path::Path;
 use ds_sim::prelude::{Schedule, Trace, TraceEntry};
 
 use crate::parse::{parse_trace, Event};
-use crate::scenario::{CheckOptions, RunResult, ScenarioKind};
+use crate::scenario::{RunResult, Scenario};
 
 /// The version header this build writes and the only one it reads.
 pub const TRACE_FORMAT: &str = "oftt-trace-v1";
@@ -38,8 +38,8 @@ pub const TRACE_FORMAT: &str = "oftt-trace-v1";
 /// One exported run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceExport {
-    /// Which fault campaign produced the run.
-    pub kind: ScenarioKind,
+    /// The [`Scenario::named`] name of the run's scenario.
+    pub scenario: String,
     /// Whether the §3.2 startup bug was re-introduced for the run.
     pub inject_startup_bug: bool,
     /// The replayable schedule the run took.
@@ -49,11 +49,11 @@ pub struct TraceExport {
 }
 
 impl TraceExport {
-    /// Captures a finished run as an export.
-    pub fn from_run(kind: ScenarioKind, opts: &CheckOptions, result: &RunResult) -> Self {
+    /// Captures a finished run of the scenario named `name` as an export.
+    pub fn from_run(name: &str, scenario: &Scenario, result: &RunResult) -> Self {
         TraceExport {
-            kind,
-            inject_startup_bug: opts.inject_startup_bug,
+            scenario: name.to_string(),
+            inject_startup_bug: scenario.has_startup_bug(),
             schedule: result.schedule.clone(),
             entries: result.entries.clone(),
         }
@@ -64,7 +64,7 @@ impl TraceExport {
         let mut out = String::new();
         out.push_str(TRACE_FORMAT);
         out.push('\n');
-        out.push_str(&format!("# scenario {}\n", self.kind.name()));
+        out.push_str(&format!("# scenario {}\n", self.scenario));
         out.push_str(&format!("# inject-startup-bug {}\n", self.inject_startup_bug));
         out.push_str(&format!("# seed {}\n", self.schedule.seed));
         out.push_str("# choices");
@@ -93,7 +93,7 @@ impl TraceExport {
                 "unsupported trace export version {header:?}: this build reads {TRACE_FORMAT:?}"
             ));
         }
-        let mut kind = None;
+        let mut scenario = None;
         let mut inject_startup_bug = None;
         let mut seed = None;
         let mut choices = Vec::new();
@@ -106,10 +106,9 @@ impl TraceExport {
             if let Some(meta) = line.strip_prefix('#') {
                 let meta = meta.trim();
                 if let Some(v) = meta.strip_prefix("scenario ") {
-                    kind = Some(
-                        ScenarioKind::parse(v.trim())
-                            .ok_or_else(|| format!("unknown scenario {v:?}"))?,
-                    );
+                    let name = v.trim();
+                    Scenario::named(name).ok_or_else(|| format!("unknown scenario {v:?}"))?;
+                    scenario = Some(name.to_string());
                 } else if let Some(v) = meta.strip_prefix("inject-startup-bug ") {
                     inject_startup_bug =
                         Some(v.trim().parse::<bool>().map_err(|_| format!("bad bug flag {v:?}"))?);
@@ -132,7 +131,7 @@ impl TraceExport {
             }
         }
         Ok(TraceExport {
-            kind: kind.ok_or("missing scenario metadata")?,
+            scenario: scenario.ok_or("missing scenario metadata")?,
             inject_startup_bug: inject_startup_bug.ok_or("missing inject-startup-bug metadata")?,
             schedule: Schedule::new(seed.ok_or("missing seed metadata")?, choices),
             entries,
@@ -176,20 +175,19 @@ impl TraceExport {
 
     /// The conventional file name for an export: scenario, seed, and the
     /// explorer's run index.
-    pub fn file_name(kind: ScenarioKind, seed: u64, index: usize) -> String {
-        format!("{}-s{}-{:04}.trace", kind.name(), seed, index)
+    pub fn file_name(name: &str, seed: u64, index: usize) -> String {
+        format!("{name}-s{seed}-{index:04}.trace")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run_scenario;
+    use crate::scenario::run;
 
     fn sample() -> TraceExport {
-        let opts = CheckOptions::default();
-        let result = run_scenario(ScenarioKind::PairFailover, 3, &[], &opts);
-        TraceExport::from_run(ScenarioKind::PairFailover, &opts, &result)
+        let scenario = Scenario::named("pair-failover").unwrap();
+        TraceExport::from_run("pair-failover", &scenario, &run(&scenario, 3, &[]))
     }
 
     #[test]
@@ -202,7 +200,7 @@ mod tests {
         assert_eq!(back, export);
         // The rebuilt trace parses into the same protocol events the live
         // run produced (modulo vector clocks, which exports strip).
-        let result = run_scenario(ScenarioKind::PairFailover, 3, &[], &CheckOptions::default());
+        let result = run(&Scenario::named("pair-failover").unwrap(), 3, &[]);
         let stripped: Vec<Event> =
             result.events.iter().map(|e| Event { clock: None, ..e.clone() }).collect();
         assert_eq!(export.events(), stripped);
@@ -226,6 +224,7 @@ mod tests {
         assert!(TraceExport::parse(&format!("{text}entry bogus line here\n")).is_err());
         assert!(TraceExport::parse(&format!("{text}free-floating prose\n")).is_err());
         assert!(TraceExport::parse("oftt-trace-v1\n# seed 1\n# choices\n").is_err());
+        assert!(TraceExport::parse(&text.replacen("pair-failover", "pair-failure", 1)).is_err());
         // Unknown metadata keys are tolerated (minor-revision room).
         let padded = text.replacen("# seed", "# emitted-by oftt-check-tests\n# seed", 1);
         assert_eq!(TraceExport::parse(&padded).unwrap(), export);
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn file_names_are_stable() {
         assert_eq!(
-            TraceExport::file_name(ScenarioKind::PartitionedStartup, 7, 12),
+            TraceExport::file_name("partitioned-startup", 7, 12),
             "partitioned-startup-s7-0012.trace"
         );
     }

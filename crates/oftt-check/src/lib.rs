@@ -7,10 +7,12 @@
 //! startup interleaving. This crate turns the determinism into a search
 //! space:
 //!
-//! * [`scenario`] builds the Figure-3 deployment, drives a fault campaign
-//!   (pair failover or partitioned startup), and runs it under an
-//!   exploring [`ds_sim::schedule::SchedulePolicy`] so every same-window
-//!   event race becomes a recorded choice point.
+//! * [`scenario`] holds the one run description, [`Scenario`] (a
+//!   Figure-3 deployment, a fault script, a horizon and a tie window; the
+//!   named ones are `pair-failover` and `partitioned-startup`), and the one
+//!   runner, [`run`], which drives it under an exploring
+//!   [`ds_sim::schedule::SchedulePolicy`] so every same-window event race
+//!   becomes a recorded choice point.
 //! * [`parse`] lifts the run's trace into typed events; [`invariants`]
 //!   checks the failover protocol's eight safety properties over them
 //!   (including the vector-clock `ckpt-causality` check).
@@ -50,8 +52,5 @@ pub use export::{TraceExport, TRACE_FORMAT};
 pub use invariants::{check_all, Violation};
 pub use outcome::RunOutcome;
 pub use replay::{ReplayFile, ReplayOutcome};
-pub use scenario::{
-    run_scenario, run_script, CheckOptions, FaultScript, PairSlot, RunResult, ScenarioKind,
-    ScriptOp,
-};
+pub use scenario::{run, FaultScript, PairSlot, RunResult, Scenario, ScriptOp};
 pub use shrink::{shrink, Shrunk};

@@ -7,8 +7,7 @@ use std::time::Instant;
 
 use ds_sim::prelude::{Schedule, SimDuration};
 use oftt_check::{
-    check_all, explore, explore_with, run_scenario, shrink, CheckOptions, ExploreConfig,
-    ReplayFile, ScenarioKind, TraceExport,
+    check_all, explore, explore_with, run, shrink, ExploreConfig, ReplayFile, Scenario, TraceExport,
 };
 
 const USAGE: &str = "\
@@ -32,11 +31,10 @@ EXIT CODE: 0 clean, 1 usage error, 2 violations found (or replay failed
 to reproduce).";
 
 struct Args {
-    scenario: ScenarioKind,
+    name: String,
+    scenario: Scenario,
     budget: usize,
     seeds: u64,
-    window_us: u64,
-    inject_startup_bug: bool,
     emit: Option<PathBuf>,
     export_traces: Option<PathBuf>,
     replay: Option<PathBuf>,
@@ -44,29 +42,28 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        scenario: ScenarioKind::PairFailover,
+        name: "pair-failover".to_string(),
+        scenario: Scenario::default(),
         budget: 600,
         seeds: 8,
-        window_us: 500,
-        inject_startup_bug: false,
         emit: None,
         export_traces: None,
         replay: None,
     };
+    let (mut window_us, mut inject_startup_bug) = (500, false);
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--scenario" => {
-                let v = value("--scenario")?;
-                args.scenario = ScenarioKind::parse(&v).ok_or(format!("unknown scenario {v:?}"))?;
+                args.name = value("--scenario")?;
             }
             "--budget" => args.budget = value("--budget")?.parse().map_err(|e| format!("{e}"))?,
             "--seeds" => args.seeds = value("--seeds")?.parse().map_err(|e| format!("{e}"))?,
             "--window-us" => {
-                args.window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
+                window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--inject-startup-bug" => args.inject_startup_bug = true,
+            "--inject-startup-bug" => inject_startup_bug = true,
             "--emit" => args.emit = Some(PathBuf::from(value("--emit")?)),
             "--export-traces" => {
                 args.export_traces = Some(PathBuf::from(value("--export-traces")?));
@@ -82,6 +79,12 @@ fn parse_args() -> Result<Args, String> {
     if args.replay.is_none() && (args.seeds == 0 || args.budget == 0) {
         return Err("--seeds and --budget must be at least 1".to_string());
     }
+    args.scenario =
+        Scenario::named(&args.name).ok_or(format!("unknown scenario {:?}", args.name))?;
+    if inject_startup_bug {
+        args.scenario = args.scenario.with_startup_bug();
+    }
+    args.scenario.tie_window = SimDuration::from_micros(window_us);
     Ok(args)
 }
 
@@ -96,8 +99,8 @@ fn replay_mode(path: &Path) -> ExitCode {
     println!(
         "replaying {} ({}, bug={}, {} forced choices)",
         path.display(),
-        file.kind.name(),
-        file.inject_startup_bug,
+        file.name,
+        file.scenario.has_startup_bug(),
         file.schedule.choices.len()
     );
     let outcome = file.replay();
@@ -125,37 +128,32 @@ fn main() -> ExitCode {
         return replay_mode(path);
     }
 
-    let opts = CheckOptions {
-        inject_startup_bug: args.inject_startup_bug,
-        tie_window: SimDuration::from_micros(args.window_us),
-        ..Default::default()
-    };
+    let scenario = &args.scenario;
     let config = ExploreConfig {
         seeds: (1..=args.seeds).collect(),
         budget: args.budget,
-        opts: opts.clone(),
         ..Default::default()
     };
     println!(
         "exploring {} (budget {} runs, seeds 1..={}, window {}µs{})",
-        args.scenario.name(),
+        args.name,
         config.budget,
         args.seeds,
-        args.window_us,
-        if args.inject_startup_bug { ", startup bug injected" } else { "" }
+        scenario.tie_window.as_micros(),
+        if scenario.has_startup_bug() { ", startup bug injected" } else { "" }
     );
     let started = Instant::now();
     let report = match &args.export_traces {
-        None => explore(args.scenario, &config),
+        None => explore(scenario, &config),
         Some(dir) => {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("error creating {}: {e}", dir.display());
                 return ExitCode::from(1);
             }
             let mut exported = 0usize;
-            let report = explore_with(args.scenario, &config, |result| {
-                let export = TraceExport::from_run(args.scenario, &opts, result);
-                let name = TraceExport::file_name(args.scenario, result.schedule.seed, exported);
+            let report = explore_with(scenario, &config, |result| {
+                let export = TraceExport::from_run(&args.name, scenario, result);
+                let name = TraceExport::file_name(&args.name, result.schedule.seed, exported);
                 if let Err(e) = export.save(&dir.join(&name)) {
                     eprintln!("error writing {name}: {e}");
                 } else {
@@ -186,9 +184,8 @@ fn main() -> ExitCode {
     }
     let target = first.violations[0].invariant;
     println!("shrinking ({} recorded choices)...", first.schedule.choices.len());
-    let scenario = args.scenario;
     let shrunk = shrink(&first.schedule, 64, |candidate: &Schedule| {
-        let result = run_scenario(scenario, candidate.seed, &candidate.choices, &opts);
+        let result = run(scenario, candidate.seed, &candidate.choices);
         check_all(&result.events).iter().any(|v| v.invariant == target)
     });
     println!(
@@ -197,8 +194,8 @@ fn main() -> ExitCode {
         shrunk.attempts
     );
     let artifact = ReplayFile {
-        kind: args.scenario,
-        inject_startup_bug: args.inject_startup_bug,
+        name: args.name.clone(),
+        scenario: scenario.clone(),
         schedule: shrunk.schedule,
     };
     match &args.emit {

@@ -152,7 +152,7 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario, CheckOptions, ScenarioKind};
+    use crate::scenario::{run, Scenario};
 
     fn event(at_us: u64, kind: EventKind) -> Event {
         Event { at: SimTime::from_micros(at_us), kind, clock: None }
@@ -217,16 +217,16 @@ mod tests {
 
     #[test]
     fn real_failover_run_produces_one_clean_sample() {
-        let opts = CheckOptions::default();
-        let result = run_scenario(ScenarioKind::PairFailover, 1, &[], &opts);
-        let outcome = RunOutcome::compute(&result.events, opts.horizon);
+        let scenario = Scenario::named("pair-failover").unwrap();
+        let result = run(&scenario, 1, &[]);
+        let outcome = RunOutcome::compute(&result.events, scenario.horizon);
         assert!(outcome.violations.is_empty());
         assert!(outcome.recovered, "the repaired pair must end with a primary");
         assert!(!outcome.failover_us.is_empty(), "the 10s crash must cost one failover");
         assert!(outcome.availability > 0.9, "got {}", outcome.availability);
         // The canonical record is reproducible.
-        let again = run_scenario(ScenarioKind::PairFailover, 1, &[], &opts);
-        let outcome2 = RunOutcome::compute(&again.events, opts.horizon);
+        let again = run(&scenario, 1, &[]);
+        let outcome2 = RunOutcome::compute(&again.events, scenario.horizon);
         assert_eq!(outcome.record(1), outcome2.record(1));
     }
 }

@@ -2,31 +2,38 @@
 //!
 //! A counterexample is only useful if someone else can re-run it. The
 //! artifact format is the line-oriented [`Schedule::to_text`] form with a
-//! comment header naming the scenario and options, so a file is
-//! self-describing:
+//! comment header naming the scenario and what was changed about it, so a
+//! file is self-describing:
 //!
 //! ```text
 //! # oftt-check counterexample
 //! # scenario partitioned-startup
 //! # inject-startup-bug true
+//! # tie-window-us 500
 //! seed 3
 //! choices 0 2 1
 //! ```
+//!
+//! The tie window decides which events are choice points, so a forced
+//! prefix only means something under the window it was recorded at. Files
+//! written before the window was recorded have no `tie-window-us` line and
+//! replay under the default 500 µs they were recorded at.
 
 use std::path::Path;
 
-use ds_sim::prelude::Schedule;
+use ds_sim::prelude::{Schedule, SimDuration};
 
 use crate::invariants::{check_all, Violation};
-use crate::scenario::{run_scenario, CheckOptions, ScenarioKind};
+use crate::scenario::{run, Scenario};
 
-/// A schedule artifact plus the context needed to re-run it.
+/// A schedule artifact plus the run description needed to re-run it.
 #[derive(Debug, Clone)]
 pub struct ReplayFile {
-    /// Which fault campaign to drive.
-    pub kind: ScenarioKind,
-    /// Whether the §3.2 startup bug was injected.
-    pub inject_startup_bug: bool,
+    /// The [`Scenario::named`] name the run started from.
+    pub name: String,
+    /// The run description. The artifact records its name, whether it
+    /// runs the startup bug, and its tie window.
+    pub scenario: Scenario,
     /// The recorded schedule.
     pub schedule: Schedule,
 }
@@ -35,9 +42,11 @@ impl ReplayFile {
     /// Renders the self-describing artifact text.
     pub fn to_text(&self) -> String {
         format!(
-            "# oftt-check counterexample\n# scenario {}\n# inject-startup-bug {}\n{}",
-            self.kind.name(),
-            self.inject_startup_bug,
+            "# oftt-check counterexample\n# scenario {}\n# inject-startup-bug {}\n\
+             # tie-window-us {}\n{}",
+            self.name,
+            self.scenario.has_startup_bug(),
+            self.scenario.tie_window.as_micros(),
             self.schedule.to_text()
         )
     }
@@ -48,25 +57,31 @@ impl ReplayFile {
     ///
     /// Returns a description of the first malformed line.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut kind = None;
+        let mut name = None;
         let mut bug = false;
+        let mut window = None;
         for line in text.lines() {
             let line = line.trim();
             if let Some(rest) = line.strip_prefix("# scenario ") {
-                kind = Some(
-                    ScenarioKind::parse(rest.trim())
-                        .ok_or_else(|| format!("unknown scenario {rest:?}"))?,
-                );
+                name = Some(rest.trim());
             } else if let Some(rest) = line.strip_prefix("# inject-startup-bug ") {
-                bug = rest.trim() == "true";
+                bug = rest.trim().parse().map_err(|_| format!("bad bug flag {rest:?}"))?;
+            } else if let Some(rest) = line.strip_prefix("# tie-window-us ") {
+                let us = rest.trim().parse().map_err(|_| format!("bad tie window {rest:?}"))?;
+                window = Some(SimDuration::from_micros(us));
             }
         }
+        let name = name.ok_or_else(|| "artifact missing `# scenario` line".to_string())?;
+        let mut scenario =
+            Scenario::named(name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
+        if bug {
+            scenario = scenario.with_startup_bug();
+        }
+        if let Some(window) = window {
+            scenario.tie_window = window;
+        }
         let schedule = Schedule::parse(text)?;
-        Ok(ReplayFile {
-            kind: kind.ok_or_else(|| "artifact missing `# scenario` line".to_string())?,
-            inject_startup_bug: bug,
-            schedule,
-        })
+        Ok(ReplayFile { name: name.to_string(), scenario, schedule })
     }
 
     /// Writes the artifact to `path`.
@@ -90,9 +105,7 @@ impl ReplayFile {
 
     /// Re-runs the recorded schedule and re-checks the invariant catalog.
     pub fn replay(&self) -> ReplayOutcome {
-        let opts =
-            CheckOptions { inject_startup_bug: self.inject_startup_bug, ..Default::default() };
-        let result = run_scenario(self.kind, self.schedule.seed, &self.schedule.choices, &opts);
+        let result = run(&self.scenario, self.schedule.seed, &self.schedule.choices);
         ReplayOutcome {
             violations: check_all(&result.events),
             schedule_taken: result.schedule,
@@ -117,21 +130,54 @@ pub struct ReplayOutcome {
 mod tests {
     use super::*;
 
+    fn startup_bug() -> Scenario {
+        Scenario::named("partitioned-startup").unwrap().with_startup_bug()
+    }
+
     #[test]
     fn artifact_text_round_trips() {
         let file = ReplayFile {
-            kind: ScenarioKind::PartitionedStartup,
-            inject_startup_bug: true,
+            name: "partitioned-startup".into(),
+            scenario: Scenario { tie_window: SimDuration::from_micros(50), ..startup_bug() },
             schedule: Schedule::new(3, vec![0, 2, 1]),
         };
         let parsed = ReplayFile::parse(&file.to_text()).unwrap();
-        assert_eq!(parsed.kind, file.kind);
-        assert_eq!(parsed.inject_startup_bug, file.inject_startup_bug);
+        assert_eq!(parsed.name, file.name);
+        assert_eq!(parsed.scenario, file.scenario);
         assert_eq!(parsed.schedule, file.schedule);
     }
 
     #[test]
+    fn artifacts_without_a_tie_window_replay_under_the_default() {
+        let old = "# oftt-check counterexample\n# scenario partitioned-startup\n\
+                   # inject-startup-bug true\nseed 1\nchoices\n";
+        assert_eq!(ReplayFile::parse(old).unwrap().scenario, startup_bug());
+    }
+
+    #[test]
     fn artifact_without_scenario_is_rejected() {
-        assert!(ReplayFile::parse("seed 1\nchoices 0\n").is_err());
+        let body = "seed 1\nchoices 0\n";
+        assert!(ReplayFile::parse(body).is_err());
+        for header in [
+            "# scenario nope\n",
+            "# scenario pair-failover\n# inject-startup-bug ture\n",
+            "# scenario pair-failover\n# tie-window-us wide\n",
+        ] {
+            assert!(ReplayFile::parse(&format!("{header}{body}")).is_err(), "{header:?}");
+        }
+    }
+
+    #[test]
+    fn a_schedule_recorded_at_a_narrow_window_replays_under_it() {
+        let scenario = Scenario { tie_window: SimDuration::from_micros(50), ..startup_bug() };
+        let recorded = run(&scenario, 1, &[]).schedule;
+        let file =
+            ReplayFile { name: "partitioned-startup".into(), scenario, schedule: recorded.clone() };
+        let path = std::env::temp_dir()
+            .join(format!("oftt-check-replay-window-{}.sched", std::process::id()));
+        file.save(&path).unwrap();
+        let loaded = ReplayFile::load(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.unwrap().replay().schedule_taken, recorded);
     }
 }

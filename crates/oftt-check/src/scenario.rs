@@ -1,13 +1,11 @@
-//! Scenario adapters: checked deployments built on the oftt-harness
-//! Figure-3 configuration.
+//! Checked runs: one [`Scenario`] — a deployment, a fault script and a
+//! horizon — and one runner, [`run`].
 //!
-//! Each adapter builds the full stack (pair + Test and Interface PC with
-//! queue managers, engines, FTIM-wrapped Call Track, diverter, monitor,
-//! telephone feed), installs an exploring schedule policy, injects the
-//! scenario's fault campaign, runs to a fixed horizon, and returns the
-//! parsed trace plus the replayable schedule the run took.
-
-use std::sync::Arc;
+//! [`run`] builds the full oftt-harness Figure-3 stack (pair + Test and
+//! Interface PC with queue managers, engines, FTIM-wrapped Call Track,
+//! diverter, monitor, telephone feed), installs an exploring schedule
+//! policy, injects the script, runs to the horizon, and returns the parsed
+//! trace plus the replayable schedule the run took.
 
 use ds_net::endpoint::NodeId;
 use ds_net::fault::Fault;
@@ -17,78 +15,94 @@ use ds_sim::prelude::{
 };
 use oftt::config::{engine_endpoint, engine_service, StartupFallback};
 use oftt::messages::ToEngine;
-use oftt::transition::Defects;
-use oftt_harness::overrides::ParamOverrides;
 use oftt_harness::scenario::{Fig3Scenario, ScenarioParams};
 
 use crate::parse::{parse_trace, Event};
 
-/// The fault campaigns the checker knows how to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Steady pair, hard-crash the first pair node mid-run, repair it
-    /// later: the paper's §4 class-(a) failover exercised under every
-    /// explored interleaving.
-    PairFailover,
-    /// Partition the pair interconnect during the startup negotiation
-    /// window, heal before the horizon: the §3.2 both-nodes-primary
-    /// hazard's home turf.
-    PartitionedStartup,
-}
-
-impl ScenarioKind {
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScenarioKind::PairFailover => "pair-failover",
-            ScenarioKind::PartitionedStartup => "partitioned-startup",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "pair-failover" => Some(ScenarioKind::PairFailover),
-            "partitioned-startup" => Some(ScenarioKind::PartitionedStartup),
-            _ => None,
-        }
-    }
-}
-
-/// Knobs shared by every checked run.
-#[derive(Debug, Clone)]
-pub struct CheckOptions {
-    /// Re-introduce the pre-fix §3.2 startup bug (no negotiation retries,
-    /// fall back to becoming primary) — the known-bad configuration the
-    /// smoke test hunts.
-    pub inject_startup_bug: bool,
+/// The one run description: a deployment, a fault script and a horizon.
+/// Every checked run — a named scenario, a campaign seed, a replayed
+/// artifact, a rendered counterexample — is one of these handed to [`run`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// The Figure-3 deployment, as plain data (the seed is [`run`]'s).
+    pub params: ScenarioParams,
+    /// The faults driven against it.
+    pub script: FaultScript,
+    /// How long the run lasts.
+    pub horizon: SimTime,
     /// Events within this window of the earliest ready event count as
     /// simultaneous for tie-breaking. Wider windows create more choice
     /// points (more schedules) per run.
     pub tie_window: SimDuration,
-    /// Seeded-defect switches forwarded into the pair's [`oftt`] config.
-    /// Only effective when the workspace is built with `--features
-    /// inject_bugs`; inert otherwise.
-    pub defects: Defects,
-    /// How long the run lasts (defaults to [`HORIZON`]). Campaign sweeps
-    /// shorten this for smoke tiers and stretch it for long-outage studies.
-    pub horizon: SimTime,
-    /// Validated parameter deltas applied on top of the standard checked
-    /// deployment — the campaign runner's override hook. Empty by default.
-    pub overrides: ParamOverrides,
 }
 
-impl Default for CheckOptions {
+impl Default for Scenario {
+    /// The checked deployment with no faults.
     fn default() -> Self {
-        CheckOptions {
-            inject_startup_bug: false,
+        Scenario {
+            // Arm the Call Track deadman so checked runs exercise the
+            // watchdog API surface (oftt-audit's lifecycle linter needs
+            // those events).
+            params: ScenarioParams {
+                watchdog: Some(SimDuration::from_secs(5)),
+                ..Default::default()
+            },
+            script: FaultScript::default(),
+            horizon: SimTime::from_secs(40),
             // Wide enough to make message races real choice points (IPC
             // latency is 50µs; link latencies are sub-millisecond).
             tie_window: SimDuration::from_micros(500),
-            defects: Defects::default(),
-            horizon: HORIZON,
-            overrides: ParamOverrides::default(),
         }
+    }
+}
+
+impl Scenario {
+    /// The checked deployment driven by `script`, everything else default.
+    pub fn new(script: FaultScript) -> Self {
+        Scenario { script, ..Default::default() }
+    }
+
+    /// The named scenarios, by their stable CLI and artifact names:
+    ///
+    /// * `pair-failover` — steady pair, hard-crash the first pair node
+    ///   mid-run, repair it later: the paper's §4 class-(a) failover
+    ///   exercised under every explored interleaving.
+    /// * `partitioned-startup` — partition the pair interconnect during
+    ///   the startup negotiation window, heal before the horizon: the §3.2
+    ///   both-nodes-primary hazard's home turf.
+    pub fn named(name: &str) -> Option<Self> {
+        let steps = match name {
+            "pair-failover" => vec![
+                (SimTime::from_secs(10), ScriptOp::Crash(PairSlot::A)),
+                (SimTime::from_secs(25), ScriptOp::Repair(PairSlot::A)),
+            ],
+            // Hit the window between boot and the first successful hello
+            // exchange (services spawn with up to 500ms jitter + 20ms
+            // process creation).
+            "partitioned-startup" => vec![
+                (SimTime::from_millis(5), ScriptOp::Partition),
+                (SimTime::from_secs(8), ScriptOp::Heal),
+            ],
+            _ => return None,
+        };
+        Some(Scenario::new(FaultScript { steps }))
+    }
+
+    /// Re-introduces the pre-fix §3.2 startup behaviour — one negotiation
+    /// attempt, then unilaterally become primary — as the two config
+    /// values the campaign overrides `startup_retries: 0` and
+    /// `startup_fallback: "become-primary"` also set.
+    pub fn with_startup_bug(mut self) -> Self {
+        self.params.config.startup_retries = 0;
+        self.params.config.startup_fallback = StartupFallback::BecomePrimary;
+        self
+    }
+
+    /// `true` if the deployment runs the pre-fix startup behaviour (what
+    /// artifacts record as `inject-startup-bug`).
+    pub fn has_startup_bug(&self) -> bool {
+        self.params.config.startup_retries == 0
+            && self.params.config.startup_fallback == StartupFallback::BecomePrimary
     }
 }
 
@@ -121,52 +135,23 @@ pub const EXPORT_CATEGORIES: [TraceCategory; 5] = [
     TraceCategory::Other,
 ];
 
-/// How long every checked run lasts.
-pub const HORIZON: SimTime = SimTime::from_secs(40);
-
-/// Runs one checked deployment to the horizon under an exploring policy
-/// with the given forced tie-break prefix; `campaign` injects whatever
-/// faults the caller wants before the simulation starts. The same
-/// `(seed, forced, opts, campaign)` always produces the same result —
-/// replay is just re-running with a recorded prefix.
-fn run_with(
-    seed: u64,
-    forced: &[u32],
-    opts: &CheckOptions,
-    campaign: impl FnOnce(&mut Fig3Scenario),
-) -> RunResult {
-    let bug = opts.inject_startup_bug;
-    let defects = opts.defects;
-    let mut params = ScenarioParams {
-        seed,
-        // Arm the Call Track deadman so checked runs exercise the watchdog
-        // API surface (oftt-audit's lifecycle linter needs those events).
-        watchdog: Some(SimDuration::from_secs(5)),
-        tune: Arc::new(move |config| {
-            if bug {
-                // The §3.2 pre-fix behaviour: one negotiation attempt, then
-                // unilaterally become primary.
-                config.startup_retries = 0;
-                config.startup_fallback = StartupFallback::BecomePrimary;
-            }
-            config.defects = defects;
-        }),
-        ..Default::default()
-    };
-    opts.overrides.apply(&mut params);
-    let mut scenario = Fig3Scenario::build(&params);
-    scenario.cs.set_causality_recording(true);
-    scenario.cs.set_schedule_policy(SchedulePolicy::Explore {
+/// Runs `scenario` once under an exploring policy with the given forced
+/// tie-break prefix. The same `(scenario, seed, forced)` always produces
+/// the same result — replay is just re-running with a recorded prefix.
+pub fn run(scenario: &Scenario, seed: u64, forced: &[u32]) -> RunResult {
+    let mut fig3 = Fig3Scenario::build(&ScenarioParams { seed, ..scenario.params.clone() });
+    fig3.cs.set_causality_recording(true);
+    fig3.cs.set_schedule_policy(SchedulePolicy::Explore {
         forced: forced.to_vec(),
-        window: opts.tie_window,
+        window: scenario.tie_window,
     });
-    campaign(&mut scenario);
-    scenario.start();
-    scenario.run_until(opts.horizon);
-    let schedule = Schedule::new(seed, scenario.cs.choices_taken());
-    let choice_points = scenario.cs.choice_points().to_vec();
-    let causality = scenario.cs.take_causality_log();
-    let trace = scenario.cs.trace();
+    scenario.script.inject(&mut fig3);
+    fig3.start();
+    fig3.run_until(scenario.horizon);
+    let schedule = Schedule::new(seed, fig3.cs.choices_taken());
+    let choice_points = fig3.cs.choice_points().to_vec();
+    let causality = fig3.cs.take_causality_log();
+    let trace = fig3.cs.trace();
     let entries = trace
         .entries()
         .iter()
@@ -181,32 +166,6 @@ fn run_with(
         entries,
         causality,
     }
-}
-
-/// Runs one named scenario under an exploring policy with the given forced
-/// tie-break prefix.
-pub fn run_scenario(
-    kind: ScenarioKind,
-    seed: u64,
-    forced: &[u32],
-    opts: &CheckOptions,
-) -> RunResult {
-    run_with(seed, forced, opts, |scenario| {
-        let (a, b) = (scenario.pair.a, scenario.pair.b);
-        match kind {
-            ScenarioKind::PairFailover => {
-                scenario.inject(SimTime::from_secs(10), Fault::CrashNode(a));
-                scenario.inject(SimTime::from_secs(25), Fault::RepairNode(a));
-            }
-            ScenarioKind::PartitionedStartup => {
-                // Hit the window between boot and the first successful hello
-                // exchange (services spawn with up to 500ms jitter + 20ms
-                // process creation).
-                scenario.inject(SimTime::from_millis(5), Fault::Partition(a, b));
-                scenario.inject(SimTime::from_secs(8), Fault::Heal(a, b));
-            }
-        }
-    })
 }
 
 /// One side of the pair, named positionally so scripts stay independent of
@@ -283,10 +242,98 @@ pub enum ScriptOp {
     },
 }
 
-/// A deterministic fault campaign rendered from an abstract counterexample:
-/// time-stamped [`ScriptOp`]s driven against the standard Figure-3
-/// deployment. This is how oftt-verify hands its findings back to oftt-check
-/// for concrete replay.
+/// Every script op with the operands it takes, for parse errors.
+const OPS: [(&str, &str); 11] = [
+    ("crash", "SLOT"),
+    ("repair", "SLOT"),
+    ("kill-engine", "SLOT"),
+    ("restart-engine", "SLOT"),
+    ("partition", "no operands"),
+    ("heal", "no operands"),
+    ("distress", "SLOT"),
+    ("reboot", "SLOT"),
+    ("path-down", "PATH"),
+    ("path-up", "PATH"),
+    ("slow-link", "LATENCY_US JITTER_US BANDWIDTH_BPS"),
+];
+
+impl std::fmt::Display for ScriptOp {
+    /// The script line form: the op name, then its operands.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScriptOp::Crash(slot) => write!(f, "crash {}", slot.name()),
+            ScriptOp::Repair(slot) => write!(f, "repair {}", slot.name()),
+            ScriptOp::KillEngine(slot) => write!(f, "kill-engine {}", slot.name()),
+            ScriptOp::RestartEngine(slot) => write!(f, "restart-engine {}", slot.name()),
+            ScriptOp::Partition => write!(f, "partition"),
+            ScriptOp::Heal => write!(f, "heal"),
+            ScriptOp::Distress(slot) => write!(f, "distress {}", slot.name()),
+            ScriptOp::Reboot(slot) => write!(f, "reboot {}", slot.name()),
+            ScriptOp::PathDown(path) => write!(f, "path-down {path}"),
+            ScriptOp::PathUp(path) => write!(f, "path-up {path}"),
+            ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
+                write!(f, "slow-link {latency_us} {jitter_us} {bandwidth_bps}")
+            }
+        }
+    }
+}
+
+impl ScriptOp {
+    /// Parses one op in its [`Display`](std::fmt::Display) form
+    /// (`kill-engine a`, `slow-link 20000 5000 50000`): exactly the op's
+    /// operands, a slot is `a` or `b`, a path index at most 255, a
+    /// bandwidth positive.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the offending text.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let slot = |w: &str| {
+            PairSlot::parse(w).ok_or_else(|| format!("bad pair slot {w:?} (a or b) in {text:?}"))
+        };
+        let number = |w: &str| {
+            w.parse::<u64>().map_err(|_| format!("bad numeric operand {w:?} in {text:?}"))
+        };
+        let path = |w: &str| {
+            u8::try_from(number(w)?).map_err(|_| format!("path index {w} over 255 in {text:?}"))
+        };
+        let words: Vec<&str> = text.split_whitespace().collect();
+        Ok(match words.as_slice() {
+            ["crash", s] => ScriptOp::Crash(slot(s)?),
+            ["repair", s] => ScriptOp::Repair(slot(s)?),
+            ["kill-engine", s] => ScriptOp::KillEngine(slot(s)?),
+            ["restart-engine", s] => ScriptOp::RestartEngine(slot(s)?),
+            ["partition"] => ScriptOp::Partition,
+            ["heal"] => ScriptOp::Heal,
+            ["distress", s] => ScriptOp::Distress(slot(s)?),
+            ["reboot", s] => ScriptOp::Reboot(slot(s)?),
+            ["path-down", p] => ScriptOp::PathDown(path(p)?),
+            ["path-up", p] => ScriptOp::PathUp(path(p)?),
+            ["slow-link", latency, jitter, bandwidth] => {
+                let bandwidth_bps = number(bandwidth)?;
+                if bandwidth_bps == 0 {
+                    return Err(format!("bandwidth must be positive in {text:?}"));
+                }
+                ScriptOp::SlowLink {
+                    latency_us: number(latency)?,
+                    jitter_us: number(jitter)?,
+                    bandwidth_bps,
+                }
+            }
+            [] => return Err("missing script op".to_string()),
+            [op, ..] => {
+                return Err(match OPS.iter().find(|(name, _)| name == op) {
+                    Some((_, operands)) => format!("{op} takes {operands}, got {text:?}"),
+                    None => format!("unknown script op {op:?}"),
+                })
+            }
+        })
+    }
+}
+
+/// A deterministic fault campaign: time-stamped [`ScriptOp`]s driven
+/// against the standard Figure-3 deployment. Named scenarios, campaign
+/// seeds and oftt-verify's rendered counterexamples are all scripts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScript {
     /// The steps, in schedule order.
@@ -294,35 +341,12 @@ pub struct FaultScript {
 }
 
 impl FaultScript {
-    /// Renders the script as line-oriented text: `<at-µs> <op> [slot]` per
-    /// step, `#` comments and blank lines ignored on parse.
+    /// Renders the script as line-oriented text: `<at-µs> <op>` per step,
+    /// `#` comments and blank lines ignored on parse.
     pub fn to_text(&self) -> String {
         let mut out = String::from("# oftt-check fault script\n");
         for (at, op) in &self.steps {
-            let at = at.as_micros();
-            match op {
-                ScriptOp::Crash(slot) => out.push_str(&format!("{at} crash {}\n", slot.name())),
-                ScriptOp::Repair(slot) => out.push_str(&format!("{at} repair {}\n", slot.name())),
-                ScriptOp::KillEngine(slot) => {
-                    out.push_str(&format!("{at} kill-engine {}\n", slot.name()));
-                }
-                ScriptOp::RestartEngine(slot) => {
-                    out.push_str(&format!("{at} restart-engine {}\n", slot.name()));
-                }
-                ScriptOp::Partition => out.push_str(&format!("{at} partition\n")),
-                ScriptOp::Heal => out.push_str(&format!("{at} heal\n")),
-                ScriptOp::Distress(slot) => {
-                    out.push_str(&format!("{at} distress {}\n", slot.name()));
-                }
-                ScriptOp::Reboot(slot) => out.push_str(&format!("{at} reboot {}\n", slot.name())),
-                ScriptOp::PathDown(path) => out.push_str(&format!("{at} path-down {path}\n")),
-                ScriptOp::PathUp(path) => out.push_str(&format!("{at} path-up {path}\n")),
-                ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
-                    out.push_str(&format!(
-                        "{at} slow-link {latency_us} {jitter_us} {bandwidth_bps}\n"
-                    ));
-                }
-            }
+            out.push_str(&format!("{} {op}\n", at.as_micros()));
         }
         out
     }
@@ -339,115 +363,47 @@ impl FaultScript {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut parts = line.split_whitespace();
-            let at = parts
-                .next()
-                .and_then(|t| t.parse::<u64>().ok())
-                .map(SimTime::from_micros)
-                .ok_or_else(|| format!("bad script time in {line:?}"))?;
-            let op = parts.next().ok_or_else(|| format!("missing script op in {line:?}"))?;
-            let slot = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .and_then(PairSlot::parse)
-                    .ok_or_else(|| format!("bad pair slot in {line:?}"))
-            };
-            let number = |parts: &mut std::str::SplitWhitespace<'_>| {
-                parts
-                    .next()
-                    .and_then(|t| t.parse::<u64>().ok())
-                    .ok_or_else(|| format!("bad numeric operand in {line:?}"))
-            };
-            let op = match op {
-                "crash" => ScriptOp::Crash(slot(&mut parts)?),
-                "repair" => ScriptOp::Repair(slot(&mut parts)?),
-                "kill-engine" => ScriptOp::KillEngine(slot(&mut parts)?),
-                "restart-engine" => ScriptOp::RestartEngine(slot(&mut parts)?),
-                "partition" => ScriptOp::Partition,
-                "heal" => ScriptOp::Heal,
-                "distress" => ScriptOp::Distress(slot(&mut parts)?),
-                "reboot" => ScriptOp::Reboot(slot(&mut parts)?),
-                "path-down" => ScriptOp::PathDown(
-                    u8::try_from(number(&mut parts)?)
-                        .map_err(|_| format!("path index out of range in {line:?}"))?,
-                ),
-                "path-up" => ScriptOp::PathUp(
-                    u8::try_from(number(&mut parts)?)
-                        .map_err(|_| format!("path index out of range in {line:?}"))?,
-                ),
-                "slow-link" => ScriptOp::SlowLink {
-                    latency_us: number(&mut parts)?,
-                    jitter_us: number(&mut parts)?,
-                    bandwidth_bps: number(&mut parts)?,
-                },
-                other => return Err(format!("unknown script op {other:?}")),
-            };
-            if parts.next().is_some() {
-                return Err(format!("trailing tokens in {line:?}"));
-            }
-            steps.push((at, op));
+            let (at, op) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+            let at = at.parse::<u64>().map_err(|_| format!("bad script time in {line:?}"))?;
+            steps.push((SimTime::from_micros(at), ScriptOp::parse(op)?));
         }
         Ok(FaultScript { steps })
     }
-}
 
-/// Runs a scripted fault campaign against the standard checked deployment.
-pub fn run_script(
-    script: &FaultScript,
-    seed: u64,
-    forced: &[u32],
-    opts: &CheckOptions,
-) -> RunResult {
-    run_with(seed, forced, opts, |scenario| {
-        let (a, b) = (scenario.pair.a, scenario.pair.b);
-        for (at, op) in &script.steps {
-            match op {
-                ScriptOp::Crash(slot) => {
-                    scenario.inject(*at, Fault::CrashNode(slot.node(a, b)));
-                }
-                ScriptOp::Repair(slot) => {
-                    scenario.inject(*at, Fault::RepairNode(slot.node(a, b)));
-                }
-                ScriptOp::KillEngine(slot) => {
-                    scenario.inject(*at, Fault::KillService(slot.node(a, b), engine_service()));
-                }
+    /// Schedules every step against a built deployment.
+    fn inject(&self, fig3: &mut Fig3Scenario) {
+        let (a, b) = (fig3.pair.a, fig3.pair.b);
+        for &(at, op) in &self.steps {
+            let fault = match op {
+                ScriptOp::Crash(slot) => Fault::CrashNode(slot.node(a, b)),
+                ScriptOp::Repair(slot) => Fault::RepairNode(slot.node(a, b)),
+                ScriptOp::KillEngine(slot) => Fault::KillService(slot.node(a, b), engine_service()),
                 ScriptOp::RestartEngine(slot) => {
-                    scenario.inject(*at, Fault::StartService(slot.node(a, b), engine_service()));
+                    Fault::StartService(slot.node(a, b), engine_service())
                 }
-                ScriptOp::Partition => scenario.inject(*at, Fault::Partition(a, b)),
-                ScriptOp::Heal => scenario.inject(*at, Fault::Heal(a, b)),
-                ScriptOp::Distress(slot) => scenario.cs.post(
-                    *at,
-                    engine_endpoint(slot.node(a, b)),
-                    ToEngine::Distress {
-                        service: "scripted".into(),
-                        reason: "scripted distress".into(),
-                    },
-                ),
-                ScriptOp::Reboot(slot) => {
-                    scenario.inject(*at, Fault::RebootNode(slot.node(a, b)));
-                }
-                ScriptOp::PathDown(path) => {
-                    scenario.inject(*at, Fault::PathDown(a, b, *path as usize));
-                }
-                ScriptOp::PathUp(path) => {
-                    scenario.inject(*at, Fault::PathUp(a, b, *path as usize));
-                }
-                ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
-                    scenario.inject(
-                        *at,
-                        Fault::TuneLink {
-                            a,
-                            b,
-                            latency_us: *latency_us,
-                            jitter_us: *jitter_us,
-                            bandwidth_bps: *bandwidth_bps,
+                ScriptOp::Partition => Fault::Partition(a, b),
+                ScriptOp::Heal => Fault::Heal(a, b),
+                ScriptOp::Distress(slot) => {
+                    fig3.cs.post(
+                        at,
+                        engine_endpoint(slot.node(a, b)),
+                        ToEngine::Distress {
+                            service: "scripted".into(),
+                            reason: "scripted distress".into(),
                         },
                     );
+                    continue;
                 }
-            }
+                ScriptOp::Reboot(slot) => Fault::RebootNode(slot.node(a, b)),
+                ScriptOp::PathDown(path) => Fault::PathDown(a, b, path as usize),
+                ScriptOp::PathUp(path) => Fault::PathUp(a, b, path as usize),
+                ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
+                    Fault::TuneLink { a, b, latency_us, jitter_us, bandwidth_bps }
+                }
+            };
+            fig3.inject(at, fault);
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -457,17 +413,20 @@ mod tests {
     use crate::parse::EventKind;
 
     #[test]
-    fn scenario_names_round_trip() {
-        for kind in [ScenarioKind::PairFailover, ScenarioKind::PartitionedStartup] {
-            assert_eq!(ScenarioKind::parse(kind.name()), Some(kind));
+    fn only_the_two_names_resolve() {
+        for name in ["pair-failover", "partitioned-startup"] {
+            let scenario = Scenario::named(name).unwrap();
+            assert_eq!(scenario.script.steps.len(), 2);
+            assert!(!scenario.has_startup_bug());
+            assert!(scenario.with_startup_bug().has_startup_bug());
         }
-        assert_eq!(ScenarioKind::parse("nope"), None);
+        assert_eq!(Scenario::named("nope"), None);
     }
 
     #[test]
     fn default_interleaving_of_pair_failover_is_clean_and_replayable() {
-        let opts = CheckOptions::default();
-        let first = run_scenario(ScenarioKind::PairFailover, 1, &[], &opts);
+        let scenario = Scenario::named("pair-failover").unwrap();
+        let first = run(&scenario, 1, &[]);
         assert!(
             first.events.iter().any(|e| matches!(
                 &e.kind,
@@ -479,7 +438,7 @@ mod tests {
         assert!(violations.is_empty(), "default run must be clean: {violations:?}");
         assert!(!first.choice_points.is_empty(), "races must surface as choice points");
         // Replaying the recorded schedule reproduces the run exactly.
-        let again = run_scenario(ScenarioKind::PairFailover, 1, &first.schedule.choices, &opts);
+        let again = run(&scenario, 1, &first.schedule.choices);
         assert_eq!(again.trace_text, first.trace_text);
         assert_eq!(again.schedule, first.schedule);
         // The export selection keeps protocol events and drops per-packet
@@ -511,38 +470,48 @@ mod tests {
         };
         let text = script.to_text();
         assert_eq!(FaultScript::parse(&text).unwrap(), script);
-        assert!(FaultScript::parse("10 explode a").is_err());
+        for (at, op) in &script.steps {
+            assert_eq!(ScriptOp::parse(&op.to_string()), Ok(*op), "at {at:?}");
+        }
         assert!(FaultScript::parse("soon crash a").is_err());
-        assert!(FaultScript::parse("10 crash a b").is_err());
-        assert!(FaultScript::parse("10 crash c").is_err());
-        assert!(FaultScript::parse("10 path-down x").is_err());
-        assert!(FaultScript::parse("10 path-down 300").is_err());
-        assert!(FaultScript::parse("10 slow-link 5000").is_err());
+        assert!(FaultScript::parse("10").is_err());
+    }
+
+    #[test]
+    fn wrong_operands_are_rejected_by_name() {
+        for (line, needle) in [
+            ("explode a", "unknown script op"),
+            ("crash", "crash takes SLOT"),
+            ("crash a b", "crash takes SLOT"),
+            ("partition a", "partition takes no operands"),
+            ("crash c", "bad pair slot"),
+            ("path-down x", "bad numeric operand"),
+            ("path-up 300", "over 255"),
+            ("slow-link 5000", "slow-link takes LATENCY_US"),
+            ("slow-link 1 1 0", "bandwidth must be positive"),
+            ("", "missing script op"),
+        ] {
+            let err = ScriptOp::parse(line).unwrap_err();
+            assert!(err.contains(needle), "{line:?}: {err}");
+        }
     }
 
     #[test]
     fn scripted_failover_matches_named_scenario() {
-        // The PairFailover campaign expressed as a script produces the
-        // same deterministic run as the built-in scenario.
-        let opts = CheckOptions::default();
-        let script = FaultScript {
-            steps: vec![
-                (SimTime::from_secs(10), ScriptOp::Crash(PairSlot::A)),
-                (SimTime::from_secs(25), ScriptOp::Repair(PairSlot::A)),
-            ],
-        };
-        let scripted = run_script(&script, 1, &[], &opts);
-        let named = run_scenario(ScenarioKind::PairFailover, 1, &[], &opts);
+        // The pair-failover campaign written as script text produces the
+        // same deterministic run as the named scenario.
+        let script = FaultScript::parse("10000000 crash a\n25000000 repair a\n").unwrap();
+        let scripted = run(&Scenario::new(script), 1, &[]);
+        let named = run(&Scenario::named("pair-failover").unwrap(), 1, &[]);
         assert_eq!(scripted.trace_text, named.trace_text);
         assert!(check_all(&scripted.events).is_empty());
     }
 
     #[test]
     fn distress_script_solicits_a_switchover() {
-        let opts = CheckOptions::default();
         let script =
             FaultScript { steps: vec![(SimTime::from_secs(10), ScriptOp::Distress(PairSlot::A))] };
-        let result = run_script(&script, 1, &[], &opts);
+        let result = run(&Scenario::new(script), 1, &[]);
         assert!(
             result.trace_text.contains("distress") || result.trace_text.contains("switchover"),
             "a distress report must surface in the trace"

@@ -1,10 +1,8 @@
 //! Acceptance tests for the model checker: the clean sweep target and the
 //! injected-bug counterexample pipeline (explore → shrink → emit → replay).
 
-use ds_sim::prelude::{Schedule, SimDuration};
-use oftt_check::{
-    check_all, explore, run_scenario, shrink, CheckOptions, ExploreConfig, ReplayFile, ScenarioKind,
-};
+use ds_sim::prelude::Schedule;
+use oftt_check::{check_all, explore, run, shrink, ExploreConfig, ReplayFile, Scenario};
 
 /// The headline target: at least 500 distinct pair-failover schedules
 /// within the default budget, every one clean.
@@ -12,7 +10,7 @@ use oftt_check::{
 fn pair_failover_holds_invariants_across_500_distinct_schedules() {
     let config = ExploreConfig::default();
     assert!(config.budget >= 500, "default budget must cover the target");
-    let report = explore(ScenarioKind::PairFailover, &config);
+    let report = explore(&Scenario::named("pair-failover").unwrap(), &config);
     assert!(
         report.distinct >= 500,
         "expected >= 500 distinct schedules, got {} ({} runs, {} duplicates)",
@@ -34,14 +32,9 @@ fn pair_failover_holds_invariants_across_500_distinct_schedules() {
 /// format and replays to the same violation.
 #[test]
 fn injected_startup_bug_yields_shrunk_replayable_dual_primary() {
-    let opts = CheckOptions {
-        inject_startup_bug: true,
-        tie_window: SimDuration::from_micros(500),
-        ..Default::default()
-    };
-    let config =
-        ExploreConfig { seeds: vec![1, 2], budget: 6, opts: opts.clone(), ..Default::default() };
-    let report = explore(ScenarioKind::PartitionedStartup, &config);
+    let scenario = Scenario::named("partitioned-startup").unwrap().with_startup_bug();
+    let config = ExploreConfig { seeds: vec![1, 2], budget: 6, ..Default::default() };
+    let report = explore(&scenario, &config);
     let ce = report.counterexamples.first().expect("the startup bug must produce a counterexample");
     assert!(
         ce.violations.iter().any(|v| v.invariant == "single-primary-per-term"),
@@ -50,12 +43,7 @@ fn injected_startup_bug_yields_shrunk_replayable_dual_primary() {
     );
 
     let shrunk = shrink(&ce.schedule, 32, |candidate: &Schedule| {
-        let result = run_scenario(
-            ScenarioKind::PartitionedStartup,
-            candidate.seed,
-            &candidate.choices,
-            &opts,
-        );
+        let result = run(&scenario, candidate.seed, &candidate.choices);
         check_all(&result.events).iter().any(|v| v.invariant == "single-primary-per-term")
     });
     assert!(
@@ -64,11 +52,8 @@ fn injected_startup_bug_yields_shrunk_replayable_dual_primary() {
     );
 
     // Emit → parse → replay reproduces the violation.
-    let artifact = ReplayFile {
-        kind: ScenarioKind::PartitionedStartup,
-        inject_startup_bug: true,
-        schedule: shrunk.schedule,
-    };
+    let artifact =
+        ReplayFile { name: "partitioned-startup".into(), scenario, schedule: shrunk.schedule };
     let reloaded = ReplayFile::parse(&artifact.to_text()).expect("artifact must round-trip");
     assert_eq!(reloaded.schedule, artifact.schedule);
     let outcome = reloaded.replay();
@@ -89,7 +74,7 @@ fn injected_startup_bug_yields_shrunk_replayable_dual_primary() {
 #[test]
 fn correct_startup_config_survives_partitioned_startup() {
     let config = ExploreConfig { seeds: vec![1, 2, 3], budget: 30, ..Default::default() };
-    let report = explore(ScenarioKind::PartitionedStartup, &config);
+    let report = explore(&Scenario::named("partitioned-startup").unwrap(), &config);
     assert!(report.distinct >= 25, "got {} distinct schedules", report.distinct);
     assert!(
         report.counterexamples.is_empty(),

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use comsim::buf::Bytes;
 use ds_net::fault::Fault;
+use ds_net::link::PathConfig;
 use ds_net::node::NodeConfig;
 use ds_net::prelude::{ClusterSim, NodeId};
 use ds_sim::prelude::{SimDuration, SimTime};
@@ -388,17 +389,16 @@ pub fn run_detection_experiment(params: &DetectionParams) -> DetectionOutcome {
     let (heartbeat, timeout) = (params.heartbeat, params.timeout);
     let mut scenario_params = ScenarioParams {
         seed: params.seed,
-        link: crate::scenario::LinkQuality::Lossy(params.loss),
-        tune: Arc::new(move |c: &mut OfttConfig| {
-            c.heartbeat_period = heartbeat;
-            c.peer_timeout = timeout;
-            c.component_timeout = timeout;
-            // Keep the invariant heartbeat < fail_safe < peer_timeout.
-            c.fail_safe_timeout =
-                SimDuration::from_micros((heartbeat.as_micros() + timeout.as_micros()) / 2);
-        }),
+        link: vec![PathConfig::default().with_loss(params.loss)],
         ..Default::default()
     };
+    let c = &mut scenario_params.config;
+    c.heartbeat_period = heartbeat;
+    c.peer_timeout = timeout;
+    c.component_timeout = timeout;
+    // Keep the invariant heartbeat < fail_safe < peer_timeout.
+    c.fail_safe_timeout =
+        SimDuration::from_micros((heartbeat.as_micros() + timeout.as_micros()) / 2);
     // Telephone feed is irrelevant here; quiet it down.
     scenario_params.telephone.mean_interarrival = SimDuration::from_secs(3_600);
     let mut scenario = Fig3Scenario::build(&scenario_params);
@@ -759,11 +759,7 @@ pub fn run_link_redundancy_experiment(dual: bool, seed: u64) -> LinkRedundancyOu
     let horizon = SimTime::from_secs(180);
     let params = ScenarioParams {
         seed,
-        link: if dual {
-            crate::scenario::LinkQuality::Dual
-        } else {
-            crate::scenario::LinkQuality::Single
-        },
+        link: vec![PathConfig::default(); if dual { 2 } else { 1 }],
         ..Default::default()
     };
     let mut scenario = Fig3Scenario::build(&params);

@@ -30,6 +30,6 @@ pub mod tagmon;
 
 pub use calltrack::{CallTrack, CallTrackState};
 pub use experiments::FailureClass;
-pub use overrides::{OverrideError, OverrideValue, ParamOverrides};
+pub use overrides::{OverrideError, OverrideValue};
 pub use scenario::{Fig3Scenario, ScenarioParams};
 pub use tagmon::{TagMonState, TagMonitor};

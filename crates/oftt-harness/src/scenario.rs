@@ -28,61 +28,20 @@ use plant::telephone::{CallEvent, EventSink, TelephoneConfig, TelephoneSimulator
 
 use crate::calltrack::{CallTrack, CallTrackState};
 
-/// Network quality between the pair (and to the test PC).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkQuality {
-    /// Dual redundant healthy Ethernets (the paper's recommendation).
-    Dual,
-    /// A single healthy Ethernet.
-    Single,
-    /// A single Ethernet with this message-loss probability.
-    Lossy(f64),
-    /// A single Ethernet with every medium parameter explicit — the
-    /// campaign runner's custom-media knob (congested switch, long-haul
-    /// segment, starved NIC).
-    Tuned {
-        /// Message-loss probability in `[0, 1]`.
-        loss: f64,
-        /// Base one-way latency, µs.
-        latency_us: u64,
-        /// Uniform jitter (±), µs.
-        jitter_us: u64,
-        /// Usable bandwidth, bytes per second.
-        bandwidth_bps: u64,
-    },
-}
-
-impl LinkQuality {
-    fn build(self) -> Link {
-        match self {
-            LinkQuality::Dual => Link::dual(),
-            LinkQuality::Single => Link::single(),
-            LinkQuality::Lossy(p) => Link::new(vec![PathConfig::default().with_loss(p)]),
-            LinkQuality::Tuned { loss, latency_us, jitter_us, bandwidth_bps } => {
-                Link::new(vec![PathConfig::default()
-                    .with_loss(loss)
-                    .with_latency(
-                        SimDuration::from_micros(latency_us),
-                        SimDuration::from_micros(jitter_us),
-                    )
-                    .with_bandwidth_bps(bandwidth_bps)])
-            }
-        }
-    }
-}
-
-/// Everything configurable about a Fig-3 run.
-#[derive(Clone)]
+/// Everything configurable about a Fig-3 run, as plain data.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioParams {
     /// Determinism seed.
     pub seed: u64,
-    /// Toolkit configuration hook (the pair and monitor endpoint are
-    /// filled in by the builder; this closure tunes the rest).
-    pub tune: Arc<dyn Fn(&mut OfttConfig) + Send + Sync>,
+    /// The toolkit configuration. The builder completes it with the pair
+    /// and the monitor endpoint; every other field is used as given.
+    pub config: OfttConfig,
     /// The telephone office shape.
     pub telephone: TelephoneConfig,
-    /// Pair interconnect quality.
-    pub link: LinkQuality,
+    /// The paths of every link (pair interconnect and both links to the
+    /// test PC): two default paths are the paper's dual redundant
+    /// Ethernets, one path a single Ethernet.
+    pub link: Vec<PathConfig>,
     /// Arm the Call Track deadman watchdog with this period.
     pub watchdog: Option<SimDuration>,
     /// Recovery rule for the Call Track component.
@@ -105,7 +64,7 @@ impl Default for ScenarioParams {
     fn default() -> Self {
         ScenarioParams {
             seed: 1,
-            tune: Arc::new(|_| {}),
+            config: OfttConfig::new(Pair::new(NodeId(0), NodeId(1))),
             telephone: TelephoneConfig {
                 // Faster office than the paper's defaults so short runs see
                 // plenty of events.
@@ -113,7 +72,7 @@ impl Default for ScenarioParams {
                 mean_duration: SimDuration::from_secs(20),
                 ..Default::default()
             },
-            link: LinkQuality::Dual,
+            link: vec![PathConfig::default(); 2],
             watchdog: None,
             rule: RecoveryRule::LocalRestart { max_attempts: 2 },
             feed_start: SimTime::from_secs(5),
@@ -202,14 +161,14 @@ impl Fig3Scenario {
         let b = cs.add_node(NodeConfig { name: "Node 2 (pair)".into(), ..Default::default() });
         let test_pc =
             cs.add_node(NodeConfig { name: "Test and Interface".into(), ..Default::default() });
-        cs.connect(a, b, params.link.build());
-        cs.connect(a, test_pc, params.link.build());
-        cs.connect(b, test_pc, params.link.build());
+        for (x, y) in [(a, b), (a, test_pc), (b, test_pc)] {
+            cs.connect(x, y, Link::new(params.link.clone()));
+        }
 
         let pair = Pair::new(a, b);
-        let mut config = OfttConfig::new(pair);
+        let mut config = params.config.clone();
+        config.pair = pair;
         config.monitor = Some(Endpoint::new(test_pc, "oftt-monitor"));
-        (params.tune)(&mut config);
 
         // Queue managers everywhere.
         let test_pc_queue = Arc::new(Mutex::new(QueueStats::default()));

@@ -8,15 +8,15 @@
 use std::path::PathBuf;
 
 use oftt_audit::sweep::audit_sweep;
-use oftt_check::{ExploreConfig, ScenarioKind};
+use oftt_check::{ExploreConfig, Scenario};
 use oftt_lint::{run_scan, Options};
 
 #[test]
 fn static_lock_graph_covers_every_dynamic_lock_site() {
     let config = ExploreConfig { seeds: vec![1, 2], budget: 40, ..ExploreConfig::default() };
     let mut dynamic = std::collections::BTreeSet::new();
-    for kind in [ScenarioKind::PairFailover, ScenarioKind::PartitionedStartup] {
-        dynamic.extend(audit_sweep(kind, &config).lock_sites);
+    for name in ["pair-failover", "partitioned-startup"] {
+        dynamic.extend(audit_sweep(&Scenario::named(name).unwrap(), &config).lock_sites);
     }
     assert!(!dynamic.is_empty(), "the sweep observed no lock sites at all");
 

@@ -6,7 +6,7 @@
 
 use oftt::role::Role;
 use oftt::transition::Defects;
-use oftt_check::{run_scenario, CheckOptions, ScenarioKind, TraceExport};
+use oftt_check::{run, Scenario, TraceExport};
 use oftt_verify::explore::{explore, swapped, Explored};
 use oftt_verify::liveness::find_persistent_dual_primary;
 use oftt_verify::model::{AbsState, Bounds, Budgets};
@@ -43,14 +43,13 @@ fn the_crash_and_cut_space_is_exhausted_clean_and_lasso_free() {
 #[test]
 fn live_scenario_exports_refine_into_the_abstract_model() {
     let ex = graph(crash_and_cut(), &CLEAN);
-    let opts = CheckOptions::default();
-    for kind in [ScenarioKind::PairFailover, ScenarioKind::PartitionedStartup] {
+    for name in ["pair-failover", "partitioned-startup"] {
+        let scenario = Scenario::named(name).unwrap();
         for seed in 1..=3u64 {
-            let run = run_scenario(kind, seed, &[], &opts);
-            let export = TraceExport::from_run(kind, &opts, &run);
+            let export = TraceExport::from_run(name, &scenario, &run(&scenario, seed, &[]));
             let n = refine_export(&ex, &export, &Bounds::default())
-                .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", kind.name()));
-            assert!(n > 0, "{} seed {seed}: a live run must announce roles", kind.name());
+                .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+            assert!(n > 0, "{name} seed {seed}: a live run must announce roles");
         }
     }
 }
@@ -79,7 +78,7 @@ fn slot_symmetry_is_not_a_sound_reduction() {
 #[cfg(feature = "inject_bugs")]
 mod seeded_defects {
     use super::*;
-    use oftt_check::{check_all, run_script};
+    use oftt_check::check_all;
     use oftt_verify::render::render_script;
 
     /// The dual-primary-window defect (a beaten primary keeps serving)
@@ -102,10 +101,10 @@ mod seeded_defects {
 
         let script = render_script(&found.path);
         assert!(!script.steps.is_empty(), "the witness must use injectable faults");
-        let opts = CheckOptions { defects, ..Default::default() };
+        let mut scenario = Scenario::new(script);
+        scenario.params.config.defects = defects;
         let reproduced = (1..=3u64).any(|seed| {
-            let run = run_script(&script, seed, &[], &opts);
-            check_all(&run.events).iter().any(|v| {
+            check_all(&run(&scenario, seed, &[]).events).iter().any(|v| {
                 v.invariant == "no-dual-primary-after-heal"
                     || v.invariant == "converged-single-primary"
             })
@@ -130,10 +129,12 @@ mod seeded_defects {
 
         let script = render_script(&found.path);
         assert!(!script.steps.is_empty(), "the witness must use injectable faults");
-        let opts = CheckOptions { defects, ..Default::default() };
+        let mut scenario = Scenario::new(script);
+        scenario.params.config.defects = defects;
         let reproduced = (1..=3u64).any(|seed| {
-            let run = run_script(&script, seed, &[], &opts);
-            check_all(&run.events).iter().any(|v| v.invariant.starts_with("ckpt-"))
+            check_all(&run(&scenario, seed, &[]).events)
+                .iter()
+                .any(|v| v.invariant.starts_with("ckpt-"))
         });
         assert!(reproduced, "rendered script must roll the store back under oftt-check");
     }

@@ -142,17 +142,12 @@ fn monitor_display_tracks_switchover() {
 #[test]
 fn checkpoint_period_scales_traffic() {
     let count_ckpts = |period_ms: u64| {
-        let params = ScenarioParams {
-            seed: 9500,
-            tune: std::sync::Arc::new(move |c: &mut oftt::OfttConfig| {
-                c.checkpoint_period = SimDuration::from_millis(period_ms);
-                // Full mode ships every period; the default selective mode
-                // skips empty deltas, so its count tracks the event rate
-                // rather than the period.
-                c.checkpoint_mode = oftt::config::CheckpointMode::Full;
-            }),
-            ..Default::default()
-        };
+        let mut params = ScenarioParams { seed: 9500, ..Default::default() };
+        params.config.checkpoint_period = SimDuration::from_millis(period_ms);
+        // Full mode ships every period; the default selective mode skips
+        // empty deltas, so its count tracks the event rate rather than the
+        // period.
+        params.config.checkpoint_mode = oftt::config::CheckpointMode::Full;
         let mut scenario = Fig3Scenario::build(&params);
         scenario.start();
         scenario.run_until(SimTime::from_secs(120));
