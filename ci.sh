@@ -5,7 +5,9 @@
 #   1. cargo fmt --check        config in rustfmt.toml
 #   2. cargo clippy             whole workspace, warnings are errors
 #   3. tier-1                   release build + the root suite's smoke tests
-#   4. workspace tests          every crate's unit/integration tests, and the
+#   4. workspace tests          every crate's unit/integration tests (the
+#                               reactor's 128-connection saturation floor is
+#                               oftt-wire's reactor_load test), and the
 #                               oftt suite again with the seeded defects
 #                               compiled in (the checkpoint store's one-deep
 #                               history only exists under inject_bugs)
@@ -31,37 +33,26 @@
 #  14. lint sweep               oftt-lint over the whole workspace: zero
 #                               non-baselined findings, no stale baseline
 #                               entries, static lock graph must cover every
-#                               dynamically observed lock site, and the
-#                               oftt-lint-v2 JSON must validate
+#                               dynamically observed lock site (each a
+#                               finding, so exit 0 is the whole verdict)
 #  15. lint fixtures            each rule family must still fire on its
 #                               seeded fixture, plus oftt-lint's own tests
 #  16. lint effects             interprocedural acceptance: the seeded
 #                               diag→probe deadlock (split across a call
 #                               boundary) must be rediscovered by the
 #                               call-derived lock-order analysis under
-#                               --include-injected, and the bench-lint
-#                               throughput artifact must emit and validate as
-#                               oftt-bench-lint-v2
+#                               --include-injected
 #  17. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               within the 3 s detection budget and
 #                               restore-crc integrity
-#  18. saturation smoke         the reactor load gate (bench-wire): one
-#                               max-rate stream plus 128 concurrent streaming
-#                               apps, asserting the ≥ 7.86 MB/s aggregate
-#                               floor, a fixed reactor thread count, and zero
-#                               protocol errors
-#  19. bench smoke              reduced BENCH_verify.json emit (verification
-#                               throughput), schema-validated
-#  20. campaign smoke           trimmed 20-seed scenario campaign (reboot loop
+#  18. campaign smoke           trimmed 20-seed scenario campaign (reboot loop
 #                               + the seeded startup defect): every run goes
 #                               through the oftt-check invariant engine; any
 #                               violation, non-recovered seed, or missed
 #                               expected violation exits nonzero via the
-#                               campaign gate, and the emitted BENCH_campaign
-#                               artifact must validate as
-#                               oftt-bench-campaign-v1
-#  21. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#                               campaign gate
+#  19. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -169,14 +160,10 @@ step "audit seeded-defect corpus (inject_bugs)"
 cargo test -p oftt-audit --features inject_bugs -q
 
 step "lint sweep: workspace static analysis + static/dynamic lock cross-check"
-LINT_JSON=$(mktemp /tmp/LINT.XXXXXX.json)
-TMPFILES+=("$LINT_JSON")
 cargo build --release -q -p oftt-lint
 ./target/release/oftt-lint --workspace \
     --baseline lint-baseline.txt \
-    --dynamic-locks "$DYNAMIC_LOCKS" \
-    --json "$LINT_JSON"
-cargo run -p bench --release -q --bin bench-validate "$LINT_JSON"
+    --dynamic-locks "$DYNAMIC_LOCKS"
 
 step "lint seeded-fixture smoke (each rule family fires on its defect)"
 for fixture in crates/oftt-lint/fixtures/*.rs; do
@@ -191,7 +178,7 @@ for fixture in crates/oftt-lint/fixtures/*.rs; do
 done
 cargo test -p oftt-lint -q
 
-step "lint-effects: transitive deadlock rediscovery + bench artifact"
+step "lint-effects: transitive deadlock rediscovery"
 # The seeded diag→probe inversion spans a call boundary (the probe half
 # lives in a helper the diag holder calls), so only the call-derived
 # lock-order analysis can close the cycle — a per-function scan cannot.
@@ -208,37 +195,19 @@ grep -q 'lock-order.*diag' "$INJECTED_OUT" || {
     printf 'injected scan did not rediscover the diag/probe deadlock\n' >&2
     false
 }
-BENCH_LINT_OUT=$(mktemp /tmp/BENCH_lint.XXXXXX.json)
-TMPFILES+=("$BENCH_LINT_OUT")
-BENCH_LINT_RUNS=1 BENCH_OUT="$BENCH_LINT_OUT" \
-    cargo run -p bench --release -q --bin bench-lint
-cargo run -p bench --release -q --bin bench-validate "$BENCH_LINT_OUT"
 
 step "wire smoke: two-process SIGKILL failover over TCP"
 cargo build --release -q -p oftt-wire --bins
 ./target/release/wire-smoke
 
-step "saturation smoke: reactor throughput floor under load"
-cargo run -p bench --release -q --bin bench-wire
-
-step "bench smoke: verification throughput artifact"
-BENCH_VERIFY_OUT=$(mktemp /tmp/BENCH_verify.XXXXXX.json)
-TMPFILES+=("$BENCH_VERIFY_OUT")
-BENCH_REFINE_RUNS=5 BENCH_OUT="$BENCH_VERIFY_OUT" \
-    cargo run -p bench --release -q --bin bench-verify
-cargo run -p bench --release -q --bin bench-validate "$BENCH_VERIFY_OUT"
-
-step "campaign smoke: 20-seed statistical sweep + artifact gate"
+step "campaign smoke: 20-seed statistical sweep"
 # The gate exits 2 on any invariant violation, non-recovered seed,
 # breached pin, or an expected violation the instrument failed to
 # surface — `set -e` turns any of those into a CI failure.
-BENCH_CAMPAIGN_OUT=$(mktemp /tmp/BENCH_campaign.XXXXXX.json)
-TMPFILES+=("$BENCH_CAMPAIGN_OUT")
 cargo run -p oftt-campaign --release -q -- run \
     --scenario examples/campaigns/reboot_loop.json \
     --scenario examples/campaigns/startup_bug.json \
-    --seeds 20 --out "$BENCH_CAMPAIGN_OUT"
-cargo run -p bench --release -q --bin bench-validate "$BENCH_CAMPAIGN_OUT"
+    --seeds 20
 
 step "benchmark smoke: four workloads, untraced and traced, outputs checked"
 for trace in 0 1; do

@@ -9,8 +9,9 @@
 //! * [`scenario`] loads declarative JSON scenario files (fault-script
 //!   template + seed population + validated parameter overrides) into one
 //!   base [`oftt_check::Scenario`] plus what is campaign-specific, with
-//!   unknown keys, duplicate keys, and out-of-range seed spans as typed
-//!   hard errors;
+//!   unknown keys, duplicate keys, out-of-range times and seed spans as
+//!   typed hard errors (the file is read by the crate's private,
+//!   RFC 8259-strict `json` module);
 //! * [`expand`] unrolls the template per seed with deterministic jitter
 //!   (`SimRng::derive(seed, fnv(name) ^ step)`), so every run is exactly
 //!   reproducible from `(file, seed)`;
@@ -20,8 +21,10 @@
 //! * [`stats`] pools the outcomes into per-scenario distributions
 //!   (p50/p95/p99/max failover, availability mean/min, violation and
 //!   non-recovery counts) and applies the acceptance gate;
-//! * [`report`] emits the `oftt-bench-campaign-v1` artifact CI validates
-//!   and the human summary table.
+//! * [`report`] renders the human summary table and the `--out` JSON
+//!   record (which adds the p95, `availability_min` and pins the table
+//!   omits). The gate's verdict is the exit code; nothing re-checks the
+//!   JSON.
 //!
 //! ## A scenario file
 //!
@@ -47,7 +50,7 @@
 //! ```text
 //! cargo run -p oftt-campaign --release -- run \
 //!     --scenario examples/campaigns/partition_storm.json \
-//!     --out BENCH_campaign.json
+//!     --out campaign.json
 //! ```
 //!
 //! Exit status: `0` clean, `1` load/usage error, `2` gate failure
@@ -60,6 +63,7 @@
 pub mod error;
 pub mod exec;
 pub mod expand;
+mod json;
 pub mod report;
 pub mod scenario;
 pub mod stats;

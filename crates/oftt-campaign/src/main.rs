@@ -18,7 +18,7 @@ OPTIONS:
     --scenario FILE    a scenario JSON file (repeatable)
     --seeds N          truncate every scenario to its first N seeds
     --jobs N           worker threads (default: the machine's parallelism)
-    --out PATH         write the oftt-bench-campaign-v1 artifact here
+    --out PATH         write the per-scenario aggregates as JSON here
     --help             this text
 
 `check` loads and validates the files without running anything.

@@ -1,14 +1,16 @@
 // oftt-lint: no-panic
-//! Artifact emission and the human-facing summary.
+//! The human-facing summary and the `--out` JSON record.
 //!
-//! The JSON is hand-formatted to the `oftt-bench-campaign-v1` schema the
-//! workspace validator (`crates/bench/src/validate.rs`) checks, matching
-//! the other bench emitters: no serializer dependency, keys always in the
-//! same order, so diffs between campaign artifacts are line-diffs.
+//! The summary is what a person reads; the JSON adds what the table
+//! omits (the p95, `availability_min`, the pins) for tooling and for
+//! EXPERIMENTS.md. Neither is a verdict: the gate is
+//! [`crate::gate_failures`] and the CLI's exit code. The JSON is
+//! hand-formatted (no serializer dependency), keys always in the same
+//! order, so diffs between two runs' records are line-diffs.
 
 use crate::stats::ScenarioStats;
 
-/// Renders the campaign artifact (`oftt-bench-campaign-v1`).
+/// Renders the campaign's JSON record.
 pub fn render_json(
     stats: &[ScenarioStats],
     total_runs: usize,
@@ -17,7 +19,6 @@ pub fn render_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"oftt-bench-campaign-v1\",\n");
     out.push_str(&format!("  \"total_runs\": {total_runs},\n"));
     out.push_str(&format!("  \"elapsed_ms\": {elapsed_ms},\n"));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
@@ -96,6 +97,7 @@ pub fn render_summary(stats: &[ScenarioStats]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse_doc, Json};
     use crate::scenario::Pin;
 
     fn stats(pin: Pin) -> ScenarioStats {
@@ -120,21 +122,56 @@ mod tests {
         }
     }
 
+    /// Reads one scenario object back into stats; the violating seed
+    /// list is the summary's alone and comes back empty.
+    fn read_back(sc: &Json) -> ScenarioStats {
+        let num = |key: &str| sc.get(key).and_then(Json::as_f64).unwrap();
+        let pin = |key: &str| sc.get("pin").and_then(|p| p.get(key)).and_then(Json::as_f64);
+        ScenarioStats {
+            name: sc.get("name").and_then(Json::as_str).unwrap().to_string(),
+            seeds: num("seeds") as usize,
+            horizon_ms: num("horizon_ms") as u64,
+            expect_violations: sc.get("expect_violations").and_then(Json::as_bool).unwrap(),
+            recovered: num("recovered") as usize,
+            non_recovered: num("non_recovered") as usize,
+            violations: num("violations") as usize,
+            violating_seeds: num("violating_seeds") as usize,
+            violating_seed_list: Vec::new(),
+            failover_samples: num("failover_samples") as usize,
+            failover_ms_p50: num("failover_ms_p50"),
+            failover_ms_p95: num("failover_ms_p95"),
+            failover_ms_p99: num("failover_ms_p99"),
+            failover_ms_max: num("failover_ms_max"),
+            availability_mean: num("availability_mean"),
+            availability_min: num("availability_min"),
+            pin: Pin {
+                min_availability: pin("min_availability"),
+                max_failover_p99_ms: pin("max_failover_p99_ms"),
+                min_failover_samples: pin("min_failover_samples").map(|n| n as u64),
+            },
+        }
+    }
+
     #[test]
-    fn rendered_artifact_parses_and_validates() {
-        let pin = Pin {
+    fn rendered_json_round_trips_every_field_through_the_reader() {
+        let pinned = stats(Pin {
             min_availability: Some(0.9),
             max_failover_p99_ms: Some(3000.0),
             min_failover_samples: Some(20),
-        };
-        let json = render_json(&[stats(pin), stats(Pin::default())], 40, 1234, 8);
-        let doc = bench::json::parse(&json).unwrap();
-        assert_eq!(bench::validate::validate(&doc), Vec::<String>::new());
-        assert_eq!(
-            doc.get("scenarios").unwrap().as_array().unwrap().len(),
-            2,
-            "both scenarios present"
-        );
+        });
+        let mut unpinned = stats(Pin::default());
+        unpinned.name = "quiet".into();
+        unpinned.expect_violations = true;
+        unpinned.violations = 3;
+        unpinned.violating_seeds = 2;
+        let json = render_json(&[pinned.clone(), unpinned.clone()], 40, 1234, 8);
+        let doc = parse_doc(&json).unwrap();
+        assert_eq!(doc.get("total_runs").and_then(Json::as_f64), Some(40.0));
+        assert_eq!(doc.get("elapsed_ms").and_then(Json::as_f64), Some(1234.0));
+        assert_eq!(doc.get("jobs").and_then(Json::as_f64), Some(8.0));
+        let scenarios = doc.get("scenarios").and_then(Json::as_array).unwrap();
+        let back: Vec<ScenarioStats> = scenarios.iter().map(read_back).collect();
+        assert_eq!(back, vec![pinned, unpinned]);
     }
 
     #[test]

@@ -47,12 +47,12 @@
 
 use std::collections::BTreeSet;
 
-use bench::json::{parse_doc, Json, JsonErrorKind};
 use ds_sim::prelude::{SimDuration, SimTime};
 use oftt_check::ScriptOp;
 use oftt_harness::overrides::{self, OverrideValue};
 
 use crate::error::CampaignError;
+use crate::json::{parse_doc, Json, JsonErrorKind};
 
 /// The most seeds one scenario may name — a guard against a fat-fingered
 /// range (`[1, 10000000]`) launching a multi-day sweep.
@@ -185,18 +185,18 @@ impl Loader<'_> {
         as_integer(n).map_err(|detail| self.bad(field, detail))
     }
 
-    /// A positive duration field, given in the named unit.
-    fn duration(
-        &self,
-        v: &Json,
-        field: &str,
-        to_duration: fn(u64) -> SimDuration,
-    ) -> Result<SimDuration, CampaignError> {
-        let n = self.integer(v, field)?;
-        if n == 0 {
-            return Err(self.bad(field, "must be positive"));
+    /// An integer field given in units of `unit_us` µs, as µs. A value
+    /// whose µs count does not fit a `u64` is out of range, not wrapped.
+    fn micros(&self, v: &Json, field: &str, unit_us: u64) -> Result<u64, CampaignError> {
+        self.integer(v, field)?.checked_mul(unit_us).ok_or_else(|| self.bad(field, "out of range"))
+    }
+
+    /// A positive duration field, given in units of `unit_us` µs.
+    fn duration(&self, v: &Json, field: &str, unit_us: u64) -> Result<SimDuration, CampaignError> {
+        match self.micros(v, field, unit_us)? {
+            0 => Err(self.bad(field, "must be positive")),
+            us => Ok(SimDuration::from_micros(us)),
         }
-        Ok(to_duration(n))
     }
 
     fn scenario(&self, doc: &Json) -> Result<Scenario, CampaignError> {
@@ -216,12 +216,11 @@ impl Loader<'_> {
                 "description" => description = self.text(value, "description")?,
                 "seeds" => seeds = Some(self.seeds(value)?),
                 "horizon_ms" => {
-                    let d = self.duration(value, "horizon_ms", SimDuration::from_millis)?;
+                    let d = self.duration(value, "horizon_ms", 1_000)?;
                     base.horizon = SimTime::from_micros(d.as_micros());
                 }
                 "tie_window_us" => {
-                    base.tie_window =
-                        self.duration(value, "tie_window_us", SimDuration::from_micros)?;
+                    base.tie_window = self.duration(value, "tie_window_us", 1)?;
                 }
                 "expect_violations" => {
                     expect_violations = self.flag(value, "expect_violations")?;
@@ -369,10 +368,7 @@ impl Loader<'_> {
         let mut jitter = SimDuration::from_micros(0);
         for (key, value) in map {
             match key.as_str() {
-                "at_ms" => {
-                    let ms = self.integer(value, "at_ms")?;
-                    at = Some(SimTime::from_millis(ms));
-                }
+                "at_ms" => at = Some(SimTime::from_micros(self.micros(value, "at_ms", 1_000)?)),
                 "op" => {
                     let line = self.text(value, "op")?;
                     op = Some(ScriptOp::parse(&line).map_err(|detail| self.bad("op", detail))?);
@@ -383,12 +379,9 @@ impl Loader<'_> {
                         return Err(self.bad("repeat", "must be within [1, 10000]"));
                     }
                 }
-                "every_ms" => {
-                    every = Some(self.duration(value, "every_ms", SimDuration::from_millis)?)
-                }
+                "every_ms" => every = Some(self.duration(value, "every_ms", 1_000)?),
                 "jitter_ms" => {
-                    let ms = self.integer(value, "jitter_ms")?;
-                    jitter = SimDuration::from_millis(ms);
+                    jitter = SimDuration::from_micros(self.micros(value, "jitter_ms", 1_000)?);
                 }
                 other => return Err(self.unknown("script step", other)),
             }
@@ -551,6 +544,30 @@ mod tests {
                     assert!(detail.contains(needle), "{detail:?} vs {needle:?}");
                 }
                 other => panic!("{text}: {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn ms_fields_past_the_microsecond_range_are_out_of_range() {
+        // 2e16 ms is 2e19 us, past u64::MAX (~1.8e19): it must be a load
+        // error, not an overflow panic (debug) or a wrapped time (release).
+        const HUGE: u64 = 20_000_000_000_000_000;
+        let step = |fields: &str| {
+            format!(r#"{{"name": "ovf", "seeds": [1], "script": [{{"op": "heal", {fields}}}]}}"#)
+        };
+        for (field, text) in [
+            ("horizon_ms", format!(r#"{{"name": "ovf", "seeds": [1], "horizon_ms": {HUGE}}}"#)),
+            ("at_ms", step(&format!(r#""at_ms": {HUGE}"#))),
+            ("every_ms", step(&format!(r#""at_ms": 1, "repeat": 2, "every_ms": {HUGE}"#))),
+            ("jitter_ms", step(&format!(r#""at_ms": 1, "jitter_ms": {HUGE}"#))),
+        ] {
+            match Scenario::load("t.json", &text).unwrap_err() {
+                CampaignError::BadField { field: got, detail, .. } => {
+                    assert_eq!(got, field);
+                    assert_eq!(detail, "out of range", "{field}");
+                }
+                other => panic!("{field}: {other}"),
             }
         }
     }

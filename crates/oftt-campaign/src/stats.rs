@@ -1,11 +1,12 @@
 // oftt-lint: no-panic
 //! Cross-seed aggregation and the acceptance gate.
 //!
-//! A campaign's verdict is computed here, once, and consumed twice: the
-//! CLI exits non-zero on [`gate_failures`], and the emitted
-//! `BENCH_campaign.json` carries the same numbers for `bench-validate`
-//! to re-check in CI — the artifact can't pass validation while the run
-//! that produced it failed its own gate.
+//! A campaign's verdict is computed here, once, and consumed once: the
+//! CLI exits 2 on any [`gate_failures`]. The `--out` JSON carries the
+//! same numbers for reading, not for a second check. What the gate does
+//! not judge — that the aggregates are internally consistent (every seed
+//! counted once, quantiles ordered, availability a fraction) — is the
+//! aggregator's own contract, pinned by this module's tests.
 
 use crate::exec::RunRecord;
 use crate::scenario::{Pin, Scenario};
@@ -161,6 +162,8 @@ pub fn gate_failures(stats: &ScenarioStats) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_sim::prelude::SimTime;
+    use oftt_check::{RunOutcome, Violation};
 
     #[test]
     fn nearest_rank_percentiles() {
@@ -171,6 +174,64 @@ mod tests {
         assert_eq!(percentile_ms(&pool, 100.0), 100.0);
         assert_eq!(percentile_ms(&[], 50.0), 0.0);
         assert_eq!(percentile_ms(&[7000], 99.0), 7.0);
+    }
+
+    fn record(seed: u64, failover_ms: Vec<u64>, availability: f64, violations: usize) -> RunRecord {
+        let violation = Violation {
+            invariant: "single-primary",
+            at: SimTime::from_secs(2),
+            detail: String::new(),
+        };
+        RunRecord {
+            scenario: 0,
+            seed,
+            outcome: RunOutcome {
+                horizon: SimTime::from_secs(30),
+                first_primary: Some(SimTime::from_secs(1)),
+                failover_us: failover_ms.iter().map(|ms| ms * 1000).collect(),
+                unavailable_us: 0,
+                availability,
+                recovered: !seed.is_multiple_of(3),
+                role_updates: 0,
+                violations: vec![violation; violations],
+            },
+        }
+    }
+
+    #[test]
+    fn aggregates_count_every_seed_once_and_stay_ordered() {
+        let sc = Scenario::load(
+            "t.json",
+            r#"{"name": "t", "seeds": {"range": [1, 9]}, "horizon_ms": 30000}"#,
+        )
+        .unwrap();
+        let records: Vec<RunRecord> = (1..=9u64)
+            .map(|seed| {
+                let samples = (0..seed).map(|k| (seed * 389 + k * 97) % 1000 + 1).collect();
+                record(seed, samples, 1.0 - seed as f64 / 40.0, usize::from(seed == 4) * 2)
+            })
+            .collect();
+        for pool in [&records[..], &records[..1], &[]] {
+            let st = aggregate(&sc, pool);
+            assert_eq!(st.seeds, pool.len());
+            assert_eq!(st.recovered + st.non_recovered, st.seeds, "{st:?}");
+            assert!(
+                st.failover_ms_p50 <= st.failover_ms_p95
+                    && st.failover_ms_p95 <= st.failover_ms_p99
+                    && st.failover_ms_p99 <= st.failover_ms_max,
+                "{st:?}"
+            );
+            for a in [st.availability_mean, st.availability_min] {
+                assert!((0.0..=1.0).contains(&a), "{st:?}");
+            }
+            assert!(st.availability_min <= st.availability_mean, "{st:?}");
+        }
+        let st = aggregate(&sc, &records);
+        assert_eq!((st.horizon_ms, st.recovered, st.non_recovered), (30_000, 6, 3));
+        assert_eq!((st.violations, st.violating_seeds), (2, 1));
+        assert_eq!(st.violating_seed_list, vec![4]);
+        assert_eq!(st.failover_samples, 45);
+        assert_eq!(st.availability_min, 1.0 - 9.0 / 40.0);
     }
 
     fn stats() -> ScenarioStats {

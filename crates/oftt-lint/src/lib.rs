@@ -48,17 +48,16 @@
 //! `AwaitHello` (private-field typestate in `oftt_wire::supervisor`) —
 //! DESIGN.md §5g has the table.
 //!
-//! Findings are typed ([`report::Finding`]), suppressible through a
-//! checked-in baseline (stale entries are themselves findings), and
-//! serialized as an `oftt-lint-v2` JSON report validated by the unified
-//! bench validator in CI.
+//! Findings are typed ([`report::Finding`]) and suppressible through a
+//! checked-in baseline (stale entries are themselves findings). The CLI
+//! prints them with the scan's counts; its exit code is the verdict.
 //!
 //! ## Usage
 //!
 //! ```text
 //! cargo run -p oftt-lint -- --workspace
 //! cargo run -p oftt-lint -- --workspace --baseline lint-baseline.txt \
-//!     --dynamic-locks target/dynamic-locks.txt --json target/LINT.json
+//!     --dynamic-locks target/dynamic-locks.txt
 //! ```
 
 #![forbid(unsafe_code)]
@@ -235,10 +234,7 @@ pub fn run_scan(opts: &Options) -> Report {
     report.reactor_roots = analysis.roots.len();
     report.reactor_reachable = analysis.reactor_reachable().len();
     report.dynamic_checked = opts.dynamic_locks.len();
-    let (coverage_findings, uncovered) =
-        rules::locks::dynamic_coverage(&report.lock_names, &opts.dynamic_locks);
-    report.findings.extend(coverage_findings);
-    report.dynamic_uncovered = uncovered;
+    report.findings.extend(rules::locks::dynamic_coverage(&report.lock_names, &opts.dynamic_locks));
     report.findings.sort();
     report
 }

@@ -1,5 +1,5 @@
 //! `oftt-lint` CLI: scan the workspace (or explicit files), apply the
-//! baseline, and emit human text plus the `oftt-lint-v2` JSON report.
+//! baseline, print the findings, and exit 2 if any remain.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,7 +23,6 @@ OPTIONS:
     --baseline FILE          suppress findings listed in FILE; entries
                              matching no finding are stale-baseline findings
     --write-baseline         rewrite --baseline FILE from current findings
-    --json FILE              write the oftt-lint-v2 JSON report to FILE
     --dynamic-locks FILE     dynamic lock names from `oftt-audit scan
                              --export-locks` for the coverage cross-check
     --include-injected       scan #[cfg(feature = \"inject_bugs\")] spans too
@@ -35,7 +34,6 @@ struct Cli {
     workspace: bool,
     baseline: Option<PathBuf>,
     write_baseline: bool,
-    json: Option<PathBuf>,
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
@@ -44,7 +42,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
         workspace: false,
         baseline: None,
         write_baseline: false,
-        json: None,
     };
     let mut dynamic_locks_file: Option<String> = None;
     let mut it = it;
@@ -55,7 +52,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--root" => cli.opts.root = PathBuf::from(value("--root")?),
             "--baseline" => cli.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--write-baseline" => cli.write_baseline = true,
-            "--json" => cli.json = Some(PathBuf::from(value("--json")?)),
             "--dynamic-locks" => dynamic_locks_file = Some(value("--dynamic-locks")?),
             "--include-injected" => cli.opts.include_injected = true,
             "--help" | "-h" => {
@@ -152,12 +148,6 @@ fn main() -> ExitCode {
             });
         }
         report.findings.sort();
-    }
-    if let Some(path) = &cli.json {
-        if let Err(e) = std::fs::write(path, report::to_json(&report)) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(1);
-        }
     }
     print_summary(&report);
     if report.suppressed > 0 {

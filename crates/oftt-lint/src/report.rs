@@ -1,5 +1,4 @@
-//! Findings, the baseline/suppression file, and the `oftt-lint-v2`
-//! machine-readable report.
+//! Findings, the scan report, and the baseline/suppression file.
 //!
 //! The baseline is a tab-separated `rule \t file \t message` list, one
 //! suppressed finding per line, `#` comments allowed. Line numbers are
@@ -11,10 +10,10 @@
 //! the CLI turns each into a `stale-baseline` finding, so a fixed
 //! defect cannot leave a silent suppression behind.
 //!
-//! The JSON report is validated in CI by the unified bench validator
-//! (`crates/bench/src/validate.rs`, `oftt-lint-v2` arm): acceptance is
-//! zero non-baselined findings, zero dynamic lock sites missing from the
-//! static model, and a scan that actually covered the workspace.
+//! The report has no serialized form. The CLI prints its counts and
+//! findings, and its exit code is the verdict: an uncovered dynamic lock
+//! site is a `lock-coverage` finding and a stale baseline entry a
+//! `stale-baseline` finding, so "no findings" is the whole acceptance.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -39,7 +38,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The full scan result, ready to print or serialize.
+/// The full scan result, ready to print.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Non-suppressed findings, sorted.
@@ -64,8 +63,6 @@ pub struct Report {
     pub lock_edges: BTreeSet<(String, String)>,
     /// How many dynamically observed lock sites were cross-checked.
     pub dynamic_checked: usize,
-    /// Dynamic lock sites with no static acquisition — must be empty.
-    pub dynamic_uncovered: Vec<String>,
 }
 
 /// Parses a baseline file into suppression keys. Unparseable lines are
@@ -128,86 +125,6 @@ pub fn render_baseline(findings: &[Finding]) -> String {
     for (rule, file, message) in keys {
         out.push_str(&format!("{rule}\t{file}\t{message}\n"));
     }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes the report as an `oftt-lint-v2` JSON document.
-pub fn to_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"schema\": \"oftt-lint-v2\",\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!("  \"suppressed\": {},\n", report.suppressed));
-    out.push_str("  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(f.rule),
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message)
-        ));
-    }
-    if !report.findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str(&format!(
-        "  \"callgraph\": {{\"functions\": {}, \"edges\": {}, \"fixpoint_iterations\": {}, \
-         \"reactor_roots\": {}, \"reactor_reachable\": {}}},\n",
-        report.functions,
-        report.call_edges,
-        report.fixpoint_iterations,
-        report.reactor_roots,
-        report.reactor_reachable,
-    ));
-    out.push_str(&format!(
-        "  \"lock_graph\": {{\"locks\": {}, \"edges\": {}, \"lock_names\": [{}], \
-         \"edge_list\": [{}]}},\n",
-        report.lock_names.len(),
-        report.lock_edges.len(),
-        report
-            .lock_names
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", "),
-        report
-            .lock_edges
-            .iter()
-            .map(|(a, b)| format!("[\"{}\", \"{}\"]", json_escape(a), json_escape(b)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"dynamic_locks\": {{\"checked\": {}, \"uncovered\": {}, \"uncovered_names\": [{}]}}\n",
-        report.dynamic_checked,
-        report.dynamic_uncovered.len(),
-        report
-            .dynamic_uncovered
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("}\n");
     out
 }
 
@@ -276,31 +193,5 @@ mod tests {
     #[test]
     fn malformed_baseline_is_an_error() {
         assert!(parse_baseline("no tabs here\n").is_err());
-    }
-
-    #[test]
-    fn json_report_has_the_v2_shape() {
-        let mut report = Report { files_scanned: 90, suppressed: 1, ..Default::default() };
-        report.lock_names.insert("probe".into());
-        report.lock_edges.insert(("probe".into(), "diag".into()));
-        report.dynamic_checked = 2;
-        let json = to_json(&report);
-        assert!(json.contains("\"schema\": \"oftt-lint-v2\""));
-        assert!(json.contains("\"files_scanned\": 90"));
-        assert!(json.contains("\"findings\": []"));
-        assert!(json.contains("\"locks\": 1"));
-        assert!(json.contains("\"uncovered\": 0"));
-        assert!(json.contains("\"dynamic_locks\": {\"checked\": 2"));
-    }
-
-    #[test]
-    fn json_escapes_finding_text() {
-        let report = Report {
-            findings: vec![finding("lex", "weird\\path.rs", 1, "a \"quoted\" thing\n")],
-            ..Default::default()
-        };
-        let json = to_json(&report);
-        assert!(json.contains("weird\\\\path.rs"));
-        assert!(json.contains("a \\\"quoted\\\" thing\\n"));
     }
 }

@@ -312,29 +312,22 @@ pub(crate) fn find_cycles(edges: &BTreeMap<(String, String), (String, u32)>) -> 
 
 /// The static ⊇ dynamic cross-check: every base name in `dynamic` (from
 /// `oftt-audit scan --export-locks`) must be a statically discovered
-/// lock. Returns the uncovered names as findings plus the raw list.
-pub fn dynamic_coverage(
-    static_names: &BTreeSet<String>,
-    dynamic: &[String],
-) -> (Vec<Finding>, Vec<String>) {
-    let mut findings = Vec::new();
-    let mut uncovered = Vec::new();
-    for name in dynamic {
-        if !static_names.contains(name) {
-            findings.push(Finding {
-                rule: "lock-coverage",
-                file: "<oftt-audit sweep>".to_string(),
-                line: 0,
-                message: format!(
-                    "dynamically observed lock `{name}` has no statically discovered \
+/// lock. Returns one `lock-coverage` finding per uncovered name.
+pub fn dynamic_coverage(static_names: &BTreeSet<String>, dynamic: &[String]) -> Vec<Finding> {
+    dynamic
+        .iter()
+        .filter(|name| !static_names.contains(*name))
+        .map(|name| Finding {
+            rule: "lock-coverage",
+            file: "<oftt-audit sweep>".to_string(),
+            line: 0,
+            message: format!(
+                "dynamically observed lock `{name}` has no statically discovered \
                      acquisition — the interpreter missed a site (name it with \
                      `// oftt-lint: lock({name})` if the receiver is called something else)"
-                ),
-            });
-            uncovered.push(name.clone());
-        }
-    }
-    (findings, uncovered)
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -473,10 +466,9 @@ mod tests {
     fn dynamic_coverage_flags_missing_names() {
         let mut names = BTreeSet::new();
         names.insert("probe".to_string());
-        let (findings, uncovered) =
-            dynamic_coverage(&names, &["probe".to_string(), "ghost".to_string()]);
+        let findings = dynamic_coverage(&names, &["probe".to_string(), "ghost".to_string()]);
         assert_eq!(findings.len(), 1);
-        assert_eq!(uncovered, vec!["ghost".to_string()]);
+        assert_eq!(findings[0].rule, "lock-coverage");
         assert!(findings[0].message.contains("lock(ghost)"));
     }
 }

@@ -78,7 +78,7 @@ impl Fletcher {
         // which stays under 2³² for n = 4096 (≈ 2.41e9). The per-dirty-var
         // ship path calls this for every variable every checkpoint period;
         // dropping the two divisions per byte is a multiple-x win there
-        // (the bench-wire digest row measures it).
+        // (its cost is inside the benchmark's `ckpt_dense/op_ms`).
         const BLOCK: usize = 4096;
         let mut a = self.a;
         let mut b = self.b;
