@@ -16,6 +16,7 @@ use crate::link::{Link, RouteOutcome};
 use crate::message::{Envelope, MsgBody};
 use crate::node::{Node, NodeConfig, NodeStatus};
 use crate::process::{Process, ProcessEnv, ProcessFactory, TimerHandle};
+use crate::transport::{TransportEvent, WIRE_SERVICE};
 
 /// Latency charged for same-node (IPC) messages — COM LPC was fast and
 /// reliable relative to the network.
@@ -69,6 +70,9 @@ pub struct Cluster {
     specs: HashMap<(NodeId, ServiceName), ProcessFactory>,
     next_pid: u64,
     next_node: u16,
+    /// Local services subscribed to [`TransportEvent`]s, as on the socket
+    /// runtime.
+    transport_subs: Vec<Endpoint>,
     /// When true, every send/delivery is traced (verbose; off by default).
     pub trace_net: bool,
     counters: NetCounters,
@@ -84,6 +88,7 @@ impl Cluster {
             specs: HashMap::new(),
             next_pid: 0,
             next_node: 0,
+            transport_subs: Vec::new(),
             trace_net: false,
             counters: NetCounters::default(),
         }
@@ -577,6 +582,15 @@ impl ClusterSim {
         );
     }
 
+    /// Subscribes a service to [`TransportEvent`]s about its own node's
+    /// links, delivered as envelopes from `<node>/__wire` — the same
+    /// contract as the socket runtime's method of this name. The simulator
+    /// has no sockets, so its only event source is
+    /// [`crate::fault::Fault::PeerReset`].
+    pub fn subscribe_transport_events(&mut self, endpoint: Endpoint) {
+        self.sim.world_mut().transport_subs.push(endpoint);
+    }
+
     /// Posts a message into the cluster from a synthetic external source
     /// (unit-test convenience; real drivers are processes).
     pub fn post<T: std::any::Any + Send>(&mut self, at: SimTime, to: Endpoint, body: T) {
@@ -730,6 +744,24 @@ impl Cluster {
         service: ServiceName,
     ) {
         self.start_service(sched, node, service);
+    }
+
+    /// `to`'s transport reports its link to `from` closed by the remote
+    /// end: every subscriber on `to` gets `PeerDown { peer: from }`.
+    pub(crate) fn fault_peer_reset(
+        &mut self,
+        sched: &mut Scheduler<'_, Cluster>,
+        from: NodeId,
+        to: NodeId,
+    ) {
+        sched.record(TraceCategory::Fault, format!("link reset by {from} seen at {to}"));
+        let wire = Endpoint::new(to, WIRE_SERVICE);
+        let subs: Vec<Endpoint> =
+            self.transport_subs.iter().filter(|ep| ep.node == to).cloned().collect();
+        for sub in subs {
+            let event = TransportEvent::PeerDown { peer: from };
+            self.deliver(sched, Envelope::new(wire.clone(), sub, event));
+        }
     }
 }
 

@@ -52,6 +52,18 @@ pub enum Fault {
         /// New bandwidth, bytes per second.
         bandwidth_bps: u64,
     },
+    /// `to`'s transport sees its link to `from` closed by the remote end —
+    /// what a peer's kernel does to its sockets when the whole process
+    /// dies, or a proxy does when it severs a connection. Delivers
+    /// [`crate::transport::TransportEvent::PeerDown`]`{ peer: from }` from
+    /// `<to>/__wire` to `to`'s transport subscribers
+    /// ([`ClusterSim::subscribe_transport_events`]). Routing is untouched.
+    PeerReset {
+        /// The node whose end of the link closed.
+        from: NodeId,
+        /// The node that observes the reset.
+        to: NodeId,
+    },
 }
 
 impl Fault {
@@ -119,6 +131,7 @@ impl Fault {
                     );
                 }
             }
+            Fault::PeerReset { from, to } => cluster.fault_peer_reset(sched, *from, *to),
         }
     }
 }
@@ -270,6 +283,43 @@ mod tests {
             }
             other => panic!("expected delivery, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn peer_reset_reaches_only_the_observing_nodes_subscribers() {
+        use crate::endpoint::Endpoint;
+        use crate::message::Envelope;
+        use crate::process::{Process, ProcessEnv};
+        use crate::transport::TransportEvent;
+        use std::sync::{Arc, Mutex};
+
+        type Seen = Arc<Mutex<Vec<(Endpoint, TransportEvent)>>>;
+        struct Recorder(Seen);
+        impl Process for Recorder {
+            fn on_message(&mut self, envelope: Envelope, _env: &mut dyn ProcessEnv) {
+                let from = envelope.from.clone();
+                if let Ok(event) = envelope.body.downcast::<TransportEvent>() {
+                    self.0.lock().unwrap().push((from, event));
+                }
+            }
+        }
+
+        let (mut cs, a, b) = pair();
+        let seen: [Seen; 3] = Default::default();
+        for (i, (node, svc)) in [(a, "sub"), (b, "sub"), (b, "deaf")].into_iter().enumerate() {
+            let log = seen[i].clone();
+            cs.register_service(node, svc, Box::new(move || Box::new(Recorder(log.clone()))), true);
+        }
+        cs.subscribe_transport_events(Endpoint::new(a, "sub"));
+        cs.subscribe_transport_events(Endpoint::new(b, "sub"));
+        cs.start();
+        inject(&mut cs, SimTime::from_secs(1), Fault::PeerReset { from: a, to: b });
+        cs.run_until(SimTime::from_secs(2));
+        let got = seen[1].lock().unwrap().clone();
+        assert_eq!(got, vec![(Endpoint::new(b, "__wire"), TransportEvent::PeerDown { peer: a })]);
+        assert!(seen[0].lock().unwrap().is_empty(), "the reset is b's observation, not a's");
+        assert!(seen[2].lock().unwrap().is_empty(), "unsubscribed services hear nothing");
+        assert!(cs.cluster().link(a, b).unwrap().is_usable(), "routing is untouched");
     }
 
     #[test]

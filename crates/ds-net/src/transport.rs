@@ -238,9 +238,15 @@ pub struct TransportReport {
     pub at: SimTime,
 }
 
-/// Link lifecycle events delivered to subscribed local services (the msgq
-/// manager uses `PeerConnected { reconnect: true }` to retry store-and-
-/// forward transfers immediately instead of waiting out its retry timer).
+/// The service name [`TransportEvent`]s are sent from, on the node whose
+/// links they describe (`<node>/__wire`).
+pub const WIRE_SERVICE: &str = "__wire";
+
+/// Link lifecycle events delivered to subscribed local services, from
+/// `<node>/`[`WIRE_SERVICE`]. The msgq manager uses `PeerConnected {
+/// reconnect: true }` to retry store-and-forward transfers immediately
+/// instead of waiting out its retry timer; the OFTT engine reads
+/// `PeerDown` as suspicion of the peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportEvent {
     /// A handshaken connection to `peer` became active.

@@ -63,7 +63,7 @@ fn every_corpus_file_loads_and_expands() {
             loaded += 1;
         }
     }
-    assert_eq!(loaded, 7, "the corpus is seven files");
+    assert_eq!(loaded, 8, "the corpus is eight files");
 }
 
 /// The same scenario file and seed must reproduce the byte-identical

@@ -225,6 +225,10 @@ pub enum ScriptOp {
     /// Blue-screen a pair node: it goes down and reboots on its own
     /// (paper failure class *b*) — the reboot-loop campaigns' workhorse.
     Reboot(PairSlot),
+    /// The other node's transport sees this node's end of the link close
+    /// — its kernel's report of a whole-process death when paired with
+    /// `crash` at the same instant, a severed connection otherwise.
+    Reset(PairSlot),
     /// Fail one path (by index) of the pair interconnect.
     PathDown(u8),
     /// Restore one path (by index) of the pair interconnect.
@@ -243,7 +247,7 @@ pub enum ScriptOp {
 }
 
 /// Every script op with the operands it takes, for parse errors.
-const OPS: [(&str, &str); 11] = [
+const OPS: [(&str, &str); 12] = [
     ("crash", "SLOT"),
     ("repair", "SLOT"),
     ("kill-engine", "SLOT"),
@@ -252,6 +256,7 @@ const OPS: [(&str, &str); 11] = [
     ("heal", "no operands"),
     ("distress", "SLOT"),
     ("reboot", "SLOT"),
+    ("reset", "SLOT"),
     ("path-down", "PATH"),
     ("path-up", "PATH"),
     ("slow-link", "LATENCY_US JITTER_US BANDWIDTH_BPS"),
@@ -269,6 +274,7 @@ impl std::fmt::Display for ScriptOp {
             ScriptOp::Heal => write!(f, "heal"),
             ScriptOp::Distress(slot) => write!(f, "distress {}", slot.name()),
             ScriptOp::Reboot(slot) => write!(f, "reboot {}", slot.name()),
+            ScriptOp::Reset(slot) => write!(f, "reset {}", slot.name()),
             ScriptOp::PathDown(path) => write!(f, "path-down {path}"),
             ScriptOp::PathUp(path) => write!(f, "path-up {path}"),
             ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
@@ -307,6 +313,7 @@ impl ScriptOp {
             ["heal"] => ScriptOp::Heal,
             ["distress", s] => ScriptOp::Distress(slot(s)?),
             ["reboot", s] => ScriptOp::Reboot(slot(s)?),
+            ["reset", s] => ScriptOp::Reset(slot(s)?),
             ["path-down", p] => ScriptOp::PathDown(path(p)?),
             ["path-up", p] => ScriptOp::PathUp(path(p)?),
             ["slow-link", latency, jitter, bandwidth] => {
@@ -395,6 +402,10 @@ impl FaultScript {
                     continue;
                 }
                 ScriptOp::Reboot(slot) => Fault::RebootNode(slot.node(a, b)),
+                ScriptOp::Reset(slot) => {
+                    let from = slot.node(a, b);
+                    Fault::PeerReset { from, to: if from == a { b } else { a } }
+                }
                 ScriptOp::PathDown(path) => Fault::PathDown(a, b, path as usize),
                 ScriptOp::PathUp(path) => Fault::PathUp(a, b, path as usize),
                 ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
@@ -460,6 +471,7 @@ mod tests {
                 (SimTime::from_secs(20), ScriptOp::Distress(PairSlot::B)),
                 (SimTime::from_secs(25), ScriptOp::Repair(PairSlot::A)),
                 (SimTime::from_secs(26), ScriptOp::Reboot(PairSlot::B)),
+                (SimTime::from_secs(26), ScriptOp::Reset(PairSlot::A)),
                 (SimTime::from_secs(27), ScriptOp::PathDown(0)),
                 (SimTime::from_secs(28), ScriptOp::PathUp(0)),
                 (
@@ -485,6 +497,7 @@ mod tests {
             ("crash a b", "crash takes SLOT"),
             ("partition a", "partition takes no operands"),
             ("crash c", "bad pair slot"),
+            ("reset", "reset takes SLOT"),
             ("path-down x", "bad numeric operand"),
             ("path-up 300", "over 255"),
             ("slow-link 5000", "slow-link takes LATENCY_US"),
@@ -505,6 +518,47 @@ mod tests {
         let named = run(&Scenario::named("pair-failover").unwrap(), 1, &[]);
         assert_eq!(scripted.trace_text, named.trace_text);
         assert!(check_all(&scripted.events).is_empty());
+    }
+
+    #[test]
+    fn suspicion_records_are_no_events_and_scrape_nothing() {
+        use ds_sim::prelude::Trace;
+        // Spurious resets with both nodes alive: the backup suspects its
+        // primary and the next heartbeat clears it; the primary ignores its
+        // own.
+        let script = FaultScript::parse("10000000 reset a\n10000000 reset b\n").unwrap();
+        let result = run(&Scenario::new(script), 1, &[]);
+        let new_records: Vec<&TraceEntry> = result
+            .entries
+            .iter()
+            .filter(|e| {
+                ["link reset by", "suspected", "suspicion"].iter().any(|w| e.message.contains(w))
+            })
+            .collect();
+        for needle in ["link reset by", ": suspected, confirming within", "suspicion of"] {
+            assert!(
+                new_records.iter().any(|e| e.message.contains(needle)),
+                "no {needle:?} record in the run"
+            );
+        }
+        for entry in new_records {
+            let mut trace = Trace::new();
+            trace.record(entry.at, entry.category, entry.message.clone());
+            assert_eq!(parse_trace(&trace), vec![], "{:?} must parse as no event", entry.message);
+            // The substrings `oftt-node`'s stdout is scraped for.
+            for scraped in [
+                "role=primary",
+                "role=backup",
+                "ckpt shipped",
+                "ckpt installed",
+                "ckpt restore position",
+                ": restored ",
+                "application ACTIVE",
+            ] {
+                assert!(!entry.message.contains(scraped), "{:?}", entry.message);
+            }
+        }
+        assert!(check_all(&result.events).is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use ds_net::prelude::ClusterSim;
 use ds_net::process::{Process, ProcessEnv};
 use ds_sim::prelude::{SimDuration, SimTime};
 use msgq::manager::{QueueConfig, QueueManager, QueueStats};
-use oftt::config::{engine_service, OfttConfig, Pair, RecoveryRule};
+use oftt::config::{engine_endpoint, engine_service, OfttConfig, Pair, RecoveryRule};
 use oftt::diverter::{divert, diverter_service, Diverter};
 use oftt::engine::{Engine, EngineProbe};
 use oftt::ftim::{FtProcess, FtimProbe};
@@ -212,6 +212,9 @@ impl Fig3Scenario {
                 Box::new(move || Box::new(Engine::new(engine_config.clone(), probe.clone()))),
                 true,
             );
+            // As `oftt-node` does on the socket runtime: the engine hears
+            // its links' resets (`Fault::PeerReset` is their only source).
+            cs.subscribe_transport_events(engine_endpoint(node));
             let app_config = node_config;
             let ftim_probe = ftims[idx].clone();
             let view = views[idx].clone();

@@ -233,7 +233,8 @@ mod tests {
 
     #[test]
     fn faultless_space_is_small_clean_and_reaches_an_elected_pair() {
-        let budgets = Budgets { crashes: 0, partitions: 0, distress: 0, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 0, partitions: 0, distress: 0, advances: 0, hangs: 0, resets: 0 };
         let r = explore(AbsState::initial(budgets), &Bounds::default(), &CLEAN, 1_000_000);
         assert!(!r.capped);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -254,7 +255,8 @@ mod tests {
     #[test]
     fn por_preserves_violations_and_observations() {
         use std::collections::BTreeSet;
-        let budgets = Budgets { crashes: 1, partitions: 0, distress: 1, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 1, partitions: 0, distress: 1, advances: 0, hangs: 0, resets: 0 };
         let initial = AbsState::initial(budgets);
         let reduced = explore(initial.clone(), &Bounds::default(), &CLEAN, 2_000_000);
         let full = explore_unreduced(initial, &Bounds::default(), &CLEAN, 4_000_000);
@@ -289,7 +291,8 @@ mod tests {
     fn violation_paths_replay_to_the_reported_breach() {
         // Force a violation using the seeded-defect machinery only when
         // compiled in; otherwise replay a clean path to a deep state.
-        let budgets = Budgets { crashes: 1, partitions: 0, distress: 0, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 1, partitions: 0, distress: 0, advances: 0, hangs: 0, resets: 0 };
         let r = explore(AbsState::initial(budgets), &Bounds::default(), &CLEAN, 2_000_000);
         assert!(!r.capped);
         // Replay the shortest path to the last-discovered state.

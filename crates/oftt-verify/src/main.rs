@@ -27,10 +27,11 @@ BOUNDS:
     --max-age N            ticks a raw message may float (default 1)
     --silence-limit N      backup ticks to silence promotion (default 4)
     --drift-max N          tick-count lead between live nodes (default 1)
-    --state-cap N          abort past this many states (default 5000000)
+    --state-cap N          abort past this many states (default 10000000)
 
 FAULT BUDGETS:
     --crashes N            node crashes (default 1)
+    --resets N             link resets reported to a backup (default 1)
     --partitions N         interconnect partitions (default 1)
     --distress N           application distress calls (default 1)
     --advances N           checkpoint staleness events (default 1)
@@ -63,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         bounds: Bounds::default(),
         budgets: Budgets::default(),
-        state_cap: 5_000_000,
+        state_cap: 10_000_000,
         liveness: false,
         expect_states: None,
         refine: None,
@@ -87,6 +88,7 @@ fn parse_args() -> Result<Args, String> {
             "--drift-max" => args.bounds.drift_max = num(value("--drift-max")?)?,
             "--state-cap" => args.state_cap = num(value("--state-cap")?)?,
             "--crashes" => args.budgets.crashes = num(value("--crashes")?)?,
+            "--resets" => args.budgets.resets = num(value("--resets")?)?,
             "--partitions" => args.budgets.partitions = num(value("--partitions")?)?,
             "--distress" => args.budgets.distress = num(value("--distress")?)?,
             "--advances" => args.budgets.advances = num(value("--advances")?)?,

@@ -14,6 +14,7 @@
 //! | engine role/term/peer_role            | verbatim (term bounded)         |
 //! | `last_peer_primary` clock             | `silence` tick counter          |
 //! | `last_peer_any` clock                 | `any_silence` tick counter      |
+//! | link-reset suspicion and its window   | `suspected` tick counter        |
 //! | heartbeat/hello/reply/switchover msgs | [`AbsMsg`] with bounded age     |
 //! | checkpoint data path                  | one [`Freshness`] per store     |
 //! | FTIM deadman on the application       | `app_hung` + `WatchdogFire`     |
@@ -265,6 +266,12 @@ pub struct AbsNode {
     pub silence: u8,
     /// Ticks since *any* peer message was heard (`last_peer_any`).
     pub any_silence: u8,
+    /// Ticks since a link reset made this backup suspect its peer
+    /// (`Engine`'s open suspicion), or `None`. Any peer message clears
+    /// it; [`SUSPICION_TICKS`] silent ticks confirm it. Meaningful only
+    /// while `Backup`; normalized to `None` otherwise, as the engine
+    /// drops a suspicion when it leaves Backup.
+    pub suspected: Option<u8>,
     /// Freshness of the local checkpoint store.
     pub store: Freshness,
     /// Whether the FTIM-wrapped application has stopped heartbeating.
@@ -289,6 +296,7 @@ impl AbsNode {
             peer_role: None,
             silence: 0,
             any_silence: 0,
+            suspected: None,
             store: Freshness::Empty,
             app_hung: false,
             down_ticks: 0,
@@ -308,6 +316,7 @@ impl AbsNode {
         if self.role != Role::Backup {
             self.silence = 0;
             self.any_silence = 0;
+            self.suspected = None;
         }
     }
 }
@@ -327,13 +336,20 @@ pub struct Budgets {
     pub advances: u8,
     /// Application hangs (FTIM deadman expiries).
     pub hangs: u8,
+    /// Link resets reported to a backup (each needs a dead or cut-off
+    /// peer; see [`Action::Reset`]).
+    pub resets: u8,
 }
 
 impl Default for Budgets {
     fn default() -> Self {
-        Budgets { crashes: 1, partitions: 1, distress: 1, advances: 1, hangs: 1 }
+        Budgets { crashes: 1, partitions: 1, distress: 1, advances: 1, hangs: 1, resets: 1 }
     }
 }
+
+/// Backup ticks from a link reset to its confirmation: the engine's
+/// window is two heartbeat periods, so two of its ticks fall inside it.
+pub const SUSPICION_TICKS: u8 = 2;
 
 /// The finite bounds that make the state space exhaustible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -470,6 +486,9 @@ pub enum Action {
     /// The FTIM deadman expires on a hung application; a primary reacts
     /// as if distressed.
     WatchdogFire(Slot),
+    /// The peer's transport sees this slot's end of the link close, and
+    /// the peer — a backup — starts suspecting it (budgeted).
+    Reset(Slot),
 }
 
 impl std::fmt::Display for Action {
@@ -486,6 +505,7 @@ impl std::fmt::Display for Action {
             Action::Advance(s) => write!(f, "advance {s}"),
             Action::Hang(s) => write!(f, "hang {s}"),
             Action::WatchdogFire(s) => write!(f, "watchdog-fire {s}"),
+            Action::Reset(s) => write!(f, "reset {s}"),
         }
     }
 }
@@ -731,8 +751,15 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                 let n = next.node_mut(slot);
                 n.silence = (n.silence + 1).min(limit);
                 n.any_silence = (n.any_silence + 1).min(limit);
-                if n.silence >= limit {
-                    let peer_silent = n.any_silence >= limit;
+                n.suspected = n.suspected.map(|ticks| ticks + 1);
+                // A confirmed suspicion reaches the same table entry the
+                // timeout does, only sooner.
+                let confirmed = n.suspected.is_some_and(|ticks| ticks >= SUSPICION_TICKS);
+                if confirmed {
+                    n.suspected = None;
+                }
+                if confirmed || n.silence >= limit {
+                    let peer_silent = confirmed || n.any_silence >= limit;
                     let outcome = role_transition(
                         &next.role_view(slot),
                         &RoleEvent::PrimarySilenceExpired { peer_silent },
@@ -790,6 +817,7 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                 }
                 raw => {
                     next.node_mut(to).any_silence = 0;
+                    next.node_mut(to).suspected = None;
                     match raw {
                         AbsMsg::Hello { role, term } => {
                             if next.node(dir.sender()).up {
@@ -972,6 +1000,24 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
             next.node_mut(slot).app_hung = true;
             Some(finish(next, Ctx::new()))
         }
+        Action::Reset(slot) => {
+            // Timing-soundness gate 6: a reset is the report of a dead
+            // or cut-off peer. A live, connected peer is redialed at
+            // once and heard within the window, so a reset there could
+            // only raise a suspicion its next message clears.
+            if s.budgets.resets == 0 || (s.node(slot).up && !s.partitioned) {
+                return None;
+            }
+            let observer = s.node(slot.other());
+            // Only an up backup without an open suspicion acts on one.
+            if !observer.up || observer.role != Role::Backup || observer.suspected.is_some() {
+                return None;
+            }
+            let mut next = s.clone();
+            next.budgets.resets -= 1;
+            next.node_mut(slot.other()).suspected = Some(0);
+            Some(finish(next, Ctx::new()))
+        }
         Action::WatchdogFire(slot) => {
             let n = s.node(slot);
             if !n.up || !n.app_hung {
@@ -1028,6 +1074,7 @@ pub fn successors(s: &AbsState, bounds: &Bounds, defects: &Defects) -> Vec<(Acti
     for slot in SLOTS {
         candidates.push(Action::Crash(slot));
         candidates.push(Action::Repair(slot));
+        candidates.push(Action::Reset(slot));
     }
     candidates
         .into_iter()
@@ -1125,6 +1172,45 @@ mod tests {
         let step = apply(&s, Action::Tick(Slot::B), &bounds(), &CLEAN).unwrap();
         assert_eq!(step.obs, Some(Obs { slot: Slot::B, role: Role::Primary, term: 2 }));
         assert!(step.violations.is_empty());
+    }
+
+    #[test]
+    fn a_reset_needs_a_dead_or_cut_off_peer_and_two_silent_ticks_confirm_it() {
+        let s = negotiated(); // A Primary(1), B Backup(1)
+                              // Gate 6: A is up and the network whole, so no reset.
+        assert!(apply(&s, Action::Reset(Slot::A), &bounds(), &CLEAN).is_none());
+        let mut s = run(&s, Action::Crash(Slot::A));
+        s = run(&s, Action::Reset(Slot::A));
+        assert_eq!(s.nodes[1].suspected, Some(0));
+        assert_eq!(s.budgets.resets, 0);
+        s = run(&s, Action::Tick(Slot::B));
+        assert_eq!(s.nodes[1].role, Role::Backup, "one silent tick is not a verdict");
+        let step = apply(&s, Action::Tick(Slot::B), &bounds(), &CLEAN).unwrap();
+        // The timeout needs `silence_limit` ticks; the suspicion needs two.
+        assert!(SUSPICION_TICKS < Bounds::default().silence_limit);
+        assert_eq!(step.obs, Some(Obs { slot: Slot::B, role: Role::Primary, term: 2 }));
+        assert_eq!(step.next.unwrap().nodes[1].suspected, None);
+    }
+
+    #[test]
+    fn any_peer_message_clears_a_suspicion() {
+        let s = negotiated();
+        let s = run(&s, Action::Partition);
+        let s = run(&s, Action::Reset(Slot::A));
+        assert_eq!(s.nodes[1].suspected, Some(0));
+        let s = run(&s, Action::Heal);
+        let s = run(&s, Action::Tick(Slot::B));
+        assert_eq!(s.nodes[1].suspected, Some(1));
+        let s = run(&s, Action::Tick(Slot::A)); // A's heartbeat goes out
+        let hb = s.chan[Dir::AToB.index()]
+            .iter()
+            .position(|m| matches!(m.msg, AbsMsg::Heartbeat { .. }))
+            .expect("the primary's heartbeat is on the wire");
+        let s = run(&s, Action::Deliver(Dir::AToB, hb as u8));
+        assert_eq!(s.nodes[1].suspected, None);
+        let s = run(&s, Action::Deliver(Dir::BToA, 0)); // B's own, now overdue
+        let s = run(&s, Action::Tick(Slot::B));
+        assert_eq!(s.nodes[1].role, Role::Backup, "the second tick finds no suspicion");
     }
 
     #[test]

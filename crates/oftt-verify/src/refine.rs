@@ -157,7 +157,8 @@ mod tests {
     const CLEAN: Defects = Defects { dual_primary_window: false, stale_promotion: false };
 
     fn explored() -> Explored {
-        let budgets = Budgets { crashes: 1, partitions: 0, distress: 0, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 1, partitions: 0, distress: 0, advances: 0, hangs: 0, resets: 0 };
         explore(AbsState::initial(budgets), &Bounds::default(), &CLEAN, 2_000_000)
     }
 

@@ -2,8 +2,8 @@
 //! scripts.
 //!
 //! An abstract counterexample is an action sequence; its fault-class
-//! actions (crash, repair, partition, heal, distress) are exactly the
-//! vocabulary of [`oftt_check::scenario::FaultScript`]. Protocol-level
+//! actions (crash, repair, partition, heal, distress, reset) are exactly
+//! the vocabulary of [`oftt_check::scenario::FaultScript`]. Protocol-level
 //! actions (ticks, deliveries, checkpoint shipments) need no rendering:
 //! the concrete simulation performs them on its own schedule. So a
 //! rendered script keeps the fault actions in order and assigns them
@@ -16,11 +16,15 @@
 //! to reproduce concretely must be exercised through the simulator's
 //! distress path instead, which the `Distress` rendering covers.
 //!
-//! One timing exception: a `Partition` immediately following a
-//! `Distress` is scheduled a few microseconds after it, not seconds —
-//! the abstract path is using the partition to destroy the in-flight
-//! switchover request, and only a near-instant partition does that
-//! concretely.
+//! Two timing exceptions land a few microseconds after the step before
+//! them, not seconds:
+//!
+//! * a `Partition` immediately following a `Distress` — the abstract
+//!   path is using the partition to destroy the in-flight switchover
+//!   request, and only a near-instant partition does that concretely;
+//! * every `Reset` — it is the transport's immediate report of the crash
+//!   or cut that enabled it, and a reset seconds later would find the
+//!   peer already promoted by its timeout.
 
 use ds_sim::prelude::SimTime;
 use oftt_check::scenario::{FaultScript, PairSlot, ScriptOp};
@@ -33,7 +37,8 @@ const FIRST_FAULT_S: u64 = 10;
 /// Seconds between consecutive injected faults: several peer timeouts,
 /// so each fault's consequences settle before the next.
 const FAULT_SPACING_S: u64 = 2;
-/// The near-instant follow-up delay for a request-cutting partition.
+/// The near-instant follow-up delay for a request-cutting partition or a
+/// reset.
 const CUT_DELAY_US: u64 = 50;
 
 fn pair_slot(s: Slot) -> PairSlot {
@@ -55,6 +60,7 @@ pub fn render_script(path: &[Action]) -> FaultScript {
             Action::Partition => Some(ScriptOp::Partition),
             Action::Heal => Some(ScriptOp::Heal),
             Action::Distress(s) => Some(ScriptOp::Distress(pair_slot(s))),
+            Action::Reset(s) => Some(ScriptOp::Reset(pair_slot(s))),
             Action::Tick(_)
             | Action::Deliver(..)
             | Action::Ship(_)
@@ -63,10 +69,11 @@ pub fn render_script(path: &[Action]) -> FaultScript {
             | Action::WatchdogFire(_) => None,
         };
         if let Some(op) = op {
-            let cut = matches!(op, ScriptOp::Partition)
-                && matches!(prev_action, Some(Action::Distress(_)));
+            let prompt = matches!(op, ScriptOp::Reset(_))
+                || matches!(op, ScriptOp::Partition)
+                    && matches!(prev_action, Some(Action::Distress(_)));
             if !steps.is_empty() {
-                at_us += if cut { CUT_DELAY_US } else { FAULT_SPACING_S * 1_000_000 };
+                at_us += if prompt { CUT_DELAY_US } else { FAULT_SPACING_S * 1_000_000 };
             }
             steps.push((SimTime::from_micros(at_us), op));
         }
@@ -110,6 +117,20 @@ mod tests {
         assert_eq!(script.steps[1].0, SimTime::from_micros(10_000_050));
         assert_eq!(script.steps[1].1, ScriptOp::Partition);
         assert_eq!(script.steps[2].0, SimTime::from_micros(12_000_050));
+    }
+
+    #[test]
+    fn a_reset_renders_as_its_script_op_right_after_its_fault() {
+        let path = [Action::Crash(Slot::A), Action::Tick(Slot::B), Action::Reset(Slot::A)];
+        let script = render_script(&path);
+        assert_eq!(
+            script.steps,
+            vec![
+                (SimTime::from_secs(10), ScriptOp::Crash(PairSlot::A)),
+                (SimTime::from_micros(10_000_050), ScriptOp::Reset(PairSlot::A)),
+            ]
+        );
+        assert!(script.to_text().ends_with("10000050 reset a\n"), "{}", script.to_text());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use oftt::role::Role;
 use oftt::transition::Defects;
-use oftt_check::{run, Scenario, TraceExport};
+use oftt_check::{run, FaultScript, Scenario, TraceExport};
 use oftt_verify::explore::{explore, swapped, Explored};
 use oftt_verify::liveness::find_persistent_dual_primary;
 use oftt_verify::model::{AbsState, Bounds, Budgets};
@@ -14,12 +14,12 @@ use oftt_verify::refine::refine_export;
 
 const CLEAN: Defects = Defects { dual_primary_window: false, stale_promotion: false };
 
-/// The budget the debug-build tests exhaust: one crash and one
-/// partition, which covers both stock oftt-check scenarios while
-/// keeping the space small enough for unoptimized runs (the release
-/// CLI sweeps the full default budget).
+/// The budget most tests exhaust: one crash, one partition and one
+/// reset, which covers both stock oftt-check scenarios and the reset
+/// shortcut while keeping the space small (the CLI sweeps the full
+/// default budget).
 fn crash_and_cut() -> Budgets {
-    Budgets { crashes: 1, partitions: 1, distress: 0, advances: 0, hangs: 0 }
+    Budgets { crashes: 1, partitions: 1, distress: 0, advances: 0, hangs: 0, resets: 1 }
 }
 
 fn graph(budgets: Budgets, defects: &Defects) -> Explored {
@@ -40,11 +40,28 @@ fn the_crash_and_cut_space_is_exhausted_clean_and_lasso_free() {
     assert!(ex.por_reduced > 0, "the stutter reduction must engage");
 }
 
+/// With no resets the model is exactly the one before link resets
+/// existed: the default-budget space keeps its pinned size.
+#[test]
+fn without_resets_the_default_space_keeps_its_pinned_size() {
+    let budgets = Budgets { resets: 0, ..Budgets::default() };
+    let ex = explore(AbsState::initial(budgets), &Bounds::default(), &CLEAN, 2_000_000);
+    assert!(!ex.capped);
+    assert_eq!(ex.states.len(), 1_939_405);
+}
+
 #[test]
 fn live_scenario_exports_refine_into_the_abstract_model() {
     let ex = graph(crash_and_cut(), &CLEAN);
-    for name in ["pair-failover", "partitioned-startup"] {
-        let scenario = Scenario::named(name).unwrap();
+    // A process kill: the crash and its reset together, the fast path.
+    let process_kill =
+        FaultScript::parse("10000000 crash a\n10000000 reset a\n25000000 repair a\n").unwrap();
+    let scenarios = [
+        ("pair-failover", Scenario::named("pair-failover").unwrap()),
+        ("partitioned-startup", Scenario::named("partitioned-startup").unwrap()),
+        ("process-kill", Scenario::new(process_kill)),
+    ];
+    for (name, scenario) in scenarios {
         for seed in 1..=3u64 {
             let export = TraceExport::from_run(name, &scenario, &run(&scenario, seed, &[]));
             let n = refine_export(&ex, &export, &Bounds::default())
@@ -62,7 +79,8 @@ fn slot_symmetry_is_not_a_sound_reduction() {
     // unreachable without faults — merging swap-equivalent states, the
     // classic symmetry reduction for replica pairs, would identify a
     // reachable state with an unreachable one.
-    let budgets = Budgets { crashes: 0, partitions: 0, distress: 0, advances: 0, hangs: 0 };
+    let budgets =
+        Budgets { crashes: 0, partitions: 0, distress: 0, advances: 0, hangs: 0, resets: 0 };
     let ex = graph(budgets, &CLEAN);
     let elected = ex
         .states
@@ -87,7 +105,8 @@ mod seeded_defects {
     #[test]
     fn dual_primary_window_round_trips_from_abstract_find_to_concrete_repro() {
         let defects = Defects { dual_primary_window: true, stale_promotion: false };
-        let budgets = Budgets { crashes: 0, partitions: 1, distress: 0, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 0, partitions: 1, distress: 0, advances: 0, hangs: 0, resets: 0 };
         let ex = graph(budgets, &defects);
         let found = ex
             .violations
@@ -119,7 +138,8 @@ mod seeded_defects {
     #[test]
     fn stale_promotion_round_trips_from_abstract_find_to_concrete_repro() {
         let defects = Defects { dual_primary_window: false, stale_promotion: true };
-        let budgets = Budgets { crashes: 0, partitions: 0, distress: 1, advances: 0, hangs: 0 };
+        let budgets =
+            Budgets { crashes: 0, partitions: 0, distress: 1, advances: 0, hangs: 0, resets: 0 };
         let ex = graph(budgets, &defects);
         let found = ex
             .violations

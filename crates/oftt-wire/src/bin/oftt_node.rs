@@ -4,10 +4,11 @@
 //! oftt-node --config a.toml
 //! ```
 //!
-//! Services hosted: the OFTT engine, one checkpointing FTIM wrapping the
-//! synthetic [`LoadApp`], a store-and-forward queue manager (subscribed
-//! to transport events for reconnect retries), and — on the node named
-//! by `monitor_node` — the System Monitor. The node's trace streams to
+//! Services hosted: the OFTT engine (subscribed to transport events, so
+//! a peer's closed link makes a backup suspect it), one checkpointing
+//! FTIM wrapping the synthetic [`LoadApp`], a store-and-forward queue
+//! manager (subscribed to transport events for reconnect retries), and —
+//! on the node named by `monitor_node` — the System Monitor. The node's trace streams to
 //! stdout, one line per entry, which is what the smoke test and the
 //! failover bench scrape.
 
@@ -75,6 +76,7 @@ fn main() {
             engine_endpoint(node),
             Box::new(move || Box::new(Engine::new(engine_config.clone(), probe.clone()))),
         );
+        net.subscribe_transport_events(engine_endpoint(node));
     }
 
     // Synthetic application under a checkpointing FTIM.

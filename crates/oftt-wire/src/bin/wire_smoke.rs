@@ -4,26 +4,46 @@
 //! to form and checkpoints to flow, then SIGKILLs the primary and
 //! asserts:
 //!
-//! 1. the backup promotes itself within the detection budget;
+//! 1. the backup promotes itself within the detection budget, and says
+//!    it did so on the peer's closed link (the kernel's reset of a dead
+//!    process's sockets, confirmed by two silent heartbeat periods);
 //! 2. the application resumes (ACTIVE) on the survivor;
 //! 3. the restored image's crc equals the crc the backup logged when it
 //!    installed that checkpoint **and** the crc the dead primary logged
 //!    when it shipped it — restore integrity across a real process
 //!    boundary, asserted purely from the trace.
 //!
+//! Then it forms a second pair and SIGSTOPs its primary: a frozen
+//! process keeps its sockets open, so no reset arrives and the backup
+//! must wait out the peer timeout — the fast path may not become the
+//! only path.
+//!
 //! Exit 0 with a `PASS` line on success; exit 1 with both nodes' output
 //! tails otherwise.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use ds_net::endpoint::NodeId;
 use oftt_wire::harness::{free_port, pair_config, parse_ckpt_triple, write_config, ChildNode};
 
-/// Promotion must land within this wall budget after the kill (peer
-/// timeout is 400ms; the rest is negotiation and scheduling slack).
+/// Promotion must land within this wall budget after the kill or the
+/// freeze. `pair_config` runs 50 ms heartbeats and a 400 ms peer
+/// timeout, so a kill is confirmed about 100 ms after the reset and a
+/// freeze about 400 ms after the stop; the rest is slack for a loaded
+/// host.
 const DETECTION_BUDGET: Duration = Duration::from_secs(3);
 
-fn fail(children: &[ChildNode], why: &str) -> ! {
+/// The earliest a frozen primary's backup may promote: the peer timeout
+/// less one heartbeat period of tick phase (400 ms − 50 ms).
+const FREEZE_FLOOR: Duration = Duration::from_millis(350);
+
+/// What a promotion on a confirmed reset appends to its reason.
+const RESET_DETAIL: &str = "link closed by peer";
+
+/// Prints both nodes' output tails, kills them (exiting skips `Drop`,
+/// and a frozen node would otherwise stay stopped), and exits 1.
+fn fail(children: &mut [ChildNode], why: &str) -> ! {
     eprintln!("wire-smoke: FAIL: {why}");
     for child in children {
         let out = child.output();
@@ -32,6 +52,7 @@ fn fail(children: &[ChildNode], why: &str) -> ! {
         for line in tail.iter().rev() {
             eprintln!("{line}");
         }
+        child.kill();
     }
     std::process::exit(1);
 }
@@ -40,13 +61,15 @@ fn count(child: &ChildNode, needle: &str) -> usize {
     child.output().iter().filter(|l| l.contains(needle)).count()
 }
 
-fn main() {
-    let dir = std::env::temp_dir().join(format!("wire-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// Spawns a pair, waits for one primary and one backup with checkpoints
+/// flowing between them, and returns it with (primary, backup) indices.
+fn form_pair(dir: &Path, tag: &str, seeds: [u64; 2]) -> (Vec<ChildNode>, usize, usize) {
     let (na, nb) = (NodeId(0), NodeId(1));
     let (port_a, port_b) = (free_port(), free_port());
-    let config_a = write_config(&dir, "a.toml", &pair_config(na, port_a, nb, port_b, na, 200, 11));
-    let config_b = write_config(&dir, "b.toml", &pair_config(nb, port_b, na, port_a, na, 200, 22));
+    let config_a = pair_config(na, port_a, nb, port_b, na, 200, seeds[0]);
+    let config_b = pair_config(nb, port_b, na, port_a, na, 200, seeds[1]);
+    let config_a = write_config(dir, &format!("{tag}-a.toml"), &config_a);
+    let config_b = write_config(dir, &format!("{tag}-b.toml"), &config_b);
 
     let mut children = vec![
         ChildNode::spawn(na, &config_a).expect("spawn node a"),
@@ -59,7 +82,7 @@ fn main() {
             .is_none()
         {
             let node = children[idx].node.0;
-            fail(&children, &format!("node{node} never reported READY"));
+            fail(&mut children, &format!("node{node} never reported READY"));
         }
     }
 
@@ -71,14 +94,14 @@ fn main() {
         } else if children[1].find_line(|l| l.contains("role=primary")).is_some() {
             1
         } else {
-            fail(&children, "no node ever became primary");
+            fail(&mut children, "no node ever became primary");
         };
     let backup_idx = 1 - primary_idx;
     if children[backup_idx].wait_for_line(|l| l.contains("role=backup"), deadline).is_none() {
-        fail(&children, "the other node never became backup");
+        fail(&mut children, "the other node never became backup");
     }
     println!(
-        "wire-smoke: pair formed (primary=node{}, backup=node{})",
+        "wire-smoke: {tag} pair formed (primary=node{}, backup=node{})",
         children[primary_idx].node.0, children[backup_idx].node.0
     );
 
@@ -97,31 +120,54 @@ fn main() {
     if count(&children[backup_idx], "ckpt installed") < 3
         || count(&children[primary_idx], "ckpt acked") < 1
     {
-        fail(&children, "checkpoint flow never established");
+        fail(&mut children, "checkpoint flow never established");
     }
+    (children, primary_idx, backup_idx)
+}
+
+/// Waits for the backup's promotion after a fault at `since`; returns the
+/// promotion line and how long after the fault it was seen.
+fn await_promotion(
+    children: &mut [ChildNode],
+    backup_idx: usize,
+    since: Instant,
+) -> (String, Duration) {
+    let promoted =
+        children[backup_idx].wait_for_line(|l| l.contains("role=primary"), DETECTION_BUDGET * 2);
+    let detection = since.elapsed();
+    let Some(promoted) = promoted else {
+        fail(children, "backup never promoted");
+    };
+    if detection > DETECTION_BUDGET {
+        fail(
+            children,
+            &format!("promotion took {detection:?}, over the {DETECTION_BUDGET:?} budget"),
+        );
+    }
+    (promoted, detection)
+}
+
+/// SIGKILL: the reset path, plus the survivor's restore integrity.
+fn kill_case(dir: &Path) {
+    let (mut children, primary_idx, backup_idx) = form_pair(dir, "kill", [11, 22]);
 
     // SIGKILL the primary mid-flight.
     let primary_lines_before = children[primary_idx].output();
     let killed_at = Instant::now();
     children[primary_idx].kill();
 
-    let promoted =
-        children[backup_idx].wait_for_line(|l| l.contains("role=primary"), DETECTION_BUDGET * 2);
-    let detection = killed_at.elapsed();
-    if promoted.is_none() {
-        fail(&children, "backup never promoted after the primary was SIGKILLed");
-    }
-    if detection > DETECTION_BUDGET {
+    let (promoted, detection) = await_promotion(&mut children, backup_idx, killed_at);
+    if !promoted.contains(RESET_DETAIL) {
         fail(
-            &children,
-            &format!("promotion took {detection:?}, over the {DETECTION_BUDGET:?} budget"),
+            &mut children,
+            &format!("a killed primary's reset did not drive the promotion: {promoted}"),
         );
     }
     if children[backup_idx]
         .wait_for_line(|l| l.contains("application ACTIVE"), Duration::from_secs(5))
         .is_none()
     {
-        fail(&children, "application never went ACTIVE on the survivor");
+        fail(&mut children, "application never went ACTIVE on the survivor");
     }
 
     // Restore integrity: the takeover's restored image crc must match
@@ -130,19 +176,19 @@ fn main() {
     let restore_line = children[backup_idx]
         .wait_for_line(|l| l.contains("ckpt restore position"), Duration::from_secs(5));
     let Some(restore_line) = restore_line else {
-        fail(&children, "no 'ckpt restore position' line on the survivor");
+        fail(&mut children, "no 'ckpt restore position' line on the survivor");
     };
     let Some((term, seq, restored_crc)) = parse_ckpt_triple(&restore_line) else {
-        fail(&children, &format!("unparsable restore line: {restore_line}"));
+        fail(&mut children, &format!("unparsable restore line: {restore_line}"));
     };
     let needle = format!("ckpt installed (term={term} seq={seq}");
     let Some(installed) = children[backup_idx].find_line(|l| l.contains(&needle)) else {
-        fail(&children, &format!("no install log for restored position t{term}.s{seq}"));
+        fail(&mut children, &format!("no install log for restored position t{term}.s{seq}"));
     };
     let installed_crc = parse_ckpt_triple(&installed).map(|(_, _, c)| c);
     if installed_crc != Some(restored_crc) {
         fail(
-            &children,
+            &mut children,
             &format!(
                 "restore-integrity violation: restored crc {restored_crc} vs installed {installed_crc:?}"
             ),
@@ -157,7 +203,7 @@ fn main() {
     if let Some(shipped) = shipped_crc {
         if shipped != restored_crc {
             fail(
-                &children,
+                &mut children,
                 &format!(
                     "restore-integrity violation: restored crc {restored_crc} vs shipped {shipped}"
                 ),
@@ -166,9 +212,38 @@ fn main() {
     }
 
     println!(
-        "wire-smoke: PASS detection_ms={} restored=t{term}.s{seq} crc={restored_crc} shipped_crc_checked={}",
+        "wire-smoke: kill PASS detection_ms={} restored=t{term}.s{seq} crc={restored_crc} shipped_crc_checked={}",
         detection.as_millis(),
         shipped_crc.is_some(),
     );
+}
+
+/// SIGSTOP: no reset, so the backup must wait out the peer timeout.
+fn freeze_case(dir: &Path) {
+    let (mut children, primary_idx, backup_idx) = form_pair(dir, "freeze", [33, 44]);
+    let frozen_at = Instant::now();
+    if let Err(e) = children[primary_idx].freeze() {
+        fail(&mut children, &format!("could not freeze the primary: {e}"));
+    }
+    let (promoted, detection) = await_promotion(&mut children, backup_idx, frozen_at);
+    if promoted.contains(RESET_DETAIL) {
+        fail(&mut children, &format!("a frozen primary produced a reset: {promoted}"));
+    }
+    if detection < FREEZE_FLOOR {
+        fail(
+            &mut children,
+            &format!("a frozen primary was replaced after {detection:?}, before the timeout"),
+        );
+    }
+    println!("wire-smoke: freeze PASS detection_ms={}", detection.as_millis());
+    children[primary_idx].kill();
+}
+
+fn main() {
+    let dir = std::env::temp_dir().join(format!("wire-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    kill_case(&dir);
+    freeze_case(&dir);
+    println!("wire-smoke: PASS");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
 //! Child-process plumbing for the smoke test and the failover bench:
 //! spawn real `oftt-node` processes, scrape their stdout traces, and
-//! kill them the honest way (SIGKILL — no cleanup, no goodbye).
+//! kill them the honest way (SIGKILL — no cleanup, no goodbye) or freeze
+//! them (SIGSTOP — alive to its kernel, silent to its peer).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -115,8 +116,7 @@ impl ChildNode {
         }
     }
 
-    /// The index of the first line satisfying `pred`, if any (for
-    /// ordering assertions).
+    /// The first line satisfying `pred`, if any.
     pub fn find_line(&self, pred: impl Fn(&str) -> bool) -> Option<String> {
         self.lines.lock().iter().find(|l| pred(l)).cloned()
     }
@@ -126,6 +126,19 @@ impl ChildNode {
     pub fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+
+    /// SIGSTOP — the process stops running but its kernel keeps its
+    /// sockets open, so the peer sees silence and no reset: the failure
+    /// model of a hung OS or a lost power supply, not of a crash. Sent
+    /// with `kill -STOP`; [`ChildNode::kill`] still works afterwards.
+    pub fn freeze(&mut self) -> std::io::Result<()> {
+        let status = Command::new("kill").arg("-STOP").arg(self.child.id().to_string()).status()?;
+        if status.success() {
+            Ok(())
+        } else {
+            Err(std::io::Error::other(format!("kill -STOP exited with {status}")))
+        }
     }
 
     /// `true` if the process has exited.

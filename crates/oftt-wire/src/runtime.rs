@@ -21,7 +21,7 @@ use comsim::pool::PoolStats;
 use ds_net::endpoint::{Endpoint, NodeId};
 use ds_net::live::{ActorHost, LiveNet};
 use ds_net::message::Envelope;
-use ds_net::transport::{PeerHealth, TransportEvent, TransportReport};
+use ds_net::transport::{PeerHealth, TransportEvent, TransportReport, WIRE_SERVICE};
 use ds_sim::prelude::TraceCategory;
 use parking_lot::{Mutex, RwLock};
 
@@ -74,7 +74,7 @@ impl WireHandler for Inbound {
 
     fn peer_event(&self, event: TransportEvent) {
         let subs = self.shared.event_subs.lock().clone();
-        let from = Endpoint::new(self.shared.node, "__wire");
+        let from = Endpoint::new(self.shared.node, WIRE_SERVICE);
         for to in subs {
             self.host.deliver_local(Envelope::new(from.clone(), to, event));
         }
@@ -177,7 +177,7 @@ impl WireNet {
     }
 
     /// Subscribes a **local** service to [`TransportEvent`]s (delivered
-    /// as ordinary envelopes from `<node>/__wire`).
+    /// as ordinary envelopes from `<node>/`[`WIRE_SERVICE`]).
     pub fn subscribe_transport_events(&mut self, endpoint: Endpoint) {
         self.shared.event_subs.lock().push(endpoint);
     }
@@ -205,7 +205,7 @@ impl WireNet {
                 }
             };
             let report = TransportReport { node: shared.node, peers, at: host.now() };
-            let from = Endpoint::new(shared.node, "__wire");
+            let from = Endpoint::new(shared.node, WIRE_SERVICE);
             host.route(Envelope::new(from, monitor.clone(), report));
         }));
     }

@@ -11,7 +11,10 @@
 //! * **Failure detection** — heartbeat timeouts for every FTIM-linked
 //!   component on the node, and for the peer engine. The engine's own
 //!   failure is detected by the *peer* engine (and by local FTIMs via
-//!   missing engine heartbeats).
+//!   missing engine heartbeats). A backup whose transport reports the
+//!   peer's link closed by the remote end *suspects* the peer, and two
+//!   silent heartbeat periods confirm the suspicion — a shortcut of the
+//!   peer timeout for the one fault that announces itself (DESIGN.md §5).
 //! * **Recovery management** — per-component [`RecoveryRule`]: local
 //!   restart for transient faults, switchover for permanent ones,
 //!   escalation when restarts are exhausted.
@@ -23,8 +26,9 @@ use std::sync::Arc;
 
 use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_net::message::Envelope;
-use ds_net::process::{Process, ProcessEnv, ProcessEnvExt};
-use ds_sim::prelude::{AccessKind, SimTime, TraceCategory};
+use ds_net::process::{Process, ProcessEnv, ProcessEnvExt, TimerHandle};
+use ds_net::transport::{TransportEvent, WIRE_SERVICE};
+use ds_sim::prelude::{AccessKind, SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 
 use crate::config::{engine_endpoint, OfttConfig, RecoveryRule};
@@ -38,6 +42,7 @@ use crate::transition::{role_transition, RoleEvent, RoleOutcome, RoleView};
 const TICK: u64 = 1;
 const STARTUP: u64 = 2;
 const STATUS: u64 = 3;
+const SUSPECT: u64 = 4;
 
 /// Observable engine history, shared with tests and the harness.
 #[derive(Debug, Default)]
@@ -52,6 +57,12 @@ pub struct EngineProbe {
     pub switchover_requests: u32,
     /// `true` if the engine shut itself down at startup (§3.2 behaviour).
     pub shut_down_at_startup: bool,
+    /// Peer link resets that made this backup suspect its primary.
+    pub suspicions: u32,
+    /// Suspicions cleared by word from the peer before the window closed.
+    pub suspicions_cleared: u32,
+    /// Suspicions confirmed by a silent window, each one a promotion.
+    pub suspicions_confirmed: u32,
 }
 
 impl EngineProbe {
@@ -87,6 +98,11 @@ pub struct Engine {
     last_peer_any: SimTime,
     peer_role: Option<Role>,
     hello_attempts: u32,
+    /// The confirmation timer of an open suspicion of the peer. Raised
+    /// only by a backup; any word from the peer and any move out of
+    /// Backup close it, so a timer that fires on an open suspicion finds
+    /// a backup that has heard nothing since the reset.
+    suspicion: Option<TimerHandle>,
     probe: Arc<Mutex<EngineProbe>>,
     /// Seeded defect (b): a second lock acquired in opposite orders by
     /// `tick` and `send_status` — a latent deadlock for oftt-audit to find.
@@ -110,6 +126,7 @@ impl Engine {
             last_peer_any: SimTime::ZERO,
             peer_role: None,
             hello_attempts: 0,
+            suspicion: None,
             probe,
             #[cfg(feature = "inject_bugs")]
             diag: Mutex::new(0),
@@ -185,6 +202,10 @@ impl Engine {
                     // stale clock expires immediately and reopens a
                     // dual-primary window.
                     self.last_peer_primary = env.now();
+                } else if let Some(timer) = self.suspicion.take() {
+                    // A suspicion belongs to the backup that raised it; a
+                    // later return to Backup starts from a clean slate.
+                    env.cancel_timer(timer);
                 }
                 match detail {
                     Some(detail) => {
@@ -222,9 +243,71 @@ impl Engine {
         self.apply_outcome(outcome, None, env);
     }
 
+    /// How long a suspicion waits for word from the peer: two heartbeat
+    /// periods, in which a live, connected primary is always heard, and
+    /// never longer than the timeout it shortcuts.
+    fn suspicion_window(&self) -> SimDuration {
+        self.config.heartbeat_period.saturating_mul(2).min(self.config.peer_timeout)
+    }
+
+    /// Link events from this node's own transport. A reset is suspicion,
+    /// not failure: only a backup acts on it, and only by arming the
+    /// confirmation window.
+    fn handle_transport(&mut self, event: TransportEvent, env: &mut dyn ProcessEnv) {
+        match event {
+            TransportEvent::PeerDown { peer } if peer == self.peer => {
+                if self.role != Role::Backup || self.suspicion.is_some() {
+                    return;
+                }
+                let window = self.suspicion_window();
+                self.suspicion = Some(env.set_timer(window, SUSPECT));
+                self.with_probe(env, |p| p.suspicions += 1);
+                env.record(
+                    TraceCategory::Engine,
+                    format!(
+                        "{}: link to {peer} closed by peer: suspected, confirming within {window}",
+                        env.self_endpoint()
+                    ),
+                );
+            }
+            TransportEvent::PeerConnected { peer, .. } if peer == self.peer => {
+                self.clear_suspicion("link reconnected", env);
+            }
+            _ => {}
+        }
+    }
+
+    fn clear_suspicion(&mut self, why: &str, env: &mut dyn ProcessEnv) {
+        let Some(timer) = self.suspicion.take() else { return };
+        env.cancel_timer(timer);
+        self.with_probe(env, |p| p.suspicions_cleared += 1);
+        env.record(
+            TraceCategory::Engine,
+            format!("{}: suspicion of {} cleared ({why})", env.self_endpoint(), self.peer),
+        );
+    }
+
+    /// The window closed on an open suspicion: a backup that has heard
+    /// nothing since the reset. The verdict is the same peer-silent
+    /// promotion the timeout would reach, through the same table.
+    fn confirm_suspicion(&mut self, env: &mut dyn ProcessEnv) {
+        if self.suspicion.take().is_none() {
+            return;
+        }
+        self.with_probe(env, |p| p.suspicions_confirmed += 1);
+        let detail = format!("link closed by peer, silent for {}", self.suspicion_window());
+        let outcome = role_transition(
+            &self.role_view(),
+            &RoleEvent::PrimarySilenceExpired { peer_silent: true },
+            &self.config.defects,
+        );
+        self.apply_outcome(outcome, Some(&detail), env);
+    }
+
     fn handle_peer(&mut self, msg: PeerMsg, env: &mut dyn ProcessEnv) {
         let now = env.now();
         self.last_peer_any = now;
+        self.clear_suspicion("heard from peer", env);
         let defects = self.config.defects;
         match msg {
             PeerMsg::Hello { node, role, term } => {
@@ -556,6 +639,7 @@ impl Process for Engine {
                 self.send_status(env);
                 env.set_timer(self.config.status_period, STATUS);
             }
+            SUSPECT => self.confirm_suspicion(env),
             _ => {}
         }
     }
@@ -577,6 +661,11 @@ impl Process for Engine {
                     TraceCategory::Engine,
                     format!("{}: dropped: {err}", env.self_endpoint()),
                 ),
+            }
+        } else if from.node == self.me && from.service.as_str() == WIRE_SERVICE {
+            // Only this node's own transport speaks for its links.
+            if let Ok(event) = decode_body::<TransportEvent>(envelope.body, &from) {
+                self.handle_transport(event, env);
             }
         }
     }
@@ -618,6 +707,7 @@ mod tests {
                 Box::new(move || Box::new(Engine::new(config.clone(), probe.clone()))),
                 true,
             );
+            cs.subscribe_transport_events(engine_endpoint(node));
         }
         Rig { cs, a, b, probe_a, probe_b }
     }
@@ -763,6 +853,126 @@ mod tests {
             matches!(pair, (Role::Primary, Role::Backup) | (Role::Backup, Role::Primary)),
             "got {pair:?}"
         );
+    }
+
+    /// The elected pair after 10 s: (primary node, backup node, backup's
+    /// probe).
+    fn formed(r: &mut Rig) -> (NodeId, NodeId, Arc<Mutex<EngineProbe>>) {
+        r.cs.start();
+        r.cs.run_until(SimTime::from_secs(10));
+        match settled_roles(r, "formation") {
+            (Role::Primary, Role::Backup) => (r.a, r.b, r.probe_b.clone()),
+            (Role::Backup, Role::Primary) => (r.b, r.a, r.probe_a.clone()),
+            pair => panic!("no elected pair: {pair:?}"),
+        }
+    }
+
+    /// The default configuration's suspicion window: two 250 ms periods.
+    const WINDOW: SimDuration = SimDuration::from_millis(500);
+
+    #[test]
+    fn crash_with_reset_promotes_within_the_suspicion_window() {
+        for seed in 0..20 {
+            let mut r = rig(seed);
+            let (primary, backup, probe) = formed(&mut r);
+            let at = SimTime::from_secs(10);
+            inject(&mut r.cs, at, Fault::CrashNode(primary));
+            inject(&mut r.cs, at, Fault::PeerReset { from: primary, to: backup });
+            r.cs.run_until(SimTime::from_secs(20));
+            let probe = probe.lock();
+            let promoted = probe.first_role_after(at, Role::Primary).expect("backup promoted");
+            let latency = promoted - at;
+            let tick = OfttConfig::new(Pair::new(r.a, r.b)).heartbeat_period;
+            assert!(latency <= WINDOW + tick, "seed {seed}: promotion took {latency}");
+            assert_eq!((probe.suspicions, probe.suspicions_confirmed), (1, 1), "seed {seed}");
+            assert!(
+                r.cs.trace().find("link closed by peer, silent for 500.000ms").is_some(),
+                "seed {seed}: the promotion reason names the reset"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_alone_never_demotes_a_live_connected_primary() {
+        for seed in 0..50 {
+            let mut r = rig(seed);
+            let (primary, backup, probe) = formed(&mut r);
+            inject(
+                &mut r.cs,
+                SimTime::from_secs(10),
+                Fault::PeerReset { from: primary, to: backup },
+            );
+            r.cs.run_until(SimTime::from_secs(15));
+            let pair = settled_roles(&r, &format!("seed {seed}"));
+            assert!(
+                matches!(pair, (Role::Primary, Role::Backup) | (Role::Backup, Role::Primary)),
+                "seed {seed}: a spurious reset changed the roles: {pair:?}"
+            );
+            let probe = probe.lock();
+            assert!(probe.first_role_after(SimTime::from_secs(10), Role::Primary).is_none());
+            assert_eq!(
+                (probe.suspicions, probe.suspicions_cleared, probe.suspicions_confirmed),
+                (1, 1, 0),
+                "seed {seed}: the primary's next heartbeat clears the suspicion"
+            );
+        }
+    }
+
+    #[test]
+    fn crash_without_reset_still_waits_out_the_peer_timeout() {
+        for seed in 0..10 {
+            let mut r = rig(seed);
+            let (primary, _, probe) = formed(&mut r);
+            let at = SimTime::from_secs(10);
+            inject(&mut r.cs, at, Fault::CrashNode(primary));
+            r.cs.run_until(SimTime::from_secs(20));
+            let probe = probe.lock();
+            let latency = probe.first_role_after(at, Role::Primary).expect("backup promoted") - at;
+            let config = OfttConfig::new(Pair::new(r.a, r.b));
+            assert!(
+                latency >= config.peer_timeout - config.heartbeat_period,
+                "seed {seed}: a silent crash promoted after only {latency}"
+            );
+            assert_eq!(probe.suspicions, 0);
+        }
+    }
+
+    /// Sends one `TransportEvent` to `to` when started.
+    struct Forger {
+        to: Endpoint,
+        event: TransportEvent,
+    }
+
+    impl Process for Forger {
+        fn on_start(&mut self, env: &mut dyn ProcessEnv) {
+            env.send_msg(self.to.clone(), self.event);
+        }
+    }
+
+    #[test]
+    fn transport_events_not_from_the_own_wire_are_ignored() {
+        let mut r = rig(77);
+        let at = SimTime::from_secs(10);
+        // Each node's `__wire` tells the *other* engine that the link went
+        // down: a peer cannot report on the backup's links.
+        for (node, other) in [(r.a, r.b), (r.b, r.a)] {
+            let to = engine_endpoint(other);
+            let event = TransportEvent::PeerDown { peer: node };
+            r.cs.register_service(
+                node,
+                WIRE_SERVICE,
+                Box::new(move || Box::new(Forger { to: to.clone(), event })),
+                false,
+            );
+            r.cs.start_service_at(at, node, WIRE_SERVICE);
+        }
+        let (primary, backup, probe) = formed(&mut r);
+        // Nor is a synthetic source on the backup's own node its transport.
+        r.cs.post(at, engine_endpoint(backup), TransportEvent::PeerDown { peer: primary });
+        r.cs.run_until(SimTime::from_secs(15));
+        let probe = probe.lock();
+        assert_eq!(probe.suspicions, 0, "no forged event may raise a suspicion");
+        assert!(probe.first_role_after(at, Role::Primary).is_none());
     }
 
     #[test]
