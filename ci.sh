@@ -19,8 +19,9 @@
 #                               replay to the same violation (exit 0)
 #   7. oftt-verify clippy       both feature sets
 #   8. verify sweep             oftt-verify exhausts the abstract protocol
-#                               space, link resets included (pinned state
-#                               count, zero violations, no lasso) and
+#                               space, link resets and refused redials
+#                               included (pinned state count, zero
+#                               violations, no lasso) and
 #                               refines a 200-schedule trace-export sweep
 #   9. verify seeded defect     the inject_bugs round trip
 #  10. oftt-audit clippy        both feature sets
@@ -44,12 +45,13 @@
 #                               --include-injected
 #  17. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
-#                               on the peer's reset within the 3 s detection
-#                               budget and restore-crc integrity; then
+#                               on the peer's reset and refused redial within
+#                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
 #  18. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
-#                               process kill with its link reset, and the
+#                               process kill with its link reset and refused
+#                               redial, and the
 #                               seeded startup defect): every run goes
 #                               through the oftt-check invariant engine; any
 #                               violation, non-recovered seed, or missed
@@ -141,7 +143,7 @@ cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 200 \
 # The pinned state count is the exhausted default-budget space; a
 # mismatch means the abstract model (or its bounds) changed — re-pin
 # only after reviewing why.
-./target/release/oftt-verify --liveness --expect-states 5271221 \
+./target/release/oftt-verify --liveness --expect-states 5281118 \
     --refine "$VERIFY_TRACES"
 
 step "verify seeded-defect round trip (inject_bugs)"

@@ -585,8 +585,9 @@ impl ClusterSim {
     /// Subscribes a service to [`TransportEvent`]s about its own node's
     /// links, delivered as envelopes from `<node>/__wire` — the same
     /// contract as the socket runtime's method of this name. The simulator
-    /// has no sockets, so its only event source is
-    /// [`crate::fault::Fault::PeerReset`].
+    /// has no sockets, so its only event sources are
+    /// [`crate::fault::Fault::PeerReset`] and
+    /// [`crate::fault::Fault::PeerRefused`].
     pub fn subscribe_transport_events(&mut self, endpoint: Endpoint) {
         self.sim.world_mut().transport_subs.push(endpoint);
     }
@@ -746,20 +747,21 @@ impl Cluster {
         self.start_service(sched, node, service);
     }
 
-    /// `to`'s transport reports its link to `from` closed by the remote
-    /// end: every subscriber on `to` gets `PeerDown { peer: from }`.
-    pub(crate) fn fault_peer_reset(
+    /// `to`'s transport reports `event` about one of its links: the fault
+    /// is traced as `note`, and every subscriber on `to` gets the event
+    /// from `<to>/__wire`.
+    pub(crate) fn fault_transport_event(
         &mut self,
         sched: &mut Scheduler<'_, Cluster>,
-        from: NodeId,
         to: NodeId,
+        event: TransportEvent,
+        note: String,
     ) {
-        sched.record(TraceCategory::Fault, format!("link reset by {from} seen at {to}"));
+        sched.record(TraceCategory::Fault, note);
         let wire = Endpoint::new(to, WIRE_SERVICE);
         let subs: Vec<Endpoint> =
             self.transport_subs.iter().filter(|ep| ep.node == to).cloned().collect();
         for sub in subs {
-            let event = TransportEvent::PeerDown { peer: from };
             self.deliver(sched, Envelope::new(wire.clone(), sub, event));
         }
     }

@@ -12,6 +12,7 @@ use ds_sim::prelude::{SimTime, TraceCategory};
 use crate::cluster::{Cluster, ClusterSim};
 use crate::endpoint::{NodeId, ServiceName};
 use crate::link::PathState;
+use crate::transport::TransportEvent;
 
 /// A fault (or repair) that can be scheduled against the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +63,18 @@ pub enum Fault {
         /// The node whose end of the link closed.
         from: NodeId,
         /// The node that observes the reset.
+        to: NodeId,
+    },
+    /// `to`'s transport redials `from` and the dial is refused — what a
+    /// live kernel answers when nothing listens at the peer's address, as
+    /// after the whole process died. Delivers
+    /// [`crate::transport::TransportEvent::PeerRefused`]`{ peer: from }`
+    /// from `<to>/__wire` to `to`'s transport subscribers. Routing is
+    /// untouched.
+    PeerRefused {
+        /// The node whose address refused the dial.
+        from: NodeId,
+        /// The node that dialed.
         to: NodeId,
     },
 }
@@ -131,7 +144,18 @@ impl Fault {
                     );
                 }
             }
-            Fault::PeerReset { from, to } => cluster.fault_peer_reset(sched, *from, *to),
+            Fault::PeerReset { from, to } => cluster.fault_transport_event(
+                sched,
+                *to,
+                TransportEvent::PeerDown { peer: *from },
+                format!("link reset by {from} seen at {to}"),
+            ),
+            Fault::PeerRefused { from, to } => cluster.fault_transport_event(
+                sched,
+                *to,
+                TransportEvent::PeerRefused { peer: *from },
+                format!("redial to {from} refused at {to}"),
+            ),
         }
     }
 }
@@ -286,11 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn peer_reset_reaches_only_the_observing_nodes_subscribers() {
+    fn link_faults_reach_only_the_observing_nodes_subscribers() {
         use crate::endpoint::Endpoint;
         use crate::message::Envelope;
         use crate::process::{Process, ProcessEnv};
-        use crate::transport::TransportEvent;
         use std::sync::{Arc, Mutex};
 
         type Seen = Arc<Mutex<Vec<(Endpoint, TransportEvent)>>>;
@@ -314,10 +337,18 @@ mod tests {
         cs.subscribe_transport_events(Endpoint::new(b, "sub"));
         cs.start();
         inject(&mut cs, SimTime::from_secs(1), Fault::PeerReset { from: a, to: b });
+        inject(&mut cs, SimTime::from_millis(1_001), Fault::PeerRefused { from: a, to: b });
         cs.run_until(SimTime::from_secs(2));
         let got = seen[1].lock().unwrap().clone();
-        assert_eq!(got, vec![(Endpoint::new(b, "__wire"), TransportEvent::PeerDown { peer: a })]);
-        assert!(seen[0].lock().unwrap().is_empty(), "the reset is b's observation, not a's");
+        let wire = Endpoint::new(b, "__wire");
+        assert_eq!(
+            got,
+            vec![
+                (wire.clone(), TransportEvent::PeerDown { peer: a }),
+                (wire, TransportEvent::PeerRefused { peer: a }),
+            ]
+        );
+        assert!(seen[0].lock().unwrap().is_empty(), "both are b's observations, not a's");
         assert!(seen[2].lock().unwrap().is_empty(), "unsubscribed services hear nothing");
         assert!(cs.cluster().link(a, b).unwrap().is_usable(), "routing is untouched");
     }

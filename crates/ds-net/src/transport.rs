@@ -246,7 +246,9 @@ pub const WIRE_SERVICE: &str = "__wire";
 /// `<node>/`[`WIRE_SERVICE`]. The msgq manager uses `PeerConnected {
 /// reconnect: true }` to retry store-and-forward transfers immediately
 /// instead of waiting out its retry timer; the OFTT engine reads
-/// `PeerDown` as suspicion of the peer.
+/// `PeerDown` as suspicion of the peer and `PeerRefused` as its verdict.
+/// These events never cross the wire: they are local to the node whose
+/// links they describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TransportEvent {
     /// A handshaken connection to `peer` became active.
@@ -260,6 +262,13 @@ pub enum TransportEvent {
     },
     /// The connection to `peer` was torn down.
     PeerDown {
+        /// The remote node.
+        peer: NodeId,
+    },
+    /// A dial to `peer`'s address was refused: the peer's host answered,
+    /// and nothing listens there. Only a refusal raises it — a timeout, an
+    /// unreachable host or a failed handshake does not.
+    PeerRefused {
         /// The remote node.
         peer: NodeId,
     },

@@ -229,6 +229,10 @@ pub enum ScriptOp {
     /// — its kernel's report of a whole-process death when paired with
     /// `crash` at the same instant, a severed connection otherwise.
     Reset(PairSlot),
+    /// The other node's redial to this node is refused — its kernel's
+    /// report that nothing listens at this node's address, as right after
+    /// `crash` and `reset`.
+    Refuse(PairSlot),
     /// Fail one path (by index) of the pair interconnect.
     PathDown(u8),
     /// Restore one path (by index) of the pair interconnect.
@@ -247,7 +251,7 @@ pub enum ScriptOp {
 }
 
 /// Every script op with the operands it takes, for parse errors.
-const OPS: [(&str, &str); 12] = [
+const OPS: [(&str, &str); 13] = [
     ("crash", "SLOT"),
     ("repair", "SLOT"),
     ("kill-engine", "SLOT"),
@@ -257,6 +261,7 @@ const OPS: [(&str, &str); 12] = [
     ("distress", "SLOT"),
     ("reboot", "SLOT"),
     ("reset", "SLOT"),
+    ("refuse", "SLOT"),
     ("path-down", "PATH"),
     ("path-up", "PATH"),
     ("slow-link", "LATENCY_US JITTER_US BANDWIDTH_BPS"),
@@ -275,6 +280,7 @@ impl std::fmt::Display for ScriptOp {
             ScriptOp::Distress(slot) => write!(f, "distress {}", slot.name()),
             ScriptOp::Reboot(slot) => write!(f, "reboot {}", slot.name()),
             ScriptOp::Reset(slot) => write!(f, "reset {}", slot.name()),
+            ScriptOp::Refuse(slot) => write!(f, "refuse {}", slot.name()),
             ScriptOp::PathDown(path) => write!(f, "path-down {path}"),
             ScriptOp::PathUp(path) => write!(f, "path-up {path}"),
             ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
@@ -314,6 +320,7 @@ impl ScriptOp {
             ["distress", s] => ScriptOp::Distress(slot(s)?),
             ["reboot", s] => ScriptOp::Reboot(slot(s)?),
             ["reset", s] => ScriptOp::Reset(slot(s)?),
+            ["refuse", s] => ScriptOp::Refuse(slot(s)?),
             ["path-down", p] => ScriptOp::PathDown(path(p)?),
             ["path-up", p] => ScriptOp::PathUp(path(p)?),
             ["slow-link", latency, jitter, bandwidth] => {
@@ -406,6 +413,10 @@ impl FaultScript {
                     let from = slot.node(a, b);
                     Fault::PeerReset { from, to: if from == a { b } else { a } }
                 }
+                ScriptOp::Refuse(slot) => {
+                    let from = slot.node(a, b);
+                    Fault::PeerRefused { from, to: if from == a { b } else { a } }
+                }
                 ScriptOp::PathDown(path) => Fault::PathDown(a, b, path as usize),
                 ScriptOp::PathUp(path) => Fault::PathUp(a, b, path as usize),
                 ScriptOp::SlowLink { latency_us, jitter_us, bandwidth_bps } => {
@@ -472,6 +483,7 @@ mod tests {
                 (SimTime::from_secs(25), ScriptOp::Repair(PairSlot::A)),
                 (SimTime::from_secs(26), ScriptOp::Reboot(PairSlot::B)),
                 (SimTime::from_secs(26), ScriptOp::Reset(PairSlot::A)),
+                (SimTime::from_secs(26), ScriptOp::Refuse(PairSlot::A)),
                 (SimTime::from_secs(27), ScriptOp::PathDown(0)),
                 (SimTime::from_secs(28), ScriptOp::PathUp(0)),
                 (
@@ -498,6 +510,7 @@ mod tests {
             ("partition a", "partition takes no operands"),
             ("crash c", "bad pair slot"),
             ("reset", "reset takes SLOT"),
+            ("refuse a b", "refuse takes SLOT"),
             ("path-down x", "bad numeric operand"),
             ("path-up 300", "over 255"),
             ("slow-link 5000", "slow-link takes LATENCY_US"),
@@ -523,19 +536,21 @@ mod tests {
     #[test]
     fn suspicion_records_are_no_events_and_scrape_nothing() {
         use ds_sim::prelude::Trace;
-        // Spurious resets with both nodes alive: the backup suspects its
+        // Refusals with no suspicion open, which both engines ignore; then
+        // spurious resets with both nodes alive: the backup suspects its
         // primary and the next heartbeat clears it; the primary ignores its
         // own.
-        let script = FaultScript::parse("10000000 reset a\n10000000 reset b\n").unwrap();
+        let script = FaultScript::parse(
+            "9000000 refuse a\n9000000 refuse b\n10000000 reset a\n10000000 reset b\n",
+        )
+        .unwrap();
         let result = run(&Scenario::new(script), 1, &[]);
-        let new_records: Vec<&TraceEntry> = result
-            .entries
-            .iter()
-            .filter(|e| {
-                ["link reset by", "suspected", "suspicion"].iter().any(|w| e.message.contains(w))
-            })
-            .collect();
-        for needle in ["link reset by", ": suspected, confirming within", "suspicion of"] {
+        let words = ["redial to", "link reset by", "suspected", "suspicion"];
+        let new_records: Vec<&TraceEntry> =
+            result.entries.iter().filter(|e| words.iter().any(|w| e.message.contains(w))).collect();
+        for needle in
+            ["redial to", "link reset by", ": suspected, confirming within", "suspicion of"]
+        {
             assert!(
                 new_records.iter().any(|e| e.message.contains(needle)),
                 "no {needle:?} record in the run"

@@ -15,6 +15,7 @@
 //! | `last_peer_primary` clock             | `silence` tick counter          |
 //! | `last_peer_any` clock                 | `any_silence` tick counter      |
 //! | link-reset suspicion and its window   | `suspected` tick counter        |
+//! | refused redial of a dead peer         | `Refuse` on an open suspicion   |
 //! | heartbeat/hello/reply/switchover msgs | [`AbsMsg`] with bounded age     |
 //! | checkpoint data path                  | one [`Freshness`] per store     |
 //! | FTIM deadman on the application       | `app_hung` + `WatchdogFire`     |
@@ -489,6 +490,9 @@ pub enum Action {
     /// The peer's transport sees this slot's end of the link close, and
     /// the peer — a backup — starts suspecting it (budgeted).
     Reset(Slot),
+    /// The peer's redial to this slot is refused, and the peer — a backup
+    /// with an open suspicion — promotes at once.
+    Refuse(Slot),
 }
 
 impl std::fmt::Display for Action {
@@ -506,6 +510,7 @@ impl std::fmt::Display for Action {
             Action::Hang(s) => write!(f, "hang {s}"),
             Action::WatchdogFire(s) => write!(f, "watchdog-fire {s}"),
             Action::Reset(s) => write!(f, "reset {s}"),
+            Action::Refuse(s) => write!(f, "refuse {s}"),
         }
     }
 }
@@ -1018,6 +1023,31 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
             next.node_mut(slot.other()).suspected = Some(0);
             Some(finish(next, Ctx::new()))
         }
+        Action::Refuse(slot) => {
+            // Timing-soundness gate 7: a refusal needs a live kernel with
+            // nothing listening, so the refused slot is down — never
+            // merely partitioned, where a cut path accepts or times out.
+            // It is the verdict on an open suspicion only; each suspicion
+            // is consumed once, so it needs no budget of its own.
+            let observer = s.node(slot.other());
+            if s.node(slot).up
+                || !observer.up
+                || observer.role != Role::Backup
+                || observer.suspected.is_none()
+            {
+                return None;
+            }
+            let mut next = s.clone();
+            next.node_mut(slot.other()).suspected = None;
+            let mut ctx = Ctx::new();
+            let outcome = role_transition(
+                &next.role_view(slot.other()),
+                &RoleEvent::PrimarySilenceExpired { peer_silent: true },
+                defects,
+            );
+            apply_role_outcome(&mut next, slot.other(), outcome, defects, bounds, &mut ctx);
+            Some(finish(next, ctx))
+        }
         Action::WatchdogFire(slot) => {
             let n = s.node(slot);
             if !n.up || !n.app_hung {
@@ -1075,6 +1105,7 @@ pub fn successors(s: &AbsState, bounds: &Bounds, defects: &Defects) -> Vec<(Acti
         candidates.push(Action::Crash(slot));
         candidates.push(Action::Repair(slot));
         candidates.push(Action::Reset(slot));
+        candidates.push(Action::Refuse(slot));
     }
     candidates
         .into_iter()
@@ -1211,6 +1242,29 @@ mod tests {
         let s = run(&s, Action::Deliver(Dir::BToA, 0)); // B's own, now overdue
         let s = run(&s, Action::Tick(Slot::B));
         assert_eq!(s.nodes[1].role, Role::Backup, "the second tick finds no suspicion");
+    }
+
+    #[test]
+    fn a_refusal_confirms_an_open_suspicion_of_a_down_peer_at_once() {
+        let s = negotiated(); // A Primary(1), B Backup(1)
+                              // Gate 7: an up peer is never refused, connected or cut off, even
+                              // while its backup suspects it.
+        assert!(apply(&s, Action::Refuse(Slot::A), &bounds(), &CLEAN).is_none());
+        let cut = run(&run(&s, Action::Partition), Action::Reset(Slot::A));
+        assert_eq!(cut.nodes[1].suspected, Some(0));
+        assert!(apply(&cut, Action::Refuse(Slot::A), &bounds(), &CLEAN).is_none());
+        // A down peer with no suspicion open: nothing to confirm.
+        let down = run(&s, Action::Crash(Slot::A));
+        assert!(apply(&down, Action::Refuse(Slot::A), &bounds(), &CLEAN).is_none());
+        // Suspected and down: the verdict, with no tick in between.
+        let suspected = run(&down, Action::Reset(Slot::A));
+        let step = apply(&suspected, Action::Refuse(Slot::A), &bounds(), &CLEAN).unwrap();
+        assert_eq!(step.obs, Some(Obs { slot: Slot::B, role: Role::Primary, term: 2 }));
+        assert!(step.violations.is_empty());
+        let next = step.next.unwrap();
+        assert_eq!(next.nodes[1].suspected, None, "the suspicion is consumed");
+        assert_eq!(next.budgets, suspected.budgets, "a refusal spends no budget");
+        assert!(apply(&next, Action::Refuse(Slot::A), &bounds(), &CLEAN).is_none());
     }
 
     #[test]

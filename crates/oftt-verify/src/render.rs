@@ -2,7 +2,7 @@
 //! scripts.
 //!
 //! An abstract counterexample is an action sequence; its fault-class
-//! actions (crash, repair, partition, heal, distress, reset) are exactly
+//! actions (crash, repair, partition, heal, distress, reset, refuse) are exactly
 //! the vocabulary of [`oftt_check::scenario::FaultScript`]. Protocol-level
 //! actions (ticks, deliveries, checkpoint shipments) need no rendering:
 //! the concrete simulation performs them on its own schedule. So a
@@ -24,7 +24,9 @@
 //!   request, and only a near-instant partition does that concretely;
 //! * every `Reset` — it is the transport's immediate report of the crash
 //!   or cut that enabled it, and a reset seconds later would find the
-//!   peer already promoted by its timeout.
+//!   peer already promoted by its timeout;
+//! * every `Refuse` — the survivor's redial, which the reset before it
+//!   triggers at once.
 
 use ds_sim::prelude::SimTime;
 use oftt_check::scenario::{FaultScript, PairSlot, ScriptOp};
@@ -37,8 +39,8 @@ const FIRST_FAULT_S: u64 = 10;
 /// Seconds between consecutive injected faults: several peer timeouts,
 /// so each fault's consequences settle before the next.
 const FAULT_SPACING_S: u64 = 2;
-/// The near-instant follow-up delay for a request-cutting partition or a
-/// reset.
+/// The near-instant follow-up delay for a request-cutting partition, a
+/// reset or a refusal.
 const CUT_DELAY_US: u64 = 50;
 
 fn pair_slot(s: Slot) -> PairSlot {
@@ -61,6 +63,7 @@ pub fn render_script(path: &[Action]) -> FaultScript {
             Action::Heal => Some(ScriptOp::Heal),
             Action::Distress(s) => Some(ScriptOp::Distress(pair_slot(s))),
             Action::Reset(s) => Some(ScriptOp::Reset(pair_slot(s))),
+            Action::Refuse(s) => Some(ScriptOp::Refuse(pair_slot(s))),
             Action::Tick(_)
             | Action::Deliver(..)
             | Action::Ship(_)
@@ -69,7 +72,7 @@ pub fn render_script(path: &[Action]) -> FaultScript {
             | Action::WatchdogFire(_) => None,
         };
         if let Some(op) = op {
-            let prompt = matches!(op, ScriptOp::Reset(_))
+            let prompt = matches!(op, ScriptOp::Reset(_) | ScriptOp::Refuse(_))
                 || matches!(op, ScriptOp::Partition)
                     && matches!(prev_action, Some(Action::Distress(_)));
             if !steps.is_empty() {
@@ -120,17 +123,23 @@ mod tests {
     }
 
     #[test]
-    fn a_reset_renders_as_its_script_op_right_after_its_fault() {
-        let path = [Action::Crash(Slot::A), Action::Tick(Slot::B), Action::Reset(Slot::A)];
+    fn a_reset_and_a_refusal_render_as_their_script_ops_right_after_their_fault() {
+        let path = [
+            Action::Crash(Slot::A),
+            Action::Tick(Slot::B),
+            Action::Reset(Slot::A),
+            Action::Refuse(Slot::A),
+        ];
         let script = render_script(&path);
         assert_eq!(
             script.steps,
             vec![
                 (SimTime::from_secs(10), ScriptOp::Crash(PairSlot::A)),
                 (SimTime::from_micros(10_000_050), ScriptOp::Reset(PairSlot::A)),
+                (SimTime::from_micros(10_000_100), ScriptOp::Refuse(PairSlot::A)),
             ]
         );
-        assert!(script.to_text().ends_with("10000050 reset a\n"), "{}", script.to_text());
+        assert!(script.to_text().ends_with("10000050 reset a\n10000100 refuse a\n"));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use oftt::transition::Defects;
 use oftt_check::{run, FaultScript, Scenario, TraceExport};
 use oftt_verify::explore::{explore, swapped, Explored};
 use oftt_verify::liveness::find_persistent_dual_primary;
-use oftt_verify::model::{AbsState, Bounds, Budgets};
+use oftt_verify::model::{apply, AbsState, Action, Bounds, Budgets, SLOTS};
 use oftt_verify::refine::refine_export;
 
 const CLEAN: Defects = Defects { dual_primary_window: false, stale_promotion: false };
@@ -50,16 +50,36 @@ fn without_resets_the_default_space_keeps_its_pinned_size() {
     assert_eq!(ex.states.len(), 1_939_405);
 }
 
+/// Gate 7 over a whole reachable space: in no state is a refusal of an
+/// up peer enabled, whether the interconnect is whole or partitioned.
+#[test]
+fn a_refusal_is_never_enabled_while_the_peer_is_up() {
+    let ex = graph(crash_and_cut(), &CLEAN);
+    let mut enabled = 0;
+    for state in &ex.states {
+        for slot in SLOTS {
+            let refused = apply(state, Action::Refuse(slot), &Bounds::default(), &CLEAN);
+            if refused.is_some() {
+                assert!(!state.nodes[slot.index()].up, "{slot} refused while up: {state:?}");
+                enabled += 1;
+            }
+        }
+    }
+    assert!(enabled > 0, "the space must reach a refusal at all");
+}
+
 #[test]
 fn live_scenario_exports_refine_into_the_abstract_model() {
     let ex = graph(crash_and_cut(), &CLEAN);
-    // A process kill: the crash and its reset together, the fast path.
-    let process_kill =
-        FaultScript::parse("10000000 crash a\n10000000 reset a\n25000000 repair a\n").unwrap();
+    // A process kill: the crash and its reset together, the fast path;
+    // then the same with the survivor's redial refused, the faster one.
+    let kill = "10000000 crash a\n10000000 reset a\n25000000 repair a\n";
+    let refused = "10000000 crash a\n10000000 reset a\n10000050 refuse a\n25000000 repair a\n";
     let scenarios = [
         ("pair-failover", Scenario::named("pair-failover").unwrap()),
         ("partitioned-startup", Scenario::named("partitioned-startup").unwrap()),
-        ("process-kill", Scenario::new(process_kill)),
+        ("process-kill", Scenario::new(FaultScript::parse(kill).unwrap())),
+        ("process-kill-refused", Scenario::new(FaultScript::parse(refused).unwrap())),
     ];
     for (name, scenario) in scenarios {
         for seed in 1..=3u64 {

@@ -520,9 +520,14 @@ mod tests {
         let bytes = to_bytes(&report).unwrap();
         let back: TransportReport = from_bytes(&bytes).unwrap();
         assert_eq!(back, report);
-        let event = TransportEvent::PeerConnected { peer: NodeId(2), epoch: 4, reconnect: true };
-        let bytes = to_bytes(&event).unwrap();
-        let back: TransportEvent = from_bytes(&bytes).unwrap();
-        assert_eq!(back, event);
+        for event in [
+            TransportEvent::PeerConnected { peer: NodeId(2), epoch: 4, reconnect: true },
+            TransportEvent::PeerDown { peer: NodeId(2) },
+            TransportEvent::PeerRefused { peer: NodeId(2) },
+        ] {
+            let bytes = to_bytes(&event).unwrap();
+            let back: TransportEvent = from_bytes(&bytes).unwrap();
+            assert_eq!(back, event);
+        }
     }
 }

@@ -554,7 +554,8 @@ impl Shared {
     }
 
     /// Dialer-side handshake: connect, send our hello, await the peer's,
-    /// then hand the socket to the reactor.
+    /// then hand the socket to the reactor. A refused connect raises
+    /// [`TransportEvent::PeerRefused`]; no other failure raises anything.
     fn dial_once(self: &Arc<Self>, link: &Arc<Link>) -> Result<(), String> {
         let addr_str = link.addr.as_deref().ok_or("accept-only link")?;
         let addr = addr_str
@@ -562,8 +563,18 @@ impl Shared {
             .map_err(|e| format!("resolve {addr_str}: {e}"))?
             .next()
             .ok_or_else(|| format!("{addr_str} resolves to nothing"))?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
-            .map_err(|e| format!("connect {addr}: {e}"))?;
+        let mut stream = match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
+            Ok(stream) => stream,
+            Err(e) => {
+                // Only a refusal is the peer host's own answer: its kernel
+                // is up and nothing listens there. A timeout or an
+                // unreachable host says nothing about the peer process.
+                if e.kind() == io::ErrorKind::ConnectionRefused {
+                    self.handler.peer_event(TransportEvent::PeerRefused { peer: link.peer });
+                }
+                return Err(format!("connect {addr}: {e}"));
+            }
+        };
         stream.set_nodelay(true).ok();
         let my_epoch = {
             let mut inner = link.inner.lock();
@@ -1263,5 +1274,58 @@ mod tests {
             sup.shutdown();
             assert_eq!(sink.delivered.lock().unwrap().len(), case.delivered, "{}", case.name);
         }
+    }
+
+    /// A supervisor whose one peer, node 1, lives at `addr`, redialing
+    /// every few milliseconds.
+    fn dialing(addr: String) -> (Supervisor, Arc<Sink>) {
+        let sink = Sink::new();
+        let mut config = WireConfig::loopback(NodeId(0));
+        config.peers = vec![(NodeId(1), addr)];
+        config.backoff_base = Duration::from_millis(5);
+        config.backoff_cap = Duration::from_millis(20);
+        let sup = Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
+        (sup, sink)
+    }
+
+    /// Nothing listens at the peer's address, so this host's kernel refuses
+    /// every dial: each one is a `PeerRefused`, and the link never comes up
+    /// or goes down.
+    #[test]
+    fn a_dial_to_an_address_with_no_listener_is_refused() {
+        let vacant = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let (sup, sink) = dialing(vacant.to_string());
+        let refusals = || {
+            let events = sink.events.lock().unwrap();
+            events.iter().filter(|e| **e == TransportEvent::PeerRefused { peer: NodeId(1) }).count()
+        };
+        assert!(wait_for(|| refusals() >= 3, Duration::from_secs(5)), "no refusals seen");
+        sup.shutdown();
+        let events = sink.events.lock().unwrap();
+        assert!(
+            events.iter().all(|e| matches!(e, TransportEvent::PeerRefused { peer: NodeId(1) })),
+            "{events:?}"
+        );
+    }
+
+    /// A partitioned proxy accepts the dial and then hangs up, as a cut
+    /// network path does: the handshake fails, and nothing was refused —
+    /// even though nothing listens behind the proxy either.
+    #[test]
+    fn a_dial_through_a_partitioned_proxy_is_never_refused() {
+        let vacant = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let proxy = crate::fault::FaultProxy::start("127.0.0.1:0", vacant, 1).unwrap();
+        proxy.partition();
+        let (sup, sink) = dialing(proxy.addr().to_string());
+        let traced = |needle: &str| sink.traces.lock().unwrap().iter().any(|t| t.contains(needle));
+        assert!(
+            wait_for(|| traced("dial failed (handshake"), Duration::from_secs(5)),
+            "{:?}",
+            sink.traces.lock().unwrap()
+        );
+        // Several more dials through the cut.
+        std::thread::sleep(Duration::from_millis(200));
+        sup.shutdown();
+        assert!(sink.events.lock().unwrap().is_empty(), "{:?}", sink.events.lock().unwrap());
     }
 }

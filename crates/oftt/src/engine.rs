@@ -13,8 +13,9 @@
 //!   failure is detected by the *peer* engine (and by local FTIMs via
 //!   missing engine heartbeats). A backup whose transport reports the
 //!   peer's link closed by the remote end *suspects* the peer, and two
-//!   silent heartbeat periods confirm the suspicion — a shortcut of the
-//!   peer timeout for the one fault that announces itself (DESIGN.md §5).
+//!   silent heartbeat periods or a refused redial confirm the suspicion —
+//!   a shortcut of the peer timeout for the one fault that announces
+//!   itself (DESIGN.md §5).
 //! * **Recovery management** — per-component [`RecoveryRule`]: local
 //!   restart for transient faults, switchover for permanent ones,
 //!   escalation when restarts are exhausted.
@@ -63,6 +64,18 @@ pub struct EngineProbe {
     pub suspicions_cleared: u32,
     /// Suspicions confirmed by a silent window, each one a promotion.
     pub suspicions_confirmed: u32,
+    /// Suspicions confirmed at once by a refused redial, each one a
+    /// promotion.
+    pub suspicions_refused: u32,
+}
+
+/// What confirmed an open suspicion.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    /// The window closed with no word from the peer.
+    Silent,
+    /// A redial to the peer's address was refused.
+    Refused,
 }
 
 impl EngineProbe {
@@ -252,7 +265,9 @@ impl Engine {
 
     /// Link events from this node's own transport. A reset is suspicion,
     /// not failure: only a backup acts on it, and only by arming the
-    /// confirmation window.
+    /// confirmation window. A refused redial is the verdict on an open
+    /// suspicion — the peer's kernel reports that nothing listens at its
+    /// address — and is ignored when no suspicion is open.
     fn handle_transport(&mut self, event: TransportEvent, env: &mut dyn ProcessEnv) {
         match event {
             TransportEvent::PeerDown { peer } if peer == self.peer => {
@@ -273,6 +288,9 @@ impl Engine {
             TransportEvent::PeerConnected { peer, .. } if peer == self.peer => {
                 self.clear_suspicion("link reconnected", env);
             }
+            TransportEvent::PeerRefused { peer } if peer == self.peer => {
+                self.confirm_suspicion(Verdict::Refused, env);
+            }
             _ => {}
         }
     }
@@ -287,15 +305,23 @@ impl Engine {
         );
     }
 
-    /// The window closed on an open suspicion: a backup that has heard
-    /// nothing since the reset. The verdict is the same peer-silent
-    /// promotion the timeout would reach, through the same table.
-    fn confirm_suspicion(&mut self, env: &mut dyn ProcessEnv) {
-        if self.suspicion.take().is_none() {
-            return;
-        }
-        self.with_probe(env, |p| p.suspicions_confirmed += 1);
-        let detail = format!("link closed by peer, silent for {}", self.suspicion_window());
+    /// An open suspicion reaches its verdict: a backup that has heard
+    /// nothing since the reset, whose window closed or whose redial was
+    /// refused. The verdict is the same peer-silent promotion the timeout
+    /// would reach, through the same table.
+    fn confirm_suspicion(&mut self, verdict: Verdict, env: &mut dyn ProcessEnv) {
+        let Some(timer) = self.suspicion.take() else { return };
+        let detail = match verdict {
+            Verdict::Silent => {
+                self.with_probe(env, |p| p.suspicions_confirmed += 1);
+                format!("link closed by peer, silent for {}", self.suspicion_window())
+            }
+            Verdict::Refused => {
+                env.cancel_timer(timer);
+                self.with_probe(env, |p| p.suspicions_refused += 1);
+                "link closed by peer, redial refused".to_string()
+            }
+        };
         let outcome = role_transition(
             &self.role_view(),
             &RoleEvent::PrimarySilenceExpired { peer_silent: true },
@@ -639,7 +665,7 @@ impl Process for Engine {
                 self.send_status(env);
                 env.set_timer(self.config.status_period, STATUS);
             }
-            SUSPECT => self.confirm_suspicion(env),
+            SUSPECT => self.confirm_suspicion(Verdict::Silent, env),
             _ => {}
         }
     }
@@ -675,6 +701,7 @@ impl Process for Engine {
 mod tests {
     use super::*;
     use crate::config::Pair;
+    use ds_net::cluster::PROCESS_SPAWN_DELAY;
     use ds_net::fault::{inject, Fault};
     use ds_net::link::Link;
     use ds_net::node::NodeConfig;
@@ -955,9 +982,92 @@ mod tests {
         let at = SimTime::from_secs(10);
         // Each node's `__wire` tells the *other* engine that the link went
         // down: a peer cannot report on the backup's links.
+        forge_on_both(
+            &mut r,
+            at,
+            |_, other| engine_endpoint(other),
+            |node, _| TransportEvent::PeerDown { peer: node },
+        );
+        let (primary, backup, probe) = formed(&mut r);
+        // Nor is a synthetic source on the backup's own node its transport.
+        r.cs.post(at, engine_endpoint(backup), TransportEvent::PeerDown { peer: primary });
+        r.cs.run_until(SimTime::from_secs(15));
+        let probe = probe.lock();
+        assert_eq!(probe.suspicions, 0, "no forged event may raise a suspicion");
+        assert!(probe.first_role_after(at, Role::Primary).is_none());
+    }
+
+    /// The default configuration's heartbeat period.
+    const TICK_PERIOD: SimDuration = SimDuration::from_millis(250);
+
+    #[test]
+    fn crash_reset_and_refusal_promote_within_one_tick() {
+        for seed in 0..20 {
+            let mut r = rig(seed);
+            let (primary, backup, probe) = formed(&mut r);
+            let at = SimTime::from_secs(10);
+            inject(&mut r.cs, at, Fault::CrashNode(primary));
+            inject(&mut r.cs, at, Fault::PeerReset { from: primary, to: backup });
+            let redial = at + SimDuration::from_millis(1);
+            inject(&mut r.cs, redial, Fault::PeerRefused { from: primary, to: backup });
+            r.cs.run_until(SimTime::from_secs(20));
+            let probe = probe.lock();
+            let latency = probe.first_role_after(at, Role::Primary).expect("backup promoted") - at;
+            assert!(latency <= TICK_PERIOD, "seed {seed}: promotion took {latency}");
+            assert_eq!(
+                (probe.suspicions, probe.suspicions_confirmed, probe.suspicions_refused),
+                (1, 0, 1),
+                "seed {seed}"
+            );
+            assert!(
+                r.cs.trace().find("link closed by peer, redial refused").is_some(),
+                "seed {seed}: the promotion reason names the refusal"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refusal_with_no_open_suspicion_never_promotes() {
+        for seed in 0..20 {
+            let mut r = rig(seed);
+            // At start-up, while the engines negotiate: each node's
+            // transport has its dials refused, as before the peer binds.
+            for ms in [1, 300, 700, 1_500] {
+                for (from, to) in [(r.a, r.b), (r.b, r.a)] {
+                    inject(&mut r.cs, SimTime::from_millis(ms), Fault::PeerRefused { from, to });
+                }
+            }
+            let (primary, backup, probe) = formed(&mut r);
+            // Beside a live, connected primary, at both engines.
+            let at = SimTime::from_secs(10);
+            inject(&mut r.cs, at, Fault::PeerRefused { from: primary, to: backup });
+            inject(&mut r.cs, at, Fault::PeerRefused { from: backup, to: primary });
+            r.cs.run_until(SimTime::from_secs(15));
+            let pair = settled_roles(&r, &format!("seed {seed}"));
+            assert!(
+                matches!(pair, (Role::Primary, Role::Backup) | (Role::Backup, Role::Primary)),
+                "seed {seed}: a refusal changed the roles: {pair:?}"
+            );
+            assert!(probe.lock().first_role_after(at, Role::Primary).is_none(), "seed {seed}");
+            for probe in [&r.probe_a, &r.probe_b] {
+                let probe = probe.lock();
+                assert_eq!((probe.suspicions, probe.suspicions_refused), (0, 0), "seed {seed}");
+            }
+        }
+    }
+
+    /// Registers, on both nodes, a service named like the transport that
+    /// sends `event(node, other)` to `to(node, other)` at `sends_at`.
+    fn forge_on_both(
+        r: &mut Rig,
+        sends_at: SimTime,
+        to: impl Fn(NodeId, NodeId) -> Endpoint,
+        event: impl Fn(NodeId, NodeId) -> TransportEvent,
+    ) {
+        let at = SimTime::from_micros(sends_at.as_micros() - PROCESS_SPAWN_DELAY.as_micros());
         for (node, other) in [(r.a, r.b), (r.b, r.a)] {
-            let to = engine_endpoint(other);
-            let event = TransportEvent::PeerDown { peer: node };
+            let to = to(node, other);
+            let event = event(node, other);
             r.cs.register_service(
                 node,
                 WIRE_SERVICE,
@@ -966,13 +1076,64 @@ mod tests {
             );
             r.cs.start_service_at(at, node, WIRE_SERVICE);
         }
-        let (primary, backup, probe) = formed(&mut r);
-        // Nor is a synthetic source on the backup's own node its transport.
-        r.cs.post(at, engine_endpoint(backup), TransportEvent::PeerDown { peer: primary });
-        r.cs.run_until(SimTime::from_secs(15));
-        let probe = probe.lock();
-        assert_eq!(probe.suspicions, 0, "no forged event may raise a suspicion");
-        assert!(probe.first_role_after(at, Role::Primary).is_none());
+    }
+
+    #[test]
+    fn a_refusal_after_the_link_reconnected_never_promotes() {
+        for seed in 0..20 {
+            let mut r = rig(seed);
+            let at = SimTime::from_secs(10);
+            // Each node's own transport reports the link back up, 1 ms
+            // after the reset; a refusal follows 1 ms later.
+            forge_on_both(
+                &mut r,
+                at + SimDuration::from_millis(1),
+                |node, _| engine_endpoint(node),
+                |_, other| TransportEvent::PeerConnected { peer: other, epoch: 2, reconnect: true },
+            );
+            let (primary, backup, probe) = formed(&mut r);
+            inject(&mut r.cs, at, Fault::PeerReset { from: primary, to: backup });
+            let redial = at + SimDuration::from_millis(2);
+            inject(&mut r.cs, redial, Fault::PeerRefused { from: primary, to: backup });
+            r.cs.run_until(SimTime::from_secs(15));
+            let probe = probe.lock();
+            assert!(probe.first_role_after(at, Role::Primary).is_none(), "seed {seed}");
+            assert_eq!(
+                (probe.suspicions, probe.suspicions_cleared, probe.suspicions_refused),
+                (1, 1, 0),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refusal_forged_from_the_peers_wire_is_ignored() {
+        for seed in 0..20 {
+            let mut r = rig(seed);
+            let at = SimTime::from_secs(10);
+            // Each node's `__wire` tells the *other* engine that its own
+            // address refused a dial, 1 ms into a genuine suspicion.
+            forge_on_both(
+                &mut r,
+                at + SimDuration::from_millis(1),
+                |_, other| engine_endpoint(other),
+                |node, _| TransportEvent::PeerRefused { peer: node },
+            );
+            let (primary, backup, probe) = formed(&mut r);
+            inject(&mut r.cs, at, Fault::PeerReset { from: primary, to: backup });
+            // Nor is a synthetic source on the backup's own node its
+            // transport.
+            let forged = TransportEvent::PeerRefused { peer: primary };
+            r.cs.post(at + SimDuration::from_millis(2), engine_endpoint(backup), forged);
+            r.cs.run_until(SimTime::from_secs(15));
+            let probe = probe.lock();
+            assert!(probe.first_role_after(at, Role::Primary).is_none(), "seed {seed}");
+            assert_eq!(
+                (probe.suspicions, probe.suspicions_cleared, probe.suspicions_refused),
+                (1, 1, 0),
+                "seed {seed}: the primary's heartbeat clears the suspicion"
+            );
+        }
     }
 
     #[test]

@@ -511,13 +511,15 @@ impl<A: FtApplication> FtProcess<A> {
         vars
     }
 
-    /// Brings the shipping store up to date with the application. A full
-    /// sync walks the complete snapshot (re-priming a cleared store); an
-    /// incremental sync lets the application report only its write set.
-    /// Either way the store's digests gate the dirty marks, so unchanged
-    /// re-writes never dirty anything.
-    fn sync_store(&mut self, full_walk: bool) {
-        if full_walk {
+    /// Brings the shipping store up to date with the application. An empty
+    /// store (the first ship after an activation or a restart) is primed by
+    /// walking the complete snapshot; every other sync lets the application
+    /// report only its write set since the last one, which keeps the store
+    /// current whether the ship is a delta or a full image. Either way the
+    /// store's digests gate the dirty marks, so unchanged re-writes never
+    /// dirty anything.
+    fn sync_store(&mut self) {
+        if self.core.ship_store.is_empty() {
             for (name, bytes) in self.app.snapshot() {
                 self.core.ship_store.set(name, bytes);
             }
@@ -551,7 +553,7 @@ impl<A: FtApplication> FtProcess<A> {
         let overdue = patience.is_some_and(|patience| waited > patience);
         let full = patience.is_none() || self.core.need_full || overdue;
         let unconfirmed_refresh = overdue && !self.core.need_full;
-        self.sync_store(full);
+        self.sync_store();
         // The walkthrough reads the application's state and rewrites the
         // node-local shipping store.
         env.observe_access(

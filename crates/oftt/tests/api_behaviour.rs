@@ -2,6 +2,7 @@
 //! a switchover, `OFTTSave` ships immediately (event-based checkpointing),
 //! and `OFTTSelSave` designation filters what travels.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ds_net::link::Link;
@@ -9,33 +10,59 @@ use ds_net::message::Envelope;
 use ds_net::node::NodeConfig;
 use ds_net::prelude::{ClusterSim, NodeId, SimTime};
 use ds_net::process::{Process, ProcessEnv};
-use oftt::checkpoint::{Checkpoint, CheckpointPayload, RejectReason, VarSet};
+use oftt::checkpoint::{Checkpoint, CheckpointPayload, RejectReason, VarSet, VarStore};
 use oftt::messages::FtimPeerMsg;
 use oftt::prelude::*;
 use parking_lot::Mutex;
 
 /// An app scripted through external command messages.
 struct Scripted {
-    big: Vec<u8>, // a large variable
+    big: Vec<u8>, // a large variable, never written
     small: u64,   // a small variable
+    /// `small` was written since the last incremental walkthrough.
+    small_touched: bool,
     view: Arc<Mutex<(u64, bool)>>,
+    /// Full walkthroughs ([`FtApplication::snapshot`] calls) so far.
+    snapshots: Arc<AtomicUsize>,
 }
 
 impl Scripted {
-    fn new(view: Arc<Mutex<(u64, bool)>>) -> Self {
+    fn new(view: Arc<Mutex<(u64, bool)>>, snapshots: Arc<AtomicUsize>) -> Self {
         *view.lock() = (0, false);
-        Scripted { big: vec![0xAB; 64 * 1024], small: 0, view }
+        Scripted { big: vec![0xAB; 64 * 1024], small: 0, small_touched: false, view, snapshots }
+    }
+
+    /// The image of an application whose `small` is `small`.
+    fn image(small: u64) -> VarSet {
+        [
+            ("big".to_string(), comsim::buf::Bytes::from(vec![0xAB; 64 * 1024])),
+            ("small".to_string(), comsim::marshal::to_shared(&small).unwrap()),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    fn bump(&mut self) {
+        self.small += 1;
+        self.small_touched = true;
+        *self.view.lock() = (self.small, true);
     }
 }
 
 impl FtApplication for Scripted {
     fn snapshot(&self) -> VarSet {
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
         [
             ("big".to_string(), comsim::buf::Bytes::copy_from_slice(&self.big)),
             ("small".to_string(), comsim::marshal::to_shared(&self.small).unwrap()),
         ]
         .into_iter()
         .collect()
+    }
+    fn snapshot_dirty(&mut self, store: &mut VarStore) {
+        if std::mem::take(&mut self.small_touched) {
+            store.set("small", comsim::marshal::to_shared(&self.small).unwrap());
+        }
     }
     fn restore(&mut self, image: &VarSet) {
         if let Some(b) = image.get("big") {
@@ -58,15 +85,13 @@ impl FtApplication for Scripted {
         let Some(cmd) = envelope.body.downcast_ref::<String>() else { return };
         match cmd.as_str() {
             "bump-and-save" => {
-                self.small += 1;
-                *self.view.lock() = (self.small, true);
+                self.bump();
                 // OFTTSave: event-based checkpoint, right now.
                 oftt::api::oftt_save(ctx);
             }
             "bump" => {
                 // Travels with the next periodic checkpoint.
-                self.small += 1;
-                *self.view.lock() = (self.small, true);
+                self.bump();
             }
             "designate-small" => {
                 // OFTTSelSave: only `small` travels from here on.
@@ -164,16 +189,22 @@ struct Rig {
     probes: [Arc<Mutex<EngineProbe>>; 2],
     ftims: [Arc<Mutex<FtimProbe>>; 2],
     views: [Arc<Mutex<(u64, bool)>>; 2],
+    snapshots: [Arc<AtomicUsize>; 2],
     /// Arms a [`HopFault`] in front of both FTIMs.
     hop: Arc<Mutex<HopFault>>,
 }
 
 fn rig(seed: u64) -> Rig {
+    rig_in(seed, CheckpointMode::default())
+}
+
+fn rig_in(seed: u64, mode: CheckpointMode) -> Rig {
     let mut cs = ClusterSim::new(seed);
     let a = cs.add_node(NodeConfig::default());
     let b = cs.add_node(NodeConfig::default());
     cs.connect(a, b, Link::dual());
-    let config = OfttConfig::new(Pair::new(a, b));
+    let mut config = OfttConfig::new(Pair::new(a, b));
+    config.checkpoint_mode = mode;
     let probes = [
         Arc::new(Mutex::new(EngineProbe::default())),
         Arc::new(Mutex::new(EngineProbe::default())),
@@ -181,6 +212,7 @@ fn rig(seed: u64) -> Rig {
     let ftims =
         [Arc::new(Mutex::new(FtimProbe::default())), Arc::new(Mutex::new(FtimProbe::default()))];
     let views = [Arc::new(Mutex::new((0, false))), Arc::new(Mutex::new((0, false)))];
+    let snapshots: [Arc<AtomicUsize>; 2] = Default::default();
     let hop = Arc::new(Mutex::new(HopFault::None));
     for (idx, node) in [a, b].into_iter().enumerate() {
         let engine_config = config.clone();
@@ -194,6 +226,7 @@ fn rig(seed: u64) -> Rig {
         let app_config = config.clone();
         let ftim = ftims[idx].clone();
         let view = views[idx].clone();
+        let walks = snapshots[idx].clone();
         let fault = hop.clone();
         cs.register_service(
             node,
@@ -203,7 +236,7 @@ fn rig(seed: u64) -> Rig {
                     inner: FtProcess::new(
                         app_config.clone(),
                         RecoveryRule::default(),
-                        Scripted::new(view.clone()),
+                        Scripted::new(view.clone(), walks.clone()),
                         ftim.clone(),
                     ),
                     fault: fault.clone(),
@@ -212,7 +245,7 @@ fn rig(seed: u64) -> Rig {
             true,
         );
     }
-    Rig { cs, a, b, probes, ftims, views, hop }
+    Rig { cs, a, b, probes, ftims, views, snapshots, hop }
 }
 
 fn primary(rig: &Rig) -> (NodeId, usize) {
@@ -634,6 +667,51 @@ fn acks_of_another_term_or_after_demotion_confirm_nothing() {
     assert_eq!((probe.ckpts_sent, probe.fulls_sent), (sent, fulls));
     drop(probe);
     assert_eq!(mismatch_lines(&r), 0);
+}
+
+/// Full mode ships the whole image every period, but the walk that feeds
+/// it is the application's write set: the complete snapshot is taken once,
+/// to prime the shipping store at activation, and the backup's image still
+/// equals the application's after every period.
+#[test]
+fn full_mode_walks_the_whole_application_once_per_activation() {
+    let mut r = rig_in(711, CheckpointMode::Full);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let scripted = ds_net::Endpoint::new(p, "scripted");
+    let walks = || r.snapshots[idx].load(Ordering::Relaxed);
+    let walks_at_formation = walks();
+    for period in 0..30u64 {
+        let at = SimTime::from_millis(10_500 + 1_000 * period);
+        if period % 3 != 2 {
+            r.cs.post(at, scripted.clone(), "bump".to_string());
+        }
+        r.cs.run_until(SimTime::from_millis(11_400 + 1_000 * period));
+        let small = r.views[idx].lock().0;
+        let mut app = VarStore::new();
+        for (name, bytes) in Scripted::image(small) {
+            app.set(name, bytes);
+        }
+        let installed = last_ckpt_stamp(&r, "ckpt installed").expect("installed");
+        assert_eq!(
+            stamp_numbers(&installed).2,
+            app.image_crc(None),
+            "period {period}: the backup's image is not the application's"
+        );
+    }
+    let probe = r.ftims[idx].lock();
+    assert_eq!(probe.fulls_sent, probe.ckpts_sent, "every ship is a full image");
+    drop(probe);
+    assert_eq!(walks_at_formation, 1, "the activation's priming walk");
+    assert_eq!(walks(), walks_at_formation, "no period walks the whole application");
+
+    // A second activation primes its own store with one more walk.
+    r.cs.post(SimTime::from_secs(40), scripted, "distress".to_string());
+    r.cs.run_until(SimTime::from_secs(50));
+    let (_, new_idx) = primary(&r);
+    assert_ne!(new_idx, idx, "distress moved primaryship");
+    assert_eq!(r.snapshots[new_idx].load(Ordering::Relaxed), 1);
 }
 
 #[test]
