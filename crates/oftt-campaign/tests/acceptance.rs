@@ -138,3 +138,24 @@ fn seeded_startup_bug_surfaces_in_the_campaign_summary() {
     assert_eq!(stats.violations, 0, "{stats:?}");
     assert!(gate_failures(&stats).is_empty(), "{stats:?}");
 }
+
+/// The corpus's partition heals reset the link at both ends. A reset
+/// that finds a backup only raises a suspicion, which the live peer's
+/// next word clears or the running peer timeout overtakes; one that finds
+/// a primary is ignored. No heal reset is ever a promotion's verdict.
+#[test]
+fn a_reset_at_a_partition_heal_is_never_a_verdict() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let path = dir.join("partition_storm.json").display().to_string();
+    let sc = Scenario::load_file(&path).unwrap_or_else(|e| panic!("{e}"));
+    let mut suspected = 0;
+    for seed in 1..=20 {
+        let seeded = oftt_check::Scenario { script: expand(&sc, seed), ..sc.base.clone() };
+        let trace = oftt_check::run(&seeded, seed, &[]).trace_text;
+        let count = |needle: &str| trace.lines().filter(|line| line.contains(needle)).count();
+        assert_eq!(count("link reset by"), 8, "seed {seed}: two resets per heal");
+        assert_eq!(count("link closed by peer,"), 0, "seed {seed}: a reset promoted");
+        suspected += count("closed by peer: suspected");
+    }
+    assert!(suspected > 0, "no heal reset ever found a backup");
+}

@@ -16,6 +16,10 @@
 //!    when it shipped it — restore integrity across a real process
 //!    boundary, asserted purely from the trace.
 //!
+//! Each pair, once formed, must show the primary's first `ckpt shipped`
+//! within 5 ms of its `application ACTIVE` on its own trace clock, and
+//! prints the backup's gap from `role=backup` to its first install.
+//!
 //! Then it forms a second pair and SIGSTOPs its primary: a frozen
 //! process keeps its sockets open, so no reset arrives and the backup
 //! must wait out the peer timeout — the fast paths may not become the
@@ -44,6 +48,11 @@ const FREEZE_BUDGET: Duration = Duration::from_secs(3);
 /// The earliest a frozen primary's backup may promote: the peer timeout
 /// less one heartbeat period of tick phase (400 ms − 50 ms).
 const FREEZE_FLOOR: Duration = Duration::from_millis(350);
+
+/// A primary's first checkpoint must follow its application going ACTIVE
+/// by at most this, on its own trace clock: the first image of a term
+/// ships at activation, not at the next checkpoint tick.
+const FIRST_SHIP_BUDGET_MS: f64 = 5.0;
 
 /// What a promotion on a suspicion appends to its reason, however the
 /// suspicion was confirmed.
@@ -138,6 +147,29 @@ fn form_pair(dir: &Path, tag: &str, seeds: [u64; 2]) -> (Vec<ChildNode>, usize, 
     {
         fail(&mut children, "checkpoint flow never established");
     }
+
+    // Protected at activation, measured on each node's own trace clock.
+    let first = |idx: usize, needle: &str| {
+        children[idx].find_line(|l| l.contains(needle)).as_deref().and_then(trace_secs)
+    };
+    let gap_ms = |idx: usize, from: &str, to: &str| {
+        first(idx, from).zip(first(idx, to)).map(|(from, to)| (to - from) * 1e3)
+    };
+    let ship_ms = gap_ms(primary_idx, "application ACTIVE", "ckpt shipped");
+    let install_ms = gap_ms(backup_idx, "role=backup", "ckpt installed");
+    let (Some(ship_ms), Some(install_ms)) = (ship_ms, install_ms) else {
+        fail(&mut children, "no timestamped ACTIVE/ship or role=backup/install lines");
+    };
+    if !(0.0..=FIRST_SHIP_BUDGET_MS).contains(&ship_ms) {
+        fail(
+            &mut children,
+            &format!("first ship {ship_ms:.3} ms after ACTIVE, over {FIRST_SHIP_BUDGET_MS} ms"),
+        );
+    }
+    println!(
+        "wire-smoke: {tag} first ship {ship_ms:.3} ms after ACTIVE, \
+         backup's first install {install_ms:.3} ms after role=backup"
+    );
     (children, primary_idx, backup_idx)
 }
 

@@ -291,6 +291,8 @@ struct FtimCore {
     engine_restart_pending: bool,
     pending_restore: bool,
     restore_timer: Option<TimerHandle>,
+    /// The pending checkpoint tick; an activation restarts the period.
+    ckpt_tick: Option<TimerHandle>,
     probe: Arc<Mutex<FtimProbe>>,
 }
 
@@ -385,6 +387,7 @@ impl<A: FtApplication> FtProcess<A> {
                 engine_restart_pending: false,
                 pending_restore: false,
                 restore_timer: None,
+                ckpt_tick: None,
                 probe,
             },
         }
@@ -444,33 +447,32 @@ impl<A: FtApplication> FtProcess<A> {
                 );
             }
         }
-        self.core.active = true;
-        self.core.need_full = true;
         self.core.ckpt_seq = 0;
-        self.core.unconfirmed.clear();
-        self.core.ship_store.clear();
-        // oftt-lint: lock(ftim-probe)
-        self.core.probe.lock().activations.push(now);
-        env.record(TraceCategory::Engine, format!("{}: application ACTIVE", env.self_endpoint()));
-        env.observe_api("activate", "promoted");
-        self.ctx_call(env, |app, ctx| app.on_activate(ctx));
+        self.start_term(env, "", "promoted");
     }
 
-    /// Re-activates without touching application state (the live state is
-    /// the newest copy anywhere).
-    fn activate_in_place(&mut self, env: &mut dyn ProcessEnv) {
+    /// Activates on the application's current state: resets the term's
+    /// shipping state, runs `on_activate`, ships the first image at once
+    /// and restarts the period, so the first delta trails it by a period.
+    fn start_term(&mut self, env: &mut dyn ProcessEnv, suffix: &str, how: &str) {
         self.core.active = true;
         self.core.need_full = true;
         self.core.unconfirmed.clear();
         self.core.ship_store.clear();
         // oftt-lint: lock(ftim-probe)
         self.core.probe.lock().activations.push(env.now());
-        env.record(
-            TraceCategory::Engine,
-            format!("{}: application ACTIVE (resumed in place)", env.self_endpoint()),
-        );
-        env.observe_api("activate", "resumed in place");
+        let me = env.self_endpoint();
+        env.record(TraceCategory::Engine, format!("{me}: application ACTIVE{suffix}"));
+        env.observe_api("activate", how);
         self.ctx_call(env, |app, ctx| app.on_activate(ctx));
+        // An on_activate that saved already shipped the full image.
+        if self.core.need_full {
+            self.ship_checkpoint(env);
+        }
+        let period = self.core.config.checkpoint_period;
+        if let Some(tick) = self.core.ckpt_tick.replace(env.set_timer(period, CHECKPOINT_TICK)) {
+            env.cancel_timer(tick);
+        }
     }
 
     fn deactivate(&mut self, env: &mut dyn ProcessEnv, reason: &str) {
@@ -712,7 +714,7 @@ impl<A: FtApplication> FtProcess<A> {
                             // fail-safe blip while the engine restarted);
                             // its live state is newer than any checkpoint —
                             // resume in place, no rollback.
-                            self.activate_in_place(env);
+                            self.start_term(env, " (resumed in place)", "resumed in place");
                         } else {
                             // Fresh incarnation on the primary node (local
                             // restart): the newest state lives in the
@@ -980,7 +982,8 @@ impl<A: FtApplication> Process for FtProcess<A> {
             ToEngine::Register { service: me.service.clone(), kind: FtimKind::OpcClient, rule },
         );
         env.set_timer(self.core.config.heartbeat_period, HEARTBEAT_TICK);
-        env.set_timer(self.core.config.checkpoint_period, CHECKPOINT_TICK);
+        self.core.ckpt_tick =
+            Some(env.set_timer(self.core.config.checkpoint_period, CHECKPOINT_TICK));
     }
 
     fn on_timer(&mut self, token: u64, env: &mut dyn ProcessEnv) {
@@ -991,7 +994,8 @@ impl<A: FtApplication> Process for FtProcess<A> {
             }
             CHECKPOINT_TICK => {
                 self.ship_checkpoint(env);
-                env.set_timer(self.core.config.checkpoint_period, CHECKPOINT_TICK);
+                self.core.ckpt_tick =
+                    Some(env.set_timer(self.core.config.checkpoint_period, CHECKPOINT_TICK));
             }
             RESTORE_TIMEOUT if self.core.pending_restore => {
                 self.core.pending_restore = false;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ds_net::link::Link;
 use ds_net::message::Envelope;
 use ds_net::node::NodeConfig;
-use ds_net::prelude::{ClusterSim, NodeId, SimTime};
+use ds_net::prelude::{ClusterSim, NodeId, SimDuration, SimTime};
 use ds_net::process::{Process, ProcessEnv};
 use oftt::checkpoint::{Checkpoint, CheckpointPayload, RejectReason, VarSet, VarStore};
 use oftt::messages::FtimPeerMsg;
@@ -712,6 +712,60 @@ fn full_mode_walks_the_whole_application_once_per_activation() {
     let (_, new_idx) = primary(&r);
     assert_ne!(new_idx, idx, "distress moved primaryship");
     assert_eq!(r.snapshots[new_idx].load(Ordering::Relaxed), 1);
+}
+
+/// When `node`'s scripted FTIM recorded each trace line containing `what`.
+fn instants(r: &Rig, node: NodeId, what: &str) -> Vec<SimTime> {
+    let me = format!("{node}/scripted: ");
+    let entries = r.cs.trace().entries();
+    entries
+        .iter()
+        .filter(|e| e.message.starts_with(&me) && e.message.contains(what))
+        .map(|e| e.at)
+        .collect()
+}
+
+/// One link delay for the whole image of [`Scripted`] on the rig's paths:
+/// latency plus jitter plus the image's bytes at the path's bandwidth.
+fn image_link_delay() -> SimDuration {
+    let path = ds_net::link::PathConfig::default();
+    let image_bytes = 2 * 64 * 1024;
+    path.base_latency
+        + path.jitter
+        + SimDuration::from_micros(image_bytes * 1_000_000 / path.bandwidth_bps)
+}
+
+/// A term's first image leaves when its primary goes ACTIVE, not at the
+/// next checkpoint tick: at formation the backup installs it within one
+/// link delay of the activation, and a survivor's first ship after a crash
+/// carries its activation instant.
+#[test]
+fn the_first_image_of_a_term_ships_at_activation() {
+    for mode in [CheckpointMode::default(), CheckpointMode::Full] {
+        let mut r = rig_in(712, mode);
+        r.cs.start();
+        r.cs.run_until(SimTime::from_secs(10));
+        let (p, idx) = primary(&r);
+        let (backup, backup_idx) = if p == r.a { (r.b, 1) } else { (r.a, 0) };
+        let activated = r.ftims[idx].lock().activations[0];
+        let installed = instants(&r, backup, "ckpt installed")[0];
+        assert!(
+            installed >= activated && installed - activated <= image_link_delay(),
+            "{mode:?}: activated at {activated}, first install at {installed}"
+        );
+
+        ds_net::fault::inject(
+            &mut r.cs,
+            SimTime::from_secs(10),
+            ds_net::fault::Fault::CrashNode(p),
+        );
+        r.cs.run_until(SimTime::from_secs(15));
+        let activations = r.ftims[backup_idx].lock().activations.clone();
+        let took_over = *activations.last().expect("the survivor took over");
+        assert!(took_over > SimTime::from_secs(10));
+        let shipped = instants(&r, backup, "ckpt shipped");
+        assert_eq!(shipped.first(), Some(&took_over), "{mode:?}: first ship at activation");
+    }
 }
 
 #[test]
