@@ -25,31 +25,28 @@
 #                               refines a 200-schedule trace-export sweep
 #   9. verify seeded defect     the inject_bugs round trip
 #  10. oftt-audit clippy        both feature sets
-#  11. audit sweep              pair failover (races, lock order, stale reads,
-#                               API lifecycle); the 600-budget sweep also
-#                               exports its observed lock sites for the lint
-#                               stage's cross-check
+#  11. audit sweep              pair failover (races, stale reads, API
+#                               lifecycle), 600-schedule budget
 #  12. audit sweep              partitioned startup, shipped config
 #  13. audit seeded defects     the inject_bugs corpus
 #  14. lint sweep               oftt-lint over the whole workspace: zero
 #                               non-baselined findings, no stale baseline
-#                               entries, static lock graph must cover every
-#                               dynamically observed lock site (each a
-#                               finding, so exit 0 is the whole verdict)
+#                               entries (each a finding, so exit 0 is the
+#                               whole verdict); the static lock graph is the
+#                               one deadlock gate
 #  15. lint fixtures            each rule family must still fire on its
-#                               seeded fixture, plus oftt-lint's own tests
-#  16. lint effects             interprocedural acceptance: the seeded
-#                               diag→probe deadlock (split across a call
-#                               boundary) must be rediscovered by the
-#                               call-derived lock-order analysis under
-#                               --include-injected
-#  17. wire smoke               two real oftt-node processes over loopback
+#                               seeded fixture (transitive_cycle.rs is the
+#                               cross-call deadlock the call-derived
+#                               lock-order analysis must rediscover), plus
+#                               oftt-lint's own tests, which pin the
+#                               workspace's acquisition edges exactly
+#  16. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               on the peer's reset and refused redial within
 #                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
-#  18. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
+#  17. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
 #                               process kill with its link reset and refused
 #                               redial, and the
 #                               seeded startup defect): every run goes
@@ -57,7 +54,7 @@
 #                               violation, non-recovered seed, or missed
 #                               expected violation exits nonzero via the
 #                               campaign gate
-#  19. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#  18. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -152,11 +149,8 @@ cargo test -p oftt-verify --features inject_bugs -q
 step "oftt-audit clippy (deny warnings, both feature sets)"
 clippy_both_feature_sets oftt-audit
 
-step "audit sweep (pair failover, 600-schedule budget, lock export)"
-DYNAMIC_LOCKS=$(mktemp /tmp/oftt-dynamic-locks.XXXXXX.txt)
-TMPFILES+=("$DYNAMIC_LOCKS")
-cargo run -p oftt-audit --release -q -- scan --scenario pair-failover --budget 600 \
-    --export-locks "$DYNAMIC_LOCKS"
+step "audit sweep (pair failover, 600-schedule budget)"
+cargo run -p oftt-audit --release -q -- scan --scenario pair-failover --budget 600
 
 step "audit sweep (partitioned startup, shipped config)"
 cargo run -p oftt-audit --release -q -- scan --scenario partitioned-startup --budget 100
@@ -164,11 +158,9 @@ cargo run -p oftt-audit --release -q -- scan --scenario partitioned-startup --bu
 step "audit seeded-defect corpus (inject_bugs)"
 cargo test -p oftt-audit --features inject_bugs -q
 
-step "lint sweep: workspace static analysis + static/dynamic lock cross-check"
+step "lint sweep: workspace static analysis"
 cargo build --release -q -p oftt-lint
-./target/release/oftt-lint --workspace \
-    --baseline lint-baseline.txt \
-    --dynamic-locks "$DYNAMIC_LOCKS"
+./target/release/oftt-lint --workspace --baseline lint-baseline.txt
 
 step "lint seeded-fixture smoke (each rule family fires on its defect)"
 for fixture in crates/oftt-lint/fixtures/*.rs; do
@@ -182,24 +174,6 @@ for fixture in crates/oftt-lint/fixtures/*.rs; do
     fi
 done
 cargo test -p oftt-lint -q
-
-step "lint-effects: transitive deadlock rediscovery"
-# The seeded diag→probe inversion spans a call boundary (the probe half
-# lives in a helper the diag holder calls), so only the call-derived
-# lock-order analysis can close the cycle — a per-function scan cannot.
-INJECTED_OUT=$(mktemp /tmp/oftt-lint-injected.XXXXXX.txt)
-TMPFILES+=("$INJECTED_OUT")
-rc=0
-./target/release/oftt-lint --workspace --include-injected \
-    --baseline lint-baseline.txt >"$INJECTED_OUT" || rc=$?
-if [ "$rc" -ne 2 ]; then
-    printf 'injected scan: expected exit 2 (findings), got %s\n' "$rc" >&2
-    false
-fi
-grep -q 'lock-order.*diag' "$INJECTED_OUT" || {
-    printf 'injected scan did not rediscover the diag/probe deadlock\n' >&2
-    false
-}
 
 step "wire smoke: two-process SIGKILL failover over TCP"
 cargo build --release -q -p oftt-wire --bins

@@ -478,10 +478,6 @@ impl ProcessEnv for ProcCtx<'_, '_> {
         self.sched.observe_access(object, kind, detail);
     }
 
-    fn observe_lock(&mut self, lock: &str, acquired: bool) {
-        self.sched.observe_lock(lock, acquired);
-    }
-
     fn observe_api(&mut self, call: &str, detail: &str) {
         self.sched.observe_api(call, detail);
     }

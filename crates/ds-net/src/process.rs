@@ -60,12 +60,6 @@ pub trait ProcessEnv {
         let _ = (object, kind, detail);
     }
 
-    /// Annotates a lock acquire (`acquired = true`) or release at a
-    /// `parking_lot` site. No-op by default, as above.
-    fn observe_lock(&mut self, lock: &str, acquired: bool) {
-        let _ = (lock, acquired);
-    }
-
     /// Annotates a middleware API call for the lifecycle linter. No-op by
     /// default, as above.
     fn observe_api(&mut self, call: &str, detail: &str) {

@@ -4,10 +4,9 @@
 //! could have happened in another order". The [`CausalityTracker`] lives
 //! inside the simulation: upper layers name the actor handling each event,
 //! join clocks on message delivery, and annotate shared-state touch points
-//! (variable stores, queues, role fields), lock acquisitions, and middleware
-//! API calls. `oftt-audit` consumes the resulting [`CausalityLog`] to report
-//! race candidates, lock-order inversions, stale-read hazards, and API
-//! lifecycle violations.
+//! (variable stores, queues, role fields) and middleware API calls.
+//! `oftt-audit` consumes the resulting [`CausalityLog`] to report race
+//! candidates, stale-read hazards, and API lifecycle violations.
 //!
 //! Recording is off by default and every entry point early-returns when
 //! disabled, so ordinary simulation runs and experiments pay nothing.
@@ -52,21 +51,6 @@ pub struct AccessRecord {
     pub clock: VectorClock,
 }
 
-/// One lock acquisition or release at an annotated `parking_lot` site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockEvent {
-    /// Simulated time.
-    pub at: SimTime,
-    /// Actor performing the operation.
-    pub actor: String,
-    /// Stable lock name (e.g. `probe:node0/oftt-engine`).
-    pub lock: String,
-    /// `true` for acquire, `false` for release.
-    pub acquired: bool,
-    /// The actor's vector clock at the operation.
-    pub clock: VectorClock,
-}
-
 /// One middleware API call (OFTT lifecycle surface).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiEvent {
@@ -87,8 +71,6 @@ pub struct ApiEvent {
 pub struct CausalityLog {
     /// Shared-state accesses.
     pub accesses: Vec<AccessRecord>,
-    /// Lock acquire/release events.
-    pub locks: Vec<LockEvent>,
     /// Middleware API calls.
     pub api_calls: Vec<ApiEvent>,
 }
@@ -96,7 +78,7 @@ pub struct CausalityLog {
 impl CausalityLog {
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty() && self.locks.is_empty() && self.api_calls.is_empty()
+        self.accesses.is_empty() && self.api_calls.is_empty()
     }
 }
 
@@ -209,17 +191,6 @@ impl CausalityTracker {
         }
     }
 
-    /// Records a lock acquire (`acquired = true`) or release by the current
-    /// actor.
-    pub fn record_lock(&mut self, at: SimTime, lock: &str, acquired: bool) {
-        if !self.recording {
-            return;
-        }
-        if let Some((actor, clock)) = self.stamp() {
-            self.log.locks.push(LockEvent { at, actor, lock: lock.to_string(), acquired, clock });
-        }
-    }
-
     /// Records a middleware API call by the current actor.
     pub fn record_api(&mut self, at: SimTime, call: &str, detail: &str) {
         if !self.recording {
@@ -256,7 +227,6 @@ mod tests {
         let mut t = CausalityTracker::new();
         t.begin("a");
         t.record_access(SimTime::ZERO, "x", AccessKind::Write, "");
-        t.record_lock(SimTime::ZERO, "l", true);
         t.record_api(SimTime::ZERO, "save", "");
         assert!(t.log().is_empty());
         assert!(t.current_clock().is_none());

@@ -147,13 +147,6 @@ impl<'a, W> Scheduler<'a, W> {
         self.causality.record_access(now, object, kind, detail);
     }
 
-    /// Records a lock acquire (`acquired = true`) or release by the current
-    /// actor.
-    pub fn observe_lock(&mut self, lock: &str, acquired: bool) {
-        let now = self.now;
-        self.causality.record_lock(now, lock, acquired);
-    }
-
     /// Records a middleware API call by the current actor.
     pub fn observe_api(&mut self, call: &str, detail: &str) {
         let now = self.now;

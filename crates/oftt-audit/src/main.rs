@@ -1,5 +1,5 @@
-//! `oftt-audit` CLI: sweep-audit schedules for races, lock-order
-//! inversions, and stale reads, or lint a single run's API call stream.
+//! `oftt-audit` CLI: sweep-audit schedules for races and stale reads, or
+//! lint a single run's API call stream.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -9,8 +9,9 @@ use oftt_audit::{audit_sweep, lint};
 use oftt_check::{run, ExploreConfig, Scenario};
 
 const USAGE: &str = "\
-oftt-audit: happens-before race/lock-order analyzer and OFTT API-lifecycle
-linter over the model checker's deterministic traces
+oftt-audit: happens-before race analyzer and OFTT API-lifecycle linter
+over the model checker's deterministic traces (lock order is checked
+statically by oftt-lint)
 
 USAGE:
     oftt-audit scan [OPTIONS]     audit every distinct schedule of a sweep
@@ -21,9 +22,6 @@ OPTIONS (scan):
     --budget N             max simulation runs (default 600)
     --seeds N              sweep seeds 1..=N (default 8)
     --window-us MICROS     tie window in microseconds (default 500)
-    --export-locks FILE    write the base names of every dynamically
-                           observed lock site (one per line) for
-                           oftt-lint's static-coverage cross-check
 
 OPTIONS (lint):
     --scenario NAME        pair-failover (default) | partitioned-startup
@@ -37,7 +35,6 @@ struct Args {
     budget: usize,
     seeds: u64,
     seed: u64,
-    export_locks: Option<String>,
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -47,7 +44,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
         budget: 600,
         seeds: 8,
         seed: 1,
-        export_locks: None,
     };
     let mut window_us = 500;
     let mut it = it;
@@ -63,7 +59,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--window-us" => {
                 window_us = value("--window-us")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--export-locks" => args.export_locks = Some(value("--export-locks")?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -102,18 +97,6 @@ fn scan_mode(args: &Args) -> ExitCode {
         report.explore.choice_points,
         started.elapsed().as_secs_f64()
     );
-    if let Some(path) = &args.export_locks {
-        let mut text = String::new();
-        for site in &report.lock_sites {
-            text.push_str(site);
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(1);
-        }
-        println!("{} dynamic lock site(s) exported to {path}", report.lock_sites.len());
-    }
     if !report.explore.counterexamples.is_empty() {
         println!(
             "note: {} protocol-invariant counterexample(s) also found — run oftt-check",
@@ -121,7 +104,7 @@ fn scan_mode(args: &Args) -> ExitCode {
         );
     }
     if report.findings.is_empty() {
-        println!("no races, lock-order inversions, stale reads, or lint findings");
+        println!("no races, stale reads, or lint findings");
         return ExitCode::SUCCESS;
     }
     println!("\n{} finding(s):", report.findings.len());

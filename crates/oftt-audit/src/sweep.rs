@@ -10,10 +10,9 @@
 
 use std::collections::BTreeSet;
 
-use ds_sim::causality::CausalityLog;
 use oftt_check::{explore_with, ExploreConfig, ExploreReport, RunResult, Scenario};
 
-use crate::{lint, lockorder, race, stale, Finding};
+use crate::{lint, race, stale, Finding};
 
 /// Everything one audit sweep produces.
 #[derive(Debug)]
@@ -23,31 +22,11 @@ pub struct AuditReport {
     pub explore: ExploreReport,
     /// Deduplicated analyzer findings across every distinct schedule.
     pub findings: Vec<Finding>,
-    /// Base names of every lock site observed dynamically across the
-    /// sweep (the text before the first `:` of each instrumented lock
-    /// name). `oftt-lint`'s static acquisition graph must cover all of
-    /// them — the static ⊇ dynamic cross-validation.
-    pub lock_sites: BTreeSet<String>,
 }
 
-/// The base names of every lock event in one run's causality log. Lock
-/// names are instance-qualified (`probe:node0/engine`); the base name is
-/// the part before the first `:`, which is what a source-level analyzer
-/// can see.
-pub fn lock_site_names(log: &CausalityLog) -> BTreeSet<String> {
-    log.locks
-        .iter()
-        .map(|event| {
-            let name = event.lock.as_str();
-            name.split(':').next().unwrap_or(name).to_string()
-        })
-        .collect()
-}
-
-/// Runs all four analyzers over a single run's artifacts.
+/// Runs all three analyzers over a single run's artifacts.
 pub fn analyze_run(result: &RunResult) -> Vec<Finding> {
     let mut out = race::find_races(&result.causality);
-    out.extend(lockorder::find_lock_inversions(&result.causality));
     out.extend(stale::find_stale_serves(&result.events));
     out.extend(lint::lint_api_usage(&result.events, &result.causality.api_calls));
     out
@@ -57,14 +36,12 @@ pub fn analyze_run(result: &RunResult) -> Vec<Finding> {
 pub fn audit_sweep(scenario: &Scenario, config: &ExploreConfig) -> AuditReport {
     let mut findings = Vec::new();
     let mut seen: BTreeSet<(&'static str, String)> = BTreeSet::new();
-    let mut lock_sites = BTreeSet::new();
     let explore = explore_with(scenario, config, |result| {
         for finding in analyze_run(result) {
             if seen.insert((finding.analyzer, finding.detail.clone())) {
                 findings.push(finding);
             }
         }
-        lock_sites.extend(lock_site_names(&result.causality));
     });
-    AuditReport { explore, findings, lock_sites }
+    AuditReport { explore, findings }
 }

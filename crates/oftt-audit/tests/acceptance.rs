@@ -2,12 +2,12 @@
 //!
 //! Without `inject_bugs`: the full pair-failover sweep and the
 //! partitioned-startup sweep must come back with zero findings — the
-//! middleware as shipped is race-free, lock-order consistent, and uses its
-//! own API legally under every explored interleaving.
+//! middleware as shipped is race-free and uses its own API legally under
+//! every explored interleaving.
 //!
-//! With `--features inject_bugs`: the three seeded defects (a cross-node
-//! checkpoint-store peek, a probe/diag lock inversion, a premature
-//! watchdog delete) must each be detected.
+//! With `--features inject_bugs`: the two seeded defects (a cross-node
+//! checkpoint-store peek, a premature watchdog delete) must each be
+//! detected.
 
 #[cfg(not(feature = "inject_bugs"))]
 mod clean {
@@ -69,17 +69,7 @@ mod seeded {
         assert!(detected, "the injected cross-node store peek must show up as a race");
     }
 
-    /// Defect (b): `tick` locks probe→diag while `send_status` locks
-    /// diag→probe; the acquisition graph has a 2-cycle.
-    #[test]
-    fn seeded_probe_diag_inversion_is_flagged() {
-        let found = analyze_run(&pair_failover(1)).iter().any(|f| {
-            f.analyzer == "lock-order" && f.detail.contains("diag:") && f.detail.contains("probe:")
-        });
-        assert!(found, "the injected probe/diag inversion must be reported");
-    }
-
-    /// Defect (c): the deadman is deleted right after arming, so every
+    /// Defect (b): the deadman is deleted right after arming, so every
     /// later feed-driven reset is a use-after-delete.
     #[test]
     fn seeded_watchdog_use_after_delete_is_flagged() {

@@ -4,18 +4,14 @@
 //! by `tests/fixtures.rs`.
 
 fn forward(s: &Shared) {
-    // oftt-lint: lock(alpha)
     let a = s.alpha.lock();
-    // oftt-lint: lock(beta)
     let b = s.beta.lock();
     drop(b);
     drop(a);
 }
 
 fn backward(s: &Shared) {
-    // oftt-lint: lock(beta)
     let b = s.beta.lock();
-    // oftt-lint: lock(alpha)
     let a = s.alpha.lock();
     drop(a);
     drop(b);

@@ -5,27 +5,23 @@
 //! graph. Not compiled — scanned by `tests/fixtures.rs`.
 
 fn forward(s: &Shared) {
-    // oftt-lint: lock(outer)
     let a = s.outer.lock();
     take_inner(s);
     drop(a);
 }
 
 fn take_inner(s: &Shared) {
-    // oftt-lint: lock(inner)
     let b = s.inner.lock();
     drop(b);
 }
 
 fn backward(s: &Shared) {
-    // oftt-lint: lock(inner)
     let b = s.inner.lock();
     take_outer(s);
     drop(b);
 }
 
 fn take_outer(s: &Shared) {
-    // oftt-lint: lock(outer)
     let a = s.outer.lock();
     drop(a);
 }

@@ -544,7 +544,7 @@ mod tests {
     use crate::scanner::{scan, FileKind};
 
     fn calls_of(src: &str) -> Vec<Call> {
-        let model = scan(src, FileKind::Runtime, false);
+        let model = scan(src, FileKind::Runtime);
         extract_calls(&model, &model.fns[0])
     }
 
@@ -653,11 +653,8 @@ mod tests {
     #[test]
     fn keywords_and_definitions_are_not_calls() {
         assert_eq!(shapes("fn f(x: u8) { if (x > 0) { return (1); } }"), vec![]);
-        let model = scan(
-            "fn outer() { fn inner() { nested_call(); } outer_call(); }",
-            FileKind::Runtime,
-            false,
-        );
+        let model =
+            scan("fn outer() { fn inner() { nested_call(); } outer_call(); }", FileKind::Runtime);
         let outer_calls: Vec<String> =
             extract_calls(&model, &model.fns[0]).into_iter().map(|c| c.name).collect();
         assert_eq!(outer_calls, vec!["outer_call"]);
@@ -669,7 +666,7 @@ mod tests {
     fn index_of(sources: &[(&str, &str)]) -> (Vec<(String, FileModel)>, FnIndex) {
         let models: Vec<(String, FileModel)> = sources
             .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime, false)))
+            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
             .collect();
         let index = FnIndex::build(&models);
         (models, index)

@@ -1085,7 +1085,7 @@ mod tests {
     fn analyze(sources: &[(&str, &str)]) -> Analysis {
         let models: Vec<(String, FileModel)> = sources
             .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime, false)))
+            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
             .collect();
         Analysis::analyze(&models)
     }

@@ -45,7 +45,7 @@ pub struct Token {
 pub struct Directive {
     /// 1-based line the comment appears on.
     pub line: u32,
-    /// The directive text, trimmed (e.g. `nonblocking`, `lock(probe)`).
+    /// The directive text, trimmed (e.g. `nonblocking`, `reactor-root`).
     pub text: String,
 }
 
@@ -440,11 +440,11 @@ mod tests {
 
     #[test]
     fn directives_are_surfaced() {
-        let lexed = lex("// oftt-lint: nonblocking\nfn f() {}\n// oftt-lint: lock(probe)\n");
+        let lexed = lex("// oftt-lint: nonblocking\nfn f() {}\n// oftt-lint: reactor-root\n");
         assert_eq!(lexed.directives.len(), 2);
         assert_eq!(lexed.directives[0].text, "nonblocking");
         assert_eq!(lexed.directives[0].line, 1);
-        assert_eq!(lexed.directives[1].text, "lock(probe)");
+        assert_eq!(lexed.directives[1].text, "reactor-root");
         assert_eq!(lexed.directives[1].line, 3);
     }
 

@@ -12,9 +12,8 @@
 //! 1. **role-confinement** — every `.role`/`.term` store flows through
 //!    the annotated transition apply path ([`rules::role`]);
 //! 2. **lock-order** — the static acquisition graph of nested `.lock()`
-//!    calls is cycle-free, and *covers* every lock oftt-audit observed
-//!    dynamically, so the static verdict is never vacuous
-//!    ([`rules::locks`]);
+//!    calls is cycle-free ([`rules::locks`]); it is the workspace's one
+//!    deadlock gate;
 //! 3. **nonblocking** — no blocking calls in modules that declare a
 //!    bounded-latency contract ([`rules::blocking`]);
 //! 4. **api-lifecycle** — the FTIM call-order DFA, statically, from the
@@ -56,8 +55,7 @@
 //!
 //! ```text
 //! cargo run -p oftt-lint -- --workspace
-//! cargo run -p oftt-lint -- --workspace --baseline lint-baseline.txt \
-//!     --dynamic-locks target/dynamic-locks.txt
+//! cargo run -p oftt-lint -- --workspace --baseline lint-baseline.txt
 //! ```
 
 #![forbid(unsafe_code)]
@@ -85,12 +83,6 @@ pub struct Options {
     /// that the workspace walk would exclude (fixtures) are honored
     /// here — an explicit path is an explicit opt-in.
     pub paths: Vec<PathBuf>,
-    /// Scan `#[cfg(feature = "inject_bugs")]` spans too (the seeded
-    /// defects are rule violations by design).
-    pub include_injected: bool,
-    /// Dynamic lock base names from `oftt-audit scan --export-locks`,
-    /// for the static ⊇ dynamic coverage cross-check.
-    pub dynamic_locks: Vec<String>,
 }
 
 /// Directories the workspace walk never descends into.
@@ -152,13 +144,8 @@ fn relative(path: &Path, root: &Path) -> Option<String> {
 /// Scans one source string under a chosen classification and returns
 /// its findings. This is the single-file core of [`run_scan`], exposed
 /// for fixture and adversarial tests.
-pub fn scan_source(
-    file: &str,
-    source: &str,
-    kind: FileKind,
-    include_injected: bool,
-) -> (FileModel, Vec<Finding>) {
-    let model = scanner::scan(source, kind, include_injected);
+pub fn scan_source(file: &str, source: &str, kind: FileKind) -> (FileModel, Vec<Finding>) {
+    let model = scanner::scan(source, kind);
     let mut findings = Vec::new();
     for d in &model.diagnostics {
         let rule = if d.message.contains("directive") { "directive" } else { "lex" };
@@ -212,7 +199,7 @@ pub fn run_scan(opts: &Options) -> Report {
                 continue;
             }
         };
-        let (model, findings) = scan_source(&rel, &source, kind, opts.include_injected);
+        let (model, findings) = scan_source(&rel, &source, kind);
         report.findings.extend(findings);
         report.files_scanned += 1;
         models.push((rel, model));
@@ -233,8 +220,6 @@ pub fn run_scan(opts: &Options) -> Report {
     report.fixpoint_iterations = analysis.iterations;
     report.reactor_roots = analysis.roots.len();
     report.reactor_reachable = analysis.reactor_reachable().len();
-    report.dynamic_checked = opts.dynamic_locks.len();
-    report.findings.extend(rules::locks::dynamic_coverage(&report.lock_names, &opts.dynamic_locks));
     report.findings.sort();
     report
 }
@@ -263,7 +248,6 @@ mod tests {
             "x.rs",
             "// oftt-lint: no-panic\nfn f(x: Option<u8>) { x.unwrap(); self.role = r; }",
             FileKind::Runtime,
-            false,
         );
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"no-panic"));

@@ -9,10 +9,11 @@ use oftt_lint::Options;
 
 const USAGE: &str = "\
 oftt-lint: source-level static analyzer for the OFTT workspace — role
-confinement, static lock-order (cross-checked against oftt-audit's
-dynamic lock sites), blocking calls, API lifecycle, panic paths, and an
-interprocedural effect analysis (reactor-hot-path,
-lock-across-blocking, transitive lock-order, annotation-drift)
+confinement, static lock-order (the one deadlock gate), blocking calls,
+API lifecycle, panic paths, and an interprocedural effect analysis
+(reactor-hot-path, lock-across-blocking, transitive lock-order,
+annotation-drift). #[cfg(feature = \"inject_bugs\")] spans are never
+scanned.
 
 USAGE:
     oftt-lint --workspace [OPTIONS]
@@ -23,9 +24,6 @@ OPTIONS:
     --baseline FILE          suppress findings listed in FILE; entries
                              matching no finding are stale-baseline findings
     --write-baseline         rewrite --baseline FILE from current findings
-    --dynamic-locks FILE     dynamic lock names from `oftt-audit scan
-                             --export-locks` for the coverage cross-check
-    --include-injected       scan #[cfg(feature = \"inject_bugs\")] spans too
 
 EXIT CODE: 0 clean, 1 usage/IO error, 2 findings.";
 
@@ -43,7 +41,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
         baseline: None,
         write_baseline: false,
     };
-    let mut dynamic_locks_file: Option<String> = None;
     let mut it = it;
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -52,8 +49,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--root" => cli.opts.root = PathBuf::from(value("--root")?),
             "--baseline" => cli.baseline = Some(PathBuf::from(value("--baseline")?)),
             "--write-baseline" => cli.write_baseline = true,
-            "--dynamic-locks" => dynamic_locks_file = Some(value("--dynamic-locks")?),
-            "--include-injected" => cli.opts.include_injected = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -71,20 +66,13 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Cli, String> {
     if cli.write_baseline && cli.baseline.is_none() {
         return Err("--write-baseline needs --baseline FILE to write to".to_string());
     }
-    if let Some(path) = dynamic_locks_file {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read --dynamic-locks {path}: {e}"))?;
-        cli.opts.dynamic_locks =
-            text.lines().map(str::trim).filter(|l| !l.is_empty()).map(String::from).collect();
-    }
     Ok(cli)
 }
 
 fn print_summary(report: &Report) {
     println!(
         "{} file(s) scanned; {} fn(s), {} call edge(s), fixpoint in {} pass(es); \
-         {} reactor root(s) reaching {} fn(s); {} lock(s), {} acquisition edge(s); \
-         {} dynamic lock site(s) cross-checked",
+         {} reactor root(s) reaching {} fn(s); {} lock(s), {} acquisition edge(s)",
         report.files_scanned,
         report.functions,
         report.call_edges,
@@ -93,7 +81,6 @@ fn print_summary(report: &Report) {
         report.reactor_reachable,
         report.lock_names.len(),
         report.lock_edges.len(),
-        report.dynamic_checked,
     );
 }
 

@@ -11,9 +11,8 @@
 //! defect cannot leave a silent suppression behind.
 //!
 //! The report has no serialized form. The CLI prints its counts and
-//! findings, and its exit code is the verdict: an uncovered dynamic lock
-//! site is a `lock-coverage` finding and a stale baseline entry a
-//! `stale-baseline` finding, so "no findings" is the whole acceptance.
+//! findings, and its exit code is the verdict: a stale baseline entry is
+//! a `stale-baseline` finding, so "no findings" is the whole acceptance.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -21,8 +20,8 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// The rule family: `role-confinement`, `lock-order`, `lock-coverage`,
-    /// `nonblocking`, `api-lifecycle`, `no-panic`, `lex`, or `directive`.
+    /// The rule family: `role-confinement`, `lock-order`, `nonblocking`,
+    /// `api-lifecycle`, `no-panic`, `lex`, or `directive`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -61,8 +60,6 @@ pub struct Report {
     pub lock_names: BTreeSet<String>,
     /// Static acquisition-order edges (outer, inner).
     pub lock_edges: BTreeSet<(String, String)>,
-    /// How many dynamically observed lock sites were cross-checked.
-    pub dynamic_checked: usize,
 }
 
 /// Parses a baseline file into suppression keys. Unparseable lines are

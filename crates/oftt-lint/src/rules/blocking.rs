@@ -72,7 +72,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime, false))
+        check("f.rs", &scan(source, FileKind::Runtime))
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod tests {
     fn findings(sources: &[(&str, &str)]) -> Vec<Finding> {
         let models: Vec<(String, FileModel)> = sources
             .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime, false)))
+            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
             .collect();
         let analysis = Analysis::analyze(&models);
         check(&models, &analysis)

@@ -224,7 +224,7 @@ mod tests {
     use crate::scanner::{scan, FileKind};
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::TestLike, false))
+        check("f.rs", &scan(source, FileKind::TestLike))
     }
 
     #[test]

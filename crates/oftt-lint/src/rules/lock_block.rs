@@ -71,7 +71,7 @@ mod tests {
 
     fn findings(src: &str) -> Vec<Finding> {
         let models: Vec<(String, FileModel)> =
-            vec![("a.rs".to_string(), scan(src, FileKind::Runtime, false))];
+            vec![("a.rs".to_string(), scan(src, FileKind::Runtime))];
         check(&Analysis::analyze(&models))
     }
 

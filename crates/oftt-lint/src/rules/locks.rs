@@ -1,6 +1,6 @@
 //! The static lock-order graph: nested `.lock()` acquisitions across
-//! the whole workspace, cycle detection over the merged graph, and the
-//! static ⊇ dynamic coverage cross-check against oftt-audit's sweep.
+//! the whole workspace and cycle detection over the merged graph. It is
+//! the workspace's one deadlock gate; no dynamic lock records exist.
 //!
 //! Each runtime function is interpreted abstractly: the walk tracks
 //! brace depth and a held-set of guards. A guard bound by `let g = …`
@@ -8,22 +8,13 @@
 //! guard (`x.lock().do_thing()`) lives to the end of its statement —
 //! conservatively through any `{}` nesting the statement contains, which
 //! matches Rust's temporary-lifetime rules for `match x.lock() { … }`.
-//! Acquiring `B` while holding `A` adds the merged edge `A → B`, exactly
-//! the lockdep construction oftt-audit applies to *dynamic* traces
-//! (`lockorder::build_graph`); any cycle in the merged static graph is a
+//! Acquiring `B` while holding `A` adds the merged edge `A → B` (the
+//! lockdep construction); any cycle in the merged static graph is a
 //! potential deadlock under some thread interleaving.
 //!
-//! A site's lock name defaults to the receiver's base identifier
-//! (`self.probe.lock()` → `probe`) and can be overridden with
-//! `// oftt-lint: lock(NAME)` to join the dynamic instrumentation's
-//! namespace. `try_lock` never blocks and is ignored.
-//!
-//! The coverage cross-check closes the loop with the dynamic analyzer:
-//! every lock-site base name oftt-audit observed across its schedule
-//! sweep must appear among the statically discovered names. A dynamic
-//! site the static graph missed means the interpreter (or an
-//! annotation) has a hole — the static verdict would be vacuous there,
-//! so it is a finding, not a shrug.
+//! A site's lock name is the receiver's base identifier
+//! (`self.probe.lock()` → `probe`). `try_lock` never blocks and is
+//! ignored.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -149,11 +140,7 @@ pub(crate) fn interpret_fn(
                     && punct(tokens, i + 3) == Some(')') =>
             {
                 let line = tokens[i].line;
-                let name = model
-                    .lock_name_at(line)
-                    .map(str::to_string)
-                    .or_else(|| receiver_base(tokens, i))
-                    .unwrap_or_else(|| "<receiver>".to_string());
+                let name = receiver_base(tokens, i).unwrap_or_else(|| "<receiver>".to_string());
                 scan.names.insert(name.clone());
                 facts.acquisitions.push((name.clone(), line));
                 for outer in &held {
@@ -220,9 +207,7 @@ fn binding_release(
 }
 
 /// Tarjan's strongly-connected components over the merged edge set; any
-/// component with more than one lock is an acquisition-order cycle. Same
-/// construction as oftt-audit's dynamic `lockorder` analyzer, so the
-/// static and dynamic verdicts are directly comparable.
+/// component with more than one lock is an acquisition-order cycle.
 pub(crate) fn find_cycles(edges: &BTreeMap<(String, String), (String, u32)>) -> Vec<Finding> {
     let mut succs: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (a, b) in edges.keys() {
@@ -310,26 +295,6 @@ pub(crate) fn find_cycles(edges: &BTreeMap<(String, String), (String, u32)>) -> 
         .collect()
 }
 
-/// The static ⊇ dynamic cross-check: every base name in `dynamic` (from
-/// `oftt-audit scan --export-locks`) must be a statically discovered
-/// lock. Returns one `lock-coverage` finding per uncovered name.
-pub fn dynamic_coverage(static_names: &BTreeSet<String>, dynamic: &[String]) -> Vec<Finding> {
-    dynamic
-        .iter()
-        .filter(|name| !static_names.contains(*name))
-        .map(|name| Finding {
-            rule: "lock-coverage",
-            file: "<oftt-audit sweep>".to_string(),
-            line: 0,
-            message: format!(
-                "dynamically observed lock `{name}` has no statically discovered \
-                     acquisition — the interpreter missed a site (name it with \
-                     `// oftt-lint: lock({name})` if the receiver is called something else)"
-            ),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +303,7 @@ mod tests {
     fn scan_files(sources: &[(&str, &str)]) -> LockScan {
         let models: Vec<(String, FileModel)> = sources
             .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime, false)))
+            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
             .collect();
         check(&models)
     }
@@ -420,16 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_annotation_overrides_the_receiver_name() {
-        let scan = scan_files(&[(
-            "a.rs",
-            "fn f(&self) {\n    // oftt-lint: lock(ftim-probe)\n    let g = self.core.probe.lock();\n}",
-        )]);
-        assert!(scan.names.contains("ftim-probe"));
-        assert!(!scan.names.contains("probe"));
-    }
-
-    #[test]
     fn indexed_receivers_resolve_to_the_collection() {
         let scan = scan_files(&[("a.rs", "fn f(&self) { self.cells[&key].lock().bump(); }")]);
         assert!(scan.names.contains("cells"));
@@ -460,15 +415,5 @@ mod tests {
         ]);
         assert_eq!(scan.findings.len(), 1);
         assert!(scan.findings[0].message.contains("alpha, beta, gamma"));
-    }
-
-    #[test]
-    fn dynamic_coverage_flags_missing_names() {
-        let mut names = BTreeSet::new();
-        names.insert("probe".to_string());
-        let findings = dynamic_coverage(&names, &["probe".to_string(), "ghost".to_string()]);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "lock-coverage");
-        assert!(findings[0].message.contains("lock(ghost)"));
     }
 }

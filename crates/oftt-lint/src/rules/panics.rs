@@ -94,7 +94,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime, false))
+        check("f.rs", &scan(source, FileKind::Runtime))
     }
 
     const HEADER: &str = "// oftt-lint: no-panic\n";

@@ -79,7 +79,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime, false))
+        check("f.rs", &scan(source, FileKind::Runtime))
     }
 
     #[test]

@@ -18,24 +18,19 @@
 //!   (`BufPool`) whose own allocation primitives are policy-exempt; a
 //!   cold-path fn is declared off the hot path (handshake, teardown,
 //!   harness-only code) and the hot-path walk stops at it.
-//! * **Site-scoped** — `lock(NAME)`: names the `.lock()` acquisition on
-//!   the same or the following line, overriding the receiver-derived
-//!   name. This is how a static site joins the dynamic instrumentation's
-//!   namespace when the receiver field is called something else.
 //!
 //! ## What gets removed
 //!
 //! For [`FileKind::Runtime`] files, items gated behind `#[cfg(test)]`,
-//! `#[test]`, or `#[cfg(feature = "inject_bugs")]` (unless the scan opts
-//! into injected code) are dropped: test scaffolding legitimately
-//! unwraps, sleeps, and leaks watchdogs, and the seeded-defect blocks are
-//! *supposed* to violate the rules. All other attributes are stripped
-//! from the stream too, so rules never see `#[derive(...)]` idents.
+//! `#[test]`, or `#[cfg(feature = "inject_bugs")]` are dropped: test
+//! scaffolding legitimately unwraps, sleeps, and leaks watchdogs, and the
+//! seeded-defect blocks are *supposed* to violate the rules. All other
+//! attributes are stripped from the stream too, so rules never see
+//! `#[derive(...)]` idents.
 //! [`FileKind::TestLike`] files keep their test items — the lifecycle
 //! rule exists precisely to check API usage in tests and examples.
 
 use crate::lexer::{self, Diagnostic, Token, TokenKind};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// How a file is treated by the rule families.
@@ -99,9 +94,6 @@ pub struct FileModel {
     pub kind: FileKind,
     /// File-scoped directives (`nonblocking`, `no-panic`).
     pub file_directives: Vec<String>,
-    /// `lock(NAME)` annotations by the line the comment sits on. A
-    /// `.lock()` on line `L` is named by an annotation on `L` or `L-1`.
-    pub lock_names: BTreeMap<u32, String>,
     /// The filtered token stream.
     pub tokens: Vec<Token>,
     /// Every `fn` item found, in source order.
@@ -115,35 +107,26 @@ impl FileModel {
     pub fn has_file_directive(&self, name: &str) -> bool {
         self.file_directives.iter().any(|d| d == name)
     }
-
-    /// The annotated lock name for a `.lock()` on `line`, if any.
-    pub fn lock_name_at(&self, line: u32) -> Option<&str> {
-        self.lock_names
-            .get(&line)
-            .or_else(|| line.checked_sub(1).and_then(|prev| self.lock_names.get(&prev)))
-            .map(String::as_str)
-    }
 }
 
 /// Directives the scanner understands; anything else is a diagnostic so
-/// a typo (`non-blocking`, `lock probe`) fails loudly instead of
+/// a typo (`non-blocking`, `no panic`) fails loudly instead of
 /// silently disabling a rule.
 const FILE_DIRECTIVES: &[&str] = &["nonblocking", "no-panic"];
 const FN_DIRECTIVES: &[&str] =
     &["role-choke-point", "role-mirror", "reactor-root", "arena", "cold-path"];
 
 /// Scans one file's source. Total, like the lexer underneath it.
-pub fn scan(source: &str, kind: FileKind, include_injected: bool) -> FileModel {
+pub fn scan(source: &str, kind: FileKind) -> FileModel {
     let lexed = lexer::lex(source);
     let mut model = FileModel {
         kind,
         file_directives: Vec::new(),
-        lock_names: BTreeMap::new(),
         tokens: Vec::new(),
         fns: Vec::new(),
         diagnostics: lexed.diagnostics,
     };
-    filter_tokens(&lexed.tokens, kind, include_injected, &mut model);
+    filter_tokens(&lexed.tokens, kind, &mut model);
     extract_fns(&mut model);
     resolve_directives(&lexed.directives, &mut model);
     model
@@ -160,7 +143,7 @@ fn punct_is(token: Option<&Token>, c: char) -> bool {
 /// Copies the token stream into the model, dropping attribute spans and
 /// (for runtime files) the items those attributes gate out of the build
 /// or into test-only compilation.
-fn filter_tokens(tokens: &[Token], kind: FileKind, include_injected: bool, model: &mut FileModel) {
+fn filter_tokens(tokens: &[Token], kind: FileKind, model: &mut FileModel) {
     let mut i = 0;
     while i < tokens.len() {
         if punct_is(tokens.get(i), '#') {
@@ -174,10 +157,7 @@ fn filter_tokens(tokens: &[Token], kind: FileKind, include_injected: bool, model
             if let Some(open) = attr_start {
                 let close = matching(tokens, open, '[', ']');
                 let gated = kind == FileKind::Runtime
-                    && is_gating_attr(
-                        &tokens[open..=close.min(tokens.len() - 1)],
-                        include_injected,
-                    );
+                    && is_gating_attr(&tokens[open..=close.min(tokens.len() - 1)]);
                 i = close + 1;
                 if gated {
                     // Consume any further attributes stacked on the item.
@@ -216,7 +196,7 @@ fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> usize
 
 /// Does this attribute's token span gate the following item out of the
 /// runtime build (or into test-only / seeded-defect compilation)?
-fn is_gating_attr(attr: &[Token], include_injected: bool) -> bool {
+fn is_gating_attr(attr: &[Token]) -> bool {
     let mut text = String::new();
     for token in attr {
         match &token.kind {
@@ -235,10 +215,7 @@ fn is_gating_attr(attr: &[Token], include_injected: bool) -> bool {
     if text.contains("not ") {
         return false;
     }
-    if text.contains("test") {
-        return true;
-    }
-    !include_injected && text.contains("inject_bugs")
+    text.contains("test") || text.contains("inject_bugs")
 }
 
 /// Skips the item starting at `i`: either through its balanced `{...}`
@@ -501,18 +478,6 @@ fn resolve_directives(directives: &[lexer::Directive], model: &mut FileModel) {
                     message: format!("directive `{text}` is not followed by a function"),
                 }),
             }
-        } else if let Some(name) =
-            text.strip_prefix("lock(").and_then(|rest| rest.strip_suffix(')'))
-        {
-            let name = name.trim();
-            if name.is_empty() {
-                model.diagnostics.push(Diagnostic {
-                    line: d.line,
-                    message: "lock() directive names no lock".to_string(),
-                });
-            } else {
-                model.lock_names.insert(d.line, name.to_string());
-            }
         } else {
             model.diagnostics.push(Diagnostic {
                 line: d.line,
@@ -527,7 +492,7 @@ mod tests {
     use super::*;
 
     fn runtime(source: &str) -> FileModel {
-        scan(source, FileKind::Runtime, false)
+        scan(source, FileKind::Runtime)
     }
 
     #[test]
@@ -557,21 +522,19 @@ mod tests {
     #[test]
     fn cfg_test_items_are_kept_in_testlike_files() {
         let source = "#[test] fn a_test() { assert!(true) }";
-        let model = scan(source, FileKind::TestLike, false);
+        let model = scan(source, FileKind::TestLike);
         assert_eq!(model.fns.len(), 1);
     }
 
     #[test]
-    fn inject_bugs_blocks_are_dropped_unless_opted_in() {
+    fn inject_bugs_blocks_are_dropped() {
         let source = r#"fn f() { #[cfg(feature = "inject_bugs")] { bad() } good() }"#;
-        let dropped = runtime(source);
-        let has = |m: &FileModel, name: &str| {
-            m.tokens.iter().any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == name))
+        let model = runtime(source);
+        let has = |name: &str| {
+            model.tokens.iter().any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == name))
         };
-        assert!(!has(&dropped, "bad"));
-        assert!(has(&dropped, "good"));
-        let kept = scan(source, FileKind::Runtime, true);
-        assert!(has(&kept, "bad"));
+        assert!(!has("bad"));
+        assert!(has("good"));
     }
 
     #[test]
@@ -587,25 +550,27 @@ mod tests {
 // oftt-lint: nonblocking
 // oftt-lint: role-choke-point
 fn set_role() {}
-fn other() {
-    let g = self.x.lock(); // oftt-lint: lock(probe)
-}
+fn other() {}
 ";
         let model = runtime(source);
         assert!(model.has_file_directive("nonblocking"));
         assert!(model.fns[0].has_directive("role-choke-point"));
         assert!(!model.fns[1].has_directive("role-choke-point"));
-        assert_eq!(model.lock_name_at(5), Some("probe"));
-        assert_eq!(model.lock_name_at(6), Some("probe"));
-        assert_eq!(model.lock_name_at(7), None);
         assert!(model.diagnostics.is_empty());
     }
 
     #[test]
     fn unknown_directives_are_diagnosed() {
-        let model = runtime("// oftt-lint: non-blocking\nfn f() {}");
-        assert_eq!(model.diagnostics.len(), 1);
-        assert!(model.diagnostics[0].message.contains("unknown oftt-lint directive"));
+        // A typo, and directives whose analyses were retired.
+        for directive in ["non-blocking", "pool(staging)", "lock(probe)"] {
+            let model = runtime(&format!("// oftt-lint: {directive}\nfn f() {{}}"));
+            assert_eq!(model.diagnostics.len(), 1, "{directive}");
+            assert!(
+                model.diagnostics[0].message.contains("unknown oftt-lint directive"),
+                "{directive}: {:?}",
+                model.diagnostics
+            );
+        }
     }
 
     #[test]
@@ -683,7 +648,7 @@ fn other() {
     fn malformed_source_never_panics() {
         for source in ["fn", "fn f(", "#[cfg(test)]", "#[", "fn f() { {", "impl {"] {
             let _ = runtime(source);
-            let _ = scan(source, FileKind::TestLike, false);
+            let _ = scan(source, FileKind::TestLike);
         }
     }
 }

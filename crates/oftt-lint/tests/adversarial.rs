@@ -7,7 +7,7 @@ use oftt_lint::scan_source;
 use oftt_lint::scanner::FileKind;
 
 fn scan(source: &str) -> Vec<oftt_lint::report::Finding> {
-    scan_source("hostile.rs", source, FileKind::Runtime, false).1
+    scan_source("hostile.rs", source, FileKind::Runtime).1
 }
 
 #[test]

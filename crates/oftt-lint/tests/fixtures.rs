@@ -11,7 +11,7 @@ fn scan_fixture(name: &str) -> oftt_lint::report::Report {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let path = root.join("fixtures").join(name);
     assert!(path.is_file(), "missing fixture {}", path.display());
-    run_scan(&Options { root, paths: vec![path], ..Options::default() })
+    run_scan(&Options { root, paths: vec![path] })
 }
 
 fn rules_fired(report: &oftt_lint::report::Report) -> Vec<&str> {

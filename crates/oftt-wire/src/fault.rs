@@ -30,11 +30,15 @@ pub struct FaultSpec {
     pub partitioned: bool,
 }
 
+/// Index of the client → target spec in [`ProxyShared::specs`].
+const FORWARD: usize = 0;
+/// Index of the target → client spec.
+const BACKWARD: usize = 1;
+
 struct ProxyShared {
-    /// Client → target impairments.
-    forward: Mutex<FaultSpec>,
-    /// Target → client impairments.
-    backward: Mutex<FaultSpec>,
+    /// Both directions' impairments under one lock, so a partition or a
+    /// heal is never seen half-applied.
+    specs: Mutex<[FaultSpec; 2]>,
     /// Live proxied sockets, so a partition can sever idle links whose
     /// pumps are parked in blocking reads.
     conns: Mutex<Vec<TcpStream>>,
@@ -63,7 +67,8 @@ pub struct FaultProxy {
 fn pump(
     mut from: TcpStream,
     mut to: TcpStream,
-    spec: &Mutex<FaultSpec>,
+    specs: &Mutex<[FaultSpec; 2]>,
+    dir: usize,
     shutdown: &AtomicBool,
     rng: &mut SimRng,
 ) {
@@ -76,7 +81,7 @@ fn pump(
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
-        let spec = *spec.lock();
+        let spec = specs.lock()[dir];
         if spec.partitioned || (spec.drop_pct > 0.0 && rng.chance(spec.drop_pct)) {
             break;
         }
@@ -99,8 +104,7 @@ impl FaultProxy {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(ProxyShared {
-            forward: Mutex::new(FaultSpec::default()),
-            backward: Mutex::new(FaultSpec::default()),
+            specs: Mutex::new([FaultSpec::default(); 2]),
             conns: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             target,
@@ -115,9 +119,7 @@ impl FaultProxy {
                 match listener.accept() {
                     Ok((client, _)) => {
                         conn_seq += 1;
-                        if accept_shared.forward.lock().partitioned
-                            || accept_shared.backward.lock().partitioned
-                        {
+                        if accept_shared.specs.lock().iter().any(|spec| spec.partitioned) {
                             let _ = client.shutdown(Shutdown::Both);
                             continue;
                         }
@@ -142,12 +144,12 @@ impl FaultProxy {
                         let seq = conn_seq;
                         std::thread::spawn(move || {
                             let mut rng = SimRng::seed_from(fwd.seed ^ (seq << 1));
-                            pump(client, upstream, &fwd.forward, &fwd.shutdown, &mut rng);
+                            pump(client, upstream, &fwd.specs, FORWARD, &fwd.shutdown, &mut rng);
                         });
                         let bwd = Arc::clone(&accept_shared);
                         std::thread::spawn(move || {
                             let mut rng = SimRng::seed_from(bwd.seed ^ ((seq << 1) | 1));
-                            pump(u2, c2, &bwd.backward, &bwd.shutdown, &mut rng);
+                            pump(u2, c2, &bwd.specs, BACKWARD, &bwd.shutdown, &mut rng);
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -168,26 +170,26 @@ impl FaultProxy {
 
     /// Replaces the client→target impairments.
     pub fn set_forward(&self, spec: FaultSpec) {
-        *self.shared.forward.lock() = spec;
+        self.shared.specs.lock()[FORWARD] = spec;
     }
 
     /// Replaces the target→client impairments.
     pub fn set_backward(&self, spec: FaultSpec) {
-        *self.shared.backward.lock() = spec;
+        self.shared.specs.lock()[BACKWARD] = spec;
     }
 
     /// Severs the link in both directions (and refuses new connections)
     /// until [`FaultProxy::heal`].
     pub fn partition(&self) {
-        self.shared.forward.lock().partitioned = true;
-        self.shared.backward.lock().partitioned = true;
+        for spec in self.shared.specs.lock().iter_mut() {
+            spec.partitioned = true;
+        }
         self.shared.sever_all();
     }
 
     /// Clears all impairments.
     pub fn heal(&self) {
-        *self.shared.forward.lock() = FaultSpec::default();
-        *self.shared.backward.lock() = FaultSpec::default();
+        *self.shared.specs.lock() = [FaultSpec::default(); 2];
     }
 
     /// Stops accepting and severs existing proxied connections.

@@ -117,10 +117,6 @@ pub struct Engine {
     /// a backup that has heard nothing since the reset.
     suspicion: Option<TimerHandle>,
     probe: Arc<Mutex<EngineProbe>>,
-    /// Seeded defect (b): a second lock acquired in opposite orders by
-    /// `tick` and `send_status` — a latent deadlock for oftt-audit to find.
-    #[cfg(feature = "inject_bugs")]
-    diag: Mutex<u64>,
 }
 
 impl Engine {
@@ -141,23 +137,11 @@ impl Engine {
             hello_attempts: 0,
             suspicion: None,
             probe,
-            #[cfg(feature = "inject_bugs")]
-            diag: Mutex::new(0),
         }
     }
 
     fn peer_endpoint(&self) -> Endpoint {
         engine_endpoint(self.peer)
-    }
-
-    /// Locks the shared probe with acquire/release visible to the
-    /// lock-order auditor.
-    fn with_probe<R>(&self, env: &mut dyn ProcessEnv, f: impl FnOnce(&mut EngineProbe) -> R) -> R {
-        let lock_name = format!("probe:{}", env.self_endpoint());
-        env.observe_lock(&lock_name, true);
-        let out = f(&mut self.probe.lock());
-        env.observe_lock(&lock_name, false);
-        out
     }
 
     // oftt-lint: role-choke-point
@@ -173,7 +157,7 @@ impl Engine {
             format!("{}: role={role} term={term} ({reason})", env.self_endpoint()),
         );
         let now = env.now();
-        self.with_probe(env, |p| p.role_history.push((now, role, term)));
+        self.probe.lock().role_history.push((now, role, term));
         let update = FromEngine::RoleUpdate { role, term };
         let targets: Vec<Endpoint> = self.components.values().map(|c| c.endpoint.clone()).collect();
         for target in targets {
@@ -236,14 +220,14 @@ impl Engine {
                         env.self_endpoint()
                     ),
                 );
-                self.with_probe(env, |p| p.shut_down_at_startup = true);
+                self.probe.lock().shut_down_at_startup = true;
                 env.exit();
             }
         }
     }
 
     fn request_switchover(&mut self, reason: String, env: &mut dyn ProcessEnv) {
-        self.with_probe(env, |p| p.switchover_requests += 1);
+        self.probe.lock().switchover_requests += 1;
         env.record(
             TraceCategory::Engine,
             format!("{}: requesting switchover: {reason}", env.self_endpoint()),
@@ -276,7 +260,7 @@ impl Engine {
                 }
                 let window = self.suspicion_window();
                 self.suspicion = Some(env.set_timer(window, SUSPECT));
-                self.with_probe(env, |p| p.suspicions += 1);
+                self.probe.lock().suspicions += 1;
                 env.record(
                     TraceCategory::Engine,
                     format!(
@@ -298,7 +282,7 @@ impl Engine {
     fn clear_suspicion(&mut self, why: &str, env: &mut dyn ProcessEnv) {
         let Some(timer) = self.suspicion.take() else { return };
         env.cancel_timer(timer);
-        self.with_probe(env, |p| p.suspicions_cleared += 1);
+        self.probe.lock().suspicions_cleared += 1;
         env.record(
             TraceCategory::Engine,
             format!("{}: suspicion of {} cleared ({why})", env.self_endpoint(), self.peer),
@@ -313,12 +297,12 @@ impl Engine {
         let Some(timer) = self.suspicion.take() else { return };
         let detail = match verdict {
             Verdict::Silent => {
-                self.with_probe(env, |p| p.suspicions_confirmed += 1);
+                self.probe.lock().suspicions_confirmed += 1;
                 format!("link closed by peer, silent for {}", self.suspicion_window())
             }
             Verdict::Refused => {
                 env.cancel_timer(timer);
-                self.with_probe(env, |p| p.suspicions_refused += 1);
+                self.probe.lock().suspicions_refused += 1;
                 "link closed by peer, redial refused".to_string()
             }
         };
@@ -458,7 +442,7 @@ impl Engine {
             .map(|(s, _)| s.clone())
             .collect();
         for service in overdue {
-            self.with_probe(env, |p| p.detections.push((now, service.as_str().to_string())));
+            self.probe.lock().detections.push((now, service.as_str().to_string()));
             env.record(
                 TraceCategory::Engine,
                 format!("{}: detected failure of {service}", env.self_endpoint()),
@@ -474,7 +458,7 @@ impl Engine {
                         // and resume heartbeats.
                         component.last_beat = now;
                         component.healthy = true;
-                        self.with_probe(env, |p| p.restarts += 1);
+                        self.probe.lock().restarts += 1;
                         let me = self.me;
                         env.record(
                             TraceCategory::Engine,
@@ -500,7 +484,7 @@ impl Engine {
                 // as standby software (it will only activate on a future
                 // promotion).
                 let me = self.me;
-                self.with_probe(env, |p| p.restarts += 1);
+                self.probe.lock().restarts += 1;
                 env.restart_service(me, &service);
                 if let Some(component) = self.components.get_mut(&service) {
                     component.restart_attempts = 0;
@@ -537,12 +521,10 @@ impl Engine {
         if env.now() > SimTime::ZERO {
             self.check_components(env);
         }
-        // Seeded defect (a): a cross-node "debug peek" straight into the
+        // Seeded defect: a cross-node "debug peek" straight into the
         // peer FTIM's checkpoint store. No message carries this read, so it
         // is concurrent with the peer's install writes — a genuine data
         // race oftt-audit must flag.
-        // Seeded defect (b), first half: probe is locked before diag here,
-        // while send_status locks diag before probe.
         #[cfg(feature = "inject_bugs")]
         {
             for (service, component) in &self.components {
@@ -555,46 +537,10 @@ impl Engine {
                     );
                 }
             }
-            let probe_lock = format!("probe:{}", env.self_endpoint());
-            let diag_lock = format!("diag:{}", env.self_endpoint());
-            env.observe_lock(&probe_lock, true);
-            let probe_guard = self.probe.lock();
-            env.observe_lock(&diag_lock, true);
-            *self.diag.lock() += probe_guard.role_history.len() as u64;
-            env.observe_lock(&diag_lock, false);
-            drop(probe_guard);
-            env.observe_lock(&probe_lock, false);
         }
-    }
-
-    /// Seeded defect (b) helper: reads the probe under its own lock.
-    /// Called from `send_status` *while `diag` is held*, so the
-    /// diag → probe half of the inversion exists only across this call
-    /// boundary — a single-function scan cannot see it; the
-    /// call-derived (transitive) lock-order analysis must reconstruct
-    /// it.
-    #[cfg(feature = "inject_bugs")]
-    fn diag_probe_peek(&self, env: &mut dyn ProcessEnv) -> u64 {
-        let probe_lock = format!("probe:{}", env.self_endpoint());
-        env.observe_lock(&probe_lock, true);
-        let n = self.probe.lock().role_history.len() as u64;
-        env.observe_lock(&probe_lock, false);
-        n
     }
 
     fn send_status(&mut self, env: &mut dyn ProcessEnv) {
-        // Seeded defect (b), second half: diag is locked here and probe
-        // is then locked inside `diag_probe_peek` — the opposite order
-        // from `tick` — closing the deadlock cycle across a call.
-        #[cfg(feature = "inject_bugs")]
-        {
-            let diag_lock = format!("diag:{}", env.self_endpoint());
-            env.observe_lock(&diag_lock, true);
-            let diag_guard = self.diag.lock();
-            let _ = self.diag_probe_peek(env) + *diag_guard;
-            drop(diag_guard);
-            env.observe_lock(&diag_lock, false);
-        }
         let Some(monitor) = self.config.monitor.clone() else { return };
         let now = env.now();
         let report = StatusReport {
@@ -624,7 +570,7 @@ impl Process for Engine {
         self.peer = self.config.pair.peer_of(self.me);
         env.record(TraceCategory::Engine, format!("{}: engine starting", env.self_endpoint()));
         let now = env.now();
-        self.with_probe(env, |p| p.role_history.push((now, Role::Negotiating, 0)));
+        self.probe.lock().role_history.push((now, Role::Negotiating, 0));
         let hello = PeerMsg::Hello { node: self.me, role: self.role, term: self.term };
         env.send_msg(self.peer_endpoint(), hello);
         env.set_timer(self.config.startup_timeout, STARTUP);

@@ -423,7 +423,6 @@ impl<A: FtApplication> FtProcess<A> {
                     "restore image",
                 );
                 self.app.restore(&vars);
-                // oftt-lint: lock(ftim-probe)
                 self.core.probe.lock().restores.push((now, vars.len(), from_local));
                 env.record(
                     TraceCategory::Checkpoint,
@@ -436,7 +435,6 @@ impl<A: FtApplication> FtProcess<A> {
                 );
             }
             None => {
-                // oftt-lint: lock(ftim-probe)
                 self.core.probe.lock().fresh_activations += 1;
                 env.record(
                     TraceCategory::Checkpoint,
@@ -459,7 +457,6 @@ impl<A: FtApplication> FtProcess<A> {
         self.core.need_full = true;
         self.core.unconfirmed.clear();
         self.core.ship_store.clear();
-        // oftt-lint: lock(ftim-probe)
         self.core.probe.lock().activations.push(env.now());
         let me = env.self_endpoint();
         env.record(TraceCategory::Engine, format!("{me}: application ACTIVE{suffix}"));
@@ -480,7 +477,6 @@ impl<A: FtApplication> FtProcess<A> {
             return;
         }
         self.core.active = false;
-        // oftt-lint: lock(ftim-probe)
         self.core.probe.lock().deactivations.push(env.now());
         env.record(
             TraceCategory::Engine,
@@ -626,9 +622,6 @@ impl<A: FtApplication> FtProcess<A> {
         );
         let size = checkpoint.wire_size();
         {
-            let lock_name = format!("ftim-probe:{}", env.self_endpoint());
-            env.observe_lock(&lock_name, true);
-            // oftt-lint: lock(ftim-probe)
             let mut probe = self.core.probe.lock();
             probe.ckpts_sent += 1;
             probe.ckpt_bytes_sent += size;
@@ -638,8 +631,6 @@ impl<A: FtApplication> FtProcess<A> {
             if unconfirmed_refresh {
                 probe.unconfirmed_refreshes += 1;
             }
-            drop(probe);
-            env.observe_lock(&lock_name, false);
         }
         let peer = self.core.peer_endpoint.clone();
         env.send_sized(peer, FtimPeerMsg::Ckpt(checkpoint), size);
@@ -752,7 +743,6 @@ impl<A: FtApplication> FtProcess<A> {
                             AccessKind::Write,
                             "install",
                         );
-                        // oftt-lint: lock(ftim-probe)
                         self.core.probe.lock().ckpts_installed += 1;
                         // The merged image's checksum (the store's running
                         // sum) must equal the crc the primary logged when
@@ -770,7 +760,6 @@ impl<A: FtApplication> FtProcess<A> {
                     }
                     AcceptOutcome::Rejected(reason) => {
                         {
-                            // oftt-lint: lock(ftim-probe)
                             let mut probe = self.core.probe.lock();
                             probe.ckpts_rejected += 1;
                             probe.last_reject = Some(reason);
@@ -801,7 +790,6 @@ impl<A: FtApplication> FtProcess<A> {
                 );
                 let verdict = self.core.judge_ack(term, seq, crc);
                 {
-                    // oftt-lint: lock(ftim-probe)
                     let mut probe = self.core.probe.lock();
                     if (term, seq) > probe.last_acked {
                         probe.last_acked = (term, seq);
@@ -923,7 +911,6 @@ impl<A: FtApplication> FtProcess<A> {
             && self.core.last_engine_heard > SimTime::ZERO
         {
             self.core.engine_restart_pending = true;
-            // oftt-lint: lock(ftim-probe)
             self.core.probe.lock().engine_restarts += 1;
             env.record(
                 TraceCategory::Engine,
