@@ -8,9 +8,11 @@
 #   4. workspace tests          every crate's unit/integration tests (the
 #                               reactor's 128-connection saturation floor is
 #                               oftt-wire's reactor_load test), and the
-#                               oftt suite again with the seeded defects
-#                               compiled in (the checkpoint store's one-deep
-#                               history only exists under inject_bugs)
+#                               oftt and oftt-check suites again with the
+#                               seeded defects compiled in (the checkpoint
+#                               store's one-deep history only exists under
+#                               inject_bugs; Call Track's premature watchdog
+#                               delete must be reported as api-lifecycle)
 #   5. oftt-check sweep         pair failover, 600-schedule budget
 #   6. oftt-check sweep         partitioned startup, shipped config; then
 #                               the replay round trip: the seeded startup
@@ -24,29 +26,25 @@
 #                               violations, no lasso) and
 #                               refines a 200-schedule trace-export sweep
 #   9. verify seeded defect     the inject_bugs round trip
-#  10. oftt-audit clippy        both feature sets
-#  11. audit sweep              pair failover (races, stale reads, API
-#                               lifecycle), 600-schedule budget
-#  12. audit sweep              partitioned startup, shipped config
-#  13. audit seeded defects     the inject_bugs corpus
-#  14. lint sweep               oftt-lint over the whole workspace: zero
+#  10. oftt-check clippy        both feature sets
+#  11. lint sweep               oftt-lint over the whole workspace: zero
 #                               non-baselined findings, no stale baseline
 #                               entries (each a finding, so exit 0 is the
 #                               whole verdict); the static lock graph is the
 #                               one deadlock gate
-#  15. lint fixtures            each rule family must still fire on its
+#  12. lint fixtures            each rule family must still fire on its
 #                               seeded fixture (transitive_cycle.rs is the
 #                               cross-call deadlock the call-derived
 #                               lock-order analysis must rediscover), plus
 #                               oftt-lint's own tests, which pin the
 #                               workspace's acquisition edges exactly
-#  16. wire smoke               two real oftt-node processes over loopback
+#  13. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               on the peer's reset and refused redial within
 #                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
-#  17. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
+#  14. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
 #                               process kill with its link reset and refused
 #                               redial, and the
 #                               seeded startup defect): every run goes
@@ -54,7 +52,7 @@
 #                               violation, non-recovered seed, or missed
 #                               expected violation exits nonzero via the
 #                               campaign gate
-#  18. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#  15. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -109,6 +107,7 @@ cargo test -q
 step "workspace tests"
 cargo test --workspace -q
 cargo test -p oftt --features inject_bugs -q
+cargo test -p oftt-check --features inject_bugs -q
 
 step "oftt-check sweep (pair failover, 600-schedule budget)"
 cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 600
@@ -146,17 +145,8 @@ cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 200 \
 step "verify seeded-defect round trip (inject_bugs)"
 cargo test -p oftt-verify --features inject_bugs -q
 
-step "oftt-audit clippy (deny warnings, both feature sets)"
-clippy_both_feature_sets oftt-audit
-
-step "audit sweep (pair failover, 600-schedule budget)"
-cargo run -p oftt-audit --release -q -- scan --scenario pair-failover --budget 600
-
-step "audit sweep (partitioned startup, shipped config)"
-cargo run -p oftt-audit --release -q -- scan --scenario partitioned-startup --budget 100
-
-step "audit seeded-defect corpus (inject_bugs)"
-cargo test -p oftt-audit --features inject_bugs -q
+step "oftt-check clippy (deny warnings, both feature sets)"
+clippy_both_feature_sets oftt-check
 
 step "lint sweep: workspace static analysis"
 cargo build --release -q -p oftt-lint

@@ -473,14 +473,6 @@ impl ProcessEnv for ProcCtx<'_, '_> {
     fn exit(&mut self) {
         self.exit_requested = true;
     }
-
-    fn observe_access(&mut self, object: &str, kind: AccessKind, detail: &str) {
-        self.sched.observe_access(object, kind, detail);
-    }
-
-    fn observe_api(&mut self, call: &str, detail: &str) {
-        self.sched.observe_api(call, detail);
-    }
 }
 
 /// A buildable, runnable simulated cluster.
@@ -665,16 +657,6 @@ impl ClusterSim {
     /// [`ClusterSim::start`] so boot-time spawns already carry clocks.
     pub fn set_causality_recording(&mut self, on: bool) {
         self.sim.set_causality_recording(on);
-    }
-
-    /// The causality log recorded so far.
-    pub fn causality_log(&self) -> &CausalityLog {
-        self.sim.causality().log()
-    }
-
-    /// Takes the causality log, leaving an empty one.
-    pub fn take_causality_log(&mut self) -> CausalityLog {
-        self.sim.causality_mut().take_log()
     }
 
     /// Consumes the wrapper, returning world and trace.

@@ -6,7 +6,7 @@
 //! ([`crate::live`]) backs it with real threads and channels, so the same
 //! OFTT protocol code runs in both.
 
-use ds_sim::prelude::{AccessKind, SimDuration, SimRng, SimTime, TraceCategory};
+use ds_sim::prelude::{SimDuration, SimRng, SimTime, TraceCategory};
 
 use crate::endpoint::{Endpoint, NodeId, ServiceName};
 use crate::message::{Envelope, MsgBody};
@@ -52,19 +52,6 @@ pub trait ProcessEnv {
 
     /// Terminates the calling process after the current handler returns.
     fn exit(&mut self);
-
-    /// Annotates a shared-state access for the happens-before auditor.
-    /// No-op by default (and always in live mode); the simulated cluster
-    /// forwards it to the kernel's causality tracker when recording is on.
-    fn observe_access(&mut self, object: &str, kind: AccessKind, detail: &str) {
-        let _ = (object, kind, detail);
-    }
-
-    /// Annotates a middleware API call for the lifecycle linter. No-op by
-    /// default, as above.
-    fn observe_api(&mut self, call: &str, detail: &str) {
-        let _ = (call, detail);
-    }
 }
 
 /// Convenience extensions over [`ProcessEnv`].

@@ -3,8 +3,8 @@
 //! Each logical actor (a service incarnation in `ds-net`, but the kernel is
 //! agnostic) owns one component of the clock. The causality tracker ticks an
 //! actor's component every time it handles an event, joins clocks when a
-//! message is delivered, and stamps trace entries and access records with the
-//! handler's clock. Two records are *concurrent* — reorderable under some
+//! message is delivered, and stamps trace entries and outgoing messages with
+//! the handler's clock. Two records are *concurrent* — reorderable under some
 //! schedule — exactly when neither clock is ≤ the other.
 //!
 //! The representation is sparse: components that were never ticked are

@@ -42,7 +42,7 @@ pub mod trace;
 
 /// Convenience re-exports of the items nearly every user needs.
 pub mod prelude {
-    pub use crate::causality::{AccessKind, CausalityLog, CausalityTracker};
+    pub use crate::causality::CausalityTracker;
     pub use crate::clock::VectorClock;
     pub use crate::event::EventId;
     pub use crate::rng::SimRng;
@@ -53,7 +53,6 @@ pub mod prelude {
     pub use crate::trace::{Trace, TraceCategory, TraceEntry};
 }
 
-pub use causality::{AccessKind, CausalityLog};
 pub use clock::VectorClock;
 pub use event::EventId;
 pub use sim::{Scheduler, Sim};

@@ -9,7 +9,7 @@
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use crate::causality::{AccessKind, CausalityTracker};
+use crate::causality::CausalityTracker;
 use crate::clock::VectorClock;
 use crate::event::{EventId, EventKey};
 use crate::rng::SimRng;
@@ -136,21 +136,9 @@ impl<'a, W> Scheduler<'a, W> {
     }
 
     /// `true` when causality recording is on (lets callers skip building
-    /// actor/object names on the hot path).
+    /// actor names on the hot path).
     pub fn causality_enabled(&self) -> bool {
         self.causality.is_recording()
-    }
-
-    /// Records a shared-state access by the current actor.
-    pub fn observe_access(&mut self, object: &str, kind: AccessKind, detail: &str) {
-        let now = self.now;
-        self.causality.record_access(now, object, kind, detail);
-    }
-
-    /// Records a middleware API call by the current actor.
-    pub fn observe_api(&mut self, call: &str, detail: &str) {
-        let now = self.now;
-        self.causality.record_api(now, call, detail);
     }
 }
 
@@ -189,7 +177,7 @@ pub struct Sim<W> {
     choice_log: Vec<ChoicePoint>,
     /// How many forced choices have been consumed.
     forced_cursor: usize,
-    /// Vector-clock assignment and access recording (off by default).
+    /// Vector-clock assignment (off by default).
     causality: CausalityTracker,
 }
 
@@ -286,16 +274,6 @@ impl<W> Sim<W> {
     /// [`crate::causality`]).
     pub fn set_causality_recording(&mut self, on: bool) {
         self.causality.set_recording(on);
-    }
-
-    /// The causality tracker (clock state plus recorded log).
-    pub fn causality(&self) -> &CausalityTracker {
-        &self.causality
-    }
-
-    /// Exclusive access to the causality tracker (e.g. to take the log).
-    pub fn causality_mut(&mut self) -> &mut CausalityTracker {
-        &mut self.causality
     }
 
     /// Schedules `f` to run `after` from the current time.
@@ -398,7 +376,7 @@ impl<W> Sim<W> {
         let scopes_on = self.policy.is_exploring();
         let mut deferred: Vec<(SimTime, u64, EventFn<W>)> = Vec::new();
         {
-            // Event boundary: records are only attributed to an actor once
+            // Event boundary: stamps are only attributed to an actor once
             // the handler names one via `begin_actor`.
             self.causality.clear_current();
             let mut sched = Scheduler {

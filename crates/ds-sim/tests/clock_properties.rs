@@ -1,5 +1,5 @@
 //! Property-based tests for the vector-clock partial order: the laws the
-//! race analyzer leans on (strict order, join monotonicity) hold for
+//! `ckpt-causality` invariant leans on (strict order, join monotonicity) hold for
 //! arbitrary clocks, not just the handful exercised by unit tests.
 
 use ds_sim::clock::VectorClock;

@@ -18,7 +18,7 @@ use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt};
 use ds_net::transport::TransportEvent;
-use ds_sim::prelude::{AccessKind, SimDuration, SimTime, TraceCategory};
+use ds_sim::prelude::{SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -245,11 +245,6 @@ impl QueueManager {
     /// Accepts a message respecting per-origin send order: out-of-order
     /// arrivals are buffered until the gap fills (or times out in `pump`).
     fn accept_local(&mut self, queue: QueueName, msg: QueueMessage, env: &mut dyn ProcessEnv) {
-        env.observe_access(
-            &format!("queue:{}:{}", env.self_endpoint(), queue),
-            AccessKind::Write,
-            "accept",
-        );
         let now = env.now();
         let key = (queue.clone(), msg.id.origin);
         let state = self.ordering.entry(key.clone()).or_default();
@@ -372,11 +367,6 @@ impl QueueManager {
             }
             let Some(q) = self.queues.get(&name) else { continue };
             let Some(head) = q.peek() else { continue };
-            env.observe_access(
-                &format!("queue:{}:{}", env.self_endpoint(), name),
-                AccessKind::Read,
-                "push head",
-            );
             let push = Push { queue: name.clone(), msg: head.clone() };
             let size = head.wire_size();
             env.send_sized(consumer.clone(), push, size);
@@ -482,11 +472,6 @@ impl QueueManager {
             ManagerMsg::Consumed { queue, id } => {
                 if let Some(q) = self.queues.get_mut(&queue) {
                     if q.pop_if(id).is_some() {
-                        env.observe_access(
-                            &format!("queue:{}:{}", env.self_endpoint(), queue),
-                            AccessKind::Write,
-                            "pop consumed",
-                        );
                         self.stats.lock().delivered += 1;
                     }
                 }

@@ -183,6 +183,7 @@ impl TraceExport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::EventKind;
     use crate::scenario::run;
 
     fn sample() -> TraceExport {
@@ -199,10 +200,15 @@ mod tests {
         let back = TraceExport::parse(&text).unwrap();
         assert_eq!(back, export);
         // The rebuilt trace parses into the same protocol events the live
-        // run produced (modulo vector clocks, which exports strip).
+        // run produced (modulo vector clocks, which exports strip, and the
+        // application-level API misuse reports, which they do not carry).
         let result = run(&Scenario::named("pair-failover").unwrap(), 3, &[]);
-        let stripped: Vec<Event> =
-            result.events.iter().map(|e| Event { clock: None, ..e.clone() }).collect();
+        let stripped: Vec<Event> = result
+            .events
+            .iter()
+            .filter(|e| !matches!(e.kind, EventKind::ApiMisuse { .. }))
+            .map(|e| Event { clock: None, ..e.clone() })
+            .collect();
         assert_eq!(export.events(), stripped);
     }
 

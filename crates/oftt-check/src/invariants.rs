@@ -12,8 +12,9 @@
 //! | `ckpt-restore-integrity`    | a backup's merged image matches the primary's shipped image at the same position, and every takeover restores an image whose checksum matches what was last installed, shipped, or served at that position |
 //! | `switchover-has-cause`      | every switchover request is preceded by a detection or distress call on the same engine |
 //! | `diverter-targets-primary`  | every diverted message goes to the node the diverter last announced as primary |
-//! | `ckpt-causality`            | every install happens-after the shipping of that position, and every ack happens-after the install (vector clocks; vacuous on untraced runs) |
+//! | `ckpt-causality`            | every install happens-after the shipping of that position, every ack happens-after the install, and no serve hands out a position older than an ack it happens-after (vector clocks; vacuous on untraced runs) |
 //! | `converged-single-primary`  | when the network is whole at the end of the run, at most one live engine is primary (vacuous while partitioned) |
+//! | `api-lifecycle`             | no FTIM reported its application misusing the toolkit API (an unknown watchdog, a save while backup, a deactivation holding live watchdogs) |
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -53,6 +54,7 @@ pub fn check_all(events: &[Event]) -> Vec<Violation> {
     out.extend(diverter_targets_primary(events));
     out.extend(ckpt_causality(events));
     out.extend(converged_single_primary(events));
+    out.extend(api_lifecycle(events));
     out
 }
 
@@ -439,13 +441,16 @@ pub fn diverter_targets_primary(events: &[Event]) -> Vec<Violation> {
 /// `shipped (term, seq)` (the install's vector clock dominates the ship's),
 /// and a `ckpt acked` at a position must be happens-after that install.
 /// A violation means the trace claims knowledge of state that could not
-/// yet have causally reached the claimant. Runs recorded without vector
-/// clocks pass vacuously.
+/// yet have causally reached the claimant. The converse is a stale serve:
+/// a `ckpt served` at a position older than an ack the server happens-after
+/// hands a restarting peer state behind what the protocol already confirmed
+/// as replicated. Runs recorded without vector clocks pass vacuously.
 pub fn ckpt_causality(events: &[Event]) -> Vec<Violation> {
     // Last-wins, like `ckpt_restore_integrity`: a NACK-triggered re-ship of
     // a position makes the newest shipping authoritative.
     let mut shipped: HashMap<(u64, u64), &VectorClock> = HashMap::new();
     let mut installed: HashMap<(u64, u64), &VectorClock> = HashMap::new();
+    let mut acks: Vec<((u64, u64), &VectorClock)> = Vec::new();
     let mut out = Vec::new();
     for ev in events {
         let Some(clock) = &ev.clock else { continue };
@@ -481,11 +486,44 @@ pub fn ckpt_causality(events: &[Event]) -> Vec<Violation> {
                         });
                     }
                 }
+                acks.push(((*term, *seq), clock));
+            }
+            EventKind::CkptServed { ep, term, seq, .. } => {
+                let served = (*term, *seq);
+                if let Some(((acked_term, acked_seq), _)) =
+                    acks.iter().find(|(pos, ack)| *pos > served && ack.le(clock))
+                {
+                    out.push(Violation {
+                        invariant: "ckpt-causality",
+                        at: ev.at,
+                        detail: format!(
+                            "{ep} served stale image ({term},{seq}) while happening after \
+                             the ack for ({acked_term},{acked_seq})"
+                        ),
+                    });
+                }
             }
             _ => {}
         }
     }
     out
+}
+
+/// Every `api misuse` line the FTIM recorded is a violation. The FTIM owns
+/// the watchdog table and the role, so it is where misuse is judged; this
+/// invariant only makes the report a gate.
+pub fn api_lifecycle(events: &[Event]) -> Vec<Violation> {
+    events
+        .iter()
+        .filter_map(|ev| match &ev.kind {
+            EventKind::ApiMisuse { ep, detail } => Some(Violation {
+                invariant: "api-lifecycle",
+                at: ev.at,
+                detail: format!("{ep}: {detail}"),
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -727,6 +765,68 @@ mod tests {
             ev(2, EventKind::CkptInstalled { ep: "node1/ct".into(), term: 1, seq: 4, crc: 9 }),
         ];
         assert!(ckpt_causality(&unclocked).is_empty());
+    }
+
+    fn acked(ms: u64, term: u64, seq: u64, pairs: &[(u32, u64)]) -> Event {
+        clocked(ms, EventKind::CkptAcked { ep: "node0/ct".into(), term, seq }, pairs)
+    }
+
+    fn served(ms: u64, term: u64, seq: u64, pairs: &[(u32, u64)]) -> Event {
+        clocked(ms, EventKind::CkptServed { ep: "node1/ct".into(), term, seq, crc: 1 }, pairs)
+    }
+
+    #[test]
+    fn serving_behind_a_known_ack_is_flagged() {
+        // Ack for (1,5) at clock {0:2}; the serve of (1,3) has clock
+        // {0:2,1:1} — it happens after the newer ack.
+        let events = vec![acked(1, 1, 5, &[(0, 2)]), served(2, 1, 3, &[(0, 2), (1, 1)])];
+        let v = ckpt_causality(&events);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].detail.contains("stale image (1,3)"), "got: {}", v[0].detail);
+        assert!(v[0].detail.contains("(1,5)"), "got: {}", v[0].detail);
+    }
+
+    #[test]
+    fn serving_concurrently_with_a_newer_ack_is_clean() {
+        // Same positions, but the serve's clock is concurrent with the
+        // ack's — the server could not have known.
+        let events = vec![acked(1, 1, 5, &[(0, 2)]), served(2, 1, 3, &[(1, 1)])];
+        assert!(ckpt_causality(&events).is_empty());
+    }
+
+    #[test]
+    fn serving_at_or_past_the_acked_position_is_clean() {
+        let events = vec![
+            acked(1, 1, 5, &[(0, 2)]),
+            served(2, 1, 5, &[(0, 2), (1, 1)]),
+            served(3, 1, 7, &[(0, 2), (1, 2)]),
+        ];
+        assert!(ckpt_causality(&events).is_empty());
+    }
+
+    #[test]
+    fn unclocked_serves_pass_vacuously() {
+        let events = vec![
+            ev(1, EventKind::CkptAcked { ep: "node0/ct".into(), term: 1, seq: 5 }),
+            ev(2, EventKind::CkptServed { ep: "node1/ct".into(), term: 1, seq: 1, crc: 1 }),
+        ];
+        assert!(ckpt_causality(&events).is_empty());
+    }
+
+    #[test]
+    fn every_api_misuse_report_is_a_violation() {
+        let misuse = |ms, detail: &str| {
+            ev(ms, EventKind::ApiMisuse { ep: "node0/ct".into(), detail: detail.into() })
+        };
+        let events = vec![
+            misuse(1, "watchdog_reset on unknown watchdog \"wd\""),
+            ev(2, EventKind::ServiceStart { ep: "node0/ct".into() }),
+            misuse(3, "save while backup"),
+        ];
+        let v = api_lifecycle(&events);
+        assert_eq!(v.len(), 2);
+        assert_eq!(v[0].invariant, "api-lifecycle");
+        assert_eq!(v[1].detail, "node0/ct: save while backup");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   [`ds_sim::schedule::SchedulePolicy`] so every same-window event race
 //!   becomes a recorded choice point.
 //! * [`parse`] lifts the run's trace into typed events; [`invariants`]
-//!   checks the failover protocol's eight safety properties over them
-//!   (including the vector-clock `ckpt-causality` check).
+//!   checks ten invariants over them: the failover protocol's nine safety
+//!   properties (including the vector-clock `ckpt-causality` check) and
+//!   `api-lifecycle`, which gates the FTIM's own API-misuse reports.
 //! * [`outcome`] derives the statistical view of the same events —
 //!   failover-time samples, availability fraction, recovery status — the
 //!   structured result campaign sweeps aggregate across seeds.

@@ -152,7 +152,6 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run, Scenario};
 
     fn event(at_us: u64, kind: EventKind) -> Event {
         Event { at: SimTime::from_micros(at_us), kind, clock: None }
@@ -215,8 +214,12 @@ mod tests {
         assert!(!outcome.recovered);
     }
 
+    // Clean only without the seeded watchdog misuse (`inject_bugs`).
+    #[cfg(not(feature = "inject_bugs"))]
     #[test]
     fn real_failover_run_produces_one_clean_sample() {
+        use crate::scenario::{run, Scenario};
+
         let scenario = Scenario::named("pair-failover").unwrap();
         let result = run(&scenario, 1, &[]);
         let outcome = RunOutcome::compute(&result.events, scenario.horizon);

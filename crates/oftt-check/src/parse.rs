@@ -3,9 +3,10 @@
 //!
 //! The parser recognizes exactly the message shapes the substrate and
 //! toolkit crates emit (engine role transitions, checkpoint positions,
-//! diverter retargeting, fault-layer lifecycle records) and ignores
-//! everything else. Unrecognized lines are *not* an error: the trace is a
-//! shared log and other subsystems are free to add records.
+//! diverter retargeting, fault-layer lifecycle records, the FTIM's API
+//! misuse reports) and ignores everything else. Unrecognized lines are
+//! *not* an error: the trace is a shared log and other subsystems are free
+//! to add records.
 
 use ds_sim::prelude::{SimTime, Trace, TraceCategory, VectorClock};
 use oftt::role::Role;
@@ -152,6 +153,14 @@ pub enum EventKind {
         /// The endpoint (`nodeN/svc`).
         ep: String,
     },
+    /// An FTIM reported its application misusing the toolkit API:
+    /// `api misuse: ...`.
+    ApiMisuse {
+        /// The application endpoint.
+        ep: String,
+        /// What was misused (the text after `api misuse: `).
+        detail: String,
+    },
 }
 
 /// Splits `"nodeN/svc: rest"` into the endpoint and the rest.
@@ -291,6 +300,10 @@ pub fn parse_trace(trace: &Trace) -> Vec<Event> {
             TraceCategory::Diverter => {
                 split_ep(&entry.message).and_then(|(ep, rest)| parse_diverter(ep, rest))
             }
+            TraceCategory::App => split_ep(&entry.message).and_then(|(ep, rest)| {
+                let detail = rest.strip_prefix("api misuse: ")?;
+                Some(EventKind::ApiMisuse { ep: ep.to_string(), detail: detail.to_string() })
+            }),
             TraceCategory::Fault => parse_fault(&entry.message),
             TraceCategory::Other => parse_other(&entry.message),
             _ => None,
@@ -402,6 +415,26 @@ mod tests {
         assert_eq!(
             events[1].kind,
             EventKind::DiverterEnqueue { ep: "node2/oftt-diverter".into(), node: "node0".into() }
+        );
+    }
+
+    #[test]
+    fn parses_api_misuse_reports() {
+        let trace = trace_with(&[
+            (
+                TraceCategory::App,
+                "node0/call-track: api misuse: watchdog_reset on unknown watchdog \"deadman\"",
+            ),
+            (TraceCategory::App, "node0/call-track: watchdog \"deadman\" expired"),
+        ]);
+        let events = parse_trace(&trace);
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].kind,
+            EventKind::ApiMisuse {
+                ep: "node0/call-track".into(),
+                detail: "watchdog_reset on unknown watchdog \"deadman\"".into(),
+            }
         );
     }
 

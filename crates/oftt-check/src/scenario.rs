@@ -10,8 +10,7 @@
 use ds_net::endpoint::NodeId;
 use ds_net::fault::Fault;
 use ds_sim::prelude::{
-    CausalityLog, ChoicePoint, Schedule, SchedulePolicy, SimDuration, SimTime, TraceCategory,
-    TraceEntry,
+    ChoicePoint, Schedule, SchedulePolicy, SimDuration, SimTime, TraceCategory, TraceEntry,
 };
 use oftt::config::{engine_endpoint, engine_service, StartupFallback};
 use oftt::messages::ToEngine;
@@ -41,8 +40,8 @@ impl Default for Scenario {
     fn default() -> Self {
         Scenario {
             // Arm the Call Track deadman so checked runs exercise the
-            // watchdog API surface (oftt-audit's lifecycle linter needs
-            // those events).
+            // watchdog API surface (the FTIM reports its misuse and the
+            // `api-lifecycle` invariant gates the report).
             params: ScenarioParams {
                 watchdog: Some(SimDuration::from_secs(5)),
                 ..Default::default()
@@ -117,16 +116,15 @@ pub struct RunResult {
     /// The full rendered trace (for counterexample reports).
     pub trace_text: String,
     /// The protocol-relevant trace entries (engine, checkpoint, diverter,
-    /// fault, and watchdog records), clock-stripped — the payload of
+    /// fault, and lifecycle records), clock-stripped — the payload of
     /// versioned trace exports.
     pub entries: Vec<TraceEntry>,
-    /// The causality log (vector-clocked access/lock/API records) the run
-    /// produced; consumed by oftt-audit's analyzers.
-    pub causality: CausalityLog,
 }
 
-/// The trace categories a versioned export keeps: everything the invariant
-/// parser and the refinement checker read, nothing per-packet.
+/// The trace categories a versioned export keeps: everything the protocol
+/// invariants and the refinement checker read, nothing per-packet. The
+/// FTIM's application-level API misuse reports are judged on the live run
+/// and not exported.
 pub const EXPORT_CATEGORIES: [TraceCategory; 5] = [
     TraceCategory::Fault,
     TraceCategory::Engine,
@@ -150,7 +148,6 @@ pub fn run(scenario: &Scenario, seed: u64, forced: &[u32]) -> RunResult {
     fig3.run_until(scenario.horizon);
     let schedule = Schedule::new(seed, fig3.cs.choices_taken());
     let choice_points = fig3.cs.choice_points().to_vec();
-    let causality = fig3.cs.take_causality_log();
     let trace = fig3.cs.trace();
     let entries = trace
         .entries()
@@ -164,7 +161,6 @@ pub fn run(scenario: &Scenario, seed: u64, forced: &[u32]) -> RunResult {
         events: parse_trace(trace),
         trace_text: trace.to_text(),
         entries,
-        causality,
     }
 }
 
@@ -431,8 +427,8 @@ impl FaultScript {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::invariants::check_all;
-    use crate::parse::EventKind;
+    #[cfg(not(feature = "inject_bugs"))]
+    use crate::{invariants::check_all, parse::EventKind};
 
     #[test]
     fn only_the_two_names_resolve() {
@@ -445,6 +441,8 @@ mod tests {
         assert_eq!(Scenario::named("nope"), None);
     }
 
+    // Clean only without the seeded watchdog misuse (`inject_bugs`).
+    #[cfg(not(feature = "inject_bugs"))]
     #[test]
     fn default_interleaving_of_pair_failover_is_clean_and_replayable() {
         let scenario = Scenario::named("pair-failover").unwrap();
@@ -522,6 +520,8 @@ mod tests {
         }
     }
 
+    // Clean only without the seeded watchdog misuse (`inject_bugs`).
+    #[cfg(not(feature = "inject_bugs"))]
     #[test]
     fn scripted_failover_matches_named_scenario() {
         // The pair-failover campaign written as script text produces the
@@ -533,6 +533,8 @@ mod tests {
         assert!(check_all(&scripted.events).is_empty());
     }
 
+    // Clean only without the seeded watchdog misuse (`inject_bugs`).
+    #[cfg(not(feature = "inject_bugs"))]
     #[test]
     fn suspicion_records_are_no_events_and_scrape_nothing() {
         use ds_sim::prelude::Trace;
@@ -576,6 +578,8 @@ mod tests {
         assert!(check_all(&result.events).is_empty());
     }
 
+    // Clean only without the seeded watchdog misuse (`inject_bugs`).
+    #[cfg(not(feature = "inject_bugs"))]
     #[test]
     fn distress_script_solicits_a_switchover() {
         let script =

@@ -1,11 +1,16 @@
 //! Acceptance tests for the model checker: the clean sweep target and the
 //! injected-bug counterexample pipeline (explore → shrink → emit → replay).
+//!
+//! With `--features inject_bugs` Call Track carries a seeded premature
+//! watchdog delete, so the clean sweeps give way to the test that the
+//! `api-lifecycle` invariant reports it.
 
 use ds_sim::prelude::Schedule;
 use oftt_check::{check_all, explore, run, shrink, ExploreConfig, ReplayFile, Scenario};
 
 /// The headline target: at least 500 distinct pair-failover schedules
 /// within the default budget, every one clean.
+#[cfg(not(feature = "inject_bugs"))]
 #[test]
 fn pair_failover_holds_invariants_across_500_distinct_schedules() {
     let config = ExploreConfig::default();
@@ -71,6 +76,7 @@ fn injected_startup_bug_yields_shrunk_replayable_dual_primary() {
 /// The correct (shipped) startup configuration survives the same
 /// partitioned-startup campaign: the §3.2 fix is what the checker is
 /// certifying.
+#[cfg(not(feature = "inject_bugs"))]
 #[test]
 fn correct_startup_config_survives_partitioned_startup() {
     let config = ExploreConfig { seeds: vec![1, 2, 3], budget: 30, ..Default::default() };
@@ -80,5 +86,20 @@ fn correct_startup_config_survives_partitioned_startup() {
         report.counterexamples.is_empty(),
         "shipped startup policy must be schedule-independent; first: {:?}",
         report.counterexamples[0].violations
+    );
+}
+
+/// Seeded defect: Call Track deletes its deadman right after arming it, so
+/// every later feed-driven reset names a watchdog the FTIM no longer holds.
+/// The FTIM reports the ignored `NotFound` and `api-lifecycle` gates it.
+#[cfg(feature = "inject_bugs")]
+#[test]
+fn seeded_premature_watchdog_delete_is_reported_as_api_misuse() {
+    let result = run(&Scenario::named("pair-failover").unwrap(), 1, &[]);
+    let violations = check_all(&result.events);
+    assert!(
+        violations.iter().any(|v| v.invariant == "api-lifecycle"
+            && v.detail.ends_with("watchdog_reset on unknown watchdog \"deadman\"")),
+        "the premature watchdog delete must be reported, got {violations:?}"
     );
 }

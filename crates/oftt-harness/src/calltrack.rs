@@ -166,8 +166,8 @@ impl FtApplication for CallTrack {
             let _ = ctx.watchdog_set("deadman");
             // Seeded defect (c): premature cleanup — the deadman is deleted
             // right after arming, so every later reset from
-            // `on_app_message` is a use-after-delete the lifecycle linter
-            // must flag.
+            // `on_app_message` names an unknown watchdog, which the FTIM
+            // reports and oftt-check's `api-lifecycle` must flag.
             #[cfg(feature = "inject_bugs")]
             let _ = ctx.watchdog_delete("deadman");
         }

@@ -314,14 +314,11 @@ pub struct FnIndex {
 }
 
 impl FnIndex {
-    /// Builds the index over every `Runtime` model's functions.
+    /// Builds the index over every model's functions.
     pub fn build(models: &[(String, FileModel)]) -> FnIndex {
         let mut index =
             FnIndex { fns: Vec::new(), by_name: BTreeMap::new(), by_owner_name: BTreeMap::new() };
         for (mi, (_, model)) in models.iter().enumerate() {
-            if model.kind != crate::scanner::FileKind::Runtime {
-                continue;
-            }
             for (fi, item) in model.fns.iter().enumerate() {
                 let id = index.fns.len();
                 index.fns.push((mi, fi));
@@ -541,10 +538,10 @@ const TRAIT_DISPATCH: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::{scan, FileKind};
+    use crate::scanner::scan;
 
     fn calls_of(src: &str) -> Vec<Call> {
-        let model = scan(src, FileKind::Runtime);
+        let model = scan(src);
         extract_calls(&model, &model.fns[0])
     }
 
@@ -653,8 +650,7 @@ mod tests {
     #[test]
     fn keywords_and_definitions_are_not_calls() {
         assert_eq!(shapes("fn f(x: u8) { if (x > 0) { return (1); } }"), vec![]);
-        let model =
-            scan("fn outer() { fn inner() { nested_call(); } outer_call(); }", FileKind::Runtime);
+        let model = scan("fn outer() { fn inner() { nested_call(); } outer_call(); }");
         let outer_calls: Vec<String> =
             extract_calls(&model, &model.fns[0]).into_iter().map(|c| c.name).collect();
         assert_eq!(outer_calls, vec!["outer_call"]);
@@ -664,10 +660,8 @@ mod tests {
     }
 
     fn index_of(sources: &[(&str, &str)]) -> (Vec<(String, FileModel)>, FnIndex) {
-        let models: Vec<(String, FileModel)> = sources
-            .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
-            .collect();
+        let models: Vec<(String, FileModel)> =
+            sources.iter().map(|(name, src)| (name.to_string(), scan(src))).collect();
         let index = FnIndex::build(&models);
         (models, index)
     }

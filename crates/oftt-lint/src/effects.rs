@@ -1080,13 +1080,11 @@ fn fixpoint(fns: &[FnInfo]) -> (Vec<Effects>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::{scan, FileKind};
+    use crate::scanner::scan;
 
     fn analyze(sources: &[(&str, &str)]) -> Analysis {
-        let models: Vec<(String, FileModel)> = sources
-            .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
-            .collect();
+        let models: Vec<(String, FileModel)> =
+            sources.iter().map(|(name, src)| (name.to_string(), scan(src))).collect();
         Analysis::analyze(&models)
     }
 

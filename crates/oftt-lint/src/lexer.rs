@@ -25,7 +25,7 @@ pub enum TokenKind {
     Number,
     /// A string, raw-string, byte-string, or character literal. The
     /// *content* (without quotes or escapes processed) is kept because
-    /// the lifecycle rule keys watchdog names on literal arguments.
+    /// the scanner matches `feature = "inject_bugs"` gates on it.
     Str(String),
     /// One punctuation character.
     Punct(char),

@@ -1,13 +1,13 @@
 //! # oftt-lint — source-level static analysis proving the code matches
 //! the protocol
 //!
-//! oftt-verify proves the failover *protocol* correct and oftt-audit
+//! oftt-verify proves the failover *protocol* correct and oftt-check
 //! checks what the *executed* schedules did; both leave a gap — code the
 //! sweep never drives. This crate closes it from the other side: a
 //! hand-rolled lexer ([`lexer`]) and item scanner ([`scanner`]) — no
-//! rustc plugin, no external parser — feed five rule families
+//! rustc plugin, no external parser — feed four rule families
 //! ([`rules`]) that check structural protocol properties over **all**
-//! source, reached or not:
+//! runtime source (every `src/` file outside `shims/`), reached or not:
 //!
 //! 1. **role-confinement** — every `.role`/`.term` store flows through
 //!    the annotated transition apply path ([`rules::role`]);
@@ -16,10 +16,12 @@
 //!    deadlock gate;
 //! 3. **nonblocking** — no blocking calls in modules that declare a
 //!    bounded-latency contract ([`rules::blocking`]);
-//! 4. **api-lifecycle** — the FTIM call-order DFA, statically, from the
-//!    same tables the dynamic linter uses ([`rules::lifecycle`]);
-//! 5. **no-panic** — no unwrap/expect/panic-macro/index on annotated
+//! 4. **no-panic** — no unwrap/expect/panic-macro/index on annotated
 //!    hot paths ([`rules::panics`]).
+//!
+//! API misuse (an unknown watchdog, a save while backup) is not a rule
+//! here: the FTIM that owns the watchdog table reports it at run time and
+//! oftt-check's `api-lifecycle` invariant gates the report.
 //!
 //! On top of the per-module families, an **interprocedural effect
 //! analysis** ([`effects`]) builds a workspace-wide call graph
@@ -27,13 +29,13 @@
 //! `may_panic`, `allocates`, and the transitive lock-acquisition set
 //! per function, feeding three more families:
 //!
-//! 6. **reactor-hot-path** — everything reachable from
+//! 5. **reactor-hot-path** — everything reachable from
 //!    `// oftt-lint: reactor-root` entry points is transitively
 //!    nonblocking and panic-free, allocating only through the `arena`
 //!    ([`rules::hotpath`]);
-//! 7. **lock-across-blocking** — no guard live across a call that
+//! 6. **lock-across-blocking** — no guard live across a call that
 //!    transitively blocks ([`rules::lock_block`]);
-//! 8. **annotation-drift** — `nonblocking`/`no-panic` directives the
+//! 7. **annotation-drift** — `nonblocking`/`no-panic` directives the
 //!    inferred effects contradict ([`rules::drift`]); and the
 //!    lock-order graph gains call-derived edges so cross-function
 //!    acquisition chains are cycle-checked too.
@@ -72,7 +74,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use report::{Finding, Report};
-use scanner::{FileKind, FileModel};
+use scanner::FileModel;
 
 /// What to scan and how.
 #[derive(Debug, Default)]
@@ -88,25 +90,15 @@ pub struct Options {
 /// Directories the workspace walk never descends into.
 const EXCLUDED_DIRS: &[&str] = &["target", "shims", ".git", "fixtures"];
 
-/// Classifies a workspace-relative path. `None` means "not scanned".
-pub fn classify(rel: &str) -> Option<FileKind> {
-    if !rel.ends_with(".rs") {
-        return None;
-    }
+/// Whether the workspace walk scans a workspace-relative path: runtime
+/// source, i.e. a `.rs` file under some `src/`, outside the excluded
+/// directories. Tests, examples and benches feed no rule.
+pub fn is_scanned(rel: &str) -> bool {
     let parts: Vec<&str> = rel.split('/').collect();
-    if parts.iter().any(|p| EXCLUDED_DIRS.contains(p)) {
-        return None;
-    }
-    let test_like = ["tests", "examples", "benches"];
-    if parts.iter().any(|p| test_like.contains(p)) {
-        return Some(FileKind::TestLike);
-    }
-    if parts.contains(&"src") {
-        return Some(FileKind::Runtime);
-    }
-    // Stray root-level .rs (build scripts and the like): treat as
-    // test-like so only the lifecycle rule and lexer totality apply.
-    Some(FileKind::TestLike)
+    rel.ends_with(".rs")
+        && !parts.iter().any(|p| EXCLUDED_DIRS.contains(p))
+        && !parts.iter().any(|p| ["tests", "examples", "benches"].contains(p))
+        && parts.contains(&"src")
 }
 
 /// `true` when `dir` holds a manifest that opens its own `[workspace]`: a
@@ -117,7 +109,7 @@ fn is_foreign_workspace(dir: &Path) -> bool {
         .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
 }
 
-fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, FileKind)>) {
+fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     let mut entries: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();
@@ -130,8 +122,8 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, FileKind)>) {
             {
                 walk(&path, root, out);
             }
-        } else if let Some(kind) = relative(&path, root).as_deref().and_then(classify) {
-            out.push((path, kind));
+        } else if relative(&path, root).as_deref().is_some_and(is_scanned) {
+            out.push(path);
         }
     }
 }
@@ -141,11 +133,11 @@ fn relative(path: &Path, root: &Path) -> Option<String> {
     Some(rel.to_string_lossy().replace('\\', "/"))
 }
 
-/// Scans one source string under a chosen classification and returns
-/// its findings. This is the single-file core of [`run_scan`], exposed
-/// for fixture and adversarial tests.
-pub fn scan_source(file: &str, source: &str, kind: FileKind) -> (FileModel, Vec<Finding>) {
-    let model = scanner::scan(source, kind);
+/// Scans one source string and returns its findings. This is the
+/// single-file core of [`run_scan`], exposed for fixture and adversarial
+/// tests.
+pub fn scan_source(file: &str, source: &str) -> (FileModel, Vec<Finding>) {
+    let model = scanner::scan(source);
     let mut findings = Vec::new();
     for d in &model.diagnostics {
         let rule = if d.message.contains("directive") { "directive" } else { "lex" };
@@ -158,7 +150,6 @@ pub fn scan_source(file: &str, source: &str, kind: FileKind) -> (FileModel, Vec<
     }
     findings.extend(rules::role::check(file, &model));
     findings.extend(rules::blocking::check(file, &model));
-    findings.extend(rules::lifecycle::check(file, &model));
     findings.extend(rules::panics::check(file, &model));
     (model, findings)
 }
@@ -168,24 +159,15 @@ pub fn scan_source(file: &str, source: &str, kind: FileKind) -> (FileModel, Vec<
 /// baseline via [`report::apply_baseline`]).
 pub fn run_scan(opts: &Options) -> Report {
     let mut report = Report::default();
-    let files: Vec<(PathBuf, FileKind)> = if opts.paths.is_empty() {
+    let files: Vec<PathBuf> = if opts.paths.is_empty() {
         let mut found = Vec::new();
         walk(&opts.root, &opts.root, &mut found);
         found
     } else {
-        opts.paths
-            .iter()
-            .map(|p| {
-                let kind = relative(p, &opts.root)
-                    .as_deref()
-                    .and_then(classify)
-                    .unwrap_or(FileKind::Runtime);
-                (p.clone(), kind)
-            })
-            .collect()
+        opts.paths.clone()
     };
     let mut models: Vec<(String, FileModel)> = Vec::new();
-    for (path, kind) in files {
+    for path in files {
         let rel = relative(&path, &opts.root).unwrap_or_default();
         let source = match std::fs::read_to_string(&path) {
             Ok(s) => s,
@@ -199,7 +181,7 @@ pub fn run_scan(opts: &Options) -> Report {
                 continue;
             }
         };
-        let (model, findings) = scan_source(&rel, &source, kind);
+        let (model, findings) = scan_source(&rel, &source);
         report.findings.extend(findings);
         report.files_scanned += 1;
         models.push((rel, model));
@@ -229,17 +211,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_routes_the_tree() {
-        assert_eq!(classify("crates/oftt/src/engine.rs"), Some(FileKind::Runtime));
-        assert_eq!(classify("src/lib.rs"), Some(FileKind::Runtime));
-        assert_eq!(classify("crates/oftt/tests/failover.rs"), Some(FileKind::TestLike));
-        assert_eq!(classify("tests/integration.rs"), Some(FileKind::TestLike));
-        assert_eq!(classify("examples/pair.rs"), Some(FileKind::TestLike));
-        assert_eq!(classify("crates/bench/benches/ckpt.rs"), Some(FileKind::TestLike));
-        assert_eq!(classify("shims/rand/src/lib.rs"), None);
-        assert_eq!(classify("target/debug/build/x.rs"), None);
-        assert_eq!(classify("crates/oftt-lint/fixtures/role_leak.rs"), None);
-        assert_eq!(classify("README.md"), None);
+    fn the_walk_scans_runtime_source_only() {
+        assert!(is_scanned("crates/oftt/src/engine.rs"));
+        assert!(is_scanned("src/lib.rs"));
+        assert!(!is_scanned("crates/oftt/tests/failover.rs"));
+        assert!(!is_scanned("tests/integration.rs"));
+        assert!(!is_scanned("examples/pair.rs"));
+        assert!(!is_scanned("crates/bench/benches/ckpt.rs"));
+        assert!(!is_scanned("build.rs"));
+        assert!(!is_scanned("shims/rand/src/lib.rs"));
+        assert!(!is_scanned("target/debug/build/x.rs"));
+        assert!(!is_scanned("crates/oftt-lint/fixtures/role_leak.rs"));
+        assert!(!is_scanned("README.md"));
     }
 
     #[test]
@@ -247,7 +230,6 @@ mod tests {
         let (_, findings) = scan_source(
             "x.rs",
             "// oftt-lint: no-panic\nfn f(x: Option<u8>) { x.unwrap(); self.role = r; }",
-            FileKind::Runtime,
         );
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"no-panic"));

@@ -10,7 +10,7 @@ use oftt_lint::Options;
 const USAGE: &str = "\
 oftt-lint: source-level static analyzer for the OFTT workspace — role
 confinement, static lock-order (the one deadlock gate), blocking calls,
-API lifecycle, panic paths, and an interprocedural effect analysis
+panic paths, and an interprocedural effect analysis
 (reactor-hot-path, lock-across-blocking, transitive lock-order,
 annotation-drift). #[cfg(feature = \"inject_bugs\")] spans are never
 scanned.

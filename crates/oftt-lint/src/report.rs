@@ -21,7 +21,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// The rule family: `role-confinement`, `lock-order`, `nonblocking`,
-    /// `api-lifecycle`, `no-panic`, `lex`, or `directive`.
+    /// `no-panic`, `lex`, or `directive`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

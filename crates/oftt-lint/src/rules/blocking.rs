@@ -12,7 +12,7 @@
 //! (`try_lock` is the sanctioned escape hatch and does not match).
 
 use crate::report::Finding;
-use crate::scanner::{FileKind, FileModel};
+use crate::scanner::FileModel;
 
 use super::{ident, is_call};
 
@@ -46,7 +46,7 @@ pub const BLOCKING_CALLS: &[&str] = &[
 /// `nonblocking` directive.
 pub fn check(file: &str, model: &FileModel) -> Vec<Finding> {
     let mut out = Vec::new();
-    if model.kind != FileKind::Runtime || !model.has_file_directive("nonblocking") {
+    if !model.has_file_directive("nonblocking") {
         return out;
     }
     for i in 0..model.tokens.len() {
@@ -72,7 +72,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime))
+        check("f.rs", &scan(source))
     }
 
     #[test]

@@ -83,13 +83,11 @@ fn grounding_file(analysis: &Analysis, f: usize, kind: EffectKind) -> Option<&st
 mod tests {
     use super::*;
     use crate::effects::Analysis;
-    use crate::scanner::{scan, FileKind};
+    use crate::scanner::scan;
 
     fn findings(sources: &[(&str, &str)]) -> Vec<Finding> {
-        let models: Vec<(String, FileModel)> = sources
-            .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
-            .collect();
+        let models: Vec<(String, FileModel)> =
+            sources.iter().map(|(name, src)| (name.to_string(), scan(src))).collect();
         let analysis = Analysis::analyze(&models);
         check(&models, &analysis)
     }

@@ -67,11 +67,10 @@ pub fn check(analysis: &Analysis) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::effects::Analysis;
-    use crate::scanner::{scan, FileKind, FileModel};
+    use crate::scanner::{scan, FileModel};
 
     fn findings(src: &str) -> Vec<Finding> {
-        let models: Vec<(String, FileModel)> =
-            vec![("a.rs".to_string(), scan(src, FileKind::Runtime))];
+        let models: Vec<(String, FileModel)> = vec![("a.rs".to_string(), scan(src))];
         check(&Analysis::analyze(&models))
     }
 

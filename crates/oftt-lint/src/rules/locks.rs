@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
 use crate::report::Finding;
-use crate::scanner::{FileKind, FileModel};
+use crate::scanner::FileModel;
 
 use super::{ident, punct, receiver_base};
 
@@ -70,9 +70,6 @@ pub struct FnLockFacts {
 pub fn check(models: &[(String, FileModel)]) -> LockScan {
     let mut scan = LockScan::default();
     for (file, model) in models {
-        if model.kind != FileKind::Runtime {
-            continue;
-        }
         for item in &model.fns {
             interpret_fn(file, model, item, &[], &mut scan);
         }
@@ -301,10 +298,8 @@ mod tests {
     use crate::scanner::scan;
 
     fn scan_files(sources: &[(&str, &str)]) -> LockScan {
-        let models: Vec<(String, FileModel)> = sources
-            .iter()
-            .map(|(name, src)| (name.to_string(), scan(src, FileKind::Runtime)))
-            .collect();
+        let models: Vec<(String, FileModel)> =
+            sources.iter().map(|(name, src)| (name.to_string(), scan(src))).collect();
         check(&models)
     }
 

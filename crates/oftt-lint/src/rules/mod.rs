@@ -5,7 +5,6 @@
 pub mod blocking;
 pub mod drift;
 pub mod hotpath;
-pub mod lifecycle;
 pub mod lock_block;
 pub mod locks;
 pub mod panics;
@@ -26,14 +25,6 @@ pub(crate) fn ident(tokens: &[Token], i: usize) -> Option<&str> {
 pub(crate) fn punct(tokens: &[Token], i: usize) -> Option<char> {
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokenKind::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
-/// The string-literal content at `i`, if the token is a string.
-pub(crate) fn string(tokens: &[Token], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Str(s)) => Some(s.as_str()),
         _ => None,
     }
 }

@@ -16,7 +16,7 @@
 //!   scanner, so `#[…]` can't false-positive.)
 
 use crate::report::Finding;
-use crate::scanner::{FileKind, FileModel};
+use crate::scanner::FileModel;
 
 use super::{ident, punct};
 
@@ -49,7 +49,7 @@ pub(crate) fn indexes_value(tokens: &[crate::lexer::Token], i: usize) -> bool {
 /// `no-panic` directive.
 pub fn check(file: &str, model: &FileModel) -> Vec<Finding> {
     let mut out = Vec::new();
-    if model.kind != FileKind::Runtime || !model.has_file_directive("no-panic") {
+    if !model.has_file_directive("no-panic") {
         return out;
     }
     let tokens = &model.tokens;
@@ -94,7 +94,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime))
+        check("f.rs", &scan(source))
     }
 
     const HEADER: &str = "// oftt-lint: no-panic\n";

@@ -14,7 +14,7 @@
 //! and pattern matches never match the store pattern and stay silent.
 
 use crate::report::Finding;
-use crate::scanner::{FileKind, FileModel};
+use crate::scanner::FileModel;
 
 use super::{ident, in_nested_fn, punct};
 
@@ -36,12 +36,9 @@ fn is_store(tokens: &[crate::lexer::Token], j: usize) -> bool {
     }
 }
 
-/// Checks one file. Applies to runtime code only.
+/// Checks one file.
 pub fn check(file: &str, model: &FileModel) -> Vec<Finding> {
     let mut out = Vec::new();
-    if model.kind != FileKind::Runtime {
-        return out;
-    }
     for item in &model.fns {
         if item.has_directive("role-choke-point") || item.has_directive("role-mirror") {
             continue;
@@ -79,7 +76,7 @@ mod tests {
     use crate::scanner::scan;
 
     fn check_src(source: &str) -> Vec<Finding> {
-        check("f.rs", &scan(source, FileKind::Runtime))
+        check("f.rs", &scan(source))
     }
 
     #[test]

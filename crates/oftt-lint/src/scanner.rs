@@ -21,28 +21,15 @@
 //!
 //! ## What gets removed
 //!
-//! For [`FileKind::Runtime`] files, items gated behind `#[cfg(test)]`,
-//! `#[test]`, or `#[cfg(feature = "inject_bugs")]` are dropped: test
-//! scaffolding legitimately unwraps, sleeps, and leaks watchdogs, and the
+//! Items gated behind `#[cfg(test)]`, `#[test]`, or
+//! `#[cfg(feature = "inject_bugs")]` are dropped: test scaffolding
+//! legitimately unwraps, sleeps, and leaks watchdogs, and the
 //! seeded-defect blocks are *supposed* to violate the rules. All other
 //! attributes are stripped from the stream too, so rules never see
 //! `#[derive(...)]` idents.
-//! [`FileKind::TestLike`] files keep their test items — the lifecycle
-//! rule exists precisely to check API usage in tests and examples.
 
 use crate::lexer::{self, Diagnostic, Token, TokenKind};
 use std::ops::Range;
-
-/// How a file is treated by the rule families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Shipping code: every rule family applies; cfg(test)/seeded-defect
-    /// items are skipped.
-    Runtime,
-    /// Tests, examples, benches: only the API-lifecycle rule and lexer
-    /// diagnostics apply, and test items are kept.
-    TestLike,
-}
 
 /// One declared parameter of a `fn` item — just the facts the
 /// interprocedural analyses consume.
@@ -90,8 +77,6 @@ impl FnItem {
 /// The scanned model of one file.
 #[derive(Debug)]
 pub struct FileModel {
-    /// How the file is classified.
-    pub kind: FileKind,
     /// File-scoped directives (`nonblocking`, `no-panic`).
     pub file_directives: Vec<String>,
     /// The filtered token stream.
@@ -117,16 +102,15 @@ const FN_DIRECTIVES: &[&str] =
     &["role-choke-point", "role-mirror", "reactor-root", "arena", "cold-path"];
 
 /// Scans one file's source. Total, like the lexer underneath it.
-pub fn scan(source: &str, kind: FileKind) -> FileModel {
+pub fn scan(source: &str) -> FileModel {
     let lexed = lexer::lex(source);
     let mut model = FileModel {
-        kind,
         file_directives: Vec::new(),
         tokens: Vec::new(),
         fns: Vec::new(),
         diagnostics: lexed.diagnostics,
     };
-    filter_tokens(&lexed.tokens, kind, &mut model);
+    filter_tokens(&lexed.tokens, &mut model);
     extract_fns(&mut model);
     resolve_directives(&lexed.directives, &mut model);
     model
@@ -141,9 +125,9 @@ fn punct_is(token: Option<&Token>, c: char) -> bool {
 }
 
 /// Copies the token stream into the model, dropping attribute spans and
-/// (for runtime files) the items those attributes gate out of the build
-/// or into test-only compilation.
-fn filter_tokens(tokens: &[Token], kind: FileKind, model: &mut FileModel) {
+/// the items those attributes gate out of the build or into test-only
+/// compilation.
+fn filter_tokens(tokens: &[Token], model: &mut FileModel) {
     let mut i = 0;
     while i < tokens.len() {
         if punct_is(tokens.get(i), '#') {
@@ -156,8 +140,7 @@ fn filter_tokens(tokens: &[Token], kind: FileKind, model: &mut FileModel) {
             };
             if let Some(open) = attr_start {
                 let close = matching(tokens, open, '[', ']');
-                let gated = kind == FileKind::Runtime
-                    && is_gating_attr(&tokens[open..=close.min(tokens.len() - 1)]);
+                let gated = is_gating_attr(&tokens[open..=close.min(tokens.len() - 1)]);
                 i = close + 1;
                 if gated {
                     // Consume any further attributes stacked on the item.
@@ -491,13 +474,9 @@ fn resolve_directives(directives: &[lexer::Directive], model: &mut FileModel) {
 mod tests {
     use super::*;
 
-    fn runtime(source: &str) -> FileModel {
-        scan(source, FileKind::Runtime)
-    }
-
     #[test]
     fn finds_fns_with_their_bodies() {
-        let model = runtime("fn a() { 1 } impl X { fn b(&self) -> u32 { 2 } }");
+        let model = scan("fn a() { 1 } impl X { fn b(&self) -> u32 { 2 } }");
         let names: Vec<&str> = model.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert!(!model.fns[1].body.is_empty());
@@ -505,7 +484,7 @@ mod tests {
 
     #[test]
     fn bodyless_trait_methods_get_empty_spans() {
-        let model = runtime("trait T { fn sig(&self) -> u8; fn with_body(&self) {} }");
+        let model = scan("trait T { fn sig(&self) -> u8; fn with_body(&self) {} }");
         assert_eq!(model.fns.len(), 2);
         assert!(model.fns[0].body.is_empty());
         assert!(!model.fns[1].body.is_empty());
@@ -514,22 +493,15 @@ mod tests {
     #[test]
     fn cfg_test_mod_is_dropped_from_runtime_files() {
         let source = "fn real() {} #[cfg(test)] mod tests { fn fake() { panic!() } }";
-        let model = runtime(source);
+        let model = scan(source);
         let names: Vec<&str> = model.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["real"]);
     }
 
     #[test]
-    fn cfg_test_items_are_kept_in_testlike_files() {
-        let source = "#[test] fn a_test() { assert!(true) }";
-        let model = scan(source, FileKind::TestLike);
-        assert_eq!(model.fns.len(), 1);
-    }
-
-    #[test]
     fn inject_bugs_blocks_are_dropped() {
         let source = r#"fn f() { #[cfg(feature = "inject_bugs")] { bad() } good() }"#;
-        let model = runtime(source);
+        let model = scan(source);
         let has = |name: &str| {
             model.tokens.iter().any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == name))
         };
@@ -540,7 +512,7 @@ mod tests {
     #[test]
     fn cfg_not_test_is_runtime_code() {
         let source = "#[cfg(not(test))] fn real() {}";
-        let model = runtime(source);
+        let model = scan(source);
         assert_eq!(model.fns.len(), 1);
     }
 
@@ -552,7 +524,7 @@ mod tests {
 fn set_role() {}
 fn other() {}
 ";
-        let model = runtime(source);
+        let model = scan(source);
         assert!(model.has_file_directive("nonblocking"));
         assert!(model.fns[0].has_directive("role-choke-point"));
         assert!(!model.fns[1].has_directive("role-choke-point"));
@@ -563,7 +535,7 @@ fn other() {}
     fn unknown_directives_are_diagnosed() {
         // A typo, and directives whose analyses were retired.
         for directive in ["non-blocking", "pool(staging)", "lock(probe)"] {
-            let model = runtime(&format!("// oftt-lint: {directive}\nfn f() {{}}"));
+            let model = scan(&format!("// oftt-lint: {directive}\nfn f() {{}}"));
             assert_eq!(model.diagnostics.len(), 1, "{directive}");
             assert!(
                 model.diagnostics[0].message.contains("unknown oftt-lint directive"),
@@ -575,14 +547,14 @@ fn other() {}
 
     #[test]
     fn dangling_fn_directive_is_diagnosed() {
-        let model = runtime("fn f() {}\n// oftt-lint: role-choke-point\n");
+        let model = scan("fn f() {}\n// oftt-lint: role-choke-point\n");
         assert_eq!(model.diagnostics.len(), 1);
         assert!(model.diagnostics[0].message.contains("not followed by a function"));
     }
 
     #[test]
     fn attributes_are_stripped_from_the_stream() {
-        let model = runtime("#[derive(Debug, Clone)] struct S; #[inline] fn f() {}");
+        let model = scan("#[derive(Debug, Clone)] struct S; #[inline] fn f() {}");
         assert!(!model.tokens.iter().any(|t| matches!(
             &t.kind, TokenKind::Ident(s) if s == "derive" || s == "inline"
         )));
@@ -591,7 +563,7 @@ fn other() {}
 
     #[test]
     fn impl_owners_attach_to_methods() {
-        let model = runtime(
+        let model = scan(
             "fn free() {} \
              impl Pool { fn take(&mut self) {} } \
              impl<T: Clone> fmt::Display for Shard<T> { fn fmt(&self) {} } \
@@ -615,13 +587,13 @@ fn other() {}
 
     #[test]
     fn where_clauses_do_not_confuse_impl_owners() {
-        let model = runtime("impl<T> Queues<T> where T: Clone + Send { fn push(&self) {} }");
+        let model = scan("impl<T> Queues<T> where T: Clone + Send { fn push(&self) {} }");
         assert_eq!(model.fns[0].owner.as_deref(), Some("Queues"));
     }
 
     #[test]
     fn reactor_root_directive_attaches_to_fn() {
-        let model = runtime("// oftt-lint: reactor-root\nfn on_frame() {}\nfn other() {}");
+        let model = scan("// oftt-lint: reactor-root\nfn on_frame() {}\nfn other() {}");
         assert!(model.fns[0].has_directive("reactor-root"));
         assert!(!model.fns[1].has_directive("reactor-root"));
         assert!(model.diagnostics.is_empty());
@@ -629,7 +601,7 @@ fn other() {}
 
     #[test]
     fn params_capture_callable_bounds() {
-        let model = runtime(
+        let model = scan(
             "fn with_queue<R>(&self, dest: DestId, f: impl FnOnce(&mut Q) -> R) -> R { f() } \
              fn generic<F>(cb: F) where F: FnMut(u8) { cb(1) } \
              fn ship(mut buf: Vec<u8>, n: usize) {}",
@@ -647,8 +619,7 @@ fn other() {}
     #[test]
     fn malformed_source_never_panics() {
         for source in ["fn", "fn f(", "#[cfg(test)]", "#[", "fn f() { {", "impl {"] {
-            let _ = runtime(source);
-            let _ = scan(source, FileKind::TestLike);
+            let _ = scan(source);
         }
     }
 }

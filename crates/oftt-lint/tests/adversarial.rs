@@ -4,10 +4,9 @@
 //! on weird source" would make the whole lint stage flaky.
 
 use oftt_lint::scan_source;
-use oftt_lint::scanner::FileKind;
 
 fn scan(source: &str) -> Vec<oftt_lint::report::Finding> {
-    scan_source("hostile.rs", source, FileKind::Runtime).1
+    scan_source("hostile.rs", source).1
 }
 
 #[test]

@@ -51,15 +51,6 @@ fn blocking_fixture_fires_nonblocking() {
 }
 
 #[test]
-fn lifecycle_fixture_fires_api_lifecycle() {
-    let report = scan_fixture("lifecycle.rs");
-    assert_eq!(rules_fired(&report), ["api-lifecycle"]);
-    assert_eq!(report.findings.len(), 2);
-    assert!(report.findings[0].message.contains("after `watchdog_delete`"));
-    assert!(report.findings[1].message.contains("before `initialize`"));
-}
-
-#[test]
 fn panics_fixture_fires_no_panic() {
     let report = scan_fixture("panics.rs");
     assert_eq!(rules_fired(&report), ["no-panic"]);
@@ -114,5 +105,5 @@ fn transitive_cycle_fixture_fires_lock_order() {
 
 #[test]
 fn fixtures_are_invisible_to_the_workspace_walk() {
-    assert_eq!(oftt_lint::classify("crates/oftt-lint/fixtures/lock_cycle.rs"), None);
+    assert!(!oftt_lint::is_scanned("crates/oftt-lint/fixtures/lock_cycle.rs"));
 }

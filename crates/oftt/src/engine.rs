@@ -29,7 +29,7 @@ use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt, TimerHandle};
 use ds_net::transport::{TransportEvent, WIRE_SERVICE};
-use ds_sim::prelude::{AccessKind, SimDuration, SimTime, TraceCategory};
+use ds_sim::prelude::{SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 
 use crate::config::{engine_endpoint, OfttConfig, RecoveryRule};
@@ -151,7 +151,6 @@ impl Engine {
         }
         self.role = role;
         self.term = term;
-        env.observe_access(&format!("role:{}", env.self_endpoint()), AccessKind::Write, reason);
         env.record(
             TraceCategory::Engine,
             format!("{}: role={role} term={term} ({reason})", env.self_endpoint()),
@@ -520,23 +519,6 @@ impl Engine {
         // 3. Local component failure detection and recovery.
         if env.now() > SimTime::ZERO {
             self.check_components(env);
-        }
-        // Seeded defect: a cross-node "debug peek" straight into the
-        // peer FTIM's checkpoint store. No message carries this read, so it
-        // is concurrent with the peer's install writes — a genuine data
-        // race oftt-audit must flag.
-        #[cfg(feature = "inject_bugs")]
-        {
-            for (service, component) in &self.components {
-                if component.kind == FtimKind::OpcClient {
-                    let peer_ep = Endpoint::new(self.peer, service.clone());
-                    env.observe_access(
-                        &format!("ckpt-store:{peer_ep}"),
-                        AccessKind::Read,
-                        "engine debug peek (injected)",
-                    );
-                }
-            }
         }
     }
 

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use ds_net::endpoint::Endpoint;
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt, TimerHandle};
-use ds_sim::prelude::{AccessKind, SimDuration, SimTime, TraceCategory};
+use ds_sim::prelude::{SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 
 use crate::checkpoint::{
@@ -173,17 +173,18 @@ impl<'a> FtCtx<'a> {
     /// designation forces the next checkpoint to be a full image, since
     /// pending deltas were filtered under the old designation.
     pub fn designate(&mut self, vars: &[&str]) {
-        self.env.observe_api("sel_save", &format!("vars={}", vars.join(",")));
         self.core.designated = (!vars.is_empty())
             .then(|| vars.iter().copied().chain([WATCHDOG_VAR]).map(str::to_string).collect());
         self.core.need_full = true;
     }
 
     /// `OFTTSave`: ship a checkpoint immediately, without waiting for the
-    /// period (used for event-based checkpointing).
+    /// period (used for event-based checkpointing). A backup has nothing to
+    /// ship; calling this there is reported as API misuse.
     pub fn save_now(&mut self) {
-        self.env
-            .observe_api("save", &format!("role={} active={}", self.core.role, self.core.active));
+        if self.core.role == Role::Backup {
+            record_misuse(self.env, "save while backup");
+        }
         self.core.save_requested = true;
     }
 
@@ -199,7 +200,6 @@ impl<'a> FtCtx<'a> {
     /// `OFTTDistress`: report a serious problem and request a switchover.
     pub fn distress(&mut self, reason: impl Into<String>) {
         let reason = reason.into();
-        self.env.observe_api("distress", &reason);
         let service = self.core.service_endpoint.service.clone();
         let engine = self.core.engine_endpoint.clone();
         self.env.send_msg(engine, ToEngine::Distress { service, reason });
@@ -215,9 +215,7 @@ impl<'a> FtCtx<'a> {
         name: &str,
         period: SimDuration,
     ) -> Result<(), WatchdogError> {
-        let res = self.core.watchdogs.create(name, period);
-        self.env.observe_api("watchdog_create", &format!("name={name} ok={}", res.is_ok()));
-        res
+        self.core.watchdogs.create(name, period)
     }
 
     /// `OFTTWatchdogSet`: arms the watchdog.
@@ -228,7 +226,7 @@ impl<'a> FtCtx<'a> {
     pub fn watchdog_set(&mut self, name: &str) -> Result<SimTime, WatchdogError> {
         let now = self.env.now();
         let res = self.core.watchdogs.set(name, now);
-        self.env.observe_api("watchdog_set", &format!("name={name} ok={}", res.is_ok()));
+        self.check_found("watchdog_set", &res);
         res
     }
 
@@ -240,7 +238,7 @@ impl<'a> FtCtx<'a> {
     pub fn watchdog_reset(&mut self, name: &str) -> Result<SimTime, WatchdogError> {
         let now = self.env.now();
         let res = self.core.watchdogs.reset(name, now);
-        self.env.observe_api("watchdog_reset", &format!("name={name} ok={}", res.is_ok()));
+        self.check_found("watchdog_reset", &res);
         res
     }
 
@@ -251,9 +249,24 @@ impl<'a> FtCtx<'a> {
     /// [`WatchdogError::NotFound`] for unknown names.
     pub fn watchdog_delete(&mut self, name: &str) -> Result<(), WatchdogError> {
         let res = self.core.watchdogs.delete(name);
-        self.env.observe_api("watchdog_delete", &format!("name={name} ok={}", res.is_ok()));
+        self.check_found("watchdog_delete", &res);
         res
     }
+
+    /// Reports a `NotFound` the application may well ignore: the call named
+    /// a watchdog this table does not hold.
+    fn check_found<T>(&mut self, call: &str, res: &Result<T, WatchdogError>) {
+        if let Err(WatchdogError::NotFound(name)) = res {
+            record_misuse(self.env, &format!("{call} on unknown watchdog {name:?}"));
+        }
+    }
+}
+
+/// Records one `api misuse:` line — the FTIM owns the watchdog table and the
+/// role, so it is where misuse of its API is judged (oftt-check's
+/// `api-lifecycle` invariant reports each line).
+fn record_misuse(env: &mut dyn ProcessEnv, what: &str) {
+    env.record(TraceCategory::App, format!("{}: api misuse: {what}", env.self_endpoint()));
 }
 
 struct FtimCore {
@@ -412,16 +425,8 @@ impl<A: FtApplication> FtProcess<A> {
                 if let Some(bytes) = vars.get(WATCHDOG_VAR) {
                     if let Ok(table) = comsim::marshal::from_bytes::<WatchdogTable>(bytes) {
                         self.core.watchdogs = table;
-                        for name in self.core.watchdogs.names() {
-                            env.observe_api("watchdog_restore", &format!("name={name}"));
-                        }
                     }
                 }
-                env.observe_access(
-                    &format!("varstore:{}", env.self_endpoint()),
-                    AccessKind::Write,
-                    "restore image",
-                );
                 self.app.restore(&vars);
                 self.core.probe.lock().restores.push((now, vars.len(), from_local));
                 env.record(
@@ -446,13 +451,13 @@ impl<A: FtApplication> FtProcess<A> {
             }
         }
         self.core.ckpt_seq = 0;
-        self.start_term(env, "", "promoted");
+        self.start_term(env, "");
     }
 
     /// Activates on the application's current state: resets the term's
     /// shipping state, runs `on_activate`, ships the first image at once
     /// and restarts the period, so the first delta trails it by a period.
-    fn start_term(&mut self, env: &mut dyn ProcessEnv, suffix: &str, how: &str) {
+    fn start_term(&mut self, env: &mut dyn ProcessEnv, suffix: &str) {
         self.core.active = true;
         self.core.need_full = true;
         self.core.unconfirmed.clear();
@@ -460,7 +465,6 @@ impl<A: FtApplication> FtProcess<A> {
         self.core.probe.lock().activations.push(env.now());
         let me = env.self_endpoint();
         env.record(TraceCategory::Engine, format!("{me}: application ACTIVE{suffix}"));
-        env.observe_api("activate", how);
         self.ctx_call(env, |app, ctx| app.on_activate(ctx));
         // An on_activate that saved already shipped the full image.
         if self.core.need_full {
@@ -483,9 +487,12 @@ impl<A: FtApplication> FtProcess<A> {
             format!("{}: application INACTIVE ({reason})", env.self_endpoint()),
         );
         self.ctx_call(env, |app, ctx| app.on_deactivate(ctx));
-        // Recorded after the application's own on_deactivate cleanup so the
-        // lifecycle linter sees watchdog deletions before the deactivate.
-        env.observe_api("deactivate", reason);
+        // Nothing feeds a watchdog the application still holds once it has
+        // stopped acting: a leak.
+        if !self.core.watchdogs.is_empty() {
+            let live: Vec<&str> = self.core.watchdogs.names().collect();
+            record_misuse(env, &format!("deactivated holding live watchdogs {live:?}"));
+        }
     }
 
     /// The watchdog table as a checkpoint variable's bytes: it rides along
@@ -552,13 +559,6 @@ impl<A: FtApplication> FtProcess<A> {
         let full = patience.is_none() || self.core.need_full || overdue;
         let unconfirmed_refresh = overdue && !self.core.need_full;
         self.sync_store();
-        // The walkthrough reads the application's state and rewrites the
-        // node-local shipping store.
-        env.observe_access(
-            &format!("varstore:{}", env.self_endpoint()),
-            AccessKind::Write,
-            "checkpoint walkthrough",
-        );
         let designated = self.core.designated.as_ref();
         // `image_crc` is the checksum of the *cumulative* designated image
         // (the store's running sum, no payload bytes touched) — the value
@@ -604,13 +604,6 @@ impl<A: FtApplication> FtProcess<A> {
             payload_crc,
         );
         self.core.shipped_position = (self.core.term, self.core.ckpt_seq);
-        // Checkpoint objects are origin-qualified and versioned by (term,
-        // seq), so each is written exactly once — by its shipping primary.
-        env.observe_access(
-            &format!("ckpt:{}:t{}.s{}", env.self_endpoint(), self.core.term, self.core.ckpt_seq),
-            AccessKind::Write,
-            "ship",
-        );
         env.record(
             TraceCategory::Checkpoint,
             format!(
@@ -651,14 +644,6 @@ impl<A: FtApplication> FtProcess<A> {
         match msg {
             FromEngine::EngineHeartbeat => {}
             FromEngine::RoleUpdate { role, term } => {
-                // The engine's decision arrives by message (that edge is
-                // the ordering); the state touched here is the FTIM's own
-                // role copy, not the engine's live variable.
-                env.observe_access(
-                    &format!("ftim-role:{}", env.self_endpoint()),
-                    AccessKind::Write,
-                    "role update",
-                );
                 self.adopt_role(role, term);
                 match role {
                     Role::Primary if !self.core.active && !self.core.pending_restore => {
@@ -705,7 +690,7 @@ impl<A: FtApplication> FtProcess<A> {
                             // fail-safe blip while the engine restarted);
                             // its live state is newer than any checkpoint —
                             // resume in place, no rollback.
-                            self.start_term(env, " (resumed in place)", "resumed in place");
+                            self.start_term(env, " (resumed in place)");
                         } else {
                             // Fresh incarnation on the primary node (local
                             // restart): the newest state lives in the
@@ -733,16 +718,6 @@ impl<A: FtApplication> FtProcess<A> {
                 let (term, seq) = (checkpoint.term, checkpoint.seq);
                 match self.core.store.offer(&checkpoint) {
                     AcceptOutcome::Installed => {
-                        env.observe_access(
-                            &format!("ckpt:{from}:t{term}.s{seq}"),
-                            AccessKind::Read,
-                            "install",
-                        );
-                        env.observe_access(
-                            &format!("ckpt-store:{}", env.self_endpoint()),
-                            AccessKind::Write,
-                            "install",
-                        );
                         self.core.probe.lock().ckpts_installed += 1;
                         // The merged image's checksum (the store's running
                         // sum) must equal the crc the primary logged when
@@ -820,11 +795,6 @@ impl<A: FtApplication> FtProcess<A> {
                 // the image checksum so oftt-check can tie the eventual
                 // restore back to a state that actually existed here.
                 let reply = if self.core.active {
-                    env.observe_access(
-                        &format!("varstore:{}", env.self_endpoint()),
-                        AccessKind::Read,
-                        "serve live",
-                    );
                     let vars = self.current_vars();
                     env.record(
                         TraceCategory::Checkpoint,
@@ -842,11 +812,6 @@ impl<A: FtApplication> FtProcess<A> {
                         seq: self.core.ckpt_seq,
                     }
                 } else if self.core.store.is_restorable() {
-                    env.observe_access(
-                        &format!("ckpt-store:{}", env.self_endpoint()),
-                        AccessKind::Read,
-                        "serve store",
-                    );
                     let (term, seq) = self.core.store.position();
                     env.record(
                         TraceCategory::Checkpoint,
@@ -963,7 +928,6 @@ impl<A: FtApplication> Process for FtProcess<A> {
         self.core.peer_endpoint = Endpoint::new(peer_node, me.service.clone());
         self.core.last_engine_heard = env.now();
         let rule = self.core.rule;
-        env.observe_api("initialize", &format!("service={}", me.service));
         env.send_msg(
             self.core.engine_endpoint.clone(),
             ToEngine::Register { service: me.service.clone(), kind: FtimKind::OpcClient, rule },

@@ -1,6 +1,7 @@
 //! End-to-end behaviour of the paper's API surface: `OFTTDistress` forces
 //! a switchover, `OFTTSave` ships immediately (event-based checkpointing),
-//! and `OFTTSelSave` designation filters what travels.
+//! `OFTTSelSave` designation filters what travels, and misuse of the
+//! watchdog and save calls is reported by the FTIM that owns the table.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,12 +25,24 @@ struct Scripted {
     view: Arc<Mutex<(u64, bool)>>,
     /// Full walkthroughs ([`FtApplication::snapshot`] calls) so far.
     snapshots: Arc<AtomicUsize>,
+    /// Watchdogs `on_deactivate` releases.
+    held: Vec<&'static str>,
+    /// `on_deactivate` calls `OFTTSave` (misuse: the node is backup by then).
+    save_on_deactivate: bool,
 }
 
 impl Scripted {
     fn new(view: Arc<Mutex<(u64, bool)>>, snapshots: Arc<AtomicUsize>) -> Self {
         *view.lock() = (0, false);
-        Scripted { big: vec![0xAB; 64 * 1024], small: 0, small_touched: false, view, snapshots }
+        Scripted {
+            big: vec![0xAB; 64 * 1024],
+            small: 0,
+            small_touched: false,
+            view,
+            snapshots,
+            held: Vec::new(),
+            save_on_deactivate: false,
+        }
     }
 
     /// The image of an application whose `small` is `small`.
@@ -77,9 +90,15 @@ impl FtApplication for Scripted {
         let small = self.small;
         *self.view.lock() = (small, true);
     }
-    fn on_deactivate(&mut self, _ctx: &mut FtCtx<'_>) {
+    fn on_deactivate(&mut self, ctx: &mut FtCtx<'_>) {
         let small = self.small;
         *self.view.lock() = (small, false);
+        for name in self.held.drain(..) {
+            let _ = ctx.watchdog_delete(name);
+        }
+        if self.save_on_deactivate {
+            ctx.save_now();
+        }
     }
     fn on_app_message(&mut self, envelope: Envelope, ctx: &mut FtCtx<'_>) {
         let Some(cmd) = envelope.body.downcast_ref::<String>() else { return };
@@ -100,6 +119,37 @@ impl FtApplication for Scripted {
             "distress" => {
                 // OFTTDistress: ask the engine for a switchover.
                 oftt::api::oftt_distress(ctx, "operator request");
+            }
+            "wd-lifecycle" => {
+                // The legal lifecycle: create, set, reset, delete.
+                let period = SimDuration::from_secs(5);
+                assert_eq!(ctx.watchdog_create("wd", period), Ok(()));
+                assert!(ctx.watchdog_set("wd").is_ok());
+                assert!(ctx.watchdog_reset("wd").is_ok());
+                assert_eq!(ctx.watchdog_delete("wd"), Ok(()));
+            }
+            "wd-keep" | "wd-rekeep" => {
+                // After a restore the watchdog already exists: the duplicate
+                // create is refused, and that is legal.
+                let created = ctx.watchdog_create("kept", SimDuration::from_secs(30));
+                if cmd == "wd-keep" {
+                    assert_eq!(created, Ok(()));
+                } else {
+                    assert_eq!(created, Err(WatchdogError::AlreadyExists("kept".into())));
+                }
+                assert!(ctx.watchdog_set("kept").is_ok());
+                self.held.push("kept");
+            }
+            "wd-misuse" => {
+                let period = SimDuration::from_secs(5);
+                assert_eq!(ctx.watchdog_create("wd", period), Ok(()));
+                assert_eq!(ctx.watchdog_delete("wd"), Ok(()));
+                // Reset after delete, then delete twice: both `NotFound`.
+                assert!(ctx.watchdog_reset("wd").is_err());
+                assert!(ctx.watchdog_delete("wd").is_err());
+                // Held through the coming deactivation: a leak.
+                assert_eq!(ctx.watchdog_create("leak", period), Ok(()));
+                self.save_on_deactivate = true;
             }
             _ => {}
         }
@@ -781,4 +831,66 @@ fn distress_hands_over_to_the_backup() {
     assert!(r.views[new_idx].lock().1, "the backup's app is active");
     assert!(!r.views[idx].lock().1, "the distressed app is deactivated");
     assert!(r.probes[idx].lock().switchover_requests >= 1);
+}
+
+/// Every `api misuse:` line `node`'s scripted FTIM recorded, without the
+/// endpoint prefix.
+fn misuse_lines(r: &Rig, node: NodeId) -> Vec<String> {
+    let me = format!("{node}/scripted: api misuse: ");
+    let entries = r.cs.trace().entries();
+    entries.iter().filter_map(|e| e.message.strip_prefix(&me)).map(str::to_string).collect()
+}
+
+/// The application resets a deleted watchdog, deletes it twice, saves from
+/// `on_deactivate` after its demotion, and deactivates holding a live
+/// watchdog: the FTIM reports each misuse exactly once, in order.
+#[test]
+fn api_misuse_is_reported_once_per_call() {
+    let mut r = rig(713);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, _) = primary(&r);
+    let scripted = ds_net::Endpoint::new(p, "scripted");
+    r.cs.post(SimTime::from_millis(10_100), scripted.clone(), "wd-misuse".to_string());
+    r.cs.post(SimTime::from_secs(11), scripted, "distress".to_string());
+    r.cs.run_until(SimTime::from_secs(20));
+    assert_ne!(primary(&r).0, p, "the distressed primary was demoted");
+    assert_eq!(
+        misuse_lines(&r, p),
+        [
+            "watchdog_reset on unknown watchdog \"wd\"",
+            "watchdog_delete on unknown watchdog \"wd\"",
+            "save while backup",
+            "deactivated holding live watchdogs [\"leak\"]",
+        ]
+    );
+}
+
+/// Create/set/reset/delete, and a restored watchdog created again after a
+/// takeover, are legal: no misuse line on either node.
+#[test]
+fn legal_watchdog_lifecycle_reports_nothing() {
+    let mut r = rig(714);
+    r.cs.start();
+    r.cs.run_until(SimTime::from_secs(10));
+    let (p, idx) = primary(&r);
+    let scripted = ds_net::Endpoint::new(p, "scripted");
+    r.cs.post(SimTime::from_millis(10_100), scripted.clone(), "wd-lifecycle".to_string());
+    r.cs.post(SimTime::from_millis(10_200), scripted.clone(), "wd-keep".to_string());
+    // The next periodic checkpoint carries the watchdog table to the backup.
+    r.cs.post(SimTime::from_secs(12), scripted, "distress".to_string());
+    r.cs.run_until(SimTime::from_secs(20));
+    let (new_p, new_idx) = primary(&r);
+    assert_ne!(new_p, p, "the distressed primary was demoted");
+    assert_eq!(r.ftims[new_idx].lock().restores.len(), 1, "the backup restored its store");
+    r.cs.post(
+        SimTime::from_secs(20),
+        ds_net::Endpoint::new(new_p, "scripted"),
+        "wd-rekeep".to_string(),
+    );
+    r.cs.run_until(SimTime::from_secs(25));
+    assert!(r.views[new_idx].lock().1, "the restored application is still active");
+    assert_eq!(r.ftims[idx].lock().deactivations.len(), 1);
+    assert_eq!(misuse_lines(&r, r.a), Vec::<String>::new());
+    assert_eq!(misuse_lines(&r, r.b), Vec::<String>::new());
 }
