@@ -3,11 +3,18 @@
 #
 # Stages (one per `step` call below, in order):
 #   1. cargo fmt --check        config in rustfmt.toml
-#   2. cargo clippy             whole workspace, warnings are errors
+#   2. cargo clippy             whole workspace, warnings are errors; this
+#                               is also where the per-module panic lints and
+#                               each crate's clippy.toml list of blocking
+#                               calls are enforced
 #   3. tier-1                   release build + the root suite's smoke tests
-#   4. workspace tests          every crate's unit/integration tests (the
-#                               reactor's 128-connection saturation floor is
-#                               oftt-wire's reactor_load test), and the
+#   4. workspace tests          every crate's unit/integration tests in a
+#                               debug build, where the parking_lot shim
+#                               panics on any lock taken under another (every
+#                               lock is a leaf); the reactor's 128-connection
+#                               saturation floor is oftt-wire's reactor_load
+#                               test, and its per-frame allocation ceilings
+#                               are reactor_alloc's. Then the
 #                               oftt and oftt-check suites again with the
 #                               seeded defects compiled in (the checkpoint
 #                               store's one-deep history only exists under
@@ -27,24 +34,13 @@
 #                               refines a 200-schedule trace-export sweep
 #   9. verify seeded defect     the inject_bugs round trip
 #  10. oftt-check clippy        both feature sets
-#  11. lint sweep               oftt-lint over the whole workspace: zero
-#                               non-baselined findings, no stale baseline
-#                               entries (each a finding, so exit 0 is the
-#                               whole verdict); the static lock graph is the
-#                               one deadlock gate
-#  12. lint fixtures            each rule family must still fire on its
-#                               seeded fixture (transitive_cycle.rs is the
-#                               cross-call deadlock the call-derived
-#                               lock-order analysis must rediscover), plus
-#                               oftt-lint's own tests, which pin the
-#                               workspace's acquisition edges exactly
-#  13. wire smoke               two real oftt-node processes over loopback
+#  11. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               on the peer's reset and refused redial within
 #                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
-#  14. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
+#  12. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
 #                               process kill with its link reset and refused
 #                               redial, and the
 #                               seeded startup defect): every run goes
@@ -52,7 +48,7 @@
 #                               violation, non-recovered seed, or missed
 #                               expected violation exits nonzero via the
 #                               campaign gate
-#  15. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#  13. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -147,23 +143,6 @@ cargo test -p oftt-verify --features inject_bugs -q
 
 step "oftt-check clippy (deny warnings, both feature sets)"
 clippy_both_feature_sets oftt-check
-
-step "lint sweep: workspace static analysis"
-cargo build --release -q -p oftt-lint
-./target/release/oftt-lint --workspace --baseline lint-baseline.txt
-
-step "lint seeded-fixture smoke (each rule family fires on its defect)"
-for fixture in crates/oftt-lint/fixtures/*.rs; do
-    rc=0
-    ./target/release/oftt-lint "$fixture" >/dev/null || rc=$?
-    # Exit 2 is "findings reported"; anything else means the seeded
-    # defect went undetected (0) or the run itself broke (1).
-    if [ "$rc" -ne 2 ]; then
-        printf 'fixture %s: expected exit 2 (findings), got %s\n' "$fixture" "$rc" >&2
-        false
-    fi
-done
-cargo test -p oftt-lint -q
 
 step "wire smoke: two-process SIGKILL failover over TCP"
 cargo build --release -q -p oftt-wire --bins

@@ -13,7 +13,19 @@
 //! `Vec<u8>` (`u32` length prefix + raw bytes), so switching a message
 //! field between the two is wire-compatible in both directions.
 
-// oftt-lint: nonblocking
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::fmt;
 use std::ops::{Deref, RangeBounds};
@@ -64,8 +76,8 @@ impl Bytes {
     }
 
     /// Checked variant of [`Bytes::slice`]: `None` instead of a panic
-    /// when the range leaves `0..len` — for callers under a `no-panic`
-    /// contract that must turn bad bounds into ordinary errors.
+    /// when the range leaves `0..len` — for callers that deny clippy's
+    /// panic lints and must turn bad bounds into ordinary errors.
     pub fn try_slice(&self, range: impl RangeBounds<usize>) -> Option<Self> {
         let (start, end) = self.resolve_range(&range);
         if start > end || end > self.len {

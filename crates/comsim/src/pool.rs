@@ -15,6 +15,20 @@
 //! exposed because the saturation bench reports the hit rate — a pool
 //! that never hits is dead code wearing a costume.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -95,7 +109,6 @@ impl BufPool {
 
     /// An empty `Vec` with at least `min_capacity` capacity — pooled if
     /// a shelf has one, freshly allocated otherwise.
-    // oftt-lint: arena
     pub fn take(&self, min_capacity: usize) -> Vec<u8> {
         self.takes.fetch_add(1, Ordering::Relaxed);
         if let Some(class) = Self::class_for(min_capacity) {
@@ -152,7 +165,6 @@ impl BufPool {
     /// pool.give(buf);
     /// assert_eq!(sent, 6);
     /// ```
-    // oftt-lint: arena
     pub fn give(&self, buf: Vec<u8>) {
         self.gives.fetch_add(1, Ordering::Relaxed);
         let cap = buf.capacity();

@@ -1,7 +1,19 @@
 //! Queue data structures: message identity, addressing, and the in-memory
 //! store kept by each queue manager.
 
-// oftt-lint: nonblocking
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;

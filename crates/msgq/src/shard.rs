@@ -1,22 +1,35 @@
 //! Sharded per-destination diverter queues.
 //!
-//! The wire runtime's reactor threads and every sending actor used to
-//! meet on one mutex per link that guarded connection state *and* the
-//! outbound frame queue. At saturation (thousands of connections, a
-//! handful of reactor threads) that single lock serializes the whole
-//! ship path. [`ShardedQueues`] splits the traffic: every destination
-//! gets its own FIFO, and destinations are spread over independently
-//! locked shards, so two senders targeting different destinations
-//! almost never contend, and a reactor thread draining one destination
-//! never blocks a sender enqueueing for another.
+//! [`ShardedQueues`] gives every destination its own FIFO and spreads
+//! destinations over independently locked shards, so two senders
+//! targeting different destinations almost never contend, and a thread
+//! draining one destination never blocks a sender enqueueing for another.
+//!
+//! Its one caller is the benchmark's wire workload, which models the wire
+//! supervisor's write queues with it. The supervisor itself keeps each
+//! link's queue inside the link's state, under the link's one lock, so
+//! this module goes when the benchmark's model does.
 //!
 //! The structure is deliberately policy-free: callers get a closure
 //! over the destination's `VecDeque` ([`ShardedQueues::with_queue`])
-//! and implement their own bounding/shedding (the wire supervisor sheds
-//! oldest-heartbeat-first). The ordering contract — and the property
-//! the proptest in `tests/shard_order.rs` pins — is that per-destination
-//! FIFO order is exactly what a single global queue would deliver for
-//! that destination: sharding changes contention, never order.
+//! and implement their own bounding/shedding. The ordering contract — and
+//! the property the proptest in `tests/shard_order.rs` pins — is that
+//! per-destination FIFO order is exactly what a single global queue would
+//! deliver for that destination: sharding changes contention, never order.
+
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::collections::VecDeque;
 
@@ -44,6 +57,7 @@ impl<T> ShardedQueues<T> {
         ShardedQueues { shards, mask: (count - 1) as u64 }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "the slot is masked to shards.len() - 1")]
     fn shard(&self, dest: DestId) -> &Shard<T> {
         // Fibonacci multiplicative hash: adjacent destination ids land
         // on different shards.
@@ -76,7 +90,6 @@ impl<T> ShardedQueues<T> {
 
     /// Pops up to `max` items from the front of `dest`'s queue into
     /// `out`, preserving FIFO order.
-    // oftt-lint: reactor-root
     pub fn drain_into(&self, dest: DestId, max: usize, out: &mut Vec<T>) {
         self.with_queue(dest, |q| {
             for _ in 0..max {

@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! Typed campaign-loading failures.
 //!
 //! Scenario files are human-authored and arrive from outside the type

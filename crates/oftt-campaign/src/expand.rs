@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! Per-seed script expansion.
 //!
 //! A [`StepTemplate`](crate::scenario::StepTemplate) with `repeat` /

@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! The scenario loader's JSON reader.
 //!
 //! The workspace carries no `serde_json`, so scenario files are read by

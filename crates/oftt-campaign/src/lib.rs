@@ -57,6 +57,20 @@
 //! (unexpected violations, non-recovered seeds, or a breached pin).
 
 #![forbid(unsafe_code)]
+// Scenario files arrive from outside the type system: every way one can
+// be wrong is a typed error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 #![deny(unreachable_pub, unused_qualifications)]
 

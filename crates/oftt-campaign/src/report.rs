@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! The human-facing summary and the `--out` JSON record.
 //!
 //! The summary is what a person reads; the JSON adds what the table

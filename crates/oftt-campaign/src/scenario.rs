@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! Declarative scenario files.
 //!
 //! A scenario file is a JSON document that names a seed population, a

@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! Cross-seed aggregation and the acceptance gate.
 //!
 //! A campaign's verdict is computed here, once, and consumed once: the

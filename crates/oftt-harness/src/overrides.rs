@@ -1,4 +1,3 @@
-// oftt-lint: no-panic
 //! Declarative parameter overrides for scenario sweeps.
 //!
 //! The campaign runner (and anything else that assembles runs from
@@ -8,6 +7,19 @@
 //! baseline — range-checks every value, and writes the field of
 //! [`ScenarioParams`] directly, so the built scenario can no longer blow
 //! up mid-simulation on a bad knob.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ds_net::link::PathConfig;
 use ds_sim::prelude::{SimDuration, SimTime};

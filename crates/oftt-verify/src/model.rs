@@ -574,7 +574,6 @@ impl Ctx {
 /// Applies a transition-table outcome to a slot, mirroring
 /// `Engine::apply_outcome` (including the entering-Backup silence-clock
 /// restart) plus the promotion-time checkpoint restore.
-// oftt-lint: role-choke-point
 fn apply_role_outcome(
     s: &mut AbsState,
     slot: Slot,

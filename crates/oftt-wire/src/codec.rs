@@ -18,7 +18,19 @@
 //!   same allocations the socket writes (and on receive, windows of the
 //!   single read buffer). That is the zero-copy checkpoint data path.
 
-// oftt-lint: nonblocking
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -334,7 +346,6 @@ impl WireCodec {
     /// into a caller-provided (typically pooled) buffer, so the ship
     /// path pays no per-frame meta allocation. On error the buffer's
     /// contents are unspecified but it remains reusable after `clear`.
-    // oftt-lint: reactor-root
     pub fn encode_envelope_into(
         &self,
         envelope: &Envelope,
@@ -358,7 +369,6 @@ impl WireCodec {
 
     /// Decodes a received frame back into an envelope (vector clocks do
     /// not cross the wire; real transports have no global clock line).
-    // oftt-lint: reactor-root
     pub fn decode_frame(&self, frame: &Frame) -> Result<Envelope, WireError> {
         let meta: FrameMeta = from_bytes(frame.meta.as_slice())?;
         let body = self.decode(meta.tag, &frame.body)?;

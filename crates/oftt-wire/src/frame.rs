@@ -15,7 +15,19 @@
 //! delta held in [`Bytes`] windows reaches the socket without being
 //! copied into a contiguous staging buffer first.
 
-// oftt-lint: no-panic
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -242,6 +254,7 @@ pub struct Frame {
 /// length-prefixed protocol has no resync point, so the caller must drop
 /// the connection on `Err` (it never panics — malformed input is an
 /// ordinary error here).
+#[expect(clippy::disallowed_methods, reason = "the dialer's handshake read, on its own thread")]
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, ReadError> {
     let mut raw = [0u8; HEADER_LEN];
     r.read_exact(&mut raw).map_err(ReadError::Io)?;
@@ -256,8 +269,8 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, ReadError>
 /// Splits a frame payload into its meta and body windows without any
 /// panic path: the windows are in bounds by construction (the payload
 /// buffer is allocated from the same header fields), but this module's
-/// `no-panic` contract must not rest on that invariant holding in a
-/// different crate.
+/// panic lints must not rest on that invariant holding in a different
+/// crate.
 fn split_payload(payload: &Bytes, meta_len: u32) -> Result<(Bytes, Bytes), ReadError> {
     let meta_len = meta_len as usize;
     payload.try_slice(..meta_len).zip(payload.try_slice(meta_len..)).ok_or(ReadError::Protocol(

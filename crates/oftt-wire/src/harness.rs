@@ -217,9 +217,8 @@ impl RawPeer {
     /// exactly as the supervisor's send path would.
     ///
     /// The harness is a blocking single-threaded test peer and is never
-    /// registered as a reactor callback, so its send path is declared
-    /// off the reactor hot path.
-    // oftt-lint: cold-path
+    /// registered as a reactor callback, so its send path is off the
+    /// reactor hot path.
     pub fn send_envelope(
         &mut self,
         codec: &crate::codec::WireCodec,

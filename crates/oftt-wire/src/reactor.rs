@@ -24,6 +24,20 @@
 //! the command lock is never held across a callback, so re-entry cannot
 //! deadlock.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::HashMap;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -224,9 +238,9 @@ impl Reactor {
             let waker = Waker::new(&poll, WAKER_TOKEN)?;
             shards.push(Arc::new(Shard { poll, waker, cmds: Mutex::new(Vec::new()) }));
         }
-        if let Some(l) = &listener {
+        if let (Some(l), Some(first)) = (&listener, shards.first()) {
             l.set_nonblocking(true)?;
-            shards[0].poll.register(l, LISTENER_TOKEN, Interest::READABLE)?;
+            first.poll.register(l, LISTENER_TOKEN, Interest::READABLE)?;
         }
         let reactor = Arc::new(Reactor {
             shards,
@@ -236,16 +250,16 @@ impl Reactor {
         });
         let mut joiners = Vec::with_capacity(n);
         let mut listener = listener;
-        for idx in 0..n {
+        for (idx, shard) in reactor.shards.iter().enumerate() {
             let mut run = ShardRun {
-                idx,
-                shard: Arc::clone(&reactor.shards[idx]),
+                shard: Arc::clone(shard),
                 reactor: Arc::clone(&reactor),
                 handler: Arc::clone(&handler),
                 listener: if idx == 0 { listener.take() } else { None },
                 conns: HashMap::new(),
                 max_frame,
                 pool: Arc::clone(&pool),
+                pulled: Vec::new(),
             };
             joiners.push(
                 thread::Builder::new()
@@ -276,9 +290,10 @@ impl Reactor {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(io::Error::new(ErrorKind::NotConnected, "reactor shutting down"));
         }
+        let shard = self.shard_for(conn).ok_or_else(|| io::Error::other("no reactor thread"))?;
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        self.shard_for(conn).post(Cmd::Add { conn, stream, accepted: false });
+        shard.post(Cmd::Add { conn, stream, accepted: false });
         Ok(())
     }
 
@@ -287,17 +302,22 @@ impl Reactor {
     /// callers should still dedupe with a per-link flag to avoid a
     /// syscall per queued frame.
     pub fn flush(&self, conn: ConnId) {
-        self.shard_for(conn).post(Cmd::Flush(conn));
+        if let Some(shard) = self.shard_for(conn) {
+            shard.post(Cmd::Flush(conn));
+        }
     }
 
     /// Asks the owning thread to tear the connection down. The handler's
     /// [`ReactorHandler::on_closed`] fires with `error: None`.
     pub fn close(&self, conn: ConnId) {
-        self.shard_for(conn).post(Cmd::Close(conn));
+        if let Some(shard) = self.shard_for(conn) {
+            shard.post(Cmd::Close(conn));
+        }
     }
 
     /// Stops every reactor thread, closing all connections (each gets an
     /// `on_closed` with `error: None`), and joins them.
+    #[expect(clippy::disallowed_methods, reason = "shutdown joins the reactor threads")]
     pub fn shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::AcqRel) {
             return;
@@ -311,8 +331,12 @@ impl Reactor {
         }
     }
 
-    fn shard_for(&self, conn: ConnId) -> &Shard {
-        &self.shards[conn as usize % self.shards.len()]
+    /// The thread that owns `conn`: ids spread round-robin. `None` only
+    /// for a reactor with no threads, which [`Reactor::start`] never
+    /// builds.
+    fn shard_for(&self, conn: ConnId) -> Option<&Shard> {
+        let idx = (conn as usize).checked_rem(self.shards.len())?;
+        self.shards.get(idx).map(|shard| &**shard)
     }
 }
 
@@ -328,7 +352,6 @@ struct Conn {
 
 /// The thread-private half of a reactor shard.
 struct ShardRun {
-    idx: usize,
     shard: Arc<Shard>,
     reactor: Arc<Reactor>,
     handler: Arc<dyn ReactorHandler>,
@@ -336,9 +359,16 @@ struct ShardRun {
     conns: HashMap<ConnId, Conn>,
     max_frame: u32,
     pool: Arc<BufPool>,
+    /// Scratch for [`ReactorHandler::next_frames`], kept across calls so a
+    /// burst of writes allocates nothing.
+    pulled: Vec<StampedFrame>,
 }
 
 impl ShardRun {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the reactor's one wait: readiness on every connection it owns"
+    )]
     fn run(&mut self) {
         let mut events = Events::with_capacity(256);
         let mut sweep = Vec::new();
@@ -398,6 +428,10 @@ impl ShardRun {
 
     /// Accepts until the listener runs dry, spreading connections across
     /// all shards by id.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the listener is nonblocking: accept returns WouldBlock, never waits"
+    )]
     fn accept_ready(&mut self) {
         loop {
             let Some(listener) = &self.listener else { return };
@@ -408,11 +442,11 @@ impl ShardRun {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let target = conn as usize % self.reactor.shards.len();
-                    if target == self.idx {
-                        self.add_conn(conn, stream, true);
-                    } else {
-                        self.reactor.shards[target].post(Cmd::Add { conn, stream, accepted: true });
+                    match self.reactor.shard_for(conn) {
+                        Some(shard) if !std::ptr::eq(shard, &*self.shard) => {
+                            shard.post(Cmd::Add { conn, stream, accepted: true });
+                        }
+                        _ => self.add_conn(conn, stream, true),
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -454,7 +488,6 @@ impl ShardRun {
         self.drain_writes(conn);
     }
 
-    // oftt-lint: reactor-root
     fn read_ready(&mut self, id: ConnId) {
         let mut delivered = 0usize;
         loop {
@@ -502,14 +535,18 @@ impl ShardRun {
 
     /// Pulls queued frames and writes until the socket pushes back or
     /// there is nothing left, arming/disarming write interest to match.
-    // oftt-lint: reactor-root
     fn drain_writes(&mut self, id: ConnId) {
-        let mut pulled = Vec::new();
+        let mut pulled = std::mem::take(&mut self.pulled);
+        self.write_until_blocked(id, &mut pulled);
+        self.pulled = pulled;
+    }
+
+    fn write_until_blocked(&mut self, id: ConnId, pulled: &mut Vec<StampedFrame>) {
         loop {
             let Some(conn) = self.conns.get_mut(&id) else { return };
             if conn.batch.is_empty() {
                 pulled.clear();
-                self.handler.next_frames(id, &mut pulled);
+                self.handler.next_frames(id, pulled);
                 let Some(conn) = self.conns.get_mut(&id) else { return };
                 if pulled.is_empty() {
                     if conn.want_write {
@@ -558,10 +595,8 @@ impl ShardRun {
         }
     }
 
-    /// Runs once per connection teardown, not per frame — declared off
-    /// the reactor hot path (it may format the close reason and drain
-    /// the batch for recycling).
-    // oftt-lint: cold-path
+    /// Runs once per connection teardown, not per frame, so it may format
+    /// the close reason and drain the batch for recycling.
     fn close_conn(&mut self, id: ConnId, error: Option<io::Error>) {
         let Some(mut conn) = self.conns.remove(&id) else { return };
         let _ = self.shard.poll.deregister(&conn.stream);

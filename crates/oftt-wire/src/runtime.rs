@@ -35,11 +35,17 @@ struct WireShared {
     peers: HashSet<NodeId>,
     unroutable: AtomicU64,
     event_subs: Mutex<Vec<Endpoint>>,
-    supervisor: RwLock<Option<Supervisor>>,
+    supervisor: RwLock<Option<Arc<Supervisor>>>,
     shutting_down: AtomicBool,
 }
 
 impl WireShared {
+    /// The supervisor, once started and until shutdown. Cloned out so no
+    /// caller holds this lock while the supervisor takes its own.
+    fn supervisor(&self) -> Option<Arc<Supervisor>> {
+        self.supervisor.read().clone()
+    }
+
     /// The host's off-node seam: queue on the link to the envelope's
     /// node, or count and trace it if no such link is configured.
     fn route_off_node(&self, host: &ActorHost, envelope: Envelope) {
@@ -54,8 +60,7 @@ impl WireShared {
             );
             return;
         }
-        let supervisor = self.supervisor.read();
-        if let Some(sup) = supervisor.as_ref() {
+        if let Some(sup) = self.supervisor() {
             sup.send_envelope(envelope.to.node, &envelope);
         }
     }
@@ -131,7 +136,7 @@ impl WireNet {
         let handler =
             Arc::new(Inbound { host: Arc::clone(net.host()), shared: Arc::clone(&shared) });
         let supervisor = Supervisor::start(config, codec, handler)?;
-        *shared.supervisor.write() = Some(supervisor);
+        *shared.supervisor.write() = Some(Arc::new(supervisor));
         Ok(WireNet { net, shared, reporters: Vec::new() })
     }
 
@@ -142,7 +147,7 @@ impl WireNet {
 
     /// The bound listen address (resolves port 0).
     pub fn listen_addr(&self) -> Option<SocketAddr> {
-        self.shared.supervisor.read().as_ref().map(|s| s.local_addr())
+        self.shared.supervisor().map(|s| s.local_addr())
     }
 
     /// Envelopes dropped because their destination node has no link.
@@ -152,28 +157,28 @@ impl WireNet {
 
     /// Per-peer link health from the supervisor.
     pub fn health(&self) -> Vec<PeerHealth> {
-        self.shared.supervisor.read().as_ref().map(|s| s.health()).unwrap_or_default()
+        self.shared.supervisor().map(|s| s.health()).unwrap_or_default()
     }
 
     /// `true` if a handshaken connection to `peer` is currently up.
     pub fn connected(&self, peer: NodeId) -> bool {
-        self.shared.supervisor.read().as_ref().map(|s| s.connected(peer)).unwrap_or(false)
+        self.shared.supervisor().map(|s| s.connected(peer)).unwrap_or(false)
     }
 
     /// Frames received from an abandoned connection epoch and dropped.
     pub fn stale_in(&self, peer: NodeId) -> u64 {
-        self.shared.supervisor.read().as_ref().map(|s| s.stale_in(peer)).unwrap_or(0)
+        self.shared.supervisor().map(|s| s.stale_in(peer)).unwrap_or(0)
     }
 
     /// The fixed reactor thread count serving every connection (O(1) in
     /// the number of peers).
     pub fn io_threads(&self) -> usize {
-        self.shared.supervisor.read().as_ref().map_or(0, |s| s.io_threads())
+        self.shared.supervisor().map_or(0, |s| s.io_threads())
     }
 
     /// Encode-path buffer pool counters from the supervisor.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.shared.supervisor.read().as_ref().map(|s| s.pool_stats())
+        self.shared.supervisor().map(|s| s.pool_stats())
     }
 
     /// Subscribes a **local** service to [`TransportEvent`]s (delivered
@@ -197,13 +202,8 @@ impl WireNet {
                 std::thread::sleep(slice);
                 slept += slice;
             }
-            let peers = {
-                let sup = shared.supervisor.read();
-                match sup.as_ref() {
-                    Some(s) => s.health(),
-                    None => return,
-                }
-            };
+            let Some(sup) = shared.supervisor() else { return };
+            let peers = sup.health();
             let report = TransportReport { node: shared.node, peers, at: host.now() };
             let from = Endpoint::new(shared.node, WIRE_SERVICE);
             host.route(Envelope::new(from, monitor.clone(), report));

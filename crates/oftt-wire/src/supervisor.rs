@@ -22,16 +22,30 @@
 //! The I/O itself is the reactor's: a fixed [`WireConfig::io_threads`]
 //! threads serve every connection, so a node monitoring a thousand
 //! applications costs the same thread count as a bare pair. Outbound
-//! frames sit in sharded per-destination queues ([`ShardedQueues`]),
-//! are pulled by the owning reactor thread in batches, stamped with the
-//! connection's epoch at pull time, and leave in coalesced vectored
-//! writes; frame buffers cycle through a [`BufPool`] instead of the
-//! allocator.
+//! frames sit in each link's own queue, under the same lock as the
+//! link's status, are pulled by the owning reactor thread in batches,
+//! stamped with the connection's epoch at pull time, and leave in
+//! coalesced vectored writes; frame buffers cycle through a [`BufPool`]
+//! instead of the allocator.
 //!
 //! The supervisor is runtime-agnostic: it hands decoded envelopes and
 //! link events to a [`WireHandler`] and knows nothing about actors.
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +58,6 @@ use ds_net::endpoint::NodeId;
 use ds_net::message::Envelope;
 use ds_net::transport::{LinkState, PeerHealth, TransportEvent};
 use ds_sim::prelude::{SimDuration, SimRng, TraceCategory};
-use msgq::shard::ShardedQueues;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
@@ -134,12 +147,17 @@ struct CurrentConn {
     dialed_by: NodeId,
 }
 
+/// A link's state and its write queue, under one lock: every status
+/// check and the queue operation it guards are one critical section, and
+/// no other lock is ever taken while this one is held.
 struct LinkInner {
     status: LinkState,
     conn: Option<CurrentConn>,
     next_epoch: u32,
     /// Epoch of the current (or most recent) connection, for health rows.
     epoch: u32,
+    /// Outbound frames, oldest first.
+    queue: VecDeque<OutFrame>,
 }
 
 struct Link {
@@ -170,6 +188,7 @@ impl Link {
                 conn: None,
                 next_epoch: 1,
                 epoch: 0,
+                queue: VecDeque::new(),
             }),
             flush_armed: AtomicBool::new(false),
             installs: AtomicU64::new(0),
@@ -181,10 +200,6 @@ impl Link {
             purged: AtomicU64::new(0),
             stale_in: AtomicU64::new(0),
         }
-    }
-
-    fn dest(&self) -> u64 {
-        u64::from(self.peer.0)
     }
 }
 
@@ -285,10 +300,6 @@ struct Shared {
     links: RwLock<HashMap<NodeId, Arc<Link>>>,
     /// Protocol state per live connection.
     conns: Mutex<HashMap<ConnId, ConnCtx>>,
-    /// Outbound frames per peer. All mutations happen while holding the
-    /// owning link's `inner` lock (lock order: `inner` then shard), so
-    /// the status check and the queue operation are atomic together.
-    queues: ShardedQueues<OutFrame>,
     /// One arena for both directions: the encode path draws meta/head
     /// buffers here and the reactor's frame assemblers stage inbound
     /// payloads from the same shelves.
@@ -379,38 +390,31 @@ impl Shared {
 
     /// Link-level teardown after a connection died. Only the *current*
     /// connection tears the link down — a superseded loser closing late
-    /// must not be collateral damage. `unsent_*` counts frames that were
+    /// must not be collateral damage. `unsent` counts frames that were
     /// pulled into the connection's write batch but never hit the wire.
-    fn teardown(&self, link: &Link, conn: ConnId, why: &str, unsent_hb: u64, unsent_data: u64) {
-        let mut purged_hb = 0u64;
-        let mut purged_data = 0u64;
-        let is_current = {
+    fn teardown(&self, link: &Link, conn: ConnId, why: &str, unsent: u64) {
+        let (is_current, purged) = {
             let mut inner = link.inner.lock();
             let current = inner.conn.map(|c| c.id) == Some(conn);
             if current {
                 inner.conn = None;
                 inner.status = LinkState::Backoff;
-                // Purge under `inner`: nothing queued for a dead
-                // connection may survive onto the next one.
-                for f in self.queues.purge(link.dest()) {
-                    match f.class {
-                        FrameClass::Heartbeat => purged_hb += 1,
-                        _ => purged_data += 1,
-                    }
-                    self.recycle_frame(f);
-                }
             }
-            current
+            // Purge in the same critical section: nothing queued for a
+            // dead connection may survive onto the next one.
+            (current, if current { std::mem::take(&mut inner.queue) } else { VecDeque::new() })
         };
+        let purged_count = unsent + purged.len() as u64;
+        for f in purged {
+            self.recycle_frame(f);
+        }
         // Frames that die with their connection are purges, not sheds:
         // the backpressure counters stay a pure drop-policy signal.
-        link.purged.fetch_add(unsent_hb + unsent_data + purged_hb + purged_data, Ordering::Relaxed);
+        link.purged.fetch_add(purged_count, Ordering::Relaxed);
         if is_current && !self.shutdown.load(Ordering::Relaxed) {
             self.trace(format!(
-                "wire link {} -> {}: down ({why}), purged {} queued frames",
-                self.config.node,
-                link.peer,
-                unsent_hb + unsent_data + purged_hb + purged_data
+                "wire link {} -> {}: down ({why}), purged {purged_count} queued frames",
+                self.config.node, link.peer
             ));
             self.handler.peer_event(TransportEvent::PeerDown { peer: link.peer });
             self.wake_dialer();
@@ -424,24 +428,23 @@ impl Shared {
         let is_heartbeat = frame.class == FrameClass::Heartbeat;
         let mut shed = Vec::new();
         let (accepted, conn) = {
-            let inner = link.inner.lock();
+            let mut inner = link.inner.lock();
             if is_heartbeat && inner.status != LinkState::Connected {
                 // A heartbeat held back and delivered after a reconnect
                 // would assert liveness for the wrong moment in time.
                 (false, None)
             } else {
-                self.queues.with_queue(link.dest(), |q| {
-                    q.push_back(frame);
-                    while q.len() > self.config.queue_limit {
-                        if let Some(pos) = q.iter().position(|f| f.class == FrameClass::Heartbeat) {
-                            if let Some(f) = q.remove(pos) {
-                                shed.push(f);
-                            }
-                        } else if let Some(f) = q.pop_front() {
+                let q = &mut inner.queue;
+                q.push_back(frame);
+                while q.len() > self.config.queue_limit {
+                    if let Some(pos) = q.iter().position(|f| f.class == FrameClass::Heartbeat) {
+                        if let Some(f) = q.remove(pos) {
                             shed.push(f);
                         }
+                    } else if let Some(f) = q.pop_front() {
+                        shed.push(f);
                     }
-                });
+                }
                 (true, inner.conn.map(|c| c.id))
             }
         };
@@ -475,10 +478,8 @@ impl Shared {
     /// Handles the hello frame on an accepted connection: resolve the
     /// link, allocate an epoch, stage the reply, install.
     ///
-    /// Runs once per connection establishment, not per frame — declared
-    /// off the reactor hot path, so the handshake may format traces and
-    /// build link state freely.
-    // oftt-lint: cold-path
+    /// Runs once per connection establishment, not per frame, so the
+    /// handshake may format traces and build link state freely.
     fn handle_hello(&self, conn: ConnId, frame: &Frame) -> Directive {
         if frame.header.class != FrameClass::Handshake {
             self.trace(format!(
@@ -556,6 +557,10 @@ impl Shared {
     /// Dialer-side handshake: connect, send our hello, await the peer's,
     /// then hand the socket to the reactor. A refused connect raises
     /// [`TransportEvent::PeerRefused`]; no other failure raises anything.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the dialer thread resolves and connects; reactor threads never dial"
+    )]
     fn dial_once(self: &Arc<Self>, link: &Arc<Link>) -> Result<(), String> {
         let addr_str = link.addr.as_deref().ok_or("accept-only link")?;
         let addr = addr_str
@@ -632,6 +637,7 @@ impl Shared {
     /// The single dial thread for all peers: keeps every dialable link
     /// connected, with capped jittered backoff per link, parked on a
     /// condvar that teardown pokes for immediate redial.
+    #[expect(clippy::disallowed_methods, reason = "the dialer thread parks between attempts")]
     fn dial_loop(self: Arc<Self>) {
         struct DialState {
             failures: u32,
@@ -733,7 +739,6 @@ impl ReactorHandler for Shared {
         self.conns.lock().insert(conn, ConnCtx::AwaitHello(AwaitHello::accepted(deadline)));
     }
 
-    // oftt-lint: reactor-root
     fn on_frame(&self, conn: ConnId, frame: Frame) -> Directive {
         enum Kind {
             Pending,
@@ -782,7 +787,6 @@ impl ReactorHandler for Shared {
         }
     }
 
-    // oftt-lint: reactor-root
     fn next_frames(&self, conn: ConnId, out: &mut Vec<StampedFrame>) {
         let (link, my_epoch) = {
             let mut conns = self.conns.lock();
@@ -798,17 +802,14 @@ impl ReactorHandler for Shared {
         // Clear the arm before draining: any sender that enqueues from
         // here on will arm and flush again, so nothing is stranded.
         link.flush_armed.store(false, Ordering::Release);
-        let mut pulled = Vec::new();
-        {
-            let inner = link.inner.lock();
-            if inner.conn.map(|c| c.id) != Some(conn) {
-                // Superseded: the queue now belongs to the newer
-                // connection; ship only this conn's pending frames.
-                return;
-            }
-            self.queues.drain_into(link.dest(), PULL_BATCH, &mut pulled);
+        let mut inner = link.inner.lock();
+        if inner.conn.map(|c| c.id) != Some(conn) {
+            // Superseded: the queue now belongs to the newer connection;
+            // ship only this conn's pending frames.
+            return;
         }
-        out.extend(pulled.into_iter().map(|frame| StampedFrame { frame, epoch: my_epoch }));
+        let pull = inner.queue.len().min(PULL_BATCH);
+        out.extend(inner.queue.drain(..pull).map(|frame| StampedFrame { frame, epoch: my_epoch }));
     }
 
     fn on_wrote(&self, conn: ConnId, bytes: u64) {
@@ -830,13 +831,10 @@ impl ReactorHandler for Shared {
 
     fn on_closed(&self, conn: ConnId, error: Option<&io::Error>, unsent: Vec<OutFrame>) {
         let ctx = self.conns.lock().remove(&conn);
-        let mut unsent_hb = 0u64;
-        let mut unsent_data = 0u64;
+        let mut unsent_count = 0u64;
         for f in unsent {
-            match f.class {
-                FrameClass::Heartbeat => unsent_hb += 1,
-                FrameClass::Handshake => {}
-                _ => unsent_data += 1,
+            if f.class != FrameClass::Handshake {
+                unsent_count += 1;
             }
             self.recycle_frame(f);
         }
@@ -847,7 +845,7 @@ impl ReactorHandler for Shared {
                     self.recycle_frame(f);
                 }
                 let why = error.map_or_else(|| "closed".to_string(), |e| e.to_string());
-                self.teardown(&link, conn, &why, unsent_hb, unsent_data);
+                self.teardown(&link, conn, &why, unsent_count);
             }
             Some(ConnCtx::AwaitHello(_)) => {
                 if let Some(e) = error {
@@ -899,7 +897,6 @@ impl Supervisor {
             handler,
             links: RwLock::new(links),
             conns: Mutex::new(HashMap::new()),
-            queues: ShardedQueues::new(io_threads * 4),
             pool: Arc::clone(&pool),
             reactor: OnceLock::new(),
             listen_addr,
@@ -983,9 +980,9 @@ impl Supervisor {
         let mut peers: Vec<PeerHealth> = links
             .iter()
             .map(|link| {
-                let (state, epoch) = {
+                let (state, epoch, queued) = {
                     let inner = link.inner.lock();
-                    (inner.status, inner.epoch)
+                    (inner.status, inner.epoch, inner.queue.len() as u64)
                 };
                 PeerHealth {
                     peer: link.peer,
@@ -994,7 +991,7 @@ impl Supervisor {
                     reconnects: link.reconnects.load(Ordering::Relaxed),
                     bytes_in: link.bytes_in.load(Ordering::Relaxed),
                     bytes_out: link.bytes_out.load(Ordering::Relaxed),
-                    queued: self.shared.queues.len(link.dest()) as u64,
+                    queued,
                     dropped_heartbeats: link.dropped_heartbeats.load(Ordering::Relaxed),
                     dropped_frames: link.dropped_frames.load(Ordering::Relaxed),
                     purged: link.purged.load(Ordering::Relaxed),
@@ -1011,6 +1008,7 @@ impl Supervisor {
     }
 
     /// Stops the dialer and the reactor, closing all sockets. Idempotent.
+    #[expect(clippy::disallowed_methods, reason = "shutdown joins the dialer thread")]
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -1286,6 +1284,98 @@ mod tests {
         config.backoff_cap = Duration::from_millis(20);
         let sup = Supervisor::start(config, Arc::new(WireCodec::standard()), sink.clone()).unwrap();
         (sup, sink)
+    }
+
+    /// The link queue's three invariants, on a real socket whose far end is
+    /// a raw peer: frames queued for a connection that dies are purged and
+    /// never reach the next one; a heartbeat offered while the link is down
+    /// is refused; data offered while it is down waits and goes out once,
+    /// on the new connection.
+    #[test]
+    fn a_killed_connection_purges_its_queue_and_keeps_data_sent_while_down() {
+        use crate::codec::WirePing;
+        use comsim::buf::Bytes;
+        use oftt::messages::PeerMsg;
+
+        let peer = NodeId(1);
+        let codec = WireCodec::standard();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (sup, _sink) = dialing(listener.local_addr().unwrap().to_string());
+        // The raw peer's half of a handshake; returns the supervisor's
+        // epoch for the connection.
+        let answer = |stream: &mut TcpStream| {
+            let hello = read_frame(stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!(hello.header.class, FrameClass::Handshake);
+            let meta = comsim::marshal::to_bytes(&Hello { node: peer }).unwrap();
+            write_frame(stream, FrameClass::Handshake, 1, &meta, &[], &[]).unwrap();
+            hello.header.epoch
+        };
+        let ping = |seq: u64, pad: &Bytes| {
+            Envelope::new(
+                Endpoint::new(NodeId(0), "x"),
+                Endpoint::new(peer, "y"),
+                WirePing { seq, pad: pad.clone() },
+            )
+        };
+        let health = |sup: &Supervisor| sup.health().into_iter().find(|h| h.peer == peer).unwrap();
+
+        let (mut first, _) = listener.accept().unwrap();
+        answer(&mut first);
+        assert!(wait_for(|| sup.connected(peer), Duration::from_secs(5)));
+
+        // The raw peer never reads, so the socket buffers fill, the write
+        // batch stalls, and the rest stays in the link queue.
+        let big = Bytes::from(vec![0x5Au8; 1 << 20]);
+        for seq in 0..24 {
+            assert!(sup.send_envelope(peer, &ping(seq, &big)));
+        }
+        let last = std::cell::Cell::new(health(&sup).queued);
+        assert!(
+            wait_for(
+                || {
+                    std::thread::sleep(Duration::from_millis(50));
+                    let now = health(&sup).queued;
+                    last.replace(now) == now && now > 0
+                },
+                Duration::from_secs(5)
+            ),
+            "the queue never settled non-empty: {:?}",
+            health(&sup)
+        );
+
+        drop(first);
+        assert!(wait_for(|| !sup.connected(peer), Duration::from_secs(5)));
+        let queued = last.get();
+        let down = health(&sup);
+        assert_eq!(down.queued, 0, "{down:?}");
+        assert!(down.purged >= queued, "purged {} of {queued} queued", down.purged);
+
+        let heartbeat = Envelope::new(
+            Endpoint::new(NodeId(0), "x"),
+            Endpoint::new(peer, "y"),
+            PeerMsg::Heartbeat { node: NodeId(0), role: oftt::role::Role::Primary, term: 1 },
+        );
+        assert!(!sup.send_envelope(peer, &heartbeat), "a heartbeat was queued while down");
+        assert_eq!(health(&sup).dropped_heartbeats, 1);
+        assert!(sup.send_envelope(peer, &ping(1_000, &Bytes::from(vec![1u8; 8]))));
+        assert_eq!(health(&sup).queued, 1);
+
+        let (mut second, _) = listener.accept().unwrap();
+        let epoch = answer(&mut second);
+        second.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let frame = read_frame(&mut second, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(frame.header.epoch, epoch);
+        let got = codec.decode_frame(&frame).unwrap().body.downcast::<WirePing>().unwrap();
+        assert_eq!(got.seq, 1_000, "a frame queued for the dead connection came through");
+        second.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        match read_frame(&mut second, DEFAULT_MAX_FRAME_BYTES) {
+            Err(crate::frame::ReadError::Io(e))
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+            other => panic!("expected nothing more on the new connection, got {other:?}"),
+        }
+        let up = health(&sup);
+        assert_eq!((up.dropped_heartbeats, up.dropped_frames, up.purged), (1, 0, down.purged));
+        sup.shutdown();
     }
 
     /// Nothing listens at the peer's address, so this host's kernel refuses

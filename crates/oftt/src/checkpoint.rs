@@ -46,7 +46,7 @@
 //! through Fletcher in name order, version 2 peers acknowledge without a
 //! checksum, and either is refused at the first frame header.
 
-// oftt-lint: nonblocking
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use comsim::buf::Bytes;
 use ds_sim::prelude::SimTime;
@@ -615,10 +615,8 @@ impl CheckpointStore {
     }
 
     /// Adopts an installed checkpoint's position stamp. This `term` is
-    /// the checkpoint stream's position, not the engine's live role
-    /// state; the write is confined here so the role-confinement lint
-    /// can tell the two apart.
-    // oftt-lint: role-mirror
+    /// the checkpoint stream's position, not a node's live role state
+    /// (that is [`crate::role::RoleTerm`]).
     fn adopt_position(&mut self, checkpoint: &Checkpoint) {
         self.term = checkpoint.term;
         self.seq = checkpoint.seq;

@@ -36,7 +36,7 @@ use crate::config::{engine_endpoint, OfttConfig, RecoveryRule};
 use crate::messages::{
     decode_body, ComponentStatus, FromEngine, FtimKind, PeerMsg, RoleReport, StatusReport, ToEngine,
 };
-use crate::role::Role;
+use crate::role::{Role, RoleTerm};
 use crate::transition::{role_transition, RoleEvent, RoleOutcome, RoleView};
 
 /// Timer tokens (below the RPC namespace).
@@ -104,8 +104,7 @@ pub struct Engine {
     config: OfttConfig,
     me: NodeId,
     peer: NodeId,
-    role: Role,
-    term: u64,
+    role_term: RoleTerm,
     components: BTreeMap<ServiceName, Component>,
     last_peer_primary: SimTime,
     last_peer_any: SimTime,
@@ -128,8 +127,7 @@ impl Engine {
             config,
             me: NodeId(u16::MAX), // resolved at on_start
             peer: NodeId(u16::MAX),
-            role: Role::Negotiating,
-            term: 0,
+            role_term: RoleTerm::default(),
             components: BTreeMap::new(),
             last_peer_primary: SimTime::ZERO,
             last_peer_any: SimTime::ZERO,
@@ -144,13 +142,10 @@ impl Engine {
         engine_endpoint(self.peer)
     }
 
-    // oftt-lint: role-choke-point
     fn set_role(&mut self, role: Role, term: u64, reason: &str, env: &mut dyn ProcessEnv) {
-        if role == self.role && term == self.term {
+        if !self.role_term.apply(role, term) {
             return;
         }
-        self.role = role;
-        self.term = term;
         env.record(
             TraceCategory::Engine,
             format!("{}: role={role} term={term} ({reason})", env.self_endpoint()),
@@ -169,15 +164,14 @@ impl Engine {
         RoleView {
             me: self.me,
             peer: self.peer,
-            role: self.role,
-            term: self.term,
+            role: self.role_term.role(),
+            term: self.role_term.term(),
             peer_role: self.peer_role,
         }
     }
 
     /// Applies a table outcome. `detail` is the dynamic reason suffix (the
     /// switchover requester's stated reason), appended to the static text.
-    // oftt-lint: role-choke-point
     fn apply_outcome(
         &mut self,
         outcome: RoleOutcome,
@@ -188,7 +182,7 @@ impl Engine {
             RoleOutcome::Stay => {}
             // Silent adoption: no announcement, no trace (by design — see
             // `crate::transition`).
-            RoleOutcome::AdoptTerm { term } => self.term = term,
+            RoleOutcome::AdoptTerm { term } => self.role_term.adopt_term(term),
             RoleOutcome::Announce { role, term, reason } => {
                 if role == Role::Backup {
                     // Entering Backup restarts the primary-silence clock:
@@ -231,7 +225,7 @@ impl Engine {
             TraceCategory::Engine,
             format!("{}: requesting switchover: {reason}", env.self_endpoint()),
         );
-        let term = self.term;
+        let term = self.role_term.term();
         let node = self.me;
         env.send_msg(self.peer_endpoint(), PeerMsg::SwitchoverRequest { node, term, reason });
         let outcome =
@@ -254,7 +248,7 @@ impl Engine {
     fn handle_transport(&mut self, event: TransportEvent, env: &mut dyn ProcessEnv) {
         match event {
             TransportEvent::PeerDown { peer } if peer == self.peer => {
-                if self.role != Role::Backup || self.suspicion.is_some() {
+                if self.role_term.role() != Role::Backup || self.suspicion.is_some() {
                     return;
                 }
                 let window = self.suspicion_window();
@@ -321,7 +315,11 @@ impl Engine {
         match msg {
             PeerMsg::Hello { node, role, term } => {
                 self.peer_role = Some(role);
-                let my = PeerMsg::HelloReply { node: self.me, role: self.role, term: self.term };
+                let my = PeerMsg::HelloReply {
+                    node: self.me,
+                    role: self.role_term.role(),
+                    term: self.role_term.term(),
+                };
                 env.send_msg(engine_endpoint(node), my);
                 let outcome = role_transition(
                     &self.role_view(),
@@ -332,7 +330,7 @@ impl Engine {
             }
             PeerMsg::HelloReply { node: _, role, term } => {
                 self.peer_role = Some(role);
-                if self.role == Role::Negotiating && role == Role::Primary {
+                if self.role_term.role() == Role::Negotiating && role == Role::Primary {
                     self.last_peer_primary = now;
                 }
                 let outcome = role_transition(
@@ -385,8 +383,8 @@ impl Engine {
                         restart_attempts: 0,
                     },
                 );
-                let role = self.role;
-                let term = self.term;
+                let role = self.role_term.role();
+                let term = self.role_term.term();
                 env.send_msg(endpoint, FromEngine::RoleUpdate { role, term });
             }
             ToEngine::Heartbeat { service } => {
@@ -407,12 +405,16 @@ impl Engine {
                     TraceCategory::Engine,
                     format!("{}: DISTRESS from {service}: {reason}", env.self_endpoint()),
                 );
-                if self.role == Role::Primary {
+                if self.role_term.role() == Role::Primary {
                     self.request_switchover(format!("distress from {service}: {reason}"), env);
                 }
             }
             ToEngine::QueryRole => {
-                let report = RoleReport { node: self.me, role: self.role, term: self.term };
+                let report = RoleReport {
+                    node: self.me,
+                    role: self.role_term.role(),
+                    term: self.role_term.term(),
+                };
                 env.send_msg(from, report);
             }
             ToEngine::SetRecoveryRule { service, rule } => {
@@ -476,7 +478,7 @@ impl Engine {
                 RecoveryRule::Switchover => true,
             };
             if escalate {
-                if self.role == Role::Primary {
+                if self.role_term.role() == Role::Primary {
                     self.request_switchover(format!("{service} failed permanently"), env);
                 }
                 // Whichever role we end up in, bring the local copy back
@@ -497,7 +499,11 @@ impl Engine {
     fn tick(&mut self, env: &mut dyn ProcessEnv) {
         let now = env.now();
         // 1. Advertise liveness to the peer and to local components.
-        let hb = PeerMsg::Heartbeat { node: self.me, role: self.role, term: self.term };
+        let hb = PeerMsg::Heartbeat {
+            node: self.me,
+            role: self.role_term.role(),
+            term: self.role_term.term(),
+        };
         env.send_msg(self.peer_endpoint(), hb);
         let targets: Vec<Endpoint> = self.components.values().map(|c| c.endpoint.clone()).collect();
         for target in targets {
@@ -505,7 +511,7 @@ impl Engine {
         }
         // 2. Backup promotion on primary silence. The timing predicates
         // are evaluated here; the decision itself is the shared table's.
-        if self.role == Role::Backup
+        if self.role_term.role() == Role::Backup
             && now.saturating_since(self.last_peer_primary) > self.config.peer_timeout
         {
             let peer_silent = now.saturating_since(self.last_peer_any) > self.config.peer_timeout;
@@ -527,8 +533,8 @@ impl Engine {
         let now = env.now();
         let report = StatusReport {
             node: self.me,
-            role: self.role,
-            term: self.term,
+            role: self.role_term.role(),
+            term: self.role_term.term(),
             peer_visible: now.saturating_since(self.last_peer_any) <= self.config.peer_timeout,
             components: self
                 .components
@@ -553,7 +559,11 @@ impl Process for Engine {
         env.record(TraceCategory::Engine, format!("{}: engine starting", env.self_endpoint()));
         let now = env.now();
         self.probe.lock().role_history.push((now, Role::Negotiating, 0));
-        let hello = PeerMsg::Hello { node: self.me, role: self.role, term: self.term };
+        let hello = PeerMsg::Hello {
+            node: self.me,
+            role: self.role_term.role(),
+            term: self.role_term.term(),
+        };
         env.send_msg(self.peer_endpoint(), hello);
         env.set_timer(self.config.startup_timeout, STARTUP);
         env.set_timer(self.config.heartbeat_period, TICK);
@@ -567,7 +577,7 @@ impl Process for Engine {
                 env.set_timer(self.config.heartbeat_period, TICK);
             }
             STARTUP => {
-                if self.role != Role::Negotiating {
+                if self.role_term.role() != Role::Negotiating {
                     return;
                 }
                 if self.hello_attempts < self.config.startup_retries {
@@ -576,7 +586,11 @@ impl Process for Engine {
                         TraceCategory::Engine,
                         format!("{}: startup retry {}", env.self_endpoint(), self.hello_attempts),
                     );
-                    let hello = PeerMsg::Hello { node: self.me, role: self.role, term: self.term };
+                    let hello = PeerMsg::Hello {
+                        node: self.me,
+                        role: self.role_term.role(),
+                        term: self.role_term.term(),
+                    };
                     env.send_msg(self.peer_endpoint(), hello);
                     env.set_timer(self.config.startup_timeout, STARTUP);
                 } else {
@@ -672,7 +686,8 @@ mod tests {
     }
 
     fn roles(rig: &Rig) -> (Option<Role>, Option<Role>) {
-        (rig.probe_a.lock().current_role(), rig.probe_b.lock().current_role())
+        let a = rig.probe_a.lock().current_role();
+        (a, rig.probe_b.lock().current_role())
     }
 
     /// Both engines' settled roles, with a readable panic when either engine

@@ -34,7 +34,7 @@ use crate::checkpoint::{
 };
 use crate::config::{engine_service, CheckpointMode, OfttConfig, RecoveryRule};
 use crate::messages::{FromEngine, FtimKind, FtimPeerMsg, ToEngine};
-use crate::role::Role;
+use crate::role::{Role, RoleTerm};
 use crate::watchdog::{WatchdogError, WatchdogTable, WATCHDOG_VAR};
 
 /// Timer tokens at or above this value belong to the FTIM; applications
@@ -159,7 +159,7 @@ impl<'a> FtCtx<'a> {
 
     /// `OFTTGetMyRole`: this node's current role.
     pub fn role(&self) -> Role {
-        self.core.role
+        self.core.role_term.role()
     }
 
     /// `true` while this copy is the acting primary.
@@ -182,7 +182,7 @@ impl<'a> FtCtx<'a> {
     /// period (used for event-based checkpointing). A backup has nothing to
     /// ship; calling this there is reported as API misuse.
     pub fn save_now(&mut self) {
-        if self.core.role == Role::Backup {
+        if self.core.role_term.role() == Role::Backup {
             record_misuse(self.env, "save while backup");
         }
         self.core.save_requested = true;
@@ -275,8 +275,7 @@ struct FtimCore {
     service_endpoint: Endpoint,
     engine_endpoint: Endpoint,
     peer_endpoint: Endpoint,
-    role: Role,
-    term: u64,
+    role_term: RoleTerm,
     active: bool,
     /// The designation filter (`None`: everything), with the reserved
     /// watchdog variable always admitted — watchdog state must survive
@@ -336,7 +335,7 @@ impl FtimCore {
     /// Compares an ack's image checksum with the one recorded when that
     /// position was shipped.
     fn judge_ack(&mut self, term: u64, seq: u64, crc: u32) -> AckVerdict {
-        if !self.active || term != self.term {
+        if !self.active || term != self.role_term.term() {
             return AckVerdict::Ignored;
         }
         let Some(at) = self.unconfirmed.iter().position(|u| u.position == (term, seq)) else {
@@ -383,8 +382,7 @@ impl<A: FtApplication> FtProcess<A> {
                 service_endpoint: placeholder.clone(),
                 engine_endpoint: placeholder.clone(),
                 peer_endpoint: placeholder,
-                role: Role::Negotiating,
-                term: 0,
+                role_term: RoleTerm::default(),
                 active: false,
                 designated: None,
                 ship_store: VarStore::new(),
@@ -586,7 +584,7 @@ impl<A: FtApplication> FtProcess<A> {
             self.core.unconfirmed.clear();
         }
         self.core.unconfirmed.push_back(Unconfirmed {
-            position: (self.core.term, self.core.ckpt_seq),
+            position: (self.core.role_term.term(), self.core.ckpt_seq),
             image_crc,
             shipped_at: self.core.ship_opportunities,
         });
@@ -597,19 +595,19 @@ impl<A: FtApplication> FtProcess<A> {
             "unconfirmed ships outgrew their bound"
         );
         let checkpoint = Checkpoint::with_crc(
-            self.core.term,
+            self.core.role_term.term(),
             self.core.ckpt_seq,
             env.now(),
             payload,
             payload_crc,
         );
-        self.core.shipped_position = (self.core.term, self.core.ckpt_seq);
+        self.core.shipped_position = (self.core.role_term.term(), self.core.ckpt_seq);
         env.record(
             TraceCategory::Checkpoint,
             format!(
                 "{}: ckpt shipped (term={} seq={} crc={image_crc})",
                 env.self_endpoint(),
-                self.core.term,
+                self.core.role_term.term(),
                 self.core.ckpt_seq
             ),
         );
@@ -629,22 +627,14 @@ impl<A: FtApplication> FtProcess<A> {
         env.send_sized(peer, FtimPeerMsg::Ckpt(checkpoint), size);
     }
 
-    /// Adopts the engine's announced role/term as the FTIM's own
-    /// dispatch copy. The transition table already made the decision;
-    /// this is the confined mirror write.
-    // oftt-lint: role-mirror
-    fn adopt_role(&mut self, role: Role, term: u64) {
-        self.core.role = role;
-        self.core.term = term;
-    }
-
     fn handle_engine(&mut self, msg: FromEngine, env: &mut dyn ProcessEnv) {
         self.core.last_engine_heard = env.now();
         self.core.engine_restart_pending = false;
         match msg {
             FromEngine::EngineHeartbeat => {}
             FromEngine::RoleUpdate { role, term } => {
-                self.adopt_role(role, term);
+                // The FTIM's dispatch copy of the engine's decision.
+                self.core.role_term.apply(role, term);
                 match role {
                     Role::Primary if !self.core.active && !self.core.pending_restore => {
                         let store_newer = self.core.store.is_restorable()
@@ -801,14 +791,14 @@ impl<A: FtApplication> FtProcess<A> {
                         format!(
                             "{}: ckpt served (term={} seq={} crc={})",
                             env.self_endpoint(),
-                            self.core.term,
+                            self.core.role_term.term(),
                             self.core.ckpt_seq,
                             checksum(&vars)
                         ),
                     );
                     FtimPeerMsg::RestoreReply {
                         image: Some(vars),
-                        term: self.core.term,
+                        term: self.core.role_term.term(),
                         seq: self.core.ckpt_seq,
                     }
                 } else if self.core.store.is_restorable() {
@@ -1058,7 +1048,7 @@ mod tests {
         let mut core =
             FtProcess::new(config, RecoveryRule::default(), NoState, Default::default()).core;
         core.active = true;
-        core.term = 3;
+        core.role_term.adopt_term(3);
         core.need_full = false;
         core.unconfirmed = (5..=7)
             .map(|seq| Unconfirmed {

@@ -1,7 +1,18 @@
 //! Roles and the precedence rule that keeps at most one primary.
 
-// oftt-lint: nonblocking
-// oftt-lint: no-panic
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::fmt;
 
@@ -34,6 +45,59 @@ impl fmt::Display for Role {
             Role::Backup => "backup",
         };
         f.write_str(s)
+    }
+}
+
+/// A node's role and promotion term, as one value with private fields.
+///
+/// The engine holds one and the FTIM holds its copy. Outside this module
+/// the pair is read through [`RoleTerm::role`] and [`RoleTerm::term`], and
+/// written only by the transition apply path: the engine applying a
+/// [`crate::transition::RoleOutcome`], and the FTIM adopting the engine's
+/// announcement of one. A store that bypasses it does not compile:
+///
+/// ```compile_fail,E0616
+/// use oftt::role::{Role, RoleTerm};
+///
+/// let mut standing = RoleTerm::default();
+/// standing.role = Role::Primary;
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoleTerm {
+    role: Role,
+    term: u64,
+}
+
+impl Default for RoleTerm {
+    /// Negotiating, term 0: where every engine and FTIM starts.
+    fn default() -> Self {
+        RoleTerm { role: Role::Negotiating, term: 0 }
+    }
+}
+
+impl RoleTerm {
+    /// The current role.
+    pub fn role(&self) -> Role {
+        self.role
+    }
+
+    /// The current promotion term.
+    pub fn term(&self) -> u64 {
+        self.term
+    }
+
+    /// Takes an announced role and term; `false` if both were already
+    /// current.
+    pub(crate) fn apply(&mut self, role: Role, term: u64) -> bool {
+        let changed = (role, term) != (self.role, self.term);
+        self.role = role;
+        self.term = term;
+        changed
+    }
+
+    /// Takes a peer's higher term without changing role.
+    pub(crate) fn adopt_term(&mut self, term: u64) {
+        self.term = term;
     }
 }
 

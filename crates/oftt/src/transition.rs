@@ -15,8 +15,19 @@
 //! no role announcement, no trace line — which downstream tools (and the
 //! abstract model) must reproduce exactly.
 
-// oftt-lint: nonblocking
-// oftt-lint: no-panic
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ds_net::endpoint::NodeId;
 use serde::{Deserialize, Serialize};

@@ -151,7 +151,8 @@ fn rule_change_on_unknown_component_is_ignored() {
         },
     );
     r.cs.run_until(SimTime::from_secs(10));
-    let roles = (r.probes[0].lock().current_role(), r.probes[1].lock().current_role());
+    let first = r.probes[0].lock().current_role();
+    let roles = (first, r.probes[1].lock().current_role());
     assert!(matches!(
         roles,
         (Some(Role::Primary), Some(Role::Backup)) | (Some(Role::Backup), Some(Role::Primary))

@@ -296,7 +296,8 @@ fn steady_state_processes_all_events_exactly_once() {
     let (_, count) = active_view(&rig).expect("exactly one active app");
     assert_eq!(count, 100, "no failures: every event, exactly once");
     // Checkpoints flowed and were acknowledged.
-    let shipped = rig.ftim_a.lock().ckpts_sent + rig.ftim_b.lock().ckpts_sent;
+    let shipped_a = rig.ftim_a.lock().ckpts_sent;
+    let shipped = shipped_a + rig.ftim_b.lock().ckpts_sent;
     assert!(shipped > 10, "got {shipped} checkpoints");
     // Monitor shows exactly one primary.
     assert_eq!(rig.monitor_table.lock().primaries().len(), 1);

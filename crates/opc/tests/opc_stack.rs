@@ -369,13 +369,16 @@ fn remove_group_stops_pushes() {
                     self.opc.add_items(env, group, &["plant.line1.tank1.level"]).expect("marshal");
                 }
                 OpcEvent::DataChange { .. } => {
-                    let mut changes = self.changes.lock();
-                    *changes += 1;
+                    let changes = {
+                        let mut changes = self.changes.lock();
+                        *changes += 1;
+                        *changes
+                    };
                     // After five pushes, cancel the subscription.
-                    if *changes == 5 {
+                    if changes == 5 {
                         let group = self.group.expect("group added");
                         self.opc.remove_group(env, group).expect("marshal");
-                        *self.removed_at_count.lock() = Some(*changes);
+                        *self.removed_at_count.lock() = Some(changes);
                     }
                 }
                 _ => {}

@@ -236,6 +236,12 @@ mod sys {
         data: u64,
     }
 
+    /// Events one `epoll_wait` returns at most. The buffer lives on the
+    /// stack, so a poll never allocates; a larger [`super::Events`]
+    /// capacity is served this many at a time, and readiness is
+    /// level-triggered, so the rest come back on the next poll.
+    const MAX_EVENTS: usize = 256;
+
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -313,10 +319,12 @@ mod sys {
                 None => -1,
                 Some(t) => i32::try_from(t.as_millis()).unwrap_or(i32::MAX),
             };
-            let mut buf = vec![EpollEvent { events: 0, data: 0 }; capacity];
+            let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+            let capacity = capacity.min(MAX_EVENTS);
             loop {
-                // SAFETY: `buf` is a live, writable array of `capacity`
-                // EpollEvents; the kernel fills at most that many.
+                // SAFETY: `buf` is a live, writable array of MAX_EVENTS >=
+                // `capacity` EpollEvents; the kernel fills at most
+                // `capacity`.
                 let n =
                     unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), capacity as i32, timeout_ms) };
                 if n < 0 {

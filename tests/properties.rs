@@ -109,8 +109,8 @@ proptest! {
         // (both copies destroyed close together), which is documented data
         // loss: events counted before the loss can then unbalance the
         // started/ended ledger.
-        let fresh = scenario.probes.ftims[0].lock().fresh_activations
-            + scenario.probes.ftims[1].lock().fresh_activations;
+        let fresh_a = scenario.probes.ftims[0].lock().fresh_activations;
+        let fresh = fresh_a + scenario.probes.ftims[1].lock().fresh_activations;
         if fresh == 0 {
             prop_assert_eq!(state.started, state.ended + state.busy_count() as u64);
         }
