@@ -40,13 +40,13 @@
 #                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
-#  12. campaign smoke           trimmed 20-seed scenario campaign (reboot loop,
-#                               process kill with its link reset and refused
-#                               redial, and the
-#                               seeded startup defect): every run goes
-#                               through the oftt-check invariant engine; any
-#                               violation, non-recovered seed, or missed
-#                               expected violation exits nonzero via the
+#  12. campaign corpus          every examples/campaigns/*.json at its own
+#                               seed count (8 x 100 seeds, a few seconds):
+#                               every run goes through the oftt-check
+#                               invariant engine; any violation,
+#                               non-recovered seed, breached corpus pin, or
+#                               missed expected violation (the seeded
+#                               startup defect) exits nonzero via the
 #                               campaign gate
 #  13. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
@@ -148,15 +148,16 @@ step "wire smoke: two-process SIGKILL failover over TCP"
 cargo build --release -q -p oftt-wire --bins
 ./target/release/wire-smoke
 
-step "campaign smoke: 20-seed statistical sweep"
+step "campaign corpus: every scenario at its own seed count"
 # The gate exits 2 on any invariant violation, non-recovered seed,
 # breached pin, or an expected violation the instrument failed to
-# surface — `set -e` turns any of those into a CI failure.
-cargo run -p oftt-campaign --release -q -- run \
-    --scenario examples/campaigns/reboot_loop.json \
-    --scenario examples/campaigns/process_kill.json \
-    --scenario examples/campaigns/startup_bug.json \
-    --seeds 20
+# surface — `set -e` turns any of those into a CI failure. No --seeds:
+# the pins' sample floors are set for each file's own seed count.
+CAMPAIGN_ARGS=()
+for scenario in examples/campaigns/*.json; do
+    CAMPAIGN_ARGS+=(--scenario "$scenario")
+done
+cargo run -p oftt-campaign --release -q -- run "${CAMPAIGN_ARGS[@]}"
 
 step "benchmark smoke: four workloads, untraced and traced, outputs checked"
 for trace in 0 1; do

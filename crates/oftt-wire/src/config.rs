@@ -161,8 +161,9 @@ impl NodeConfig {
 
     /// The toolkit configuration for the hosted OFTT services.
     ///
-    /// The pair is this node plus its first peer; `validate()` inside
-    /// the toolkit still applies its own timeout consistency checks.
+    /// The pair is this node plus its first peer. A configuration
+    /// [`OfttConfig::check`] refuses (a zero period, a timeout not longer
+    /// than the heartbeat) is returned as its error, not run.
     pub fn to_oftt_config(&self) -> Result<OfttConfig, String> {
         let (peer, _) = *self.peers.first().ok_or("no peer configured")?;
         if peer == self.node {
@@ -177,6 +178,7 @@ impl NodeConfig {
         config.startup_timeout = SimDuration::from_millis(self.startup_ms);
         config.status_period = SimDuration::from_millis(self.status_ms);
         config.monitor = self.monitor_node.map(|node| Endpoint::new(node, MONITOR_SERVICE));
+        config.check()?;
         Ok(config)
     }
 
@@ -241,5 +243,18 @@ mod tests {
         assert!(NodeConfig::parse("listen = x").unwrap_err().contains("node"));
         assert!(NodeConfig::parse("node = 0").unwrap_err().contains("peer"));
         assert!(NodeConfig::parse("node = 0\npeer = oops").unwrap_err().contains("id@host"));
+    }
+
+    #[test]
+    fn refuses_configs_the_toolkit_cannot_run() {
+        let node = |extra: &str| NodeConfig::parse(&format!("node = 0\npeer = 1@x\n{extra}"));
+        // A timeout shorter than the heartbeat would panic in `validate()`.
+        let inverted = node("heartbeat_ms = 500\npeer_timeout_ms = 400").unwrap();
+        assert!(inverted.to_oftt_config().unwrap_err().contains("must exceed the heartbeat"));
+        // Zero periods would re-arm their timers at one instant forever.
+        let busy = node("heartbeat_ms = 0\ncheckpoint_ms = 0").unwrap();
+        assert_eq!(busy.to_oftt_config().unwrap_err(), "heartbeat period must be positive");
+        let busy = node("checkpoint_ms = 0").unwrap();
+        assert_eq!(busy.to_oftt_config().unwrap_err(), "checkpoint period must be positive");
     }
 }

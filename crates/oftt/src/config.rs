@@ -179,15 +179,26 @@ impl OfttConfig {
         }
     }
 
-    /// Checks internal consistency, returning the first broken ordering.
+    /// Checks internal consistency, returning the first broken rule.
     /// Callers that assemble configurations from untrusted input (the
-    /// campaign runner's parameter overrides) use this to reject bad
-    /// combinations before a service ever boots with them.
+    /// campaign runner's parameter overrides, `oftt-node`'s config file)
+    /// use this to reject bad combinations before a service ever boots
+    /// with them.
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated timeout ordering.
+    /// Returns a description of the zero period (a timer re-armed at zero
+    /// fires forever at one instant) or the violated timeout ordering.
     pub fn check(&self) -> Result<(), &'static str> {
+        let periods = [
+            (self.heartbeat_period, "heartbeat period must be positive"),
+            (self.checkpoint_period, "checkpoint period must be positive"),
+            (self.status_period, "status period must be positive"),
+            (self.startup_timeout, "startup timeout must be positive"),
+        ];
+        if let Some((_, why)) = periods.into_iter().find(|(period, _)| period.is_zero()) {
+            return Err(why);
+        }
         if self.component_timeout <= self.heartbeat_period {
             return Err("component timeout must exceed the heartbeat period");
         }
@@ -254,6 +265,23 @@ mod tests {
         assert_eq!(config.check(), Ok(()));
         config.fail_safe_timeout = config.peer_timeout;
         assert!(config.check().unwrap_err().contains("fail-safe"));
+    }
+
+    #[test]
+    fn check_rejects_zero_periods() {
+        let fresh = || OfttConfig::new(Pair::new(NodeId(0), NodeId(1)));
+        let mut config = fresh();
+        config.heartbeat_period = SimDuration::ZERO;
+        assert_eq!(config.check(), Err("heartbeat period must be positive"));
+        let mut config = fresh();
+        config.checkpoint_period = SimDuration::ZERO;
+        assert_eq!(config.check(), Err("checkpoint period must be positive"));
+        let mut config = fresh();
+        config.status_period = SimDuration::ZERO;
+        assert_eq!(config.check(), Err("status period must be positive"));
+        let mut config = fresh();
+        config.startup_timeout = SimDuration::ZERO;
+        assert_eq!(config.check(), Err("startup timeout must be positive"));
     }
 
     #[test]

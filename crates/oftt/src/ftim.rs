@@ -19,7 +19,6 @@
 //! The paper's *OPC server FTIM* (stateless, heartbeat-only) is
 //! [`ServerFtProcess`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ds_net::endpoint::Endpoint;
@@ -32,9 +31,10 @@ use crate::checkpoint::{
     checksum, AcceptOutcome, Checkpoint, CheckpointPayload, CheckpointStore, RejectReason, VarSet,
     VarStore,
 };
-use crate::config::{engine_service, CheckpointMode, OfttConfig, RecoveryRule};
+use crate::config::{engine_service, OfttConfig, RecoveryRule};
 use crate::messages::{FromEngine, FtimKind, FtimPeerMsg, ToEngine};
 use crate::role::{Role, RoleTerm};
+use crate::ship::{self, ShipAction, ShipEvent, ShipState};
 use crate::watchdog::{WatchdogError, WatchdogTable, WATCHDOG_VAR};
 
 /// Timer tokens at or above this value belong to the FTIM; applications
@@ -175,7 +175,7 @@ impl<'a> FtCtx<'a> {
     pub fn designate(&mut self, vars: &[&str]) {
         self.core.designated = (!vars.is_empty())
             .then(|| vars.iter().copied().chain([WATCHDOG_VAR]).map(str::to_string).collect());
-        self.core.need_full = true;
+        self.core.ship.step(ShipEvent::Designate);
     }
 
     /// `OFTTSave`: ship a checkpoint immediately, without waiting for the
@@ -284,14 +284,8 @@ struct FtimCore {
     /// The primary-side shipping store: current image + pending delta +
     /// cached content digests + running image checksum.
     ship_store: VarStore,
-    ckpt_seq: u64,
-    need_full: bool,
-    /// Calls of `ship_checkpoint` made while active — the clock unconfirmed
-    /// ships age by, whether or not the call had anything to ship.
-    ship_opportunities: u64,
-    /// Ships since the last full image (inclusive) that no ack has
-    /// confirmed yet, oldest first.
-    unconfirmed: VecDeque<Unconfirmed>,
+    /// The shipping rule's state: full image owed, `seq`, unconfirmed ships.
+    ship: ShipState,
     store: CheckpointStore,
     /// `(term, seq)` of the newest checkpoint this incarnation shipped
     /// while primary — used to decide whether the local store is actually
@@ -306,54 +300,6 @@ struct FtimCore {
     /// The pending checkpoint tick; an activation restarts the period.
     ckpt_tick: Option<TimerHandle>,
     probe: Arc<Mutex<FtimProbe>>,
-}
-
-/// One shipped checkpoint whose image the backup has not confirmed.
-struct Unconfirmed {
-    position: (u64, u64),
-    /// The cumulative image checksum at ship time — what the backup's
-    /// merged image must checksum to once it holds `position`.
-    image_crc: u32,
-    /// `ship_opportunities` when it was shipped.
-    shipped_at: u64,
-}
-
-/// What an ack's image checksum says about an unconfirmed ship.
-enum AckVerdict {
-    /// Nothing: this FTIM is not the active primary of that term, or the
-    /// position was already confirmed or superseded by a full image.
-    Ignored,
-    /// The backup holds the image shipped at that position. The checksum
-    /// is cumulative, so every earlier ship is confirmed with it.
-    Confirmed,
-    /// The backup's image differs from the one shipped (`shipped` is this
-    /// side's checksum); the next ship is a full image.
-    Mismatch { shipped: u32 },
-}
-
-impl FtimCore {
-    /// Compares an ack's image checksum with the one recorded when that
-    /// position was shipped.
-    fn judge_ack(&mut self, term: u64, seq: u64, crc: u32) -> AckVerdict {
-        if !self.active || term != self.role_term.term() {
-            return AckVerdict::Ignored;
-        }
-        let Some(at) = self.unconfirmed.iter().position(|u| u.position == (term, seq)) else {
-            return AckVerdict::Ignored;
-        };
-        let shipped = self.unconfirmed[at].image_crc;
-        if shipped == crc {
-            self.unconfirmed.drain(..=at);
-            AckVerdict::Confirmed
-        } else {
-            // The full image this asks for supersedes everything in the
-            // list, so later acks of the diverged image are not counted
-            // again.
-            self.need_full = true;
-            self.unconfirmed.clear();
-            AckVerdict::Mismatch { shipped }
-        }
-    }
 }
 
 /// The client-FTIM process: wraps an [`FtApplication`].
@@ -374,6 +320,7 @@ impl<A: FtApplication> FtProcess<A> {
         config.validate();
         // Endpoints are resolved at on_start; placeholders until then.
         let placeholder = Endpoint::new(config.pair.a, "__unresolved");
+        let ship = ShipState::new(config.checkpoint_mode);
         FtProcess {
             app,
             core: FtimCore {
@@ -386,10 +333,7 @@ impl<A: FtApplication> FtProcess<A> {
                 active: false,
                 designated: None,
                 ship_store: VarStore::new(),
-                ckpt_seq: 0,
-                need_full: true,
-                ship_opportunities: 0,
-                unconfirmed: VecDeque::new(),
+                ship,
                 store: CheckpointStore::new(),
                 shipped_position: (0, 0),
                 watchdogs: WatchdogTable::new(),
@@ -448,24 +392,24 @@ impl<A: FtApplication> FtProcess<A> {
                 );
             }
         }
-        self.core.ckpt_seq = 0;
-        self.start_term(env, "");
+        self.start_term(env, false);
     }
 
-    /// Activates on the application's current state: resets the term's
-    /// shipping state, runs `on_activate`, ships the first image at once
-    /// and restarts the period, so the first delta trails it by a period.
-    fn start_term(&mut self, env: &mut dyn ProcessEnv, suffix: &str) {
+    /// Activates on the application's state — restored or initial, or its
+    /// live state if `resume` — runs `on_activate`, ships the first image at
+    /// once and restarts the period, so the first delta trails it by a
+    /// period.
+    fn start_term(&mut self, env: &mut dyn ProcessEnv, resume: bool) {
         self.core.active = true;
-        self.core.need_full = true;
-        self.core.unconfirmed.clear();
+        self.core.ship.step(ShipEvent::Activate { resume });
         self.core.ship_store.clear();
         self.core.probe.lock().activations.push(env.now());
         let me = env.self_endpoint();
+        let suffix = if resume { " (resumed in place)" } else { "" };
         env.record(TraceCategory::Engine, format!("{me}: application ACTIVE{suffix}"));
         self.ctx_call(env, |app, ctx| app.on_activate(ctx));
         // An on_activate that saved already shipped the full image.
-        if self.core.need_full {
+        if self.core.ship.owes_full() {
             self.ship_checkpoint(env);
         }
         let period = self.core.config.checkpoint_period;
@@ -542,20 +486,10 @@ impl<A: FtApplication> FtProcess<A> {
         if !self.core.active {
             return;
         }
-        self.core.ship_opportunities += 1;
-        // A full image goes out when something asked for one (first of a
-        // term, NACK, designation change, checksum mismatch) or when the
-        // oldest unconfirmed ship has waited `refresh_every` opportunities
-        // for an ack that confirms it — never on a timer alone.
-        let patience = match self.core.config.checkpoint_mode {
-            CheckpointMode::Full => None,
-            CheckpointMode::Selective { refresh_every } => Some(u64::from(refresh_every)),
+        let opportunity = ShipEvent::Opportunity { term: self.core.role_term.term() };
+        let ShipAction::Ship { term, seq, full, refresh } = self.core.ship.step(opportunity) else {
+            return;
         };
-        let oldest = self.core.unconfirmed.front();
-        let waited = oldest.map_or(0, |oldest| self.core.ship_opportunities - oldest.shipped_at);
-        let overdue = patience.is_some_and(|patience| waited > patience);
-        let full = patience.is_none() || self.core.need_full || overdue;
-        let unconfirmed_refresh = overdue && !self.core.need_full;
         self.sync_store();
         let designated = self.core.designated.as_ref();
         // `image_crc` is the checksum of the *cumulative* designated image
@@ -578,37 +512,14 @@ impl<A: FtApplication> FtProcess<A> {
             let crc = self.core.ship_store.crc_of(&delta);
             (CheckpointPayload::Delta(delta), crc)
         };
-        self.core.ckpt_seq += 1;
-        if full {
-            self.core.need_full = false;
-            self.core.unconfirmed.clear();
-        }
-        self.core.unconfirmed.push_back(Unconfirmed {
-            position: (self.core.role_term.term(), self.core.ckpt_seq),
-            image_crc,
-            shipped_at: self.core.ship_opportunities,
-        });
-        // One entry per opportunity at most, and none older than
-        // `refresh_every` opportunities survives the test above.
-        assert!(
-            self.core.unconfirmed.len() as u64 <= patience.map_or(1, |patience| patience + 1),
-            "unconfirmed ships outgrew their bound"
-        );
-        let checkpoint = Checkpoint::with_crc(
-            self.core.role_term.term(),
-            self.core.ckpt_seq,
-            env.now(),
-            payload,
-            payload_crc,
-        );
-        self.core.shipped_position = (self.core.role_term.term(), self.core.ckpt_seq);
+        self.core.ship.step(ShipEvent::Shipped { image_crc });
+        let checkpoint = Checkpoint::with_crc(term, seq, env.now(), payload, payload_crc);
+        self.core.shipped_position = (term, seq);
         env.record(
             TraceCategory::Checkpoint,
             format!(
-                "{}: ckpt shipped (term={} seq={} crc={image_crc})",
-                env.self_endpoint(),
-                self.core.role_term.term(),
-                self.core.ckpt_seq
+                "{}: ckpt shipped (term={term} seq={seq} crc={image_crc})",
+                env.self_endpoint()
             ),
         );
         let size = checkpoint.wire_size();
@@ -619,7 +530,7 @@ impl<A: FtApplication> FtProcess<A> {
             if full {
                 probe.fulls_sent += 1;
             }
-            if unconfirmed_refresh {
+            if refresh {
                 probe.unconfirmed_refreshes += 1;
             }
         }
@@ -680,7 +591,7 @@ impl<A: FtApplication> FtProcess<A> {
                             // fail-safe blip while the engine restarted);
                             // its live state is newer than any checkpoint —
                             // resume in place, no rollback.
-                            self.start_term(env, " (resumed in place)");
+                            self.start_term(env, true);
                         } else {
                             // Fresh incarnation on the primary node (local
                             // restart): the newest state lives in the
@@ -706,7 +617,8 @@ impl<A: FtApplication> FtProcess<A> {
         match msg {
             FtimPeerMsg::Ckpt(checkpoint) => {
                 let (term, seq) = (checkpoint.term, checkpoint.seq);
-                match self.core.store.offer(&checkpoint) {
+                let outcome = self.core.store.offer(&checkpoint);
+                match outcome {
                     AcceptOutcome::Installed => {
                         self.core.probe.lock().ckpts_installed += 1;
                         // The merged image's checksum (the store's running
@@ -721,51 +633,45 @@ impl<A: FtApplication> FtProcess<A> {
                                 env.self_endpoint()
                             ),
                         );
-                        env.send_msg(from, FtimPeerMsg::CkptAck { term, seq, crc });
                     }
                     AcceptOutcome::Rejected(reason) => {
-                        {
-                            let mut probe = self.core.probe.lock();
-                            probe.ckpts_rejected += 1;
-                            probe.last_reject = Some(reason);
-                        }
-                        if reason == RejectReason::Stale {
-                            // Retransmission: re-ack our position so the
-                            // peer makes progress.
-                            let (term, seq) = self.core.store.position();
-                            let crc = self.core.store.image_crc();
-                            env.send_msg(from, FtimPeerMsg::CkptAck { term, seq, crc });
-                        } else {
-                            env.record(
-                                TraceCategory::Checkpoint,
-                                format!(
-                                    "{}: checkpoint ({term},{seq}) unusable; requesting full",
-                                    env.self_endpoint()
-                                ),
-                            );
-                            env.send_msg(from, FtimPeerMsg::CkptNack);
-                        }
+                        let mut probe = self.core.probe.lock();
+                        probe.ckpts_rejected += 1;
+                        probe.last_reject = Some(reason);
                     }
                 }
+                let reply = ship::reply(outcome, &self.core.store);
+                if matches!(reply, FtimPeerMsg::CkptNack) {
+                    env.record(
+                        TraceCategory::Checkpoint,
+                        format!(
+                            "{}: checkpoint ({term},{seq}) unusable; requesting full",
+                            env.self_endpoint()
+                        ),
+                    );
+                }
+                env.send_msg(from, reply);
             }
             FtimPeerMsg::CkptAck { term, seq, crc } => {
                 env.record(
                     TraceCategory::Checkpoint,
                     format!("{}: ckpt acked (term={term} seq={seq})", env.self_endpoint()),
                 );
-                let verdict = self.core.judge_ack(term, seq, crc);
+                let own_term = self.core.active.then(|| self.core.role_term.term());
+                let ack = ShipEvent::Ack { own_term, position: (term, seq), crc };
+                let action = self.core.ship.step(ack);
                 {
                     let mut probe = self.core.probe.lock();
                     if (term, seq) > probe.last_acked {
                         probe.last_acked = (term, seq);
                     }
-                    match verdict {
-                        AckVerdict::Ignored => {}
-                        AckVerdict::Confirmed => probe.last_confirmed = (term, seq),
-                        AckVerdict::Mismatch { .. } => probe.image_mismatches += 1,
+                    match action {
+                        ShipAction::Confirmed => probe.last_confirmed = (term, seq),
+                        ShipAction::Mismatch { .. } => probe.image_mismatches += 1,
+                        ShipAction::Nothing | ShipAction::Ship { .. } => {}
                     }
                 }
-                if let AckVerdict::Mismatch { shipped } = verdict {
+                if let ShipAction::Mismatch { shipped } = action {
                     env.record(
                         TraceCategory::Checkpoint,
                         format!(
@@ -777,7 +683,7 @@ impl<A: FtApplication> FtProcess<A> {
                 }
             }
             FtimPeerMsg::CkptNack => {
-                self.core.need_full = true;
+                self.core.ship.step(ShipEvent::Nack);
             }
             FtimPeerMsg::RestoreRequest => {
                 // Serve from the freshest source we have: our live state if
@@ -792,14 +698,14 @@ impl<A: FtApplication> FtProcess<A> {
                             "{}: ckpt served (term={} seq={} crc={})",
                             env.self_endpoint(),
                             self.core.role_term.term(),
-                            self.core.ckpt_seq,
+                            self.core.ship.seq(),
                             checksum(&vars)
                         ),
                     );
                     FtimPeerMsg::RestoreReply {
                         image: Some(vars),
                         term: self.core.role_term.term(),
-                        seq: self.core.ckpt_seq,
+                        seq: self.core.ship.seq(),
                     }
                 } else if self.core.store.is_restorable() {
                     let (term, seq) = self.core.store.position();
@@ -1023,79 +929,5 @@ impl<P: Process> Process for ServerFtProcess<P> {
             return; // role changes don't affect a stateless server
         }
         self.inner.on_message(envelope, env);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::Pair;
-    use ds_net::endpoint::NodeId;
-
-    struct NoState;
-
-    impl FtApplication for NoState {
-        fn snapshot(&self) -> VarSet {
-            VarSet::new()
-        }
-        fn restore(&mut self, _image: &VarSet) {}
-    }
-
-    /// An active term-3 primary with ships 5, 6 and 7 unconfirmed, shipped
-    /// with image checksums 105, 106 and 107.
-    fn three_unconfirmed() -> FtimCore {
-        let config = OfttConfig::new(Pair::new(NodeId(0), NodeId(1)));
-        let mut core =
-            FtProcess::new(config, RecoveryRule::default(), NoState, Default::default()).core;
-        core.active = true;
-        core.role_term.adopt_term(3);
-        core.need_full = false;
-        core.unconfirmed = (5..=7)
-            .map(|seq| Unconfirmed {
-                position: (3, seq),
-                image_crc: 100 + seq as u32,
-                shipped_at: seq,
-            })
-            .collect();
-        core
-    }
-
-    fn outstanding(core: &FtimCore) -> Vec<u64> {
-        core.unconfirmed.iter().map(|u| u.position.1).collect()
-    }
-
-    #[test]
-    fn matching_ack_confirms_its_ship_and_every_earlier_one() {
-        let mut core = three_unconfirmed();
-        assert!(matches!(core.judge_ack(3, 6, 106), AckVerdict::Confirmed));
-        assert_eq!(outstanding(&core), [7]);
-        // Its late twin, and the ack of a ship it already covered, say
-        // nothing new — whatever checksum they carry.
-        assert!(matches!(core.judge_ack(3, 6, 106), AckVerdict::Ignored));
-        assert!(matches!(core.judge_ack(3, 5, 0), AckVerdict::Ignored));
-        assert_eq!(outstanding(&core), [7]);
-        assert!(!core.need_full);
-    }
-
-    #[test]
-    fn differing_ack_asks_for_a_full_image_once() {
-        let mut core = three_unconfirmed();
-        assert!(matches!(core.judge_ack(3, 6, 999), AckVerdict::Mismatch { shipped: 106 }));
-        assert!(core.need_full);
-        // The full image supersedes the list; the diverged image's other
-        // acks are not counted again.
-        assert!(matches!(core.judge_ack(3, 7, 999), AckVerdict::Ignored));
-    }
-
-    #[test]
-    fn acks_are_judged_only_by_the_active_primary_of_their_term() {
-        let mut core = three_unconfirmed();
-        assert!(matches!(core.judge_ack(4, 7, 999), AckVerdict::Ignored));
-        assert!(matches!(core.judge_ack(2, 7, 107), AckVerdict::Ignored));
-        core.active = false;
-        assert!(matches!(core.judge_ack(3, 7, 999), AckVerdict::Ignored));
-        assert!(matches!(core.judge_ack(3, 7, 107), AckVerdict::Ignored));
-        assert_eq!(outstanding(&core), [5, 6, 7]);
-        assert!(!core.need_full);
     }
 }

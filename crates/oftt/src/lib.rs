@@ -71,6 +71,7 @@ pub mod ftim;
 pub mod messages;
 pub mod monitor;
 pub mod role;
+pub mod ship;
 pub mod transition;
 pub mod watchdog;
 

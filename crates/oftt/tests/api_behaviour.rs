@@ -346,7 +346,10 @@ fn designation_filters_checkpoint_traffic() {
         "bump-and-save".to_string(),
     );
     r.cs.run_until(SimTime::from_secs(12));
-    let bytes_full = r.ftims[idx].lock().ckpt_bytes_sent;
+    let (bytes_full, fulls_before) = {
+        let probe = r.ftims[idx].lock();
+        (probe.ckpt_bytes_sent, probe.fulls_sent)
+    };
     assert!(bytes_full > 64 * 1024, "first save includes the big variable");
     // Designate only `small`; the next saves must be tiny.
     r.cs.post(
@@ -360,12 +363,17 @@ fn designation_filters_checkpoint_traffic() {
         "bump-and-save".to_string(),
     );
     r.cs.run_until(SimTime::from_secs(15));
-    let bytes_after = r.ftims[idx].lock().ckpt_bytes_sent;
+    let (bytes_after, fulls_after) = {
+        let probe = r.ftims[idx].lock();
+        (probe.ckpt_bytes_sent, probe.fulls_sent)
+    };
     let delta = bytes_after - bytes_full;
     assert!(
         delta < 8 * 1024,
         "designated save must exclude the 64 KiB variable (shipped {delta} bytes)"
     );
+    // The designation change owes exactly one full image: the save after it.
+    assert_eq!(fulls_after - fulls_before, 1, "fulls across designate-and-save");
     // And the designated state still survives a switchover.
     ds_net::fault::inject(&mut r.cs, SimTime::from_secs(15), ds_net::fault::Fault::CrashNode(p));
     r.cs.run_until(SimTime::from_secs(30));

@@ -12,6 +12,9 @@ use oftt::checkpoint::{
     checksum, diff, fold_digests, merge, AcceptOutcome, Checkpoint, CheckpointPayload,
     CheckpointStore, RejectReason, VarSet, VarStore,
 };
+use oftt::config::CheckpointMode;
+use oftt::messages::FtimPeerMsg;
+use oftt::ship::{reply, ShipAction, ShipEvent, ShipState};
 use proptest::prelude::*;
 
 fn varset_strategy() -> impl Strategy<Value = VarSet> {
@@ -346,7 +349,9 @@ proptest! {
     /// running checksum equals a from-scratch checksum of what it holds; a
     /// refused offer changes nothing at all; an accepted one leaves exactly
     /// the image, and the image checksum, the shipping store had when it
-    /// took that checkpoint.
+    /// took that checkpoint. Full or delta, and the stamps, come from the
+    /// FTIM's own shipping rule, fed the backup's own replies; no ack ever
+    /// reports an image other than the one shipped at its position.
     #[test]
     fn backup_checksum_tracks_the_shipping_store_through_a_faulty_hop(
         steps in prop::collection::vec((varset_strategy(), hop_strategy()), 1..16),
@@ -356,7 +361,8 @@ proptest! {
         // Every checkpoint taken, with the shipping store's image and image
         // checksum at that moment.
         let mut taken: Vec<(Checkpoint, VarSet, u32)> = Vec::new();
-        let mut need_full = true;
+        let mut rule = ShipState::new(CheckpointMode::Selective { refresh_every: 2 });
+        rule.step(ShipEvent::Activate { resume: false });
 
         // Offers one checkpoint and checks everything an offer promises.
         let offer = |backup: &mut CheckpointStore,
@@ -376,6 +382,19 @@ proptest! {
             }
             Ok(outcome)
         };
+        // Hands the backup's reply to an offer back to the primary's rule.
+        let answer = |rule: &mut ShipState, outcome, backup: &CheckpointStore| {
+            let event = match reply(outcome, backup) {
+                FtimPeerMsg::CkptAck { term, seq, crc } => {
+                    ShipEvent::Ack { own_term: Some(1), position: (term, seq), crc }
+                }
+                FtimPeerMsg::CkptNack => ShipEvent::Nack,
+                other => unreachable!("a backup answers with an ack or a NACK, not {:?}", other),
+            };
+            let action = rule.step(event);
+            prop_assert!(!matches!(action, ShipAction::Mismatch { .. }), "{:?}", action);
+            Ok(())
+        };
 
         let final_step = (VarSet::new(), Hop::Deliver);
         let last = steps.len();
@@ -384,7 +403,14 @@ proptest! {
                 ship.set(name.clone(), bytes.clone());
             }
             // The closing checkpoint is a full image, as after any NACK.
-            let full = need_full || i == last;
+            if i == last {
+                rule.step(ShipEvent::Nack);
+            }
+            let ShipAction::Ship { term, seq, full, .. } =
+                rule.step(ShipEvent::Opportunity { term: 1 })
+            else {
+                unreachable!("an opportunity always decides");
+            };
             let image_crc = ship.image_crc(None);
             let (payload, crc) = if full {
                 let image = ship.image(None);
@@ -392,13 +418,16 @@ proptest! {
                 (CheckpointPayload::Full(image), image_crc)
             } else {
                 let delta = ship.take_dirty(None);
+                if delta.is_empty() {
+                    continue; // as in the FTIM: an empty delta ships nothing
+                }
                 let crc = ship.crc_of(&delta);
                 (CheckpointPayload::Delta(delta), crc)
             };
-            let seq = taken.len() as u64 + 1;
-            let checkpoint = Checkpoint::with_crc(1, seq, SimTime::from_millis(seq), payload, crc);
+            rule.step(ShipEvent::Shipped { image_crc });
+            let checkpoint =
+                Checkpoint::with_crc(term, seq, SimTime::from_millis(seq), payload, crc);
             let image_now = ship.image(None);
-            need_full = false;
 
             let arriving = match hop {
                 Hop::Deliver => Some(checkpoint.clone()),
@@ -425,7 +454,8 @@ proptest! {
                 Hop::ReplayFirst(at) => {
                     if !taken.is_empty() {
                         let (old, image_then, crc_then) = at.get(&taken);
-                        offer(&mut backup, old, image_then, *crc_then)?;
+                        let outcome = offer(&mut backup, old, image_then, *crc_then)?;
+                        answer(&mut rule, outcome, &backup)?;
                     }
                     Some(checkpoint.clone())
                 }
@@ -435,12 +465,7 @@ proptest! {
                 if matches!(hop, Hop::FlipCrc(_) | Hop::FlipByte(..)) {
                     prop_assert_eq!(outcome, AcceptOutcome::Rejected(RejectReason::Corrupt));
                 }
-                // The FTIM's rule: anything refused but a retransmission is
-                // NACKed, and a NACK makes the next checkpoint a full image.
-                need_full = matches!(
-                    outcome,
-                    AcceptOutcome::Rejected(RejectReason::Corrupt | RejectReason::OutOfOrder)
-                );
+                answer(&mut rule, outcome, &backup)?;
             }
             taken.push((checkpoint, image_now, image_crc));
         }
