@@ -29,8 +29,8 @@
 #   7. oftt-verify clippy       both feature sets
 #   8. verify sweep             oftt-verify exhausts the abstract protocol
 #                               space, link resets and refused redials
-#                               included (pinned state count, zero
-#                               violations, no lasso) and
+#                               included (pinned state and transition
+#                               counts, zero violations, no lasso) and
 #                               refines a 200-schedule trace-export sweep
 #   9. verify seeded defect     the inject_bugs round trip
 #  10. oftt-check clippy        both feature sets
@@ -132,11 +132,18 @@ VERIFY_TRACES=$(mktemp -d /tmp/oftt-traces.XXXXXX)
 TMPFILES+=("$VERIFY_TRACES")
 cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 200 \
     --export-traces "$VERIFY_TRACES"
-# The pinned state count is the exhausted default-budget space; a
+# The pinned counts are the exhausted default-budget space: states by
+# --expect-states, transitions by the printed line checked below. A
 # mismatch means the abstract model (or its bounds) changed — re-pin
 # only after reviewing why.
+VERIFY_LOG=$(mktemp /tmp/oftt-verify.XXXXXX)
+TMPFILES+=("$VERIFY_LOG")
 ./target/release/oftt-verify --liveness --expect-states 5281118 \
-    --refine "$VERIFY_TRACES"
+    --refine "$VERIFY_TRACES" | tee "$VERIFY_LOG"
+if ! grep -q '^explored 5281118 states, 18355279 transitions ' "$VERIFY_LOG"; then
+    echo "TRANSITION COUNT MISMATCH: expected 18355279 transitions" >&2
+    false
+fi
 
 step "verify seeded-defect round trip (inject_bugs)"
 cargo test -p oftt-verify --features inject_bugs -q

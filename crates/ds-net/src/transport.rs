@@ -245,8 +245,10 @@ pub const WIRE_SERVICE: &str = "__wire";
 /// Link lifecycle events delivered to subscribed local services, from
 /// `<node>/`[`WIRE_SERVICE`]. The msgq manager uses `PeerConnected {
 /// reconnect: true }` to retry store-and-forward transfers immediately
-/// instead of waiting out its retry timer; the OFTT engine reads
-/// `PeerDown` as suspicion of the peer and `PeerRefused` as its verdict.
+/// instead of waiting out its retry timer; the OFTT engine feeds
+/// `PeerDown`, `PeerConnected` and `PeerRefused` to its detection rule
+/// (`oftt::detect`) as a link reset, the link up and a refused redial —
+/// suspicion, its clearing, and the verdict on an open suspicion.
 /// These events never cross the wire: they are local to the node whose
 /// links they describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -4,8 +4,9 @@
 //! redundant pair: each engine's role machine (driven by the *shared*
 //! [`oftt::transition::role_transition`] table — the same function the
 //! concrete engine executes, so the model cannot drift from the code),
-//! the two directed message channels, the interconnect partition flag,
-//! and the remaining fault budgets.
+//! its failure detector (driven by the shared [`oftt::detect`] rule, fed
+//! from the model's tick counters), the two directed message channels,
+//! the interconnect partition flag, and the remaining fault budgets.
 //!
 //! ## The abstraction map
 //!
@@ -14,8 +15,9 @@
 //! | engine role/term/peer_role            | verbatim (term bounded)         |
 //! | `last_peer_primary` clock             | `silence` tick counter          |
 //! | `last_peer_any` clock                 | `any_silence` tick counter      |
-//! | link-reset suspicion and its window   | `suspected` tick counter        |
-//! | refused redial of a dead peer         | `Refuse` on an open suspicion   |
+//! | `detect::PeerWatch::step`             | verbatim (the same function)    |
+//! | open suspicion + its window's timer   | `suspected` tick counter        |
+//! | link reset / refused redial reported  | `Reset` (gate 6) / `Refuse` (7) |
 //! | heartbeat/hello/reply/switchover msgs | [`AbsMsg`] with bounded age     |
 //! | checkpoint data path                  | one [`Freshness`] per store     |
 //! | FTIM deadman on the application       | `app_hung` + `WatchdogFire`     |
@@ -43,6 +45,7 @@
 //! — is explored exhaustively.
 
 use ds_net::endpoint::NodeId;
+use oftt::detect::{DetectAction, DetectEvent, PeerWatch};
 use oftt::role::{Claim, Role};
 use oftt::transition::{role_transition, Defects, RoleEvent, RoleOutcome, RoleView};
 
@@ -267,11 +270,10 @@ pub struct AbsNode {
     pub silence: u8,
     /// Ticks since *any* peer message was heard (`last_peer_any`).
     pub any_silence: u8,
-    /// Ticks since a link reset made this backup suspect its peer
-    /// (`Engine`'s open suspicion), or `None`. Any peer message clears
-    /// it; [`SUSPICION_TICKS`] silent ticks confirm it. Meaningful only
-    /// while `Backup`; normalized to `None` otherwise, as the engine
-    /// drops a suspicion when it leaves Backup.
+    /// Ticks since the open suspicion's window was armed, or `None` with
+    /// no suspicion open: the model's clock for the engine's window timer.
+    /// With `role`, it is the slot's [`PeerWatch`]; the window elapses
+    /// [`SUSPICION_TICKS`] ticks after it was armed.
     pub suspected: Option<u8>,
     /// Freshness of the local checkpoint store.
     pub store: Freshness,
@@ -311,13 +313,13 @@ impl AbsNode {
     }
 
     /// Silence counters track `Backup` promotion timers only; zeroing
-    /// them in other roles is faithful (the table never reads them
-    /// there) and collapses states that differ only in dead clocks.
+    /// them in other roles is faithful (the detection rule reads them
+    /// only in Backup) and collapses states that differ only in dead
+    /// clocks.
     fn normalize(&mut self) {
         if self.role != Role::Backup {
             self.silence = 0;
             self.any_silence = 0;
-            self.suspected = None;
         }
     }
 }
@@ -348,8 +350,9 @@ impl Default for Budgets {
     }
 }
 
-/// Backup ticks from a link reset to its confirmation: the engine's
-/// window is two heartbeat periods, so two of its ticks fall inside it.
+/// Ticks from a link reset to its window's close: the window
+/// ([`oftt::detect::window`]) is two heartbeat periods, so two of the
+/// engine's ticks fall inside it.
 pub const SUSPICION_TICKS: u8 = 2;
 
 /// The finite bounds that make the state space exhaustible.
@@ -572,8 +575,8 @@ impl Ctx {
 }
 
 /// Applies a transition-table outcome to a slot, mirroring
-/// `Engine::apply_outcome` (including the entering-Backup silence-clock
-/// restart) plus the promotion-time checkpoint restore.
+/// `Engine::apply_outcome` (the detection rule hears of every
+/// announcement) plus the promotion-time checkpoint restore.
 fn apply_role_outcome(
     s: &mut AbsState,
     slot: Slot,
@@ -627,18 +630,56 @@ fn apply_role_outcome(
                 // The promoted node's state is now the pair's reference.
                 s.node_mut(slot).store = Freshness::Fresh;
             }
+            detect(s, slot, DetectEvent::RoleChanged(role));
             let n = s.node_mut(slot);
             n.role = role;
             n.term = term as u8;
-            if role == Role::Backup {
-                // Entering Backup restarts the primary-silence clock
-                // (the engine fix this model surfaced).
-                n.silence = 0;
-            }
             debug_assert!(ctx.obs.is_none(), "one announcement per action");
             ctx.obs = Some(Obs { slot, role, term: term as u8 });
         }
     }
+}
+
+/// Feeds one event to a slot's [`PeerWatch`], rebuilt from its role and
+/// open suspicion, and applies the action to the slot's tick clocks: a
+/// restart zeroes a counter, arming the window starts `suspected` at 0,
+/// and a suspicion the rule closed drops it.
+fn detect(s: &mut AbsState, slot: Slot, event: DetectEvent) -> DetectAction {
+    let n = s.node_mut(slot);
+    let mut watch = PeerWatch::new(n.role, n.suspected.is_some());
+    let action = watch.step(event);
+    if let DetectAction::Restart { primary, any } | DetectAction::Clear { primary, any } = action {
+        if primary {
+            n.silence = 0;
+        }
+        if any {
+            n.any_silence = 0;
+        }
+    }
+    n.suspected = match action {
+        DetectAction::Arm => Some(0),
+        _ => n.suspected.filter(|_| watch.suspecting()),
+    };
+    action
+}
+
+/// [`detect`], then a verdict's pass through the shared table as
+/// `PrimarySilenceExpired`, as `Engine` does.
+fn observe(
+    s: &mut AbsState,
+    slot: Slot,
+    event: DetectEvent,
+    defects: &Defects,
+    bounds: &Bounds,
+    ctx: &mut Ctx,
+) -> DetectAction {
+    let action = detect(s, slot, event);
+    if let DetectAction::Expired { verdict } = action {
+        let expired = RoleEvent::PrimarySilenceExpired { peer_silent: verdict.peer_silent() };
+        let outcome = role_transition(&s.role_view(slot), &expired, defects);
+        apply_role_outcome(s, slot, outcome, defects, bounds, ctx);
+    }
+    action
 }
 
 /// Finalizes a successor: normalizes dead clocks, canonicalizes the
@@ -749,29 +790,26 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                 };
                 next.chan[slot.outgoing().index()].push(InFlight { msg, age: 0 });
             }
+            // The clocks advance one tick and become events. The window
+            // elapses before the tick's own silence check, and the two
+            // give one verdict per tick: a window verdict is
+            // `peer_silent`, which promotes every backup, and the rule
+            // ignores the tick of a primary.
+            let limit = bounds.silence_limit;
+            let n = next.node_mut(slot);
+            n.silence = (n.silence + 1).min(limit);
+            n.any_silence = (n.any_silence + 1).min(limit);
+            n.suspected = n.suspected.map(|ticks| ticks + 1);
+            let elapsed = n.suspected.is_some_and(|ticks| ticks >= SUSPICION_TICKS);
+            let tick = DetectEvent::Tick {
+                primary_silent: n.silence >= limit,
+                any_silent: n.any_silence >= limit,
+            };
             let mut ctx = Ctx::new();
-            if next.node(slot).role == Role::Backup {
-                let limit = bounds.silence_limit;
-                let n = next.node_mut(slot);
-                n.silence = (n.silence + 1).min(limit);
-                n.any_silence = (n.any_silence + 1).min(limit);
-                n.suspected = n.suspected.map(|ticks| ticks + 1);
-                // A confirmed suspicion reaches the same table entry the
-                // timeout does, only sooner.
-                let confirmed = n.suspected.is_some_and(|ticks| ticks >= SUSPICION_TICKS);
-                if confirmed {
-                    n.suspected = None;
-                }
-                if confirmed || n.silence >= limit {
-                    let peer_silent = confirmed || n.any_silence >= limit;
-                    let outcome = role_transition(
-                        &next.role_view(slot),
-                        &RoleEvent::PrimarySilenceExpired { peer_silent },
-                        defects,
-                    );
-                    apply_role_outcome(&mut next, slot, outcome, defects, bounds, &mut ctx);
-                }
+            if elapsed {
+                observe(&mut next, slot, DetectEvent::WindowElapsed, defects, bounds, &mut ctx);
             }
+            observe(&mut next, slot, tick, defects, bounds, &mut ctx);
             Some(finish(next, ctx))
         }
         Action::Deliver(dir, i) => {
@@ -820,8 +858,8 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                     *store = if fresh { Freshness::Fresh } else { (*store).max(Freshness::Stale) };
                 }
                 raw => {
-                    next.node_mut(to).any_silence = 0;
-                    next.node_mut(to).suspected = None;
+                    let primary = matches!(raw, AbsMsg::Heartbeat { role: Role::Primary, .. });
+                    detect(&mut next, to, DetectEvent::Heard { primary });
                     match raw {
                         AbsMsg::Hello { role, term } => {
                             if next.node(dir.sender()).up {
@@ -840,9 +878,6 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                         }
                         AbsMsg::HelloReply { role, term } => {
                             next.node_mut(to).peer_role = Some(role);
-                            if next.node(to).role == Role::Negotiating && role == Role::Primary {
-                                next.node_mut(to).silence = 0;
-                            }
                             let outcome = role_transition(
                                 &next.role_view(to),
                                 &RoleEvent::PeerHelloReply { role, term: u64::from(term) },
@@ -852,9 +887,6 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
                         }
                         AbsMsg::Heartbeat { role, term } => {
                             next.node_mut(to).peer_role = Some(role);
-                            if role == Role::Primary {
-                                next.node_mut(to).silence = 0;
-                            }
                             let beaten = role == Role::Primary
                                 && next.node(to).role == Role::Primary
                                 && Claim::new(u64::from(term), dir.sender().node_id()).beats(
@@ -1009,42 +1041,38 @@ pub fn apply(s: &AbsState, action: Action, bounds: &Bounds, defects: &Defects) -
             // or cut-off peer. A live, connected peer is redialed at
             // once and heard within the window, so a reset there could
             // only raise a suspicion its next message clears.
-            if s.budgets.resets == 0 || (s.node(slot).up && !s.partitioned) {
+            if s.budgets.resets == 0
+                || (s.node(slot).up && !s.partitioned)
+                || !s.node(slot.other()).up
+            {
                 return None;
             }
-            let observer = s.node(slot.other());
-            // Only an up backup without an open suspicion acts on one.
-            if !observer.up || observer.role != Role::Backup || observer.suspected.is_some() {
-                return None;
-            }
+            // Enabled only where the rule acts on the report: a reset it
+            // ignores would be a self-loop, counted as a transition.
             let mut next = s.clone();
+            if detect(&mut next, slot.other(), DetectEvent::LinkReset) == DetectAction::Nothing {
+                return None;
+            }
             next.budgets.resets -= 1;
-            next.node_mut(slot.other()).suspected = Some(0);
             Some(finish(next, Ctx::new()))
         }
         Action::Refuse(slot) => {
             // Timing-soundness gate 7: a refusal needs a live kernel with
             // nothing listening, so the refused slot is down — never
             // merely partitioned, where a cut path accepts or times out.
-            // It is the verdict on an open suspicion only; each suspicion
-            // is consumed once, so it needs no budget of its own.
-            let observer = s.node(slot.other());
-            if s.node(slot).up
-                || !observer.up
-                || observer.role != Role::Backup
-                || observer.suspected.is_none()
-            {
+            // The rule heeds it only as the verdict on an open suspicion,
+            // which it consumes, so it needs no budget of its own.
+            if s.node(slot).up || !s.node(slot.other()).up {
                 return None;
             }
             let mut next = s.clone();
-            next.node_mut(slot.other()).suspected = None;
             let mut ctx = Ctx::new();
-            let outcome = role_transition(
-                &next.role_view(slot.other()),
-                &RoleEvent::PrimarySilenceExpired { peer_silent: true },
-                defects,
-            );
-            apply_role_outcome(&mut next, slot.other(), outcome, defects, bounds, &mut ctx);
+            let refused = DetectEvent::RedialRefused;
+            if observe(&mut next, slot.other(), refused, defects, bounds, &mut ctx)
+                == DetectAction::Nothing
+            {
+                return None;
+            }
             Some(finish(next, ctx))
         }
         Action::WatchdogFire(slot) => {
@@ -1220,6 +1248,24 @@ mod tests {
         assert!(SUSPICION_TICKS < Bounds::default().silence_limit);
         assert_eq!(step.obs, Some(Obs { slot: Slot::B, role: Role::Primary, term: 2 }));
         assert_eq!(step.next.unwrap().nodes[1].suspected, None);
+    }
+
+    /// The model's clock abstracts the product's defaults: one tick is one
+    /// heartbeat period, the window is [`SUSPICION_TICKS`] of them and the
+    /// peer timeout `silence_limit`.
+    #[test]
+    fn the_tick_counts_are_the_default_config_in_heartbeat_periods() {
+        use oftt::config::{OfttConfig, Pair};
+        let config = OfttConfig::new(Pair::new(Slot::A.node_id(), Slot::B.node_id()));
+        let beat = config.heartbeat_period.as_micros();
+        let window = oftt::detect::window(config.heartbeat_period, config.peer_timeout);
+        assert_eq!(window.as_micros() % beat, 0);
+        assert_eq!(u64::from(SUSPICION_TICKS), window.as_micros() / beat);
+        assert_eq!(config.peer_timeout.as_micros() % beat, 0);
+        assert_eq!(
+            u64::from(Bounds::default().silence_limit),
+            config.peer_timeout.as_micros() / beat
+        );
     }
 
     #[test]

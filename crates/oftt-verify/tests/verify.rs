@@ -36,7 +36,7 @@ fn the_crash_and_cut_space_is_exhausted_clean_and_lasso_free() {
         find_persistent_dual_primary(&ex).is_none(),
         "no fair schedule may keep a dual primary alive in the clean protocol"
     );
-    assert!(ex.states.len() > 10_000, "got only {} states", ex.states.len());
+    assert_eq!((ex.states.len(), ex.transitions), (27_589, 76_024));
     assert!(ex.por_reduced > 0, "the stutter reduction must engage");
 }
 

@@ -15,7 +15,9 @@
 //!   peer's link closed by the remote end *suspects* the peer, and two
 //!   silent heartbeat periods or a refused redial confirm the suspicion —
 //!   a shortcut of the peer timeout for the one fault that announces
-//!   itself (DESIGN.md §5).
+//!   itself (DESIGN.md §5). What is suspected, cleared and confirmed is
+//!   [`crate::detect`]'s rule; the engine keeps the clocks and the
+//!   window's timer, and writes the trace lines.
 //! * **Recovery management** — per-component [`RecoveryRule`]: local
 //!   restart for transient faults, switchover for permanent ones,
 //!   escalation when restarts are exhausted.
@@ -29,10 +31,11 @@ use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt, TimerHandle};
 use ds_net::transport::{TransportEvent, WIRE_SERVICE};
-use ds_sim::prelude::{SimDuration, SimTime, TraceCategory};
+use ds_sim::prelude::{SimTime, TraceCategory};
 use parking_lot::Mutex;
 
 use crate::config::{engine_endpoint, OfttConfig, RecoveryRule};
+use crate::detect::{self, DetectAction, DetectEvent, PeerWatch, Verdict};
 use crate::messages::{
     decode_body, ComponentStatus, FromEngine, FtimKind, PeerMsg, RoleReport, StatusReport, ToEngine,
 };
@@ -67,15 +70,9 @@ pub struct EngineProbe {
     /// Suspicions confirmed at once by a refused redial, each one a
     /// promotion.
     pub suspicions_refused: u32,
-}
-
-/// What confirmed an open suspicion.
-#[derive(Debug, Clone, Copy)]
-enum Verdict {
-    /// The window closed with no word from the peer.
-    Silent,
-    /// A redial to the peer's address was refused.
-    Refused,
+    /// Suspicions still open when the backup left Backup — in practice,
+    /// overtaken by the peer timeout's promotion.
+    pub suspicions_overtaken: u32,
 }
 
 impl EngineProbe {
@@ -110,11 +107,11 @@ pub struct Engine {
     last_peer_any: SimTime,
     peer_role: Option<Role>,
     hello_attempts: u32,
-    /// The confirmation timer of an open suspicion of the peer. Raised
-    /// only by a backup; any word from the peer and any move out of
-    /// Backup close it, so a timer that fires on an open suspicion finds
-    /// a backup that has heard nothing since the reset.
-    suspicion: Option<TimerHandle>,
+    /// The detection rule's state: this engine's role and its open
+    /// suspicion of the peer, if any.
+    watch: PeerWatch,
+    /// The timer of the open suspicion's window, while one is open.
+    window: Option<TimerHandle>,
     probe: Arc<Mutex<EngineProbe>>,
 }
 
@@ -133,7 +130,8 @@ impl Engine {
             last_peer_any: SimTime::ZERO,
             peer_role: None,
             hello_attempts: 0,
-            suspicion: None,
+            watch: PeerWatch::new(Role::Negotiating, false),
+            window: None,
             probe,
         }
     }
@@ -184,19 +182,7 @@ impl Engine {
             // `crate::transition`).
             RoleOutcome::AdoptTerm { term } => self.role_term.adopt_term(term),
             RoleOutcome::Announce { role, term, reason } => {
-                if role == Role::Backup {
-                    // Entering Backup restarts the primary-silence clock:
-                    // after yielding (switchover, dual-primary resolution)
-                    // the new primary gets a full peer_timeout to be heard
-                    // before silence-based self-promotion — otherwise the
-                    // stale clock expires immediately and reopens a
-                    // dual-primary window.
-                    self.last_peer_primary = env.now();
-                } else if let Some(timer) = self.suspicion.take() {
-                    // A suspicion belongs to the backup that raised it; a
-                    // later return to Backup starts from a clean slate.
-                    env.cancel_timer(timer);
-                }
+                self.detect(DetectEvent::RoleChanged(role), env);
                 match detail {
                     Some(detail) => {
                         let text = format!("{}: {detail}", reason.text());
@@ -233,84 +219,102 @@ impl Engine {
         self.apply_outcome(outcome, None, env);
     }
 
-    /// How long a suspicion waits for word from the peer: two heartbeat
-    /// periods, in which a live, connected primary is always heard, and
-    /// never longer than the timeout it shortcuts.
-    fn suspicion_window(&self) -> SimDuration {
-        self.config.heartbeat_period.saturating_mul(2).min(self.config.peer_timeout)
+    /// Link events from this node's own transport.
+    fn handle_transport(&mut self, event: TransportEvent, env: &mut dyn ProcessEnv) {
+        let event = match event {
+            TransportEvent::PeerDown { peer } if peer == self.peer => DetectEvent::LinkReset,
+            TransportEvent::PeerConnected { peer, .. } if peer == self.peer => DetectEvent::LinkUp,
+            TransportEvent::PeerRefused { peer } if peer == self.peer => DetectEvent::RedialRefused,
+            _ => return,
+        };
+        self.detect(event, env);
     }
 
-    /// Link events from this node's own transport. A reset is suspicion,
-    /// not failure: only a backup acts on it, and only by arming the
-    /// confirmation window. A refused redial is the verdict on an open
-    /// suspicion — the peer's kernel reports that nothing listens at its
-    /// address — and is ignored when no suspicion is open.
-    fn handle_transport(&mut self, event: TransportEvent, env: &mut dyn ProcessEnv) {
-        match event {
-            TransportEvent::PeerDown { peer } if peer == self.peer => {
-                if self.role_term.role() != Role::Backup || self.suspicion.is_some() {
-                    return;
-                }
-                let window = self.suspicion_window();
-                self.suspicion = Some(env.set_timer(window, SUSPECT));
+    /// Feeds one event to the detection rule and applies its action:
+    /// clocks, the window's timer, the probe, the trace, and a verdict's
+    /// pass through the transition table.
+    fn detect(&mut self, event: DetectEvent, env: &mut dyn ProcessEnv) {
+        let now = env.now();
+        let window = detect::window(self.config.heartbeat_period, self.config.peer_timeout);
+        match self.watch.step(event) {
+            DetectAction::Nothing => {}
+            DetectAction::Restart { primary, any } => self.restart_clocks(primary, any, now),
+            DetectAction::Clear { primary, any } => {
+                self.restart_clocks(primary, any, now);
+                self.cancel_window(env);
+                self.probe.lock().suspicions_cleared += 1;
+                let why = if event == DetectEvent::LinkUp {
+                    "link reconnected"
+                } else {
+                    "heard from peer"
+                };
+                env.record(
+                    TraceCategory::Engine,
+                    format!("{}: suspicion of {} cleared ({why})", env.self_endpoint(), self.peer),
+                );
+            }
+            DetectAction::Arm => {
+                self.window = Some(env.set_timer(window, SUSPECT));
                 self.probe.lock().suspicions += 1;
                 env.record(
                     TraceCategory::Engine,
                     format!(
-                        "{}: link to {peer} closed by peer: suspected, confirming within {window}",
-                        env.self_endpoint()
+                        "{}: link to {} closed by peer: suspected, confirming within {window}",
+                        env.self_endpoint(),
+                        self.peer
                     ),
                 );
             }
-            TransportEvent::PeerConnected { peer, .. } if peer == self.peer => {
-                self.clear_suspicion("link reconnected", env);
+            DetectAction::Expired { verdict } => {
+                let detail = match verdict {
+                    Verdict::Window => {
+                        self.window = None;
+                        self.probe.lock().suspicions_confirmed += 1;
+                        Some(format!("link closed by peer, silent for {window}"))
+                    }
+                    Verdict::Refusal => {
+                        self.cancel_window(env);
+                        self.probe.lock().suspicions_refused += 1;
+                        Some("link closed by peer, redial refused".to_string())
+                    }
+                    Verdict::Timeout { .. } => None,
+                };
+                let peer_silent = verdict.peer_silent();
+                let outcome = role_transition(
+                    &self.role_view(),
+                    &RoleEvent::PrimarySilenceExpired { peer_silent },
+                    &self.config.defects,
+                );
+                self.apply_outcome(outcome, detail.as_deref(), env);
             }
-            TransportEvent::PeerRefused { peer } if peer == self.peer => {
-                self.confirm_suspicion(Verdict::Refused, env);
+            DetectAction::Overtaken => {
+                self.cancel_window(env);
+                self.probe.lock().suspicions_overtaken += 1;
             }
-            _ => {}
         }
     }
 
-    fn clear_suspicion(&mut self, why: &str, env: &mut dyn ProcessEnv) {
-        let Some(timer) = self.suspicion.take() else { return };
-        env.cancel_timer(timer);
-        self.probe.lock().suspicions_cleared += 1;
-        env.record(
-            TraceCategory::Engine,
-            format!("{}: suspicion of {} cleared ({why})", env.self_endpoint(), self.peer),
-        );
+    fn restart_clocks(&mut self, primary: bool, any: bool, now: SimTime) {
+        if primary {
+            self.last_peer_primary = now;
+        }
+        if any {
+            self.last_peer_any = now;
+        }
     }
 
-    /// An open suspicion reaches its verdict: a backup that has heard
-    /// nothing since the reset, whose window closed or whose redial was
-    /// refused. The verdict is the same peer-silent promotion the timeout
-    /// would reach, through the same table.
-    fn confirm_suspicion(&mut self, verdict: Verdict, env: &mut dyn ProcessEnv) {
-        let Some(timer) = self.suspicion.take() else { return };
-        let detail = match verdict {
-            Verdict::Silent => {
-                self.probe.lock().suspicions_confirmed += 1;
-                format!("link closed by peer, silent for {}", self.suspicion_window())
-            }
-            Verdict::Refused => {
-                env.cancel_timer(timer);
-                self.probe.lock().suspicions_refused += 1;
-                "link closed by peer, redial refused".to_string()
-            }
-        };
-        let outcome = role_transition(
-            &self.role_view(),
-            &RoleEvent::PrimarySilenceExpired { peer_silent: true },
-            &self.config.defects,
-        );
-        self.apply_outcome(outcome, Some(&detail), env);
+    fn cancel_window(&mut self, env: &mut dyn ProcessEnv) {
+        if let Some(timer) = self.window.take() {
+            env.cancel_timer(timer);
+        }
     }
 
     fn handle_peer(&mut self, msg: PeerMsg, env: &mut dyn ProcessEnv) {
-        let now = env.now();
-        self.last_peer_any = now;
-        self.clear_suspicion("heard from peer", env);
+        // Only a primary's heartbeat restarts the primary clock. A hello
+        // reply reaches a negotiating engine, whose clock restarts when it
+        // enters Backup.
+        let primary = matches!(msg, PeerMsg::Heartbeat { role: Role::Primary, .. });
+        self.detect(DetectEvent::Heard { primary }, env);
         let defects = self.config.defects;
         match msg {
             PeerMsg::Hello { node, role, term } => {
@@ -330,9 +334,6 @@ impl Engine {
             }
             PeerMsg::HelloReply { node: _, role, term } => {
                 self.peer_role = Some(role);
-                if self.role_term.role() == Role::Negotiating && role == Role::Primary {
-                    self.last_peer_primary = now;
-                }
                 let outcome = role_transition(
                     &self.role_view(),
                     &RoleEvent::PeerHelloReply { role, term },
@@ -342,9 +343,6 @@ impl Engine {
             }
             PeerMsg::Heartbeat { node: _, role, term } => {
                 self.peer_role = Some(role);
-                if role == Role::Primary {
-                    self.last_peer_primary = now;
-                }
                 let outcome = role_transition(
                     &self.role_view(),
                     &RoleEvent::PeerHeartbeat { role, term },
@@ -509,19 +507,12 @@ impl Engine {
         for target in targets {
             env.send_msg(target, FromEngine::EngineHeartbeat);
         }
-        // 2. Backup promotion on primary silence. The timing predicates
-        // are evaluated here; the decision itself is the shared table's.
-        if self.role_term.role() == Role::Backup
-            && now.saturating_since(self.last_peer_primary) > self.config.peer_timeout
-        {
-            let peer_silent = now.saturating_since(self.last_peer_any) > self.config.peer_timeout;
-            let outcome = role_transition(
-                &self.role_view(),
-                &RoleEvent::PrimarySilenceExpired { peer_silent },
-                &self.config.defects,
-            );
-            self.apply_outcome(outcome, None, env);
-        }
+        // 2. Backup promotion on primary silence: the clocks are read
+        // here, the verdict is the detection rule's.
+        let timeout = self.config.peer_timeout;
+        let primary_silent = now.saturating_since(self.last_peer_primary) > timeout;
+        let any_silent = now.saturating_since(self.last_peer_any) > timeout;
+        self.detect(DetectEvent::Tick { primary_silent, any_silent }, env);
         // 3. Local component failure detection and recovery.
         if env.now() > SimTime::ZERO {
             self.check_components(env);
@@ -607,7 +598,7 @@ impl Process for Engine {
                 self.send_status(env);
                 env.set_timer(self.config.status_period, STATUS);
             }
-            SUSPECT => self.confirm_suspicion(Verdict::Silent, env),
+            SUSPECT => self.detect(DetectEvent::WindowElapsed, env),
             _ => {}
         }
     }
@@ -840,6 +831,16 @@ mod tests {
     /// The default configuration's suspicion window: two 250 ms periods.
     const WINDOW: SimDuration = SimDuration::from_millis(500);
 
+    /// Every suspicion the probe counts ended in exactly one recorded way.
+    #[track_caller]
+    fn assert_ledger(probe: &EngineProbe, context: &str) {
+        let ended = probe.suspicions_cleared
+            + probe.suspicions_confirmed
+            + probe.suspicions_refused
+            + probe.suspicions_overtaken;
+        assert_eq!(probe.suspicions, ended, "{context}: {probe:?}");
+    }
+
     #[test]
     fn crash_with_reset_promotes_within_the_suspicion_window() {
         for seed in 0..20 {
@@ -855,11 +856,34 @@ mod tests {
             let tick = OfttConfig::new(Pair::new(r.a, r.b)).heartbeat_period;
             assert!(latency <= WINDOW + tick, "seed {seed}: promotion took {latency}");
             assert_eq!((probe.suspicions, probe.suspicions_confirmed), (1, 1), "seed {seed}");
+            assert_ledger(&probe, &format!("seed {seed}"));
             assert!(
                 r.cs.trace().find("link closed by peer, silent for 500.000ms").is_some(),
                 "seed {seed}: the promotion reason names the reset"
             );
         }
+    }
+
+    #[test]
+    fn a_suspicion_the_timeout_overtakes_is_counted() {
+        let mut overtaken = 0;
+        for seed in 0..10 {
+            let mut r = rig(seed);
+            let (primary, backup, probe) = formed(&mut r);
+            let at = SimTime::from_secs(10);
+            inject(&mut r.cs, at, Fault::CrashNode(primary));
+            // The reset lands just before the 1 s timeout runs out, so the
+            // timeout promotes before the window closes.
+            let late = at + SimDuration::from_millis(900);
+            inject(&mut r.cs, late, Fault::PeerReset { from: primary, to: backup });
+            r.cs.run_until(SimTime::from_secs(20));
+            let probe = probe.lock();
+            assert!(probe.first_role_after(at, Role::Primary).is_some(), "seed {seed}");
+            assert_eq!(probe.suspicions_confirmed, 0, "seed {seed}: the timeout wins");
+            assert_ledger(&probe, &format!("seed {seed}"));
+            overtaken += probe.suspicions_overtaken;
+        }
+        assert!(overtaken > 0, "no seed opened a suspicion before the timeout promoted");
     }
 
     #[test]
@@ -885,6 +909,7 @@ mod tests {
                 (1, 1, 0),
                 "seed {seed}: the primary's next heartbeat clears the suspicion"
             );
+            assert_ledger(&probe, &format!("seed {seed}"));
         }
     }
 
@@ -904,6 +929,7 @@ mod tests {
                 "seed {seed}: a silent crash promoted after only {latency}"
             );
             assert_eq!(probe.suspicions, 0);
+            assert_ledger(&probe, &format!("seed {seed}"));
         }
     }
 
@@ -937,6 +963,7 @@ mod tests {
         r.cs.run_until(SimTime::from_secs(15));
         let probe = probe.lock();
         assert_eq!(probe.suspicions, 0, "no forged event may raise a suspicion");
+        assert_ledger(&probe, "forged");
         assert!(probe.first_role_after(at, Role::Primary).is_none());
     }
 
@@ -962,6 +989,7 @@ mod tests {
                 (1, 0, 1),
                 "seed {seed}"
             );
+            assert_ledger(&probe, &format!("seed {seed}"));
             assert!(
                 r.cs.trace().find("link closed by peer, redial refused").is_some(),
                 "seed {seed}: the promotion reason names the refusal"
@@ -995,6 +1023,7 @@ mod tests {
             for probe in [&r.probe_a, &r.probe_b] {
                 let probe = probe.lock();
                 assert_eq!((probe.suspicions, probe.suspicions_refused), (0, 0), "seed {seed}");
+                assert_ledger(&probe, &format!("seed {seed}"));
             }
         }
     }
@@ -1046,6 +1075,7 @@ mod tests {
                 (1, 1, 0),
                 "seed {seed}"
             );
+            assert_ledger(&probe, &format!("seed {seed}"));
         }
     }
 
@@ -1076,6 +1106,7 @@ mod tests {
                 (1, 1, 0),
                 "seed {seed}: the primary's heartbeat clears the suspicion"
             );
+            assert_ledger(&probe, &format!("seed {seed}"));
         }
     }
 

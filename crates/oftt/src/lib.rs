@@ -65,6 +65,7 @@
 pub mod api;
 pub mod checkpoint;
 pub mod config;
+pub mod detect;
 pub mod diverter;
 pub mod engine;
 pub mod ftim;
