@@ -43,7 +43,8 @@ pub enum CampaignError {
         key: String,
     },
     /// A parameter override was rejected by the harness (unknown override
-    /// key, or a value that is mistyped / out of range).
+    /// key, a value that is mistyped / out of range, or a table whose
+    /// values break a cross-field rule together).
     Override {
         /// The offending file.
         path: String,

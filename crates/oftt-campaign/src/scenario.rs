@@ -513,6 +513,16 @@ mod tests {
                 other => panic!("{overrides}: {other}"),
             }
         }
+        // Every value in range, but the table as a whole is one the engine
+        // would refuse at boot, mid-run: a load error with `check`'s reason.
+        let inverted = r#"{"name": "x", "seeds": [1], "overrides":
+                           {"heartbeat_period_ms": 500, "peer_timeout_ms": 400}}"#;
+        match Scenario::load("t.json", inverted).unwrap_err() {
+            CampaignError::Override { inner: OverrideError::Inconsistent { reason }, .. } => {
+                assert_eq!(reason, "peer timeout must exceed the heartbeat period");
+            }
+            other => panic!("{other}"),
+        }
         let startup_bug = r#"{"name": "x", "seeds": [1], "overrides":
                               {"startup_retries": 0, "startup_fallback": "become-primary"}}"#;
         let sc = Scenario::load("t.json", startup_bug).unwrap();

@@ -3,19 +3,21 @@
 //! protocol defect actually surfaces in a campaign's summary — the
 //! instrument detects what it exists to detect.
 
+use oftt::config::OfttConfig;
 use oftt_campaign::{aggregate, expand, gate_failures, run_campaign, CampaignError, Scenario};
-use oftt_harness::overrides::VALID_KEYS;
+use oftt_harness::overrides;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// Any override key outside the harness's accepted set — plausible
-    /// typos included — must be rejected at load time with a typed error
-    /// naming the key verbatim.
+    /// Any override key outside the accepted set — the toolkit's tunables
+    /// and the harness's deployment keys; plausible typos included — must
+    /// be rejected at load time with a typed error naming the key verbatim.
     #[test]
     fn arbitrary_unknown_override_keys_are_rejected(key in "[a-z_]{1,24}") {
-        prop_assume!(!VALID_KEYS.contains(&key.as_str()));
+        prop_assume!(!OfttConfig::KEYS.contains(&key.as_str()));
+        prop_assume!(!overrides::KEYS.contains(&key.as_str()));
         let text = format!(
             r#"{{"name": "typo", "seeds": [1], "overrides": {{"{key}": 100}}}}"#
         );

@@ -5,8 +5,11 @@
 //! pairs. [`set`] is the single entry point: it hard-errors on unknown
 //! keys — a typo'd override must fail the load, never silently run the
 //! baseline — range-checks every value, and writes the field of
-//! [`ScenarioParams`] directly, so the built scenario can no longer blow
-//! up mid-simulation on a bad knob.
+//! [`ScenarioParams`] directly. The toolkit's tunables go through
+//! [`OfttConfig::set`], the table `oftt-node`'s config files read too;
+//! the deployment keys, [`KEYS`], are this module's. [`set_all`] checks
+//! the finished table as a whole, so a built scenario can no longer blow
+//! up mid-simulation on a bad knob or a bad combination of knobs.
 
 #![cfg_attr(
     not(test),
@@ -23,22 +26,15 @@
 
 use ds_net::link::PathConfig;
 use ds_sim::prelude::{SimDuration, SimTime};
-use oftt::config::{CheckpointMode, RecoveryRule, StartupFallback};
+use oftt::config::{duration_ms, flag, integer, number, OfttConfig, RecoveryRule, MAX_MS};
+pub use oftt::config::{OverrideError, OverrideValue};
 
 use crate::scenario::ScenarioParams;
 
-/// Every key [`set`] accepts, for error messages and docs.
-pub const VALID_KEYS: &[&str] = &[
-    "heartbeat_period_ms",
-    "component_timeout_ms",
-    "peer_timeout_ms",
-    "fail_safe_timeout_ms",
-    "checkpoint_period_ms",
-    "startup_timeout_ms",
-    "status_period_ms",
-    "startup_retries",
-    "startup_fallback",
-    "checkpoint_refresh_every",
+/// The deployment keys [`set`] accepts besides [`OfttConfig::KEYS`]: the
+/// link, the watchdog, the recovery rule, the telephone load, clock drift
+/// and the diverter.
+pub const KEYS: &[&str] = &[
     "link",
     "link_loss",
     "link_latency_us",
@@ -55,85 +51,6 @@ pub const VALID_KEYS: &[&str] = &[
     "diverter_retarget",
 ];
 
-/// A raw override value as it arrives from a scenario file.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OverrideValue {
-    /// A JSON number.
-    Number(f64),
-    /// A JSON string.
-    Text(String),
-    /// A JSON boolean.
-    Flag(bool),
-}
-
-/// Why an override was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OverrideError {
-    /// The key is not one the harness knows; carries the full accepted set.
-    UnknownKey {
-        /// The offending key, verbatim.
-        key: String,
-    },
-    /// The key is known but the value is mistyped or out of range.
-    BadValue {
-        /// The offending key.
-        key: &'static str,
-        /// What was wrong with the value.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for OverrideError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverrideError::UnknownKey { key } => {
-                write!(f, "unknown override key {key:?}; valid keys: {}", VALID_KEYS.join(", "))
-            }
-            OverrideError::BadValue { key, detail } => {
-                write!(f, "bad value for override key {key:?}: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OverrideError {}
-
-/// One day — a generous ceiling for any duration knob; values past it are
-/// certainly typos (units confusion), not experiments.
-const MAX_MS: f64 = 86_400_000.0;
-
-fn duration_ms(key: &'static str, value: &OverrideValue) -> Result<SimDuration, OverrideError> {
-    let ms = number(key, value)?;
-    if !(ms > 0.0 && ms <= MAX_MS) {
-        return Err(OverrideError::BadValue {
-            key,
-            detail: format!("expected milliseconds in (0, {MAX_MS}], got {ms}"),
-        });
-    }
-    Ok(SimDuration::from_micros((ms * 1_000.0).round() as u64))
-}
-
-fn number(key: &'static str, value: &OverrideValue) -> Result<f64, OverrideError> {
-    match value {
-        OverrideValue::Number(n) if n.is_finite() => Ok(*n),
-        other => Err(OverrideError::BadValue {
-            key,
-            detail: format!("expected a finite number, got {other:?}"),
-        }),
-    }
-}
-
-fn integer(key: &'static str, value: &OverrideValue, max: u64) -> Result<u64, OverrideError> {
-    let n = number(key, value)?;
-    if n < 0.0 || n > max as f64 || n.fract() != 0.0 {
-        return Err(OverrideError::BadValue {
-            key,
-            detail: format!("expected an integer in [0, {max}], got {n}"),
-        });
-    }
-    Ok(n as u64)
-}
-
 fn drift(key: &'static str, value: &OverrideValue) -> Result<f64, OverrideError> {
     let f = number(key, value)?;
     if !(0.25..=4.0).contains(&f) {
@@ -143,16 +60,6 @@ fn drift(key: &'static str, value: &OverrideValue) -> Result<f64, OverrideError>
         });
     }
     Ok(f)
-}
-
-fn flag(key: &'static str, value: &OverrideValue) -> Result<bool, OverrideError> {
-    match value {
-        OverrideValue::Flag(b) => Ok(*b),
-        other => Err(OverrideError::BadValue {
-            key,
-            detail: format!("expected a boolean, got {other:?}"),
-        }),
-    }
 }
 
 /// Applies a `link_*` key: the link collapses to a single path (tuned
@@ -168,49 +75,24 @@ fn tune_path(params: &mut ScenarioParams, edit: impl FnOnce(&mut PathConfig)) {
 ///
 /// # Errors
 ///
-/// [`OverrideError::UnknownKey`] for keys outside [`VALID_KEYS`];
-/// [`OverrideError::BadValue`] for mistyped or out-of-range values.
+/// [`OverrideError::UnknownKey`] for keys outside [`OfttConfig::KEYS`]
+/// and [`KEYS`]; [`OverrideError::BadValue`] for mistyped or out-of-range
+/// values.
 pub fn set(
     params: &mut ScenarioParams,
     key: &str,
     value: &OverrideValue,
 ) -> Result<(), OverrideError> {
-    let Some(&key) = VALID_KEYS.iter().find(|valid| **valid == key) else {
-        return Err(OverrideError::UnknownKey { key: key.to_string() });
+    let Some(&key) = KEYS.iter().find(|valid| **valid == key) else {
+        return OfttConfig::set(&mut params.config, key, value).map_err(|err| match err {
+            OverrideError::UnknownKey { key, .. } => {
+                OverrideError::UnknownKey { key, also_valid: KEYS }
+            }
+            other => other,
+        });
     };
     let rejected = |detail: String| OverrideError::BadValue { key, detail };
-    let config = &mut params.config;
     match key {
-        "heartbeat_period_ms" => config.heartbeat_period = duration_ms(key, value)?,
-        "component_timeout_ms" => config.component_timeout = duration_ms(key, value)?,
-        "peer_timeout_ms" => config.peer_timeout = duration_ms(key, value)?,
-        "fail_safe_timeout_ms" => config.fail_safe_timeout = duration_ms(key, value)?,
-        "checkpoint_period_ms" => config.checkpoint_period = duration_ms(key, value)?,
-        "startup_timeout_ms" => config.startup_timeout = duration_ms(key, value)?,
-        "status_period_ms" => config.status_period = duration_ms(key, value)?,
-        "startup_retries" => config.startup_retries = integer(key, value, 100)? as u32,
-        "startup_fallback" => {
-            config.startup_fallback = match value {
-                OverrideValue::Text(s) if s == "shut-down" => StartupFallback::ShutDown,
-                OverrideValue::Text(s) if s == "become-primary" => StartupFallback::BecomePrimary,
-                other => {
-                    return Err(rejected(format!(
-                        "expected \"shut-down\" or \"become-primary\", got {other:?}"
-                    )))
-                }
-            };
-        }
-        // `0` selects `CheckpointMode::Full`; `n > 0` is `Selective`'s
-        // `refresh_every`: how many ship opportunities an unconfirmed
-        // checkpoint may wait for an ack carrying its image checksum before
-        // the whole image is resent (not a blind refresh interval — a pair
-        // whose acks confirm never resends).
-        "checkpoint_refresh_every" => {
-            config.checkpoint_mode = match integer(key, value, 1_000_000)? as u32 {
-                0 => CheckpointMode::Full,
-                n => CheckpointMode::Selective { refresh_every: n },
-            };
-        }
         "link" => {
             let paths = match value {
                 OverrideValue::Text(s) if s == "dual" => 2,
@@ -274,20 +156,22 @@ pub fn set(
             *(if key == "drift_a" { a } else { b }) = drift(key, value)?;
         }
         "diverter_retarget" => params.diverter_retarget = flag(key, value)?,
-        // Every key in VALID_KEYS has an arm above.
-        _ => return Err(OverrideError::UnknownKey { key: key.to_string() }),
+        // Every key in KEYS has an arm above.
+        _ => return Err(OverrideError::UnknownKey { key: key.to_string(), also_valid: KEYS }),
     }
     Ok(())
 }
 
-/// Applies a whole override table through [`set`], enforcing the one
-/// cross-key rule: the `link` topology key and the `link_*` tuning keys
-/// are mutually exclusive, whatever their order.
+/// Applies a whole override table through [`set`], enforcing the
+/// cross-key rules: the `link` topology key and the `link_*` tuning keys
+/// are mutually exclusive, whatever their order, and the finished
+/// toolkit configuration must pass [`OfttConfig::check`].
 ///
 /// # Errors
 ///
-/// The first rejection [`set`] makes, or [`OverrideError::BadValue`] on
-/// `link` when both kinds of link key appear.
+/// The first rejection [`set`] makes, [`OverrideError::BadValue`] on
+/// `link` when both kinds of link key appear, or
+/// [`OverrideError::Inconsistent`] with `check`'s reason.
 pub fn set_all<'a>(
     params: &mut ScenarioParams,
     table: impl IntoIterator<Item = (&'a str, &'a OverrideValue)>,
@@ -306,11 +190,13 @@ pub fn set_all<'a>(
             });
         }
     }
-    Ok(())
+    OfttConfig::check(&params.config).map_err(|reason| OverrideError::Inconsistent { reason })
 }
 
 #[cfg(test)]
 mod tests {
+    use oftt::config::{CheckpointMode, OfttConfig};
+
     use super::*;
 
     fn num(n: f64) -> OverrideValue {
@@ -326,16 +212,17 @@ mod tests {
         let mut params = ScenarioParams::default();
         let err = set(&mut params, "heartbeat_period_msec", &num(100.0)).unwrap_err();
         match &err {
-            OverrideError::UnknownKey { key } => assert_eq!(key, "heartbeat_period_msec"),
+            OverrideError::UnknownKey { key, .. } => assert_eq!(key, "heartbeat_period_msec"),
             other => panic!("expected UnknownKey, got {other:?}"),
         }
-        assert!(err.to_string().contains("heartbeat_period_ms"), "lists the valid keys");
+        let listed = err.to_string();
+        assert!(listed.contains("heartbeat_period_ms") && listed.contains("drift_a"), "{listed}");
         assert_eq!(params, ScenarioParams::default(), "a rejected key writes nothing");
     }
 
     #[test]
     fn every_valid_key_is_accepted() {
-        for key in VALID_KEYS {
+        for key in OfttConfig::KEYS.iter().chain(KEYS) {
             let candidates = [num(1.0), text("dual"), text("shut-down"), OverrideValue::Flag(true)];
             assert!(
                 candidates.iter().any(|v| set(&mut ScenarioParams::default(), key, v).is_ok()),
@@ -374,6 +261,27 @@ mod tests {
         let mut p = ScenarioParams::default();
         set_all(&mut p, [("link", &text("single"))]).unwrap();
         assert_eq!(p.link, vec![PathConfig::default()]);
+    }
+
+    #[test]
+    fn a_table_is_checked_whole_after_it_is_applied() {
+        // Against the default 1,000 ms peer timeout the fail-safe key alone
+        // breaks the fail-safe rule; the table as a whole keeps it.
+        let (fail_safe, peer) = (num(1_500.0), num(2_000.0));
+        let mut p = ScenarioParams::default();
+        set_all(&mut p, [("fail_safe_timeout_ms", &fail_safe), ("peer_timeout_ms", &peer)])
+            .unwrap();
+        assert_eq!(p.config.fail_safe_timeout, SimDuration::from_millis(1_500));
+        let (heartbeat, peer) = (num(500.0), num(400.0));
+        let err = set_all(
+            &mut ScenarioParams::default(),
+            [("heartbeat_period_ms", &heartbeat), ("peer_timeout_ms", &peer)],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            OverrideError::Inconsistent { reason: "peer timeout must exceed the heartbeat period" }
+        );
     }
 
     #[test]

@@ -127,7 +127,8 @@ fn main() {
         net.start(&Endpoint::new(node, MONITOR_SERVICE));
     }
     if let Some(monitor) = oftt_config.monitor.clone() {
-        net.start_transport_reporter(monitor, Duration::from_millis(config.status_ms));
+        let period = Duration::from_micros(oftt_config.status_period.as_micros());
+        net.start_transport_reporter(monitor, period);
     }
 
     let listen = net.listen_addr().map(|a| a.to_string()).unwrap_or_else(|| "?".into());

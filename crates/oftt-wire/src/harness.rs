@@ -33,7 +33,9 @@ pub fn oftt_node_bin() -> PathBuf {
     path
 }
 
-/// Renders a node config file for a two-node pair.
+/// Renders a node config file for a two-node pair. Its timers and the
+/// application's shape past `app_vars` are
+/// [`NodeConfig::template`](crate::config::NodeConfig::template)'s.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_config(
     node: NodeId,
@@ -49,17 +51,7 @@ pub fn pair_config(
          listen = \"127.0.0.1:{listen_port}\"\n\
          peer = \"{}@127.0.0.1:{peer_port}\"\n\
          monitor_node = {}\n\
-         heartbeat_ms = 50\n\
-         component_timeout_ms = 400\n\
-         peer_timeout_ms = 400\n\
-         fail_safe_ms = 250\n\
-         checkpoint_ms = 100\n\
-         startup_ms = 500\n\
-         status_ms = 200\n\
          app_vars = {app_vars}\n\
-         app_var_bytes = 64\n\
-         app_dirty_per_tick = 4\n\
-         app_tick_ms = 20\n\
          seed = {seed}\n",
         node.0, peer.0, monitor_node.0
     )

@@ -1,5 +1,22 @@
 //! Toolkit configuration: the pair, detection timeouts, checkpoint policy,
 //! recovery rules, and the startup policy of paper Section 3.2.
+//!
+//! It is also the one place a tunable has a name: campaign files and
+//! `oftt-node` config files both parse theirs through [`OfttConfig::set`],
+//! then run [`OfttConfig::check`] once on the finished table.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_sim::prelude::SimDuration;
@@ -43,6 +60,7 @@ impl Pair {
     /// # Panics
     ///
     /// Panics if `node` is not a member.
+    #[expect(clippy::panic, reason = "a documented precondition, like `Pair::new`'s")]
     pub fn peer_of(&self, node: NodeId) -> NodeId {
         if node == self.a {
             self.b
@@ -222,10 +240,185 @@ impl OfttConfig {
     /// Panics if a timeout is not longer than the heartbeat period (the
     /// detector would false-positive on every beat); see
     /// [`OfttConfig::check`] for the non-panicking form.
+    #[expect(clippy::panic, reason = "the panicking form; `check` is the fallible one")]
     pub fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }
+    }
+
+    /// Every key [`OfttConfig::set`] accepts: the tunables' one vocabulary.
+    pub const KEYS: &'static [&'static str] = &[
+        "heartbeat_period_ms",
+        "component_timeout_ms",
+        "peer_timeout_ms",
+        "fail_safe_timeout_ms",
+        "checkpoint_period_ms",
+        "startup_timeout_ms",
+        "status_period_ms",
+        "startup_retries",
+        "startup_fallback",
+        "checkpoint_refresh_every",
+    ];
+
+    /// Sets the tunable `key` names from untrusted text, range-checking
+    /// `value` and writing nothing on an error. The cross-field rules are
+    /// [`OfttConfig::check`]'s, for the caller to run once its whole table
+    /// is applied: per key, `fail_safe_timeout_ms: 1500` would be refused
+    /// against the default peer timeout before `peer_timeout_ms: 2000`.
+    ///
+    /// # Errors
+    ///
+    /// [`OverrideError::UnknownKey`] for keys outside [`OfttConfig::KEYS`];
+    /// [`OverrideError::BadValue`] for mistyped or out-of-range values.
+    pub fn set(&mut self, key: &str, value: &OverrideValue) -> Result<(), OverrideError> {
+        let unknown = || OverrideError::UnknownKey { key: key.to_string(), also_valid: &[] };
+        let Some(&key) = Self::KEYS.iter().find(|valid| **valid == key) else {
+            return Err(unknown());
+        };
+        let rejected = |detail: String| OverrideError::BadValue { key, detail };
+        match key {
+            "heartbeat_period_ms" => self.heartbeat_period = duration_ms(key, value)?,
+            "component_timeout_ms" => self.component_timeout = duration_ms(key, value)?,
+            "peer_timeout_ms" => self.peer_timeout = duration_ms(key, value)?,
+            "fail_safe_timeout_ms" => self.fail_safe_timeout = duration_ms(key, value)?,
+            "checkpoint_period_ms" => self.checkpoint_period = duration_ms(key, value)?,
+            "startup_timeout_ms" => self.startup_timeout = duration_ms(key, value)?,
+            "status_period_ms" => self.status_period = duration_ms(key, value)?,
+            "startup_retries" => self.startup_retries = integer(key, value, 100)? as u32,
+            "startup_fallback" => {
+                self.startup_fallback = match value {
+                    OverrideValue::Text(s) if s == "shut-down" => StartupFallback::ShutDown,
+                    OverrideValue::Text(s) if s == "become-primary" => {
+                        StartupFallback::BecomePrimary
+                    }
+                    other => {
+                        return Err(rejected(format!(
+                            "expected \"shut-down\" or \"become-primary\", got {other:?}"
+                        )))
+                    }
+                };
+            }
+            // `0` selects `CheckpointMode::Full`; `n > 0` is `Selective`'s
+            // `refresh_every`: how many ship opportunities an unconfirmed
+            // checkpoint may wait for an ack carrying its image checksum
+            // before the whole image is resent (not a blind refresh
+            // interval — a pair whose acks confirm never resends).
+            "checkpoint_refresh_every" => {
+                self.checkpoint_mode = match integer(key, value, 1_000_000)? as u32 {
+                    0 => CheckpointMode::Full,
+                    n => CheckpointMode::Selective { refresh_every: n },
+                };
+            }
+            // Every key in KEYS has an arm above.
+            _ => return Err(unknown()),
+        }
+        Ok(())
+    }
+}
+
+/// A raw parameter value as it arrives from untrusted text: a campaign
+/// file's JSON, or a node file's `key = value` line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OverrideValue {
+    /// A number.
+    Number(f64),
+    /// A string.
+    Text(String),
+    /// A boolean.
+    Flag(bool),
+}
+
+/// Why a parameter override (or a whole table of them) was rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OverrideError {
+    /// The key is not one the caller knows.
+    UnknownKey {
+        /// The offending key, verbatim.
+        key: String,
+        /// The caller's own keys, listed as valid after [`OfttConfig::KEYS`].
+        also_valid: &'static [&'static str],
+    },
+    /// The key is known but the value is mistyped or out of range.
+    BadValue {
+        /// The offending key.
+        key: &'static str,
+        /// What was wrong with the value.
+        detail: String,
+    },
+    /// Every value is in range, but the finished table breaks one of
+    /// [`OfttConfig::check`]'s cross-field rules.
+    Inconsistent {
+        /// `check`'s reason, verbatim.
+        reason: &'static str,
+    },
+}
+
+impl std::fmt::Display for OverrideError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OverrideError::UnknownKey { key, also_valid } => {
+                let valid: Vec<&str> =
+                    OfttConfig::KEYS.iter().chain(*also_valid).copied().collect();
+                write!(f, "unknown override key {key:?}; valid keys: {}", valid.join(", "))
+            }
+            OverrideError::BadValue { key, detail } => {
+                write!(f, "bad value for override key {key:?}: {detail}")
+            }
+            OverrideError::Inconsistent { reason } => write!(f, "inconsistent overrides: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for OverrideError {}
+
+/// One day — a generous ceiling for any duration knob; values past it are
+/// certainly typos (units confusion), not experiments.
+pub const MAX_MS: f64 = 86_400_000.0;
+
+/// `value` as a positive duration of at most [`MAX_MS`] milliseconds.
+pub fn duration_ms(key: &'static str, value: &OverrideValue) -> Result<SimDuration, OverrideError> {
+    let ms = number(key, value)?;
+    if !(ms > 0.0 && ms <= MAX_MS) {
+        return Err(OverrideError::BadValue {
+            key,
+            detail: format!("expected milliseconds in (0, {MAX_MS}], got {ms}"),
+        });
+    }
+    Ok(SimDuration::from_micros((ms * 1_000.0).round() as u64))
+}
+
+/// `value` as a finite number.
+pub fn number(key: &'static str, value: &OverrideValue) -> Result<f64, OverrideError> {
+    match value {
+        OverrideValue::Number(n) if n.is_finite() => Ok(*n),
+        other => Err(OverrideError::BadValue {
+            key,
+            detail: format!("expected a finite number, got {other:?}"),
+        }),
+    }
+}
+
+/// `value` as a whole number in `[0, max]`.
+pub fn integer(key: &'static str, value: &OverrideValue, max: u64) -> Result<u64, OverrideError> {
+    let n = number(key, value)?;
+    if n < 0.0 || n > max as f64 || n.fract() != 0.0 {
+        return Err(OverrideError::BadValue {
+            key,
+            detail: format!("expected an integer in [0, {max}], got {n}"),
+        });
+    }
+    Ok(n as u64)
+}
+
+/// `value` as a boolean.
+pub fn flag(key: &'static str, value: &OverrideValue) -> Result<bool, OverrideError> {
+    match value {
+        OverrideValue::Flag(b) => Ok(*b),
+        other => Err(OverrideError::BadValue {
+            key,
+            detail: format!("expected a boolean, got {other:?}"),
+        }),
     }
 }
 
