@@ -7,40 +7,45 @@
 #                               is also where the per-module panic lints and
 #                               each crate's clippy.toml list of blocking
 #                               calls are enforced
-#   3. tier-1                   release build + the root suite's smoke tests
-#   4. workspace tests          every crate's unit/integration tests in a
+#   3. cargo doc                whole workspace, no dependencies, warnings
+#                               are errors: a doc link to a private or
+#                               ambiguous item fails here
+#   4. tier-1                   release build + the root suite's smoke tests
+#   5. workspace tests          every crate's unit/integration tests in a
 #                               debug build, where the parking_lot shim
 #                               panics on any lock taken under another (every
 #                               lock is a leaf); the reactor's 128-connection
 #                               saturation floor is oftt-wire's reactor_load
 #                               test, and its per-frame allocation ceilings
-#                               are reactor_alloc's. Then the
+#                               are reactor_alloc's; oftt's ship_alloc pins
+#                               zero allocations for a checkpoint variable
+#                               written by borrowed name. Then the
 #                               oftt and oftt-check suites again with the
 #                               seeded defects compiled in (the checkpoint
 #                               store's one-deep history only exists under
 #                               inject_bugs; Call Track's premature watchdog
 #                               delete must be reported as api-lifecycle)
-#   5. oftt-check sweep         pair failover, 600-schedule budget
-#   6. oftt-check sweep         partitioned startup, shipped config; then
+#   6. oftt-check sweep         pair failover, 600-schedule budget
+#   7. oftt-check sweep         partitioned startup, shipped config; then
 #                               the replay round trip: the seeded startup
 #                               bug at a 50 us tie window must be found and
 #                               emitted (exit 2), and the artifact must
 #                               replay to the same violation (exit 0)
-#   7. oftt-verify clippy       both feature sets
-#   8. verify sweep             oftt-verify exhausts the abstract protocol
+#   8. oftt-verify clippy       both feature sets
+#   9. verify sweep             oftt-verify exhausts the abstract protocol
 #                               space, link resets and refused redials
 #                               included (pinned state and transition
 #                               counts, zero violations, no lasso) and
 #                               refines a 200-schedule trace-export sweep
-#   9. verify seeded defect     the inject_bugs round trip
-#  10. oftt-check clippy        both feature sets
-#  11. wire smoke               two real oftt-node processes over loopback
+#  10. verify seeded defect     the inject_bugs round trip
+#  11. oftt-check clippy        both feature sets
+#  12. wire smoke               two real oftt-node processes over loopback
 #                               TCP: SIGKILL the primary, assert promotion
 #                               on the peer's reset and refused redial within
 #                               200 ms, and restore-crc integrity; then
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
-#  12. campaign corpus          every examples/campaigns/*.json at its own
+#  13. campaign corpus          every examples/campaigns/*.json at its own
 #                               seed count (8 x 100 seeds, a few seconds):
 #                               every run goes through the oftt-check
 #                               invariant engine; any violation,
@@ -48,7 +53,7 @@
 #                               missed expected violation (the seeded
 #                               startup defect) exits nonzero via the
 #                               campaign gate
-#  13. benchmark smoke          the repo's benchmark (benchmark/run.sh,
+#  14. benchmark smoke          the repo's benchmark (benchmark/run.sh,
 #                               declared by BENCHMARK.json) at 1/20 length,
 #                               untraced and traced: all four workloads must
 #                               report "correct": true and "failed": 0. This
@@ -95,6 +100,9 @@ cargo fmt --check
 
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+step "cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 step "tier-1: release build + root tests"
 cargo build --release -q

@@ -1,4 +1,4 @@
-//! The [`com_interface!`] macro — a micro-IDL for declaring interfaces.
+//! The [`crate::com_interface!`] macro — a micro-IDL for declaring interfaces.
 //!
 //! The paper's components were defined in IDL and compiled to proxy/stub
 //! pairs; here an interface declaration produces a unit type carrying its

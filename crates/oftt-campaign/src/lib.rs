@@ -12,7 +12,7 @@
 //!   unknown keys, duplicate keys, out-of-range times and seed spans as
 //!   typed hard errors (the file is read by the crate's private,
 //!   RFC 8259-strict `json` module);
-//! * [`expand`] unrolls the template per seed with deterministic jitter
+//! * [`mod@expand`] unrolls the template per seed with deterministic jitter
 //!   (`SimRng::derive(seed, fnv(name) ^ step)`), so every run is exactly
 //!   reproducible from `(file, seed)`;
 //! * [`exec`] fans the runs across worker threads — each executes the

@@ -40,7 +40,7 @@
 //! [`ScriptOp::parse`], the same parser `FaultScript::parse` uses, so the
 //! op vocabulary and its operand checks live in one place. `repeat` /
 //! `every_ms` / `jitter_ms` turn one step into a deterministic per-seed
-//! storm (see [`crate::expand`]). The pre-fix §3.2 startup configuration is
+//! storm (see [`mod@crate::expand`]). The pre-fix §3.2 startup configuration is
 //! two overrides: `"startup_retries": 0, "startup_fallback":
 //! "become-primary"`.
 

@@ -20,10 +20,10 @@
 //! * [`outcome`] derives the statistical view of the same events —
 //!   failover-time samples, availability fraction, recovery status — the
 //!   structured result campaign sweeps aggregate across seeds.
-//! * [`explore`] sweeps seeds × tie-break deviations breadth-first with
+//! * [`mod@explore`] sweeps seeds × tie-break deviations breadth-first with
 //!   partial-order pruning (one deviation per event scope) under a run
 //!   budget.
-//! * [`shrink`] reduces a violating schedule to a minimal still-failing
+//! * [`mod@shrink`] reduces a violating schedule to a minimal still-failing
 //!   forced prefix; [`replay`] saves/loads self-describing schedule
 //!   artifacts and re-runs them.
 //!

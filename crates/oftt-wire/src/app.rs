@@ -50,13 +50,11 @@ pub struct LoadView {
 
 const TICK: u64 = 1;
 
-fn var_name(i: usize) -> String {
-    format!("v{i:05}")
-}
-
 /// The synthetic application.
 pub struct LoadApp {
     config: LoadConfig,
+    /// Variable `i`'s name, built once: every write borrows it.
+    names: Vec<String>,
     /// Per-variable version counters; the buffer for var `i` carries its
     /// version in the first 8 bytes (LE), rest constant filler.
     versions: Vec<u64>,
@@ -70,8 +68,10 @@ pub struct LoadApp {
 impl LoadApp {
     /// Creates the app; `view` is shared with the host for assertions.
     pub fn new(config: LoadConfig, view: Arc<Mutex<LoadView>>) -> Self {
+        let vars = config.vars.max(1);
         LoadApp {
-            versions: vec![0; config.vars.max(1)],
+            names: (0..vars).map(|i| format!("v{i:05}")).collect(),
+            versions: vec![0; vars],
             config,
             ticks: 0,
             cursor: 0,
@@ -89,18 +89,24 @@ impl LoadApp {
 
 impl FtApplication for LoadApp {
     fn snapshot(&self) -> VarSet {
-        let mut image: VarSet =
-            (0..self.versions.len()).map(|i| (var_name(i), self.var_bytes(i))).collect();
+        let mut image: VarSet = self
+            .names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), self.var_bytes(i)))
+            .collect();
         image.insert("ticks".into(), Bytes::from(self.ticks.to_le_bytes().to_vec()));
         image
     }
 
     fn snapshot_dirty(&mut self, store: &mut VarStore) {
         // Only the touched window plus the tick counter — the O(write
-        // set) walkthrough the delta path exists for.
-        for i in std::mem::take(&mut self.pending) {
-            store.set(var_name(i), self.var_bytes(i));
+        // set) walkthrough the delta path exists for. Names are borrowed,
+        // so a held variable's write costs only its new buffer.
+        for &i in &self.pending {
+            store.set(self.names[i].as_str(), self.var_bytes(i));
         }
+        self.pending.clear();
         store.set("ticks", Bytes::from(self.ticks.to_le_bytes().to_vec()));
     }
 
@@ -110,8 +116,8 @@ impl FtApplication for LoadApp {
                 self.ticks = u64::from_le_bytes(raw);
             }
         }
-        for (i, version) in self.versions.iter_mut().enumerate() {
-            if let Some(bytes) = image.get(&var_name(i)) {
+        for (name, version) in self.names.iter().zip(&mut self.versions) {
+            if let Some(bytes) = image.get(name) {
                 if bytes.len() >= 8 {
                     if let Ok(raw) = <[u8; 8]>::try_from(&bytes.as_slice()[..8]) {
                         *version = u64::from_le_bytes(raw);

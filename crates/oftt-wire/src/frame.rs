@@ -507,7 +507,7 @@ const MAX_IOV: usize = 64;
 ///
 /// The reactor pushes any number of encoded frames, then calls
 /// [`FrameBatch::write_once`] whenever the socket is writable: one
-/// `write_vectored` spans as many queued frames as fit in [`MAX_IOV`]
+/// `write_vectored` spans as many queued frames as fit in `MAX_IOV`
 /// segments, and a short write — even one that splits a header — is
 /// resumed exactly where it stopped on the next call. Fully written
 /// frames are handed back through [`FrameBatch::pop_written`] so their

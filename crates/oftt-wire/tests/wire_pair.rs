@@ -258,18 +258,18 @@ fn oftt_pair_forms_and_fails_over_across_sockets() {
 #[test]
 fn partition_and_heal_reconnects_with_a_fresh_epoch() {
     let (na, nb) = (NodeId(0), NodeId(1));
-    let (port_a, port_b) = (free_port(), free_port());
     let codec = Arc::new(WireCodec::standard());
 
     // B is reachable for A only through the proxy; B itself dials a dead
-    // address so the proxied connection is the only possible path.
-    let mut b = WireNet::new(2, wire_config(nb, port_b, na, "127.0.0.1:1"), Arc::clone(&codec))
-        .expect("net b");
+    // address so the proxied connection is the only possible path. No one
+    // dials A, and B is found through its bound address, so both listen on
+    // a port the kernel picks and keeps.
+    let mut b =
+        WireNet::new(2, wire_config(nb, 0, na, "127.0.0.1:1"), Arc::clone(&codec)).expect("net b");
     let proxy =
-        FaultProxy::start("127.0.0.1:0", format!("127.0.0.1:{port_b}").parse().unwrap(), 77)
-            .expect("proxy");
-    let mut a = WireNet::new(1, wire_config(na, port_a, nb, &proxy.addr().to_string()), codec)
-        .expect("net a");
+        FaultProxy::start("127.0.0.1:0", b.listen_addr().expect("b listens"), 77).expect("proxy");
+    let mut a =
+        WireNet::new(1, wire_config(na, 0, nb, &proxy.addr().to_string()), codec).expect("net a");
 
     let got = Arc::new(Mutex::new(Vec::<String>::new()));
     {

@@ -14,10 +14,13 @@
 //! Variable payloads are [`Bytes`] — shared immutable buffers — so every
 //! hop after the application marshals a variable (delta assembly, store
 //! install, restore image, retransmission) is a reference bump, not a copy.
-//! The primary keeps its shipping state in a [`VarStore`], which caches a
-//! Fletcher-32 digest per variable: a write changes anything only when the
-//! content changed, and a changed write lands in the pending delta as it
-//! happens, so taking a period's delta is a move.
+//! The primary keeps its shipping state in a [`VarStore`]: one name-ordered
+//! vector of slots, each holding a variable's name (the only copy), bytes
+//! and cached Fletcher-32 digest. A write finds its slot by binary search
+//! on a borrowed name and changes anything only when the content changed;
+//! a changed write marks its slot dirty and appends the slot's index to
+//! the pending list, so taking a period's delta reads the dirty slots
+//! alone, and a write to a name the store already holds allocates nothing.
 //!
 //! ## The checksum is a sum, so it can be kept instead of recomputed
 //!
@@ -51,7 +54,6 @@
 use comsim::buf::Bytes;
 use ds_sim::prelude::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A named, marshaled application variable set.
@@ -175,10 +177,10 @@ impl RunningSum {
     }
 }
 
-/// Combines per-variable digests into one checksum: a [`RunningSum`] run
-/// over all of them. Order does not matter, and a digest's term can be
-/// subtracted back out — the stores keep the sum current in O(1) per
-/// changed variable instead of calling this over the whole image.
+/// Combines per-variable digests into one checksum: the wrapping sum of
+/// each digest's scrambled term. Order does not matter, and a digest's
+/// term can be subtracted back out — the stores keep the sum current in
+/// O(1) per changed variable instead of calling this over the whole image.
 pub fn fold_digests(digests: impl IntoIterator<Item = u32>) -> u32 {
     let mut sum = RunningSum::default();
     for digest in digests {
@@ -318,30 +320,41 @@ pub fn merge(base: &mut VarSet, delta: &VarSet) {
     }
 }
 
-/// One cached variable on the primary side.
+/// One variable on the primary side. The name is held here and nowhere
+/// else in the store.
 #[derive(Debug, Clone)]
-struct StoreEntry {
+struct Slot {
+    name: String,
     bytes: Bytes,
     digest: u32,
+    /// Whether the slot's index is in the pending delta.
+    dirty: bool,
 }
 
 /// The primary-side shipping store: the current image with per-variable
 /// content digests, the delta pending since the last ship, and the image's
 /// running checksum.
 ///
-/// Writes go through [`VarStore::set`], which changes anything only when
-/// the content changed (digest gate first, byte comparison on digest
-/// equality — the content hash is a fast filter, not the source of truth).
-/// A changed write is one look-up in the image: it swaps the variable's
-/// term in the running sum and drops the new value into the pending delta,
-/// so a period's delta is [`VarStore::take_dirty`] moving that map out —
-/// clean entries are never visited, cloned, or re-hashed, by the delta or
-/// by the checksum.
+/// The image is one vector of slots in name order, each name held once.
+/// Writes go through [`VarStore::set`], which finds the slot by binary
+/// search on a borrowed name and changes anything only when the content
+/// changed (digest gate first, byte comparison on digest equality — the
+/// content hash is a fast filter, not the source of truth). A changed write
+/// swaps the variable's term in the running sum and, the first time in a
+/// period, appends the slot's index to the pending delta, so a period's
+/// delta is [`VarStore::take_dirty`] reading the dirty slots — clean entries
+/// are never visited, cloned, or re-hashed, by the delta or by the
+/// checksum. A write to a held name allocates nothing: the pending list
+/// always has room for every slot, and [`VarStore::clear_dirty`] empties it
+/// without freeing it.
 #[derive(Debug, Clone, Default)]
 pub struct VarStore {
-    entries: BTreeMap<String, StoreEntry>,
-    /// Every variable changed since the last ship, at its newest value.
-    pending: VarSet,
+    /// The image, sorted by name.
+    slots: Vec<Slot>,
+    /// Index of every slot changed since the last ship, each once (the
+    /// slot's `dirty` flag guards the push); its capacity never falls
+    /// below `slots.len()`.
+    pending: Vec<u32>,
     /// [`checksum`] of the whole image.
     sum: RunningSum,
 }
@@ -354,12 +367,12 @@ impl VarStore {
 
     /// Number of variables held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when no variables are held.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of variables changed since the last ship.
@@ -373,65 +386,99 @@ impl VarStore {
     }
 
     /// Drops the pending delta without touching contents — called after a
-    /// full checkpoint, which supersedes it.
+    /// full checkpoint, which supersedes it. Frees nothing.
     pub fn clear_dirty(&mut self) {
+        for &at in &self.pending {
+            self.slots[at as usize].dirty = false;
+        }
         self.pending.clear();
     }
 
     /// Writes one variable. Returns `true` (and adds it to the pending
     /// delta) only when the content changed; writing identical bytes is a
-    /// no-op beyond the digest check.
-    pub fn set(&mut self, name: impl Into<String>, bytes: impl Into<Bytes>) -> bool {
-        let name = name.into();
+    /// no-op beyond the digest check. A name the store already holds is
+    /// only borrowed: it is neither converted nor copied.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<String>, bytes: impl Into<Bytes>) -> bool {
         let bytes = bytes.into();
-        let digest = var_digest(&name, &bytes);
-        match self.entries.entry(name) {
-            Entry::Occupied(mut held) => {
-                let entry = held.get_mut();
-                if entry.digest == digest && entry.bytes == bytes {
+        let digest = var_digest(name.as_ref(), &bytes);
+        match self.find(name.as_ref()) {
+            Ok(at) => {
+                let slot = &mut self.slots[at];
+                if slot.digest == digest && slot.bytes == bytes {
                     return false;
                 }
-                self.sum.remove(entry.digest);
-                *entry = StoreEntry { bytes: bytes.clone(), digest };
-                self.pending.insert(held.key().clone(), bytes);
+                self.sum.remove(slot.digest);
+                slot.bytes = bytes;
+                slot.digest = digest;
+                if !slot.dirty {
+                    slot.dirty = true;
+                    self.pending.push(slot_index(at));
+                }
             }
-            Entry::Vacant(slot) => {
-                self.pending.insert(slot.key().clone(), bytes.clone());
-                slot.insert(StoreEntry { bytes, digest });
+            Err(at) => {
+                // Every pending index at or past the insertion point now
+                // names the slot one further on. A store primed in name
+                // order only appends, and has nothing to renumber.
+                let index = slot_index(at);
+                if at < self.slots.len() {
+                    for pending in &mut self.pending {
+                        if *pending >= index {
+                            *pending += 1;
+                        }
+                    }
+                }
+                self.slots.insert(at, Slot { name: name.into(), bytes, digest, dirty: true });
+                self.pending.push(index);
+                self.pending.reserve(self.slots.len() - self.pending.len());
             }
         }
         self.sum.add(digest);
         true
     }
 
+    /// The slot holding `name`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.slots.binary_search_by(|slot| slot.name.as_str().cmp(name))
+    }
+
+    fn slot(&self, name: &str) -> Option<&Slot> {
+        self.find(name).ok().and_then(|at| self.slots.get(at))
+    }
+
     /// The current bytes of a variable.
     pub fn get(&self, name: &str) -> Option<&Bytes> {
-        self.entries.get(name).map(|e| &e.bytes)
+        self.slot(name).map(|slot| &slot.bytes)
     }
 
     /// The cached digest of a variable.
     pub fn digest(&self, name: &str) -> Option<u32> {
-        self.entries.get(name).map(|e| e.digest)
+        self.slot(name).map(|slot| slot.digest)
     }
 
-    /// Takes the pending delta. When `designated` is given, only those
-    /// names are emitted (pending changes to undesignated variables are
-    /// consumed too — they do not travel by designation).
+    /// Takes the pending delta, built from the dirty slots alone. When
+    /// `designated` is given, only those names are emitted (pending changes
+    /// to undesignated variables are consumed too — they do not travel by
+    /// designation).
     pub fn take_dirty(&mut self, designated: Option<&BTreeSet<String>>) -> VarSet {
-        let mut delta = std::mem::take(&mut self.pending);
-        if let Some(designated) = designated {
-            delta.retain(|name, _| designated.contains(name));
+        let mut delta = VarSet::new();
+        for &at in &self.pending {
+            let slot = &mut self.slots[at as usize];
+            slot.dirty = false;
+            if designated.is_none_or(|d| d.contains(&slot.name)) {
+                delta.insert(slot.name.clone(), slot.bytes.clone());
+            }
         }
+        self.pending.clear();
         delta
     }
 
     /// The full (optionally designation-filtered) image — cheap buffer
     /// clones, no byte copies.
     pub fn image(&self, designated: Option<&BTreeSet<String>>) -> VarSet {
-        self.entries
+        self.slots
             .iter()
-            .filter(|(name, _)| designated.map(|d| d.contains(*name)).unwrap_or(true))
-            .map(|(name, e)| (name.clone(), e.bytes.clone()))
+            .filter(|slot| designated.is_none_or(|d| d.contains(&slot.name)))
+            .map(|slot| (slot.name.clone(), slot.bytes.clone()))
             .collect()
     }
 
@@ -444,16 +491,13 @@ impl VarStore {
             None => {
                 debug_assert_eq!(
                     self.sum.0,
-                    fold_digests(self.entries.iter().map(|(n, e)| var_digest(n, &e.bytes))),
+                    fold_digests(self.slots.iter().map(|s| var_digest(&s.name, &s.bytes))),
                     "running sum diverged from the image"
                 );
                 self.sum.0
             }
             Some(designated) => fold_digests(
-                self.entries
-                    .iter()
-                    .filter(|(name, _)| designated.contains(*name))
-                    .map(|(_, e)| e.digest),
+                self.slots.iter().filter(|s| designated.contains(&s.name)).map(|s| s.digest),
             ),
         }
     }
@@ -462,11 +506,17 @@ impl VarStore {
     /// digests where available (falling back to hashing for foreign
     /// entries).
     pub fn crc_of(&self, vars: &VarSet) -> u32 {
-        fold_digests(vars.iter().map(|(name, bytes)| match self.entries.get(name) {
-            Some(e) if e.bytes == *bytes => e.digest,
+        fold_digests(vars.iter().map(|(name, bytes)| match self.slot(name) {
+            Some(slot) if slot.bytes == *bytes => slot.digest,
             _ => var_digest(name, bytes),
         }))
     }
+}
+
+/// A slot position as the pending list stores it. A store of 2³² variables
+/// would need hundreds of gigabytes of slots alone, so the index always fits.
+fn slot_index(at: usize) -> u32 {
+    u32::try_from(at).expect("a VarStore holds fewer than 2^32 variables")
 }
 
 /// Why a checkpoint was rejected by the store.

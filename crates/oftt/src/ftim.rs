@@ -59,7 +59,10 @@ pub trait FtApplication: Send {
     /// (a full [`FtApplication::snapshot`] walk) is correct for every
     /// application — it just pays O(state) hashing per period. Override to
     /// write only the variables actually touched and the delta path becomes
-    /// O(write set).
+    /// O(write set). A write by borrowed name (`store.set(name.as_str(),
+    /// bytes)`) to a variable the store already holds costs no allocation
+    /// in the store: keep the names and pass them as `&str` rather than
+    /// building a `String` per write.
     fn snapshot_dirty(&mut self, store: &mut VarStore) {
         for (name, bytes) in self.snapshot() {
             store.set(name, bytes);

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use comsim::buf::Bytes;
 use ds_sim::prelude::SimTime;
 use oftt::checkpoint::{
-    checksum, diff, fold_digests, merge, AcceptOutcome, Checkpoint, CheckpointPayload,
+    checksum, diff, fold_digests, merge, var_digest, AcceptOutcome, Checkpoint, CheckpointPayload,
     CheckpointStore, RejectReason, VarSet, VarStore,
 };
 use oftt::config::CheckpointMode;
@@ -28,12 +28,16 @@ fn history_strategy() -> impl Strategy<Value = Vec<VarSet>> {
 }
 
 /// One call into a [`VarStore`], as the FTIM and the application make them.
+/// Each write passes its name either borrowed (`&str`, the flag set) or
+/// owned (`String`).
 #[derive(Debug, Clone)]
 enum StoreOp {
-    /// Write content the store has never held under this name.
-    Set(String, Vec<u8>),
+    /// Write content the store has never held under each name, in the
+    /// order given: new names arrive unsorted, in between the slots
+    /// already held.
+    Set(Vec<(String, Vec<u8>)>, bool),
     /// Write a held variable's current content again, from a fresh buffer.
-    Rewrite(prop::sample::Index),
+    Rewrite(prop::sample::Index, bool),
     TakeDirty,
     ClearDirty,
     Clear,
@@ -41,18 +45,29 @@ enum StoreOp {
 
 fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
     let set = || {
-        ("[a-d]{1,2}", prop::collection::vec(any::<u8>(), 0..8))
-            .prop_map(|(name, tail)| StoreOp::Set(name, tail))
+        let write = ("[a-d]{1,2}", prop::collection::vec(any::<u8>(), 0..8));
+        (prop::collection::vec(write, 1..4), any::<bool>())
+            .prop_map(|(writes, borrowed)| StoreOp::Set(writes, borrowed))
     };
     prop_oneof![
         set(),
         set(),
         set(),
-        any::<prop::sample::Index>().prop_map(StoreOp::Rewrite),
+        (any::<prop::sample::Index>(), any::<bool>())
+            .prop_map(|(at, borrowed)| StoreOp::Rewrite(at, borrowed)),
         Just(StoreOp::TakeDirty),
         Just(StoreOp::ClearDirty),
         Just(StoreOp::Clear),
     ]
+}
+
+/// [`VarStore::set`] with the name passed borrowed or owned.
+fn store_set(store: &mut VarStore, name: &str, bytes: Bytes, borrowed: bool) -> bool {
+    if borrowed {
+        store.set(name, bytes)
+    } else {
+        store.set(name.to_string(), bytes)
+    }
 }
 
 /// What happens to one shipped checkpoint on its way to the backup.
@@ -280,11 +295,13 @@ proptest! {
     }
 
     /// Under any interleaving of the calls the FTIM makes — writes
-    /// (fresh, identical, or over a value still pending), taking the
-    /// delta, a full ship superseding it, a new incarnation — and with or
-    /// without a designation, the running checksum equals a from-scratch
-    /// checksum of the image and the delta taken byte-matches brute-force
-    /// `diff` against what the last ship covered.
+    /// (fresh, identical, or over a value still pending; new names in any
+    /// order; names borrowed or owned), taking the delta, a full ship
+    /// superseding it, a new incarnation — and with or without a
+    /// designation, the running checksum equals a from-scratch checksum of
+    /// the image, the delta taken byte-matches brute-force `diff` against
+    /// what the last ship covered, and every read (`get`, `digest`, `len`,
+    /// `dirty_len`) agrees with the brute-force map.
     #[test]
     fn var_store_bookkeeping_matches_brute_force_under_any_interleaving(
         ops in prop::collection::vec(store_op_strategy(), 1..48),
@@ -298,24 +315,26 @@ proptest! {
         let mut stamp = 0u64;
         for op in ops {
             match op {
-                StoreOp::Set(name, tail) => {
-                    // The stamp makes every written value new, so "written
-                    // since the last ship" and "differs from what the last
-                    // ship covered" are the same set and `diff` is an
-                    // exact oracle.
-                    stamp += 1;
-                    let bytes = Bytes::from([&stamp.to_le_bytes()[..], &tail[..]].concat());
-                    prop_assert!(store.set(name.clone(), bytes.clone()));
-                    image.insert(name, bytes);
+                StoreOp::Set(writes, borrowed) => {
+                    for (name, tail) in writes {
+                        // The stamp makes every written value new, so
+                        // "written since the last ship" and "differs from
+                        // what the last ship covered" are the same set and
+                        // `diff` is an exact oracle.
+                        stamp += 1;
+                        let bytes = Bytes::from([&stamp.to_le_bytes()[..], &tail[..]].concat());
+                        prop_assert!(store_set(&mut store, &name, bytes.clone(), borrowed));
+                        image.insert(name, bytes);
+                    }
                 }
-                StoreOp::Rewrite(at) => {
+                StoreOp::Rewrite(at, borrowed) => {
                     let names: Vec<&String> = image.keys().collect();
                     if names.is_empty() {
                         continue;
                     }
                     let name = (*at.get(&names)).clone();
                     let same_content = Bytes::from(image[&name].to_vec());
-                    prop_assert!(!store.set(name, same_content));
+                    prop_assert!(!store_set(&mut store, &name, same_content, borrowed));
                 }
                 StoreOp::TakeDirty => {
                     let delta = store.take_dirty(designated);
@@ -337,7 +356,18 @@ proptest! {
                     covered.clear();
                 }
             }
+            prop_assert_eq!(store.len(), image.len());
+            prop_assert_eq!(store.is_empty(), image.is_empty());
             prop_assert_eq!(store.dirty_len(), diff(&covered, &image).len());
+            for (name, bytes) in &image {
+                prop_assert_eq!(store.get(name), Some(bytes));
+                prop_assert_eq!(store.digest(name), Some(var_digest(name, bytes)));
+            }
+            // A name no write uses is absent, wherever it would sort.
+            for absent in ["", "e", "aaa", "dd0"] {
+                prop_assert_eq!(store.get(absent), None);
+                prop_assert_eq!(store.digest(absent), None);
+            }
             prop_assert_eq!(&store.image(None), &image);
             prop_assert_eq!(store.image_crc(None), checksum(&image));
             prop_assert_eq!(store.image_crc(designated), checksum(&store.image(designated)));
