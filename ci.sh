@@ -19,7 +19,13 @@
 #                               test, and its per-frame allocation ceilings
 #                               are reactor_alloc's; oftt's ship_alloc pins
 #                               zero allocations for a checkpoint variable
-#                               written by borrowed name. Then the
+#                               written by borrowed name, and oftt-wire's
+#                               app_alloc one per value LoadApp builds.
+#                               Then the checkpoint unit tests again in a
+#                               release build: the Fletcher kernel's lane
+#                               loop is only vectorized with optimization
+#                               on, and its digest must equal the reference
+#                               loop's there too. Then the
 #                               oftt and oftt-check suites again with the
 #                               seeded defects compiled in (the checkpoint
 #                               store's one-deep history only exists under
@@ -110,6 +116,7 @@ cargo test -q
 
 step "workspace tests"
 cargo test --workspace -q
+cargo test --release -p oftt --lib checkpoint -q
 cargo test -p oftt --features inject_bugs -q
 cargo test -p oftt-check --features inject_bugs -q
 

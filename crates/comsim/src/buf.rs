@@ -140,6 +140,17 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+impl From<Arc<[u8]>> for Bytes {
+    /// Takes the shared buffer as it is: no allocation, no copy. A value
+    /// built straight into an `Arc<[u8]>` (collected from a `TrustedLen`
+    /// iterator, patched through `Arc::get_mut`) costs one allocation,
+    /// where a `Vec` handed to `From<Vec<u8>>` costs two and a copy.
+    fn from(data: Arc<[u8]>) -> Self {
+        let len = data.len();
+        Bytes { data, offset: 0, len }
+    }
+}
+
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
         Bytes::copy_from_slice(v)

@@ -4,6 +4,7 @@
 //! knob-for-knob match of the checkpoint bench's locality model, but
 //! running as a real [`FtApplication`] under a real FTIM.
 
+use std::iter;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,9 +81,16 @@ impl LoadApp {
         }
     }
 
+    /// Variable `i`'s value in one allocation: the filler is collected
+    /// straight into the shared buffer (the iterator's exact length lets
+    /// the collect allocate once) and the version patched in place, since
+    /// the buffer is not yet shared.
     fn var_bytes(&self, i: usize) -> Bytes {
-        let mut buf = vec![(i & 0xFF) as u8; self.config.var_bytes.max(8)];
-        buf[..8].copy_from_slice(&self.versions[i].to_le_bytes());
+        let mut buf: Arc<[u8]> =
+            iter::repeat_n((i & 0xFF) as u8, self.config.var_bytes.max(8)).collect();
+        if let Some(head) = Arc::get_mut(&mut buf).and_then(|buf| buf.get_mut(..8)) {
+            head.copy_from_slice(&self.versions[i].to_le_bytes());
+        }
         Bytes::from(buf)
     }
 }
@@ -95,7 +103,7 @@ impl FtApplication for LoadApp {
             .enumerate()
             .map(|(i, name)| (name.clone(), self.var_bytes(i)))
             .collect();
-        image.insert("ticks".into(), Bytes::from(self.ticks.to_le_bytes().to_vec()));
+        image.insert("ticks".into(), Bytes::from(self.ticks.to_le_bytes()));
         image
     }
 
@@ -107,7 +115,7 @@ impl FtApplication for LoadApp {
             store.set(self.names[i].as_str(), self.var_bytes(i));
         }
         self.pending.clear();
-        store.set("ticks", Bytes::from(self.ticks.to_le_bytes().to_vec()));
+        store.set("ticks", Bytes::from(self.ticks.to_le_bytes()));
     }
 
     fn restore(&mut self, image: &VarSet) {

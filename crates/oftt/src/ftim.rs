@@ -62,7 +62,9 @@ pub trait FtApplication: Send {
     /// O(write set). A write by borrowed name (`store.set(name.as_str(),
     /// bytes)`) to a variable the store already holds costs no allocation
     /// in the store: keep the names and pass them as `&str` rather than
-    /// building a `String` per write.
+    /// building a `String` per write. Writes in name order (or any run of
+    /// consecutive names) find their slot in one comparison; others pay a
+    /// binary search.
     fn snapshot_dirty(&mut self, store: &mut VarStore) {
         for (name, bytes) in self.snapshot() {
             store.set(name, bytes);

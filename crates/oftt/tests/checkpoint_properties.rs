@@ -38,6 +38,19 @@ enum StoreOp {
     Set(Vec<(String, Vec<u8>)>, bool),
     /// Write a held variable's current content again, from a fresh buffer.
     Rewrite(prop::sample::Index, bool),
+    /// Write this many held names with new content, in name order from
+    /// the one picked and wrapping past the last (in reverse order when
+    /// the flag is set): the in-order traffic the store's next-slot hint
+    /// serves, and its mirror, which misses it on every write.
+    Sweep(prop::sample::Index, usize, bool, bool),
+    /// Write one held name this many times in a row with new content: the
+    /// hint has moved past it, so every repeat misses.
+    Repeat(prop::sample::Index, usize, bool),
+    /// Write a held name, which points the hint at the slot after it; then
+    /// this name, an insert wherever it sorts when it is new (often before
+    /// the hint); then the name that followed the first, whose slot the
+    /// insert may have moved.
+    InsertNear(prop::sample::Index, String, bool),
     TakeDirty,
     ClearDirty,
     Clear,
@@ -55,6 +68,13 @@ fn store_op_strategy() -> impl Strategy<Value = StoreOp> {
         set(),
         (any::<prop::sample::Index>(), any::<bool>())
             .prop_map(|(at, borrowed)| StoreOp::Rewrite(at, borrowed)),
+        (any::<prop::sample::Index>(), 1usize..24, any::<bool>(), any::<bool>()).prop_map(
+            |(from, count, reverse, borrowed)| StoreOp::Sweep(from, count, reverse, borrowed)
+        ),
+        (any::<prop::sample::Index>(), 2usize..4, any::<bool>())
+            .prop_map(|(at, times, borrowed)| StoreOp::Repeat(at, times, borrowed)),
+        (any::<prop::sample::Index>(), "[a-d]{1,2}", any::<bool>())
+            .prop_map(|(at, name, borrowed)| StoreOp::InsertNear(at, name, borrowed)),
         Just(StoreOp::TakeDirty),
         Just(StoreOp::ClearDirty),
         Just(StoreOp::Clear),
@@ -296,7 +316,9 @@ proptest! {
 
     /// Under any interleaving of the calls the FTIM makes — writes
     /// (fresh, identical, or over a value still pending; new names in any
-    /// order; names borrowed or owned), taking the delta, a full ship
+    /// order; held names swept in order, in reverse or repeated, so that
+    /// writes both hit and miss the store's next-slot hint; inserts before
+    /// and after it; names borrowed or owned), taking the delta, a full ship
     /// superseding it, a new incarnation — and with or without a
     /// designation, the running checksum equals a from-scratch checksum of
     /// the image, the delta taken byte-matches brute-force `diff` against
@@ -313,18 +335,57 @@ proptest! {
         let mut image = VarSet::new();
         let mut covered = VarSet::new(); // the image as of the last ship
         let mut stamp = 0u64;
+        // Writes new content under `name` to the store and the map alike.
+        // The stamp makes every written value new, so "written since the
+        // last ship" and "differs from what the last ship covered" are the
+        // same set and `diff` is an exact oracle.
+        let mut write_new = |store: &mut VarStore, image: &mut VarSet, name: &str, tail: &[u8], borrowed| {
+            stamp += 1;
+            let bytes = Bytes::from([&stamp.to_le_bytes()[..], tail].concat());
+            prop_assert!(store_set(store, name, bytes.clone(), borrowed));
+            image.insert(name.to_string(), bytes);
+            Ok(())
+        };
         for op in ops {
+            let held: Vec<String> = image.keys().cloned().collect();
             match op {
                 StoreOp::Set(writes, borrowed) => {
                     for (name, tail) in writes {
-                        // The stamp makes every written value new, so
-                        // "written since the last ship" and "differs from
-                        // what the last ship covered" are the same set and
-                        // `diff` is an exact oracle.
-                        stamp += 1;
-                        let bytes = Bytes::from([&stamp.to_le_bytes()[..], &tail[..]].concat());
-                        prop_assert!(store_set(&mut store, &name, bytes.clone(), borrowed));
-                        image.insert(name, bytes);
+                        write_new(&mut store, &mut image, &name, &tail, borrowed)?;
+                    }
+                }
+                StoreOp::Sweep(from, count, reverse, borrowed) => {
+                    if held.is_empty() {
+                        continue;
+                    }
+                    let from = from.index(held.len());
+                    for step in 0..count {
+                        let at = if reverse {
+                            (from + held.len() - step % held.len()) % held.len()
+                        } else {
+                            (from + step) % held.len()
+                        };
+                        write_new(&mut store, &mut image, &held[at], &[], borrowed)?;
+                    }
+                }
+                StoreOp::Repeat(at, times, borrowed) => {
+                    if held.is_empty() {
+                        continue;
+                    }
+                    let name = at.get(&held);
+                    for _ in 0..times {
+                        write_new(&mut store, &mut image, name, &[], borrowed)?;
+                    }
+                }
+                StoreOp::InsertNear(at, name, borrowed) => {
+                    if held.is_empty() {
+                        continue;
+                    }
+                    let at = at.index(held.len());
+                    write_new(&mut store, &mut image, &held[at], &[], borrowed)?;
+                    write_new(&mut store, &mut image, &name, &[], borrowed)?;
+                    if let Some(following) = held.get(at + 1) {
+                        write_new(&mut store, &mut image, following, &[], borrowed)?;
                     }
                 }
                 StoreOp::Rewrite(at, borrowed) => {

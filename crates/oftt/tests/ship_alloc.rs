@@ -97,6 +97,9 @@ fn write_all(store: &mut VarStore, names: &[String], values: Vec<Bytes>) -> (usi
     })
 }
 
+/// In name order the store's next-slot hint finds each slot; in a
+/// scattered order (a stride of seven through all 2,001 names) every write
+/// misses it and falls back to the binary search. Neither allocates.
 #[test]
 fn a_write_to_a_held_name_and_clear_dirty_allocate_nothing() {
     let names = names();
@@ -105,17 +108,26 @@ fn a_write_to_a_held_name_and_clear_dirty_allocate_nothing() {
         store.set(name.clone(), bytes);
     }
     store.clear_dirty();
-    for version in 1..=3u8 {
-        // Every write changes content, so every slot turns dirty.
-        let (changed, allocs) = write_all(&mut store, &names, values(version, names.len()));
-        assert_eq!(changed, names.len());
-        assert_eq!(allocs, 0, "period {version}: {allocs} allocations for {changed} writes");
-        // Writing the same content again is gated by the digest.
-        let (changed, allocs) = write_all(&mut store, &names, values(version, names.len()));
-        assert_eq!((changed, allocs), (0, 0), "period {version}: clean rewrites");
-        let ((), allocs) = counted(|| store.clear_dirty());
-        assert_eq!(allocs, 0, "clear_dirty allocated {allocs} times");
-        assert_eq!(store.dirty_len(), 0);
+    let scattered: Vec<usize> = (0..names.len()).map(|i| i * 7 % names.len()).collect();
+    for (label, order) in [("in order", (0..names.len()).collect()), ("scattered", scattered)] {
+        let written: Vec<String> = order.iter().map(|&at| names[at].clone()).collect();
+        // Each name keeps its own value whatever the order it is written in.
+        let version_in_order = |version| -> Vec<Bytes> {
+            let by_name = values(version, names.len());
+            order.iter().map(|&at| by_name[at].clone()).collect()
+        };
+        for version in 1..=3u8 {
+            // Every write changes content, so every slot turns dirty.
+            let (changed, allocs) = write_all(&mut store, &written, version_in_order(version));
+            assert_eq!(changed, names.len());
+            assert_eq!(allocs, 0, "{label} {version}: {allocs} allocations for {changed} writes");
+            // Writing the same content again is gated by the digest.
+            let (changed, allocs) = write_all(&mut store, &written, version_in_order(version));
+            assert_eq!((changed, allocs), (0, 0), "{label} {version}: clean rewrites");
+            let ((), allocs) = counted(|| store.clear_dirty());
+            assert_eq!(allocs, 0, "clear_dirty allocated {allocs} times");
+            assert_eq!(store.dirty_len(), 0);
+        }
     }
 }
 
