@@ -19,13 +19,18 @@
 #                               test, and its per-frame allocation ceilings
 #                               are reactor_alloc's; oftt's ship_alloc pins
 #                               zero allocations for a checkpoint variable
-#                               written by borrowed name, and oftt-wire's
+#                               written by borrowed name and for a backup
+#                               install into held names, and oftt-wire's
 #                               app_alloc one per value LoadApp builds.
-#                               Then the checkpoint unit tests again in a
-#                               release build: the Fletcher kernel's lane
-#                               loop is only vectorized with optimization
-#                               on, and its digest must equal the reference
-#                               loop's there too. Then the
+#                               Then the checkpoint unit and property tests
+#                               again in a release build: the Fletcher
+#                               kernel's lane loop is only vectorized with
+#                               optimization on, and its digest must equal
+#                               the reference loop's there too; and the
+#                               stores' running-sum debug_asserts are
+#                               compiled out there, so only the property
+#                               tests' explicit checksum checks guard the
+#                               release install paths. Then the
 #                               oftt and oftt-check suites again with the
 #                               seeded defects compiled in (the checkpoint
 #                               store's one-deep history only exists under
@@ -117,6 +122,7 @@ cargo test -q
 step "workspace tests"
 cargo test --workspace -q
 cargo test --release -p oftt --lib checkpoint -q
+cargo test --release -p oftt --test checkpoint_properties -q
 cargo test -p oftt --features inject_bugs -q
 cargo test -p oftt-check --features inject_bugs -q
 

@@ -37,6 +37,19 @@
 //! checkpoint, and the backup recomputes it for every variable it is
 //! offered.
 //!
+//! ## The backup holds the same slots
+//!
+//! The [`CheckpointStore`] keeps its merged image in the same name-ordered
+//! slots, each with the digest verified when it was installed. An offer
+//! digests every variable it carries — the integrity check stays whole —
+//! and then installs without hashing anything again: a delta's names
+//! arrive in order, so one forward walk with the same hint-then-search
+//! lookup finds their slots, and each displaced variable leaves the
+//! running sum by its cached digest. A full image of the held names
+//! overwrites them slot by slot; any other rebuilds the slots. An install
+//! into held names allocates nothing. [`VarStore::crc_of`] walks a delta
+//! the same way.
+//!
 //! ## The checksum is a sum, so it can be kept instead of recomputed
 //!
 //! Within a variable, order matters, and [`var_digest`] is Fletcher-32 over
@@ -148,8 +161,8 @@ impl Fletcher {
 }
 
 /// Fletcher-32 digest of a single named variable: name bytes, a `0xFF`
-/// separator, value bytes, a `0xFE` terminator. The [`VarStore`] caches
-/// this per variable so checkpoint checksums never re-walk clean payloads.
+/// separator, value bytes, a `0xFE` terminator. Both stores cache it per
+/// variable, so checkpoint checksums never re-walk clean payloads.
 pub fn var_digest(name: &str, bytes: &[u8]) -> u32 {
     let mut f = Fletcher::default();
     f.feed_all(name.as_bytes());
@@ -294,19 +307,18 @@ impl Checkpoint {
         checksum(self.payload.vars()) == self.crc
     }
 
-    /// Recomputes every entry's digest, checks them against `crc`, and
-    /// returns the digests in payload order on success — the receive path
-    /// verifies the payload and learns each entry's term in one walk.
-    fn verified_digests(&self) -> Option<Vec<u32>> {
-        let vars = self.payload.vars();
+    /// Recomputes every entry's digest into `digests` (emptied first), in
+    /// payload order, and checks them against `crc` — the receive path
+    /// verifies the payload and learns each entry's digest in one walk.
+    fn verify_into(&self, digests: &mut Vec<u32>) -> bool {
+        digests.clear();
         let mut sum = RunningSum::default();
-        let mut digests = Vec::with_capacity(vars.len());
-        for (name, bytes) in vars {
+        for (name, bytes) in self.payload.vars() {
             let digest = var_digest(name, bytes);
             sum.add(digest);
             digests.push(digest);
         }
-        (sum.0 == self.crc).then_some(digests)
+        sum.0 == self.crc
     }
 
     /// Exact wire size in bytes — matches `comsim::marshal::to_bytes` on
@@ -353,15 +365,32 @@ pub fn merge(base: &mut VarSet, delta: &VarSet) {
     }
 }
 
-/// One variable on the primary side. The name is held here and nowhere
-/// else in the store.
-#[derive(Debug, Clone)]
+/// One variable as a store holds it: the name (the store's only copy of
+/// it), the bytes, and their [`var_digest`]. Both stores keep their image
+/// as one vector of these in name order.
+#[derive(Debug, Clone, PartialEq)]
 struct Slot {
     name: String,
     bytes: Bytes,
     digest: u32,
-    /// Whether the slot's index is in the pending delta.
-    dirty: bool,
+}
+
+/// Finds `name` among name-ordered `slots`, or where it would be inserted:
+/// first at `hint`, the slot after the caller's last hit, then by binary
+/// search. A walk in name order over consecutive slots pays one name
+/// comparison per step; a hint that names another slot costs one string
+/// comparison more than the search alone, and never misleads.
+fn seek(slots: &[Slot], hint: usize, name: &str) -> Result<usize, usize> {
+    match slots.get(hint) {
+        Some(slot) if slot.name == name => Ok(hint),
+        _ => slots.binary_search_by(|slot| slot.name.as_str().cmp(name)),
+    }
+}
+
+/// The image of `slots` as a [`VarSet`]: one name copy per variable, the
+/// values shared buffers.
+fn image_of<'a>(slots: impl IntoIterator<Item = &'a Slot>) -> VarSet {
+    slots.into_iter().map(|slot| (slot.name.clone(), slot.bytes.clone())).collect()
 }
 
 /// The primary-side shipping store: the current image with per-variable
@@ -385,15 +414,16 @@ struct Slot {
 pub struct VarStore {
     /// The image, sorted by name.
     slots: Vec<Slot>,
-    /// Index of every slot changed since the last ship, each once (the
-    /// slot's `dirty` flag guards the push); its capacity never falls
-    /// below `slots.len()`.
+    /// Per slot, whether its index is in `pending`.
+    dirty: Vec<bool>,
+    /// Index of every slot changed since the last ship, each once
+    /// (`dirty` guards the push); its capacity never falls below
+    /// `slots.len()`.
     pending: Vec<u32>,
     /// [`checksum`] of the whole image.
     sum: RunningSum,
-    /// The slot after the last one written: where [`VarStore::set`] looks
-    /// first. A hint only — a name that does not match it falls back to
-    /// the binary search.
+    /// The slot after the last one written: the [`seek`] hint of
+    /// [`VarStore::set`].
     next: usize,
 }
 
@@ -427,7 +457,7 @@ impl VarStore {
     /// full checkpoint, which supersedes it. Frees nothing.
     pub fn clear_dirty(&mut self) {
         for &at in &self.pending {
-            self.slots[at as usize].dirty = false;
+            self.dirty[at as usize] = false;
         }
         self.pending.clear();
     }
@@ -439,11 +469,7 @@ impl VarStore {
     pub fn set(&mut self, name: impl AsRef<str> + Into<String>, bytes: impl Into<Bytes>) -> bool {
         let bytes = bytes.into();
         let digest = var_digest(name.as_ref(), &bytes);
-        let found = match self.slots.get(self.next) {
-            Some(slot) if slot.name == name.as_ref() => Ok(self.next),
-            _ => self.find(name.as_ref()),
-        };
-        match found {
+        match seek(&self.slots, self.next, name.as_ref()) {
             Ok(at) => {
                 self.next = at + 1;
                 let slot = &mut self.slots[at];
@@ -453,8 +479,8 @@ impl VarStore {
                 self.sum.remove(slot.digest);
                 slot.bytes = bytes;
                 slot.digest = digest;
-                if !slot.dirty {
-                    slot.dirty = true;
+                if !self.dirty[at] {
+                    self.dirty[at] = true;
                     self.pending.push(slot_index(at));
                 }
             }
@@ -470,7 +496,8 @@ impl VarStore {
                         }
                     }
                 }
-                self.slots.insert(at, Slot { name: name.into(), bytes, digest, dirty: true });
+                self.slots.insert(at, Slot { name: name.into(), bytes, digest });
+                self.dirty.insert(at, true);
                 self.next = at + 1;
                 self.pending.push(index);
                 self.pending.reserve(self.slots.len() - self.pending.len());
@@ -480,13 +507,8 @@ impl VarStore {
         true
     }
 
-    /// The slot holding `name`, or where it would be inserted.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.slots.binary_search_by(|slot| slot.name.as_str().cmp(name))
-    }
-
     fn slot(&self, name: &str) -> Option<&Slot> {
-        self.find(name).ok().and_then(|at| self.slots.get(at))
+        seek(&self.slots, self.next, name).ok().and_then(|at| self.slots.get(at))
     }
 
     /// The current bytes of a variable.
@@ -506,8 +528,9 @@ impl VarStore {
     pub fn take_dirty(&mut self, designated: Option<&BTreeSet<String>>) -> VarSet {
         let mut delta = VarSet::new();
         for &at in &self.pending {
-            let slot = &mut self.slots[at as usize];
-            slot.dirty = false;
+            let at = at as usize;
+            self.dirty[at] = false;
+            let slot = &self.slots[at];
             if designated.is_none_or(|d| d.contains(&slot.name)) {
                 delta.insert(slot.name.clone(), slot.bytes.clone());
             }
@@ -516,14 +539,10 @@ impl VarStore {
         delta
     }
 
-    /// The full (optionally designation-filtered) image — cheap buffer
-    /// clones, no byte copies.
+    /// The full (optionally designation-filtered) image — one name copy
+    /// per variable, the values shared buffers.
     pub fn image(&self, designated: Option<&BTreeSet<String>>) -> VarSet {
-        self.slots
-            .iter()
-            .filter(|slot| designated.is_none_or(|d| d.contains(&slot.name)))
-            .map(|slot| (slot.name.clone(), slot.bytes.clone()))
-            .collect()
+        image_of(self.slots.iter().filter(|slot| designated.is_none_or(|d| d.contains(&slot.name))))
     }
 
     /// Checksum of the (optionally designation-filtered) image. The whole
@@ -548,11 +567,24 @@ impl VarStore {
 
     /// Checksum of a [`VarSet`] drawn from this store, combined from cached
     /// digests where available (falling back to hashing for foreign
-    /// entries).
+    /// entries). The entries come in name order, so one forward walk finds
+    /// their slots: each lookup starts at the slot after the last one found.
     pub fn crc_of(&self, vars: &VarSet) -> u32 {
-        fold_digests(vars.iter().map(|(name, bytes)| match self.slot(name) {
-            Some(slot) if slot.bytes == *bytes => slot.digest,
-            _ => var_digest(name, bytes),
+        let mut cursor = 0;
+        fold_digests(vars.iter().map(|(name, bytes)| match seek(&self.slots, cursor, name) {
+            Ok(at) => {
+                cursor = at + 1;
+                let slot = &self.slots[at];
+                if slot.bytes == *bytes {
+                    slot.digest
+                } else {
+                    var_digest(name, bytes)
+                }
+            }
+            Err(at) => {
+                cursor = at;
+                var_digest(name, bytes)
+            }
         }))
     }
 }
@@ -587,16 +619,22 @@ pub enum AcceptOutcome {
 /// The backup-side checkpoint store: the merged image the application will
 /// be restored from at switchover, and that image's running checksum.
 ///
-/// The store caches no digests. A full image's checksum is the verified
-/// checkpoint's own; a delta's entries were just hashed to verify it, and
-/// the term of each value a delta displaces is recomputed from the bytes
-/// being displaced — the same order of work as verifying the bytes that
-/// replace them, and no second name-keyed tree to keep in step.
+/// The image is slots in name order, as in [`VarStore`], each holding the
+/// digest the offer that installed it verified. An install displaces a
+/// held variable's term from the running sum by that cached digest, so no
+/// byte is hashed twice, and it finds the slots of a delta — whose names
+/// arrive in order — by one forward walk. A full image carrying exactly
+/// the held names overwrites them slot by slot; any other rebuilds the
+/// slots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointStore {
-    vars: VarSet,
-    /// [`checksum`] of `vars`.
+    /// The merged image, sorted by name.
+    slots: Vec<Slot>,
+    /// [`checksum`] of the image.
     sum: RunningSum,
+    /// Scratch for the digests an offer verifies, empty between offers: an
+    /// install into held names reuses it and allocates nothing.
+    verified: Vec<u32>,
     term: u64,
     seq: u64,
     taken_at: SimTime,
@@ -605,7 +643,7 @@ pub struct CheckpointStore {
     /// kept one level deep so the stale-promotion bug has something older
     /// to (incorrectly) restore.
     #[cfg(feature = "inject_bugs")]
-    prev_vars: VarSet,
+    prev_slots: Vec<Slot>,
     #[cfg(feature = "inject_bugs")]
     prev_term: u64,
     #[cfg(feature = "inject_bugs")]
@@ -635,15 +673,10 @@ impl CheckpointStore {
         self.taken_at
     }
 
-    /// The merged image.
-    pub fn vars(&self) -> &VarSet {
-        &self.vars
-    }
-
-    /// Takes the merged image for an application restore — shared-buffer
-    /// clones only.
+    /// Takes the merged image for an application restore: one name copy
+    /// per variable, the values shared buffers.
     pub fn to_restore_image(&self) -> VarSet {
-        self.vars.clone()
+        image_of(&self.slots)
     }
 
     /// Checksum of the merged image: the running sum, kept current by
@@ -655,32 +688,51 @@ impl CheckpointStore {
     /// Offers a checkpoint. Every check runs before the first write, so a
     /// rejected offer leaves the image and its checksum untouched.
     pub fn offer(&mut self, checkpoint: &Checkpoint) -> AcceptOutcome {
+        let mut digests = std::mem::take(&mut self.verified);
+        let outcome = self.install(checkpoint, &mut digests);
+        digests.clear();
+        self.verified = digests;
+        outcome
+    }
+
+    /// [`CheckpointStore::offer`], with `digests` as the scratch for the
+    /// verified digests.
+    fn install(&mut self, checkpoint: &Checkpoint, digests: &mut Vec<u32>) -> AcceptOutcome {
         // One walk verifies integrity and yields each entry's digest.
-        let Some(digests) = checkpoint.verified_digests() else {
+        if !checkpoint.verify_into(digests) {
             return AcceptOutcome::Rejected(RejectReason::Corrupt);
-        };
+        }
         let newer = (checkpoint.term, checkpoint.seq) > (self.term, self.seq) || !self.have_full;
         if !newer {
             return AcceptOutcome::Rejected(RejectReason::Stale);
         }
+        let verified = || checkpoint.payload.vars().iter().zip(digests.iter().copied());
         match &checkpoint.payload {
             CheckpointPayload::Full(vars) => {
                 #[cfg(feature = "inject_bugs")]
                 self.remember_previous();
                 // A refresh (and every `CheckpointMode::Full` period)
                 // carries exactly the names already held: overwrite the
-                // values where they sit and keep the tree.
-                if self.vars.len() == vars.len() && self.vars.keys().eq(vars.keys()) {
-                    for (held, bytes) in self.vars.values_mut().zip(vars.values()) {
-                        *held = bytes.clone();
+                // values where they sit and keep the names.
+                if self.slots.len() == vars.len()
+                    && self.slots.iter().zip(vars.keys()).all(|(slot, name)| slot.name == *name)
+                {
+                    for (slot, ((_, bytes), digest)) in self.slots.iter_mut().zip(verified()) {
+                        slot.bytes = bytes.clone();
+                        slot.digest = digest;
                     }
                 } else {
-                    self.vars = vars.clone();
+                    self.slots.clear();
+                    self.slots.extend(verified().map(|((name, bytes), digest)| Slot {
+                        name: name.clone(),
+                        bytes: bytes.clone(),
+                        digest,
+                    }));
                 }
                 self.sum = RunningSum(checkpoint.crc);
                 self.have_full = true;
             }
-            CheckpointPayload::Delta(vars) => {
+            CheckpointPayload::Delta(_) => {
                 let in_order = self.have_full
                     && checkpoint.term == self.term
                     && checkpoint.seq == self.seq + 1;
@@ -689,21 +741,38 @@ impl CheckpointStore {
                 }
                 #[cfg(feature = "inject_bugs")]
                 self.remember_previous();
-                for ((name, bytes), digest) in vars.iter().zip(digests) {
-                    match self.vars.get_mut(name) {
-                        Some(held) => {
-                            self.sum.remove(var_digest(name, held));
-                            *held = bytes.clone();
+                // The delta's names are in order: each lookup starts at the
+                // slot after the last one found or inserted.
+                let mut cursor = 0;
+                for ((name, bytes), digest) in verified() {
+                    let at = match seek(&self.slots, cursor, name) {
+                        Ok(at) => {
+                            let slot = &mut self.slots[at];
+                            self.sum.remove(slot.digest);
+                            slot.bytes = bytes.clone();
+                            slot.digest = digest;
+                            at
                         }
-                        None => {
-                            self.vars.insert(name.clone(), bytes.clone());
+                        Err(at) => {
+                            let slot = Slot { name: name.clone(), bytes: bytes.clone(), digest };
+                            self.slots.insert(at, slot);
+                            at
                         }
-                    }
+                    };
+                    cursor = at + 1;
                     self.sum.add(digest);
                 }
             }
         }
-        debug_assert_eq!(self.sum.0, checksum(&self.vars), "running sum diverged from the image");
+        debug_assert!(
+            self.slots.iter().all(|s| s.digest == var_digest(&s.name, &s.bytes)),
+            "a cached digest diverged from its slot's bytes"
+        );
+        debug_assert_eq!(
+            self.sum.0,
+            fold_digests(self.slots.iter().map(|s| s.digest)),
+            "running sum diverged from the image"
+        );
         self.adopt_position(checkpoint);
         AcceptOutcome::Installed
     }
@@ -722,7 +791,7 @@ impl CheckpointStore {
     #[cfg(feature = "inject_bugs")]
     fn remember_previous(&mut self) {
         if self.have_full {
-            self.prev_vars = self.vars.clone();
+            self.prev_slots = self.slots.clone();
             self.prev_term = self.term;
             self.prev_seq = self.seq;
             self.prev_full = true;
@@ -733,11 +802,7 @@ impl CheckpointStore {
     /// already been displaced — what the stale-promotion defect restores.
     #[cfg(feature = "inject_bugs")]
     pub fn stale_restore_image(&self) -> Option<(VarSet, (u64, u64))> {
-        if self.prev_full {
-            Some((self.prev_vars.clone(), (self.prev_term, self.prev_seq)))
-        } else {
-            None
-        }
+        self.prev_full.then(|| (image_of(&self.prev_slots), (self.prev_term, self.prev_seq)))
     }
 }
 
@@ -873,11 +938,11 @@ mod tests {
             CheckpointPayload::Delta(vars(&[("b", &[9])])),
         );
         assert_eq!(store.offer(&delta), AcceptOutcome::Installed);
-        assert_eq!(store.vars(), &vars(&[("a", &[1]), ("b", &[9])]));
+        assert_eq!(store.to_restore_image(), vars(&[("a", &[1]), ("b", &[9])]));
         assert_eq!(store.position(), (1, 1));
         assert_eq!(store.taken_at(), SimTime::from_secs(2));
         // The merged image's running checksum equals a scratch checksum.
-        assert_eq!(store.image_crc(), checksum(store.vars()));
+        assert_eq!(store.image_crc(), checksum(&store.to_restore_image()));
     }
 
     /// The one-deep history must hold the image as it was *before* a full
@@ -893,7 +958,7 @@ mod tests {
                 Checkpoint::new(1, seq, SimTime::ZERO, CheckpointPayload::Full(image.clone()));
             assert_eq!(store.offer(&full), AcceptOutcome::Installed);
         }
-        assert_eq!(store.vars(), &newer);
+        assert_eq!(store.to_restore_image(), newer);
         assert_eq!(store.stale_restore_image(), Some((older, (1, 1))));
     }
 

@@ -1,8 +1,8 @@
 //! Property tests for the checkpoint machinery: however checkpoints are
 //! generated, diffed, reordered, duplicated, or corrupted in flight, the
 //! backup store converges to the primary's image and never regresses —
-//! and the dirty-tracked fast path (pending delta, running checksums) is
-//! byte-identical to the brute-force reference.
+//! and the dirty-tracked fast path (pending delta, running checksums, the
+//! backup's slot installs) is byte-identical to the brute-force reference.
 
 use std::collections::BTreeSet;
 
@@ -161,6 +161,56 @@ impl Tamper {
     }
 }
 
+/// One entry of a delta offered to a backup that holds an image.
+#[derive(Debug, Clone)]
+enum Pick {
+    /// A held name, picked anywhere: consecutive picks skip held slots, so
+    /// the install's cursor misses its hint.
+    Held(prop::sample::Index),
+    /// Any name of a wider alphabet than the held names': often new, and
+    /// then sorting before, between or after them.
+    Any(String),
+}
+
+/// One install into a backup that holds an image.
+#[derive(Debug, Clone)]
+enum Install {
+    /// A delta of these picks, each with a new value.
+    Delta(Vec<Pick>),
+    /// A full image of exactly the held names, every value new: installed
+    /// slot by slot.
+    SameNames,
+    /// A full image of its own name set: the slots are rebuilt.
+    Rebuild(VarSet),
+}
+
+/// Held names are drawn from `[bdf]`, so names from `[a-g]` land before,
+/// between and after them.
+fn held_strategy() -> impl Strategy<Value = VarSet> {
+    prop::collection::btree_map("[bdf]{1,2}", prop::collection::vec(any::<u8>(), 0..8), 1..10)
+        .prop_map(|m| m.into_iter().map(|(k, v)| (k, Bytes::from(v))).collect())
+}
+
+fn install_strategy() -> impl Strategy<Value = Install> {
+    let pick = || {
+        prop_oneof![
+            any::<prop::sample::Index>().prop_map(Pick::Held),
+            "[a-g]{1,3}".prop_map(Pick::Any),
+        ]
+    };
+    let image =
+        prop::collection::btree_map("[a-g]{1,2}", prop::collection::vec(any::<u8>(), 0..8), 0..10)
+            .prop_map(|m| {
+                Install::Rebuild(m.into_iter().map(|(k, v)| (k, Bytes::from(v))).collect())
+            });
+    prop_oneof![
+        prop::collection::vec(pick(), 1..8).prop_map(Install::Delta),
+        prop::collection::vec(pick(), 1..8).prop_map(Install::Delta),
+        Just(Install::SameNames),
+        image,
+    ]
+}
+
 /// Builds the checkpoint stream (full first, deltas after, periodic fulls)
 /// a primary would ship for the given history. Variables never disappear in
 /// OFTT (designation is fixed), so make each image cumulative.
@@ -195,7 +245,7 @@ proptest! {
         for checkpoint in &stream {
             prop_assert_eq!(store.offer(checkpoint), AcceptOutcome::Installed);
         }
-        prop_assert_eq!(store.vars(), &final_image);
+        prop_assert_eq!(&store.to_restore_image(), &final_image);
         prop_assert_eq!(store.image_crc(), checksum(&final_image));
     }
 
@@ -214,7 +264,7 @@ proptest! {
                 prop_assert!(matches!(store.offer(&dup), AcceptOutcome::Rejected(_)));
             }
         }
-        prop_assert_eq!(store.vars(), &final_image);
+        prop_assert_eq!(&store.to_restore_image(), &final_image);
     }
 
     /// Dropping any single delta forces an out-of-order rejection for the
@@ -462,10 +512,10 @@ proptest! {
                      crc_then: u32| {
             let before = backup.clone();
             let outcome = backup.offer(arriving);
-            prop_assert_eq!(backup.image_crc(), checksum(backup.vars()));
+            prop_assert_eq!(backup.image_crc(), checksum(&backup.to_restore_image()));
             match outcome {
                 AcceptOutcome::Installed => {
-                    prop_assert_eq!(backup.vars(), image_then);
+                    prop_assert_eq!(&backup.to_restore_image(), image_then);
                     prop_assert_eq!(backup.image_crc(), crc_then);
                     prop_assert_eq!(backup.position(), (arriving.term, arriving.seq));
                 }
@@ -562,7 +612,7 @@ proptest! {
         }
         // The closing full image was delivered intact: the pair agrees.
         prop_assert_eq!(backup.image_crc(), ship.image_crc(None));
-        prop_assert_eq!(backup.vars(), &ship.image(None));
+        prop_assert_eq!(backup.to_restore_image(), ship.image(None));
     }
 
     /// What lets an ack confirm an image: a shipping store feeds a backup
@@ -593,7 +643,7 @@ proptest! {
             let seq = i as u64 + 1;
             let arriving = Checkpoint::new(1, seq, SimTime::from_millis(seq), payload);
             prop_assert_eq!(backup.offer(&arriving), AcceptOutcome::Installed);
-            let same_image = backup.vars() == &ship.image(None);
+            let same_image = backup.to_restore_image() == ship.image(None);
             prop_assert_eq!(backup.image_crc() == ship.image_crc(None), same_image);
             prop_assert!(!(tampered && same_image), "a tampered delta diverges the images");
         }
@@ -621,8 +671,63 @@ proptest! {
         prop_assert_ne!(folded, fold_digests(changed));
     }
 
+    /// Every way an install reaches the backup's slots — a delta that
+    /// overwrites held names (skipping ahead of the cursor, so its hint
+    /// misses) and inserts new ones before, between and after them; a full
+    /// image of the held names, written slot by slot; a full image of
+    /// another name set, which rebuilds the slots — leaves exactly the
+    /// brute-force `merge` (or the full image), and the running checksum
+    /// equals a from-scratch checksum of the restore image. The explicit
+    /// checksum check is what covers a release build, which compiles the
+    /// store's own `debug_assert`s out.
+    #[test]
+    fn every_install_path_matches_brute_force_merge(
+        held in held_strategy(),
+        installs in prop::collection::vec(install_strategy(), 1..12),
+    ) {
+        let mut backup = CheckpointStore::new();
+        let mut brute = held;
+        let mut stamp = 0u64;
+        let mut fresh = || {
+            stamp += 1;
+            Bytes::from(stamp.to_le_bytes().to_vec())
+        };
+        let first = Checkpoint::new(1, 1, SimTime::ZERO, CheckpointPayload::Full(brute.clone()));
+        prop_assert_eq!(backup.offer(&first), AcceptOutcome::Installed);
+        for (seq, install) in (2u64..).zip(installs) {
+            let payload = match install {
+                Install::Delta(picks) => {
+                    let names: Vec<String> = brute.keys().cloned().collect();
+                    let delta: VarSet = picks
+                        .into_iter()
+                        .filter_map(|pick| match pick {
+                            Pick::Held(_) if names.is_empty() => None,
+                            Pick::Held(at) => Some((at.get(&names).clone(), fresh())),
+                            Pick::Any(name) => Some((name, fresh())),
+                        })
+                        .collect();
+                    merge(&mut brute, &delta);
+                    CheckpointPayload::Delta(delta)
+                }
+                Install::SameNames => {
+                    brute = brute.keys().map(|name| (name.clone(), fresh())).collect();
+                    CheckpointPayload::Full(brute.clone())
+                }
+                Install::Rebuild(image) => {
+                    brute = image;
+                    CheckpointPayload::Full(brute.clone())
+                }
+            };
+            let checkpoint = Checkpoint::new(1, seq, SimTime::from_millis(seq), payload);
+            prop_assert_eq!(backup.offer(&checkpoint), AcceptOutcome::Installed);
+            let image = backup.to_restore_image();
+            prop_assert_eq!(&image, &brute);
+            prop_assert_eq!(backup.image_crc(), checksum(&image));
+        }
+    }
+
     /// A full image carrying exactly the names already held is installed by
-    /// overwriting values where they sit; any other by rebuilding the tree.
+    /// overwriting values where they sit; any other by rebuilding the slots.
     /// The two installs must be indistinguishable.
     #[test]
     fn in_place_and_rebuilt_full_installs_agree(
@@ -649,16 +754,48 @@ proptest! {
         prop_assert_eq!(in_place.offer(&full(2, &second)), AcceptOutcome::Installed);
         prop_assert_eq!(rebuilt.offer(&full(2, &second)), AcceptOutcome::Installed);
 
-        prop_assert_eq!(in_place.vars(), &second);
+        prop_assert_eq!(&in_place.to_restore_image(), &second);
         prop_assert_eq!(in_place.image_crc(), checksum(&second));
         // The seeded-defect build also keeps the displaced image, which
         // differs here by construction.
         #[cfg(not(feature = "inject_bugs"))]
         prop_assert_eq!(&in_place, &rebuilt);
-        prop_assert_eq!(in_place.vars(), rebuilt.vars());
+        prop_assert_eq!(in_place.to_restore_image(), rebuilt.to_restore_image());
         prop_assert_eq!(in_place.image_crc(), rebuilt.image_crc());
         prop_assert_eq!(in_place.position(), rebuilt.position());
     }
+}
+
+/// The backup's install paths on one fixed image, case by case: a delta
+/// inserting before, between and after the held names, one whose held
+/// names skip ahead of the cursor, and a full image of another name set.
+#[test]
+fn a_delta_lands_before_between_and_after_held_names() {
+    let image = |pairs: &[(&str, u8)]| -> VarSet {
+        pairs.iter().map(|&(name, value)| (name.to_string(), Bytes::from(vec![value]))).collect()
+    };
+    let held = image(&[("b", 0), ("d", 0), ("f", 0), ("h", 0), ("j", 0), ("l", 0)]);
+    let deltas = [
+        image(&[("a", 1), ("c", 1), ("e", 1), ("m", 1)]),
+        image(&[("b", 2), ("h", 2), ("l", 2)]),
+        image(&[("a", 3), ("bb", 3), ("l", 3), ("z", 3)]),
+    ];
+    let mut backup = CheckpointStore::new();
+    let mut brute = held.clone();
+    let full = Checkpoint::new(1, 1, SimTime::ZERO, CheckpointPayload::Full(held));
+    assert_eq!(backup.offer(&full), AcceptOutcome::Installed);
+    for (seq, delta) in (2u64..).zip(deltas) {
+        merge(&mut brute, &delta);
+        let checkpoint = Checkpoint::new(1, seq, SimTime::ZERO, CheckpointPayload::Delta(delta));
+        assert_eq!(backup.offer(&checkpoint), AcceptOutcome::Installed);
+        assert_eq!(backup.to_restore_image(), brute, "after seq {seq}");
+        assert_eq!(backup.image_crc(), checksum(&backup.to_restore_image()));
+    }
+    let other = image(&[("c", 4), ("d", 4), ("y", 4)]);
+    let rebuild = Checkpoint::new(1, 5, SimTime::ZERO, CheckpointPayload::Full(other.clone()));
+    assert_eq!(backup.offer(&rebuild), AcceptOutcome::Installed);
+    assert_eq!(backup.to_restore_image(), other);
+    assert_eq!(backup.image_crc(), checksum(&other));
 }
 
 /// The acceptance workload's wire cost: with 10,000 × 64 B variables and

@@ -1,10 +1,11 @@
-//! Heap allocations of the primary's shipping store, counted.
+//! Heap allocations of the primary's shipping store and the backup's
+//! checkpoint store, counted.
 //!
 //! A counting global allocator attributes every allocation to the thread
 //! that makes it, and each test counts only its own thread while a
-//! measured call runs. The values written are built before counting
-//! starts: what is pinned is the store's own cost, not the application's
-//! buffer.
+//! measured call runs. The values written and the checkpoints offered are
+//! built before counting starts: what is pinned is the store's own cost,
+//! not the application's buffer or the wire's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,4 +163,45 @@ fn a_full_image_allocates_about_one_name_per_variable() {
         per_var <= IMAGE_ALLOCS_PER_VAR,
         "image() made {per_var:.3} allocations per variable, ceiling {IMAGE_ALLOCS_PER_VAR}"
     );
+}
+
+/// Installing into held names allocates nothing: a delta in name order (a
+/// window of consecutive names and `ticks`, as `LoadApp` dirties them), a
+/// scattered delta whose names skip ahead of the install's cursor, and a
+/// full image of the held names. The backup finds every slot by its name,
+/// overwrites bytes and digest where they sit, and verifies into scratch
+/// it keeps from the first install. (The seeded-defect build copies the
+/// displaced image on every install, so it is not counted.)
+#[cfg(not(feature = "inject_bugs"))]
+#[test]
+fn an_install_into_held_names_allocates_nothing() {
+    use ds_sim::prelude::SimTime;
+    use oftt::checkpoint::{AcceptOutcome, Checkpoint, CheckpointPayload, CheckpointStore, VarSet};
+
+    let names = names();
+    let image = |version: u8, picks: &[usize]| -> VarSet {
+        let values = values(version, names.len());
+        picks.iter().map(|&at| (names[at].clone(), values[at].clone())).collect()
+    };
+    let all: Vec<usize> = (0..names.len()).collect();
+    let ticks = names.len() - 1;
+    let window: Vec<usize> = (500..600).chain([ticks]).collect();
+    let scattered: Vec<usize> = (0..names.len()).step_by(23).chain([ticks]).collect();
+    let mut backup = CheckpointStore::new();
+    let first = Checkpoint::new(1, 1, SimTime::ZERO, CheckpointPayload::Full(image(0, &all)));
+    assert_eq!(backup.offer(&first), AcceptOutcome::Installed);
+    let offers = [
+        ("delta in name order", CheckpointPayload::Delta(image(1, &window))),
+        ("scattered delta", CheckpointPayload::Delta(image(2, &scattered))),
+        ("full image, same names", CheckpointPayload::Full(image(3, &all))),
+        ("delta after a full image", CheckpointPayload::Delta(image(4, &window))),
+    ];
+    for (seq, (label, payload)) in (2u64..).zip(offers) {
+        let checkpoint = Checkpoint::new(1, seq, SimTime::from_millis(seq), payload);
+        let (outcome, allocs) = counted(|| backup.offer(&checkpoint));
+        assert_eq!(outcome, AcceptOutcome::Installed, "{label}");
+        println!("offer ({label}): {allocs} allocations");
+        assert_eq!(allocs, 0, "{label}: {allocs} allocations");
+    }
+    assert_eq!(backup.to_restore_image().len(), names.len());
 }
