@@ -69,17 +69,6 @@ pub struct PoolStats {
     pub gives: u64,
 }
 
-impl PoolStats {
-    /// Percentage of takes served from a shelf rather than the allocator.
-    pub fn hit_pct(&self) -> f64 {
-        if self.takes == 0 {
-            0.0
-        } else {
-            100.0 * self.hits as f64 / self.takes as f64
-        }
-    }
-}
-
 impl Default for BufPool {
     fn default() -> Self {
         BufPool::new()

@@ -64,11 +64,6 @@ impl ClassRegistry {
         self.classes.remove(&clsid).is_some()
     }
 
-    /// `true` if `clsid` is registered.
-    pub fn is_registered(&self, clsid: Clsid) -> bool {
-        self.classes.contains_key(&clsid)
-    }
-
     /// Instantiates the class — `CoCreateInstance` local path.
     ///
     /// # Errors
@@ -136,7 +131,6 @@ mod tests {
     #[test]
     fn create_and_host_lookup() {
         let r = registry();
-        assert!(r.is_registered(Clsid::from_name("Nop")));
         assert_eq!(r.host_service(Clsid::from_name("Nop")).unwrap().as_str(), "nop-host");
         let obj = r.create_instance(Clsid::from_name("Nop")).unwrap();
         assert_eq!(obj.clsid(), Clsid::from_name("Nop"));

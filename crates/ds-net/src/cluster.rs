@@ -73,8 +73,6 @@ pub struct Cluster {
     /// Local services subscribed to [`TransportEvent`]s, as on the socket
     /// runtime.
     transport_subs: Vec<Endpoint>,
-    /// When true, every send/delivery is traced (verbose; off by default).
-    pub trace_net: bool,
     counters: NetCounters,
 }
 
@@ -89,7 +87,6 @@ impl Cluster {
             next_pid: 0,
             next_node: 0,
             transport_subs: Vec::new(),
-            trace_net: false,
             counters: NetCounters::default(),
         }
     }
@@ -176,12 +173,6 @@ impl Cluster {
     fn route(&mut self, sched: &mut Scheduler<'_, Cluster>, envelope: Envelope) {
         self.counters.sent += 1;
         let to = envelope.to.clone();
-        if self.trace_net {
-            sched.record(
-                TraceCategory::Net,
-                format!("send {} -> {} ({} B)", envelope.from, to, envelope.size_bytes),
-            );
-        }
         let src_node = envelope.from.node;
         let delay = if src_node == to.node {
             // Same-node IPC: reliable, fast, independent of node links.
@@ -189,9 +180,6 @@ impl Cluster {
         } else {
             let Some(link) = self.links.get(&Self::link_key(src_node, to.node)) else {
                 self.counters.dropped_no_path += 1;
-                if self.trace_net {
-                    sched.record(TraceCategory::Net, format!("no route {} -> {}", src_node, to));
-                }
                 return;
             };
             match link.route(envelope.size_bytes, sched.rng()) {
@@ -224,23 +212,14 @@ impl Cluster {
         let to = envelope.to.clone();
         if !self.nodes.get(&to.node).map(|n| n.status.is_up()).unwrap_or(false) {
             self.counters.dropped_node_down += 1;
-            if self.trace_net {
-                sched.record(TraceCategory::Net, format!("drop (node down): {}", to));
-            }
             return;
         }
         let Some(&pid) = self.services.get(&(to.node, to.service.clone())) else {
             self.counters.dropped_no_service += 1;
-            if self.trace_net {
-                sched.record(TraceCategory::Net, format!("drop (no service): {}", to));
-            }
             return;
         };
         if !self.procs.get(&pid).map(|s| s.started).unwrap_or(false) {
             self.counters.dropped_no_service += 1;
-            if self.trace_net {
-                sched.record(TraceCategory::Net, format!("drop (still starting): {}", to));
-            }
             return;
         }
         self.counters.delivered += 1;
@@ -612,12 +591,6 @@ impl ClusterSim {
     /// The cluster world.
     pub fn cluster(&self) -> &Cluster {
         self.sim.world()
-    }
-
-    /// Exclusive access to the cluster world (setup/inspection only; do not
-    /// mutate topology mid-run except through fault injection).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        self.sim.world_mut()
     }
 
     /// The trace recorded so far.
@@ -1015,23 +988,5 @@ mod edge_tests {
         cs.start();
         cs.run_until(SimTime::from_secs(1));
         assert_eq!(cs.cluster().counters().dropped_no_path, 1);
-    }
-
-    #[test]
-    fn trace_net_flag_records_sends() {
-        struct SelfSend;
-        impl Process for SelfSend {
-            fn on_start(&mut self, env: &mut dyn ProcessEnv) {
-                let me = env.self_endpoint();
-                crate::process::ProcessEnvExt::send_msg(env, me, 1u8);
-            }
-        }
-        let mut cs = ClusterSim::new(5);
-        let a = cs.add_node(NodeConfig::default());
-        cs.register_service(a, "echo", Box::new(|| Box::new(SelfSend)), true);
-        cs.cluster_mut().trace_net = true;
-        cs.start();
-        cs.run_until(SimTime::from_secs(1));
-        assert!(cs.trace().find("send node0/echo -> node0/echo").is_some());
     }
 }

@@ -6,10 +6,11 @@
 //! classes plus network path failures and partitions.
 //!
 //! Processes are runtime-neutral actors ([`process::Process`]) programmed
-//! against [`process::ProcessEnv`]; the deterministic simulation backend
-//! lives in [`cluster`], and [`live`] holds the one actor host that runs the
-//! same actor code in real time — on threads alone, or, with `oftt-wire`
-//! plugged into its off-node seam, across processes over TCP.
+//! against [`process::ProcessEnv`]. They run on two runtimes: the
+//! deterministic simulation backend in [`cluster`], and the one actor host
+//! in [`live`], which runs one node's actors in real time and hands every
+//! other node's envelopes to its off-node seam, where `oftt-wire` plugs in
+//! TCP.
 //!
 //! ## Example: a two-node pair with a fault
 //!

@@ -41,20 +41,6 @@ impl PathConfig {
         self.loss_probability = p;
         self
     }
-
-    /// Overrides the base latency.
-    pub fn with_latency(mut self, base: SimDuration, jitter: SimDuration) -> Self {
-        self.base_latency = base;
-        self.jitter = jitter;
-        self
-    }
-
-    /// Overrides the bandwidth.
-    pub fn with_bandwidth_bps(mut self, bps: u64) -> Self {
-        assert!(bps > 0, "bandwidth must be positive");
-        self.bandwidth_bps = bps;
-        self
-    }
 }
 
 /// Dynamic state of one path.
@@ -132,15 +118,6 @@ impl Link {
         self.paths[index].state = state;
     }
 
-    /// State of one path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn path_state(&self, index: usize) -> PathState {
-        self.paths[index].state
-    }
-
     /// Retunes latency, jitter, and bandwidth on every path, keeping each
     /// path's loss probability and up/down state. This is the fault layer's
     /// handle for degraded-but-alive media (saturated switch, flow-controlled
@@ -156,11 +133,6 @@ impl Link {
     /// Marks the whole link partitioned (no path passes traffic) or heals it.
     pub fn set_partitioned(&mut self, partitioned: bool) {
         self.partitioned = partitioned;
-    }
-
-    /// `true` if the link is administratively partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
     }
 
     /// `true` if at least one path is up and the link is not partitioned.
@@ -210,9 +182,11 @@ mod tests {
 
     #[test]
     fn size_dependent_transmission_delay() {
-        let link =
-            Link::new(vec![PathConfig::default()
-                .with_latency(SimDuration::from_micros(100), SimDuration::ZERO)]);
+        let link = Link::new(vec![PathConfig {
+            base_latency: SimDuration::from_micros(100),
+            jitter: SimDuration::ZERO,
+            ..PathConfig::default()
+        }]);
         let small = match link.route(1_000, &mut rng()) {
             RouteOutcome::Deliver(d) => d,
             other => panic!("{other:?}"),

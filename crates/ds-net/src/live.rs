@@ -1,21 +1,18 @@
-//! The actor host: the one place real-time backends keep their mailboxes.
+//! The actor host: the one place the real-time runtime keeps its mailboxes.
 //!
-//! [`ActorHost`] runs each service on its own OS thread (the `run_actor`
-//! loop in [`crate::transport`]: a crossbeam channel mailbox and a local
-//! timer heap, implementing [`ProcessEnv`] against real time) and
-//! owns everything about hosting them: the mailbox registry, the spec
+//! [`ActorHost`] runs each service of one node on its own OS thread (the
+//! `run_actor` loop in [`crate::transport`]: a crossbeam channel mailbox
+//! and a local timer heap, implementing [`ProcessEnv`] against real time)
+//! and owns everything about hosting them: the mailbox registry, the spec
 //! table, the generation counter, spawn/kill/restart, local delivery with
 //! counted-and-traced drops, and the trace. It has one seam, [`OffNode`]:
-//! where an envelope goes when it is addressed to a node the host does
-//! not own.
+//! where an envelope goes when it is addressed to another node.
 //!
-//! [`LiveNet`] owns a host and joins its threads on shutdown. Built with
-//! [`LiveNet::new`] there is no seam: every endpoint, whatever its node
-//! id, is a mailbox in this process, so the runtime models no network
-//! imperfections — quantitative experiments use the deterministic
-//! [`crate::cluster`] backend. Built with [`LiveNet::with_off_node`] it
-//! hosts one node, and `oftt-wire`'s `WireNet` plugs its TCP supervisor
-//! into the seam for machine-to-machine runs.
+//! [`LiveNet`] owns a host and joins its threads on shutdown. It is built
+//! with [`LiveNet::with_off_node`] for exactly one node; `oftt-wire`'s
+//! `WireNet` plugs its TCP supervisor into the seam for machine-to-machine
+//! runs. The deterministic [`crate::cluster`] backend is the other runtime:
+//! the same actors, with simulated time, links and faults.
 //!
 //! [`ProcessEnv`]: crate::process::ProcessEnv
 
@@ -33,8 +30,8 @@ use crate::message::Envelope;
 use crate::process::ProcessFactory;
 use crate::transport::{run_actor, Control};
 
-/// The host's one seam: takes an envelope addressed to a node the host
-/// does not own. The host is passed back so a refusal can be traced.
+/// The host's one seam: takes an envelope addressed to another node. The
+/// host is passed back so a refusal can be traced.
 pub type OffNode = Box<dyn Fn(&ActorHost, Envelope) + Send + Sync>;
 
 /// A live mailbox: its sender plus the generation of the spawn that
@@ -44,9 +41,9 @@ type Mailbox = (Sender<Control>, u64);
 
 /// The state every hosted actor's thread shares; see the module docs.
 pub struct ActorHost {
-    /// `None`: every endpoint is local. `Some`: only this node's are, and
-    /// the rest go through the seam.
-    home: Option<(NodeId, OffNode)>,
+    /// The node whose services are mailboxes here, and the seam every
+    /// other node's envelopes go through.
+    home: (NodeId, OffNode),
     /// Read-mostly: socket reactor threads deliver concurrently with
     /// actor sends.
     mailboxes: RwLock<HashMap<Endpoint, Mailbox>>,
@@ -91,28 +88,24 @@ impl ActorHost {
 
     fn note_drop(&self, envelope: &Envelope) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
-        // Each backend's wording is what its trace readers match on.
-        let (backend, mailbox) =
-            if self.home.is_some() { ("wire", "local") } else { ("live", "live") };
         self.record(
             TraceCategory::Net,
-            format!("{backend} drop {} -> {}: no {mailbox} mailbox", envelope.from, envelope.to),
+            format!("wire drop {} -> {}: no local mailbox", envelope.from, envelope.to),
         );
     }
 
-    /// `true` if `target` is on a node this host owns; otherwise the
-    /// refused `verb` is traced.
+    /// `true` if `target` is on this host's node; otherwise the refused
+    /// `verb` is traced.
     fn owns(&self, target: &Endpoint, verb: &str) -> bool {
-        match &self.home {
-            Some((node, _)) if target.node != *node => {
-                self.record(
-                    TraceCategory::Net,
-                    format!("wire: cannot {verb} {target}: not on node {node}"),
-                );
-                false
-            }
-            _ => true,
+        let (node, _) = &self.home;
+        if target.node == *node {
+            return true;
         }
+        self.record(
+            TraceCategory::Net,
+            format!("wire: cannot {verb} {target}: not on node {node}"),
+        );
+        false
     }
 
     /// Wall-derived time since the host started.
@@ -146,9 +139,11 @@ impl ActorHost {
     /// Routes an envelope towards its destination (may drop; delivery is
     /// asynchronous and unacknowledged, like the DCOM layer it models).
     pub fn route(&self, envelope: Envelope) {
-        match &self.home {
-            Some((node, off_node)) if envelope.to.node != *node => off_node(self, envelope),
-            _ => self.deliver_local(envelope),
+        let (node, off_node) = &self.home;
+        if envelope.to.node == *node {
+            self.deliver_local(envelope);
+        } else {
+            off_node(self, envelope);
         }
     }
 
@@ -176,8 +171,8 @@ impl ActorHost {
     }
 }
 
-/// A live, thread-backed runtime hosting the same [`Process`] actors as the
-/// deterministic simulation.
+/// A live, thread-backed runtime hosting one node's [`Process`] actors, the
+/// same actors the deterministic simulation runs.
 ///
 /// [`Process`]: crate::process::Process
 ///
@@ -190,7 +185,8 @@ impl ActorHost {
 /// struct Greeter;
 /// impl Process for Greeter {}
 ///
-/// let mut net = LiveNet::new(1);
+/// // One node; envelopes for any other node would go to the seam.
+/// let mut net = LiveNet::with_off_node(1, NodeId(0), Box::new(|_host, _envelope| {}));
 /// net.register(Endpoint::new(NodeId(0), "greeter"), Box::new(|| Box::new(Greeter)));
 /// net.start(&Endpoint::new(NodeId(0), "greeter"));
 /// net.shutdown();
@@ -200,22 +196,13 @@ pub struct LiveNet {
 }
 
 impl LiveNet {
-    /// Creates a live runtime in which every endpoint is local; `seed`
-    /// controls per-process RNG streams.
-    pub fn new(seed: u64) -> Self {
-        Self::build(seed, None)
-    }
-
     /// Creates a runtime hosting only `node`'s services; envelopes for
-    /// any other node are handed to `off_node`.
+    /// any other node are handed to `off_node`. `seed` controls
+    /// per-process RNG streams.
     pub fn with_off_node(seed: u64, node: NodeId, off_node: OffNode) -> Self {
-        Self::build(seed, Some((node, off_node)))
-    }
-
-    fn build(seed: u64, home: Option<(NodeId, OffNode)>) -> Self {
         LiveNet {
             host: Arc::new(ActorHost {
-                home,
+                home: (node, off_node),
                 mailboxes: RwLock::new(HashMap::new()),
                 specs: Mutex::new(HashMap::new()),
                 trace: Mutex::new(Trace::new()),
@@ -253,11 +240,12 @@ impl LiveNet {
         self.host.is_running(endpoint)
     }
 
-    /// Injects a message from an external driver (with a seam, a remote
-    /// destination is routed through it like any actor's send).
+    /// Injects a message from outside the actors, sent as from this node
+    /// (a remote destination is routed through the seam like any actor's
+    /// send).
     pub fn post<T: std::any::Any + Send>(&self, to: Endpoint, body: T) {
-        let node = self.host.home.as_ref().map_or(to.node, |(node, _)| *node);
-        self.host.route(Envelope::new(Endpoint::new(node, "__external"), to, body));
+        let (node, _) = &self.host.home;
+        self.host.route(Envelope::new(Endpoint::new(*node, "__external"), to, body));
     }
 
     /// Copies out the trace recorded so far.
@@ -271,7 +259,7 @@ impl LiveNet {
         self.host.trace.lock().entries().get(n..).unwrap_or_default().to_vec()
     }
 
-    /// Envelopes dropped because no live mailbox could accept them.
+    /// Envelopes dropped because no local mailbox could accept them.
     pub fn dropped_count(&self) -> u64 {
         self.host.dropped.load(Ordering::Relaxed)
     }
@@ -308,6 +296,22 @@ mod tests {
     use ds_sim::prelude::SimDuration;
     use std::sync::atomic::AtomicU32;
     use std::time::{Duration, Instant};
+
+    const HOME: NodeId = NodeId(0);
+
+    /// A host for node 0 whose seam counts what it is handed.
+    fn one_node(seed: u64) -> (LiveNet, Arc<AtomicU32>) {
+        let off_node = Arc::new(AtomicU32::new(0));
+        let seam = Arc::clone(&off_node);
+        let net = LiveNet::with_off_node(
+            seed,
+            HOME,
+            Box::new(move |_, _| {
+                seam.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+        (net, off_node)
+    }
 
     struct Echo;
     impl Process for Echo {
@@ -347,9 +351,9 @@ mod tests {
 
     #[test]
     fn live_ping_pong() {
-        let mut net = LiveNet::new(1);
-        let a = Endpoint::new(NodeId(0), "counter");
-        let b = Endpoint::new(NodeId(1), "echo");
+        let (mut net, off_node) = one_node(1);
+        let a = Endpoint::new(HOME, "counter");
+        let b = Endpoint::new(HOME, "echo");
         let seen = Arc::new(AtomicU32::new(0));
         let s = seen.clone();
         let peer = b.clone();
@@ -361,6 +365,9 @@ mod tests {
         net.start(&b);
         net.start(&a);
         assert!(wait_for(|| seen.load(Ordering::SeqCst) == 2, Duration::from_secs(2)));
+        assert_eq!(off_node.load(Ordering::SeqCst), 0, "local traffic stays off the seam");
+        net.post(Endpoint::new(NodeId(1), "echo"), 7u32);
+        assert_eq!(off_node.load(Ordering::SeqCst), 1, "another node's envelope takes the seam");
         net.shutdown();
     }
 
@@ -379,8 +386,8 @@ mod tests {
 
     #[test]
     fn live_timers_fire() {
-        let mut net = LiveNet::new(2);
-        let ep = Endpoint::new(NodeId(0), "tick");
+        let (mut net, _) = one_node(2);
+        let ep = Endpoint::new(HOME, "tick");
         let fires = Arc::new(AtomicU32::new(0));
         let f = fires.clone();
         net.register(ep.clone(), Box::new(move || Box::new(Tick { fires: f.clone() })));
@@ -392,8 +399,8 @@ mod tests {
 
     #[test]
     fn kill_and_restart_via_registry() {
-        let mut net = LiveNet::new(3);
-        let ep = Endpoint::new(NodeId(0), "echo");
+        let (mut net, _) = one_node(3);
+        let ep = Endpoint::new(HOME, "echo");
         net.register(ep.clone(), Box::new(|| Box::new(Echo)));
         net.start(&ep);
         assert!(wait_for(|| net.is_running(&ep), Duration::from_secs(2)));
@@ -404,23 +411,50 @@ mod tests {
         net.shutdown();
     }
 
+    /// An actor's kill or restart of a service on another node is refused
+    /// and traced: the host spawns only its own node's services.
+    #[test]
+    fn kill_and_restart_of_another_nodes_service_are_refused() {
+        let (mut net, _) = one_node(6);
+        let local = Endpoint::new(HOME, "echo");
+        let remote = Endpoint::new(NodeId(1), "echo");
+        net.register(remote.clone(), Box::new(|| Box::new(Echo)));
+        net.register(local.clone(), Box::new(|| Box::new(Echo)));
+
+        net.host.kill_service(&remote);
+        net.host.restart_service(&remote);
+        assert!(!net.is_running(&remote), "another node's service must not be spawned here");
+        assert!(net.host.handles.lock().is_empty(), "nothing spawned");
+        let trace = net.trace_snapshot();
+        for verb in ["kill", "restart"] {
+            let refusal = format!("wire: cannot {verb} node1/echo: not on node node0");
+            let entry = trace.find(&refusal).expect("the refusal should be traced");
+            assert_eq!(entry.category, TraceCategory::Net);
+        }
+
+        net.host.restart_service(&local);
+        assert!(net.is_running(&local), "the host's own node's service restarts");
+        assert_eq!(net.trace_snapshot().len(), 2, "a local restart is not a refusal");
+    }
+
     #[test]
     fn missing_mailbox_drop_is_traced_and_counted() {
-        let net = LiveNet::new(4);
+        let (net, _) = one_node(4);
         assert_eq!(net.dropped_count(), 0);
-        net.post(Endpoint::new(NodeId(0), "nobody"), 42u32);
+        net.post(Endpoint::new(HOME, "nobody"), 42u32);
         assert_eq!(net.dropped_count(), 1);
         let trace = net.trace_snapshot();
-        let entry = trace.find("no live mailbox").expect("drop should be traced");
+        let entry = trace
+            .find("wire drop node0/__external -> node0/nobody: no local mailbox")
+            .expect("drop should be traced");
         assert_eq!(entry.category, TraceCategory::Net);
-        assert!(entry.message.contains("node0/nobody"));
     }
 
     #[test]
     fn trace_since_is_the_tail_of_the_snapshot() {
-        let net = LiveNet::new(5);
+        let (net, _) = one_node(5);
         for n in 0..5u32 {
-            net.post(Endpoint::new(NodeId(0), "nobody"), n);
+            net.post(Endpoint::new(HOME, "nobody"), n);
         }
         let all = net.trace_snapshot();
         assert_eq!(all.len(), 5);

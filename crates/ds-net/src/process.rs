@@ -2,9 +2,9 @@
 //!
 //! Application and middleware components implement [`Process`]. Handlers
 //! receive a `&mut dyn ProcessEnv` — in simulation this is backed by the
-//! deterministic cluster ([`crate::cluster`]); the live runtime
-//! ([`crate::live`]) backs it with real threads and channels, so the same
-//! OFTT protocol code runs in both.
+//! deterministic cluster ([`crate::cluster`]); in real time the actor host
+//! ([`crate::live`]) backs it with threads and channels, so the same OFTT
+//! protocol code runs on both.
 
 use ds_sim::prelude::{SimDuration, SimRng, SimTime, TraceCategory};
 

@@ -1,9 +1,8 @@
-//! Runtime-neutral plumbing shared by the real-time backends.
+//! The real-time runtime's plumbing beside the actor host.
 //!
-//! Both the threads-only live runtime and the TCP wire runtime
-//! (`oftt-wire`) host the same [`Process`] actors against real time, on
-//! the one [`ActorHost`] in [`crate::live`]. This module holds the rest
-//! of what they share:
+//! The TCP wire runtime (`oftt-wire`) hosts [`Process`] actors against
+//! real time on the one [`ActorHost`] in [`crate::live`]. This module
+//! holds the rest of what it needs from `ds-net`:
 //!
 //! - `run_actor`: the mailbox/timer loop that drives one actor on its own
 //!   OS thread, implementing [`ProcessEnv`] over its [`ActorHost`].

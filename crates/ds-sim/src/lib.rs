@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::schedule::{ChoicePoint, Schedule, SchedulePolicy};
     pub use crate::sim::{Scheduler, Sim};
-    pub use crate::stats::{Histogram, Samples};
+    pub use crate::stats::Samples;
     pub use crate::time::{SimDuration, SimTime, WallClock};
     pub use crate::trace::{Trace, TraceCategory, TraceEntry};
 }

@@ -83,11 +83,6 @@ impl<'a, W> Scheduler<'a, W> {
         id
     }
 
-    /// `true` when the active schedule policy records scope labels.
-    pub fn scopes_enabled(&self) -> bool {
-        self.scopes_on
-    }
-
     /// Cancels a scheduled event. Cancelling an already-fired or unknown id
     /// is a no-op.
     pub fn cancel(&mut self, id: EventId) {
@@ -243,11 +238,6 @@ impl<W> Sim<W> {
     /// Exclusive access to the trace (e.g. to enable stdout echo).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
-    }
-
-    /// The deterministic random source (for setup-time draws).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 
     /// Number of events executed so far.
@@ -699,7 +689,6 @@ mod tests {
             |n, _| *n += 1,
         );
         sim.schedule(SimDuration::from_millis(1), |n, sched| {
-            assert!(!sched.scopes_enabled());
             sched.schedule_scoped(
                 SimDuration::from_millis(1),
                 || panic!("nor from inside a handler"),

@@ -1,5 +1,5 @@
 //! Small statistics helpers shared by the test suite and the experiment
-//! harness: summary statistics and fixed-width text histograms.
+//! harness: summary statistics over a sample set.
 
 use std::fmt;
 
@@ -159,64 +159,6 @@ impl fmt::Display for Samples {
     }
 }
 
-/// A fixed-bucket counting histogram over `u64` values (e.g. busy telephone
-/// lines, as displayed by the paper's demo application).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with buckets `0..=max_value`.
-    pub fn new(max_value: usize) -> Self {
-        Histogram { buckets: vec![0; max_value + 1] }
-    }
-
-    /// Counts an observation, clamping overflow into the top bucket.
-    pub fn observe(&mut self, value: usize) {
-        let idx = value.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// The count in bucket `value`.
-    pub fn count(&self, value: usize) -> u64 {
-        self.buckets.get(value).copied().unwrap_or(0)
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Merges another histogram of the same shape into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "histogram shape mismatch");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Renders a text bar chart, one row per bucket.
-    pub fn render(&self, width: usize) -> String {
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &count) in self.buckets.iter().enumerate() {
-            let bar = (count as usize * width) / max as usize;
-            out.push_str(&format!("{i:>3} | {:<width$} {count}\n", "#".repeat(bar)));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,37 +196,5 @@ mod tests {
     #[should_panic(expected = "NaN sample")]
     fn nan_samples_rejected() {
         Samples::new().push(f64::NAN);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let mut h = Histogram::new(5);
-        h.observe(0);
-        h.observe(3);
-        h.observe(3);
-        h.observe(99); // clamped into bucket 5
-        assert_eq!(h.count(3), 2);
-        assert_eq!(h.count(5), 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_merge_and_render() {
-        let mut a = Histogram::new(2);
-        a.observe(1);
-        let mut b = Histogram::new(2);
-        b.observe(1);
-        b.observe(2);
-        a.merge(&b);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(2), 1);
-        let txt = a.render(10);
-        assert!(txt.contains("1 |"));
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn histogram_merge_shape_checked() {
-        Histogram::new(2).merge(&Histogram::new(3));
     }
 }

@@ -189,11 +189,6 @@ impl Trace {
         self.entries.iter().find(|e| e.message.contains(needle))
     }
 
-    /// All entries whose message contains `needle`.
-    pub fn find_all<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries.iter().filter(move |e| e.message.contains(needle))
-    }
-
     /// Time of the first entry matching `needle` at or after `from`.
     pub fn first_after(&self, from: SimTime, needle: &str) -> Option<SimTime> {
         self.entries.iter().find(|e| e.at >= from && e.message.contains(needle)).map(|e| e.at)

@@ -95,15 +95,4 @@ proptest! {
         prop_assert!(q25 <= q50 && q50 <= q95);
         prop_assert!(s.min() <= q25 && q95 <= s.max());
     }
-
-    /// Histogram total always equals the number of observations, regardless
-    /// of clamping.
-    #[test]
-    fn histogram_conserves_mass(values in prop::collection::vec(0usize..64, 0..256), buckets in 1usize..16) {
-        let mut h = Histogram::new(buckets);
-        for &v in &values {
-            h.observe(v);
-        }
-        prop_assert_eq!(h.total(), values.len() as u64);
-    }
 }

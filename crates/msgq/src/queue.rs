@@ -207,11 +207,6 @@ impl LocalQueue {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
-
-    /// Total distinct messages ever accepted.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +244,6 @@ mod tests {
         q.pop();
         // Retransmission arriving after delivery must still be recognized.
         assert_eq!(q.accept(m, SimTime::ZERO), AcceptOutcome::Duplicate);
-        assert_eq!(q.seen_count(), 1);
     }
 
     #[test]

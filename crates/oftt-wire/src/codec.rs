@@ -1,8 +1,8 @@
 //! Body codec: maps the in-process `MsgBody` (a `dyn Any`) to and from
 //! tagged wire bodies.
 //!
-//! The sim and live runtimes move message bodies by pointer, so any
-//! `Any + Send` type works. A socket cannot — every type that crosses a
+//! The simulator and the actor host's local delivery move message bodies
+//! by pointer, so any `Any + Send` type works. A socket cannot — every type that crosses a
 //! node boundary must be registered here with a stable numeric tag. The
 //! [`WireCodec::standard`] registry covers the whole OFTT protocol
 //! surface; applications with their own cross-node message types extend

@@ -6,10 +6,9 @@
 //! stops mid-write, a severed connection really loses in-flight frames.
 //!
 //! A node hosts its local services on [`ds_net::live::LiveNet`], the one
-//! actor host every real-time backend shares; this crate plugs sockets
-//! into that host's off-node seam, so envelopes addressed to another node
-//! are encoded onto a supervised per-peer TCP link instead of an
-//! in-process channel.
+//! real-time actor host, which owns exactly one node; this crate plugs
+//! sockets into that host's off-node seam, so envelopes addressed to
+//! another node are encoded onto a supervised per-peer TCP link.
 //!
 //! Layers, bottom up:
 //!

@@ -1,13 +1,13 @@
 //! [`WireNet`]: the node runtime that hosts OFTT actors over TCP.
 //!
 //! One `WireNet` per OS process hosts the services of **one node**. It
-//! is [`ds_net::live::LiveNet`] — the one actor host: same actor loop,
-//! same mailbox semantics, same drop accounting, reached through `Deref`
+//! is [`ds_net::live::LiveNet`] — the one actor host, which owns one node:
+//! its actor loop, mailboxes and drop accounting, reached through `Deref`
 //! — with the host's off-node seam plugged into a [`Supervisor`]:
 //! envelopes addressed to another node are encoded by the [`WireCodec`]
 //! and queued on the supervisor's link to that peer. Only what is about
-//! sockets lives here. The actors cannot tell which backend they are on
-//! — that is the point.
+//! sockets lives here. The actors cannot tell whether they run here or on
+//! the simulator — that is the point.
 
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -117,7 +117,7 @@ impl DerefMut for WireNet {
 impl WireNet {
     /// Starts the socket layer (binds the listener, begins dialing
     /// peers) and returns the runtime. Actors are registered and started
-    /// afterwards, like on the other backends.
+    /// afterwards, like on the simulator.
     pub fn new(seed: u64, config: WireConfig, codec: Arc<WireCodec>) -> std::io::Result<Self> {
         let shared = Arc::new(WireShared {
             node: config.node,

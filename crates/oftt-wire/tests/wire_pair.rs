@@ -1,8 +1,8 @@
 //! The socket runtime, exercised in-process: two [`WireNet`]s on
 //! loopback are two genuinely separate runtimes — separate mailboxes,
 //! separate clocks, separate trace — connected only by TCP. The same
-//! engine/FTIM/application code that runs on the simulator and the
-//! thread runtime runs here unchanged.
+//! engine/FTIM/application code that runs on the simulator runs here
+//! unchanged.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 
 use comsim::buf::Bytes;
 use ds_net::endpoint::{Endpoint, NodeId};
-use ds_net::live::LiveNet;
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt};
 use oftt::config::{engine_endpoint, OfttConfig, Pair, RecoveryRule};
@@ -252,6 +251,84 @@ fn oftt_pair_forms_and_fails_over_across_sockets() {
     nodes[backup_idx].net.shutdown();
 }
 
+/// A process failure on a live node: the primary's engine and application
+/// die while its runtime and sockets stay up, so no link resets and the
+/// backup must wait out the peer timeout. Before the kill, external
+/// messages posted to both copies wedge neither.
+#[test]
+fn oftt_pair_fails_over_on_the_peer_timeout_when_only_the_processes_die() {
+    let (na, nb) = (NodeId(0), NodeId(1));
+    let (port_a, port_b) = (free_port(), free_port());
+    let mut nodes = [oftt_node(na, port_a, nb, port_b), oftt_node(nb, port_b, na, port_a)];
+    for (node, id) in nodes.iter_mut().zip([na, nb]) {
+        node.net.subscribe_transport_events(engine_endpoint(id));
+    }
+    assert!(
+        wait_for(
+            || nodes.iter().any(|n| n.probe.lock().current_role() == Some(Role::Primary)),
+            Duration::from_secs(10)
+        ),
+        "pair must elect a primary over TCP"
+    );
+    let primary_idx = usize::from(nodes[0].probe.lock().current_role() != Some(Role::Primary));
+    let backup_idx = 1 - primary_idx;
+    let (primary, backup) = if primary_idx == 0 { (na, nb) } else { (nb, na) };
+
+    // The active FTIM hands the message to the app, the inactive one
+    // drops it; either way every thread keeps running.
+    let posted_at = nodes[primary_idx].view.lock().ticks;
+    for to in [na, nb] {
+        nodes[0].net.post(Endpoint::new(to, "app"), "hello".to_string());
+    }
+    assert!(
+        wait_for(|| nodes[primary_idx].view.lock().ticks > posted_at + 20, Duration::from_secs(10)),
+        "the active copy must keep advancing after external posts"
+    );
+    let ticks_before = nodes[primary_idx].view.lock().ticks;
+
+    let killed_at = Instant::now();
+    nodes[primary_idx].net.kill(&engine_endpoint(primary));
+    nodes[primary_idx].net.kill(&Endpoint::new(primary, "app"));
+
+    assert!(
+        wait_for(
+            || nodes[backup_idx].probe.lock().current_role() == Some(Role::Primary),
+            Duration::from_secs(5)
+        ),
+        "backup must promote itself after the primary's processes die"
+    );
+    // The peer timeout (400 ms) less one heartbeat period of phase.
+    assert!(
+        killed_at.elapsed() >= Duration::from_millis(350),
+        "promoted after {:?}, before the peer timeout",
+        killed_at.elapsed()
+    );
+    assert_eq!(nodes[backup_idx].probe.lock().suspicions, 0, "no link reset was seen");
+    assert!(nodes[backup_idx].net.connected(primary), "the sockets stayed up");
+    let trace = nodes[backup_idx].net.trace_snapshot();
+    let promotion = format!("{}: role=primary", engine_endpoint(backup));
+    let promoted = trace.find(&promotion).expect("the promotion is traced");
+    assert!(
+        !promoted.message.contains("link closed by peer"),
+        "promoted on a reset: {}",
+        promoted.message
+    );
+    assert!(
+        wait_for(
+            || {
+                let view = nodes[backup_idx].view.lock();
+                view.active && view.ticks >= ticks_before.saturating_sub(15)
+            },
+            Duration::from_secs(10)
+        ),
+        "application must resume near the pre-kill state (got {:?}, wanted ~{ticks_before})",
+        *nodes[backup_idx].view.lock()
+    );
+    for node in &mut nodes {
+        node.net.shutdown();
+    }
+}
+
 /// A partition injected by the fault proxy tears the link down; healing
 /// brings it back on a *new* epoch, and traffic resumes. Reconnects are
 /// visible in the health counters.
@@ -348,7 +425,10 @@ impl Drop for Lingerer {
 /// The generation tag: a killed actor that is slow to leave `on_message`
 /// exits after its successor registered, and must not retire the
 /// successor's mailbox.
-fn late_exit_of_a_killed_actor_spares_its_successor(net: &mut LiveNet) {
+#[test]
+fn generation_tag_protects_a_restarted_actor() {
+    let codec = Arc::new(WireCodec::standard());
+    let mut net = WireNet::new(1, WireConfig::loopback(NodeId(0)), codec).expect("wire net");
     let ep = Endpoint::new(NodeId(0), "lingerer");
     let gate = Arc::new(Barrier::new(2));
     let (seen_tx, seen) = mpsc::channel();
@@ -377,12 +457,4 @@ fn late_exit_of_a_killed_actor_spares_its_successor(net: &mut LiveNet) {
     net.post(ep.clone(), 7u32);
     assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(7), "successor still reachable");
     assert_eq!(net.dropped_count(), 0);
-}
-
-#[test]
-fn generation_tag_protects_a_restarted_actor_on_both_runtimes() {
-    late_exit_of_a_killed_actor_spares_its_successor(&mut LiveNet::new(1));
-    let codec = Arc::new(WireCodec::standard());
-    let mut peerless = WireNet::new(1, WireConfig::loopback(NodeId(0)), codec).expect("wire net");
-    late_exit_of_a_killed_actor_spares_its_successor(&mut peerless);
 }

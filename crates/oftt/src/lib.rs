@@ -104,8 +104,9 @@ pub use role::Role;
 
 #[cfg(test)]
 mod thread_safety_tests {
-    //! C-SEND-SYNC: the types that cross threads in the live runtime must
-    //! stay `Send` (a regression here would silently break `ds_net::live`).
+    //! C-SEND-SYNC: the types that cross threads on the real-time actor
+    //! host must stay `Send` (a regression here would silently break
+    //! `ds_net::live`).
 
     fn assert_send<T: Send>() {}
 

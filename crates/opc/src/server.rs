@@ -160,7 +160,6 @@ pub struct DataChange {
 }
 
 struct Group {
-    name: String,
     update_rate: SimDuration,
     deadband_percent: f64,
     subscriber: Endpoint,
@@ -199,11 +198,6 @@ impl SharedServer {
     /// Read-only view of the address space (tests/examples).
     pub fn space(&self) -> &AddressSpace {
         &self.space
-    }
-
-    /// Registered group names in id order (tests/examples).
-    pub fn group_names(&self) -> Vec<String> {
-        self.groups.values().map(|g| g.name.clone()).collect()
     }
 }
 
@@ -306,7 +300,6 @@ impl ComClass for OpcServerClass {
                     shared.groups.insert(
                         id,
                         Group {
-                            name: spec.name,
                             update_rate: spec.update_rate,
                             deadband_percent: spec.deadband_percent,
                             subscriber: spec.subscriber,

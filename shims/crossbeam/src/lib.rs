@@ -1,9 +1,9 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Only the `channel` module is provided, backed by `std::sync::mpsc` with
-//! crossbeam's API shape: cloneable `Sender`, `recv_timeout` returning
-//! `RecvTimeoutError`, and error types that don't expose std's poison
-//! machinery.
+//! Only the part of the `channel` module the workspace calls is provided,
+//! backed by `std::sync::mpsc` with crossbeam's API shape: `unbounded`, a
+//! cloneable `Sender`, and `Receiver::recv_timeout` returning
+//! `RecvTimeoutError`.
 
 #![forbid(unsafe_code)]
 
@@ -57,24 +57,11 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders are gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.inner.recv().map_err(|_| RecvError)
-        }
-
         /// Blocks up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             self.inner.recv_timeout(timeout).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
                 mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Receives a message if one is already queued.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
             })
         }
     }
@@ -86,16 +73,6 @@ pub mod channel {
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// All senders disconnected with the channel empty.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
         }
     }
 
@@ -117,15 +94,6 @@ pub mod channel {
         }
     }
 
-    /// Outcome of a failed `try_recv`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// All senders disconnected with the channel empty.
-        Disconnected,
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -136,8 +104,8 @@ pub mod channel {
             let tx2 = tx.clone();
             tx.send(1).unwrap();
             tx2.send(2).unwrap();
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(1));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(2));
         }
 
         #[test]
