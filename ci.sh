@@ -76,12 +76,15 @@
 #                               shadow pair and ships image_crc(None) as a
 #                               full payload's crc, so it is the standing
 #                               guard that image checksum and full-payload
-#                               checksum stay one function. It also pins two
-#                               product-side counts that repeat exactly:
+#                               checksum stay one function. It also pins
+#                               three product-side counts that repeat exactly:
 #                               ftim.fulls_share is 0 on ckpt_sparse (a pair
 #                               whose acks confirm its images resends none, so
 #                               a blind refresh cannot come back unnoticed)
-#                               and 1 on ckpt_dense
+#                               and 1 on ckpt_dense; and frame.writes_per_op
+#                               is 1 on wire_paced (FrameBatch gathers a
+#                               100-variable checkpoint's short segments, so
+#                               the frame leaves in one writev, not two)
 #
 # Exits non-zero on the first failing stage, naming it on stderr.
 
@@ -199,14 +202,15 @@ for trace in 0 1; do
         false
     fi
     if [ "$trace" -eq 1 ]; then
-        # run.sh's order is fixed: ckpt_sparse first, ckpt_dense second.
-        for want in '1 ckpt_sparse 0' '2 ckpt_dense 1'; do
-            read -r line workload share <<<"$want"
+        # run.sh's order is fixed: ckpt_sparse, ckpt_dense, wire_paced.
+        for want in '1 ckpt_sparse ftim.fulls_share 0' '2 ckpt_dense ftim.fulls_share 1' \
+            '3 wire_paced frame.writes_per_op 1'; do
+            read -r line workload metric value <<<"$want"
             got=$(printf '%s\n' "$results" | sed -n "${line}p" |
-                grep -o '"ftim.fulls_share": {"value": [^,]*,' || true)
-            if [ "$got" != "\"ftim.fulls_share\": {\"value\": $share," ]; then
-                printf 'benchmark smoke: want ftim.fulls_share %s on %s, got: %s\n' \
-                    "$share" "$workload" "$got" >&2
+                grep -o "\"$metric\": {\"value\": [^,]*," || true)
+            if [ "$got" != "\"$metric\": {\"value\": $value," ]; then
+                printf 'benchmark smoke: want %s %s on %s, got: %s\n' \
+                    "$metric" "$value" "$workload" "$got" >&2
                 false
             fi
         done

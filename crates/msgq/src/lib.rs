@@ -10,7 +10,8 @@
 //!   ack/retry — the sender holds a message until the destination manager
 //!   acknowledges it.
 //! * **Exactly-once acceptance** via receiver-side dedup of message ids.
-//! * **TTL + dead-letter queue** for undeliverable messages.
+//! * **TTL**: an undeliverable message expires, and is dropped and counted
+//!   as dead-lettered ([`manager::QueueStats::dead_lettered`]).
 //! * **Push delivery** to an attached consumer with redelivery on silence;
 //!   *last attach wins*, so a newly promoted primary re-attaches and
 //!   inherits pending traffic.

@@ -3,7 +3,7 @@
 //! Implements MSMQ's observable guarantees at the level OFTT relies on:
 //! store-and-forward between managers with ack/retry (sender keeps the
 //! message until the destination manager acknowledges it), receiver-side
-//! dedup (exactly-once acceptance), TTL with a dead-letter queue, and
+//! dedup (exactly-once acceptance), TTL expiry (dropped and counted), and
 //! push-delivery to an attached consumer with redelivery on consumer
 //! silence. The [`ManagerMsg::RetargetNode`] control lets the OFTT message
 //! diverter repoint undelivered traffic at the new primary during a
@@ -79,7 +79,7 @@ pub struct QueueStats {
     pub delivered: u64,
     /// Redeliveries after a consumer ack timeout.
     pub redeliveries: u64,
-    /// Messages expired into the dead-letter queue.
+    /// Messages dropped on expiry (the dead-letter count; no copy is kept).
     pub dead_lettered: u64,
 }
 
@@ -196,7 +196,6 @@ pub struct QueueManager {
     inflight: HashMap<QueueName, InFlight>,
     outgoing: HashMap<MessageId, Outgoing>,
     ordering: HashMap<(QueueName, NodeId), OrderState>,
-    dead_letter: Vec<QueueMessage>,
     /// Sender-side sequence per *queue name* (not per node!): queues of the
     /// same name across an OFTT pair are one logical queue, and sequencing
     /// by name keeps the stream continuous when the diverter retargets
@@ -217,7 +216,6 @@ impl QueueManager {
             inflight: HashMap::new(),
             outgoing: HashMap::new(),
             ordering: HashMap::new(),
-            dead_letter: Vec::new(),
             next_seq: HashMap::new(),
             stats,
         }
@@ -225,13 +223,12 @@ impl QueueManager {
 
     fn store(&mut self, queue: &QueueName, msg: QueueMessage, now: SimTime) {
         let q = self.queues.entry(queue.clone()).or_default();
-        match q.accept(msg.clone(), now) {
+        match q.accept(msg, now) {
             AcceptOutcome::Stored => {}
             AcceptOutcome::Duplicate => {
                 self.stats.lock().duplicates_dropped += 1;
             }
             AcceptOutcome::Expired => {
-                self.dead_letter.push(msg);
                 self.stats.lock().dead_lettered += 1;
             }
         }
@@ -286,7 +283,6 @@ impl QueueManager {
         for id in due {
             let mut out = self.outgoing.remove(&id).expect("listed");
             if out.msg.is_expired(now) {
-                self.dead_letter.push(out.msg);
                 self.stats.lock().dead_lettered += 1;
                 continue;
             }
@@ -311,7 +307,6 @@ impl QueueManager {
                         self.inflight.remove(&name);
                     }
                 }
-                self.dead_letter.extend(dead);
             }
         }
 

@@ -106,8 +106,8 @@ pub struct QueueMessage {
     pub body: Bytes,
     /// When the originating manager accepted it.
     pub enqueued_at: SimTime,
-    /// Absolute expiry ("time-to-reach-queue" analog); expired messages go
-    /// to the dead-letter queue instead of being delivered.
+    /// Absolute expiry ("time-to-reach-queue" analog); expired messages are
+    /// dropped and counted as dead-lettered instead of being delivered.
     pub expires_at: SimTime,
 }
 
@@ -138,7 +138,7 @@ pub enum AcceptOutcome {
     Stored,
     /// Recognized as a duplicate retransmission and dropped.
     Duplicate,
-    /// Already expired on arrival; routed to the dead-letter queue.
+    /// Already expired on arrival; dropped and counted as dead-lettered.
     Expired,
 }
 
@@ -180,8 +180,9 @@ impl LocalQueue {
         }
     }
 
-    /// Drops expired messages from the queue, returning them owned
-    /// (destined for the DLQ). Drains in place — no message is cloned.
+    /// Drops expired messages from the queue, returning them owned (the
+    /// manager counts them and checks its in-flight head against them).
+    /// Drains in place — no message is cloned.
     pub fn expire(&mut self, now: SimTime) -> Vec<QueueMessage> {
         if !self.pending.iter().any(|m| m.is_expired(now)) {
             return Vec::new();

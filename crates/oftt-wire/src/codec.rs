@@ -17,6 +17,11 @@
 //!   as shared [`Bytes`] — the delta bytes the FTIM handed over are the
 //!   same allocations the socket writes (and on receive, windows of the
 //!   single read buffer). That is the zero-copy checkpoint data path.
+//!   Encode marshals the skeleton straight into the head from the
+//!   checkpoint's borrowed names, so a name is copied only into the wire
+//!   bytes themselves; decode builds the [`VarSet`] in one `collect` over the
+//!   `(name, window)` pairs. (Which of those windows the frame batch then
+//!   copies into its gather buffer is [`crate::frame::FrameBatch`]'s rule.)
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![cfg_attr(
@@ -116,8 +121,11 @@ const FTIM_WHOLE: u8 = 0;
 const FTIM_CKPT: u8 = 1;
 
 /// The skeleton of a checkpoint: everything except the variable bytes,
-/// which follow as raw windows in `names` order.
-#[derive(Debug, Serialize, Deserialize)]
+/// which follow as raw windows in `names` order. Decode reads it owned;
+/// encode writes the same bytes from borrowed names (see
+/// [`try_encode_ftim`]).
+#[derive(Debug, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 struct CkptSkeleton {
     term: u64,
     seq: u64,
@@ -133,33 +141,38 @@ fn encode_ftim(body: &MsgBody) -> Option<Result<FramePayload, WireError>> {
     Some(try_encode_ftim(msg))
 }
 
+/// Marshals a checkpoint's skeleton straight into `head` from borrowed
+/// names. The tuple has [`CkptSkeleton`]'s fields in order, and marshal
+/// writes a struct as its fields in order, so the bytes are the same; the
+/// offline serde derive takes no generic struct, hence the tuple.
 fn try_encode_ftim(msg: &FtimPeerMsg) -> Result<FramePayload, WireError> {
     if let FtimPeerMsg::Ckpt(ckpt) = msg {
         let vars = ckpt.payload.vars();
-        let mut skeleton = CkptSkeleton {
-            term: ckpt.term,
-            seq: ckpt.seq,
-            taken_at: ckpt.taken_at,
-            full: ckpt.payload.is_full(),
-            crc: ckpt.crc,
-            names: Vec::with_capacity(vars.len()),
-            lens: Vec::with_capacity(vars.len()),
-        };
+        let mut names = Vec::with_capacity(vars.len());
+        let mut lens = Vec::with_capacity(vars.len());
         let mut shared = Vec::with_capacity(vars.len());
+        let mut name_bytes = 0usize;
         for (name, bytes) in vars {
-            skeleton.names.push(name.clone());
-            skeleton.lens.push(u32::try_from(bytes.len()).map_err(|_| {
-                WireError::BodyMismatch { expected: u32::MAX as u64, actual: bytes.len() as u64 }
+            names.push(name.as_str());
+            name_bytes += name.len();
+            lens.push(u32::try_from(bytes.len()).map_err(|_| WireError::BodyMismatch {
+                expected: u32::MAX as u64,
+                actual: bytes.len() as u64,
             })?);
             // An Arc refcount bump, not a byte copy.
             shared.push(bytes.clone());
         }
-        let mut head = vec![FTIM_CKPT];
-        head.extend_from_slice(&to_bytes(&skeleton)?);
+        // Subtag, five scalars (8 + 8 + 8 + 1 + 4), two length prefixes,
+        // and per variable a name prefix, the name and its length.
+        let mut head = Vec::with_capacity(1 + 29 + 8 + 8 * vars.len() + name_bytes);
+        head.push(FTIM_CKPT);
+        let skeleton =
+            (ckpt.term, ckpt.seq, ckpt.taken_at, ckpt.payload.is_full(), ckpt.crc, names, lens);
+        to_bytes_into(&skeleton, &mut head)?;
         Ok(FramePayload { class: FrameClass::Data, head, shared })
     } else {
         let mut head = vec![FTIM_WHOLE];
-        head.extend_from_slice(&to_bytes(msg)?);
+        to_bytes_into(msg, &mut head)?;
         Ok(FramePayload::plain(head))
     }
 }
@@ -190,14 +203,20 @@ fn decode_ftim(bytes: &Bytes) -> Result<MsgBody, WireError> {
                     actual: data.len() as u64,
                 });
             }
-            let mut vars = VarSet::new();
             let mut offset = 0usize;
-            for (name, len) in skeleton.names.into_iter().zip(skeleton.lens) {
-                let len = len as usize;
-                // Windows of the single receive buffer — no per-var copy.
-                vars.insert(name, data.slice(offset..offset + len));
-                offset += len;
-            }
+            // One bulk build: `collect` sorts the pairs and keeps the last
+            // of equal names, as inserting them one by one would. Each
+            // value is a window of the single receive buffer, not a copy.
+            let vars: VarSet = skeleton
+                .names
+                .into_iter()
+                .zip(skeleton.lens)
+                .map(|(name, len)| {
+                    let window = data.slice(offset..offset + len as usize);
+                    offset += len as usize;
+                    (name, window)
+                })
+                .collect();
             let payload = if skeleton.full {
                 CheckpointPayload::Full(vars)
             } else {
@@ -442,6 +461,165 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got.get("alpha").unwrap().as_slice(), &[1, 2, 3]);
         assert_eq!(got.get("beta").unwrap().len(), 1000);
+    }
+
+    fn ckpt_of(vars: VarSet, full: bool) -> Checkpoint {
+        Checkpoint {
+            term: 3,
+            seq: 17,
+            taken_at: SimTime::from_micros(4_321),
+            payload: if full {
+                CheckpointPayload::Full(vars)
+            } else {
+                CheckpointPayload::Delta(vars)
+            },
+            crc: 0xDEAD_BEEF,
+        }
+    }
+
+    fn skeleton_bytes(skeleton: &CkptSkeleton, data: &[u8]) -> Bytes {
+        let mut wire = vec![FTIM_CKPT];
+        wire.extend_from_slice(&to_bytes(skeleton).unwrap());
+        wire.extend_from_slice(data);
+        Bytes::from(wire)
+    }
+
+    /// The decode this codec had before its bulk build: the same checks,
+    /// then one `insert` per variable.
+    fn insert_loop_decode(bytes: &Bytes) -> Result<(CkptSkeleton, VarSet), ()> {
+        let (skeleton, consumed) =
+            from_bytes_prefix::<CkptSkeleton>(&bytes.as_slice()[1..]).map_err(|_| ())?;
+        let data = bytes.slice(1 + consumed..);
+        let claimed: u64 = skeleton.lens.iter().map(|&l| l as u64).sum();
+        if skeleton.names.len() != skeleton.lens.len() || claimed != data.len() as u64 {
+            return Err(());
+        }
+        let mut vars = VarSet::new();
+        let mut offset = 0usize;
+        for (name, &len) in skeleton.names.iter().zip(&skeleton.lens) {
+            vars.insert(name.clone(), data.slice(offset..offset + len as usize));
+            offset += len as usize;
+        }
+        Ok((skeleton, vars))
+    }
+
+    /// Decodes `bytes` both ways and asserts they agree; returns the vars.
+    fn decodes_like_the_insert_loop(bytes: &Bytes) -> Option<VarSet> {
+        let old = insert_loop_decode(bytes);
+        match decode_ftim(bytes) {
+            Err(e) => {
+                assert!(matches!(e, WireError::BodyMismatch { .. }), "{e}");
+                assert!(old.is_err(), "the insert loop accepted what the bulk build refused");
+                None
+            }
+            Ok(body) => {
+                let (skeleton, vars) = old.expect("the bulk build accepted a refused body");
+                let FtimPeerMsg::Ckpt(ckpt) = body.downcast::<FtimPeerMsg>().unwrap() else {
+                    panic!("wrong variant")
+                };
+                assert_eq!(
+                    (ckpt.term, ckpt.seq, ckpt.taken_at, ckpt.crc, ckpt.payload.is_full()),
+                    (skeleton.term, skeleton.seq, skeleton.taken_at, skeleton.crc, skeleton.full)
+                );
+                assert_eq!(ckpt.payload.vars(), &vars);
+                Some(vars)
+            }
+        }
+    }
+
+    fn hostile(names: &[&str], lens: &[u32], data_len: usize) -> Bytes {
+        let skeleton = CkptSkeleton {
+            term: 1,
+            seq: 2,
+            taken_at: SimTime::from_millis(3),
+            full: false,
+            crc: 4,
+            names: names.iter().map(|n| n.to_string()).collect(),
+            lens: lens.to_vec(),
+        };
+        let data: Vec<u8> = (0..data_len as u8).collect();
+        skeleton_bytes(&skeleton, &data)
+    }
+
+    #[test]
+    fn hostile_skeletons_decode_as_the_insert_loop_did() {
+        // Duplicate names: the last one wins.
+        let vars = decodes_like_the_insert_loop(&hostile(&["b", "a", "b"], &[1, 2, 3], 6)).unwrap();
+        assert_eq!(vars.len(), 2);
+        assert_eq!(vars["b"].as_slice(), &[3, 4, 5]);
+        assert_eq!(vars["a"].as_slice(), &[1, 2]);
+        // Unsorted names come back in name order with their own windows.
+        let vars = decodes_like_the_insert_loop(&hostile(&["z", "m", "a"], &[2, 0, 1], 3)).unwrap();
+        assert_eq!(vars.keys().collect::<Vec<_>>(), ["a", "m", "z"]);
+        assert_eq!(vars["z"].as_slice(), &[0, 1]);
+        assert!(vars["m"].is_empty());
+        assert_eq!(vars["a"].as_slice(), &[2]);
+        // A names/lens length mismatch, either way round.
+        assert!(decodes_like_the_insert_loop(&hostile(&["a", "b"], &[1], 1)).is_none());
+        assert!(decodes_like_the_insert_loop(&hostile(&["a"], &[1, 0], 1)).is_none());
+        // Lens that claim more or fewer bytes than follow.
+        assert!(decodes_like_the_insert_loop(&hostile(&["a", "b"], &[1, 2], 2)).is_none());
+        assert!(decodes_like_the_insert_loop(&hostile(&["a", "b"], &[1, 2], 4)).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 64,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn borrowed_name_encode_matches_the_skeleton_struct(
+            vars in proptest::prop::collection::vec(
+                (
+                    proptest::prop_oneof![".{0,6}", ".{0,300}", "[a-c]{0,2}"],
+                    0..300usize,
+                ),
+                0..60,
+            ),
+            full in proptest::strategy::any::<bool>(),
+        ) {
+            let vars: VarSet = vars
+                .into_iter()
+                .map(|(name, len)| (name, Bytes::from(vec![len as u8; len])))
+                .collect();
+            let ckpt = ckpt_of(vars.clone(), full);
+            let payload = try_encode_ftim(&FtimPeerMsg::Ckpt(ckpt)).unwrap();
+            let skeleton = CkptSkeleton {
+                term: 3,
+                seq: 17,
+                taken_at: SimTime::from_micros(4_321),
+                full,
+                crc: 0xDEAD_BEEF,
+                names: vars.keys().cloned().collect(),
+                lens: vars.values().map(|b| b.len() as u32).collect(),
+            };
+            let expected = skeleton_bytes(&skeleton, &[]);
+            proptest::prop_assert_eq!(payload.head.as_slice(), expected.as_slice());
+            // Sized exactly up front: the head is one allocation, never grown.
+            proptest::prop_assert_eq!(payload.head.capacity(), payload.head.len());
+            let mut wire = payload.head.clone();
+            for window in &payload.shared {
+                wire.extend_from_slice(window.as_slice());
+            }
+            let back = decodes_like_the_insert_loop(&Bytes::from(wire)).unwrap();
+            proptest::prop_assert_eq!(back, vars);
+        }
+
+        #[test]
+        fn any_skeleton_decodes_as_the_insert_loop_did(
+            pairs in proptest::prop::collection::vec(("[a-d]{0,2}", 0..6u32), 0..24),
+            drop_len in proptest::strategy::any::<bool>(),
+            extra_bytes in 0..3usize,
+        ) {
+            let names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
+            let mut lens: Vec<u32> = pairs.iter().map(|&(_, l)| l).collect();
+            if drop_len {
+                lens.pop();
+            }
+            let data_len = lens.iter().sum::<u32>() as usize + extra_bytes;
+            let _ = decodes_like_the_insert_loop(&hostile(&names, &lens, data_len));
+        }
     }
 
     #[test]

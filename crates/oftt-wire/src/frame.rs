@@ -10,10 +10,12 @@
 //! +----------------------------------------------------------+
 //! ```
 //!
-//! All integers are little-endian, matching `comsim::marshal`. The body
-//! is written with a vectored loop over borrowed slices, so a checkpoint
-//! delta held in [`Bytes`] windows reaches the socket without being
-//! copied into a contiguous staging buffer first.
+//! All integers are little-endian, matching `comsim::marshal`. Frames
+//! leave through one writer, [`FrameBatch`]: it gathers segments shorter
+//! than 4 KiB into a reused 32 KiB buffer and points an iovec at each
+//! longer one, so a checkpoint delta of many small variables leaves in one
+//! `writev` and a large variable's [`Bytes`] window reaches the socket
+//! without being copied.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![cfg_attr(
@@ -278,11 +280,9 @@ fn split_payload(payload: &Bytes, meta_len: u32) -> Result<(Bytes, Bytes), ReadE
     ))
 }
 
-/// Writes one frame with a manual vectored loop (std's
-/// `write_all_vectored` is unstable): header, meta, `head`, then each
-/// shared [`Bytes`] window in order. Shared windows are borrowed, not
-/// copied — this is the zero-copy half of the checkpoint data path.
-/// Returns the total bytes written.
+/// Blocking-writes one frame: header, meta, `head`, then each shared
+/// [`Bytes`] window in order, through a one-frame [`FrameBatch`], so the
+/// reactor's gather rule is the only one. Returns the total bytes written.
 pub fn write_frame(
     w: &mut impl Write,
     class: FrameClass,
@@ -291,47 +291,16 @@ pub fn write_frame(
     head: &[u8],
     shared: &[Bytes],
 ) -> io::Result<u64> {
-    let body_len = head.len() as u64 + shared.iter().map(|b| b.len() as u64).sum::<u64>();
-    let header = FrameHeader {
-        class,
-        epoch,
-        meta_len: meta.len() as u32,
-        body_len: u32::try_from(body_len)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body over 4GiB"))?,
-    }
-    .encode();
-
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(3 + shared.len());
-    slices.push(&header);
-    slices.push(meta);
-    slices.push(head);
-    for b in shared {
-        slices.push(b.as_slice());
-    }
-    slices.retain(|s| !s.is_empty());
-
-    let total: u64 = slices.iter().map(|s| s.len() as u64).sum();
-    let mut written = 0u64;
-    while written < total {
-        // Re-window the slice list past what's already on the wire.
-        let mut skip = written;
-        let mut iov = Vec::with_capacity(slices.len());
-        for s in &slices {
-            let len = s.len() as u64;
-            if skip >= len {
-                skip -= len;
-                continue;
-            }
-            // `skip < len` here, so the window is always `Some`; `get`
-            // keeps the hot path free of indexing that could panic.
-            iov.push(IoSlice::new(s.get(skip as usize..).unwrap_or(&[])));
-            skip = 0;
-        }
-        let n = w.write_vectored(&iov)?;
-        if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::WriteZero, "socket accepted 0 bytes"));
-        }
-        written += n as u64;
+    let frame =
+        OutFrame { class, meta: meta.to_vec(), head: head.to_vec(), shared: shared.to_vec() };
+    let mut batch = FrameBatch::new();
+    batch
+        .push(frame, epoch)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body over 4GiB"))?;
+    let total = batch.pending_bytes();
+    while !batch.is_empty() {
+        batch.write_once(w)?;
+        batch.pop_written();
     }
     Ok(total)
 }
@@ -501,15 +470,33 @@ struct BatchEntry {
 /// Hard cap on iovec segments per `write_vectored` call (Linux allows
 /// 1024; staying far below keeps the per-call stack cost small).
 const MAX_IOV: usize = 64;
+/// Segments shorter than this are copied into the batch's gather buffer;
+/// longer ones are written from where they lie.
+const GATHER_BELOW: usize = 4 * 1024;
+/// Cap on the gather buffer. Past it, short segments go by reference too.
+const GATHER_CAP: usize = 32 * 1024;
+
+/// One planned iovec: a range of the gather buffer or a borrowed segment.
+#[derive(Clone, Copy)]
+enum Piece<'a> {
+    Gathered(usize, usize),
+    Borrowed(&'a [u8]),
+}
 
 /// Coalesces queued frames into vectored mega-writes with partial-write
 /// resumption.
 ///
 /// The reactor pushes any number of encoded frames, then calls
-/// [`FrameBatch::write_once`] whenever the socket is writable: one
-/// `write_vectored` spans as many queued frames as fit in `MAX_IOV`
-/// segments, and a short write — even one that splits a header — is
-/// resumed exactly where it stopped on the next call. Fully written
+/// [`FrameBatch::write_once`] whenever the socket is writable. Each call
+/// walks the unwritten tail in order and copies every segment shorter
+/// than 4 KiB into a gather buffer the batch owns and reuses, capped at
+/// 32 KiB; each run of copied segments becomes one iovec, and a longer
+/// segment, or one past the cap, is pointed at where it lies. So a
+/// 100-variable checkpoint of 64-byte windows leaves in one `writev`,
+/// while a large variable is never copied. One `write_vectored` spans as
+/// many queued frames as fit in `MAX_IOV` iovecs, and a short write —
+/// even one that splits a header — is resumed exactly where it stopped
+/// on the next call, which gathers afresh from that byte. Fully written
 /// frames are handed back through [`FrameBatch::pop_written`] so their
 /// buffers can return to the pool.
 #[derive(Default)]
@@ -517,6 +504,9 @@ pub struct FrameBatch {
     entries: VecDeque<BatchEntry>,
     /// Bytes of the front entry already written.
     offset: u64,
+    /// Copies of the short segments of the current `write_once`; its
+    /// capacity is [`GATHER_CAP`] from the first call on.
+    gather: Vec<u8>,
 }
 
 impl FrameBatch {
@@ -564,12 +554,15 @@ impl FrameBatch {
     /// an error for the caller to interpret; a 0-byte write on a
     /// non-empty batch is reported as `WriteZero`.
     pub fn write_once(&mut self, w: &mut impl Write) -> io::Result<u64> {
-        // The scratch is a fixed stack array — MAX_IOV is small enough
-        // that this costs ~1 KiB of stack and keeps the write path off
-        // the allocator entirely.
-        let mut iov = [IoSlice::new(&[]); MAX_IOV];
+        // Both scratch arrays live on the stack (~2.5 KiB), and the gather
+        // buffer is sized once, to its cap, so after the first call the
+        // write path never touches the allocator.
+        let mut plan = [Piece::Borrowed(&[]); MAX_IOV];
         let mut used = 0usize;
         let mut skip = self.offset;
+        let gather = &mut self.gather;
+        gather.clear();
+        gather.reserve_exact(GATHER_CAP);
         'fill: for entry in &self.entries {
             let segments =
                 [entry.header.as_slice(), entry.frame.meta.as_slice(), entry.frame.head.as_slice()];
@@ -580,18 +573,44 @@ impl FrameBatch {
                     skip -= len;
                     continue;
                 }
-                let Some(slot) = iov.get_mut(used) else {
-                    break 'fill; // used == MAX_IOV
-                };
                 // `skip < len`, so the window is nonempty; `get` keeps
                 // the path panic-free.
-                *slot = IoSlice::new(seg.get(skip as usize..).unwrap_or(&[]));
-                used += 1;
+                let rest = seg.get(skip as usize..).unwrap_or(&[]);
                 skip = 0;
+                let start = gather.len();
+                if seg.len() < GATHER_BELOW && start + rest.len() <= GATHER_CAP {
+                    let end = start + rest.len();
+                    match used.checked_sub(1).and_then(|last| plan.get_mut(last)) {
+                        // Only gather runs grow the buffer, so a run just
+                        // before this copy ends where it starts.
+                        Some(Piece::Gathered(_, run_end)) => *run_end = end,
+                        _ => {
+                            let Some(slot) = plan.get_mut(used) else {
+                                break 'fill; // used == MAX_IOV
+                            };
+                            *slot = Piece::Gathered(start, end);
+                            used += 1;
+                        }
+                    }
+                    gather.extend_from_slice(rest);
+                } else {
+                    let Some(slot) = plan.get_mut(used) else {
+                        break 'fill; // used == MAX_IOV
+                    };
+                    *slot = Piece::Borrowed(rest);
+                    used += 1;
+                }
             }
         }
         if used == 0 {
             return Ok(0);
+        }
+        let mut iov = [IoSlice::new(&[]); MAX_IOV];
+        for (slot, piece) in iov.iter_mut().zip(plan.iter().take(used)) {
+            *slot = IoSlice::new(match *piece {
+                Piece::Gathered(start, end) => self.gather.get(start..end).unwrap_or(&[]),
+                Piece::Borrowed(seg) => seg,
+            });
         }
         let n = w.write_vectored(iov.get(..used).unwrap_or(&[]))?;
         if n == 0 {
