@@ -57,7 +57,7 @@
 #                               SIGSTOP a second pair's primary and assert
 #                               the backup waits out the peer timeout
 #  13. campaign corpus          every examples/campaigns/*.json at its own
-#                               seed count (8 x 100 seeds, a few seconds):
+#                               seed count (9 x 100 seeds, a few seconds):
 #                               every run goes through the oftt-check
 #                               invariant engine; any violation,
 #                               non-recovered seed, breached corpus pin, or

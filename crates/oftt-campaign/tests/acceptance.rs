@@ -51,7 +51,7 @@ proptest! {
 }
 
 /// Every corpus file in `examples/campaigns` loads, and its template
-/// expands to a non-empty script for seed 1 — ci.sh runs only two of them.
+/// expands to a non-empty script for seed 1.
 #[test]
 fn every_corpus_file_loads_and_expands() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
@@ -65,7 +65,7 @@ fn every_corpus_file_loads_and_expands() {
             loaded += 1;
         }
     }
-    assert_eq!(loaded, 8, "the corpus is eight files");
+    assert_eq!(loaded, 9, "the corpus is nine files");
 }
 
 /// The same scenario file and seed must reproduce the byte-identical
@@ -160,4 +160,43 @@ fn a_reset_at_a_partition_heal_is_never_a_verdict() {
         suspected += count("closed by peer: suspected");
     }
     assert!(suspected > 0, "no heal reset ever found a backup");
+}
+
+/// `crash_loop.json` kills the application on the node that is primary at
+/// the first kill, and the loop ends in exactly one switchover, requested
+/// by that node at its third failure.
+#[test]
+fn the_crash_loop_kills_the_primary_and_ends_in_one_switchover() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let path = dir.join("crash_loop.json").display().to_string();
+    let sc = Scenario::load_file(&path).unwrap_or_else(|e| panic!("{e}"));
+    for seed in 1..=20 {
+        let script = expand(&sc, seed);
+        let first_kill = script.steps.first().expect("a kill").0;
+        let seeded = oftt_check::Scenario { script, ..sc.base.clone() };
+        let entries = oftt_check::run(&seeded, seed, &[]).entries;
+        let role_a_at_kill = entries
+            .iter()
+            .rfind(|e| e.at <= first_kill && e.message.starts_with("node0/oftt-engine: role="))
+            .map(|e| e.message.clone());
+        assert!(
+            role_a_at_kill.as_deref().is_some_and(|m| m.contains("role=primary")),
+            "seed {seed}: the first node is not primary at the first kill: {role_a_at_kill:?}"
+        );
+        let requests: Vec<&str> = entries
+            .iter()
+            .map(|e| e.message.as_str())
+            .filter(|m| m.contains("requesting switchover"))
+            .collect();
+        assert_eq!(
+            requests,
+            ["node0/oftt-engine: requesting switchover: call-track failed permanently"],
+            "seed {seed}"
+        );
+        let failures = entries
+            .iter()
+            .filter(|e| e.message == "node0/oftt-engine: detected failure of call-track")
+            .count();
+        assert!(failures >= 3, "seed {seed}: {failures} failures");
+    }
 }

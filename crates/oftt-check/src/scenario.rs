@@ -14,7 +14,7 @@ use ds_sim::prelude::{
 };
 use oftt::config::{engine_endpoint, engine_service, StartupFallback};
 use oftt::messages::ToEngine;
-use oftt_harness::scenario::{Fig3Scenario, ScenarioParams};
+use oftt_harness::scenario::{Fig3Scenario, ScenarioParams, APP_SERVICE};
 
 use crate::parse::{parse_trace, Event};
 
@@ -211,6 +211,9 @@ pub enum ScriptOp {
     KillEngine(PairSlot),
     /// Relaunch a killed engine.
     RestartEngine(PairSlot),
+    /// Kill just the protected application on a pair node (paper failure
+    /// class *c*); its engine restarts it by its recovery rule.
+    KillApp(PairSlot),
     /// Partition the pair interconnect.
     Partition,
     /// Heal the pair interconnect.
@@ -247,11 +250,12 @@ pub enum ScriptOp {
 }
 
 /// Every script op with the operands it takes, for parse errors.
-const OPS: [(&str, &str); 13] = [
+const OPS: [(&str, &str); 14] = [
     ("crash", "SLOT"),
     ("repair", "SLOT"),
     ("kill-engine", "SLOT"),
     ("restart-engine", "SLOT"),
+    ("kill-app", "SLOT"),
     ("partition", "no operands"),
     ("heal", "no operands"),
     ("distress", "SLOT"),
@@ -271,6 +275,7 @@ impl std::fmt::Display for ScriptOp {
             ScriptOp::Repair(slot) => write!(f, "repair {}", slot.name()),
             ScriptOp::KillEngine(slot) => write!(f, "kill-engine {}", slot.name()),
             ScriptOp::RestartEngine(slot) => write!(f, "restart-engine {}", slot.name()),
+            ScriptOp::KillApp(slot) => write!(f, "kill-app {}", slot.name()),
             ScriptOp::Partition => write!(f, "partition"),
             ScriptOp::Heal => write!(f, "heal"),
             ScriptOp::Distress(slot) => write!(f, "distress {}", slot.name()),
@@ -311,6 +316,7 @@ impl ScriptOp {
             ["repair", s] => ScriptOp::Repair(slot(s)?),
             ["kill-engine", s] => ScriptOp::KillEngine(slot(s)?),
             ["restart-engine", s] => ScriptOp::RestartEngine(slot(s)?),
+            ["kill-app", s] => ScriptOp::KillApp(slot(s)?),
             ["partition"] => ScriptOp::Partition,
             ["heal"] => ScriptOp::Heal,
             ["distress", s] => ScriptOp::Distress(slot(s)?),
@@ -391,6 +397,7 @@ impl FaultScript {
                 ScriptOp::RestartEngine(slot) => {
                     Fault::StartService(slot.node(a, b), engine_service())
                 }
+                ScriptOp::KillApp(slot) => Fault::KillService(slot.node(a, b), APP_SERVICE.into()),
                 ScriptOp::Partition => Fault::Partition(a, b),
                 ScriptOp::Heal => Fault::Heal(a, b),
                 ScriptOp::Distress(slot) => {
@@ -477,6 +484,7 @@ mod tests {
                 (SimTime::from_secs(10), ScriptOp::Crash(PairSlot::A)),
                 (SimTime::from_secs(12), ScriptOp::KillEngine(PairSlot::B)),
                 (SimTime::from_secs(14), ScriptOp::RestartEngine(PairSlot::B)),
+                (SimTime::from_secs(15), ScriptOp::KillApp(PairSlot::A)),
                 (SimTime::from_secs(20), ScriptOp::Distress(PairSlot::B)),
                 (SimTime::from_secs(25), ScriptOp::Repair(PairSlot::A)),
                 (SimTime::from_secs(26), ScriptOp::Reboot(PairSlot::B)),
@@ -509,6 +517,7 @@ mod tests {
             ("crash c", "bad pair slot"),
             ("reset", "reset takes SLOT"),
             ("refuse a b", "refuse takes SLOT"),
+            ("kill-app", "kill-app takes SLOT"),
             ("path-down x", "bad numeric operand"),
             ("path-up 300", "over 255"),
             ("slow-link 5000", "slow-link takes LATENCY_US"),

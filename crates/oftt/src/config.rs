@@ -83,7 +83,8 @@ impl Pair {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryRule {
     /// Restart the component in place, up to `max_attempts` times within a
-    /// run of failures; further failures escalate to switchover.
+    /// run of failures (defined in [`crate::recover`]); the next failure of
+    /// the run escalates to switchover.
     LocalRestart {
         /// Restarts before escalating.
         max_attempts: u32,

@@ -18,9 +18,12 @@
 //!   itself (DESIGN.md §5). What is suspected, cleared and confirmed is
 //!   [`crate::detect`]'s rule; the engine keeps the clocks and the
 //!   window's timer, and writes the trace lines.
-//! * **Recovery management** — per-component [`RecoveryRule`]: local
-//!   restart for transient faults, switchover for permanent ones,
-//!   escalation when restarts are exhausted.
+//! * **Recovery management** — per-component
+//!   [`crate::config::RecoveryRule`]: local restart for transient faults,
+//!   switchover for permanent ones, escalation when a run of failures
+//!   exhausts its restarts. The rule is [`crate::recover`]'s; the engine
+//!   keeps each component's clocks, restarts it, and writes the trace
+//!   lines.
 //! * **Status reporting** — periodic [`StatusReport`]s to the System
 //!   Monitor, if one is configured.
 
@@ -31,14 +34,15 @@ use ds_net::endpoint::{Endpoint, NodeId, ServiceName};
 use ds_net::message::Envelope;
 use ds_net::process::{Process, ProcessEnv, ProcessEnvExt, TimerHandle};
 use ds_net::transport::{TransportEvent, WIRE_SERVICE};
-use ds_sim::prelude::{SimTime, TraceCategory};
+use ds_sim::prelude::{SimDuration, SimTime, TraceCategory};
 use parking_lot::Mutex;
 
-use crate::config::{engine_endpoint, OfttConfig, RecoveryRule};
+use crate::config::{engine_endpoint, OfttConfig};
 use crate::detect::{self, DetectAction, DetectEvent, PeerWatch, Verdict};
 use crate::messages::{
     decode_body, ComponentStatus, FromEngine, FtimKind, PeerMsg, RoleReport, StatusReport, ToEngine,
 };
+use crate::recover::{self, ComponentWatch, RecoverAction, RecoverEvent};
 use crate::role::{Role, RoleTerm};
 use crate::transition::{role_transition, RoleEvent, RoleOutcome, RoleView};
 
@@ -89,11 +93,20 @@ impl EngineProbe {
 
 struct Component {
     kind: FtimKind,
-    rule: RecoveryRule,
     endpoint: Endpoint,
     last_beat: SimTime,
-    healthy: bool,
-    restart_attempts: u32,
+    /// When the previous failure was detected; zero before the first,
+    /// which finds no restarts in its run either way.
+    last_failure: SimTime,
+    /// The recovery rule's state: the rule and the current run.
+    watch: ComponentWatch,
+}
+
+impl Component {
+    /// `true` if a failure detected `now` would start a new run.
+    fn run_over(&self, now: SimTime, timeout: SimDuration) -> bool {
+        recover::run_over(now.saturating_since(self.last_failure), timeout)
+    }
 }
 
 /// The engine process.
@@ -370,17 +383,17 @@ impl Engine {
                     format!("{}: registered {service} ({kind:?})", env.self_endpoint()),
                 );
                 let endpoint = Endpoint::new(self.me, service.clone());
-                self.components.insert(
-                    service,
-                    Component {
+                let component =
+                    self.components.entry(service.clone()).or_insert_with(|| Component {
                         kind,
-                        rule,
                         endpoint: endpoint.clone(),
                         last_beat: now,
-                        healthy: true,
-                        restart_attempts: 0,
-                    },
-                );
+                        last_failure: SimTime::ZERO,
+                        watch: ComponentWatch::new(rule),
+                    });
+                component.kind = kind;
+                component.last_beat = now;
+                self.recover(&service, RecoverEvent::Registered { rule }, env);
                 let role = self.role_term.role();
                 let term = self.role_term.term();
                 env.send_msg(endpoint, FromEngine::RoleUpdate { role, term });
@@ -388,14 +401,7 @@ impl Engine {
             ToEngine::Heartbeat { service } => {
                 if let Some(component) = self.components.get_mut(&service) {
                     component.last_beat = now;
-                    if !component.healthy {
-                        component.healthy = true;
-                        component.restart_attempts = 0;
-                        env.record(
-                            TraceCategory::Engine,
-                            format!("{}: {service} recovered", env.self_endpoint()),
-                        );
-                    }
+                    self.recover(&service, RecoverEvent::Beat, env);
                 }
             }
             ToEngine::Distress { service, reason } => {
@@ -416,9 +422,8 @@ impl Engine {
                 env.send_msg(from, report);
             }
             ToEngine::SetRecoveryRule { service, rule } => {
-                if let Some(component) = self.components.get_mut(&service) {
-                    component.rule = rule;
-                    component.restart_attempts = 0;
+                if self.components.contains_key(&service) {
+                    self.recover(&service, RecoverEvent::RuleSet { rule }, env);
                     env.record(
                         TraceCategory::Engine,
                         format!(
@@ -434,64 +439,48 @@ impl Engine {
     fn check_components(&mut self, env: &mut dyn ProcessEnv) {
         let now = env.now();
         let timeout = self.config.component_timeout;
-        let overdue: Vec<ServiceName> = self
+        let overdue: Vec<(ServiceName, bool)> = self
             .components
             .iter()
-            .filter(|(_, c)| c.healthy && now.saturating_since(c.last_beat) > timeout)
-            .map(|(s, _)| s.clone())
+            .filter(|(_, c)| now.saturating_since(c.last_beat) > timeout)
+            .map(|(s, c)| (s.clone(), c.run_over(now, timeout)))
             .collect();
-        for service in overdue {
+        for (service, run_over) in overdue {
             self.probe.lock().detections.push((now, service.as_str().to_string()));
             env.record(
                 TraceCategory::Engine,
                 format!("{}: detected failure of {service}", env.self_endpoint()),
             );
-            let Some(component) = self.components.get_mut(&service) else { continue };
-            component.healthy = false;
-            let rule = component.rule;
-            let escalate = match rule {
-                RecoveryRule::LocalRestart { max_attempts } => {
-                    if component.restart_attempts < max_attempts {
-                        component.restart_attempts += 1;
-                        // Grace period: restart takes a moment to register
-                        // and resume heartbeats.
-                        component.last_beat = now;
-                        component.healthy = true;
-                        self.probe.lock().restarts += 1;
-                        let me = self.me;
-                        env.record(
-                            TraceCategory::Engine,
-                            format!(
-                                "{}: local restart of {service} (attempt {})",
-                                env.self_endpoint(),
-                                self.components[&service].restart_attempts
-                            ),
-                        );
-                        env.restart_service(me, &service);
-                        false
-                    } else {
-                        true
-                    }
-                }
-                RecoveryRule::Switchover => true,
-            };
-            if escalate {
-                if self.role_term.role() == Role::Primary {
-                    self.request_switchover(format!("{service} failed permanently"), env);
-                }
-                // Whichever role we end up in, bring the local copy back
-                // as standby software (it will only activate on a future
-                // promotion).
-                let me = self.me;
-                self.probe.lock().restarts += 1;
-                env.restart_service(me, &service);
-                if let Some(component) = self.components.get_mut(&service) {
-                    component.restart_attempts = 0;
-                    component.last_beat = now;
-                    component.healthy = true;
-                }
-            }
+            self.recover(&service, RecoverEvent::Overdue { run_over }, env);
         }
+    }
+
+    /// Feeds one event to `service`'s recovery rule and applies its action:
+    /// the failure's instant, the restart's grace period, the trace, the
+    /// probe, and an escalating primary's switchover request.
+    fn recover(&mut self, service: &ServiceName, event: RecoverEvent, env: &mut dyn ProcessEnv) {
+        let now = env.now();
+        let Some(component) = self.components.get_mut(service) else { return };
+        let action = component.watch.step(event);
+        if action == RecoverAction::Nothing {
+            return;
+        }
+        component.last_failure = now;
+        // Grace period: a restarted copy takes a moment to register and
+        // resume heartbeats.
+        component.last_beat = now;
+        if let RecoverAction::Restart { attempt } = action {
+            env.record(
+                TraceCategory::Engine,
+                format!("{}: local restart of {service} (attempt {attempt})", env.self_endpoint()),
+            );
+        } else if self.role_term.role() == Role::Primary {
+            self.request_switchover(format!("{service} failed permanently"), env);
+        }
+        // After an escalation too, whichever role we end up in: the copy
+        // comes back as standby software, active only after a promotion.
+        self.probe.lock().restarts += 1;
+        env.restart_service(self.me, service);
     }
 
     fn tick(&mut self, env: &mut dyn ProcessEnv) {
@@ -522,6 +511,7 @@ impl Engine {
     fn send_status(&mut self, env: &mut dyn ProcessEnv) {
         let Some(monitor) = self.config.monitor.clone() else { return };
         let now = env.now();
+        let timeout = self.config.component_timeout;
         let report = StatusReport {
             node: self.me,
             role: self.role_term.role(),
@@ -533,8 +523,8 @@ impl Engine {
                 .map(|(service, c)| ComponentStatus {
                     service: service.as_str().to_string(),
                     kind: c.kind,
-                    healthy: c.healthy,
-                    restart_attempts: c.restart_attempts,
+                    healthy: c.watch.healthy(),
+                    restart_attempts: if c.run_over(now, timeout) { 0 } else { c.watch.restarts() },
                 })
                 .collect(),
             at: now,

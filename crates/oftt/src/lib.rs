@@ -71,6 +71,7 @@ pub mod engine;
 pub mod ftim;
 pub mod messages;
 pub mod monitor;
+pub mod recover;
 pub mod role;
 pub mod ship;
 pub mod transition;

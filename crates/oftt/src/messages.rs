@@ -200,9 +200,10 @@ pub struct ComponentStatus {
     pub service: String,
     /// FTIM flavor ("client" checkpoints, "server" does not).
     pub kind: FtimKind,
-    /// `true` if heartbeats are current.
+    /// `false` from a restart until the restarted copy registers or beats.
     pub healthy: bool,
-    /// Restarts performed in the current failure run.
+    /// Restarts performed in the current run of failures
+    /// ([`crate::recover`]); 0 once the run is over.
     pub restart_attempts: u32,
 }
 

@@ -501,3 +501,90 @@ fn lossy_checkpoint_channel_still_converges() {
         .any(|(at, vars, _)| *at >= SimTime::from_secs(60) && *vars > 0);
     assert!(restored_after_fault, "the takeover restored checkpointed state");
 }
+
+/// The rig's recovery rule restarts this many failures of a run in place.
+const MAX_ATTEMPTS: usize = 2;
+
+/// A crash loop: `call-track` on the first elected primary is killed
+/// `kills` times, `every` apart. Failures within five component timeouts
+/// (5 s) of the last are one run, so the 1.1 s and 3 s cadences escalate
+/// at failure `MAX_ATTEMPTS + 1`; ten seconds apart, every failure is a
+/// run of its own and restarts in place.
+#[test]
+fn a_crash_loop_escalates_to_switchover_and_spaced_failures_restart_locally() {
+    let start = SimTime::from_secs(30);
+    for (kills, every_ms, escalates) in [(4, 1_100, true), (6, 3_000, true), (4, 10_000, false)] {
+        let cadence = format!("{kills} kills {every_ms} ms apart");
+        let mut rig = build_rig(304, |_| {});
+        add_feeder(&mut rig, SimDuration::from_millis(200), u64::MAX);
+        rig.cs.start();
+        rig.cs.run_until(start);
+        let victim = primary_node(&rig);
+        for k in 0..kills {
+            let at = start + SimDuration::from_millis(every_ms * k);
+            inject(&mut rig.cs, at, Fault::KillService(victim, "call-track".into()));
+        }
+        rig.cs.run_until(
+            start + SimDuration::from_millis(every_ms * kills) + SimDuration::from_secs(20),
+        );
+
+        let (probe, peer_probe) = if victim == rig.a {
+            (&rig.probe_a, &rig.probe_b)
+        } else {
+            (&rig.probe_b, &rig.probe_a)
+        };
+        assert_eq!(peer_probe.lock().switchover_requests, 0, "{cadence}: the peer stays put");
+        let probe = probe.lock();
+        let (detections, restarts, requests) =
+            (probe.detections.clone(), probe.restarts, probe.switchover_requests);
+        let yielded = probe.first_role_after(start, Role::Backup);
+        drop(probe);
+        if escalates {
+            assert_eq!(requests, 1, "{cadence}: {detections:?}");
+            let failure = detections.get(MAX_ATTEMPTS).expect("a failure past the budget").0;
+            assert_eq!(
+                yielded,
+                Some(failure),
+                "{cadence}: the primary yields at failure {}",
+                MAX_ATTEMPTS + 1
+            );
+            assert_ne!(primary_node(&rig), victim, "{cadence}: the peer is primary");
+            let (active, _) = active_view(&rig).expect("one active app");
+            assert_ne!(active, victim, "{cadence}: the peer's app is active");
+        } else {
+            assert_eq!(detections.len(), kills as usize, "{cadence}");
+            assert_eq!(restarts, kills as u32, "{cadence}: every failure restarts locally");
+            assert_eq!(requests, 0, "{cadence}");
+            assert_eq!(primary_node(&rig), victim, "{cadence}");
+        }
+    }
+}
+
+/// The System Monitor shows a local restart while its run lasts.
+#[test]
+fn the_monitor_shows_a_restart_until_its_run_is_over() {
+    let mut rig = build_rig(310, |_| {});
+    add_feeder(&mut rig, SimDuration::from_millis(200), u64::MAX);
+    rig.cs.start();
+    let start = SimTime::from_secs(30);
+    rig.cs.run_until(start);
+    let victim = primary_node(&rig);
+    inject(&mut rig.cs, start, Fault::KillService(victim, "call-track".into()));
+    let mut shown = Vec::new();
+    let mut now = start;
+    while now < start + SimDuration::from_secs(10) {
+        now += SimDuration::from_millis(50);
+        rig.cs.run_until(now);
+        let text = rig.monitor_table.lock().render(now);
+        let row =
+            text.lines().find(|l| l.starts_with(&victim.to_string())).unwrap_or("").to_string();
+        let cell =
+            row.split_whitespace().find(|w| w.starts_with("call-track[")).map(str::to_string);
+        if shown.last() != Some(&cell) {
+            shown.push(cell);
+        }
+    }
+    let cell = |text: &str| Some(text.to_string());
+    assert!(shown.contains(&cell("call-track[OK,r1]")), "after one local restart: {shown:?}");
+    assert_eq!(shown.last(), Some(&cell("call-track[OK]")), "after the run window: {shown:?}");
+}
