@@ -84,7 +84,14 @@
 #                               and 1 on ckpt_dense; and frame.writes_per_op
 #                               is 1 on wire_paced (FrameBatch gathers a
 #                               100-variable checkpoint's short segments, so
-#                               the frame leaves in one writev, not two)
+#                               the frame leaves in one writev, not two).
+#                               The untraced pass pins failover_kill's
+#                               op_ms under 12.5 ms: oftt-node prints when
+#                               its trace grows, so the survivor's ACTIVE
+#                               line is on stdout about 1 ms after the kill;
+#                               a print loop that sleeps between batches
+#                               (the old one slept 25 ms) adds most of its
+#                               period
 #
 # Exits non-zero on the first failing stage, naming it on stderr.
 
@@ -214,6 +221,17 @@ for trace in 0 1; do
                 false
             fi
         done
+    else
+        # failover_kill is fourth; only the untraced line carries the
+        # end-to-end op_ms: kill-to-ACTIVE as the survivor's stdout shows
+        # it, gated at half the old 25 ms print period.
+        got=$(printf '%s\n' "$results" | sed -n 4p |
+            grep -o '"op_ms": {"value": [^,]*,' | grep -o '[0-9][0-9.e+-]*' || true)
+        if ! awk -v ms="$got" 'BEGIN { exit !(ms != "" && ms + 0 < 12.5) }'; then
+            printf 'benchmark smoke: want op_ms < 12.5 on failover_kill, got: %s\n' \
+                "$got" >&2
+            false
+        fi
     fi
 done
 

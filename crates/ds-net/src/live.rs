@@ -18,8 +18,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, SendError, Sender};
 use ds_sim::prelude::{SimTime, Trace, TraceCategory, TraceEntry, WallClock};
@@ -49,6 +50,11 @@ pub struct ActorHost {
     mailboxes: RwLock<HashMap<Endpoint, Mailbox>>,
     specs: Mutex<HashMap<Endpoint, ProcessFactory>>,
     trace: Mutex<Trace>,
+    /// The trace's length, published after each record so a reader can
+    /// sleep until it grows. std's pair rather than the shim's: a condvar
+    /// wait needs the std guard, which the shim's guard does not hand out.
+    /// The lock is a leaf too; it is only taken with no other lock held.
+    trace_len: (std::sync::Mutex<usize>, Condvar),
     clock: WallClock,
     handles: Mutex<Vec<JoinHandle<()>>>,
     seed: u64,
@@ -113,10 +119,21 @@ impl ActorHost {
         self.clock.now()
     }
 
-    /// Records a trace entry at the current time.
+    /// Records a trace entry at the current time and wakes every reader
+    /// waiting in [`LiveNet::trace_wait_since`].
     pub fn record(&self, category: TraceCategory, message: String) {
         let now = self.clock.now();
-        self.trace.lock().record(now, category, message);
+        let len = {
+            let mut trace = self.trace.lock();
+            trace.record(now, category, message);
+            trace.len()
+        };
+        let (published, grown) = &self.trace_len;
+        let mut published = published.lock().unwrap_or_else(PoisonError::into_inner);
+        // Two recorders may publish out of order; the larger length wins.
+        *published = (*published).max(len);
+        drop(published);
+        grown.notify_all();
     }
 
     /// Hands an envelope to the mailbox registered for its destination.
@@ -206,6 +223,7 @@ impl LiveNet {
                 mailboxes: RwLock::new(HashMap::new()),
                 specs: Mutex::new(HashMap::new()),
                 trace: Mutex::new(Trace::new()),
+                trace_len: (std::sync::Mutex::new(0), Condvar::new()),
                 clock: WallClock::new(),
                 handles: Mutex::new(Vec::new()),
                 seed,
@@ -257,6 +275,17 @@ impl LiveNet {
     /// that has already consumed `n` entries has not seen yet.
     pub fn trace_since(&self, n: usize) -> Vec<TraceEntry> {
         self.host.trace.lock().entries().get(n..).unwrap_or_default().to_vec()
+    }
+
+    /// [`LiveNet::trace_since`], but when there is nothing after the first
+    /// `n` entries yet, waits up to `timeout` for a record. Returns as soon
+    /// as the trace grows past `n`, and empty if it has not by the timeout.
+    pub fn trace_wait_since(&self, n: usize, timeout: Duration) -> Vec<TraceEntry> {
+        let (published, grown) = &self.host.trace_len;
+        let published = published.lock().unwrap_or_else(PoisonError::into_inner);
+        let waited = grown.wait_timeout_while(published, timeout, |len| *len <= n);
+        drop(waited.unwrap_or_else(PoisonError::into_inner));
+        self.trace_since(n)
     }
 
     /// Envelopes dropped because no local mailbox could accept them.
@@ -460,6 +489,56 @@ mod tests {
         assert_eq!(all.len(), 5);
         for k in 0..=6 {
             assert_eq!(net.trace_since(k), all.entries().get(k..).unwrap_or_default());
+        }
+    }
+
+    /// A reader asleep in `trace_wait_since` wakes on a record made on
+    /// another thread, long before its timeout.
+    #[test]
+    fn trace_wait_since_wakes_on_a_record() {
+        let (net, _) = one_node(7);
+        let host = Arc::clone(&net.host);
+        let recorded = Arc::new(Mutex::new(None));
+        let at = Arc::clone(&recorded);
+        let recorder = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            *at.lock() = Some(Instant::now());
+            host.record(TraceCategory::Other, "grown".into());
+        });
+        let entries = net.trace_wait_since(0, Duration::from_secs(10));
+        let woke = Instant::now();
+        recorder.join().expect("recorder thread");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].message, "grown");
+        let recorded = recorded.lock().expect("recorded before the wake");
+        let lag = woke.saturating_duration_since(recorded);
+        assert!(lag < Duration::from_millis(100), "woke {lag:?} after the record");
+    }
+
+    /// Entries beyond `n` already there: no wait at all.
+    #[test]
+    fn trace_wait_since_returns_at_once_when_behind() {
+        let (net, _) = one_node(8);
+        for n in 0..3u32 {
+            net.post(Endpoint::new(HOME, "nobody"), n);
+        }
+        let start = Instant::now();
+        let entries = net.trace_wait_since(1, Duration::from_secs(10));
+        assert!(start.elapsed() < Duration::from_secs(1), "waited {:?}", start.elapsed());
+        assert_eq!(entries, net.trace_since(1));
+        assert_eq!(entries.len(), 2);
+    }
+
+    /// Nothing recorded past `n`: empty, and not before the timeout.
+    #[test]
+    fn trace_wait_since_times_out_empty() {
+        let (net, _) = one_node(9);
+        for n in 0..2 {
+            let start = Instant::now();
+            let entries = net.trace_wait_since(n, Duration::from_millis(40));
+            assert!(entries.is_empty(), "nothing lies beyond entry {n}");
+            assert!(start.elapsed() >= Duration::from_millis(40), "returned early");
+            net.post(Endpoint::new(HOME, "nobody"), 0u32);
         }
     }
 }

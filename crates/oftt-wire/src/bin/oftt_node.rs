@@ -9,8 +9,13 @@
 //! FTIM wrapping the synthetic [`LoadApp`], a store-and-forward queue
 //! manager (subscribed to transport events for reconnect retries), and —
 //! on the node named by `monitor_node` — the System Monitor. The node's trace streams to
-//! stdout, one line per entry, which is what the smoke test and the
-//! failover bench scrape.
+//! stdout, one line per entry in trace order, which is what the smoke test
+//! and the failover bench scrape. The print loop sleeps in
+//! [`LiveNet::trace_wait_since`] and is woken by the record that grows the
+//! trace, so a role change is on stdout as soon as it is traced, not up to
+//! a print period later; each batch is flushed once.
+//!
+//! [`LiveNet::trace_wait_since`]: ds_net::live::LiveNet::trace_wait_since
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,6 +31,10 @@ use oftt_wire::codec::WireCodec;
 use oftt_wire::config::{NodeConfig, APP_SERVICE, MONITOR_SERVICE};
 use oftt_wire::runtime::WireNet;
 use parking_lot::Mutex;
+
+/// Longest the print loop waits for the trace to grow before it checks
+/// `run_for_ms` again; a record wakes it at once.
+const DEADLINE_CHECK: Duration = Duration::from_millis(25);
 
 fn usage() -> ! {
     eprintln!("usage: oftt-node --config <path>");
@@ -140,7 +149,7 @@ fn main() {
         config.run_for_ms.map(|ms| std::time::Instant::now() + Duration::from_millis(ms));
     let mut printed = 0usize;
     loop {
-        let entries = net.trace_since(printed);
+        let entries = net.trace_wait_since(printed, DEADLINE_CHECK);
         if !entries.is_empty() {
             let mut stdout = std::io::stdout().lock();
             for entry in &entries {
@@ -157,7 +166,6 @@ fn main() {
                 break;
             }
         }
-        std::thread::sleep(Duration::from_millis(25));
     }
     net.shutdown();
 }

@@ -35,10 +35,11 @@ use ds_net::endpoint::NodeId;
 use oftt_wire::harness::{free_port, pair_config, parse_ckpt_triple, write_config, ChildNode};
 
 /// Promotion must land within this wall budget after the kill. The
-/// refused redial confirms it within a millisecond; the rest is the
-/// node's 25 ms stdout flush, this binary's polling, and slack for a
-/// loaded host. A promotion by the 100 ms suspicion window alone would
-/// still pass, which is why the reason is checked too.
+/// refused redial confirms it within a millisecond, and the node prints
+/// the role line as soon as it is recorded; the rest is this binary's
+/// polling and slack for a loaded host. A promotion by the 100 ms
+/// suspicion window alone would still pass, which is why the reason is
+/// checked too.
 const KILL_BUDGET: Duration = Duration::from_millis(200);
 
 /// Promotion must land within this wall budget after the freeze:

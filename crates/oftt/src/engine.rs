@@ -164,9 +164,8 @@ impl Engine {
         let now = env.now();
         self.probe.lock().role_history.push((now, role, term));
         let update = FromEngine::RoleUpdate { role, term };
-        let targets: Vec<Endpoint> = self.components.values().map(|c| c.endpoint.clone()).collect();
-        for target in targets {
-            env.send_msg(target, update.clone());
+        for component in self.components.values() {
+            env.send_msg(component.endpoint.clone(), update.clone());
         }
     }
 
@@ -492,9 +491,8 @@ impl Engine {
             term: self.role_term.term(),
         };
         env.send_msg(self.peer_endpoint(), hb);
-        let targets: Vec<Endpoint> = self.components.values().map(|c| c.endpoint.clone()).collect();
-        for target in targets {
-            env.send_msg(target, FromEngine::EngineHeartbeat);
+        for component in self.components.values() {
+            env.send_msg(component.endpoint.clone(), FromEngine::EngineHeartbeat);
         }
         // 2. Backup promotion on primary silence: the clocks are read
         // here, the verdict is the detection rule's.
